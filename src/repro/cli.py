@@ -88,7 +88,7 @@ import sys
 from pathlib import Path
 
 from repro.cases import UnknownCaseError, case_entry, case_names
-from repro.core import OverflowD1, speedup_table
+from repro.core import build_driver, speedup_table
 from repro.machine import MACHINE_PRESETS
 
 DEFAULT_TRACE_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
@@ -123,33 +123,6 @@ def _steps(args, default: int = 5) -> int:
     """``--steps`` with a per-command default (None = not given)."""
     steps = getattr(args, "steps", None)
     return default if steps is None else steps
-
-
-def _scenario_case(args):
-    """Load ``--scenario FILE``, register it, build the OffBodyCase."""
-    from repro.offbody import (
-        ScenarioError,
-        load_scenario,
-        register_scenario_case,
-    )
-
-    try:
-        payload = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        raise SystemExit(str(exc))
-    entry = register_scenario_case(payload, source=args.scenario)
-    kwargs = {}
-    if getattr(args, "nodes", None) is not None:
-        kwargs["nodes"] = args.nodes
-    if getattr(args, "steps", None) is not None:
-        kwargs["nsteps"] = args.steps
-    if getattr(args, "grouping", None):
-        kwargs["grouping"] = args.grouping
-    try:
-        case = entry.builder(**kwargs)
-    except (ScenarioError, ValueError) as exc:
-        raise SystemExit(str(exc))
-    return payload, case
 
 
 def _case_name(args) -> str:
@@ -229,8 +202,7 @@ def _print_run(r, measured: bool = False) -> None:
     print(f"time/step        {r.time_per_step:.4f} {unit}")
     print(f"Mflops/node      {r.mflops_per_node:.1f}")
     print(f"%time in DCF3D   {r.pct_dcf3d:.1f}%")
-    for step, procs in r.partition_history:
-        print(f"partition from step {step}: {procs}")
+    _print_decomposition(r)
     for rec in r.recoveries:
         print(rec.describe())
     if r.recoveries:
@@ -258,8 +230,15 @@ def _store_tracer(args, case: str, component: str):
         raise SystemExit(str(exc))
 
 
-def _print_offbody(r) -> None:
-    """Per-epoch adaptive/off-body statistics (OffBodyRunResult only)."""
+def _print_decomposition(r) -> None:
+    """Partition history, plus per-epoch patch/grouping statistics
+    when the run was an off-body one."""
+    from repro.offbody import OffBodyRunResult
+
+    for step, procs in r.partition_history:
+        print(f"partition from step {step}: {procs}")
+    if not isinstance(r, OffBodyRunResult):
+        return
     for e in r.epochs:
         levels = " ".join(
             f"L{k}:{v}" for k, v in sorted(e.level_counts.items())
@@ -277,77 +256,52 @@ def _no_case_with_scenario(args) -> None:
         raise SystemExit("give either a case name or --scenario, not both")
 
 
-def _run_scenario(args) -> int:
-    """``repro run --scenario FILE``: one adaptive off-body run."""
-    from repro.offbody import OffBodyDriver
-
-    _no_case_with_scenario(args)
-    if getattr(args, "checkpoint_every", None) or \
-            getattr(args, "checkpoint_dir", None):
-        raise SystemExit(
-            "--checkpoint-* is not supported with --scenario: off-body "
-            "recovery re-derives state from prescribed motions instead "
-            "of checkpoint bytes"
-        )
-    engine = _backend(args)
-    _payload, case = _scenario_case(args)
-    print(
-        f"{case.name}: {case.n_near} near-body grids, "
-        f"{case.machine.name} x {case.machine.nodes} nodes, "
-        f"{case.nsteps} steps (adapt every {case.adapt_interval}), "
-        f"grouping={case.grouping}, backend={engine.name}"
-    )
-    tracer = _store_tracer(args, case.name, "run")
-    san = _make_sanitizer(args, tracer=tracer)
-    try:
-        try:
-            driver = OffBodyDriver(
-                case,
-                tracer=tracer,
-                sanitizer=san,
-                backend=engine,
-                fault_plan=(
-                    list(args.fault)
-                    if getattr(args, "fault", None) else None
-                ),
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        r = driver.run()
-    finally:
-        engine.close()
-        if tracer is not None:
-            tracer.close()
-    _print_run(r, measured=engine.measured)
-    _print_offbody(r)
-    if tracer is not None:
-        print(
-            f"trace store: {tracer.directory} ({tracer.records} records, "
-            f"{tracer.nranks} ranks; watch with 'repro top "
-            f"{tracer.directory}')"
-        )
-    return _finish_sanitizer(san)
-
-
-def cmd_run(args) -> int:
+def _target(args, default_nodes: int):
+    """What ``run``/``trace`` execute: (case name, case object, banner)
+    from a case name or ``--scenario FILE``."""
     if args.scenario:
-        return _run_scenario(args)
-    machine = _machine(args.machine, 12 if args.nodes is None else args.nodes)
-    engine = _backend(args)
-    case = _case_name(args)
-    cfg = _case(case, machine, args.scale, _steps(args), args.f0)
-    print(
+        from repro.offbody import (
+            ScenarioError,
+            load_scenario,
+            register_scenario_case,
+        )
+
+        _no_case_with_scenario(args)
+        try:
+            entry = register_scenario_case(
+                load_scenario(args.scenario), source=args.scenario
+            )
+            # None = flag not given: the file's own run block wins.
+            case = entry.builder(
+                nodes=args.nodes, nsteps=args.steps, grouping=args.grouping
+            )
+        except (ScenarioError, ValueError) as exc:
+            raise SystemExit(str(exc))
+        return case.name, case, (
+            f"{case.name}: {case.n_near} near-body grids, "
+            f"{case.machine.name} x {case.machine.nodes} nodes, "
+            f"{case.nsteps} steps (adapt every {case.adapt_interval}), "
+            f"grouping={case.grouping}"
+        )
+    machine = _machine(
+        args.machine, default_nodes if args.nodes is None else args.nodes
+    )
+    name = _case_name(args)
+    cfg = _case(name, machine, args.scale, _steps(args), args.f0)
+    return name, cfg, (
         f"{cfg.name}: {cfg.total_gridpoints} points, {len(cfg.grids)} "
         f"grids, {machine.name} x {machine.nodes} nodes, "
-        f"f0={'inf' if math.isinf(args.f0) else args.f0}, "
-        f"backend={engine.name}"
+        f"f0={'inf' if math.isinf(args.f0) else args.f0}"
     )
-    tracer = _store_tracer(args, case, "run")
-    san = _make_sanitizer(args, tracer=tracer)
+
+
+def _execute(args, target, engine, tracer, san, store):
+    """Run ``target`` on its driver with the shared resilience options;
+    the engine and the trace store (if any) are closed either way."""
     try:
         try:
-            driver = OverflowD1(
-                cfg,
+            driver = build_driver(
+                target,
                 tracer=tracer,
                 sanitizer=san,
                 backend=engine,
@@ -355,11 +309,20 @@ def cmd_run(args) -> int:
             )
         except ValueError as exc:
             raise SystemExit(str(exc))
-        r = driver.run()
+        return driver.run()
     finally:
         engine.close()
-        if tracer is not None:
-            tracer.close()
+        if store is not None:
+            store.close()
+
+
+def cmd_run(args) -> int:
+    case, target, banner = _target(args, default_nodes=12)
+    engine = _backend(args)
+    print(f"{banner}, backend={engine.name}")
+    tracer = _store_tracer(args, case, "run")
+    san = _make_sanitizer(args, tracer=tracer)
+    r = _execute(args, target, engine, tracer, san, store=tracer)
     _print_run(r, measured=engine.measured)
     if tracer is not None:
         print(
@@ -371,7 +334,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    from repro.core.overflow_d1 import resume_run
+    from repro.core import resume_run
     from repro.resilience import Checkpoint, CheckpointError, CheckpointStore
 
     path = Path(args.checkpoint)
@@ -407,7 +370,7 @@ def cmd_sweep(args) -> int:
         cfg = _case(case, machine, args.scale, _steps(args), args.f0)
         total = cfg.total_gridpoints
         print(f"running {nodes} nodes ...", file=sys.stderr)
-        runs.append(OverflowD1(cfg).run())
+        runs.append(build_driver(cfg).run())
     table = speedup_table(runs, total)
     print(table.format())
     if args.csv:
@@ -423,17 +386,8 @@ def cmd_trace(args) -> int:
         write_rollup_csv,
     )
 
+    case, target, banner = _target(args, default_nodes=8)
     engine = _backend(args)
-    if args.scenario:
-        _no_case_with_scenario(args)
-        _payload, cfg = _scenario_case(args)
-        case = cfg.name
-    else:
-        machine = _machine(
-            args.machine, 8 if args.nodes is None else args.nodes
-        )
-        case = _case_name(args)
-        cfg = _case(case, machine, args.scale, _steps(args), args.f0)
     out_dir = Path(args.out)
     # --trends needs per-step rollups, which come from the segment
     # store's index; default its location under the output directory.
@@ -446,51 +400,10 @@ def cmd_trace(args) -> int:
             "live in the segment store's index"
         )
     mode = "streaming store" if store else "in-memory"
-    if args.scenario:
-        print(
-            f"{cfg.name}: {cfg.n_near} near-body grids, "
-            f"{cfg.machine.name} x {cfg.machine.nodes} nodes, "
-            f"grouping={cfg.grouping}, tracing enabled ({mode}), "
-            f"backend={engine.name}"
-        )
-    else:
-        print(
-            f"{cfg.name}: {cfg.total_gridpoints} points, {len(cfg.grids)} "
-            f"grids, {machine.name} x {machine.nodes} nodes, tracing "
-            f"enabled ({mode}), backend={engine.name}"
-        )
+    print(f"{banner}, tracing enabled ({mode}), backend={engine.name}")
     tracer = store if store is not None else SpanTracer()
     san = _make_sanitizer(args, tracer=tracer)
-    try:
-        try:
-            if args.scenario:
-                from repro.offbody import OffBodyDriver
-
-                driver = OffBodyDriver(
-                    cfg,
-                    tracer=tracer,
-                    sanitizer=san,
-                    backend=engine,
-                    fault_plan=(
-                        list(args.fault)
-                        if getattr(args, "fault", None) else None
-                    ),
-                )
-            else:
-                driver = OverflowD1(
-                    cfg,
-                    tracer=tracer,
-                    sanitizer=san,
-                    backend=engine,
-                    **_resilience_kwargs(args),
-                )
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        run = driver.run()
-    finally:
-        engine.close()
-        if store is not None:
-            store.close()
+    run = _execute(args, target, engine, tracer, san, store)
 
     steps = []
     reader = None
@@ -506,11 +419,6 @@ def cmd_trace(args) -> int:
     suffix = ""
     rollup = None
     if args.from_step is not None:
-        if reader is None:
-            raise SystemExit(
-                "--from-step needs --trace-store: per-step byte offsets "
-                "live in the segment store's index"
-            )
         from repro.obs import PhaseRollup
 
         try:
@@ -542,10 +450,7 @@ def cmd_trace(args) -> int:
     ig = igbp.summary()
     print(f"\nI(p) over the last window: {ig['I']}")
     print(f"Ibar = {ig['ibar']:.2f}, max f(p) = {ig['f_max']:.3f}")
-    for step, procs in run.partition_history:
-        print(f"partition from step {step}: {procs}")
-    if args.scenario:
-        _print_offbody(run)
+    _print_decomposition(run)
     for rec in run.recoveries:
         print(rec.describe())
     if not args.no_timeline:
@@ -634,108 +539,65 @@ def cmd_scenario(args) -> int:
     return 0
 
 
-def _bench_scenario(args) -> int:
-    """``repro bench --scenario FILE``: off-body BENCH payload."""
-    from repro.obs.perf import scenario_bench_payload, write_bench
-    from repro.offbody import ScenarioError, load_scenario
-
-    _no_case_with_scenario(args)
-    engine = _backend(args)  # fail fast on unknown/unavailable names
-    engine.close()  # the harness builds its own; this one was a probe
-    try:
-        scn = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        raise SystemExit(str(exc))
-    print(
-        f"bench {scn['name']} (scenario, {args.repeats} repeat(s), "
-        f"backend={engine.name}) ...",
-        file=sys.stderr,
-    )
-    payload = scenario_bench_payload(
-        scn,
-        repeats=args.repeats,
-        backend=engine.name,
-        grouping=args.grouping,
-    )
-    path = write_bench(payload, args.out)
-    exit_code = 0
-    sim = payload["simulated"]
-    print(
-        f"{scn['name']}: {sim['elapsed_s']:.4f} simulated s over "
-        f"{sim['nsteps']} steps on {sim['nranks']} ranks "
-        f"({payload['host']['wall_s_median']:.2f} s wall median)"
-    )
-    print(
-        f"  Mflops/node {sim['mflops_per_node']:.1f}, "
-        f"%DCF3D {sim['pct_dcf3d']:.1f}%, "
-        f"max f(p) {sim['imbalance']['f_max']:.3f}, "
-        f"comm {sim['comm']['total_messages']} msgs / "
-        f"{sim['comm']['total_bytes']} B"
-    )
-    ob = sim["offbody"]
-    for e in ob["epochs"]:
-        print(
-            f"  epoch @ step {e['first_step']}: {e['npatches']} patches "
-            f"(+{e['created']}/-{e['destroyed']}), {ob['grouping']} cut "
-            f"{e['cut_points']} pts / {e['cut_edges']} edges, "
-            f"tau {e['balance_tau']:.3f}"
-        )
-    meas = payload["host"].get("measured")
-    if meas:
-        match = "physics match" if meas["igbp_matches_simulated"] \
-            else "PHYSICS MISMATCH"
-        print(
-            f"  measured ({meas['backend']}): "
-            f"{meas['elapsed_s_median']:.4f} wall s median, "
-            f"{meas['time_per_step_s']:.4f} s/step, "
-            f"Mflops/node {meas['mflops_per_node']:.1f}, "
-            f"%DCF3D {meas['pct_dcf3d']:.1f}% [{match}]"
-        )
-        if not meas["igbp_matches_simulated"]:
-            exit_code = 1
-    if not sim["sanitizer"]["ok"]:
-        print(f"  sanitizer: FINDINGS {sim['sanitizer']['counts']}")
-        exit_code = 1
-    print(f"  wrote {path}")
-    return exit_code
-
-
 def cmd_bench(args) -> int:
-    from repro.obs.perf import BENCH_CASES, run_bench
+    from repro.obs.perf import (
+        BENCH_CASES,
+        run_bench,
+        scenario_bench_payload,
+        write_bench,
+    )
 
+    scenario = None
     if args.scenario:
-        return _bench_scenario(args)
-    case_name = _case_name(args)
-    if case_name == "all":
-        cases = sorted(BENCH_CASES)
-    elif case_name in BENCH_CASES:
-        cases = [case_name]
+        from repro.offbody import ScenarioError, load_scenario
+
+        _no_case_with_scenario(args)
+        try:
+            scenario = load_scenario(args.scenario)
+        except ScenarioError as exc:
+            raise SystemExit(str(exc))
+        cases = [scenario["name"]]
     else:
-        raise SystemExit(
-            f"unknown bench case {case_name!r}; choose from "
-            f"{sorted(BENCH_CASES)} or 'all'"
-        )
+        case_name = _case_name(args)
+        if case_name == "all":
+            cases = sorted(BENCH_CASES)
+        elif case_name in BENCH_CASES:
+            cases = [case_name]
+        else:
+            raise SystemExit(
+                f"unknown bench case {case_name!r}; choose from "
+                f"{sorted(BENCH_CASES)} or 'all'"
+            )
     engine = _backend(args)  # fail fast on unknown/unavailable names
-    engine.close()  # run_bench builds its own engine; this one was a probe
+    engine.close()  # the harness builds its own engine; this one was a probe
     exit_code = 0
     for i, case in enumerate(cases):
-        print(f"bench {case} ({'quick' if args.quick else 'full'}, "
-              f"{args.repeats} repeat(s), backend={engine.name}) ...",
-              file=sys.stderr)
-        payload, path = run_bench(
-            case,
-            args.out,
-            quick=args.quick,
-            repeats=args.repeats,
-            # One micro-bench per invocation is plenty.
-            microbench=not args.no_microbench and i == 0,
-            backend=engine.name,
-            trace_store=(
-                str(Path(args.trace_store) / case)
-                if args.trace_store
-                else None
-            ),
-        )
+        knobs = "scenario" if scenario else "quick" if args.quick else "full"
+        print(f"bench {case} ({knobs}, {args.repeats} repeat(s), "
+              f"backend={engine.name}) ...", file=sys.stderr)
+        if scenario:
+            payload = scenario_bench_payload(
+                scenario,
+                repeats=args.repeats,
+                backend=engine.name,
+                grouping=args.grouping,
+            )
+            path = write_bench(payload, args.out)
+        else:
+            payload, path = run_bench(
+                case,
+                args.out,
+                quick=args.quick,
+                repeats=args.repeats,
+                # One micro-bench per invocation is plenty.
+                microbench=not args.no_microbench and i == 0,
+                backend=engine.name,
+                trace_store=(
+                    str(Path(args.trace_store) / case)
+                    if args.trace_store
+                    else None
+                ),
+            )
         sim = payload["simulated"]
         print(
             f"{case}: {sim['elapsed_s']:.4f} simulated s over "
@@ -749,6 +611,14 @@ def cmd_bench(args) -> int:
             f"comm {sim['comm']['total_messages']} msgs / "
             f"{sim['comm']['total_bytes']} B"
         )
+        ob = sim.get("offbody", {"epochs": []})
+        for e in ob["epochs"]:
+            print(
+                f"  epoch @ step {e['first_step']}: {e['npatches']} patches "
+                f"(+{e['created']}/-{e['destroyed']}), {ob['grouping']} cut "
+                f"{e['cut_points']} pts / {e['cut_edges']} edges, "
+                f"tau {e['balance_tau']:.3f}"
+            )
         mb = payload["host"].get("hook_microbench")
         if mb:
             print(

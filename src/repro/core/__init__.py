@@ -12,18 +12,22 @@ Two drivers are provided:
   every rank runs the real distributed connectivity protocol on the
   simulated machine while the flow-solve arithmetic is charged through
   the calibrated work model; this is what regenerates the paper's
-  tables and figures.
+  tables and figures.  Its epoch loop (:mod:`runner`) is shared with
+  the off-body driver; :func:`build_driver` picks between the two.
 * :class:`Overset2D` (:mod:`serial2d`) — the *physics* driver: real
   2-D Navier-Stokes solves on every component grid with real hole
   cutting, donor search and fringe interpolation, for the examples.
 """
 
 from repro.core.config import CaseConfig
-from repro.core.overflow_d1 import (
-    OverflowD1,
+from repro.core.overflow_d1 import OverflowD1
+from repro.core.runner import (
+    EpochResult,
     RunResult,
     StepStats,
+    build_driver,
     resume_run,
+    run_summary,
 )
 from repro.core.overset import OversetDriver, Overset3D
 from repro.core.serial2d import Overset2D
@@ -36,9 +40,12 @@ from repro.core.performance import (
 __all__ = [
     "CaseConfig",
     "OverflowD1",
+    "EpochResult",
     "RunResult",
     "StepStats",
+    "build_driver",
     "resume_run",
+    "run_summary",
     "Overset2D",
     "Overset3D",
     "OversetDriver",

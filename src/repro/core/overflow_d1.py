@@ -21,194 +21,49 @@ accumulated I(p), and — when f0 is finite and some processor exceeds it
 — rebuilds the partition and continues.  Virtual time accumulates
 across epochs.
 
-Resilience (:mod:`repro.resilience`)
-------------------------------------
-The driver optionally runs with a fault plan, periodic checkpoints and
-elastic recovery:
-
-* **checkpointing** splits an epoch into sub-chunks at checkpoint
-  boundaries.  Sub-chunks are resumed with *carried clocks*
-  (``Simulator(initial_clocks=...)``): the scheduler's matching, waking
-  and tie-breaking depend only on virtual clocks, so a split epoch is
-  bit-identical to the unsplit one — checkpointing perturbs nothing.
-  Checkpoint *writes* are modeled as free (overlapped with
-  computation); only *restores* carry a modeled cost.
-* **fault injection** converts driver-level ``step`` triggers into
-  chunk-local phase triggers (one measured timestep = three phase
-  barriers) and hands scheduler-level triggers through.
-* **elastic recovery** on a :class:`repro.machine.faults.RankFailure`:
-  survivors run the heartbeat detection protocol, the last checkpoint
-  is restored, Algorithm 1 re-runs over the surviving processor set
-  (``exclude_ranks``), survivors are renumbered contiguously (ULFM
-  shrink) and the timestep loop resumes.  The whole episode lands on
-  the trace timeline as ``failure-detection`` / ``restore`` /
-  ``repartition`` spans with continuous epoch offsets.
+The epoch loop itself — chunking, checkpoints, fault plans, elastic
+recovery — is :class:`repro.core.runner.EpochRunner`; this module is
+its near-body :class:`~repro.core.runner.Workload` (world state,
+Algorithm 2, the DCF rank program) and the public constructor.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from repro.backend import BackendResult, ExecutionBackend, get_backend
+from repro.backend import BackendResult, ExecutionBackend
 from repro.connectivity.dcf import DcfConfig, DcfWorld, dcf_rank_program
 from repro.connectivity.holecut import cut_holes
 from repro.connectivity.igbp import IgbpSet, find_igbps
 from repro.connectivity.restart import RestartCache
 from repro.core.config import CaseConfig
-from repro.machine.faults import FaultPlan, FaultSpec, RankFailure
-from repro.machine.metrics import MachineMetrics
-from repro.obs.rollup import IgbpRollup, PhaseRollup
+from repro.core.runner import (
+    PHASE_DCF,
+    PHASE_FLOW,
+    PHASE_MOTION,
+    EpochResult,
+    EpochRunner,
+    RunResult,
+    StepStats,
+    Workload,
+    _DriverState,
+    _EpochAccum,
+    resume_run,
+)
+from repro.grids.subdomain import interior_face_points
+from repro.machine.faults import RankFailure
 from repro.partition.assignment import Partition, build_partition
 from repro.partition.dynamic_lb import DynamicRebalancer
-from repro.resilience.checkpoint import Checkpoint, CheckpointStore
-from repro.resilience.recovery import (
-    RecoveryPolicy,
-    RecoveryRecord,
-    run_failure_detection,
-)
+from repro.resilience.checkpoint import Checkpoint
+from repro.resilience.recovery import RecoveryPolicy
+
+__all__ = ["OverflowD1", "RunResult", "EpochResult", "StepStats", "resume_run"]
 
 TAG_HALO = 201
-
-PHASE_FLOW = "overflow"
-PHASE_MOTION = "motion"
-PHASE_DCF = "dcf3d"
-
-#: Each measured timestep executes exactly this many ``set_phase``
-#: barriers (flow / motion / dcf3d) — the conversion factor between
-#: driver-level ``step`` fault triggers and scheduler phase triggers.
-PHASES_PER_STEP = 3
-
-
-@dataclass
-class StepStats:
-    """Per-rank, per-step connectivity statistics."""
-
-    step: int
-    igbps_received: int
-    search_steps: int
-    donors_found: int
-    orphans: int
-
-
-@dataclass
-class EpochResult:
-    """One contiguous run at a fixed partition.
-
-    All timing/counter data lives in the two :mod:`repro.obs` rollups;
-    the former ad-hoc dict/array fields survive as derived properties.
-    """
-
-    partition: Partition
-    first_step: int
-    nsteps: int
-    elapsed: float
-    rollup: PhaseRollup     # per-rank/per-phase compute/comm/wait + flops
-    igbp: IgbpRollup        # per-step, per-rank I(p)
-    search_steps_total: int
-    orphans_total: int
-
-    @property
-    def phase_totals(self) -> dict:
-        """phase -> summed rank-seconds (derived from the rollup)."""
-        return {p: self.rollup.phase_total(p) for p in self.rollup.phases()}
-
-    @property
-    def phase_max(self) -> dict:
-        """phase -> max single-rank seconds (derived from the rollup)."""
-        return {p: self.rollup.phase_max(p) for p in self.rollup.phases()}
-
-    @property
-    def total_flops(self) -> float:
-        return self.rollup.total_flops()
-
-    @property
-    def igbp_per_rank_step(self) -> np.ndarray:
-        """(nsteps, nprocs) I(p) matrix (derived from the IGBP rollup)."""
-        return self.igbp.per_step()
-
-
-@dataclass
-class RunResult:
-    """Merged outcome of a full OVERFLOW-D1 run."""
-
-    case: str
-    machine: str
-    nprocs: int
-    nsteps: int
-    epochs: list[EpochResult] = field(default_factory=list)
-    #: Completed failure/restore/repartition episodes, in order.
-    recoveries: list[RecoveryRecord] = field(default_factory=list)
-    #: Total virtual timeline including lost (rolled-back) work and
-    #: recovery overheads.  Equals :attr:`elapsed` for fault-free runs.
-    wall_elapsed: float = 0.0
-
-    @property
-    def elapsed(self) -> float:
-        return sum(e.elapsed for e in self.epochs)
-
-    @property
-    def time_per_step(self) -> float:
-        return self.elapsed / self.nsteps
-
-    @property
-    def downtime(self) -> float:
-        """Virtual seconds spent in detection + restore + repartition."""
-        return sum(r.downtime for r in self.recoveries)
-
-    def phase_total(self, phase: str) -> float:
-        return sum(e.rollup.phase_total(phase) for e in self.epochs)
-
-    @property
-    def pct_dcf3d(self) -> float:
-        """Percentage of total (rank-summed) time in the connectivity
-        solution — the paper's '% Time in DCF3D' column."""
-        total = sum(e.rollup.total_seconds() for e in self.epochs)
-        if total == 0:
-            return 0.0
-        return 100.0 * self.phase_total(PHASE_DCF) / total
-
-    @property
-    def total_flops(self) -> float:
-        return sum(e.rollup.total_flops() for e in self.epochs)
-
-    @property
-    def mflops_per_node(self) -> float:
-        if self.elapsed == 0:
-            return 0.0
-        return self.total_flops / self.elapsed / self.nprocs / 1e6
-
-    def phase_elapsed(self, phase: str) -> float:
-        """Critical-path seconds of one phase (slowest rank per epoch)."""
-        return sum(e.rollup.phase_max(phase) for e in self.epochs)
-
-    @property
-    def partition_history(self) -> list[tuple[int, tuple[int, ...]]]:
-        return [(e.first_step, e.partition.procs_per_grid) for e in self.epochs]
-
-    def rollup(self) -> PhaseRollup:
-        """Merged per-rank/per-phase rollup over every epoch."""
-        if not self.epochs:
-            raise ValueError("run has no epochs")
-        merged = PhaseRollup(self.nprocs)
-        for e in self.epochs:
-            merged.merge(e.rollup)
-        return merged
-
-    def igbp_rollup(self) -> IgbpRollup:
-        """Merged I(p) series over every epoch.
-
-        Note the merged window restarts whenever a repartition changed
-        the rank count (see :meth:`repro.obs.rollup.IgbpRollup.record`).
-        """
-        merged = IgbpRollup()
-        for e in self.epochs:
-            merged.merge(e.igbp)
-        return merged
 
 
 class _WorldState:
@@ -316,537 +171,110 @@ def _shared_face(a, b) -> int:
 
 
 @dataclass
-class _EpochAccum:
-    """Accumulates sub-chunks of one epoch into a single EpochResult.
+class _NearBodyCarry:
+    """What a near-body run carries from epoch to epoch."""
 
-    The per-rank :class:`repro.machine.metrics.RankMetrics` accumulators
-    are *carried* from chunk to chunk
-    (``Simulator(initial_metrics=...)``), so the epoch's counters see
-    exactly the same additions in exactly the same order as an unsplit
-    run — the rollup built at :meth:`finish` is bit-identical, not just
-    close, which the checkpointing bit-identity tests pin.
-    """
-
-    partition: Partition
-    first_step: int          # absolute step (incl. warmup)
-    planned: int             # steps this epoch will cover
-    steps_done: int = 0
-    per_step: list = field(default_factory=list)  # one I(p) row per step
-    search_total: int = 0
-    orphans_total: int = 0
-    #: Per-rank virtual clocks at the last completed sub-chunk; carried
-    #: into the next sub-chunk's Simulator so the split epoch's virtual
-    #: timeline is continuous (and bit-identical to the unsplit run).
-    clocks: list | None = None
-    #: Per-rank RankMetrics carried across sub-chunks (see class doc).
-    metrics: list | None = None
-
-    @property
-    def base(self) -> float:
-        """Epoch-local virtual time already covered (0.0 at epoch start)."""
-        return max(self.clocks) if self.clocks else 0.0
-
-    def add(self, out, nsteps: int) -> None:
-        nprocs = self.partition.nprocs
-        mat = np.zeros((nsteps, nprocs), dtype=np.int64)
-        for rank, stats in enumerate(out.returns):
-            for s, st in enumerate(stats):
-                mat[s, rank] = st.igbps_received
-                self.search_total += st.search_steps
-                self.orphans_total += st.orphans
-        for s in range(nsteps):
-            self.per_step.append(mat[s])
-        self.metrics = list(out.metrics.ranks)
-        self.clocks = [rm.final_clock for rm in out.metrics.ranks]
-        self.steps_done += nsteps
-
-    def finish(self) -> EpochResult:
-        igbp = IgbpRollup()
-        for row in self.per_step:
-            igbp.record(row)
-        if self.metrics is not None:
-            rollup = PhaseRollup.from_metrics(MachineMetrics(self.metrics))
-        else:
-            rollup = PhaseRollup(self.partition.nprocs)
-        return EpochResult(
-            partition=self.partition,
-            first_step=self.first_step,
-            nsteps=self.steps_done,
-            elapsed=self.base,
-            rollup=rollup,
-            igbp=igbp,
-            search_steps_total=self.search_total,
-            orphans_total=self.orphans_total,
-        )
-
-
-@dataclass
-class _DriverState:
-    """Everything the driver needs to continue (and to checkpoint)."""
-
-    step: int                       # next absolute step (incl. warmup)
     partition: Partition
     rebalancer: DynamicRebalancer
+    #: One cache shared by all ranks: restart data lives with the IGBPs
+    #: (keyed by receiver grid + point id), so it survives
+    #: repartitioning just as block data redistributed by a real
+    #: dynamic rebalance would.
     cache: RestartCache | None
-    epochs: list = field(default_factory=list)
-    recoveries: list = field(default_factory=list)
-    #: Global virtual time at the current epoch's origin — mirrors the
-    #: tracer offset, and works identically with ``tracer=None``.
-    vt: float = 0.0
-    #: Partial epoch in flight (None exactly at epoch boundaries).
-    epoch: _EpochAccum | None = None
 
 
-class OverflowD1:
-    """Run a :class:`CaseConfig` on N simulated nodes.
+class _NearBody(Workload):
+    """Near-body grids, each decomposed over its own processor group."""
 
-    Pass a :class:`repro.obs.SpanTracer` to record per-rank span events
-    for the measured epochs (warm-up is excluded, matching the paper's
-    statistics).  With ``tracer=None`` (default) nothing is recorded
-    and the simulated timings are bit-identical.
+    def __init__(self, target: CaseConfig) -> None:
+        super().__init__(target)
+        self.warmup_steps = target.warmup_steps
+        self.world = _WorldState(target)
 
-    Resilience parameters (all optional; defaults reproduce the
-    historical infallible-machine behaviour exactly):
+    def _grid_dims(self) -> list[tuple[int, ...]]:
+        return [g.dims for g in self.target.grids]
 
-    fault_plan:
-        A :class:`repro.machine.faults.FaultPlan`, a fault-spec string
-        (``"rank=3@step=40"``), or a list of specs/strings.  ``step``
-        triggers count *measured* timesteps (warm-up excluded); ``t``
-        triggers are global measured virtual seconds; ``phase`` triggers
-        count ``set_phase`` barriers over measured steps.
-    checkpoint_every:
-        Snapshot the full driver state every N measured steps.
-        Checkpoint boundaries may fall inside an epoch; carried clocks
-        keep the run bit-identical either way.
-    checkpoint_store:
-        A :class:`repro.resilience.checkpoint.CheckpointStore` (or a
-        directory path) that persists checkpoints to disk.  Without it,
-        checkpoints stay in memory (still usable for recovery).
-    recovery_policy:
-        Modeled restore/repartition costs and the detection timeout
-        (:class:`repro.resilience.recovery.RecoveryPolicy`).
-    backend:
-        Execution engine for the rank programs: a registry name
-        (``"sim"``/``"mp"``) or an
-        :class:`repro.backend.ExecutionBackend` instance.  The default
-        ``"sim"`` runs on the deterministic discrete-event simulator,
-        bit-identical to every release before backends existed.
-        ``"mp"`` runs each rank as a real process with measured
-        wall-clock accounting; physics outputs (step stats, IGBP
-        counts) are identical, timings are measured rather than
-        modeled.  Fault injection and the sanitizer require ``"sim"``.
-    """
-
-    def __init__(
-        self,
-        config: CaseConfig,
-        tracer=None,
-        fault_plan=None,
-        checkpoint_every: int | None = None,
-        checkpoint_store=None,
-        recovery_policy: RecoveryPolicy | None = None,
-        sanitizer=None,
-        backend: str | ExecutionBackend = "sim",
-    ) -> None:
-        self.config = config
-        self.backend = (
-            backend
-            if isinstance(backend, ExecutionBackend)
-            else get_backend(backend)
-        )
-        if not self.backend.shared_state:
-            if sanitizer is not None:
-                raise ValueError(
-                    "the sanitizer needs the deterministic simulator; "
-                    "run with backend='sim'"
-                )
-            if fault_plan:
-                raise ValueError(
-                    "fault injection needs the deterministic simulator; "
-                    "run with backend='sim'"
-                )
-        self.tracer = (
-            tracer if tracer is not None and tracer.enabled else None
-        )
-        #: Optional :class:`repro.analysis.sanitizer.Sanitizer`.  Purely
-        #: observational — threading it through every chunk (including
-        #: warm-up and recovery re-runs) never perturbs virtual time.
-        self.sanitizer = sanitizer
-        if isinstance(fault_plan, str):
-            fault_plan = FaultPlan.parse(fault_plan)
-        elif isinstance(fault_plan, (list, tuple)):
-            fault_plan = FaultPlan(fault_plan)
-        self.fault_plan = fault_plan if fault_plan else None
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        self.checkpoint_every = checkpoint_every
-        if isinstance(checkpoint_store, (str, Path)):
-            checkpoint_store = CheckpointStore(checkpoint_store)
-        self.checkpoint_store = checkpoint_store
-        self.policy = recovery_policy or RecoveryPolicy()
-        self._pending_faults: list[FaultSpec] = []
-        self._steps_done = 0       # measured steps actually executed
-        self._last_ckpt: Checkpoint | None = None
-
-    # ------------------------------------------------------------------
-
-    def run(self) -> RunResult:
-        cfg = self.config
-        nprocs = cfg.machine.nodes
-        partition = build_partition([g.dims for g in cfg.grids], nprocs)
-        rebalancer = DynamicRebalancer(
-            f0=cfg.f0, check_interval=cfg.lb_check_interval
-        )
-        # One cache shared by all ranks: restart data lives with the
-        # IGBPs (keyed by receiver grid + point id), so it survives
-        # repartitioning just as block data redistributed by a real
-        # dynamic rebalance would.
-        cache = RestartCache() if cfg.use_restart else None
-        world = _WorldState(cfg)
-
-        # Warm-up: the paper's statistics exclude preprocessing, and the
-        # first connectivity solve (everything searched from scratch) is
-        # exactly that; these steps warm the nth-level-restart caches
-        # and their metrics are discarded.  Warm-up is never traced,
-        # never checkpointed and never faulted.
-        if cfg.warmup_steps:
-            self._run_chunk(
-                world, partition, cache, 0, cfg.warmup_steps,
-                clocks=None, tracer=None, fault_plan=None,
-            )
-
-        state = _DriverState(
-            step=cfg.warmup_steps,
-            partition=partition,
-            rebalancer=rebalancer,
-            cache=cache,
-        )
-        self._pending_faults = (
-            list(self.fault_plan.faults) if self.fault_plan else []
-        )
-        self._steps_done = 0
-        if self.fault_plan is not None or getattr(self.backend, "elastic", False):
-            # Implicit step-0 restore point: recovery works even before
-            # the first periodic checkpoint (or with checkpointing off).
-            # Elastic backends (cluster) get one too — their faults are
-            # real node losses that arrive without any plan.
-            self._last_ckpt = self._snapshot(state, world)
-        return self._main_loop(state, world)
-
-    def resume(self, checkpoint) -> RunResult:
-        """Continue a run from a checkpoint (path, bytes-level
-        :class:`Checkpoint`, or store's latest).
-
-        The resumed run's :class:`RunResult` covers the *whole* run —
-        restored epochs plus the continuation — and, on the same
-        processor count with no faults, is bit-identical to the
-        uninterrupted run.
-        """
-        if isinstance(checkpoint, (str, Path)):
-            checkpoint = Checkpoint.load(checkpoint)
-        data = checkpoint.unpack()
-        cfg = data["config"]
-        if cfg.name != self.config.name:
-            raise ValueError(
-                f"checkpoint is for case {cfg.name!r}, "
-                f"driver built for {self.config.name!r}"
-            )
-        self.config = cfg
-        state: _DriverState = data["driver"]
-        world = _WorldState.__new__(_WorldState)
-        world.config = cfg
-        world.reference = list(cfg.grids)
-        world.grids = list(cfg.grids)
-        world.restore(data["world"]["t"], data["world"]["xyz"])
-        if self.tracer is not None and state.vt > 0:
-            # Align the trace origin with the restored virtual time so
-            # resumed spans continue the original timeline.
-            self.tracer.advance(state.vt)
-        self._pending_faults = (
-            list(self.fault_plan.faults) if self.fault_plan else []
-        )
-        self._steps_done = 0
-        self._last_ckpt = checkpoint
-        return self._main_loop(state, world)
-
-    # ------------------------------------------------------------------
-
-    def _main_loop(self, state: _DriverState, world: _WorldState) -> RunResult:
-        cfg = self.config
-        last = cfg.warmup_steps + cfg.nsteps
-        while state.step < last or state.epoch is not None:
-            try:
-                self._advance(state, world, last)
-            except RankFailure as failure:
-                state = self._recover(state, world, failure)
-        return RunResult(
-            case=cfg.name,
-            machine=cfg.machine.name,
-            nprocs=cfg.machine.nodes,
-            nsteps=cfg.nsteps,
-            epochs=state.epochs,
-            recoveries=state.recoveries,
-            wall_elapsed=state.vt,
+    def initial_carry(self) -> _NearBodyCarry:
+        cfg = self.target
+        return _NearBodyCarry(
+            partition=build_partition(self._grid_dims(), cfg.machine.nodes),
+            rebalancer=DynamicRebalancer(
+                f0=cfg.f0, check_interval=cfg.lb_check_interval
+            ),
+            cache=RestartCache() if cfg.use_restart else None,
         )
 
-    def _advance(self, state: _DriverState, world: _WorldState, last: int) -> None:
-        """Run one sub-chunk; commit the epoch when it completes."""
-        cfg = self.config
-        tracer = self.tracer
-        if state.epoch is None:
-            remaining = last - state.step
-            planned = (
-                remaining
-                if math.isinf(cfg.f0)
-                else min(cfg.lb_check_interval, remaining)
-            )
-            if tracer is not None:
-                tracer.mark(
-                    0.0, "epoch",
-                    first_step=state.step - cfg.warmup_steps,
-                    nsteps=planned,
-                    procs_per_grid=list(state.partition.procs_per_grid),
-                )
-            state.epoch = _EpochAccum(
-                partition=state.partition,
-                first_step=state.step,
-                planned=planned,
-            )
-        acc = state.epoch
-        epoch_end = acc.first_step + acc.planned
-        chunk_end = epoch_end
-        if self.checkpoint_every:
-            k = self.checkpoint_every
-            measured = state.step - cfg.warmup_steps
-            next_ckpt = cfg.warmup_steps + (measured // k + 1) * k
-            chunk_end = min(chunk_end, next_ckpt)
-        nsteps = chunk_end - state.step
-
-        out = self._run_chunk(
-            world, state.partition, state.cache, state.step, nsteps,
-            clocks=acc.clocks, metrics=acc.metrics, tracer=tracer,
-            fault_plan=self._chunk_fault_plan(state, nsteps),
+    def plan_epoch(self, state: _DriverState, remaining: int, tracer: Any) -> int:
+        cfg = self.target
+        planned = (
+            remaining
+            if math.isinf(cfg.f0)
+            else min(cfg.lb_check_interval, remaining)
         )
-        acc.add(out, nsteps)
-        state.step = chunk_end
-        self._steps_done += nsteps
-
-        if state.step == epoch_end:
-            epoch = acc.finish()
-            state.epochs.append(epoch)
-            state.rebalancer.record_epoch(epoch.igbp)
-            state.epoch = None
-            if tracer is not None:
-                tracer.advance(epoch.elapsed)
-            state.vt += epoch.elapsed
-            new = state.rebalancer.maybe_rebalance(state.partition, state.step)
-            if new is not None:
-                state.partition = new
-                if tracer is not None:
-                    tracer.mark(
-                        0.0, "rebalance",
-                        step=state.step - cfg.warmup_steps,
-                        procs_per_grid=list(new.procs_per_grid),
-                    )
-
-        if (
-            self.checkpoint_every
-            and (state.step - cfg.warmup_steps) % self.checkpoint_every == 0
-            and state.step < last
-        ):
-            ckpt = self._snapshot(state, world)
-            self._last_ckpt = ckpt
-            if self.checkpoint_store is not None:
-                self.checkpoint_store.write(ckpt)
-            if tracer is not None:
-                tracer.mark(
-                    0.0, "checkpoint",
-                    step=state.step - cfg.warmup_steps,
-                    nbytes=ckpt.nbytes,
-                )
-
-    # ------------------------------------------------------------------
-    # fault plumbing
-
-    def _chunk_fault_plan(self, state: _DriverState, nsteps: int) -> FaultPlan | None:
-        """Translate pending driver-level faults into chunk-local triggers."""
-        if not self._pending_faults:
-            return None
-        cfg = self.config
-        specs = []
-        for f in self._pending_faults:
-            if f.rank >= state.partition.nprocs:
-                continue  # rank id no longer exists after a shrink
-            if f.step is not None:
-                abs_step = cfg.warmup_steps + f.step
-                if state.step <= abs_step < state.step + nsteps:
-                    specs.append(FaultSpec(
-                        rank=f.rank,
-                        phase_index=PHASES_PER_STEP * (abs_step - state.step),
-                    ))
-            elif f.time is not None:
-                specs.append(FaultSpec(
-                    rank=f.rank, time=max(0.0, f.time - state.vt)
-                ))
-            else:
-                local = f.phase_index - PHASES_PER_STEP * self._steps_done
-                if 0 <= local < PHASES_PER_STEP * nsteps:
-                    specs.append(FaultSpec(rank=f.rank, phase_index=local))
-        return FaultPlan(specs) if specs else None
-
-    def _recover(
-        self, state: _DriverState, world: _WorldState, failure: RankFailure
-    ) -> _DriverState:
-        """Detection -> restore -> repartition; returns the new state."""
-        cfg = self.config
-        tracer = self.tracer
-        policy = self.policy
-        old_n = state.partition.nprocs
-
-        if len(state.recoveries) >= policy.max_recoveries:
-            raise failure
-        ckpt = self._last_ckpt
-        if ckpt is None:
-            raise failure  # no restore point: surface the failure
-
-        # 1. The timeline reaches the failure point (failure.time is
-        # epoch-local; the tracer offset sits at the epoch origin).
-        t_fail_local = failure.time
-        vt_fail = state.vt + t_fail_local
         if tracer is not None:
-            tracer.advance(t_fail_local)
             tracer.mark(
-                0.0, "recovery",
-                failed_ranks=list(failure.failed_ranks),
-                step=state.step - cfg.warmup_steps,
+                0.0, "epoch",
+                first_step=state.step - cfg.warmup_steps,
+                nsteps=planned,
+                procs_per_grid=list(state.carry.partition.procs_per_grid),
             )
+        return planned
 
-        # 2. Failure detection: survivors agree on the dead set.
-        dead, t_detect = run_failure_detection(
-            cfg.machine.with_nodes(old_n),
-            failure.failed_ranks,
-            tracer=tracer,
-            timeout=policy.detection_timeout,
-            sanitizer=self.sanitizer,
-        )
-        if tracer is not None:
-            tracer.advance(t_detect)
-        dead_set = set(dead)
-        self._pending_faults = [
-            f for f in self._pending_faults if f.rank not in dead_set
-        ]
+    def finish_epoch(self, carry: _NearBodyCarry, acc: _EpochAccum) -> EpochResult:
+        epoch = EpochResult(partition=carry.partition, **acc.totals())
+        carry.rebalancer.record_epoch(epoch.igbp)
+        return epoch
 
-        n_new = old_n - len(dead)
-        if n_new < len(cfg.grids):
+    def rebalance(self, state: _DriverState, tracer: Any) -> None:
+        carry: _NearBodyCarry = state.carry
+        new = carry.rebalancer.maybe_rebalance(carry.partition, state.step)
+        if new is not None:
+            carry.partition = new
+            if tracer is not None:
+                tracer.mark(
+                    0.0, "rebalance",
+                    step=state.step - self.warmup_steps,
+                    procs_per_grid=list(new.procs_per_grid),
+                )
+
+    def world_snapshot(self) -> dict:
+        return {
+            "t": self.world.time,
+            "xyz": [g.xyz for g in self.world.grids],
+        }
+
+    def world_restore(self, snapshot: dict) -> None:
+        self.world.restore(snapshot["t"], snapshot["xyz"])
+
+    def shrink(
+        self, state: _DriverState, dead: tuple[int, ...], failure: RankFailure
+    ) -> tuple[int, ...]:
+        n_new = state.nranks - len(dead)
+        if n_new < len(self.target.grids):
             # Not enough survivors to give every grid a processor.
             raise failure
-
-        # 3. Restore the last checkpoint (modeled read cost).
-        data = ckpt.unpack()
-        restored: _DriverState = data["driver"]
-        world.restore(data["world"]["t"], data["world"]["xyz"])
-        restored.recoveries = state.recoveries  # superset of checkpointed
-        t_restore = policy.restore_latency + ckpt.nbytes / policy.restore_bandwidth
-        if tracer is not None:
-            for r in range(old_n):
-                if r not in dead_set:
-                    tracer.phase(r, 0.0, "restore")
-                    tracer.op(r, "restore", "compute", 0.0, t_restore)
-            tracer.advance(t_restore)
-
-        # A restored partial epoch ran under the pre-failure partition;
-        # the shrink forces an epoch boundary, so commit it as a short
-        # epoch (its spans already sit at the right timeline position).
-        if restored.epoch is not None and restored.epoch.steps_done > 0:
-            partial = restored.epoch.finish()
-            restored.epochs.append(partial)
-            restored.rebalancer.record_epoch(partial.igbp)
-        restored.epoch = None
-
-        # 4. Repartition: Algorithm 1 over the surviving processor set,
-        # survivors renumbered contiguously (ULFM shrink).
-        new_partition = build_partition(
-            [g.dims for g in cfg.grids], old_n, exclude_ranks=dead
+        # Algorithm 1 over the surviving processor set.
+        partition = build_partition(
+            self._grid_dims(), state.nranks, exclude_ranks=dead
         )
-        t_rep = policy.repartition_seconds
-        if tracer is not None:
-            for r in range(n_new):
-                tracer.phase(r, 0.0, "repartition")
-                tracer.op(r, "repartition", "compute", 0.0, t_rep)
-            tracer.advance(t_rep)
-        restored.partition = new_partition
-        restored.vt = vt_fail + t_detect + t_restore + t_rep
+        state.carry.partition = partition
+        state.nranks = n_new
+        return partition.procs_per_grid
 
-        record = RecoveryRecord(
-            failed_ranks=dead,
-            nprocs_before=old_n,
-            nprocs_after=n_new,
-            step_failed=state.step - cfg.warmup_steps,
-            step_restored=restored.step - cfg.warmup_steps,
-            t_failure=vt_fail,
-            t_detect=t_detect,
-            t_restore=t_restore,
-            t_repartition=t_rep,
-            checkpoint_bytes=ckpt.nbytes,
-            procs_per_grid=new_partition.procs_per_grid,
-        )
-        restored.recoveries.append(record)
-        if tracer is not None:
-            tracer.mark(
-                0.0, "recovered",
-                step=record.step_restored,
-                nprocs=n_new,
-                procs_per_grid=list(new_partition.procs_per_grid),
-            )
-
-        # The post-recovery state is the new restore point: any later
-        # failure must not resurrect the dead ranks.
-        self._last_ckpt = self._snapshot(restored, world)
-        if self.checkpoint_store is not None:
-            self.checkpoint_store.write(self._last_ckpt)
-        return restored
-
-    # ------------------------------------------------------------------
-    # checkpointing
-
-    def _snapshot(self, state: _DriverState, world: _WorldState) -> Checkpoint:
-        """Serialise the full driver state (deep-copy semantics)."""
-        cfg = self.config
-        meta = {
-            "case": cfg.name,
-            "machine": cfg.machine.name,
-            "step": state.step,
-            "measured_step": state.step - cfg.warmup_steps,
-            "nprocs": state.partition.nprocs,
-            "vt": state.vt + (state.epoch.base if state.epoch else 0.0),
-            "recoveries": len(state.recoveries),
-        }
-        return Checkpoint.pack(meta, {
-            "config": cfg,
-            "driver": state,
-            "world": {"t": world.time, "xyz": [g.xyz for g in world.grids]},
-        })
+    def restore_seconds(self, policy: RecoveryPolicy, ckpt: Checkpoint) -> float:
+        return policy.restore_latency + ckpt.nbytes / policy.restore_bandwidth
 
     # ------------------------------------------------------------------
 
-    def _run_chunk(
+    def run_chunk(
         self,
-        world: _WorldState,
-        partition: Partition,
-        cache,
+        backend: ExecutionBackend,
+        carry: _NearBodyCarry,
         first_step: int,
         nsteps: int,
-        clocks=None,
-        metrics=None,
-        tracer=None,
-        fault_plan=None,
+        **run_kwargs: Any,
     ) -> BackendResult:
         """Simulate ``nsteps`` timesteps at a fixed partition.
-
-        ``clocks``/``metrics`` warm-start the per-rank virtual clocks
-        and counter accumulators (continuing a split epoch); returns a
-        :class:`repro.backend.BackendResult` (field-compatible with the
-        scheduler's ``SimulationResult``).
 
         Backends without shared state (real processes) need three
         deviations, all behind ``shared_state``:
@@ -862,9 +290,12 @@ class OverflowD1:
           end time (``at(t)`` motions are deterministic functions of
           absolute time, so this is exact).
         """
-        cfg = self.config
+        cfg = self.target
+        world = self.world
+        partition = carry.partition
+        cache = carry.cache
         nprocs = partition.nprocs
-        shared_state = self.backend.shared_state
+        shared_state = backend.shared_state
         caches = [cache] * nprocs
         base_hits = cache.hits if cache is not None else 0
         base_misses = cache.misses if cache is not None else 0
@@ -877,8 +308,6 @@ class OverflowD1:
         ranks_of_grid = {
             gi: partition.ranks_of_grid(gi) for gi in range(partition.ngrids)
         }
-
-        from repro.grids.subdomain import interior_face_points
 
         def program(comm):
             rank = comm.rank
@@ -986,14 +415,8 @@ class OverflowD1:
             # the driver can merge this chunk's warm-start data.
             return stats_out, caches[rank]
 
-        out = self.backend.run(
-            cfg.machine.with_nodes(nprocs),
-            [program] * nprocs,
-            tracer=tracer,
-            fault_plan=fault_plan,
-            initial_clocks=clocks,
-            initial_metrics=metrics,
-            sanitizer=self.sanitizer,
+        out = backend.run(
+            cfg.machine.with_nodes(nprocs), [program] * nprocs, **run_kwargs
         )
         if not shared_state:
             returns = []
@@ -1012,32 +435,17 @@ class OverflowD1:
         return out
 
 
-def resume_run(
-    checkpoint,
-    tracer=None,
-    fault_plan=None,
-    checkpoint_every: int | None = None,
-    checkpoint_store=None,
-    recovery_policy: RecoveryPolicy | None = None,
-    sanitizer=None,
-    backend: str | ExecutionBackend = "sim",
-) -> RunResult:
-    """Resume an OVERFLOW-D1 run from a checkpoint file/object.
+class OverflowD1(EpochRunner):
+    """Run a :class:`CaseConfig` on N simulated nodes.
 
-    Convenience wrapper: reads the case config out of the checkpoint,
-    builds the driver and continues.  Used by ``repro resume``.
+    Parameters are :class:`repro.core.runner.EpochRunner`'s: ``config,
+    tracer, fault_plan, checkpoint_every, checkpoint_store,
+    recovery_policy, sanitizer, backend``.
     """
-    if isinstance(checkpoint, (str, Path)):
-        checkpoint = Checkpoint.load(checkpoint)
-    cfg = pickle.loads(checkpoint.sections["config"])
-    driver = OverflowD1(
-        cfg,
-        tracer=tracer,
-        fault_plan=fault_plan,
-        checkpoint_every=checkpoint_every,
-        checkpoint_store=checkpoint_store,
-        recovery_policy=recovery_policy,
-        sanitizer=sanitizer,
-        backend=backend,
-    )
-    return driver.resume(checkpoint)
+
+    workload_type = _NearBody
+
+    # Defined per driver: the typed entry point, and the seam
+    # benchmarks/perf wraps by name.
+    def run(self) -> RunResult:
+        return self._run()

@@ -338,22 +338,73 @@ def bench_payload(
     Mflops/node and %DCF3D under ``host["measured"]`` — including an
     ``igbp_matches_simulated`` physics cross-check.
     """
-    import tempfile
-
-    from repro.analysis import Sanitizer
-    from repro.core import OverflowD1
-    from repro.obs import SpanTracer
-    from repro.obs.perf.comm_matrix import CommMatrix
-    from repro.obs.perf.critical_path import analyze_critical_path
-    from repro.obs.perf.trends import trend_block
-    from repro.obs.store import StoreReader, StoreTracer
-
     try:
         spec = BENCH_CASES[case]
     except KeyError:
         raise ValueError(
             f"unknown bench case {case!r}; choose from {sorted(BENCH_CASES)}"
         )
+    return _payload(
+        case, lambda: _build_config(spec, quick), quick, repeats,
+        microbench, backend, trace_store,
+    )
+
+
+def scenario_bench_payload(
+    scenario: dict[str, Any],
+    repeats: int = 1,
+    backend: str = "sim",
+    grouping: str | None = None,
+) -> dict[str, Any]:
+    """BENCH payload for a generated off-body scenario.
+
+    The same payload as :func:`bench_payload` (so ``trace-diff``
+    applies unchanged) plus a ``simulated.offbody`` block with
+    per-epoch patch/grouping statistics.  The scenario payload itself
+    is the config — its sha keys the result.
+    """
+    from repro.offbody import build_offbody_case
+
+    config = {"scenario": scenario, "grouping": grouping, "backend": backend}
+    return _payload(
+        scenario["name"],
+        lambda: (build_offbody_case(scenario, grouping=grouping), config),
+        False, repeats, False, backend, None,
+    )
+
+
+def _physics(run: Any) -> Any:
+    """What a measured pass must reproduce exactly: the off-body
+    physics signature, else the accumulated per-rank IGBP counts."""
+    from repro.offbody import OffBodyRunResult
+
+    if isinstance(run, OffBodyRunResult):
+        return run.physics_signature()
+    return [int(v) for v in run.igbp_rollup().accumulated()]
+
+
+def _payload(
+    case: str,
+    build: Callable[[], tuple[Any, dict[str, Any]]],
+    quick: bool,
+    repeats: int,
+    microbench: bool,
+    backend: str,
+    trace_store: str | Path | None,
+) -> dict[str, Any]:
+    """The BENCH payload of whatever case object ``build`` returns
+    (with its config dict), near-body and off-body alike."""
+    import tempfile
+
+    from repro.analysis import Sanitizer
+    from repro.core import build_driver, run_summary
+    from repro.obs import SpanTracer
+    from repro.obs.perf.comm_matrix import CommMatrix
+    from repro.obs.perf.critical_path import analyze_critical_path
+    from repro.obs.perf.trends import trend_block
+    from repro.obs.store import StoreReader, StoreTracer
+    from repro.offbody import OffBodyRunResult
+
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
 
@@ -369,7 +420,7 @@ def bench_payload(
         store_dir = Path(trace_store)
     try:
         for i in range(repeats):
-            cfg, config_dict = _build_config(spec, quick)
+            target, config_dict = build()
             final = i == repeats - 1
             tracer: Any = (
                 StoreTracer(
@@ -382,7 +433,7 @@ def bench_payload(
             )
             sanitizer = Sanitizer(tracer=tracer)
             t0 = time.perf_counter()
-            run = OverflowD1(cfg, tracer=tracer, sanitizer=sanitizer).run()
+            run = build_driver(target, tracer=tracer, sanitizer=sanitizer).run()
             walls.append(time.perf_counter() - t0)
             elapsed_seen.add(run.elapsed)
             if final:
@@ -401,26 +452,14 @@ def bench_payload(
         if tmp_store is not None:
             tmp_store.cleanup()
 
-    rollup = run.rollup()
     igbp = run.igbp_rollup()
     cp = analyze_critical_path(tracer, igbp=igbp)
-    comm = CommMatrix.from_tracer(tracer, nranks=rollup.nranks)
+    comm = CommMatrix.from_tracer(tracer, nranks=run.nprocs)
     san_report = sanitizer.report()
 
-    simulated = {
-        "elapsed_s": run.elapsed,
-        "time_per_step_s": run.time_per_step,
-        "mflops_per_node": run.mflops_per_node,
-        "pct_dcf3d": run.pct_dcf3d,
-        "nsteps": run.nsteps,
-        "nranks": run.nprocs,
-        "phases": rollup.breakdown(),
-        "imbalance": {
-            "I": [int(v) for v in igbp.accumulated()],
-            "ibar": igbp.ibar(),
-            "f": [float(v) for v in igbp.f()],
-            "f_max": float(igbp.f().max()) if igbp.nranks else 0.0,
-        },
+    simulated = run_summary(run)
+    simulated["imbalance"]["f"] = [float(v) for v in igbp.f()]
+    simulated.update({
         "critical_path": cp.to_dict(),
         "comm": comm.to_dict(top_k=5),
         "trend": trend,
@@ -432,10 +471,25 @@ def bench_payload(
             "wildcard_recvs": san_report.wildcard_recvs,
             "collectives": san_report.collectives,
         },
-        "partition_history": [
-            [step, list(procs)] for step, procs in run.partition_history
-        ],
-    }
+    })
+    if isinstance(run, OffBodyRunResult):
+        simulated["offbody"] = {
+            "grouping": run.epochs[0].strategy if run.epochs else None,
+            "signature_sha": config_sha(run.physics_signature()),
+            "epochs": [
+                {
+                    "first_step": e.first_step,
+                    "npatches": e.npatches,
+                    "created": e.created,
+                    "destroyed": e.destroyed,
+                    "cut_points": e.cut_points,
+                    "cut_edges": e.cut_edges,
+                    "intra_edges": e.intra_edges,
+                    "balance_tau": e.balance_tau,
+                }
+                for e in run.epochs
+            ],
+        }
     host: dict[str, Any] = {
         "repeats": repeats,
         "wall_s_median": statistics.median(walls),
@@ -452,10 +506,7 @@ def bench_payload(
         if "jobs_per_sec" in serve:
             host["jobs_per_sec"] = serve["jobs_per_sec"]
     if backend not in (None, "sim"):
-        host["measured"] = _measured_section(
-            spec, quick, repeats, backend,
-            sim_igbp=[int(v) for v in igbp.accumulated()],
-        )
+        host["measured"] = _measured_section(build, repeats, backend, run)
 
     return {
         "schema": BENCH_SCHEMA,
@@ -469,21 +520,20 @@ def bench_payload(
 
 
 def _measured_section(
-    spec: BenchSpec,
-    quick: bool,
+    build: Callable[[], tuple[Any, dict[str, Any]]],
     repeats: int,
     backend: str,
-    sim_igbp: list[int],
+    sim_run: Any,
 ) -> dict:
     """Re-run the case on a measured backend; host-section numbers.
 
     Wall elapsed varies run to run (median over ``repeats``); the
     physics must not — ``igbp_matches_simulated`` records whether the
-    measured run reproduced the simulated run's accumulated per-rank
-    IGBP counts exactly.
+    measured run reproduced the simulated run's :func:`_physics`
+    exactly.
     """
     from repro.backend import get_backend
-    from repro.core import OverflowD1
+    from repro.core import build_driver
 
     engine = get_backend(backend)
     elapsed_all: list[float] = []
@@ -493,15 +543,14 @@ def _measured_section(
         # Repeats share one engine: the cluster backend's node pool
         # stays warm across them (and is shut down on the way out).
         for _ in range(repeats):
-            cfg, _ = _build_config(spec, quick)
+            target, _config = build()
             t0 = time.perf_counter()
-            mrun = OverflowD1(cfg, backend=engine).run()
+            mrun = build_driver(target, backend=engine).run()
             wall_all.append(time.perf_counter() - t0)
             elapsed_all.append(mrun.elapsed)
     finally:
         engine.close()
     assert mrun is not None  # repeats >= 1 (validated by the caller)
-    measured_igbp = [int(v) for v in mrun.igbp_rollup().accumulated()]
     return {
         "backend": engine.name,
         "repeats": repeats,
@@ -513,139 +562,7 @@ def _measured_section(
         "pct_dcf3d": mrun.pct_dcf3d,
         "wall_s_all": wall_all,
         # Physics cross-check against the canonical simulated pass:
-        "igbp_matches_simulated": measured_igbp == sim_igbp,
-    }
-
-
-def scenario_bench_payload(
-    scenario: dict[str, Any],
-    repeats: int = 1,
-    backend: str = "sim",
-    grouping: str | None = None,
-) -> dict[str, Any]:
-    """BENCH-style payload for a generated off-body scenario.
-
-    Mirrors :func:`bench_payload`'s ``simulated`` section (phases,
-    imbalance, critical path, comm matrix, sanitizer) so the existing
-    ``trace-diff`` classifier applies, and adds an ``offbody`` block
-    with per-epoch patch/grouping statistics.  The scenario payload
-    itself is the config — its sha keys the result.  A non-``sim``
-    ``backend`` adds a measured pass under ``host["measured"]`` with a
-    byte-level physics cross-check against the simulated run.
-    """
-    from repro.analysis import Sanitizer
-    from repro.obs import SpanTracer
-    from repro.obs.perf.comm_matrix import CommMatrix
-    from repro.obs.perf.critical_path import analyze_critical_path
-    from repro.offbody import OffBodyDriver, build_offbody_case
-
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-
-    walls: list[float] = []
-    elapsed_seen: set[float] = set()
-    run = sanitizer = tracer = None
-    for _ in range(repeats):
-        case = build_offbody_case(scenario, grouping=grouping)
-        tracer = SpanTracer()
-        sanitizer = Sanitizer(tracer=tracer)
-        t0 = time.perf_counter()
-        run = OffBodyDriver(case, tracer=tracer, sanitizer=sanitizer).run()
-        walls.append(time.perf_counter() - t0)
-        elapsed_seen.add(run.elapsed)
-    assert run is not None and sanitizer is not None and tracer is not None
-    if len(elapsed_seen) != 1:  # pragma: no cover - determinism guard
-        raise RuntimeError(
-            f"simulated elapsed time varied across repeats: "
-            f"{sorted(elapsed_seen)}"
-        )
-
-    rollup = run.rollup()
-    igbp = run.igbp_rollup()
-    cp = analyze_critical_path(tracer, igbp=igbp)
-    comm = CommMatrix.from_tracer(tracer, nranks=rollup.nranks)
-    san_report = sanitizer.report()
-    signature = run.physics_signature()
-
-    simulated = {
-        "elapsed_s": run.elapsed,
-        "time_per_step_s": run.time_per_step,
-        "mflops_per_node": run.mflops_per_node,
-        "pct_dcf3d": run.pct_dcf3d,
-        "nsteps": run.nsteps,
-        "nranks": run.nprocs,
-        "phases": rollup.breakdown(),
-        "imbalance": {
-            "I": [int(v) for v in igbp.accumulated()],
-            "ibar": igbp.ibar(),
-            "f": [float(v) for v in igbp.f()],
-            "f_max": float(igbp.f().max()) if igbp.nranks else 0.0,
-        },
-        "critical_path": cp.to_dict(),
-        "comm": comm.to_dict(top_k=5),
-        "trend": {},
-        "sanitizer": {
-            "ok": san_report.ok,
-            "counts": san_report.counts(),
-            "messages_sent": san_report.messages_sent,
-            "messages_received": san_report.messages_received,
-            "wildcard_recvs": san_report.wildcard_recvs,
-            "collectives": san_report.collectives,
-        },
-        "partition_history": [
-            [step, list(procs)] for step, procs in run.partition_history
-        ],
-        "offbody": {
-            "grouping": run.epochs[0].strategy if run.epochs else None,
-            "signature_sha": config_sha(signature),
-            "epochs": [
-                {
-                    "first_step": e.first_step,
-                    "npatches": e.npatches,
-                    "created": e.created,
-                    "destroyed": e.destroyed,
-                    "cut_points": e.cut_points,
-                    "cut_edges": e.cut_edges,
-                    "intra_edges": e.intra_edges,
-                    "balance_tau": e.balance_tau,
-                }
-                for e in run.epochs
-            ],
-        },
-    }
-    host: dict[str, Any] = {
-        "repeats": repeats,
-        "wall_s_median": statistics.median(walls),
-        "wall_s_all": walls,
-    }
-    if backend not in (None, "sim"):
-        case = build_offbody_case(scenario, grouping=grouping)
-        t0 = time.perf_counter()
-        mrun = OffBodyDriver(case, backend=backend).run()
-        wall = time.perf_counter() - t0
-        host["measured"] = {
-            "backend": backend,
-            "repeats": 1,
-            "elapsed_s_median": mrun.elapsed,
-            "elapsed_s_all": [mrun.elapsed],
-            "time_per_step_s": mrun.time_per_step,
-            "mflops_per_node": mrun.mflops_per_node,
-            "pct_dcf3d": mrun.pct_dcf3d,
-            "wall_s_all": [wall],
-            "igbp_matches_simulated": canonical_json(
-                mrun.physics_signature()
-            ) == canonical_json(signature),
-        }
-
-    config = {"scenario": scenario, "grouping": grouping, "backend": backend}
-    return {
-        "schema": BENCH_SCHEMA,
-        "case": scenario["name"],
-        "quick": False,
-        "config": config,
-        "config_sha": config_sha(config),
-        "simulated": simulated,
-        "host": host,
+        "igbp_matches_simulated": _physics(mrun) == _physics(sim_run),
     }
 
 

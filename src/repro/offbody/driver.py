@@ -1,9 +1,11 @@
-"""The off-body adaptive Cartesian driver (paper section 5, Algorithm 3).
+"""The off-body adaptive Cartesian workload (paper section 5, Algorithm 3).
 
 Runs a multi-body :class:`OffBodyCase` on a simulated (or real-process)
-machine.  The timestep loop mirrors :class:`repro.core.OverflowD1` —
-flow / motion / connectivity phases separated by barriers — but the
-grid population is *dynamic*: every ``adapt_interval`` steps the driver
+machine.  The timestep loop is the one every driver runs
+(:class:`repro.core.runner.EpochRunner` — flow / motion / connectivity
+phases separated by barriers, checkpoints, elastic recovery); this
+module is its off-body :class:`~repro.core.runner.Workload`.  The grid
+population is *dynamic*: every ``adapt_interval`` steps the workload
 regenerates the off-body Cartesian patch layout around the moved
 near-body grids (``offbody:regen`` trace phase) and re-runs the
 Algorithm 3 grouping that packs patches into connectivity-local,
@@ -41,18 +43,29 @@ byte-for-byte — pinned by the backend-equivalence tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence, cast
 
 import numpy as np
 
-from repro.backend import BackendResult, ExecutionBackend, get_backend
+from repro.backend import BackendResult, ExecutionBackend
 from repro.connectivity.donorsearch import donor_search
+from repro.core.runner import (
+    PHASE_DCF,
+    PHASE_FLOW,
+    PHASE_MOTION,
+    EpochResult,
+    EpochRunner,
+    RunResult,
+    StepStats,
+    Workload,
+    _DriverState,
+    _EpochAccum,
+    driver_span,
+)
 from repro.grids.bbox import AABB
 from repro.grids.structured import CurvilinearGrid
-from repro.machine.faults import FaultPlan, FaultSpec, RankFailure
-from repro.machine.metrics import MachineMetrics
+from repro.machine.faults import RankFailure
 from repro.machine.spec import MachineSpec
-from repro.obs.rollup import IgbpRollup, PhaseRollup
 from repro.offbody.manager import OffBodyLayout, OffBodyManager
 from repro.partition.grouping import (
     GroupingResult,
@@ -60,20 +73,16 @@ from repro.partition.grouping import (
     round_robin_grids,
 )
 from repro.partition.static_lb import static_balance
-from repro.resilience.recovery import RecoveryPolicy, run_failure_detection
+from repro.resilience.checkpoint import Checkpoint
+from repro.resilience.recovery import RecoveryPolicy
 from repro.solver.workmodel import WorkModel
 
 TAG_OB_HALO = 401
 TAG_OB_REQ = 402
 TAG_OB_DONOR = 403
 
-PHASE_FLOW = "overflow"
-PHASE_MOTION = "motion"
-PHASE_DCF = "dcf3d"
 PHASE_REGEN = "offbody:regen"
 PHASE_GROUP = "offbody:group"
-
-PHASES_PER_STEP = 3
 
 #: Modeled cost of rebuilding the patch layout (per patch point) and of
 #: the grouping pass (per connectivity edge + patch) — charged as
@@ -142,14 +151,9 @@ class OffBodyCase:
 
 
 @dataclass
-class OffBodyEpoch:
+class OffBodyEpoch(EpochResult):
     """One adapt epoch: fixed patch layout + grouping, N timesteps."""
 
-    first_step: int
-    nsteps: int
-    elapsed: float
-    rollup: PhaseRollup
-    igbp: IgbpRollup
     strategy: str
     grouping: GroupingResult
     npatches: int
@@ -162,8 +166,6 @@ class OffBodyEpoch:
     cut_edges: int
     #: Algorithm-1 achieved tolerance over the grouped unit sizes.
     balance_tau: float
-    search_steps_total: int
-    orphans_total: int
     donors_total: int
     #: Per-step I(p) rows (tuples of ints, one per rank) — the raw
     #: series behind :attr:`igbp`, kept for the physics signature.
@@ -171,103 +173,16 @@ class OffBodyEpoch:
 
 
 @dataclass
-class OffBodyRecovery:
-    """One elastic-shrink episode (off-body ranks only are expendable)."""
+class OffBodyRunResult(RunResult):
+    """Merged outcome of a full off-body run."""
 
-    failed_ranks: tuple[int, ...]
-    nprocs_before: int
-    nprocs_after: int
-    step_failed: int
-    step_restored: int
-    t_failure: float
-    t_detect: float
-    t_restore: float
-    t_repartition: float
-
-    @property
-    def downtime(self) -> float:
-        return self.t_detect + self.t_restore + self.t_repartition
-
-    def describe(self) -> str:
-        return (
-            f"recovery: ranks {list(self.failed_ranks)} failed at step "
-            f"{self.step_failed} (t={self.t_failure:.4f}s); "
-            f"{self.nprocs_before}->{self.nprocs_after} ranks, epoch "
-            f"re-run from step {self.step_restored} "
-            f"(detect {self.t_detect:.4f}s + regroup "
-            f"{self.t_repartition:.4f}s)"
-        )
-
-
-@dataclass
-class OffBodyRunResult:
-    """Merged outcome of a full off-body run.
-
-    Surface-compatible with :class:`repro.core.RunResult` where the CLI
-    and analytics need it (``time_per_step``, ``mflops_per_node``,
-    ``pct_dcf3d``, ``rollup()``, ``igbp_rollup()``, ``recoveries``,
-    ``partition_history``).
-    """
-
-    case: str
-    machine: str
-    nprocs: int
-    nsteps: int
-    epochs: list[OffBodyEpoch] = field(default_factory=list)
-    recoveries: list[OffBodyRecovery] = field(default_factory=list)
-    wall_elapsed: float = 0.0
-
-    @property
-    def elapsed(self) -> float:
-        return sum(e.elapsed for e in self.epochs)
-
-    @property
-    def time_per_step(self) -> float:
-        return self.elapsed / self.nsteps
-
-    @property
-    def downtime(self) -> float:
-        return sum(r.downtime for r in self.recoveries)
-
-    def phase_total(self, phase: str) -> float:
-        return sum(e.rollup.phase_total(phase) for e in self.epochs)
-
-    @property
-    def pct_dcf3d(self) -> float:
-        total = sum(e.rollup.total_seconds() for e in self.epochs)
-        if total == 0:
-            return 0.0
-        return 100.0 * self.phase_total(PHASE_DCF) / total
-
-    @property
-    def total_flops(self) -> float:
-        return sum(e.rollup.total_flops() for e in self.epochs)
-
-    @property
-    def mflops_per_node(self) -> float:
-        if self.elapsed == 0:
-            return 0.0
-        return self.total_flops / self.elapsed / self.nprocs / 1e6
+    epochs: Sequence[OffBodyEpoch] = field(default_factory=list)
 
     @property
     def partition_history(self) -> list[tuple[int, tuple[int, ...]]]:
         """(first step, points per group) per epoch — the off-body
         analogue of the near-body driver's procs-per-grid history."""
         return [(e.first_step, e.grouping.group_points) for e in self.epochs]
-
-    def rollup(self) -> PhaseRollup:
-        if not self.epochs:
-            raise ValueError("run has no epochs")
-        merged = PhaseRollup(self.nprocs)
-        for e in self.epochs:
-            merged.merge(e.rollup)
-        return merged
-
-    def igbp_rollup(self) -> IgbpRollup:
-        merged = IgbpRollup()
-        for e in self.epochs:
-            merged.merge(e.igbp)
-        return merged
 
     def physics_signature(self) -> dict[str, Any]:
         """Canonical backend-independent physics digest.
@@ -480,16 +395,7 @@ def _step_connectivity(
 
 
 # ----------------------------------------------------------------------
-# driver internals
-
-
-@dataclass
-class _StepStats:
-    step: int
-    igbps_received: int
-    search_steps: int
-    donors_found: int
-    orphans: int
+# workload internals
 
 
 @dataclass
@@ -551,115 +457,75 @@ def _halo_pairs(plan: _EpochPlan) -> list[tuple[int, int, int]]:
 
 
 @dataclass
-class _DriverState:
-    step: int
-    nranks: int
-    epochs: list = field(default_factory=list)
-    recoveries: list = field(default_factory=list)
-    vt: float = 0.0
+class _OffBodyCarry:
+    """What an off-body run carries from epoch to epoch."""
+
+    #: Remembers the previous layout (churn is a diff against it).
+    manager: OffBodyManager
+    #: The epoch in flight; ``None`` until the first one is planned.
+    plan: _EpochPlan | None = None
 
 
-class OffBodyDriver:
-    """Run an :class:`OffBodyCase` on a pluggable execution backend.
+class _OffBody(Workload):
+    """Near-body grids pinned one per rank + off-body patch groups.
 
-    Parameters mirror :class:`repro.core.OverflowD1` where they apply:
-    ``tracer`` records per-rank spans (plus the new ``offbody:regen`` /
-    ``offbody:group`` driver phases), ``fault_plan`` injects rank
-    failures (sim backend only), ``recovery_policy`` prices the
-    detection/restore/regroup episode.  There is no checkpoint file:
-    prescribed motions make the world a pure function of absolute time,
-    so recovery re-derives state instead of restoring bytes — the
-    restore cost is still charged per the policy.
+    Prescribed motions make the world a pure function of absolute
+    time, so its checkpoint is just that time and a restore re-derives
+    the poses instead of reading them — the restore cost is the
+    policy's latency alone.
 
     Only off-body ranks are expendable: near-body grids are pinned one
     per rank, so a failure of rank ``< n_near`` (or shrinking below
     ``n_near + 1`` ranks) re-raises the failure.
     """
 
-    def __init__(
-        self,
-        case: OffBodyCase,
-        tracer=None,
-        fault_plan=None,
-        recovery_policy: RecoveryPolicy | None = None,
-        sanitizer=None,
-        backend: str | ExecutionBackend = "sim",
-    ) -> None:
-        self.case = case
-        self.backend = (
-            backend
-            if isinstance(backend, ExecutionBackend)
-            else get_backend(backend)
-        )
-        if not self.backend.shared_state:
-            if sanitizer is not None:
-                raise ValueError(
-                    "the sanitizer needs the deterministic simulator; "
-                    "run with backend='sim'"
-                )
-            if fault_plan:
-                raise ValueError(
-                    "fault injection needs the deterministic simulator; "
-                    "run with backend='sim'"
-                )
-        self.tracer = tracer if tracer is not None and tracer.enabled else None
-        self.sanitizer = sanitizer
-        if isinstance(fault_plan, str):
-            fault_plan = FaultPlan.parse(fault_plan)
-        elif isinstance(fault_plan, (list, tuple)):
-            fault_plan = FaultPlan(fault_plan)
-        self.fault_plan = fault_plan if fault_plan else None
-        self.policy = recovery_policy or RecoveryPolicy()
-        self._pending_faults: list[FaultSpec] = []
+    result_type = OffBodyRunResult
+
+    def __init__(self, target: OffBodyCase) -> None:
+        super().__init__(target)
+        self.world = _OffBodyWorld(target)
+
+    def initial_carry(self) -> _OffBodyCarry:
+        return _OffBodyCarry(manager=self.target.make_manager())
+
+    def world_snapshot(self) -> float:
+        return self.world.time
+
+    def world_restore(self, snapshot: float) -> None:
+        self.world.advance(snapshot)
+
+    def restore_seconds(self, policy: RecoveryPolicy, ckpt: Checkpoint) -> float:
+        return policy.restore_latency
+
+    def shrink(
+        self, state: _DriverState, dead: tuple[int, ...], failure: RankFailure
+    ) -> tuple[int, ...]:
+        n_near = self.target.n_near
+        n_new = state.nranks - len(dead)
+        if any(r < n_near for r in dead) or n_new < n_near + 1:
+            # A near-body grid has no other host, and the patches need
+            # at least one group.
+            raise failure
+        # The next plan_epoch regroups the patches onto the survivors.
+        state.nranks = n_new
+        return (1,) * n_near + (n_new - n_near,)
 
     # ------------------------------------------------------------------
 
-    def run(self) -> OffBodyRunResult:
-        case = self.case
-        self._pending_faults = (
-            list(self.fault_plan.faults) if self.fault_plan else []
-        )
-        world = _OffBodyWorld(case)
-        manager = case.make_manager()
-        state = _DriverState(step=0, nranks=case.machine.nodes)
-        while state.step < case.nsteps:
-            nsteps = min(case.adapt_interval, case.nsteps - state.step)
-            try:
-                self._run_epoch(state, world, manager, nsteps)
-            except RankFailure as failure:
-                state = self._recover(state, world, failure)
-        return OffBodyRunResult(
-            case=case.name,
-            machine=case.machine.name,
-            nprocs=case.machine.nodes,
-            nsteps=case.nsteps,
-            epochs=state.epochs,
-            recoveries=state.recoveries,
-            wall_elapsed=state.vt,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _plan_epoch(
-        self, state: _DriverState, world: _OffBodyWorld,
-        manager: OffBodyManager, traced: bool = True,
-    ) -> _EpochPlan:
+    def plan_epoch(self, state: _DriverState, remaining: int, tracer: Any) -> int:
         """Regenerate patches + regroup; charges the driver-level spans."""
-        case = self.case
-        tracer = self.tracer if traced else None
+        case = self.target
         machine = case.machine
         n_near = case.n_near
         ngroups = state.nranks - n_near
+        ranks = range(state.nranks)
 
-        layout = manager.regenerate(world.body_boxes())
+        layout = state.carry.manager.regenerate(self.world.body_boxes())
         t_regen = machine.compute_time(
             REGEN_FLOPS_PER_POINT * max(1, layout.total_points)
         )
+        driver_span(tracer, ranks, PHASE_REGEN, t_regen)
         if tracer is not None:
-            for r in range(state.nranks):
-                tracer.phase(r, 0.0, PHASE_REGEN)
-                tracer.op(r, PHASE_REGEN, "compute", 0.0, t_regen)
-            tracer.advance(t_regen)
             tracer.mark(
                 0.0, "offbody:regen",
                 step=state.step,
@@ -685,24 +551,20 @@ class OffBodyDriver:
             p for p in grouping.group_points if p > 0
         ]
         sb = static_balance(unit_sizes, len(unit_sizes))
-        cut_points = grouping.cut_weight(layout.weights)
+        driver_span(tracer, ranks, PHASE_GROUP, t_group)
         if tracer is not None:
-            for r in range(state.nranks):
-                tracer.phase(r, 0.0, PHASE_GROUP)
-                tracer.op(r, PHASE_GROUP, "compute", 0.0, t_group)
-            tracer.advance(t_group)
             tracer.mark(
                 0.0, "offbody:group",
                 step=state.step,
                 strategy=case.grouping,
                 ngroups=ngroups,
                 group_points=list(grouping.group_points),
-                cut_points=cut_points,
+                cut_points=grouping.cut_weight(layout.weights),
                 imbalance=grouping.imbalance(),
             )
         state.vt += t_group
 
-        return _EpochPlan(
+        state.carry.plan = _EpochPlan(
             layout=layout,
             grouping=grouping,
             strategy=case.grouping,
@@ -710,44 +572,15 @@ class OffBodyDriver:
             n_near=n_near,
             balance_tau=sb.tau,
         )
+        return min(case.adapt_interval, remaining)
 
-    def _run_epoch(
-        self, state: _DriverState, world: _OffBodyWorld,
-        manager: OffBodyManager, nsteps: int,
-    ) -> None:
-        case = self.case
-        tracer = self.tracer
-        plan = self._plan_epoch(state, world, manager)
-        first_step = state.step
-
-        out = self._run_chunk(
-            world, plan, first_step, nsteps,
-            fault_plan=self._chunk_fault_plan(state, nsteps),
-        )
-
-        nranks = state.nranks
-        per_step = np.zeros((nsteps, nranks), dtype=np.int64)
-        search_total = 0
-        orphans_total = 0
-        donors_total = 0
-        for rank, stats in enumerate(out.returns):
-            for s, st in enumerate(stats):
-                per_step[s, rank] = st.igbps_received
-                search_total += st.search_steps
-                orphans_total += st.orphans
-                donors_total += st.donors_found
-        igbp = IgbpRollup()
-        for s in range(nsteps):
-            igbp.record(per_step[s])
-        rollup = PhaseRollup.from_metrics(MachineMetrics(list(out.metrics.ranks)))
-        elapsed = max(rm.final_clock for rm in out.metrics.ranks)
-
-        epoch = OffBodyEpoch(
-            first_step=first_step,
-            nsteps=nsteps,
-            elapsed=elapsed,
-            rollup=rollup,
-            igbp=igbp,
+    def finish_epoch(self, carry: _OffBodyCarry, acc: _EpochAccum) -> OffBodyEpoch:
+        plan = carry.plan
+        assert plan is not None  # plan_epoch ran before the first chunk
+        edges = set(plan.layout.edges)
+        return OffBodyEpoch(
+            partition=None,
+            **acc.totals(),
             strategy=plan.strategy,
             grouping=plan.grouping,
             npatches=plan.layout.npatches,
@@ -755,146 +588,27 @@ class OffBodyDriver:
             destroyed=plan.layout.destroyed,
             level_counts=plan.layout.level_counts(),
             cut_points=plan.grouping.cut_weight(plan.layout.weights),
-            intra_edges=plan.grouping.intra_group_edges(set(plan.layout.edges)),
-            cut_edges=plan.grouping.cut_edges(set(plan.layout.edges)),
+            intra_edges=plan.grouping.intra_group_edges(edges),
+            cut_edges=plan.grouping.cut_edges(edges),
             balance_tau=plan.balance_tau,
-            search_steps_total=search_total,
-            orphans_total=orphans_total,
-            donors_total=donors_total,
-            per_step_igbp=[tuple(int(x) for x in row) for row in per_step],
+            donors_total=acc.donors_total,
+            per_step_igbp=[tuple(int(x) for x in row) for row in acc.per_step],
         )
-        state.epochs.append(epoch)
-        state.step = first_step + nsteps
-        if tracer is not None:
-            tracer.advance(elapsed)
-        state.vt += elapsed
 
-    # ------------------------------------------------------------------
-    # fault plumbing (mirrors OverflowD1, without checkpoint files)
-
-    def _chunk_fault_plan(
-        self, state: _DriverState, nsteps: int
-    ) -> FaultPlan | None:
-        if not self._pending_faults:
-            return None
-        specs = []
-        for f in self._pending_faults:
-            if f.rank >= state.nranks:
-                continue
-            if f.step is not None:
-                if state.step <= f.step < state.step + nsteps:
-                    specs.append(FaultSpec(
-                        rank=f.rank,
-                        phase_index=PHASES_PER_STEP * (f.step - state.step),
-                    ))
-            elif f.time is not None:
-                specs.append(FaultSpec(
-                    rank=f.rank, time=max(0.0, f.time - state.vt)
-                ))
-            else:
-                specs.append(FaultSpec(rank=f.rank, phase_index=f.phase_index))
-        return FaultPlan(specs) if specs else None
-
-    def _recover(
-        self, state: _DriverState, world: _OffBodyWorld, failure: RankFailure
-    ) -> _DriverState:
-        """Detection -> shrink -> regroup; the epoch re-runs from its start."""
-        case = self.case
-        tracer = self.tracer
-        policy = self.policy
-        old_n = state.nranks
-
-        if len(state.recoveries) >= policy.max_recoveries:
-            raise failure
-
-        t_fail_local = failure.time
-        vt_fail = state.vt + t_fail_local
-        if tracer is not None:
-            tracer.advance(t_fail_local)
-            tracer.mark(
-                0.0, "recovery",
-                failed_ranks=list(failure.failed_ranks),
-                step=state.step,
-            )
-
-        dead, t_detect = run_failure_detection(
-            case.machine.with_nodes(old_n),
-            failure.failed_ranks,
-            tracer=tracer,
-            timeout=policy.detection_timeout,
-            sanitizer=self.sanitizer,
-        )
-        if tracer is not None:
-            tracer.advance(t_detect)
-        dead_set = set(dead)
-        self._pending_faults = [
-            f for f in self._pending_faults if f.rank not in dead_set
-        ]
-        if any(r < case.n_near for r in dead_set):
-            # A near-body rank died: its grid has no other host.
-            raise failure
-        n_new = old_n - len(dead)
-        if n_new < case.n_near + 1:
-            raise failure
-
-        # "Restore" = re-derive the world at the epoch start time; the
-        # modeled cost covers re-reading body poses + layout rebuild.
-        world.advance(state.step * case.dt)
-        t_restore = policy.restore_latency
-        if tracer is not None:
-            for r in range(old_n):
-                if r not in dead_set:
-                    tracer.phase(r, 0.0, "restore")
-                    tracer.op(r, "restore", "compute", 0.0, t_restore)
-            tracer.advance(t_restore)
-
-        t_rep = policy.repartition_seconds
-        if tracer is not None:
-            for r in range(n_new):
-                tracer.phase(r, 0.0, "repartition")
-                tracer.op(r, "repartition", "compute", 0.0, t_rep)
-            tracer.advance(t_rep)
-
-        new_state = _DriverState(
-            step=state.step,
-            nranks=n_new,
-            epochs=state.epochs,
-            recoveries=state.recoveries,
-            vt=vt_fail + t_detect + t_restore + t_rep,
-        )
-        record = OffBodyRecovery(
-            failed_ranks=tuple(dead),
-            nprocs_before=old_n,
-            nprocs_after=n_new,
-            step_failed=state.step,
-            step_restored=state.step,
-            t_failure=vt_fail,
-            t_detect=t_detect,
-            t_restore=t_restore,
-            t_repartition=t_rep,
-        )
-        new_state.recoveries.append(record)
-        if tracer is not None:
-            tracer.mark(
-                0.0, "recovered",
-                step=state.step,
-                nprocs=n_new,
-            )
-        return new_state
-
-    # ------------------------------------------------------------------
-
-    def _run_chunk(
+    def run_chunk(
         self,
-        world: _OffBodyWorld,
-        plan: _EpochPlan,
+        backend: ExecutionBackend,
+        carry: _OffBodyCarry,
         first_step: int,
         nsteps: int,
-        fault_plan: FaultPlan | None = None,
+        **run_kwargs: Any,
     ) -> BackendResult:
-        case = self.case
+        plan = carry.plan
+        assert plan is not None  # plan_epoch ran before the first chunk
+        world = self.world
+        case = self.target
         work = case.work
-        shared_state = self.backend.shared_state
+        shared_state = backend.shared_state
         nranks = plan.nranks
         n_near = plan.n_near
         halo = _halo_pairs(plan)
@@ -921,7 +635,7 @@ class OffBodyDriver:
                 for a, b, pts in halo
                 if rank in (a, b)
             ]
-            stats_out: list[_StepStats] = []
+            stats_out: list[StepStats] = []
 
             for s in range(nsteps):
                 step = first_step + s
@@ -1007,7 +721,7 @@ class OffBodyDriver:
                     if rank < n_near
                     else sum(conn.orphans_p.get(pi, 0) for pi in mine)
                 )
-                stats_out.append(_StepStats(
+                stats_out.append(StepStats(
                     step=step,
                     igbps_received=received,
                     search_steps=my_search,
@@ -1017,14 +731,27 @@ class OffBodyDriver:
                 yield from comm.barrier()
             return stats_out
 
-        out = self.backend.run(
-            case.machine.with_nodes(nranks),
-            [program] * nranks,
-            tracer=self.tracer,
-            fault_plan=fault_plan,
-            sanitizer=self.sanitizer,
+        out = backend.run(
+            case.machine.with_nodes(nranks), [program] * nranks, **run_kwargs
         )
         if not shared_state:
             # Bring the driver's own world copy up to the chunk end.
             world.advance((first_step + nsteps) * dt)
         return out
+
+
+class OffBodyDriver(EpochRunner):
+    """Run an :class:`OffBodyCase` on a pluggable execution backend.
+
+    Parameters are :class:`repro.core.runner.EpochRunner`'s: ``case,
+    tracer, fault_plan, checkpoint_every, checkpoint_store,
+    recovery_policy, sanitizer, backend``.  Traces gain the
+    ``offbody:regen`` / ``offbody:group`` driver phases.
+    """
+
+    workload_type = _OffBody
+
+    # Defined per driver: the typed entry point, and the seam
+    # benchmarks/perf wraps by name.
+    def run(self) -> OffBodyRunResult:
+        return cast(OffBodyRunResult, self._run())

@@ -3,8 +3,8 @@
 A :class:`Checkpoint` is a set of named *sections*, each a pickled
 snapshot of one piece of driver state (case config, driver progress,
 world pose, donor-restart memory).  The container is deliberately dumb:
-it stores bytes, checksums and JSON metadata — the driver
-(:mod:`repro.core.overflow_d1`) decides what goes in.
+it stores bytes, checksums and JSON metadata — the epoch runner
+(:mod:`repro.core.runner`) decides what goes in.
 
 Determinism contract
 --------------------
@@ -20,7 +20,7 @@ So two runs that reach the same virtual state write byte-identical
 checkpoints — which is what lets the test battery assert restore
 round-trips and repeated faulted runs bit-for-bit.
 
-On-disk format (version 1)::
+On-disk format (version 2; the layout is version 1's)::
 
     offset  size  field
     0       8     magic  b"RPROCKPT"
@@ -52,7 +52,10 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"RPROCKPT"
-CHECKPOINT_VERSION = 1
+#: v2: the pickled driver state moved to :mod:`repro.core.runner`; v1
+#: files would unpickle against a class that is gone, so they are
+#: refused by version instead.
+CHECKPOINT_VERSION = 2
 
 #: Fixed so the same state pickles to the same bytes on every
 #: supported interpreter (protocol 4 is available from Python 3.4).

@@ -1,7 +1,7 @@
 """Elastic recovery: policy knobs, recovery records and the detection sim.
 
 The driver's recovery sequence on a :class:`repro.machine.faults.RankFailure`
-(see :meth:`repro.core.overflow_d1.OverflowD1` for the wiring):
+(see :class:`repro.core.runner.EpochRunner` for the wiring):
 
 1. **failure detection** — the survivors run the heartbeat/timeout
    protocol (:meth:`repro.machine.simmpi.Comm.detect_failures`) on a

@@ -275,7 +275,7 @@ def run_job(spec: JobSpec) -> dict:
     for ``sim`` jobs, so it is deterministic; ``deterministic: false``
     marks measured (``mp``) payloads as host data.
     """
-    from repro.core import OverflowD1
+    from repro.core import build_driver, run_summary
     from repro.machine import MACHINE_PRESETS
 
     spec.check_runnable()
@@ -285,28 +285,10 @@ def run_job(spec: JobSpec) -> dict:
     cfg = _known_cases()[spec.case](
         machine=machine, scale=spec.scale, nsteps=spec.nsteps, f0=spec.f0
     )
-    run = OverflowD1(cfg, backend=_job_backend(spec.backend)).run()
-    rollup = run.rollup()
-    igbp = run.igbp_rollup()
-    result = {
-        "elapsed_s": run.elapsed,
-        "time_per_step_s": run.time_per_step,
-        "mflops_per_node": run.mflops_per_node,
-        "pct_dcf3d": run.pct_dcf3d,
-        "nsteps": run.nsteps,
-        "nranks": run.nprocs,
-        "total_gridpoints": cfg.total_gridpoints,
-        "ngrids": len(cfg.grids),
-        "phases": rollup.breakdown(),
-        "imbalance": {
-            "I": [int(v) for v in igbp.accumulated()],
-            "ibar": igbp.ibar(),
-            "f_max": float(igbp.f().max()) if igbp.nranks else 0.0,
-        },
-        "partition_history": [
-            [step, list(procs)] for step, procs in run.partition_history
-        ],
-    }
+    run = build_driver(cfg, backend=_job_backend(spec.backend)).run()
+    result = run_summary(run)
+    result["total_gridpoints"] = cfg.total_gridpoints
+    result["ngrids"] = len(cfg.grids)
     return {
         "schema": SERVE_RESULT_SCHEMA,
         "job": spec.config(),

@@ -75,11 +75,3 @@ def test_parallel2d_q_field_byte_identical():
     assert q_sim.tobytes() == q_mp.tobytes()
     assert out_sim.backend == "sim" and out_mp.backend == "mp"
     assert out_mp.measured
-
-
-def test_overflow_rejects_mp_with_sanitizer():
-    from repro.analysis import Sanitizer
-
-    cfg = airfoil_case(machine=sp2(nodes=4), scale=0.25, nsteps=2)
-    with pytest.raises(ValueError):
-        OverflowD1(cfg, backend="mp", sanitizer=Sanitizer())

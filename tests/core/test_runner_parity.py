@@ -1,0 +1,112 @@
+"""One epoch runner, two workloads: the resilience contract holds on both.
+
+Every test runs once on the near-body airfoil case (``OverflowD1``) and
+once on a seeded off-body debris scenario (``OffBodyDriver``); both go
+through :class:`repro.core.runner.EpochRunner`, so a behaviour that
+only one of them shows is a bug in the seam.
+"""
+
+import pytest
+
+from repro.backend.mp import mp_available
+from repro.cases import airfoil_case
+from repro.core import build_driver
+from repro.machine import sp2
+from repro.machine.faults import RankFailure
+from repro.obs import SpanTracer
+from repro.offbody import OffBodyCase, build_offbody_case, generate_scenario
+from repro.resilience import RecoveryPolicy
+
+NSTEPS = 4
+
+
+def airfoil():
+    # f0 = inf: one epoch covers all four steps.
+    return airfoil_case(machine=sp2(nodes=6), scale=0.05, nsteps=NSTEPS)
+
+
+def debris():
+    # Two adapt epochs: steps 0-1 and 2-3.
+    return build_offbody_case(
+        generate_scenario("debris", seed=5, nbodies=3),
+        nsteps=NSTEPS, adapt_interval=2,
+    )
+
+
+@pytest.fixture(params=[airfoil, debris])
+def target(request):
+    return request.param()
+
+
+def last_rank(target) -> int:
+    """Always expendable: the last off-body group / airfoil subdomain."""
+    return target.machine.nodes - 1
+
+
+def faulted(target, trigger, **kw):
+    return build_driver(
+        target, fault_plan=[f"rank={last_rank(target)}@{trigger}"], **kw
+    )
+
+
+#: trigger -> measured step the failed chunk started at, (airfoil,
+#: debris).  ``phase=7`` is step 2's motion barrier: the off-body copy
+#: of the fault plumbing never localised phase triggers, so past the
+#: first adapt epoch they silently never fired.
+TRIGGERS = {
+    "step=3": (0, 2),
+    "t=0.05": (0, 0),
+    "phase=1": (0, 0),
+    "phase=7": (0, 2),
+}
+
+
+@pytest.mark.parametrize("trigger", sorted(TRIGGERS))
+def test_trigger_fires_exactly_once(target, trigger):
+    run = faulted(target, trigger).run()
+    assert len(run.recoveries) == 1
+    rec = run.recoveries[0]
+    assert rec.failed_ranks == (last_rank(target),)
+    assert rec.nprocs_after == rec.nprocs_before - 1
+    assert rec.step_failed == TRIGGERS[trigger][isinstance(target, OffBodyCase)]
+    assert rec.step_restored == 0  # the implicit step-0 restore point
+    assert sum(e.nsteps for e in run.epochs) == NSTEPS
+
+
+def test_exhausted_recovery_budget_reraises(target):
+    policy = RecoveryPolicy(max_recoveries=0)
+    with pytest.raises(RankFailure):
+        faulted(target, "step=1", recovery_policy=policy).run()
+
+
+@pytest.mark.skipif(mp_available() is not None, reason=str(mp_available()))
+@pytest.mark.parametrize(
+    "option", [{"sanitizer": object()}, {"fault_plan": ["rank=1@step=0"]}]
+)
+def test_sim_only_options_rejected_on_real_ranks(target, option):
+    with pytest.raises(ValueError, match="needs the deterministic simulator"):
+        build_driver(target, backend="mp", **option)
+
+
+def test_recovery_episode_order_in_trace(target):
+    tracer = SpanTracer()
+    faulted(target, "step=1", tracer=tracer).run()
+    marks = {name: t for t, name, _ in tracer.marks}
+    first = {}
+    for _rank, t, phase in tracer.phase_marks:
+        first.setdefault(phase, t)
+    episode = [
+        marks["recovery"],
+        first["failure-detection"],
+        first["restore"],
+        first["repartition"],
+        marks["recovered"],
+    ]
+    assert episode == sorted(episode)
+    assert episode[0] < episode[-1]
+
+
+def test_downtime_accounting(target):
+    run = faulted(target, "step=3").run()
+    assert run.downtime == sum(r.downtime for r in run.recoveries) > 0
+    assert run.wall_elapsed >= run.elapsed + run.downtime

@@ -41,7 +41,7 @@ op_ev = st.tuples(
 )
 phase_ev = st.tuples(st.just("phase"), ranks, finite, st.sampled_from(PHASES))
 arg_key = st.text(min_size=1, max_size=4).filter(
-    lambda k: k not in ("t", "name")  # mark()'s positional params
+    lambda k: k not in ("self", "t", "name")  # mark()'s positional params
 )
 mark_ev = st.tuples(
     st.just("mark"), finite, st.text(min_size=1, max_size=8),

@@ -149,7 +149,3 @@ class TestValidation:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError, match="nodes"):
             small_case(nodes=2)  # 2 near-body grids need >= 3
-
-    def test_sanitizer_needs_sim_backend(self):
-        with pytest.raises(ValueError, match="sim"):
-            OffBodyDriver(small_case(), sanitizer=object(), backend="mp")

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cases.airfoil import airfoil_case
 from repro.core.overflow_d1 import OverflowD1, resume_run
-from repro.machine.faults import FaultPlan, RankFailure
+from repro.machine.faults import FaultPlan
 from repro.machine.spec import sp2
 from repro.obs import SpanTracer
 from repro.partition.assignment import build_partition
@@ -231,16 +231,6 @@ class TestElasticRecovery:
         assert "failure-detection" in names
         assert "restore" in names
         assert "repartition" in names
-
-    def test_unrecoverable_when_budget_exhausted(self):
-        policy = RecoveryPolicy(max_recoveries=0)
-        with pytest.raises(RankFailure):
-            OverflowD1(
-                small_case(nsteps=8),
-                fault_plan="rank=1@step=4",
-                checkpoint_every=3,
-                recovery_policy=policy,
-            ).run()
 
     def test_two_faults_two_recoveries(self):
         run = OverflowD1(

@@ -665,12 +665,43 @@ class TestScenarioCLI:
         with pytest.raises(SystemExit, match="not both"):
             main(["run", "airfoil", "--scenario", str(path)])
 
-    def test_run_rejects_checkpoints_with_scenario(self, tmp_path):
+    def test_checkpointed_scenario_run_equals_plain(self, tmp_path):
+        from repro.offbody import OffBodyDriver, build_offbody_case
+        from repro.offbody import load_scenario
+
+        case = build_offbody_case(
+            load_scenario(self._scenario(tmp_path)), nsteps=4
+        )
+        plain = OffBodyDriver(case).run()
+        # Every step, and a boundary that falls inside an adapt epoch.
+        for every in (1, 3):
+            split = OffBodyDriver(case, checkpoint_every=every).run()
+            assert split.physics_signature() == plain.physics_signature()
+            assert split.elapsed == plain.elapsed  # bit-equal, not approx
+
+    def test_resume_scenario_checkpoint(self, capsys, tmp_path):
+        from repro.offbody import OffBodyDriver, build_offbody_case
+        from repro.offbody import load_scenario
+        from repro.resilience import CheckpointStore
+
         path = self._scenario(tmp_path)
-        with pytest.raises(SystemExit, match="checkpoint"):
-            main([
-                "run", "--scenario", str(path), "--checkpoint-every", "2",
-            ])
+        ckpts = tmp_path / "ckpts"
+        rc = main([
+            "run", "--scenario", str(path), "--steps", "4",
+            "--checkpoint-every", "3", "--checkpoint-dir", str(ckpts),
+        ])
+        assert rc == 0
+        assert CheckpointStore(ckpts).latest().meta["measured_step"] == 3
+        capsys.readouterr()
+        assert main(["resume", str(ckpts)]) == 0
+        out = capsys.readouterr().out
+        assert "from measured step 3" in out and "epoch @ step 2" in out
+
+        case = build_offbody_case(load_scenario(path), nsteps=4)
+        full = OffBodyDriver(case).run()
+        resumed = OffBodyDriver(case).resume(CheckpointStore(ckpts).latest())
+        assert resumed.physics_signature() == full.physics_signature()
+        assert resumed.elapsed == full.elapsed
 
     def test_run_rejects_missing_scenario_file(self, tmp_path):
         with pytest.raises(SystemExit):
