@@ -1,88 +1,96 @@
 """Section-5 machinery: Algorithm-3 grouping and Cartesian connectivity.
 
-Quantifies the forward-looking scheme's claims:
+Quantifies the forward-looking scheme's claims on the X-38 off-body
+patch layout:
 
-* Algorithm 3 packs hundreds of off-body bricks onto nodes with even
-  work while keeping most connectivity intra-group (vs a round-robin
+* Algorithm 3 packs the off-body patches onto nodes with even work
+  while keeping most connectivity intra-group (vs a round-robin
   baseline that ignores locality);
-* donor lookup between Cartesian bricks is closed-form — the count of
-  stencil-walk searches avoided equals the resolved fringe points;
+* donor lookup between Cartesian patches is closed-form — every
+  inter-patch donor in ``layout.weights`` is a stencil-walk search
+  avoided;
 * the entire off-body system is described by 2*ndim+1 scalars per
-  brick (the "seven parameters" argument).
+  patch (the "seven parameters" argument).
 """
 
-import numpy as np
+import dataclasses
+
 import pytest
 
 from benchmarks._harness import emit
-from repro.adapt import cartesian_connectivity
-from repro.cases import x38_adaptive_system, x38_near_body_grids
-from repro.partition import group_grids
+from repro.cases import x38_offbody_case
+from repro.machine import sp2
+from repro.offbody.patches import fringe_points
+from repro.partition import group_grids, round_robin_grids
+
+NGROUPS = 8
 
 
 @pytest.fixture(scope="module")
-def adapted_system():
-    near = x38_near_body_grids(scale=0.05)
-    system = x38_adaptive_system(max_level=2, points_per_brick=7)
-    boxes = [g.bounding_box() for g in near]
-    for _ in range(2):
-        system.adapt(boxes, margin=0.1)
-    return system
+def layout():
+    # One level deeper than the scaling bench (Fig. 12b shows several):
+    # 136 patches instead of 61, so eight groups hold enough patches
+    # each for locality to be measurable.
+    case = dataclasses.replace(
+        x38_offbody_case(sp2(nodes=3 + NGROUPS), scale=0.05), max_level=3
+    )
+    return case.make_manager().regenerate(
+        [g.bounding_box() for g in case.near_body]
+    )
 
 
 @pytest.mark.benchmark(group="adaptive")
-def test_grouping_vs_round_robin(benchmark, adapted_system):
-    system = adapted_system
-    sizes = system.brick_points()
-    edges = system.connectivity_edges()
-    ngroups = 8
+def test_grouping_vs_round_robin(benchmark, layout):
+    sizes = list(layout.sizes)
+    edges = set(layout.edges)
 
     def compare():
-        algo3 = system.group(ngroups)
-        # Baseline: round-robin assignment, no locality.
-        rr_groups = [i % ngroups for i in range(len(sizes))]
-        rr_intra = sum(
-            1 for a, b in edges if rr_groups[a] == rr_groups[b]
+        return (
+            group_grids(sizes, edges, NGROUPS),
+            # Baseline: round-robin assignment, no locality.
+            round_robin_grids(sizes, NGROUPS),
         )
-        return algo3, rr_intra
 
-    algo3, rr_intra = benchmark.pedantic(compare, rounds=1, iterations=1)
+    algo3, rr = benchmark.pedantic(compare, rounds=1, iterations=1)
     intra = algo3.intra_group_edges(edges)
     emit(
         "adaptive_grouping",
-        f"bricks {len(sizes)}, edges {len(edges)}, groups {ngroups}\n"
+        f"patches {len(sizes)}, edges {len(edges)}, groups {NGROUPS}\n"
         f"Algorithm 3: imbalance {algo3.imbalance():.3f}, "
-        f"intra-group edges {intra}\n"
-        f"round-robin: intra-group edges {rr_intra}",
+        f"intra-group edges {intra}, "
+        f"cut donor points {algo3.cut_weight(layout.weights)}\n"
+        f"round-robin: imbalance {rr.imbalance():.3f}, "
+        f"intra-group edges {rr.intra_group_edges(edges)}, "
+        f"cut donor points {rr.cut_weight(layout.weights)}",
     )
     assert algo3.imbalance() < 1.5
     # Locality: far more edges stay intra-group than the 1/ngroups
     # share a locality-blind assignment expects.
-    expected_random = len(edges) / ngroups
+    expected_random = len(edges) / NGROUPS
     assert intra > 1.5 * expected_random
 
 
 @pytest.mark.benchmark(group="adaptive")
-def test_cartesian_connectivity_avoids_searches(benchmark, adapted_system):
-    system = adapted_system
-
+def test_cartesian_connectivity_avoids_searches(benchmark, layout):
     def connect():
-        return cartesian_connectivity(system.system, system.bricks)
+        return sum(len(fringe_points(g)) for g in layout.grids)
 
-    out = benchmark.pedantic(connect, rounds=1, iterations=1)
+    fringe = benchmark.pedantic(connect, rounds=1, iterations=1)
+    # Every inter-patch donor is an O(1) CartesianGrid lookup.
+    resolved = sum(layout.weights.values())
+    stored = sum(g.nparams for g in layout.grids)
     emit(
         "adaptive_connectivity",
-        f"fringe points {out['fringe_points']}, donors resolved "
-        f"{out['donors_resolved']}, searches avoided "
-        f"{out['searches_avoided']}\n"
-        f"stored parameters {system.parameters_stored()} vs "
-        f"{system.total_points()} off-body points",
+        f"fringe points {fringe}, donors resolved {resolved}, "
+        f"searches avoided {resolved}\n"
+        f"stored parameters {stored} vs "
+        f"{layout.total_points} off-body points",
     )
-    assert out["searches_avoided"] == out["donors_resolved"] > 0
+    assert resolved > 0
     # "the vast majority of the interpolation donors will exist in
     # Cartesian grid components": most fringe points resolve in O(1).
-    assert out["donors_resolved"] > 0.5 * out["fringe_points"]
+    assert resolved > 0.5 * fringe
     # Seven-parameter storage: descriptor size is negligible next to
     # the field data (the paper contrasts 7 scalars per grid with 16
     # stored terms *per point* for curvilinear grids).
-    assert system.parameters_stored() < 0.05 * system.total_points()
+    assert stored < 0.05 * layout.total_points

@@ -4,77 +4,74 @@
 Demonstrates the paper's forward-looking machinery, here fully built:
 
 1. near-body curvilinear grids around a blunt re-entry vehicle;
-2. the default off-body Cartesian brick system (Fig. 12a) refined by
-   proximity to the body over several adapt cycles (Fig. 12b);
+2. the default off-body Cartesian patch system (Fig. 12a) regenerated
+   with refinement by proximity to the body (Fig. 12b);
 3. the body then *moves* and the off-body system follows it —
-   refinement ahead, coarsening behind;
-4. Algorithm-3 grouping packs the hundreds of bricks onto nodes with
-   even work and high intra-group connectivity;
+   patches created ahead, destroyed behind;
+4. Algorithm-3 grouping packs the patches onto nodes with even work
+   and high intra-group connectivity;
 5. the seven-parameter storage argument and the search-free Cartesian
    connectivity are quantified.
 
 Run:  python examples/adaptive_cartesian.py
 """
 
-import numpy as np
+from repro.cases import x38_offbody_case
+from repro.grids import AABB
+from repro.machine import sp2
+from repro.offbody.patches import fringe_points
+from repro.partition import group_grids
 
-from repro.adapt import cartesian_connectivity
-from repro.cases import x38_adaptive_system, x38_near_body_grids
-from repro.grids import AABB, RigidMotion
+NGROUPS = 8
 
 
-def describe(system) -> str:
-    levels = {}
-    for b in system.bricks:
-        levels[b.level] = levels.get(b.level, 0) + 1
-    lv = ", ".join(f"L{k}: {v}" for k, v in sorted(levels.items()))
-    return (f"{len(system.bricks)} bricks ({lv}), "
-            f"{system.total_points()} off-body points, "
-            f"{system.parameters_stored()} stored parameters")
+def describe(layout) -> str:
+    lv = ", ".join(f"L{k}: {v}" for k, v in sorted(layout.level_counts().items()))
+    stored = sum(g.nparams for g in layout.grids)
+    return (f"{layout.npatches} patches ({lv}), "
+            f"{layout.total_points} off-body points, "
+            f"{stored} stored parameters")
 
 
 def main() -> None:
-    near = x38_near_body_grids(scale=0.05)
+    case = x38_offbody_case(sp2(nodes=3 + NGROUPS), scale=0.05)
     print("Near-body curvilinear grids:")
-    for g in near:
+    for g in case.near_body:
         print(f"  {g!r}")
-    body_boxes = [g.bounding_box() for g in near]
+    body_boxes = [g.bounding_box() for g in case.near_body]
 
-    system = x38_adaptive_system(max_level=3, points_per_brick=9)
-    print(f"\nDefault off-body system: {describe(system)}")
+    manager = case.make_manager()
+    print(f"\nDefault off-body system: {describe(manager.regenerate([]))}")
 
-    print("\nAdapting toward the vehicle (proximity criterion):")
-    for cycle in range(3):
-        stats = system.adapt(body_boxes, margin=0.1)
-        print(f"  cycle {cycle}: {describe(system)}")
+    layout = manager.regenerate(body_boxes)
+    print("\nAdapted toward the vehicle (proximity criterion):")
+    print(f"  {describe(layout)}")
 
     # Body motion: translate the vehicle 1.5 units downstream and let
     # the off-body system follow.
-    print("\nVehicle moves +1.5 in x; off-body system re-adapts:")
-    shift = RigidMotion.translation_of([1.5, 0.0, 0.0])
+    print("\nVehicle moves +1.5 in x; off-body system regenerates:")
     moved_boxes = [
         AABB(b.lo + [1.5, 0, 0], b.hi + [1.5, 0, 0]) for b in body_boxes
     ]
-    for cycle in range(4):
-        stats = system.adapt(moved_boxes, margin=0.1)
-        print(f"  cycle {cycle}: {describe(system)} "
-              f"(+{stats.refined} refined, -{stats.coarsened} merged)")
+    layout = manager.regenerate(moved_boxes)
+    print(f"  {describe(layout)} "
+          f"(+{layout.created} created, -{layout.destroyed} destroyed)")
 
-    # Algorithm-3 grouping onto 8 nodes.
-    grouping = system.group(8)
-    print("\nAlgorithm-3 grouping onto 8 nodes:")
+    edges = set(layout.edges)
+    grouping = group_grids(list(layout.sizes), edges, NGROUPS)
+    print(f"\nAlgorithm-3 grouping onto {NGROUPS} groups:")
     print(f"  gridpoints per group: {grouping.group_points}")
     print(f"  load imbalance (max/avg): {grouping.imbalance():.3f}")
-    edges = system.connectivity_edges()
     kept = grouping.intra_group_edges(edges)
     print(f"  connectivity edges kept inside groups: {kept}/{len(edges)}")
 
     # The connectivity payoff: closed-form Cartesian donor lookup.
-    conn = cartesian_connectivity(system.system, system.bricks)
+    fringe = sum(len(fringe_points(g)) for g in layout.grids)
+    resolved = sum(layout.weights.values())
     print("\nCartesian connectivity (no stencil-walk searches needed):")
-    print(f"  brick fringe points:     {conn['fringe_points']}")
-    print(f"  donors resolved in O(1): {conn['donors_resolved']}")
-    print(f"  donor searches avoided:  {conn['searches_avoided']}")
+    print(f"  patch fringe points:     {fringe}")
+    print(f"  donors resolved in O(1): {resolved}")
+    print(f"  donor searches avoided:  {resolved}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ motion
 core
     OVERFLOW-D1 driver: per-timestep flow/move/connect loop with
     performance accounting.
-adapt
+offbody
     Adaptive Cartesian off-body grid scheme (paper section 5).
 cases
     The paper's test problems: oscillating airfoil, descending delta

@@ -14,8 +14,9 @@ scaling the fringe depth; see each module's notes).
 * :mod:`store` — finned-store separation (section 4.3): 16 grids
   (10 store + 3 wing/pylon + 3 background), 0.81M points, 66e-3,
   prescribed separation trajectory;
-* :mod:`x38` — X-38-like blunt body for the section-5 adaptive
-  Cartesian scheme.
+* :mod:`x38` — X-38-like blunt body: the near-body cluster alone
+  (``x38_case``) or coupled to the section-5 adaptive off-body patches
+  (``x38_offbody_case``).
 """
 
 from repro.cases.airfoil import airfoil_case, airfoil_grids
@@ -29,7 +30,7 @@ from repro.cases.registry import (
     register_case,
 )
 from repro.cases.store import store_case, store_grids
-from repro.cases.x38 import x38_adaptive_system, x38_case, x38_near_body_grids
+from repro.cases.x38 import x38_case, x38_near_body_grids, x38_offbody_case
 
 register_case(
     "airfoil",
@@ -49,7 +50,10 @@ register_case(
 register_case(
     "x38",
     x38_case,
-    help="X-38-like blunt body, adaptive Cartesian scheme (section 5)",
+    help=(
+        "X-38-like blunt body, near-body cluster only (the section-5 "
+        "adaptive scheme is repro.cases.x38_offbody_case)"
+    ),
 )
 
 __all__ = [
@@ -61,7 +65,7 @@ __all__ = [
     "store_grids",
     "x38_case",
     "x38_near_body_grids",
-    "x38_adaptive_system",
+    "x38_offbody_case",
     "CaseEntry",
     "UnknownCaseError",
     "build_case",

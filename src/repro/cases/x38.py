@@ -5,20 +5,28 @@ curvilinear grids around a blunt lifting body, with the off-body domain
 automatically partitioned into Cartesian grids refined by proximity.
 We model the vehicle as a blunt body of revolution plus two stubby
 fins — geometry is incidental; what the adaptive experiments exercise
-is the brick refinement, Algorithm-3 grouping and search-free
+is the patch refinement, Algorithm-3 grouping and search-free
 Cartesian connectivity around a realistic near-body grid cluster.
+
+Two builders share the near-body cluster: :func:`x38_case` runs it
+alone under OVERFLOW-D1 (the registered ``x38`` case), and
+:func:`x38_offbody_case` couples it to the section-5 off-body patch
+lattice under :class:`repro.offbody.OffBodyDriver`.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from repro.adapt.manager import AdaptiveSystem
 from repro.core.config import CaseConfig
 from repro.grids.bbox import AABB
 from repro.grids.generators import body_of_revolution_grid, fin_grid
 from repro.grids.structured import CurvilinearGrid
 from repro.machine.spec import MachineSpec, sp
+
+if TYPE_CHECKING:
+    from repro.offbody import OffBodyCase
 
 #: Search hierarchy for the near-body cluster: each fin interpolates
 #: from the body grid it is embedded in; the body closes its fringe
@@ -59,11 +67,12 @@ def x38_case(
 ) -> CaseConfig:
     """The near-body X-38 cluster as an OVERFLOW-D1 performance case.
 
-    The section-5 adaptive machinery exercises the off-body Cartesian
-    bricks separately (:func:`x38_adaptive_system`); this builder wraps
-    the same near-body curvilinear cluster in a :class:`CaseConfig` so
-    the re-entry configuration can run through the standard driver (and
-    the ``repro run`` / ``repro trace`` CLI) alongside the section-4
+    Near-body grids only: no off-body Cartesian patches and none of
+    the section-5 adaptive machinery run here (that is
+    :func:`x38_offbody_case`).  This builder wraps the near-body
+    curvilinear cluster in a :class:`CaseConfig` so the re-entry
+    configuration can run through the standard driver (and the
+    ``repro run`` / ``repro trace`` CLI) alongside the section-4
     cases.  The vehicle is rigid and holds attitude — connectivity is
     re-solved every step from fully warm restarts, the cheapest steady
     regime, which makes it a good observability baseline.
@@ -84,12 +93,29 @@ def x38_case(
     )
 
 
-def x38_adaptive_system(
-    max_level: int = 3, points_per_brick: int = 9
-) -> AdaptiveSystem:
-    """Default off-body domain around the vehicle (Fig. 12a)."""
-    domain = AABB((-2.0, -2.0, -2.0), (4.0, 2.0, 2.0))
-    return AdaptiveSystem(
-        domain, brick_extent=1.0, max_level=max_level,
-        points_per_brick=points_per_brick,
+def x38_offbody_case(
+    machine: MachineSpec | None = None,
+    scale: float = 1.0,
+    nsteps: int = 4,
+) -> OffBodyCase:
+    """The section-5 scheme on the X-38: the near-body cluster coupled
+    to adaptive off-body Cartesian patches over the Fig. 12a domain.
+
+    Near-body grids are pinned one per rank, so ``machine`` needs at
+    least four nodes (three grids + one Algorithm-3 patch group).
+    """
+    from repro.offbody import OffBodyCase
+
+    if machine is None:
+        machine = sp(nodes=8)
+    return OffBodyCase(
+        name="X-38 adaptive off-body",
+        machine=machine,
+        near_body=tuple(x38_near_body_grids(scale)),
+        motions={},
+        domain=AABB((-2.0, -2.0, -2.0), (4.0, 2.0, 2.0)),
+        base_extent=1.0,
+        margin=0.1,
+        nsteps=nsteps,
+        dt=0.01,
     )

@@ -5,7 +5,8 @@ auto-generated Cartesian patch grids tracking moving near-body grids,
 bin-packed into connectivity-local groups, regenerated every adapt
 epoch.
 
-* :mod:`patches` — graded 2^d-tree patch generation (2:1 nesting);
+* :mod:`patches` — graded 2^d-tree patch generation (2:1 nesting) and
+  the solution-error refinement criterion;
 * :mod:`manager` — per-epoch layout regeneration + donor weights;
 * :mod:`driver` — the :class:`OffBodyDriver` timestep loop on the
   pluggable execution backends, with ``offbody:regen`` /
@@ -24,7 +25,7 @@ from repro.offbody.driver import (
     OffBodyRunResult,
 )
 from repro.offbody.manager import OffBodyLayout, OffBodyManager
-from repro.offbody.patches import Patch, PatchSystem
+from repro.offbody.patches import Patch, PatchSystem, gradient_boxes
 from repro.offbody.scenario import (
     SCENARIO_KINDS,
     SCENARIO_SCHEMA,
@@ -54,6 +55,7 @@ __all__ = [
     "TumbleDrift",
     "build_offbody_case",
     "generate_scenario",
+    "gradient_boxes",
     "load_scenario",
     "register_scenario_case",
     "scenario_json",

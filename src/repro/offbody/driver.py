@@ -67,6 +67,7 @@ from repro.grids.structured import CurvilinearGrid
 from repro.machine.faults import RankFailure
 from repro.machine.spec import MachineSpec
 from repro.offbody.manager import OffBodyLayout, OffBodyManager
+from repro.offbody.patches import finest_containing, fringe_points
 from repro.partition.grouping import (
     GroupingResult,
     group_grids,
@@ -276,17 +277,6 @@ class _OffBodyWorld:
         return conn
 
 
-def _grid_boundary_points(grid) -> np.ndarray:
-    """Boundary node coordinates of a Cartesian patch grid, (n, ndim)."""
-    ndim = grid.ndim
-    coords = grid.coordinates().reshape(-1, ndim)
-    axes = [np.arange(d) for d in grid.dims]
-    idx = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ndim)
-    last = np.asarray(grid.dims) - 1
-    on_face = np.any((idx == 0) | (idx == last), axis=-1)
-    return coords[on_face]
-
-
 def _step_connectivity(
     nb_grids: list[CurvilinearGrid],
     layout: OffBodyLayout,
@@ -334,7 +324,7 @@ def _step_connectivity(
                 nblank = int(np.sum(blanked))
                 if nblank:
                     holes[pi] = holes.get(pi, 0) + nblank
-            fringe = _grid_boundary_points(pgrid)
+            fringe = fringe_points(pgrid)
             inside = nb_box.contains(fringe)
             if not np.any(inside):
                 continue
@@ -369,18 +359,9 @@ def _step_connectivity(
         if not outer:
             continue
         opts = np.concatenate(outer)
-        best = np.full(len(opts), -1, dtype=np.int64)
-        best_level = np.full(len(opts), -1, dtype=np.int64)
-        order = sorted(
-            range(len(layout.patches)),
-            key=lambda pi: (layout.patches[pi].level, -pi),
+        best = finest_containing(
+            opts, layout.patches, patch_boxes, range(len(layout.patches))
         )
-        for pi in order:
-            lvl = layout.patches[pi].level
-            inside = patch_boxes[pi].contains(opts)
-            take = inside & (lvl >= best_level)
-            best[take] = pi
-            best_level[take] = lvl
         for pi in np.unique(best[best >= 0]):
             w_np[(gi, int(pi))] = int(np.sum(best == pi))
         lost = (best < 0) & domain.contains(opts)

@@ -2,11 +2,13 @@
 
 The off-body field is tiled by a graded 2^d-tree of small uniform
 Cartesian patches: a coarse level-0 lattice seeds the background, and
-cells intersecting the (inflated) bounding boxes of near-body grids are
-recursively refined to ``max_level``.  A 2:1 grading pass then splits
-any leaf adjacent to a leaf two or more levels finer, so neighbouring
-patches always differ by at most one level — the standard nesting rule
-of forest-of-octrees AMR (cf. PAPERS.md, Brandt & Burstedde).
+cells intersecting the (inflated) bounding boxes of near-body grids —
+or any other target box, such as :func:`gradient_boxes`' solution-error
+regions — are recursively refined to ``max_level``.  A 2:1 grading
+pass then splits any leaf adjacent to a leaf two or more levels finer,
+so neighbouring patches always differ by at most one level — the
+standard nesting rule of forest-of-octrees AMR (cf. PAPERS.md, Brandt &
+Burstedde).
 
 Everything here is exact integer arithmetic on ``(level, ijk)`` cell
 indices; physical boxes are derived.  Generation is a pure function of
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -328,33 +330,78 @@ class PatchSystem:
             neighbors[a].append(b)
             neighbors[b].append(a)
         eps = 1e-9 * self.base_extent
+        boxes = [self.patch_box(p).inflated(eps) for p in leaves]
         weights: dict[tuple[int, int], int] = {}
         for i, p in enumerate(leaves):
-            pts = self.fringe_points(p)
-            best = np.full(len(pts), -1, dtype=np.int64)
-            best_level = np.full(len(pts), -1, dtype=np.int64)
-            # Ascending (level, -index): later writes win, so each point
-            # ends at the finest containing patch, smallest index on ties.
-            order = sorted(
-                neighbors[i], key=lambda j: (leaves[j].level, -j)
-            )
-            for j in order:
-                inside = self.patch_box(leaves[j]).inflated(eps).contains(pts)
-                take = inside & (leaves[j].level >= best_level)
-                best[take] = j
-                best_level[take] = leaves[j].level
+            pts = fringe_points(self.patch_grid(p))
+            best = finest_containing(pts, leaves, boxes, neighbors[i])
             for j in np.unique(best[best >= 0]):
                 weights[(i, int(j))] = int(np.sum(best == j))
         return weights
 
-    def fringe_points(self, p: Patch) -> np.ndarray:
-        """Boundary node coordinates of ``p``'s grid, shape (n, ndim)."""
-        grid = self.patch_grid(p)
-        coords = grid.coordinates().reshape(-1, self.ndim)
-        axes = [np.arange(d) for d in grid.dims]
-        idx = np.stack(
-            np.meshgrid(*axes, indexing="ij"), axis=-1
-        ).reshape(-1, self.ndim)
-        last = np.asarray(grid.dims) - 1
-        on_face = np.any((idx == 0) | (idx == last), axis=-1)
-        return coords[on_face]
+
+def fringe_points(grid: CartesianGrid) -> np.ndarray:
+    """Boundary node coordinates of a patch grid, shape (n, ndim)."""
+    ndim = grid.ndim
+    coords = grid.coordinates().reshape(-1, ndim)
+    axes = [np.arange(d) for d in grid.dims]
+    idx = np.stack(
+        np.meshgrid(*axes, indexing="ij"), axis=-1
+    ).reshape(-1, ndim)
+    last = np.asarray(grid.dims) - 1
+    on_face = np.any((idx == 0) | (idx == last), axis=-1)
+    return coords[on_face]
+
+
+def finest_containing(
+    pts: np.ndarray,
+    patches: Sequence[Patch],
+    boxes: Sequence[AABB],
+    candidates: Iterable[int],
+) -> np.ndarray:
+    """Per point, the index of its donor patch among ``candidates``.
+
+    The donor is the *finest* patch whose ``boxes`` entry contains the
+    point, the lowest index on level ties; -1 where none does.
+    """
+    best = np.full(len(pts), -1, dtype=np.int64)
+    # Ascending (level, -index): later writes win, so each point ends
+    # at the finest containing patch, smallest index on ties.
+    for j in sorted(candidates, key=lambda j: (patches[j].level, -j)):
+        best[boxes[j].contains(pts)] = j
+    return best
+
+
+def gradient_boxes(
+    system: PatchSystem,
+    patches: Sequence[Patch],
+    field: Callable[[np.ndarray], np.ndarray],
+    threshold: float,
+    samples_per_edge: int = 3,
+) -> list[AABB]:
+    """Boxes of the patches where a sampled field varies strongly.
+
+    The paper's second refinement criterion ("estimates of solution
+    error", section 5).  ``field`` maps points (n, ndim) to scalars
+    (n,); a patch's error indicator is its sample range divided by its
+    longest edge — a gradient-magnitude surrogate that needs no stored
+    solution.  Concatenate the result with the body boxes passed to
+    :meth:`PatchSystem.generate` (or :meth:`OffBodyManager.regenerate`)
+    and the next layout is at ``max_level`` there too.
+    """
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    out: list[AABB] = []
+    for p in patches:
+        box = system.patch_box(p)
+        axes = [
+            np.linspace(box.lo[d], box.hi[d], samples_per_edge)
+            for d in range(box.ndim)
+        ]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        vals = np.asarray(
+            field(np.stack([m.ravel() for m in mesh], axis=-1)), dtype=float
+        )
+        if (vals.max() - vals.min()) / float(box.extent.max()) > threshold:
+            out.append(box)
+    return out

@@ -356,20 +356,24 @@ class TestReport:
 
 class TestIntegration:
     def test_dcf_case_is_race_free(self):
-        from repro.cases import airfoil_case
+        from repro.cases import airfoil_case, x38_offbody_case
         from repro.core import OverflowD1
         from repro.machine import sp2
+        from repro.offbody import OffBodyDriver
 
-        machine = sp2(nodes=6)
-        cfg = airfoil_case(machine=machine, scale=0.05, nsteps=2)
-        san = Sanitizer()
-        OverflowD1(cfg, sanitizer=san).run()
-        report = san.report()
-        assert report.ok, report.format()
-        # The DCF service loop did exercise wildcard channels — the
-        # clean verdict is meaningful, not vacuous.
-        assert report.messages_sent > 0
-        assert report.collectives > 0
+        for driver, case in (
+            (OverflowD1, airfoil_case(sp2(nodes=6), scale=0.05, nsteps=2)),
+            (OffBodyDriver, x38_offbody_case(sp2(nodes=5), scale=0.05, nsteps=2)),
+        ):
+            san = Sanitizer()
+            driver(case, sanitizer=san).run()
+            report = san.report()
+            assert report.ok, report.format()
+            # The DCF service loop / patch donor exchange did exercise
+            # the channels — the clean verdict is meaningful, not vacuous.
+            assert report.messages_sent > 0
+            assert report.messages_sent == report.messages_received
+            assert report.collectives > 0
 
     def test_fault_battery_is_clean(self):
         from repro.cases import airfoil_case

@@ -10,9 +10,9 @@ from repro.cases import (
     deltawing_grids,
     store_case,
     store_grids,
-    x38_adaptive_system,
     x38_case,
     x38_near_body_grids,
+    x38_offbody_case,
 )
 from repro.cases.store import N_STORE_GRIDS, STORE_SEARCH_LISTS
 from repro.connectivity.holecut import cut_holes
@@ -140,10 +140,23 @@ class TestX38:
         assert len(grids) == 3
         assert grids[0].viscous
 
-    def test_adaptive_system_initialises(self):
-        sys = x38_adaptive_system(max_level=2, points_per_brick=5)
-        assert len(sys.bricks) > 0
-        assert sys.max_level == 2
+    def test_offbody_case_builds(self):
+        case = x38_offbody_case(machine=sp2(nodes=4), scale=0.05, nsteps=2)
+        assert [g.name for g in case.near_body] == [
+            g.name for g in x38_near_body_grids(scale=0.05)
+        ]
+        assert case.nsteps == 2
+        assert not case.motions  # rigid vehicle holding attitude
+        layout = case.make_manager().regenerate(
+            [g.bounding_box() for g in case.near_body]
+        )
+        assert layout.npatches > 0
+        assert max(layout.level_counts()) == case.max_level
+        # Three pinned near-body grids + at least one patch group.
+        with pytest.raises(ValueError, match="nodes"):
+            x38_offbody_case(machine=sp2(nodes=3), scale=0.05)
+        with pytest.raises(ValueError, match="scale"):
+            x38_offbody_case(machine=sp2(nodes=4), scale=0.0)
 
     def test_case_builder_is_runnable_config(self):
         cfg = x38_case(machine=sp2(nodes=4), scale=0.3, nsteps=2)

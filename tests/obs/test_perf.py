@@ -409,34 +409,3 @@ class TestTraceDiff:
         assert report.ok
         blob = json.loads(report.to_json())
         assert blob["ok"] is True and blob["deltas"] == []
-
-
-# ----------------------------------------------------------------------
-# sanitizer coverage of the adaptive driver (ISSUE satellite c)
-
-
-class TestAdaptiveDriverSanitized:
-    def test_adaptive_run_is_sanitizer_clean(self):
-        from repro.adapt import AdaptiveDriver, AdaptiveSystem
-        from repro.grids.bbox import AABB
-
-        system = AdaptiveSystem(
-            AABB((0.0, 0.0, 0.0), (4.0, 2.0, 2.0)),
-            brick_extent=1.0,
-            max_level=1,
-            points_per_brick=5,
-        )
-        system.adapt([AABB((0.4, 0.4, 0.4), (0.8, 0.8, 0.8))], margin=0.1)
-        san = Sanitizer()
-        drv = AdaptiveDriver(system, sp2(nodes=4), sanitizer=san)
-        drv.run(
-            nsteps=4,
-            body_boxes_fn=lambda step: [
-                AABB((0.4 + 0.2 * step, 0.4, 0.4), (0.8 + 0.2 * step, 0.8, 0.8))
-            ],
-            adapt_interval=2,
-        )
-        report = san.report()
-        assert report.ok, report.format()
-        assert report.messages_sent > 0
-        assert report.messages_sent == report.messages_received

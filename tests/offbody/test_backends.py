@@ -9,6 +9,8 @@ every rank, so there is nothing rank-private to drift.
 
 import pytest
 
+from repro.cases import x38_offbody_case
+from repro.machine import sp2
 from repro.obs.perf.bench import canonical_json
 from repro.offbody import OffBodyDriver, build_offbody_case, generate_scenario
 
@@ -18,14 +20,19 @@ def small_case():
     return build_offbody_case(payload, nsteps=2)
 
 
+def x38_case():
+    return x38_offbody_case(sp2(nodes=5), scale=0.05, nsteps=2)
+
+
 @pytest.mark.mp
 class TestMultiprocessing:
     def test_mp_matches_sim_byte_for_byte(self):
-        sim = OffBodyDriver(small_case(), backend="sim").run()
-        mp = OffBodyDriver(small_case(), backend="mp").run()
-        assert canonical_json(mp.physics_signature()) == canonical_json(
-            sim.physics_signature()
-        )
+        for make_case in (small_case, x38_case):
+            sim = OffBodyDriver(make_case(), backend="sim").run()
+            mp = OffBodyDriver(make_case(), backend="mp").run()
+            assert canonical_json(mp.physics_signature()) == canonical_json(
+                sim.physics_signature()
+            )
 
     def test_mp_reports_measured_time(self):
         r = OffBodyDriver(small_case(), backend="mp").run()

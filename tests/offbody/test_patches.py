@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.grids.bbox import AABB
-from repro.offbody import OffBodyManager, Patch, PatchSystem
+from repro.offbody import OffBodyManager, Patch, PatchSystem, gradient_boxes
+from repro.offbody.patches import fringe_points
 
 DOMAIN = AABB((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))
 BODY = AABB((0.8, 0.8, 0.8), (1.2, 1.2, 1.2))
@@ -159,7 +160,65 @@ class TestAdjacencyAndWeights:
         for (recv, _donor), w in weights.items():
             per_recv[recv] = per_recv.get(recv, 0) + w
         for recv, w in per_recv.items():
-            assert w <= len(system.fringe_points(patches[recv]))
+            assert w <= len(fringe_points(system.patch_grid(patches[recv])))
+
+
+class TestGradientBoxes:
+    """The solution-error criterion: extra targets for ``generate``."""
+
+    def background(self):
+        system = make_system(max_brick_cells=1)
+        return system, system.generate([])
+
+    def test_threshold_orders_a_linear_field(self):
+        """A linear field has constant slope: every patch flags or none
+        does, depending only on the threshold; a constant field never."""
+        system, patches = self.background()
+
+        def linear(pts):
+            return 2.0 * pts[:, 0]
+
+        low = gradient_boxes(system, patches, linear, threshold=1.0)
+        assert low == [system.patch_box(p) for p in patches]
+        assert gradient_boxes(system, patches, linear, threshold=10.0) == []
+        assert gradient_boxes(
+            system, patches, lambda pts: np.ones(len(pts)), threshold=1e-9
+        ) == []
+
+    def test_sampling_resolution(self):
+        """A feature thinner than the sample spacing is missed at 3
+        samples per edge and caught at 9."""
+        system, patches = self.background()
+
+        def spike(pts):
+            return np.exp(-((pts[:, 0] - 0.27) ** 2) / 1e-2)
+
+        coarse = gradient_boxes(system, patches, spike, 0.5, samples_per_edge=3)
+        fine = gradient_boxes(system, patches, spike, 0.5, samples_per_edge=9)
+        assert coarse == []
+        assert fine and all(b.lo[0] == 0.0 for b in fine)
+
+    def test_threshold_validation(self):
+        system, patches = self.background()
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                gradient_boxes(system, patches, lambda p: p[:, 0], bad)
+
+    def test_flagged_boxes_reach_max_level(self):
+        system, patches = self.background()
+
+        def front(pts):
+            # Sharp feature near x = 1.5, away from BODY.
+            return np.tanh(20 * (pts[:, 0] - 1.5))
+
+        boxes = gradient_boxes(system, patches, front, threshold=0.5)
+        assert boxes and all(b.lo[0] == 1.0 for b in boxes)
+        refined = system.generate([BODY] + boxes, margin=0.05)
+        assert_tiles_lattice(system, refined)
+        for box in boxes:
+            hit = [p for p in refined if system.patch_box(p).intersects(box)]
+            assert hit and all(p.level == system.max_level for p in hit)
+        assert len(refined) > len(system.generate([BODY], margin=0.05))
 
 
 class TestManager:
