@@ -231,9 +231,8 @@ class Sanitizer:
         self.max_findings_per_kind = max_findings_per_kind
         self.findings: list[SanitizerFinding] = []
         self.runs = 0
-        #: Python hook invocations actually executed (the scheduler's
-        #: batched mode elides most of them; see the hook-overhead
-        #: micro-benchmark in repro.obs.perf.bench).
+        #: Python hook invocations actually executed (the scheduler
+        #: batches most of them away; see :meth:`add_batched_counts`).
         self.hook_calls = 0
         self.messages_sent = 0
         self.messages_received = 0
@@ -347,15 +346,14 @@ class Sanitizer:
         self.messages_received += 1
 
     def add_batched_counts(self, sends: int = 0, recvs: int = 0) -> None:
-        """Fold in hook calls the scheduler elided in batched mode.
+        """Fold in the hook calls the scheduler elided.
 
-        The scheduler's default (batched) hook mode runs the full
-        :meth:`on_send` only for the first message of each
-        ``(tag, phase)`` key — every sanitizer send check keys on that
-        pair and deduplicates, so repeats carry no new information —
-        and counts plain receives locally.  The elided call counts are
-        flushed here at the end of each scheduler run so report totals
-        are identical to eager mode.
+        The scheduler runs the full :meth:`on_send` only for the first
+        message of each ``(tag, phase)`` key — every sanitizer send
+        check keys on that pair and deduplicates, so repeats carry no
+        new information — and counts plain receives locally.  The
+        elided call counts are flushed here at the end of each
+        scheduler run so report totals equal the machine's.
         """
         self.messages_sent += sends
         self.messages_received += recvs

@@ -607,7 +607,6 @@ class MpBackend(ExecutionBackend):
         fault_plan: Any = None,
         initial_clocks: Sequence[float] | None = None,
         initial_metrics: Sequence[Any] | None = None,
-        eager_hooks: bool = False,
         max_events: int = 500_000_000,
         raise_on_failure: bool = True,
     ) -> BackendResult:

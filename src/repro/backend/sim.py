@@ -42,7 +42,6 @@ class SimBackend(ExecutionBackend):
         fault_plan: Any = None,
         initial_clocks: Sequence[float] | None = None,
         initial_metrics: Sequence[Any] | None = None,
-        eager_hooks: bool = False,
         max_events: int = 500_000_000,
         raise_on_failure: bool = True,
     ) -> BackendResult:
@@ -59,7 +58,6 @@ class SimBackend(ExecutionBackend):
                 list(initial_metrics) if initial_metrics is not None else None
             ),
             sanitizer=sanitizer,
-            eager_hooks=eager_hooks,
         )
         for program in programs:
             sim.spawn(program)

@@ -619,16 +619,6 @@ def cmd_bench(args) -> int:
                 f"{e['cut_points']} pts / {e['cut_edges']} edges, "
                 f"tau {e['balance_tau']:.3f}"
             )
-        mb = payload["host"].get("hook_microbench")
-        if mb:
-            print(
-                f"  hook overhead: {mb['eager_hook_calls']} eager hook "
-                f"calls -> {mb['batched_hook_calls']} batched "
-                f"({mb['hook_call_reduction']:.0f}x fewer); per-send path "
-                f"{mb['eager_ns_per_send']:.0f} -> "
-                f"{mb['batched_ns_per_send']:.0f} ns "
-                f"({mb['hook_speedup']:.1f}x)"
-            )
         sv = payload["host"].get("serve_microbench")
         if sv and "jobs_per_sec" in sv:
             print(
@@ -1191,7 +1181,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--no-microbench", action="store_true",
-        help="skip the sanitizer hook-overhead micro-benchmark",
+        help="skip the warm-pool job-throughput micro-benchmark",
     )
     backend_opt(bench)
     scenario_opt(bench)

@@ -10,8 +10,10 @@ earliest-arriving candidate.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 ANY_SOURCE = -1
@@ -54,6 +56,10 @@ class Message:
         )
 
 
+_arrival_order = attrgetter("arrival_time", "seq")  # matching order
+_drain_order = attrgetter("src", "seq")  # canonical drain order
+
+
 class Mailbox:
     """Unmatched messages destined for one rank.
 
@@ -70,9 +76,8 @@ class Mailbox:
         return len(self._messages)
 
     def deposit(self, msg: Message) -> None:
-        self._messages.append(msg)
         # Keep arrival order so wildcard receives are deterministic.
-        self._messages.sort(key=lambda m: (m.arrival_time, m.seq))
+        bisect.insort(self._messages, msg, key=_arrival_order)
 
     def peek_matching(
         self, src: int, tag: int, now: float, allow_future: bool = False
@@ -83,7 +88,9 @@ class Mailbox:
         have already arrived by ``now`` are visible.
         """
         for msg in self._messages:
-            if msg.matches(src, tag) and (allow_future or msg.arrival_time <= now):
+            if not allow_future and msg.arrival_time > now:
+                return None  # arrival-sorted: nothing further has arrived
+            if msg.matches(src, tag):
                 return msg
         return None
 
@@ -109,11 +116,15 @@ class Mailbox:
         got = [
             m
             for m in self._messages
-            if m.matches(src, tag) and m.arrival_time <= now
+            if m.arrival_time <= now and m.matches(src, tag)
         ]
-        for m in got:
-            self._messages.remove(m)
-        got.sort(key=lambda m: (m.src, m.seq))
+        if got:  # rare: most polls of a service loop find nothing
+            self._messages = [
+                m
+                for m in self._messages
+                if not (m.arrival_time <= now and m.matches(src, tag))
+            ]
+            got.sort(key=_drain_order)
         return got
 
     def earliest_arrival(self) -> float | None:

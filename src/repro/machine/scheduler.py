@@ -3,13 +3,39 @@
 The engine always advances the rank with the globally minimum virtual
 time among (a) runnable ranks (key = their clock) and (b) blocked ranks
 with a matching message already in their mailbox (key = the wake time,
-``max(clock, arrival)``).  Because every future send must be issued by a
-rank whose clock is at least that minimum, no message that could alter a
-receive matching can arrive at or before the chosen key — the classic
-conservative-PDES safety argument — so execution is deterministic and
-independent of host scheduling.
+``max(clock, earliest matching arrival)``).  Because every future send
+must be issued by a rank whose clock is at least that minimum, no
+message that could alter a receive matching can arrive at or before the
+chosen key — the classic conservative-PDES safety argument — so
+execution is deterministic and independent of host scheduling.  Ties
+are broken by rank id, making runs byte-for-byte reproducible.
 
-Ties are broken by rank id, making runs byte-for-byte reproducible.
+Selection is a binary heap of ``(key, rank, ver)`` entries with lazy
+invalidation, not a scan of all ranks per event.  A rank has at most
+one *valid* entry — the one whose ``ver`` equals the rank's current
+version; a blocked rank with nothing to match is *parked* (no valid
+entry).  Only two things change the key of a rank that is not being
+stepped, and both bump its version: ``_inject`` depositing a message
+that matches its ``blocked_on`` (which pushes the new key, computed
+from the earliest matching message) and ``_kill``.  Stale entries are
+skipped when popped, so the heap holds one entry per rank plus one per
+re-key not yet popped — never one per event.
+
+**Run-ahead.**  After stepping the popped rank the loop recomputes its
+key and, while ``(key, rank)`` still compares ``<=`` the heap top, steps
+it again without touching the heap (poll/``elapse`` chains and compute
+bursts of the minimum-clock rank).  This cannot reorder events:
+
+1. every *other* rank with a key has a valid entry carrying its current
+   key, because ``_inject`` pushed any key it lowered before the step
+   returned;
+2. the heap top is a lower bound on all entries, valid or stale, so a
+   rank that is ``<=`` the top is ``<=`` every other rank's current key;
+3. that is the rank the per-event scan would pick — same total order on
+   ``(key, rank)``, one comparison instead of P.
+
+``tests/machine/test_scheduler_order.py`` keeps the linear scan as a
+reference and checks the two event sequences equal.
 
 Two extensions support resilience experiments (:mod:`repro.resilience`):
 
@@ -30,6 +56,7 @@ Two extensions support resilience experiments (:mod:`repro.resilience`):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 if TYPE_CHECKING:  # import would be circular at runtime (analysis -> machine)
@@ -91,6 +118,7 @@ class _RankState:
         "fault_phase",
         "phases_set",
         "tacc",
+        "ver",
     )
 
     def __init__(self, rank: int, gen: Generator):
@@ -113,6 +141,10 @@ class _RankState:
         self.fault_time: float | None = None
         self.fault_phase: int | None = None
         self.phases_set = 0  # set_phase calls executed so far
+        # Ready-queue version: a heap entry (time, rank, ver) is valid
+        # only while ``ver`` still equals this; bumping it invalidates
+        # the rank's queued entry without searching the heap.
+        self.ver = 0
 
 
 class Simulator:
@@ -149,7 +181,6 @@ class Simulator:
         initial_clocks: list[float] | None = None,
         initial_metrics: list[RankMetrics] | None = None,
         sanitizer: Sanitizer | None = None,
-        eager_hooks: bool = False,
     ):
         self.machine = machine
         self.trace = trace
@@ -164,21 +195,6 @@ class Simulator:
         # virtual time or change matching, so sanitized runs are
         # bit-identical to plain runs.
         self._sanitizer = sanitizer
-        # Hook batching (default): the full Python ``on_send`` hook runs
-        # only for the first message of each (tag, phase) key — every
-        # later send with a seen key is a plain counter increment, and
-        # plain receives are counted locally; both are folded back into
-        # the sanitizer via ``add_batched_counts`` when the run ends.
-        # This is lossless for findings (every sanitizer check keys on
-        # the (tag, phase) pair, deduplicated) and drops the per-send
-        # overhead on message-heavy runs (see repro.obs.perf.bench's
-        # hook micro-benchmark).  ``eager_hooks=True`` restores one
-        # hook call per message — same findings, same counts, more
-        # Python overhead.
-        self._eager_hooks = bool(eager_hooks)
-        self._san_send_seen: set[tuple[int, str]] = set()
-        self._san_sends = 0  # elided on_send calls (batched mode)
-        self._san_recvs = 0  # elided on_recv calls (batched mode)
         self.fault_plan = fault_plan if fault_plan else None
         self.initial_clocks = (
             list(initial_clocks) if initial_clocks is not None else None
@@ -187,8 +203,29 @@ class Simulator:
             list(initial_metrics) if initial_metrics is not None else None
         )
         self._programs: list[tuple[Callable, tuple, dict]] = []
+        self._reset_run_state()
+
+    def _reset_run_state(self) -> None:
+        """Per-run state: a second :meth:`run` starts from a clean slate."""
         self._failed: dict[int, float] = {}  # rank -> virtual kill time
         self.dropped_messages = 0  # sends black-holed at dead ranks
+        # Hook batching: the full Python ``on_send`` hook runs only for
+        # the first message of each (tag, phase) key — every later send
+        # with a seen key is a plain counter increment, and plain
+        # receives are counted locally; both are folded back into the
+        # sanitizer via ``add_batched_counts`` when the run ends.  This
+        # is lossless for findings: every sanitizer send check keys on
+        # the (tag, phase) pair, deduplicated.
+        self._san_send_seen: set[tuple[int, str]] = set()
+        self._san_sends = 0  # elided on_send calls
+        self._san_recvs = 0  # elided on_recv calls
+        # Ready queue of (wake_time, rank, ver) entries; see module docstring.
+        self._heap: list[tuple[float, int, int]] = []
+        #: Primitive steps executed by the last run (read-only).
+        self.events = 0
+        #: Ready-queue pushes made by the last run (read-only); with
+        #: run-ahead working this stays well below :attr:`events`.
+        self.requeues = 0
 
     # ------------------------------------------------------------------
 
@@ -239,6 +276,7 @@ class Simulator:
         # resetting makes mailbox provenance — including sanitizer race
         # witnesses — deterministic regardless of interpreter history.
         event.reset_sequence()
+        self._reset_run_state()
         if self._sanitizer is not None:
             self._sanitizer.begin_run(n)
         states = []
@@ -257,29 +295,12 @@ class Simulator:
             states.append(state)
         self._states = states
 
-        events = 0
-        while True:
-            picked = self._pick_next(states)
-            if picked is None:
-                # No runnable or wakeable rank.  Blocked ranks whose
-                # fault time is due die now (virtual time would pass
-                # their fail point while the machine idles).
-                if self._kill_overdue(states):
-                    continue
-                break
-            state, key_time = picked
-            if state.fault_time is not None and key_time >= state.fault_time:
-                self._kill(state, max(state.clock, state.fault_time))
-                continue
-            events += 1
-            if events > max_events:
-                raise RuntimeError(f"simulation exceeded {max_events} events")
-            self._step(state)
+        self._run_events(states, max_events)
 
-        if self._sanitizer is not None and not self._eager_hooks:
+        if self._sanitizer is not None:
             # Fold the batched (elided-hook) counters back in before any
-            # exit path, so sanitizer totals match eager mode even when
-            # the run ends in RankFailure/DeadlockError below.
+            # exit path, so sanitizer totals are right even when the run
+            # ends in RankFailure/DeadlockError below.
             self._sanitizer.add_batched_counts(
                 sends=self._san_sends, recvs=self._san_recvs
             )
@@ -322,6 +343,67 @@ class Simulator:
 
     # ------------------------------------------------------------------
 
+    def _run_events(self, states: list[_RankState], max_events: int) -> None:
+        """The event loop: pop the minimum key, step that rank, run ahead."""
+        heap = self._heap = [(s.clock, s.rank, s.ver) for s in states]
+        heapify(heap)
+        step = self._step
+        events = 0
+        requeues = len(heap)
+        while True:
+            while heap:
+                key_time, rank, ver = heappop(heap)
+                state = states[rank]
+                if ver == state.ver:
+                    break
+            else:
+                # No runnable or wakeable rank.  Blocked ranks whose
+                # fault time is due die now (virtual time would pass
+                # their fail point while the machine idles).
+                if self._kill_overdue(states):
+                    continue
+                break
+            # Run-ahead: keep stepping this rank while its key stays at
+            # or below the heap top, without touching the heap.
+            while True:
+                if state.fault_time is not None and key_time >= state.fault_time:
+                    self._kill(state, max(state.clock, state.fault_time))
+                    break
+                events += 1
+                if events > max_events:
+                    raise RuntimeError(f"simulation exceeded {max_events} events")
+                step(state)
+                if not state.alive:
+                    break
+                if state.blocked_on is None:
+                    key_time = state.clock
+                else:
+                    wake = self._wake_time(state)
+                    if wake is None:
+                        break  # parked until _inject delivers a match
+                    key_time = wake
+                if heap:
+                    top = heap[0]
+                    if key_time > top[0] or (key_time == top[0] and rank > top[1]):
+                        heappush(heap, (key_time, rank, state.ver))
+                        requeues += 1
+                        break
+        self.events = events
+        self.requeues += requeues
+
+    @staticmethod
+    def _wake_time(state: _RankState) -> float | None:
+        """Key of a blocked rank: when its earliest matching message lets
+        it resume, or None while nothing in its mailbox matches."""
+        assert state.blocked_on is not None
+        src, tag = state.blocked_on
+        msg = state.mailbox.peek_matching(src, tag, state.clock, allow_future=True)
+        if msg is None:
+            return None
+        return max(state.clock, msg.arrival_time)
+
+    # ------------------------------------------------------------------
+
     @staticmethod
     def _deadlock_message(states: list[_RankState], blocked) -> str:
         """Diagnostic text: who is blocked, on what, with what pending."""
@@ -354,6 +436,7 @@ class Simulator:
         state.alive = False
         state.failed = True
         state.blocked_on = None
+        state.ver += 1  # drop any queued ready-queue entry
         state.gen.close()
         lost = state.mailbox.drain()
         self.dropped_messages += len(lost)
@@ -379,30 +462,6 @@ class Simulator:
         return killed
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _pick_next(
-        states: list[_RankState],
-    ) -> tuple[_RankState, float] | None:
-        """Rank with minimal next-event time (see module docstring)."""
-        best: _RankState | None = None
-        best_key: tuple[float, int] | None = None
-        for s in states:
-            if not s.alive:
-                continue
-            if s.blocked_on is None:
-                key = (s.clock, s.rank)
-            else:
-                src, tag = s.blocked_on
-                msg = s.mailbox.peek_matching(src, tag, s.clock, allow_future=True)
-                if msg is None:
-                    continue  # blocked, not wakeable yet
-                key = (max(s.clock, msg.arrival_time), s.rank)
-            if best_key is None or key < best_key:
-                best, best_key = s, key
-        if best is None:
-            return None
-        return best, best_key[0]
 
     def _step(self, state: _RankState) -> None:
         """Advance one rank by one primitive operation."""
@@ -434,7 +493,45 @@ class Simulator:
 
     def _dispatch(self, state: _RankState, op: tuple) -> None:
         kind = op[0]
-        if kind == "compute":
+        # Hottest kinds first: drain, tryrecv and compute are ~99% of the
+        # ops of a polling DCF service loop.
+        if kind == "drain":
+            _, src, tag = op
+            self._charge_poll(state)
+            msgs = state.mailbox.pop_all_matching(src, tag, state.clock)
+            if msgs:
+                state.metrics.messages_received += len(msgs)
+                if self._tracer is not None:
+                    for m in msgs:
+                        self._tracer.recv(
+                            state.clock, state.rank, m.src, m.tag,
+                            m.nbytes, state.phase,
+                        )
+            if self._sanitizer is not None:
+                self._sanitizer.on_drain(
+                    state.clock, state.rank, src, tag, msgs
+                )
+            state.send_value = msgs
+        elif kind == "tryrecv":
+            _, src, tag = op
+            self._charge_poll(state)
+            if self._sanitizer is not None and src == ANY_SOURCE:
+                self._sanitizer.on_wildcard_recv(
+                    state.clock, state.rank, tag, state.mailbox,
+                    blocking=False,
+                )
+            msg = state.mailbox.pop_matching(src, tag, state.clock, allow_future=False)
+            if msg is not None:
+                state.metrics.messages_received += 1
+                if self._sanitizer is not None:
+                    self._san_recvs += 1
+                if self._tracer is not None:
+                    self._tracer.recv(
+                        state.clock, state.rank, msg.src, msg.tag,
+                        msg.nbytes, state.phase,
+                    )
+            state.send_value = msg
+        elif kind == "compute":
             _, dt, flops = op
             if dt < 0:
                 raise ValueError(
@@ -466,45 +563,6 @@ class Simulator:
                 self._complete_recv(state, msg)
             else:
                 state.blocked_on = (src, tag)
-        elif kind == "tryrecv":
-            _, src, tag = op
-            self._charge_poll(state)
-            if self._sanitizer is not None and src == ANY_SOURCE:
-                self._sanitizer.on_wildcard_recv(
-                    state.clock, state.rank, tag, state.mailbox,
-                    blocking=False,
-                )
-            msg = state.mailbox.pop_matching(src, tag, state.clock, allow_future=False)
-            if msg is not None:
-                state.metrics.messages_received += 1
-                if self._sanitizer is not None:
-                    if self._eager_hooks:
-                        self._sanitizer.on_recv(state.clock, state.rank, msg)
-                    else:
-                        self._san_recvs += 1
-                if self._tracer is not None:
-                    self._tracer.recv(
-                        state.clock, state.rank, msg.src, msg.tag,
-                        msg.nbytes, state.phase,
-                    )
-            state.send_value = msg
-        elif kind == "drain":
-            _, src, tag = op
-            self._charge_poll(state)
-            msgs = state.mailbox.pop_all_matching(src, tag, state.clock)
-            if msgs:
-                state.metrics.messages_received += len(msgs)
-                if self._tracer is not None:
-                    for m in msgs:
-                        self._tracer.recv(
-                            state.clock, state.rank, m.src, m.tag,
-                            m.nbytes, state.phase,
-                        )
-            if self._sanitizer is not None:
-                self._sanitizer.on_drain(
-                    state.clock, state.rank, src, tag, msgs
-                )
-            state.send_value = msgs
         elif kind == "iprobe":
             _, src, tag = op
             self._charge_poll(state)
@@ -554,23 +612,17 @@ class Simulator:
             )
         target = self._states[dst]
         if self._sanitizer is not None:
-            if self._eager_hooks:
+            key = (tag, state.phase)
+            if key in self._san_send_seen:
+                # Every sanitizer send check keys on (tag, phase)
+                # and is deduplicated, so a repeat is pure counting.
+                self._san_sends += 1
+            else:
+                self._san_send_seen.add(key)
                 self._sanitizer.on_send(
                     t0, state.rank, dst, tag, nbytes, state.phase,
                     dropped=target.failed,
                 )
-            else:
-                key = (tag, state.phase)
-                if key in self._san_send_seen:
-                    # Every sanitizer send check keys on (tag, phase)
-                    # and is deduplicated, so a repeat is pure counting.
-                    self._san_sends += 1
-                else:
-                    self._san_send_seen.add(key)
-                    self._sanitizer.on_send(
-                        t0, state.rank, dst, tag, nbytes, state.phase,
-                        dropped=target.failed,
-                    )
         if target.failed:
             # Fail-stop semantics: the network can tell nobody is
             # listening; the message is black-holed (sender still paid
@@ -592,6 +644,16 @@ class Simulator:
             arrival_time=arrival,
         )
         target.mailbox.deposit(msg)
+        waiting = target.blocked_on
+        if waiting is not None and msg.matches(*waiting):
+            # The target's wake time may have dropped (or it was parked):
+            # re-key it on its *earliest* matching message, which need
+            # not be this one.
+            wake = self._wake_time(target)
+            assert wake is not None
+            target.ver += 1
+            heappush(self._heap, (wake, dst, target.ver))
+            self.requeues += 1
         if self.trace is not None:  # pragma: no cover - debugging aid
             self.trace(
                 f"t={state.clock:.6g} rank{state.rank} -> rank{dst} "
@@ -608,10 +670,7 @@ class Simulator:
         acc["wait"] += wait
         state.metrics.messages_received += 1
         if self._sanitizer is not None:
-            if self._eager_hooks:
-                self._sanitizer.on_recv(state.clock, state.rank, msg)
-            else:
-                self._san_recvs += 1
+            self._san_recvs += 1
         state.send_value = msg
         if self._tracer is not None:
             self._tracer.op(

@@ -14,8 +14,7 @@ subpackage turns the raw event streams of
   hot-edge top-k (:class:`CommMatrix`);
 * :mod:`bench` — the ``repro bench`` harness: runs the table cases
   through the analyzers and emits schema-versioned, canonical-JSON
-  ``BENCH_<case>.json`` payloads, including a hook-overhead
-  micro-benchmark for the scheduler's batched sanitizer hooks;
+  ``BENCH_<case>.json`` payloads;
 * :mod:`diff` — ``repro trace-diff``: classifies per-phase/per-metric
   deltas between two BENCH payloads with a tolerance, for the CI
   perf-regression gate;
@@ -33,7 +32,6 @@ from repro.obs.perf.bench import (
     BENCH_CASES,
     bench_payload,
     canonical_json,
-    hook_overhead_microbench,
     run_bench,
     scenario_bench_payload,
     write_bench,
@@ -55,7 +53,6 @@ __all__ = [
     "BENCH_CASES",
     "bench_payload",
     "canonical_json",
-    "hook_overhead_microbench",
     "run_bench",
     "scenario_bench_payload",
     "write_bench",

@@ -12,8 +12,7 @@ emits one ``BENCH_<case>.json`` per case:
   byte-identical canonical JSON for this section — that is what
   ``repro trace-diff`` and the CI perf gate compare.
 * the ``host`` section is **nondeterministic**: wall-clock medians and
-  the sanitizer hook-overhead micro-benchmark (eager per-send hooks
-  vs. the scheduler's batched counters).  trace-diff ignores it.
+  the warm-pool job-throughput micro-benchmark.  trace-diff ignores it.
   With ``backend="mp"`` it additionally gains a ``measured`` block:
   the same Table-1/3/4-shape numbers (time/step, Mflops/node, %DCF3D)
   re-measured on real ``multiprocessing`` ranks with wall clocks —
@@ -42,7 +41,6 @@ __all__ = [
     "bench_payload",
     "canonical_json",
     "config_sha",
-    "hook_overhead_microbench",
     "run_bench",
     "write_bench",
 ]
@@ -141,144 +139,6 @@ def canonical_json(payload: dict) -> str:
 def config_sha(config: dict) -> str:
     """sha256 of the canonical config dict."""
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# hook-overhead micro-benchmark
-
-#: Message tag used by the micro-benchmark's ring exchange.
-TAG_STORM = 7
-
-
-def _storm_program(comm, messages: int, nbytes: int):
-    """Message-heavy ring exchange: every rank sends ``messages``
-    point-to-point messages, then receives as many (explicit source —
-    wildcard-free, so the sanitizer stays clean)."""
-    yield from comm.set_phase("storm")
-    dst = (comm.rank + 1) % comm.size
-    src = (comm.rank - 1) % comm.size
-    for _ in range(messages):
-        yield from comm.send(dst, TAG_STORM, None, nbytes=nbytes)
-    for _ in range(messages):
-        yield from comm.recv(src, TAG_STORM)
-    return messages
-
-
-def _run_storm(
-    machine: Any, nranks: int, messages: int, nbytes: int,
-    sanitizer: Any, eager_hooks: bool,
-) -> Any:
-    from repro.machine.scheduler import Simulator
-
-    sim = Simulator(machine, sanitizer=sanitizer, eager_hooks=eager_hooks)
-    for _ in range(nranks):
-        sim.spawn(_storm_program, messages, nbytes)
-    return sim.run()
-
-
-def _time_loop(fn: Callable[[int], None], n: int, rounds: int) -> float:
-    """Best-of-``rounds`` seconds for ``fn(n)`` (one untimed warm-up)."""
-    fn(n)
-    best = math.inf
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn(n)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def hook_overhead_microbench(
-    nranks: int = 8,
-    messages: int = 400,
-    nbytes: int = 64,
-    rounds: int = 5,
-    direct_calls: int = 50_000,
-) -> dict[str, Any]:
-    """Quantify the per-send cost of the sanitizer hooks, two ways.
-
-    **Deterministic part** — runs the same message-heavy ring exchange
-    under an eager-hook sanitizer (one Python ``on_send``/``on_recv``
-    call per message, the pre-batching behaviour) and under the
-    scheduler's default batched counters, and reports the *hook call
-    counts* each mode executed.  Batching's win is structural: eager
-    mode makes O(messages) Python calls, batched mode one full call
-    per distinct (tag, phase) key plus one ``add_batched_counts``
-    flush.  Both runs are also checked bit-equal in simulated time and
-    message totals, so the reduction is provably lossless.
-
-    **Timing part** — end-to-end wall time cannot resolve a few
-    hundred ns/send against the simulator's ~10 us/send dispatch
-    baseline on a noisy host, so the two hot-path variants are timed
-    directly: the full ``Sanitizer.on_send`` call (what eager mode
-    pays per message) vs. the seen-set membership test plus counter
-    increment (what batched mode pays).  Best-of-``rounds`` over
-    ``direct_calls`` iterations each.
-    """
-    from repro.analysis import Sanitizer
-    from repro.machine import sp2
-
-    machine = sp2(nodes=nranks)
-    total_sends = nranks * messages
-
-    plain_res = _run_storm(machine, nranks, messages, nbytes, None, False)
-    eager_san = Sanitizer()
-    eager_res = _run_storm(machine, nranks, messages, nbytes, eager_san, True)
-    batched_san = Sanitizer()
-    batched_res = _run_storm(
-        machine, nranks, messages, nbytes, batched_san, False
-    )
-
-    elapsed = {plain_res.elapsed, eager_res.elapsed, batched_res.elapsed}
-    if len(elapsed) != 1:  # pragma: no cover - determinism guard
-        raise RuntimeError(
-            f"sanitizer hooks perturbed virtual time: {sorted(elapsed)}"
-        )
-    if (
-        eager_san.messages_sent != batched_san.messages_sent
-        or eager_san.messages_received != batched_san.messages_received
-    ):  # pragma: no cover - determinism guard
-        raise RuntimeError("batched hook counters diverge from eager mode")
-
-    # Direct hot-path timing.  Eager per-send path: the full on_send.
-    timing_san = Sanitizer()
-
-    def eager_path(n: int, on_send=timing_san.on_send) -> None:
-        for _ in range(n):
-            on_send(0.0, 0, 1, TAG_STORM, nbytes, "storm", dropped=False)
-
-    # Batched per-send path: what Simulator._inject does for a seen
-    # (tag, phase) key — membership test + local counter increment.
-    seen = {(TAG_STORM, "storm")}
-
-    def batched_path(n: int) -> None:
-        count = 0
-        key = (TAG_STORM, "storm")
-        for _ in range(n):
-            if key in seen:
-                count += 1
-
-    eager_ns = _time_loop(eager_path, direct_calls, rounds) * 1e9 / direct_calls
-    batched_ns = (
-        _time_loop(batched_path, direct_calls, rounds) * 1e9 / direct_calls
-    )
-
-    return {
-        "nranks": nranks,
-        "messages_per_rank": messages,
-        "total_sends": total_sends,
-        # Deterministic, lossless-batching evidence:
-        "eager_hook_calls": eager_san.hook_calls,
-        "batched_hook_calls": batched_san.hook_calls,
-        "hook_call_reduction": (
-            eager_san.hook_calls / batched_san.hook_calls
-            if batched_san.hook_calls
-            else math.inf
-        ),
-        # Direct hot-path cost (host-dependent):
-        "eager_ns_per_send": eager_ns,
-        "batched_ns_per_send": batched_ns,
-        "hook_speedup": eager_ns / batched_ns if batched_ns > 0 else math.inf,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -496,7 +356,6 @@ def _payload(
         "wall_s_all": walls,
     }
     if microbench:
-        host["hook_microbench"] = hook_overhead_microbench()
         # End-to-end job throughput against a warm `repro serve` pool —
         # host data (wall clock), so the trace-diff gate ignores it.
         from repro.serve.pool import throughput_microbench

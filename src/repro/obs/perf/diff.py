@@ -25,7 +25,7 @@ from typing import Any
 __all__ = ["DiffReport", "MetricDelta", "diff_bench", "diff_files"]
 
 #: Leaf-name suffixes where a larger value is an improvement.
-_HIGHER_IS_BETTER = ("mflops_per_node", "speedup", "hook_speedup")
+_HIGHER_IS_BETTER = ("mflops_per_node", "speedup")
 
 #: Leaf-name fragments that are counts/ids, not performance metrics:
 #: any change is reported as ``changed`` (a regression for gating —

@@ -74,3 +74,38 @@ class TestMailbox:
         box.deposit(b)
         assert box.pop_matching(1, 1, now=2.0).payload == "first"
         assert box.pop_matching(1, 1, now=2.0).payload == "second"
+
+    def test_equal_arrival_ties_match_in_seq_order_across_channels(self):
+        # Deposited out of seq order (as a real transport may deliver):
+        # the (arrival_time, seq) matching order must still hold, and a
+        # message deposited later with an *equal* key goes after.
+        box = Mailbox()
+        first = msg(src=2, tag=1, arrival=1.0, payload="first")
+        second = msg(src=1, tag=2, arrival=1.0, payload="second")
+        early = msg(src=3, tag=3, arrival=0.5, payload="early")
+        box.deposit(second)
+        box.deposit(early)
+        box.deposit(first)
+        assert [m.payload for m in box.pending()] == ["early", "first", "second"]
+        assert box.peek_matching(ANY_SOURCE, ANY_TAG, now=1.0).payload == "early"
+        assert box.pop_matching(ANY_SOURCE, 1, now=1.0).payload == "first"
+        assert box.pop_matching(ANY_SOURCE, ANY_TAG, now=0.9).payload == "early"
+        assert box.pop_matching(ANY_SOURCE, ANY_TAG, now=0.9) is None
+
+    def test_drain_takes_a_strict_subset(self):
+        # Matches are interleaved with non-matches (other tag, not yet
+        # arrived): the drain returns them in (src, seq) order and the
+        # rest stay, still in arrival order.
+        box = Mailbox()
+        a = msg(src=2, tag=1, arrival=1.0, payload="a")
+        other = msg(src=1, tag=9, arrival=1.5, payload="other")
+        b = msg(src=1, tag=1, arrival=2.0, payload="b")
+        c = msg(src=2, tag=1, arrival=2.0, payload="c")
+        future = msg(src=1, tag=1, arrival=3.0, payload="future")
+        for m in (future, c, other, a, b):
+            box.deposit(m)
+        got = box.pop_all_matching(ANY_SOURCE, 1, now=2.0)
+        assert [m.payload for m in got] == ["b", "a", "c"]
+        assert [m.payload for m in box.pending()] == ["other", "future"]
+        assert box.pop_all_matching(ANY_SOURCE, 1, now=2.0) == []
+        assert len(box) == 2
