@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro.analysis.lint import _iter_py_files, dotted_name
+
 #: Skip name-based (``obj.m``) edges when more functions than this share
 #: the bare name — the edge would be noise, not signal.
 _MAX_NAME_CANDIDATES = 6
@@ -39,18 +41,6 @@ def local_walk(root: ast.AST) -> Iterator[ast.AST]:
         yield node
         if not isinstance(node, _SCOPE_NODES):
             stack.extend(ast.iter_child_nodes(node))
-
-
-def dotted_name(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 @dataclass
@@ -120,12 +110,6 @@ class Program:
 
     # -- lookups --------------------------------------------------------
 
-    def module_of(self, rel: str) -> ModuleInfo | None:
-        for m in self.modules.values():
-            if m.rel == rel:
-                return m
-        return None
-
     def call_at(self, node: ast.AST) -> CallSite | None:
         return self._site_index.get(id(node))
 
@@ -164,18 +148,6 @@ def _relative(path: Path, root: Path) -> str:
         )
     except ValueError:
         return str(path).replace("\\", "/")
-
-
-def _iter_py_files(paths: Iterable[str | Path]) -> Iterator[Path]:
-    seen: set[Path] = set()
-    for p in paths:
-        p = Path(p)
-        files = sorted(p.rglob("*.py")) if p.is_dir() else [p]
-        for f in files:
-            r = f.resolve()
-            if r not in seen:
-                seen.add(r)
-                yield f
 
 
 def _collect_imports(mod: ModuleInfo) -> None:

@@ -11,7 +11,7 @@ the comm summary itself.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -113,14 +113,6 @@ class CheckReport:
             indent=2,
             sort_keys=True,
         )
-
-
-@dataclass
-class CheckOptions:
-    """Knobs for :func:`run_check`."""
-
-    select: Iterable[str] | None = None
-    baseline: list[BaselineEntry] = field(default_factory=list)
 
 
 def _apply_noqa(

@@ -97,6 +97,10 @@ P2P_OPS: dict[str, tuple[str, bool, int, int]] = {
     "_iprobe": ("probe", False, 0, 1),
 }
 
+#: A blocking probe over N ``(src, tag)`` patterns (first argument); one
+#: "probe" site per pattern that is spelled out at the call.
+WAITANY_OPS = frozenset({"waitany", "_waitany"})
+
 #: sendrecv is both sides: (dst, src, tag) positions.
 SENDRECV_OP = "sendrecv"
 
@@ -115,7 +119,9 @@ COLLECTIVE_OPS = frozenset(
 )
 
 #: Raw scheduler primitives (``yield ("inject", ...)`` tuples).
-RAW_PRIMITIVES = frozenset({"inject", "recv", "tryrecv", "iprobe", "drain"})
+RAW_PRIMITIVES = frozenset(
+    {"inject", "recv", "tryrecv", "iprobe", "drain", "waitany"}
+)
 
 
 @dataclass

@@ -28,10 +28,12 @@ from repro.analysis.commcheck.model import (
     P2P_OPS,
     RAW_PRIMITIVES,
     SENDRECV_OP,
+    WAITANY_OPS,
     CommSite,
     CommSummary,
     TagInfo,
 )
+from repro.analysis.lint import literal_patterns
 
 _WILDCARD_SRC_NAMES = {"ANY_SOURCE"}
 _WILDCARD_TAG_NAMES = {"ANY_TAG"}
@@ -77,6 +79,10 @@ def _src_wildcard(
     if expr is None:
         # simmpi recv/irecv/iprobe/drain_recv default src=ANY_SOURCE
         return True if has_default_wildcard else None
+    return _is_wildcard_src(expr)
+
+
+def _is_wildcard_src(expr: ast.expr) -> bool | None:
     dotted = dotted_name(expr)
     if dotted and _last_component(dotted) in _WILDCARD_SRC_NAMES:
         return True
@@ -170,77 +176,57 @@ def extract_summary(program: Program) -> CommSummary:
         events = _phases_for(func)
         for node in func.body_nodes():
             raw = _raw_site(node)
-            if raw is not None:
+            got = _comm_call(node)
+            if raw is None and got is None:
+                continue
+            call, op, comm_expr = got or (None, raw, "<scheduler>")
+
+            def add(kind: str, blocking: bool = True, **where) -> None:
                 summary.sites.append(
                     CommSite(
                         func=func,
                         node=node,
-                        op=raw,
-                        kind="raw",
-                        blocking=raw == "recv",
-                        comm_expr="<scheduler>",
-                        in_loop=_in_loop(func, node),
+                        op=op,
+                        kind=kind,
+                        blocking=blocking,
+                        comm_expr=comm_expr,
                         phase=_phase_at(
                             events, (node.lineno, node.col_offset)
                         ),
+                        in_loop=_in_loop(func, node),
+                        **where,
                     )
                 )
-                continue
-            got = _comm_call(node)
-            if got is None:
-                continue
-            call, op, comm_expr = got
-            pos = (node.lineno, node.col_offset)
-            phase = _phase_at(events, pos)
-            in_loop = _in_loop(func, node)
-            if op in COLLECTIVE_OPS:
-                summary.sites.append(
-                    CommSite(
-                        func=func,
-                        node=node,
-                        op=op,
-                        kind="collective",
-                        blocking=True,
-                        comm_expr=comm_expr,
-                        phase=phase,
-                        in_loop=in_loop,
-                    )
-                )
+
+            if raw is not None:
+                add("raw", raw in ("recv", "waitany"))
+            elif op in COLLECTIVE_OPS:
+                add("collective")
             elif op == SENDRECV_OP:
-                summary.sites.append(
-                    CommSite(
-                        func=func,
-                        node=node,
-                        op=op,
-                        kind="both",
-                        blocking=True,
-                        comm_expr=comm_expr,
-                        tag=resolve_tag(_arg(call, 2, "tag"), func, program),
-                        src_wildcard=_src_wildcard(call, 1, False),
-                        phase=phase,
-                        in_loop=in_loop,
-                    )
+                add(
+                    "both",
+                    tag=resolve_tag(_arg(call, 2, "tag"), func, program),
+                    src_wildcard=_src_wildcard(call, 1, False),
                 )
+            elif op in WAITANY_OPS:
+                for src, tag in literal_patterns(_arg(call, 0, "patterns")):
+                    add(
+                        "probe",
+                        tag=resolve_tag(tag, func, program),
+                        src_wildcard=_is_wildcard_src(src),
+                    )
             elif op in P2P_OPS:
                 direction, blocking, src_pos, tag_pos = P2P_OPS[op]
-                kind = direction if direction != "probe" else "probe"
-                site = CommSite(
-                    func=func,
-                    node=node,
-                    op=op,
-                    kind=kind,
-                    blocking=blocking,
-                    comm_expr=comm_expr,
-                    tag=resolve_tag(
-                        _arg(call, tag_pos, "tag"), func, program
-                    ),
-                    phase=phase,
-                    in_loop=in_loop,
-                )
+                wildcard = None
                 if direction in ("recv", "probe"):
-                    site.src_wildcard = _src_wildcard(
+                    wildcard = _src_wildcard(
                         call, src_pos, op in _DEFAULT_WILDCARD_OPS
                     )
-                summary.sites.append(site)
+                add(
+                    direction,
+                    blocking,
+                    tag=resolve_tag(_arg(call, tag_pos, "tag"), func, program),
+                    src_wildcard=wildcard,
+                )
     summary.sites.sort(key=lambda s: (s.func.module.rel, s.pos))
     return summary

@@ -55,6 +55,33 @@ DETERMINISTIC_PACKAGES = frozenset(
 #: authority (reserved collective tags, wildcard sentinels) lives here.
 TAG_CONSTANT_MODULES = ("machine/simmpi.py", "machine/event.py")
 
+
+def dotted_name(node: ast.AST) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def literal_patterns(
+    expr: ast.AST | None,
+) -> list[tuple[ast.expr, ast.expr]]:
+    """``(src, tag)`` expression pairs spelled out in a ``waitany``
+    patterns argument; both arms of a conditional pattern count."""
+    out = []
+    for elt in getattr(expr, "elts", ()):
+        arms = [elt.body, elt.orelse] if isinstance(elt, ast.IfExp) else [elt]
+        for arm in arms:
+            if isinstance(arm, (ast.Tuple, ast.List)) and len(arm.elts) == 2:
+                out.append((arm.elts[0], arm.elts[1]))
+    return out
+
+
 _NOQA_RE = re.compile(
     r"#\s*noqa(?P<codes>:\s*[A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)?",
     re.IGNORECASE,

@@ -12,22 +12,17 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.lint import Finding, LintContext, Rule, register
+from repro.analysis.lint import (
+    Finding,
+    LintContext,
+    Rule,
+    dotted_name,
+    literal_patterns,
+    register,
+)
 
 # ----------------------------------------------------------------------
 # shared AST helpers
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """Dotted name of an attribute chain (``np.random.rand``) or None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _int_literal(node: ast.AST) -> bool:
@@ -53,7 +48,8 @@ def _contains(node: ast.AST, types: tuple) -> bool:
     return any(isinstance(n, types) for n in ast.walk(node))
 
 
-#: Primitive-op strings whose third tuple element is a message tag.
+#: Primitive-op strings whose third tuple element is a message tag
+#: (``"waitany"`` carries a tuple of ``(src, tag)`` patterns instead).
 _TAG_PRIMITIVES = {"recv", "tryrecv", "iprobe", "drain"}
 
 #: Comm-surface calls -> positional index of their ``tag`` argument.
@@ -66,6 +62,27 @@ _TAGGED_CALLS = {
     "drain_recv": 1,
     "sendrecv": 2,
 }
+
+
+def _tag_exprs(node: ast.AST) -> list[ast.AST]:
+    """Tag expressions at a Comm-surface call or raw primitive yield;
+    for ``waitany`` the tag of every pattern spelled out in place."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        if node.func.attr == "waitany":
+            patterns = _call_arg(node, 0, "patterns")
+            return [tag for _src, tag in literal_patterns(patterns)]
+        pos = _TAGGED_CALLS.get(node.func.attr)
+        tag = None if pos is None else _call_arg(node, pos, "tag")
+        return [] if tag is None else [tag]
+    if isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple):
+        elts = node.value.elts
+        head = elts[0] if elts else None
+        kind = head.value if isinstance(head, ast.Constant) else None
+        if kind == "waitany" and len(elts) == 2:
+            return [tag for _src, tag in literal_patterns(elts[1])]
+        if kind in _TAG_PRIMITIVES and len(elts) >= 3:
+            return [elts[2]]
+    return []
 
 
 def _is_sorted_wrapped(node: ast.AST) -> bool:
@@ -154,37 +171,19 @@ class RawTagLiteral(Rule):
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                pos = _TAGGED_CALLS.get(node.func.attr)
-                if pos is None:
+            for tag in _tag_exprs(node):
+                if not _int_literal(tag):
                     continue
-                tag = _call_arg(node, pos, "tag")
-                if tag is not None and _int_literal(tag):
-                    yield ctx.finding(
-                        tag,
-                        self.code,
-                        f"literal tag in {node.func.attr}() call; use a "
-                        "named TAG_* constant (< MAX_USER_TAG) or "
-                        "ANY_TAG",
-                    )
-            elif isinstance(node, ast.Yield) and isinstance(
-                node.value, ast.Tuple
-            ):
-                elts = node.value.elts
-                if (
-                    len(elts) >= 3
-                    and isinstance(elts[0], ast.Constant)
-                    and elts[0].value in _TAG_PRIMITIVES
-                    and _int_literal(elts[2])
-                ):
-                    yield ctx.finding(
-                        elts[2],
-                        self.code,
-                        f"literal tag in raw ({elts[0].value!r}, ...) "
-                        "primitive; use a named TAG_* constant",
-                    )
+                if isinstance(node, ast.Call):
+                    where = f"{node.func.attr}() call"
+                else:
+                    where = f"raw ({node.value.elts[0].value!r}, ...) primitive"
+                yield ctx.finding(
+                    tag,
+                    self.code,
+                    f"literal tag in {where}; use a named TAG_* constant "
+                    "(< MAX_USER_TAG) or ANY_TAG",
+                )
 
 
 @register
@@ -226,7 +225,7 @@ class WallClock(Rule):
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                name = _dotted(node.func)
+                name = dotted_name(node.func)
                 if name in self._CLOCKS:
                     yield ctx.finding(
                         node,
@@ -276,7 +275,7 @@ class UnseededRng(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = _dotted(node.func)
+            name = dotted_name(node.func)
             if name is None:
                 continue
             head, _, leaf = name.rpartition(".")
@@ -362,7 +361,7 @@ class MutableDefault(Rule):
                     ),
                 ) or (
                     isinstance(d, ast.Call)
-                    and _dotted(d.func) in self._MUTABLE_CALLS
+                    and dotted_name(d.func) in self._MUTABLE_CALLS
                 )
                 if bad:
                     fn = getattr(node, "name", "<lambda>")
@@ -461,7 +460,7 @@ class SwallowedFailure(Rule):
                     else [handler.type]
                 )
                 for t in htypes:
-                    n = _dotted(t)
+                    n = dotted_name(t)
                     if n:
                         names.add(n.rpartition(".")[2])
                 if not (names & self._BROAD):
@@ -524,7 +523,7 @@ def _is_any_source(node: ast.AST | None) -> bool:
         return False
     if isinstance(node, ast.Name):
         return node.id == "ANY_SOURCE"
-    name = _dotted(node)
+    name = dotted_name(node)
     return name is not None and name.endswith(".ANY_SOURCE")
 
 
@@ -534,17 +533,18 @@ class WildcardBlockingRecv(Rule):
     name = "wildcard-blocking-recv"
     summary = (
         "library code must not block on recv(ANY_SOURCE, ...); use "
-        "drain_recv / iprobe polling"
+        "waitany then drain_recv"
     )
     rationale = (
         "A blocking wildcard receive matches whichever message the "
         "scheduler delivers first, so the *protocol* becomes sensitive "
         "to arrival order — exactly the coupling the sanitizer's "
         "wildcard-race check exists to catch after the fact.  The "
-        "canonical pattern in this codebase is drain_recv(ANY_SOURCE, "
-        "tag), which receives every queued message for a tag in one "
-        "deterministic batch (cf. dcf.py), or an iprobe poll loop with "
-        "explicit termination.  Tests may still use recv(ANY_SOURCE) "
+        "canonical pattern in this codebase is waitany(patterns) to "
+        "sleep until a channel has traffic (it consumes nothing), then "
+        "drain_recv(ANY_SOURCE, tag), which receives every arrived "
+        "message for a tag in one deterministic (src, seq)-ordered "
+        "batch (cf. dcf.py).  Tests may still use recv(ANY_SOURCE) "
         "to exercise the matching machinery itself."
     )
 
@@ -567,9 +567,9 @@ class WildcardBlockingRecv(Rule):
                     node,
                     self.code,
                     f"{node.func.attr}(ANY_SOURCE, ...) blocks on "
-                    "arrival order; use drain_recv(ANY_SOURCE, tag) "
-                    "to batch-receive deterministically, or an iprobe "
-                    "loop with explicit termination",
+                    "arrival order; block in waitany(patterns), then "
+                    "drain_recv(ANY_SOURCE, tag) to batch-receive "
+                    "deterministically",
                 )
 
 
@@ -618,7 +618,7 @@ class UnorderedFloatReduction(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call) or not node.args:
                 continue
-            name = _dotted(node.func)
+            name = dotted_name(node.func)
             if name not in self._REDUCERS:
                 continue
             kind = self._unordered_arg_kind(node.args[0])

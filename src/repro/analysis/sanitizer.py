@@ -305,25 +305,7 @@ class Sanitizer:
         if tag >= _COLL_TAG_BASE:
             return
         if tag >= MAX_USER_TAG:
-            # Group-translated user tag: its offset must belong to a
-            # registered SubComm, otherwise application code forged a
-            # tag inside the reserved range.
-            offset = (tag // MAX_USER_TAG) * MAX_USER_TAG
-            if (
-                offset not in self._group_offsets
-                and offset not in self._reserved_reported
-            ):
-                self._reserved_reported.add(offset)
-                self._emit(
-                    "reserved-tag",
-                    time,
-                    src,
-                    tag,
-                    f"send to rank {dst} used reserved tag "
-                    f"{tag} with unregistered group offset {offset}",
-                    dst=dst,
-                    offset=offset,
-                )
+            self._check_reserved(time, src, tag, f"send to rank {dst}", dst=dst)
             return
         phases = self._tag_phases.setdefault(tag, set())
         phases.add(phase)
@@ -340,6 +322,37 @@ class Sanitizer:
                 phases=sorted(phases),
                 dst=dst,
             )
+
+    def _check_reserved(
+        self, time: float, rank: int, tag: int, what: str, **extra
+    ) -> None:
+        """Group-translated user tag: its offset must belong to a
+        registered SubComm, otherwise application code forged a tag
+        inside the reserved range."""
+        offset = (tag // MAX_USER_TAG) * MAX_USER_TAG
+        if (
+            offset not in self._group_offsets
+            and offset not in self._reserved_reported
+        ):
+            self._reserved_reported.add(offset)
+            self._emit(
+                "reserved-tag",
+                time,
+                rank,
+                tag,
+                f"{what} used reserved tag "
+                f"{tag} with unregistered group offset {offset}",
+                **extra,
+                offset=offset,
+            )
+
+    def on_waitany(self, time: float, rank: int, patterns: tuple) -> None:
+        """A rank parks on ``patterns``.  Nothing is consumed, so there
+        is no race to witness; only forged tags are policed."""
+        self.hook_calls += 1
+        for _src, tag in patterns:
+            if MAX_USER_TAG <= tag < _COLL_TAG_BASE:
+                self._check_reserved(time, rank, tag, "waitany pattern")
 
     def on_recv(self, time: float, rank: int, msg) -> None:
         self.hook_calls += 1

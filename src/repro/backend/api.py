@@ -71,9 +71,11 @@ class CommProtocol(Protocol):
     All methods except the attributes are generator functions invoked
     with ``yield from``; see :class:`repro.machine.simmpi.Comm` for the
     reference semantics (tag space, collective algorithms, eager-send
-    model).  Backends do not subclass this — they provide objects that
-    structurally satisfy it (today both backends reuse ``Comm`` itself
-    and differ only in how its primitive yields are interpreted).
+    model) and ``docs/backends.md`` for the primitive each method yields
+    (``waitany`` is the one blocking multi-pattern probe).  Backends do
+    not subclass this — they provide objects that structurally satisfy
+    it (today all engines reuse ``Comm`` itself and differ only in how
+    its primitive yields are interpreted).
     """
 
     rank: int
@@ -104,6 +106,7 @@ class CommProtocol(Protocol):
     def waitall(self, reqs: Any) -> Generator: ...
     def iprobe(self, src: int = ..., tag: int = ...) -> Generator: ...
     def drain_recv(self, src: int = ..., tag: int = ...) -> Generator: ...
+    def waitany(self, patterns: Any) -> Generator: ...
 
     # -- collectives ---------------------------------------------------
     def barrier(self) -> Generator: ...

@@ -313,6 +313,25 @@ class _Engine:
             pass
         return got
 
+    def _block_until(self, probe: Any) -> Any:
+        """Sleep on the inbox (and the control pipe, in ``poll_interval``
+        slices) until ``probe()`` returns something truthy."""
+        got = probe()
+        while not got:
+            self._check_ctrl()
+            if connection.wait([self.reader, self.ctrl], self.poll_interval):
+                self._pump(0.0)
+            got = probe()
+        return got
+
+    def _received(self, msgs: list[Message], t: float) -> None:
+        self.metrics.messages_received += len(msgs)
+        if self.events is not None:
+            for m in msgs:
+                self.events.recvs.append(
+                    (t, self.rank, m.src, m.tag, m.nbytes, self.phase)
+                )
+
     def _check_ctrl(self) -> None:
         while self.ctrl.poll(0):
             frame = self.ctrl.recv()
@@ -355,8 +374,8 @@ class _Engine:
             if flops:
                 self.metrics.add_flops(self.phase, flops)
             elif dt > 0.0:
-                # Pure elapse = a protocol pause (e.g. the DCF service
-                # loop's backoff).  Modeled flops are *not* slept — the
+                # Pure elapse = a protocol pause (e.g. a detection
+                # timeout).  Modeled flops are *not* slept — the
                 # measured run times real execution only — but pauses
                 # must really pause or polling loops spin hot.  Capped
                 # so modeled virtual seconds can never stall the host.
@@ -392,42 +411,38 @@ class _Engine:
         if kind == "recv":
             _, src, tag = op
             t0 = self.wall()
-            msg = self.mailbox.pop_matching(src, tag, _INF, allow_future=True)
-            while msg is None:
-                self._check_ctrl()
-                ready = connection.wait(
-                    [self.reader, self.ctrl], timeout=self.poll_interval
-                )
-                if ready:
-                    self._pump(0.0)
-                msg = self.mailbox.pop_matching(
+            msg = self._block_until(
+                lambda: self.mailbox.pop_matching(
                     src, tag, _INF, allow_future=True
                 )
+            )
             t1 = self.wall()
             self.metrics.time[self.phase]["wait"] += t1 - t0
-            self.metrics.messages_received += 1
             if self.events is not None:
                 self.events.ops.append(
                     (self.rank, self.phase, "wait", t0, t1, 0.0, msg.nbytes)
                 )
-                self.events.recvs.append(
-                    (t1, self.rank, msg.src, msg.tag, msg.nbytes, self.phase)
-                )
+            self._received([msg], t1)
             return msg
+        if kind == "waitany":
+            t0 = self.wall()
+            peek = self.mailbox.peek_matching
+            ready = self._block_until(
+                lambda: tuple(
+                    i
+                    for i, (src, tag) in enumerate(op[1])
+                    if peek(src, tag, _INF, allow_future=True) is not None
+                )
+            )
+            self._charge("wait", t0, self.wall())
+            return ready
         if kind == "tryrecv":
             _, src, tag = op
             self._check_ctrl()
             self._pump(0.0)
             msg = self.mailbox.pop_matching(src, tag, _INF, allow_future=True)
             if msg is not None:
-                self.metrics.messages_received += 1
-                if self.events is not None:
-                    self.events.recvs.append(
-                        (
-                            self.wall(), self.rank, msg.src, msg.tag,
-                            msg.nbytes, self.phase,
-                        )
-                    )
+                self._received([msg], self.wall())
             return msg
         if kind == "drain":
             _, src, tag = op
@@ -435,13 +450,7 @@ class _Engine:
             self._pump(0.0)
             msgs = self.mailbox.pop_all_matching(src, tag, _INF)
             if msgs:
-                self.metrics.messages_received += len(msgs)
-                if self.events is not None:
-                    t = self.wall()
-                    for m in msgs:
-                        self.events.recvs.append(
-                            (t, self.rank, m.src, m.tag, m.nbytes, self.phase)
-                        )
+                self._received(msgs, self.wall())
             return msgs
         if kind == "iprobe":
             _, src, tag = op
@@ -550,6 +559,76 @@ def _worker_main(
     os._exit(0)
 
 
+def check_measured_run(
+    machine: Any,
+    programs: Sequence[RankProgram],
+    tracer: Any,
+    sanitizer: Any,
+    fault_plan: Any,
+    initial_clocks: Sequence[float] | None,
+    initial_metrics: Sequence[Any] | None,
+    fault_hint: str = "",
+) -> tuple[int, bool]:
+    """Validate ``run`` arguments for a measured engine (mp, cluster)
+    and switch the tracer to wall time; ``(nranks, trace_enabled)``."""
+    if sanitizer is not None:
+        raise ValueError(
+            "the sanitizer shadow layer needs deterministic virtual "
+            "time; use --backend sim for sanitized runs"
+        )
+    if fault_plan:
+        raise ValueError(
+            "fault injection needs deterministic virtual time; "
+            f"use --backend sim for fault experiments{fault_hint}"
+        )
+    n = len(programs)
+    if n == 0:
+        raise ValueError("no rank programs given")
+    if n > machine.nodes:
+        raise ValueError(
+            f"machine has {machine.nodes} nodes; cannot run {n} ranks"
+        )
+    if initial_clocks is not None and len(initial_clocks) != n:
+        raise ValueError(
+            f"initial_clocks has {len(initial_clocks)} entries for {n} ranks"
+        )
+    if initial_metrics is not None and len(initial_metrics) != n:
+        raise ValueError(
+            f"initial_metrics has {len(initial_metrics)} entries for {n} ranks"
+        )
+    trace_enabled = tracer is not None and getattr(tracer, "enabled", False)
+    if trace_enabled and getattr(tracer, "clock", "virtual") == "virtual":
+        try:
+            tracer.clock = "wall"
+        except AttributeError:  # pragma: no cover - exotic tracer
+            pass
+    return n, trace_enabled
+
+
+def measured_result(
+    backend: str, done: dict[int, bytes], n: int, tracer: Any
+) -> BackendResult:
+    """Unpack the workers' ``done`` payloads into a result, replaying
+    their trace events into ``tracer`` (None: tracing is off)."""
+    returns: list[Any] = [None] * n
+    metrics_list: list[RankMetrics] = [RankMetrics(r) for r in range(n)]
+    for rank, payload in done.items():
+        retval, met, events = pickle.loads(payload)
+        returns[rank] = retval
+        metrics_list[rank] = met
+        if events is not None and tracer is not None:
+            MpBackend._merge_trace(tracer, events)
+    metrics = MachineMetrics(metrics_list)
+    return BackendResult(
+        elapsed=metrics.elapsed,
+        returns=returns,
+        metrics=metrics,
+        failed_ranks=(),
+        backend=backend,
+        measured=True,
+    )
+
+
 class MpBackend(ExecutionBackend):
     """Execute each rank as a real ``multiprocessing`` process.
 
@@ -610,38 +689,10 @@ class MpBackend(ExecutionBackend):
         max_events: int = 500_000_000,
         raise_on_failure: bool = True,
     ) -> BackendResult:
-        if sanitizer is not None:
-            raise ValueError(
-                "the sanitizer shadow layer needs deterministic virtual "
-                "time; use --backend sim for sanitized runs"
-            )
-        if fault_plan:
-            raise ValueError(
-                "fault injection needs deterministic virtual time; "
-                "use --backend sim for fault experiments"
-            )
-        n = len(programs)
-        if n == 0:
-            raise ValueError("no rank programs given")
-        if n > machine.nodes:
-            raise ValueError(
-                f"machine has {machine.nodes} nodes; cannot run {n} ranks"
-            )
-        if initial_clocks is not None and len(initial_clocks) != n:
-            raise ValueError(
-                f"initial_clocks has {len(initial_clocks)} entries for {n} ranks"
-            )
-        if initial_metrics is not None and len(initial_metrics) != n:
-            raise ValueError(
-                f"initial_metrics has {len(initial_metrics)} entries for {n} ranks"
-            )
-        trace_enabled = tracer is not None and getattr(tracer, "enabled", False)
-        if trace_enabled and getattr(tracer, "clock", "virtual") == "virtual":
-            try:
-                tracer.clock = "wall"
-            except AttributeError:  # pragma: no cover - exotic tracer
-                pass
-
+        n, trace_enabled = check_measured_run(
+            machine, programs, tracer, sanitizer, fault_plan,
+            initial_clocks, initial_metrics,
+        )
         ctx = get_context("fork")
         runid = f"repro_mp_{os.getpid()}_{next(_run_counter)}"
         readers, writers = [], []
@@ -734,22 +785,8 @@ class MpBackend(ExecutionBackend):
                 nranks=n,
             )
 
-        returns: list[Any] = [None] * n
-        metrics_list: list[RankMetrics] = [RankMetrics(r) for r in range(n)]
-        for rank, payload in done.items():
-            retval, met, events = pickle.loads(payload)
-            returns[rank] = retval
-            metrics_list[rank] = met
-            if events is not None and trace_enabled:
-                self._merge_trace(tracer, events)
-        metrics = MachineMetrics(metrics_list)
-        return BackendResult(
-            elapsed=metrics.elapsed,
-            returns=returns,
-            metrics=metrics,
-            failed_ranks=(),
-            backend=self.name,
-            measured=True,
+        return measured_result(
+            self.name, done, n, tracer if trace_enabled else None
         )
 
     # ------------------------------------------------------------------

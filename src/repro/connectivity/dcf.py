@@ -7,12 +7,13 @@ Per connectivity solve each rank:
 2. routes each of its inter-grid boundary points to a processor of the
    first grid on that point's search list whose bounding box contains
    it, as one batched SEARCH message per destination;
-3. enters an asynchronous service loop: incoming SEARCH requests are
-   served immediately (the windowed stencil-walk donor search on the
-   local subdomain), walks that exit the subdomain are FORWARDED to the
-   neighbouring processor owning the exit cell, and results return to
-   the *original* requester as REPLY messages — "processors can be
-   performing searches simultaneously";
+3. enters an asynchronous service loop that blocks (``Comm.waitany``)
+   until a SEARCH, REPLY or termination message has arrived: incoming
+   SEARCH requests are served at once (the windowed stencil-walk donor
+   search on the local subdomain), walks that exit the subdomain are
+   FORWARDED to the neighbouring processor owning the exit cell, and
+   results return to the *original* requester as REPLY messages —
+   "processors can be performing searches simultaneously";
 4. replies that report failure push the point to the next grid in its
    hierarchical search list;
 5. termination: a rank that has resolved all its own points sends DONE
@@ -293,79 +294,67 @@ def dcf_rank_program(
 
     # ------------------------------------------------------------ step 3
     #
-    # The service loop drains each wildcard channel with
-    # ``Comm.drain_recv``, which consumes every arrived message in
-    # canonical (source, sequence) order.  The earlier implementation
-    # popped one ``ANY_SOURCE`` message per poll in *arrival* order —
-    # on a real asynchronous machine that order is timing-dependent,
-    # which is exactly the wildcard message race the SimMPI sanitizer
-    # (repro.analysis.sanitizer) reports as a nondeterminism witness.
-    # With canonical drains the processing order depends only on who
-    # sent what, not on when it arrived, and the sanitizer certifies
-    # the protocol race-free (tests/analysis/test_sanitizer.py).
+    # Wake, then drain canonically: ``Comm.waitany`` sleeps until a
+    # channel has an arrived message and says which; each ready channel
+    # is emptied by ``Comm.drain_recv`` in (source, sequence) order,
+    # SEARCH before REPLY before DONE.  Popping ``ANY_SOURCE`` messages
+    # one by one in *arrival* order would be the wildcard race the
+    # sanitizer reports; this way the order depends only on who sent
+    # what (docs/PROTOCOL.md, tests/analysis/test_sanitizer.py).
     done_sent = False
     done_count = 0
-    finished = False
-    idle_wait = 2.0e-5  # exponential backoff while nothing arrives
-    while not finished:
-        progress = False
+    ready: tuple[int, ...] = ()  # nothing can have arrived unasked yet
+    while True:
+        if 0 in ready:
+            for payload, _status in (
+                yield from comm.drain_recv(ANY_SOURCE, TAG_SEARCH)
+            ):
+                yield from _serve_search(comm, world, rank, payload, stats)
 
-        # Serve incoming search requests, in stable (src, seq) order.
-        for payload, _status in (
-            yield from comm.drain_recv(ANY_SOURCE, TAG_SEARCH)
-        ):
-            progress = True
-            yield from _serve_search(comm, world, rank, payload, stats)
-
-        # Absorb replies, in stable (src, seq) order.
-        for p, _status in (yield from comm.drain_recv(ANY_SOURCE, TAG_REPLY)):
-            progress = True
-            rows = p["rows"]
-            found = p["found"]
-            outstanding -= int(rows.size)
-            ok = rows[found]
-            result["found"][ok] = True
-            result["donor_grid"][ok] = p["donor_grid"]
-            result["donor_rank"][ok] = p["donor_rank"]
-            result["cells"][ok] = p["cells"][found]
-            result["fracs"][ok] = p["fracs"][found]
-            resolved[ok] = True
-            stats.donors_found += int(found.sum())
-            # Failed points: try the next grid in the hierarchy.
-            bad = rows[~found]
-            if bad.size:
-                level[bad] += 1
-                batches, dead = route_points(bad)
-                mark_dead(np.array(dead, dtype=np.int64))
-                yield from send_batches(batches)
+        if 1 in ready:
+            for p, _status in (
+                yield from comm.drain_recv(ANY_SOURCE, TAG_REPLY)
+            ):
+                rows = p["rows"]
+                found = p["found"]
+                outstanding -= int(rows.size)
+                ok = rows[found]
+                result["found"][ok] = True
+                result["donor_grid"][ok] = p["donor_grid"]
+                result["donor_rank"][ok] = p["donor_rank"]
+                result["cells"][ok] = p["cells"][found]
+                result["fracs"][ok] = p["fracs"][found]
+                resolved[ok] = True
+                stats.donors_found += int(found.sum())
+                # Failed points: try the next grid in the hierarchy.
+                bad = rows[~found]
+                if bad.size:
+                    level[bad] += 1
+                    batches, dead = route_points(bad)
+                    mark_dead(np.array(dead, dtype=np.int64))
+                    yield from send_batches(batches)
 
         # Own work complete? Tell rank 0 (once).
         if not done_sent and resolved.all() and outstanding == 0:
             done_sent = True
             yield from comm.send(0, TAG_DONE, None, nbytes=8)
 
-        if rank == 0:
-            for _p, _status in (
-                yield from comm.drain_recv(ANY_SOURCE, TAG_DONE)
-            ):
-                progress = True
-                done_count += 1
+        if 2 in ready:
+            if rank != 0:
+                yield from comm.recv(0, TAG_FINISH)
+                break
+            done_count += len((yield from comm.drain_recv(ANY_SOURCE, TAG_DONE)))
             if done_count == comm.size:
                 for dst in range(1, comm.size):
                     yield from comm.send(dst, TAG_FINISH, None, nbytes=8)
-                finished = True
-        else:
-            # FINISH only ever comes from rank 0: receive from the
-            # specific source so there is no wildcard at all.
-            msg = yield from comm._tryrecv(0, TAG_FINISH)
-            if msg is not None:
-                finished = True
+                break
 
-        if progress:
-            idle_wait = 2.0e-5
-        elif not finished:
-            yield from comm.elapse(idle_wait)
-            idle_wait = min(idle_wait * 2.0, 1.0e-3)
+        ready = yield from comm.waitany((
+            (ANY_SOURCE, TAG_SEARCH),
+            (ANY_SOURCE, TAG_REPLY),
+            # FINISH only ever comes from rank 0: no wildcard at all.
+            (ANY_SOURCE, TAG_DONE) if rank == 0 else (0, TAG_FINISH),
+        ))
 
     if restart is not None:
         for dg in sorted(set(search_list)):

@@ -113,17 +113,13 @@ class Mailbox:
         machine), the caller consumes them in a stable order, so a
         wildcard drain cannot act as a message-race amplifier.
         """
-        got = [
-            m
-            for m in self._messages
-            if m.arrival_time <= now and m.matches(src, tag)
-        ]
-        if got:  # rare: most polls of a service loop find nothing
-            self._messages = [
-                m
-                for m in self._messages
-                if not (m.arrival_time <= now and m.matches(src, tag))
-            ]
+        got: list[Message] = []
+        kept: list[Message] = []
+        for m in self._messages:
+            hit = m.arrival_time <= now and m.matches(src, tag)
+            (got if hit else kept).append(m)
+        if got:
+            self._messages = kept
             got.sort(key=_drain_order)
         return got
 

@@ -225,7 +225,8 @@ class RankFailure(RuntimeError):
     * ``time`` — virtual time of the wavefront when progress stopped
       (max over all rank clocks);
     * ``blocked`` — ``(rank, src, tag)`` for survivors stuck on
-      receives that can never complete;
+      receives that can never complete (one entry per pattern for a
+      rank parked in ``waitany``);
     * ``completed`` — ranks whose programs ran to normal completion.
     """
 
@@ -250,7 +251,7 @@ class RankFailure(RuntimeError):
         else:
             head = (
                 f"{len(self.failed)} of {nranks} ranks failed ({ranks}); "
-                f"{len(self.blocked)} blocked, "
+                f"{len({b[0] for b in self.blocked})} blocked, "
                 f"{len(self.completed)} completed"
             )
         super().__init__(head)

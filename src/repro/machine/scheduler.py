@@ -1,9 +1,10 @@
 """Conservative discrete-event scheduler for SimMPI rank programs.
 
 The engine always advances the rank with the globally minimum virtual
-time among (a) runnable ranks (key = their clock) and (b) blocked ranks
-with a matching message already in their mailbox (key = the wake time,
-``max(clock, earliest matching arrival)``).  Because every future send
+time among (a) runnable ranks (key = their clock) and (b) ranks blocked
+in ``recv`` or ``waitany`` with a message matching one of their patterns
+already in their mailbox (key = the wake time, ``max(clock, earliest
+matching arrival)``).  Because every future send
 must be issued by a rank whose clock is at least that minimum, no
 message that could alter a receive matching can arrive at or before the
 chosen key — the classic conservative-PDES safety argument — so
@@ -108,6 +109,7 @@ class _RankState:
         "clock",
         "mailbox",
         "blocked_on",
+        "peeking",
         "phase",
         "metrics",
         "alive",
@@ -126,7 +128,11 @@ class _RankState:
         self.gen = gen
         self.clock = 0.0
         self.mailbox = Mailbox()
-        self.blocked_on: tuple[int, int] | None = None  # (src, tag) of a recv
+        # (src, tag) patterns this rank is parked on: one for a ``recv``
+        # (consumes its match on wake), any number for a ``waitany``
+        # (``peeking``: wakes on the earliest match, consumes nothing).
+        self.blocked_on: tuple[tuple[int, int], ...] | None = None
+        self.peeking = False
         self.phase = "default"
         self.metrics = RankMetrics(rank)
         # Cached kind->seconds accumulator for the *current* phase,
@@ -312,8 +318,9 @@ class Simulator:
                 failed=dict(self._failed),
                 time=max(s.clock for s in states),
                 blocked=[
-                    (s.rank, s.blocked_on[0], s.blocked_on[1])
+                    (s.rank, src, tag)
                     for s in blocked
+                    for src, tag in s.blocked_on
                 ],
                 completed=[
                     s.rank
@@ -393,14 +400,18 @@ class Simulator:
 
     @staticmethod
     def _wake_time(state: _RankState) -> float | None:
-        """Key of a blocked rank: when its earliest matching message lets
-        it resume, or None while nothing in its mailbox matches."""
+        """Key of a blocked rank: when the earliest message matching any
+        of its patterns lets it resume, or None while nothing matches."""
         assert state.blocked_on is not None
-        src, tag = state.blocked_on
-        msg = state.mailbox.peek_matching(src, tag, state.clock, allow_future=True)
-        if msg is None:
+        clock = state.clock
+        wake = None
+        for src, tag in state.blocked_on:
+            msg = state.mailbox.peek_matching(src, tag, clock, allow_future=True)
+            if msg is not None and (wake is None or msg.arrival_time < wake):
+                wake = msg.arrival_time
+        if wake is None:
             return None
-        return max(state.clock, msg.arrival_time)
+        return max(clock, wake)
 
     # ------------------------------------------------------------------
 
@@ -414,15 +425,19 @@ class Simulator:
             f"({completed} completed normally)"
         ]
         for s in blocked:
-            src, tag = s.blocked_on
-            src_txt = "ANY_SOURCE" if src == ANY_SOURCE else str(src)
+            patterns = " | ".join(
+                f"src={'ANY_SOURCE' if src == ANY_SOURCE else src}, "
+                f"tag={describe_tag(tag)}"
+                for src, tag in s.blocked_on
+            )
             pending = [
                 f"(src={m.src}, tag={describe_tag(m.tag)})"
                 for m in s.mailbox.pending()
             ]
             lines.append(
-                f"  rank {s.rank} blocked on recv(src={src_txt}, "
-                f"tag={describe_tag(tag)}) at t={s.clock:.6g}; "
+                f"  rank {s.rank} blocked on "
+                f"{'waitany' if s.peeking else 'recv'}({patterns}) "
+                f"at t={s.clock:.6g}; "
                 f"mailbox holds {len(pending)} unmatched: "
                 f"[{', '.join(pending)}]"
             )
@@ -436,6 +451,7 @@ class Simulator:
         state.alive = False
         state.failed = True
         state.blocked_on = None
+        state.peeking = False
         state.ver += 1  # drop any queued ready-queue entry
         state.gen.close()
         lost = state.mailbox.drain()
@@ -466,8 +482,11 @@ class Simulator:
     def _step(self, state: _RankState) -> None:
         """Advance one rank by one primitive operation."""
         if state.blocked_on is not None:
+            if state.peeking:
+                self._complete_waitany(state)
+                return
             # Wakeable blocked receive: complete it now.
-            src, tag = state.blocked_on
+            ((src, tag),) = state.blocked_on
             if self._sanitizer is not None and src == ANY_SOURCE:
                 # Messages may have accumulated while the rank slept;
                 # re-check the wildcard race at wake time (findings are
@@ -493,20 +512,11 @@ class Simulator:
 
     def _dispatch(self, state: _RankState, op: tuple) -> None:
         kind = op[0]
-        # Hottest kinds first: drain, tryrecv and compute are ~99% of the
-        # ops of a polling DCF service loop.
         if kind == "drain":
             _, src, tag = op
             self._charge_poll(state)
             msgs = state.mailbox.pop_all_matching(src, tag, state.clock)
-            if msgs:
-                state.metrics.messages_received += len(msgs)
-                if self._tracer is not None:
-                    for m in msgs:
-                        self._tracer.recv(
-                            state.clock, state.rank, m.src, m.tag,
-                            m.nbytes, state.phase,
-                        )
+            self._received(state, msgs)
             if self._sanitizer is not None:
                 self._sanitizer.on_drain(
                     state.clock, state.rank, src, tag, msgs
@@ -522,14 +532,9 @@ class Simulator:
                 )
             msg = state.mailbox.pop_matching(src, tag, state.clock, allow_future=False)
             if msg is not None:
-                state.metrics.messages_received += 1
+                self._received(state, (msg,))
                 if self._sanitizer is not None:
                     self._san_recvs += 1
-                if self._tracer is not None:
-                    self._tracer.recv(
-                        state.clock, state.rank, msg.src, msg.tag,
-                        msg.nbytes, state.phase,
-                    )
             state.send_value = msg
         elif kind == "compute":
             _, dt, flops = op
@@ -539,10 +544,7 @@ class Simulator:
                 )
             t0 = state.clock
             state.clock += dt
-            acc = state.tacc
-            if acc is None:
-                acc = state.tacc = state.metrics.time[state.phase]
-            acc["compute"] += dt
+            self._acc(state)["compute"] += dt
             if flops:
                 state.metrics.add_flops(state.phase, flops)
             if self._tracer is not None:
@@ -562,7 +564,14 @@ class Simulator:
             if msg is not None:
                 self._complete_recv(state, msg)
             else:
-                state.blocked_on = (src, tag)
+                state.blocked_on = ((src, tag),)
+        elif kind == "waitany":
+            # Always parks: the event loop keys the rank on its earliest
+            # match (now, if one already arrived) like any blocked recv.
+            state.blocked_on = op[1]
+            state.peeking = True
+            if self._sanitizer is not None:
+                self._sanitizer.on_waitany(state.clock, state.rank, op[1])
         elif kind == "iprobe":
             _, src, tag = op
             self._charge_poll(state)
@@ -596,10 +605,7 @@ class Simulator:
             arrival = state.clock + dt + net.latency
         t0 = state.clock
         state.clock += dt
-        acc = state.tacc
-        if acc is None:
-            acc = state.tacc = state.metrics.time[state.phase]
-        acc["comm"] += dt
+        self._acc(state)["comm"] += dt
         state.metrics.messages_sent += 1
         state.metrics.bytes_sent += nbytes
         if self._tracer is not None:
@@ -645,7 +651,7 @@ class Simulator:
         )
         target.mailbox.deposit(msg)
         waiting = target.blocked_on
-        if waiting is not None and msg.matches(*waiting):
+        if waiting is not None and any(msg.matches(*p) for p in waiting):
             # The target's wake time may have dropped (or it was parked):
             # re-key it on its *earliest* matching message, which need
             # not be this one.
@@ -664,11 +670,7 @@ class Simulator:
         t0 = state.clock
         wait = max(0.0, msg.arrival_time - state.clock)
         state.clock = max(state.clock, msg.arrival_time)
-        acc = state.tacc
-        if acc is None:
-            acc = state.tacc = state.metrics.time[state.phase]
-        acc["wait"] += wait
-        state.metrics.messages_received += 1
+        self._acc(state)["wait"] += wait
         if self._sanitizer is not None:
             self._san_recvs += 1
         state.send_value = msg
@@ -677,18 +679,48 @@ class Simulator:
                 state.rank, state.phase, "wait", t0, state.clock,
                 nbytes=msg.nbytes,
             )
-            self._tracer.recv(
-                state.clock, state.rank, msg.src, msg.tag,
-                msg.nbytes, state.phase,
-            )
+        self._received(state, (msg,))
+
+    def _received(self, state: _RankState, msgs) -> None:
+        """Count (and trace) messages consumed at the rank's clock."""
+        state.metrics.messages_received += len(msgs)
+        if self._tracer is not None:
+            for m in msgs:
+                self._tracer.recv(
+                    state.clock, state.rank, m.src, m.tag, m.nbytes,
+                    state.phase,
+                )
+
+    def _complete_waitany(self, state: _RankState) -> None:
+        """Wake a rank parked in ``waitany``: the gap was idle time;
+        report which patterns have a message arrived by now and consume
+        nothing."""
+        t0 = state.clock
+        state.clock = now = self._wake_time(state)
+        if now > t0:
+            self._acc(state)["wait"] += now - t0
+            if self._tracer is not None:
+                self._tracer.op(state.rank, state.phase, "wait", t0, now)
+        state.send_value = tuple(
+            i
+            for i, (src, tag) in enumerate(state.blocked_on)
+            if state.mailbox.peek_matching(src, tag, now) is not None
+        )
+        state.blocked_on = None
+        state.peeking = False
+
+    @staticmethod
+    def _acc(state: _RankState) -> dict:
+        """Kind->seconds accumulator of the rank's current phase."""
+        acc = state.tacc
+        if acc is None:
+            acc = state.tacc = state.metrics.time[state.phase]
+        return acc
 
     def _charge_poll(self, state: _RankState) -> None:
         dt = self.machine.network.poll_overhead
         t0 = state.clock
         state.clock += dt
-        acc = state.tacc
-        if acc is None:
-            acc = state.tacc = state.metrics.time[state.phase]
-        acc["comm"] += dt
+        self._acc(state)["comm"] += dt
         if self._tracer is not None:
             self._tracer.op(state.rank, state.phase, "comm", t0, state.clock)

@@ -133,9 +133,12 @@ class Comm:
     #: layer, attached by the scheduler when sanitizing.  Purely
     #: observational — notifications never charge virtual time.
     _san = None
+    #: How the sanitizer knows this communicator, and this rank in
+    #: global numbering (a :class:`SubComm` overrides both).
+    _san_id: Any = "world"
 
     def __init__(self, rank: int, size: int, machine):
-        self.rank = rank
+        self.rank = self._san_rank = rank
         self.size = size
         self.machine = machine
 
@@ -149,8 +152,9 @@ class Comm:
         root: int | None = None,
         payload: Any = _NO_PAYLOAD,
     ) -> None:
-        """Notify the sanitizer (if any) of a collective entry; global
-        rank numbering, world communicator.
+        """Notify the sanitizer (if any) of a collective entry, under
+        this communicator's id with global rank numbering (so cross-rank
+        comparison is stable).
 
         ``payload`` is forwarded for element-wise collectives
         (reduce/allreduce/alltoall) so the sanitizer can compare O(1)
@@ -161,8 +165,8 @@ class Comm:
         if self._san is not None:
             has = payload is not _NO_PAYLOAD
             self._san.on_collective(
-                self.rank,
-                "world",
+                self._san_rank,
+                self._san_id,
                 name,
                 root,
                 payload if has else None,
@@ -323,6 +327,27 @@ class Comm:
         """Unchecked drain primitive (overridden by :class:`SubComm`)."""
         msgs = yield ("drain", src, tag)
         return msgs
+
+    def waitany(self, patterns: Iterable[tuple[int, int]]) -> Generator:
+        """Block until a message matching *any* ``(src, tag)`` pattern
+        has arrived; consume nothing.
+
+        Returns the indices of the patterns that are ready (ascending,
+        never empty), so a service loop sleeps until there is work and
+        then drains exactly the ready channels with :meth:`drain_recv`.
+        The idle gap is ``wait`` time; no polling overhead is charged.
+        """
+        patterns = tuple(patterns)
+        if not patterns:
+            raise ValueError("waitany needs at least one (src, tag) pattern")
+        for _src, tag in patterns:
+            self._check_user_tag(tag, allow_any=True)
+        return (yield from self._waitany(patterns))
+
+    def _waitany(self, patterns: tuple) -> Generator:
+        """Unchecked waitany primitive (overridden by :class:`SubComm`)."""
+        ready = yield ("waitany", patterns)
+        return ready
 
     # ------------------------------------------------------------------
     # collectives
@@ -626,28 +651,11 @@ class SubComm(Comm):
         # group claims its tag offset so reserved-tag policing knows
         # which offsets are legitimate.
         self._san = parent._san
+        self._san_rank = parent.rank
+        self._san_id = ("group",) + tuple(members)
         if self._san is not None:
             self._san.register_group(
                 tuple(self.members), self._tag_offset, parent.rank
-            )
-
-    def _san_collective(
-        self,
-        name: str,
-        root: int | None = None,
-        payload: Any = _NO_PAYLOAD,
-    ) -> None:
-        """Collective entry under the *group* communicator id, with
-        global rank numbering (so cross-rank comparison is stable)."""
-        if self._san is not None:
-            has = payload is not _NO_PAYLOAD
-            self._san.on_collective(
-                self.parent.rank,
-                ("group",) + tuple(self.members),
-                name,
-                root,
-                payload if has else None,
-                has,
             )
 
     # -- rank/tag translation -------------------------------------------
@@ -674,45 +682,34 @@ class SubComm(Comm):
         )
         return None
 
+    def _gsrc(self, src: int) -> int:
+        return ANY_SOURCE if src == ANY_SOURCE else self._global(src)
+
+    def _local(self, msg):
+        """``msg`` re-addressed in group-local rank and tag numbering."""
+        src = self.members.index(msg.src) if msg.src in self.members else -1
+        tag = msg.tag - self._tag_offset if msg.tag != ANY_TAG else msg.tag
+        return replace(msg, src=src, tag=tag)
+
     def _recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
-        gsrc = ANY_SOURCE if src == ANY_SOURCE else self._global(src)
-        msg = yield ("recv", gsrc, self._tag(tag))
-        local_src = (
-            self.members.index(msg.src) if msg.src in self.members else -1
-        )
-        local_tag = (
-            msg.tag - self._tag_offset if msg.tag != ANY_TAG else msg.tag
-        )
-        return msg.payload, Status(local_src, local_tag, msg.nbytes)
+        msg = self._local((yield ("recv", self._gsrc(src), self._tag(tag))))
+        return msg.payload, Status(msg.src, msg.tag, msg.nbytes)
 
     def _iprobe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
-        gsrc = ANY_SOURCE if src == ANY_SOURCE else self._global(src)
-        found = yield ("iprobe", gsrc, self._tag(tag))
+        found = yield ("iprobe", self._gsrc(src), self._tag(tag))
         return found
 
     def _tryrecv(self, src: int, tag: int) -> Generator:
-        gsrc = ANY_SOURCE if src == ANY_SOURCE else self._global(src)
-        got = yield ("tryrecv", gsrc, self._tag(tag))
-        if got is None:
-            return None
-        local_src = (
-            self.members.index(got.src) if got.src in self.members else -1
-        )
-        local_tag = (
-            got.tag - self._tag_offset if got.tag != ANY_TAG else got.tag
-        )
-        return replace(got, src=local_src, tag=local_tag)
+        got = yield ("tryrecv", self._gsrc(src), self._tag(tag))
+        return None if got is None else self._local(got)
 
     def _drain(self, src: int, tag: int) -> Generator:
-        gsrc = ANY_SOURCE if src == ANY_SOURCE else self._global(src)
-        msgs = yield ("drain", gsrc, self._tag(tag))
-        out = []
-        for got in msgs:
-            local_src = (
-                self.members.index(got.src) if got.src in self.members else -1
-            )
-            local_tag = (
-                got.tag - self._tag_offset if got.tag != ANY_TAG else got.tag
-            )
-            out.append(replace(got, src=local_src, tag=local_tag))
-        return out
+        msgs = yield ("drain", self._gsrc(src), self._tag(tag))
+        return [self._local(m) for m in msgs]
+
+    def _waitany(self, patterns: tuple) -> Generator:
+        ready = yield (
+            "waitany",
+            tuple((self._gsrc(s), self._tag(t)) for s, t in patterns),
+        )
+        return ready

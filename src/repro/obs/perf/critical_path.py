@@ -126,9 +126,6 @@ class CriticalPathReport:
         path through the measured timesteps."""
         return sum(link.span for link in self.chain)
 
-    def step_links(self, step: int) -> list[PhaseChainLink]:
-        return [c for c in self.chain if c.step == step]
-
     # -- serialization --------------------------------------------------
 
     def to_dict(self, include_steps: bool = False) -> dict:

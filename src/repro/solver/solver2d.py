@@ -231,13 +231,3 @@ class Solver2D:
             "cd": drag / max(q_inf, 1e-300),
             "cm": f["moment"] / max(q_inf * chord, 1e-300),
         }
-
-    def residual_norm(self) -> float:
-        """Instantaneous L2 of the steady residual (for convergence
-        monitoring in examples)."""
-        g = self.config.gas.gamma
-        r = inviscid_residual(
-            self._padded_q(), self.metrics, g, self.config.k2, self.config.k4
-        )
-        r = self._unpad(r)
-        return float(np.sqrt(np.mean(r**2)))

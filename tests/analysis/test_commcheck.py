@@ -204,6 +204,29 @@ class TestSummary:
         program = load_program([tmp_path], root=tmp_path)
         assert extract_summary(program).sites == []
 
+    def test_waitany_is_one_blocking_probe_per_pattern(self, tmp_path):
+        (tmp_path / "m.py").write_text(
+            "from repro.machine import ANY_SOURCE\n"
+            "TAG_A = 1\n"
+            "TAG_B = 2\n"
+            "TAG_C = 3\n"
+            "def p(comm, others):\n"
+            "    yield from comm.waitany((\n"
+            "        (ANY_SOURCE, TAG_A),\n"
+            "        (ANY_SOURCE, TAG_B) if comm.rank == 0 else (0, TAG_C),\n"
+            "    ))\n"
+            "    yield from comm.waitany(others)\n"
+        )
+        program = load_program([tmp_path], root=tmp_path)
+        sites = extract_summary(program).sites
+        assert [
+            (s.kind, s.blocking, s.tag.symbol, s.src_wildcard) for s in sites
+        ] == [
+            ("probe", True, "TAG_A", True),
+            ("probe", True, "TAG_B", True),
+            ("probe", True, "TAG_C", False),
+        ]
+
     def test_real_tree_has_comm_sites(self):
         repo = Path(__file__).resolve().parents[2]
         program = load_program([repo / "src" / "repro"])

@@ -61,6 +61,24 @@ class TestRPR001RawTagLiteral:
         )
         assert codes(rep) == ["RPR001"]
 
+    def test_literal_tags_in_waitany_patterns(self, tmp_path):
+        rep = run_lint(
+            tmp_path,
+            "src/app.py",
+            """\
+            TAG_HALO = 11
+
+            def p(comm, src):
+                ready = yield from comm.waitany((
+                    (src, TAG_HALO),
+                    (src, 4),
+                    (src, 5) if comm.rank else (0, 6),
+                ))
+                ready = yield ("waitany", ((src, 7),))
+            """,
+        )
+        assert codes(rep) == ["RPR001"] * 4
+
     def test_named_constant_ok(self, tmp_path):
         rep = run_lint(
             tmp_path,

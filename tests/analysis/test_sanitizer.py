@@ -273,6 +273,38 @@ class TestReservedTag:
         )
         assert san.findings == []
 
+    def test_forged_tag_in_waitany_pattern(self):
+        """``Comm.waitany`` rejects reserved tags outright; a raw
+        primitive yield gets past it, and the sanitizer catches that."""
+        forged = 3 * MAX_USER_TAG + 5
+
+        def program(comm):
+            if comm.rank == 1:
+                yield from comm.send(0, TAG_DATA, "x", nbytes=8)
+            elif comm.rank == 0:
+                ready = yield ("waitany", ((1, forged), (1, TAG_DATA)))
+                assert ready == (1,)
+                yield from comm.recv(1, TAG_DATA)
+
+        report, _ = run_sanitized(program)
+        assert [f.kind for f in report.findings] == ["reserved-tag"]
+        assert "waitany pattern" in report.findings[0].message
+        assert report.findings[0].detail["offset"] == 3 * MAX_USER_TAG
+
+    def test_waitany_on_subcomm_is_clean(self):
+        def program(comm):
+            if comm.rank in (0, 2):
+                sub = comm.split([0, 2])
+                if sub.rank == 1:
+                    yield from sub.send(0, TAG_A, "hi", nbytes=8)
+                else:
+                    yield from sub.waitany(((1, TAG_A),))
+                    yield from sub.drain_recv(1, TAG_A)
+            yield from comm.barrier()
+
+        report, _ = run_sanitized(program)
+        assert report.ok, report.format()
+
     def test_subcomm_traffic_is_clean_end_to_end(self):
         def program(comm):
             if comm.rank in (0, 2):

@@ -161,6 +161,69 @@ def prog_reserved_recv(comm):
     yield from comm.recv(0, MAX_USER_TAG + 7)
 
 
+def prog_waitany_wakes(comm):
+    """Three patterns, one sender: the wait ends on the second tag."""
+    if comm.rank == 0:
+        ready = yield from comm.waitany(
+            ((1, TAG), (2, TAG + 1), (3, TAG + 2))
+        )
+        got = yield from comm.drain_recv(2, TAG + 1)
+        return (ready, [(val, st.source, st.tag) for val, st in got])
+    if comm.rank == 2:
+        yield from comm.elapse(1e-3)
+        yield from comm.send(0, TAG + 1, "second", nbytes=8)
+    return None
+
+
+FENCE = TAG + 9
+
+
+def prog_waitany_ready_set(comm):
+    """Ranks 1 and 3 have delivered, rank 2 never sends: the wait
+    returns at once with exactly indices 0 and 2, and consumes nothing
+    (per-source FIFO makes the fence prove the data already arrived)."""
+    if comm.rank in (1, 3):
+        yield from comm.send(0, TAG + comm.rank - 1, comm.rank, nbytes=8)
+        yield from comm.send(0, FENCE, None, nbytes=8)
+        return None
+    if comm.rank == 2:
+        return None
+    yield from comm.recv(1, FENCE)
+    yield from comm.recv(3, FENCE)
+    patterns = ((1, TAG), (2, TAG + 1), (3, TAG + 2))
+    t0 = yield from comm.now()
+    first = yield from comm.waitany(patterns)
+    t1 = yield from comm.now()
+    again = yield from comm.waitany(patterns)
+    drained = []
+    for src, tag in patterns:
+        got = yield from comm.drain_recv(src, tag)
+        drained.append([val for val, _ in got])
+    return (first, again, drained, t1 - t0)
+
+
+def prog_waitany_split(comm):
+    """Patterns on a sub-communicator use its ranks and its tag space:
+    a same-tag message on the world communicator is not a match."""
+    members = [r for r in range(comm.size) if r % 2 == comm.rank % 2]
+    sub = comm.split(members)
+    if sub.rank == 1:
+        yield from sub.send(0, TAG, ("sub", comm.rank), nbytes=8)
+        return None
+    decoy_from = comm.rank ^ 1  # the other group's local rank 0
+    yield from comm.send(decoy_from, TAG, ("world", comm.rank), nbytes=8)
+    decoy, _ = yield from comm.recv(decoy_from, TAG)
+    yield from comm.send(comm.rank, TAG, decoy, nbytes=8)  # put it back
+    ready = yield from sub.waitany(((0, TAG + 1), (1, TAG)))
+    got = yield from sub.drain_recv(1, TAG)
+    left, _ = yield from comm.recv(comm.rank, TAG)
+    return (ready, [(val, st.source, st.tag) for val, st in got], left)
+
+
+def prog_reserved_waitany(comm):
+    yield from comm.waitany(((0, TAG), (0, MAX_USER_TAG + 7)))
+
+
 # ------------------------------------------------------------------- tests
 
 
@@ -224,3 +287,31 @@ def test_reserved_tag_send_rejected(engine):
 def test_reserved_tag_recv_rejected(engine):
     with pytest.raises(ValueError, match="reserved"):
         engine.run_spmd(sp2(nodes=NRANKS), prog_reserved_recv)
+
+
+def test_waitany_wakes_on_the_matching_pattern(engine):
+    returns = _run(engine, prog_waitany_wakes)
+    assert returns[0] == ((1,), [("second", 2, TAG + 1)])
+
+
+def test_waitany_returns_exactly_the_ready_indices(engine):
+    first, again, drained, waited = _run(engine, prog_waitany_ready_set)[0]
+    assert first == (0, 2)
+    assert again == (0, 2)  # nothing was consumed
+    assert drained == [[1], [], [3]]
+    if not engine.measured:
+        assert waited == 0.0  # already arrived: no wait, no poll charge
+
+
+def test_waitany_on_subcommunicator(engine):
+    returns = _run(engine, prog_waitany_split)
+    for r in (0, 1):  # the two groups' local rank 0
+        ready, got, left = returns[r]
+        assert ready == (1,)
+        assert got == [(("sub", r + 2), 1, TAG)]
+        assert left == ("world", r ^ 1)
+
+
+def test_reserved_tag_waitany_rejected(engine):
+    with pytest.raises(ValueError, match="reserved"):
+        engine.run_spmd(sp2(nodes=NRANKS), prog_reserved_waitany)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.machine import (
+    ANY_SOURCE,
     DeadlockError,
     FaultPlan,
     FaultSpec,
@@ -240,6 +241,40 @@ class TestDeadlockDiagnostics:
         msg = str(exc.value)
         assert "mailbox holds 1 unmatched" in msg
         assert "tag=user:7" in msg
+
+    def test_deadlock_message_names_every_waitany_pattern(self):
+        def program(comm):
+            if comm.rank == 1:
+                yield from comm.send(0, tag=7, payload=None, nbytes=8)
+            if comm.rank == 0:
+                yield from comm.waitany(
+                    ((ANY_SOURCE, 5), (1, 6), (ANY_SOURCE, 9))
+                )
+
+        sim = Simulator(make_machine(nodes=2))
+        sim.spawn_all(program)
+        with pytest.raises(DeadlockError) as exc:
+            sim.run()
+        msg = str(exc.value)
+        assert (
+            "rank 0 blocked on waitany(src=ANY_SOURCE, tag=user:5 | "
+            "src=1, tag=user:6 | src=ANY_SOURCE, tag=user:9)"
+        ) in msg
+        assert "mailbox holds 1 unmatched: [(src=1, tag=user:7)]" in msg
+
+    def test_rank_failure_lists_every_waitany_pattern(self):
+        def program(comm):
+            if comm.rank == 0:
+                yield from comm.waitany(((1, 5), (ANY_SOURCE, 6)))
+
+        sim = Simulator(
+            make_machine(nodes=3),
+            fault_plan=FaultPlan.parse("rank=1@t=0.0"),
+        )
+        sim.spawn_all(program)
+        with pytest.raises(RankFailure, match="1 blocked") as exc:
+            sim.run()
+        assert exc.value.blocked == [(0, 1, 5), (0, ANY_SOURCE, 6)]
 
     def test_fault_is_rank_failure_not_deadlock(self):
         """A rank blocked on a dead peer is a RankFailure, never a

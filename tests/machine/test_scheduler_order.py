@@ -54,12 +54,15 @@ class LinearScanSimulator(Simulator):
                 if s.blocked_on is None:
                     key = (s.clock, s.rank)
                 else:
-                    msg = s.mailbox.peek_matching(
-                        *s.blocked_on, s.clock, allow_future=True
-                    )
-                    if msg is None:
+                    # recv is the one-pattern case of waitany.
+                    arrivals = [
+                        m.arrival_time
+                        for m in s.mailbox.pending()
+                        if any(m.matches(*p) for p in s.blocked_on)
+                    ]
+                    if not arrivals:
                         continue  # blocked, not wakeable yet
-                    key = (max(s.clock, msg.arrival_time), s.rank)
+                    key = (max(s.clock, min(arrivals)), s.rank)
                 if best_key is None or key < best_key:
                     best, best_key = s, key
             if best is None:
@@ -99,6 +102,8 @@ def play(comm, script):
             seen.append([payload for payload, _ in got])
         elif kind == "iprobe":
             seen.append((yield from comm.iprobe(op[1], op[2])))
+        elif kind == "waitany":
+            seen.append((yield from comm.waitany(op[1])))
         elif kind == "set_phase":
             seen.append((yield from comm.set_phase(op[1])))
         else:
@@ -122,6 +127,7 @@ def outcome(sim_cls, case):
         initial_clocks=case.initial_clocks,
     )
     dispatch, complete, kill = sim._dispatch, sim._complete_recv, sim._kill
+    woke = sim._complete_waitany
 
     def logged_dispatch(state, op):
         dispatch(state, op)
@@ -131,6 +137,10 @@ def outcome(sim_cls, case):
         complete(state, msg)
         log.append((state.rank, "matched", msg.seq, state.clock))
 
+    def logged_woke(state):
+        woke(state)
+        log.append((state.rank, "woke", state.send_value, state.clock))
+
     def logged_kill(state, time):
         kill(state, time)
         log.append((state.rank, "kill", time))
@@ -138,6 +148,7 @@ def outcome(sim_cls, case):
     sim._dispatch = logged_dispatch
     sim._complete_recv = logged_complete
     sim._kill = logged_kill
+    sim._complete_waitany = logged_woke
     for script in case.scripts:
         sim.spawn(play, script)
     try:
@@ -182,6 +193,9 @@ def cases(draw):
     ranks = st.integers(0, n - 1)
     sources = st.one_of(st.just(ANY_SOURCE), ranks)
     tags = st.one_of(st.just(ANY_TAG), TAGS)
+    patterns = st.lists(
+        st.tuples(sources, tags), min_size=1, max_size=3
+    ).map(tuple)
     filler = st.one_of(
         st.tuples(st.just("compute"), TIMES),
         st.tuples(st.just("tryrecv"), sources, tags),
@@ -193,6 +207,7 @@ def cases(draw):
         # never match (deadlock / rank-failure diagnostics).
         st.tuples(st.just("send"), ranks, TAGS, SIZES),
         st.tuples(st.just("recv"), sources, tags),
+        st.tuples(st.just("waitany"), patterns),
     )
     scripts = [draw(st.lists(filler, max_size=6)) for _ in range(n)]
     # Paired traffic (self-sends included): each message gets its send
@@ -200,11 +215,19 @@ def cases(draw):
     for _ in range(draw(st.integers(0, 12))):
         src, dst, tag = draw(ranks), draw(ranks), draw(TAGS)
         send = ("send", dst, tag, draw(SIZES))
-        recv = (
-            "recv",
+        match = (
             draw(st.sampled_from([src, ANY_SOURCE])),
             draw(st.sampled_from([tag, ANY_TAG])),
         )
+        if draw(st.booleans()):
+            recv = ("recv",) + match
+        else:
+            # ... or a waitany it can wake, the matching pattern at a
+            # drawn position among decoys (nothing is consumed: the
+            # message stays for whatever the script does next).
+            decoys = draw(st.lists(st.tuples(sources, tags), max_size=2))
+            decoys.insert(draw(st.integers(0, len(decoys))), match)
+            recv = ("waitany", tuple(decoys))
         for script, op in ((scripts[src], send), (scripts[dst], recv)):
             script.insert(draw(st.integers(0, len(script))), op)
     clocks = draw(st.none() | st.lists(TIMES, min_size=n, max_size=n))
@@ -273,6 +296,33 @@ class TestPinned:
         ]))
         assert matched(out, 0) == [(1, arrival(1e-3, 0))]
         assert out["end"][0] == "done"
+
+    def test_message_for_a_later_pattern_rekeys_parked_waitany(self):
+        # Rank 0 parks on two patterns.  Rank 2's message matches the
+        # *second* one and must wake it at 1e-4 with exactly that index
+        # ready — long before rank 1 serves the first pattern.
+        out = assert_same_order(Case([
+            [("waitany", ((1, 0), (2, 1))), ("now",), ("drain", 2, 1)],
+            [("compute", 1e-3), ("send", 0, 0, 0)],
+            [("send", 0, 1, 0)],
+        ]))
+        assert (0, "woke", (1,), arrival(0, 0)) in out["log"]
+        # Nothing was consumed by the wait: the drain still gets it.
+        assert out["end"][1][0] == [(1,), arrival(0, 0), [(2, 1, 0)]]
+
+    def test_message_matching_no_pattern_leaves_waitany_parked(self):
+        # Same wait; rank 2 now sends (src 2, tag 0) and (src 2, tag 2):
+        # each matches half of a pattern, neither matches one.  Rank 0
+        # sleeps until rank 1's message arrives.
+        out = assert_same_order(Case([
+            [("waitany", ((1, 0), (2, 1))), ("now",)],
+            [("compute", 1e-3), ("send", 0, 0, 0)],
+            [("send", 0, 0, 0), ("send", 0, 2, 0)],
+        ]))
+        assert [e for e in out["log"] if e[1] == "woke"] == [
+            (0, "woke", (0,), arrival(1e-3, 0))
+        ]
+        assert out["end"][1][0] == [(0,), arrival(1e-3, 0)]
 
     def test_kill_of_parked_rank(self):
         # Rank 0 parks forever; its time fault is enacted once the
@@ -359,27 +409,23 @@ def test_run_is_repeatable_on_one_simulator():
     assert observe() == first
 
 
-def test_run_ahead_keeps_requeues_well_below_events(monkeypatch):
-    """Count guard for run-ahead on the dispatch-bound ``sim-store``
-    benchmark config: measured 62 757 pushes for 161 906 events (0.39).
-    Re-queueing after every event reads 1.0, so a change that silently
-    defeats run-ahead fails here on a count, not on a noisy clock."""
-    from repro.cases import build_case
-    from repro.core import OverflowD1
-    from repro.machine import sp2
+def test_run_ahead_keeps_requeues_well_below_events():
+    """Count guard for run-ahead on a polling program (what the DCF
+    service loop was before ``waitany``): 18 staggered ranks each poll
+    three channels and back off, so the minimum-clock rank has a burst
+    of four events before anyone else is due.  One push per burst reads
+    0.25; re-queueing after every event reads 1.0, so a change that
+    silently defeats run-ahead fails here on a count, not on a clock."""
 
-    totals = {"events": 0, "requeues": 0}
-    run_events = Simulator._run_events
+    def poller(comm, rounds):
+        yield from comm.elapse(comm.rank * 5e-4)
+        for _ in range(rounds):
+            for tag in (0, 1, 2):
+                yield from comm.drain_recv(ANY_SOURCE, tag)
+            yield from comm.elapse(comm.size * 5e-4)
 
-    def counted(self, states, max_events):
-        run_events(self, states, max_events)
-        totals["events"] += self.events
-        totals["requeues"] += self.requeues
-
-    monkeypatch.setattr(Simulator, "_run_events", counted)
-    cfg = build_case(
-        "store", machine=sp2(nodes=18), scale=0.05, nsteps=2, f0=2.0
-    )
-    OverflowD1(dataclasses.replace(cfg, lb_check_interval=1)).run()
-    assert totals["events"] > 100_000
-    assert totals["requeues"] / totals["events"] < 0.45
+    sim = Simulator(machine(18))
+    sim.spawn_all(poller, 1500)
+    sim.run()
+    assert sim.events > 100_000
+    assert sim.requeues / sim.events < 0.3

@@ -1,6 +1,8 @@
 """Elastic recovery: detection, exclude_ranks, faulted runs, resume."""
 
+import contextlib
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -146,6 +148,56 @@ class TestCheckpointingBitIdentity:
         assert resumed.elapsed == full.elapsed
         for a, b in zip(resumed.epochs, full.epochs):
             assert np.array_equal(a.igbp.per_step(), b.igbp.per_step())
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail (rather than hang the suite) if the body outlives ``seconds``."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestFaultInsideDcf:
+    """A time-triggered fault that lands inside the DCF3D service loop.
+
+    The survivors are parked in ``waitany`` on a rank that will never
+    answer; the scheduler finds nothing wakeable and raises the typed
+    ``RankFailure`` the driver recovers from.  When the loop polled,
+    the survivors kept the event heap busy forever: a hang, no error.
+    """
+
+    @pytest.mark.parametrize("fraction", [0.9, 0.95])
+    def test_recovers_instead_of_hanging(self, fraction):
+        tracer = SpanTracer()
+        base = OverflowD1(
+            small_case(nsteps=3, scale=0.1), tracer=tracer
+        ).run()
+        t = fraction * base.time_per_step
+        phase_at_t = [
+            name for rank, t0, name in tracer.phase_marks
+            if rank == 2 and t0 <= t
+        ][-1]
+        assert phase_at_t == "dcf3d"
+        with deadline(30):
+            run = OverflowD1(
+                small_case(nsteps=3, scale=0.1), fault_plan=f"rank=2@t={t!r}"
+            ).run()
+        assert len(run.recoveries) == 1
+        rec = run.recoveries[0]
+        assert rec.failed_ranks == (2,)
+        assert (rec.nprocs_before, rec.nprocs_after) == (6, 5)
+        # Enacted once the machine idles, still inside step 0's DCF3D.
+        assert t <= rec.t_failure < base.time_per_step
+        assert sum(e.nsteps for e in run.epochs) == 3
 
 
 class TestElasticRecovery:
