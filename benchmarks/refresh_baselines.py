@@ -4,8 +4,7 @@
 The CI perf gate trace-diffs fresh ``repro bench`` payloads against
 ``benchmarks/baselines/BENCH_<case>.json``; this script is the one
 sanctioned way to move those baselines.  It reruns every bench case
-with the exact knobs the gate uses (``--quick``, one repeat, no
-microbench) and writes canonical JSON plus a ``provenance`` block:
+with the exact knobs the gate uses (``--quick``, one repeat) and writes canonical JSON plus a ``provenance`` block:
 
 * ``git_sha`` — the commit the numbers were generated at,
 * ``generated`` — UTC timestamp,
@@ -56,9 +55,9 @@ from repro.obs.perf.bench import (  # noqa: E402
 from repro.obs.perf.diff import diff_bench  # noqa: E402
 
 #: Generation knobs.  ``quick`` matches the CI perf job; ``repeats``
-#: and ``microbench`` only shape the wall-clock ``host`` section the
-#: gate ignores, so one repeat keeps refreshes fast.
-GEN_KNOBS = {"quick": True, "repeats": 1, "microbench": False}
+#: only shapes the wall-clock ``host`` section the gate ignores, so one
+#: repeat keeps refreshes fast.
+GEN_KNOBS = {"quick": True, "repeats": 1}
 
 
 def _git_sha() -> str:

@@ -15,10 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.commcheck.model import CheckFinding
-
-#: Default location, repo-root-relative (where CI runs from).
-DEFAULT_BASELINE = "analysis-baseline.json"
+from repro.analysis.model import Finding
 
 
 class BaselineError(ValueError):
@@ -35,7 +32,7 @@ class BaselineEntry:
     function: str = ""
     contains: str = ""
 
-    def matches(self, f: CheckFinding) -> bool:
+    def matches(self, f: Finding) -> bool:
         if f.code != self.code or f.path != self.path:
             return False
         if self.function and f.function != self.function:
@@ -63,7 +60,9 @@ class BaselineEntry:
 
 
 def load_baseline(path: str | Path) -> list[BaselineEntry]:
-    """Parse and validate a baseline file."""
+    """Parse and validate a baseline file; a missing file is empty."""
+    if not Path(path).is_file():
+        return []
     raw = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(raw)
@@ -99,15 +98,15 @@ def load_baseline(path: str | Path) -> list[BaselineEntry]:
 class BaselineResult:
     """Outcome of applying a baseline to a finding list."""
 
-    kept: list[CheckFinding] = field(default_factory=list)
-    waived: list[tuple[CheckFinding, BaselineEntry]] = field(
+    kept: list[Finding] = field(default_factory=list)
+    waived: list[tuple[Finding, BaselineEntry]] = field(
         default_factory=list
     )
     stale: list[BaselineEntry] = field(default_factory=list)
 
 
 def apply_baseline(
-    findings: list[CheckFinding], entries: list[BaselineEntry]
+    findings: list[Finding], entries: list[BaselineEntry]
 ) -> BaselineResult:
     """Split findings into kept vs waived; detect stale entries."""
     result = BaselineResult()

@@ -1,11 +1,18 @@
-"""Program loader and call-graph builder for ``repro check``.
+"""Source loader and call-graph builder for ``repro check``.
 
-Parses every ``.py`` file under the given paths into a :class:`Program`:
-modules with resolved integer constants (including ``from x import TAG``
-chains), functions keyed by qualified name, and a name-resolved call
-graph.  Resolution is deliberately heuristic — Python has no static
-dispatch — but errs toward *under*-linking (an unresolvable callee is
-simply absent from the graph) so downstream passes stay low-noise.
+Reads and parses every ``.py`` file under the given paths exactly once.
+Each becomes a :class:`ModuleInfo` — the one view of a file every rule
+sees (source lines and ``# noqa`` waivers, path scoping, AST, and for
+linked modules constants, functions and comm sites).  The non-test
+modules are then linked into a :class:`Program`: resolved integer
+constants (including ``from x import TAG`` chains), functions keyed by
+qualified name, and a name-resolved call graph.  Test modules get the
+per-file rules only; linking them would change what rare-name call
+edges and tag matching see on the code under test.
+
+Resolution is deliberately heuristic — Python has no static dispatch —
+but errs toward *under*-linking (an unresolvable callee is simply
+absent from the graph) so downstream passes stay low-noise.
 
 Callee resolution, in order of confidence:
 
@@ -20,17 +27,61 @@ Callee resolution, in order of confidence:
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
-from repro.analysis.lint import _iter_py_files, dotted_name
+from repro.analysis.model import CommSite, CommSummary, Finding
+
+#: Packages whose code runs on (or drives) the deterministic simulated
+#: machine: wall-clock reads, unseeded RNG and hash-order iteration in
+#: these trees can silently break bit-reproducibility.
+DETERMINISTIC_PACKAGES = frozenset(
+    {"machine", "solver", "connectivity", "resilience", "core"}
+)
+
+#: Modules allowed to define/handle raw integer tags: the tag-space
+#: authority (reserved collective tags, wildcard sentinels) lives here.
+TAG_CONSTANT_MODULES = ("machine/simmpi.py", "machine/event.py")
 
 #: Skip name-based (``obj.m``) edges when more functions than this share
 #: the bare name — the edge would be noise, not signal.
 _MAX_NAME_CANDIDATES = 6
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+_NOQA_RE = re.compile(
+    r"#\s*noqa(?P<codes>:\s*[A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)?",
+    re.IGNORECASE,
+)
+
+
+def dotted_name(node: ast.AST) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def _noqa_codes(line: str) -> set[str] | None:
+    """Codes waived on this physical line.
+
+    Returns ``None`` when there is no ``noqa`` comment, the empty set
+    for a bare ``# noqa`` (waives everything), else the explicit codes.
+    """
+    m = _NOQA_RE.search(line)
+    if m is None:
+        return None
+    codes = m.group("codes")
+    if not codes:
+        return set()
+    return {c.strip().upper() for c in codes.lstrip(":").split(",")}
 
 
 def local_walk(root: ast.AST) -> Iterator[ast.AST]:
@@ -56,6 +107,15 @@ class FunctionInfo:
     def body_nodes(self) -> Iterator[ast.AST]:
         return local_walk(self.node)
 
+    def enclosing_loop(self, node: ast.AST) -> ast.AST | None:
+        """The innermost loop of this function around ``node``, if any."""
+        for anc in self.module.ancestors(node):
+            if anc is self.node:
+                return None
+            if isinstance(anc, (ast.For, ast.AsyncFor, ast.While)):
+                return anc
+        return None
+
 
 @dataclass
 class CallSite:
@@ -69,20 +129,37 @@ class CallSite:
 
 @dataclass
 class ModuleInfo:
-    """One parsed source file."""
+    """One parsed source file: everything a rule may inspect about it."""
 
     path: Path
     rel: str
     name: str  # dotted, e.g. "repro.serve.cache"
     tree: ast.Module
     source: str
-    lines: list[str] = field(default_factory=list)
+    lines: list[str] = field(init=False)
+    #: Under a directory literally named ``tests`` (repo test tree).
+    in_tests: bool = field(init=False)
+    #: Inside one of the bit-determinism-critical packages.
+    in_deterministic_path: bool = field(init=False)
+    #: One of the modules that *define* the tag space.
+    is_tag_module: bool = field(init=False)
+    # -- filled for linked (non-test) modules only ----------------------
     constants: dict[str, int] = field(default_factory=dict)
     imports: dict[str, str] = field(default_factory=dict)  # alias -> dotted
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ast.ClassDef] = field(default_factory=dict)
     parent: dict[int, ast.AST] = field(default_factory=dict)  # id(node) -> parent
+    comm_sites: list[CommSite] = field(default_factory=list)
     _raw_consts: dict[str, ast.expr] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.lines = self.source.splitlines()
+        parts = Path(self.rel).parts
+        self.in_tests = "tests" in parts
+        self.in_deterministic_path = any(
+            p in DETERMINISTIC_PACKAGES for p in parts
+        )
+        self.is_tag_module = self.rel.endswith(TAG_CONSTANT_MODULES)
 
     def parent_of(self, node: ast.AST) -> ast.AST | None:
         return self.parent.get(id(node))
@@ -93,19 +170,45 @@ class ModuleInfo:
             yield cur
             cur = self.parent_of(cur)
 
+    def finding(
+        self, node: ast.AST, code: str, message: str, function: str = ""
+    ) -> Finding:
+        return Finding(
+            path=self.rel,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
+            code=code,
+            message=message,
+            function=function,
+        )
+
+    def waives(self, line: int, code: str) -> bool:
+        """Does a ``# noqa`` comment on ``line`` waive ``code``?"""
+        text = self.lines[line - 1] if 0 < line <= len(self.lines) else ""
+        waived = _noqa_codes(text)
+        return waived is not None and (not waived or code in waived)
+
 
 @dataclass
 class Program:
-    """The whole analyzed program."""
+    """Every loaded input, and the program linked from the non-test ones."""
 
     root: Path
+    #: Every parsed input file, test modules included (per-file rules).
+    files: list[ModuleInfo] = field(default_factory=list)
+    #: ``RPR000`` findings for inputs that could not be read or parsed.
+    parse_errors: list[Finding] = field(default_factory=list)
+    #: The linked program: non-test modules by dotted name.
     modules: dict[str, ModuleInfo] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     by_name: dict[str, list[FunctionInfo]] = field(default_factory=dict)
     constants: dict[str, int] = field(default_factory=dict)  # dotted full
     calls: dict[str, list[CallSite]] = field(default_factory=dict)
     callers: dict[str, list[CallSite]] = field(default_factory=dict)
-    parse_errors: list[tuple[str, int, str]] = field(default_factory=list)
+    #: Comm sites of the linked program (``summary.extract_summary``).
+    summary: CommSummary = field(default_factory=CommSummary)
+    #: Memo of the lock walk (``locks._lock_facts``; RPR014/015 share it).
+    lock_facts: Any = None
     _site_index: dict[int, CallSite] = field(default_factory=dict)
 
     # -- lookups --------------------------------------------------------
@@ -141,13 +244,36 @@ def _module_name(rel: str) -> str:
     return ".".join(parts) or "module"
 
 
-def _relative(path: Path, root: Path) -> str:
+def relative_path(path: Path, root: Path) -> str:
     try:
-        return str(path.resolve().relative_to(root.resolve())).replace(
-            "\\", "/"
-        )
+        rel = path.resolve().relative_to(root)
     except ValueError:
-        return str(path).replace("\\", "/")
+        rel = path
+    return str(rel).replace("\\", "/")
+
+
+def iter_py_files(paths: Iterable[str | Path]) -> Iterator[Path]:
+    """Every ``.py`` file under ``paths`` once, directories sorted."""
+    seen: set[Path] = set()
+    for p in paths:
+        p = Path(p)
+        files = sorted(p.rglob("*.py")) if p.is_dir() else [p]
+        for f in files:
+            r = f.resolve()
+            if r not in seen:
+                seen.add(r)
+                yield f
+
+
+def parse_module(path: Path, rel: str, source: str) -> ModuleInfo:
+    """The per-file view of ``source``; raises what ``ast.parse`` does."""
+    return ModuleInfo(
+        path=path,
+        rel=rel,
+        name=_module_name(rel),
+        tree=ast.parse(source, filename=str(path)),
+        source=source,
+    )
 
 
 def _collect_imports(mod: ModuleInfo) -> None:
@@ -285,16 +411,6 @@ def _collect_functions(mod: ModuleInfo, program: Program) -> None:
                         program.by_name.setdefault(sub.name, []).append(info)
 
 
-def _in_loop(func: FunctionInfo, node: ast.AST) -> bool:
-    mod = func.module
-    for anc in mod.ancestors(node):
-        if anc is func.node:
-            return False
-        if isinstance(anc, (ast.For, ast.AsyncFor, ast.While)):
-            return True
-    return False
-
-
 def _resolve_callees(
     call: ast.Call, func: FunctionInfo, program: Program
 ) -> tuple[str, ...]:
@@ -349,7 +465,7 @@ def _collect_calls(mod: ModuleInfo, program: Program) -> None:
                     caller=func,
                     node=node,
                     callees=callees,
-                    in_loop=_in_loop(func, node),
+                    in_loop=func.enclosing_loop(node) is not None,
                 )
                 sites.append(site)
                 program._site_index[id(node)] = site
@@ -361,27 +477,36 @@ def _collect_calls(mod: ModuleInfo, program: Program) -> None:
 def load_program(
     paths: Iterable[str | Path], root: Path | None = None
 ) -> Program:
-    """Parse every ``.py`` under ``paths`` into a linked :class:`Program`."""
+    """Read and parse every ``.py`` under ``paths`` once; link the
+    non-test modules into the :class:`Program`.
+
+    A file that cannot be decoded or parsed becomes an ``RPR000``
+    finding in ``parse_errors`` and the other files are still loaded.
+    """
     root = (root or Path.cwd()).resolve()
     program = Program(root=root)
     mods: list[ModuleInfo] = []
-    for path in _iter_py_files(paths):
-        rel = _relative(path, root)
-        source = path.read_text(encoding="utf-8")
+    for path in iter_py_files(paths):
+        rel = relative_path(path, root)
         try:
-            tree = ast.parse(source, filename=str(path))
+            mod = parse_module(path, rel, path.read_text(encoding="utf-8"))
         except SyntaxError as exc:
-            program.parse_errors.append((rel, exc.lineno or 1, exc.msg or ""))
+            program.parse_errors.append(
+                Finding(
+                    rel, exc.lineno or 1, exc.offset or 0, "RPR000",
+                    f"syntax error: {exc.msg}",
+                )
+            )
             continue
-        mod = ModuleInfo(
-            path=path,
-            rel=rel,
-            name=_module_name(rel),
-            tree=tree,
-            source=source,
-            lines=source.splitlines(),
-        )
-        for parent in ast.walk(tree):
+        except ValueError as exc:  # not UTF-8, or NUL bytes in the source
+            program.parse_errors.append(
+                Finding(rel, 1, 0, "RPR000", f"unreadable source: {exc}")
+            )
+            continue
+        program.files.append(mod)
+        if mod.in_tests:
+            continue
+        for parent in ast.walk(mod.tree):
             for child in ast.iter_child_nodes(parent):
                 mod.parent[id(child)] = parent
         _collect_imports(mod)

@@ -1,4 +1,4 @@
-"""Auto-fixes for mechanically-correctable lint rules (``lint --fix``).
+"""Auto-fixes for mechanically-correctable rules (``repro check --fix``).
 
 Today one fix exists: RPR007 (hash-order iteration in a deterministic
 path).  Its repair is purely local and semantics-preserving for loop
@@ -25,18 +25,17 @@ tests).
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.lint import (
-    LintContext,
-    _iter_py_files,
-    _noqa_codes,
-    _relative,
+from repro.analysis.callgraph import (
+    ModuleInfo,
+    relative_path,
+    iter_py_files,
+    parse_module,
 )
-from repro.analysis.rules import HashOrderIteration, _unordered_iter_kind
+from repro.analysis.rules import HashOrderIteration
 
 __all__ = ["FixResult", "fix_rpr007_source", "fix_paths"]
 
@@ -67,37 +66,27 @@ class FixResult:
 
 
 def _fixable_iter_spans(
-    ctx: LintContext,
+    mod: ModuleInfo,
 ) -> list[tuple[int, int, int, int]]:
     """(lineno, col, end_lineno, end_col) of every RPR007 loop iterable.
 
-    Mirrors :class:`HashOrderIteration` exactly — same node filter, same
-    scoping — and additionally honours ``# noqa`` waivers on the loop's
-    header line.
+    Exactly the loops :class:`HashOrderIteration` reports — same node
+    filter, same scoping — minus those a ``# noqa`` on the loop's header
+    line waives.
     """
     rule = HashOrderIteration()
-    if not rule.applies(ctx):
+    if not rule.applies(mod):
         return []
-    spans = []
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.For, ast.AsyncFor)):
-            continue
-        kind = _unordered_iter_kind(node.iter)
-        if kind is None or kind.startswith("."):
-            continue  # dict views are RPR005's business, not fixable here
-        header = (
-            ctx.lines[node.lineno - 1]
-            if 0 < node.lineno <= len(ctx.lines)
-            else ""
+    return [
+        (
+            loop.iter.lineno,
+            loop.iter.col_offset,
+            loop.iter.end_lineno,
+            loop.iter.end_col_offset,
         )
-        waived = _noqa_codes(header)
-        if waived is not None and (not waived or rule.code in waived):
-            continue  # human said no
-        it = node.iter
-        spans.append(
-            (it.lineno, it.col_offset, it.end_lineno, it.end_col_offset)
-        )
-    return spans
+        for loop, _kind in rule.loops(mod)
+        if not mod.waives(loop.lineno, rule.code)  # human said no
+    ]
 
 
 def fix_rpr007_source(source: str, rel: str = "<string>") -> tuple[str, int]:
@@ -108,11 +97,10 @@ def fix_rpr007_source(source: str, rel: str = "<string>") -> tuple[str, int]:
     only applies inside the deterministic packages).
     """
     try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return source, 0  # unparseable files are the linter's problem
-    ctx = LintContext(Path(rel), rel, source, tree)
-    spans = _fixable_iter_spans(ctx)
+        mod = parse_module(Path(rel), rel, source)
+    except (SyntaxError, ValueError):
+        return source, 0  # unparseable files are the checker's problem
+    spans = _fixable_iter_spans(mod)
     if not spans:
         return source, 0
 
@@ -146,10 +134,14 @@ def fix_paths(
     result maps changed paths to rewrite counts.
     """
     result = FixResult()
-    for f in _iter_py_files(paths):
+    base = (root or Path.cwd()).resolve()
+    for f in iter_py_files(paths):
         result.files_checked += 1
-        rel = _relative(f, root)
-        source = f.read_text(encoding="utf-8")
+        rel = relative_path(f, base)
+        try:
+            source = f.read_text(encoding="utf-8")
+        except ValueError:
+            continue  # not UTF-8: the check that follows reports RPR000
         fixed, n = fix_rpr007_source(source, rel)
         if n:
             f.write_text(fixed, encoding="utf-8")

@@ -1,6 +1,7 @@
-"""Lock-discipline checks over the threaded serve/cluster/head code.
+"""Whole-program lock-discipline rules (RPR014–RPR015) over the threaded
+serve/cluster/head code.
 
-Three defect classes, all invisible to per-file linting:
+Three defect classes, all invisible to a per-file rule:
 
 * **RPR014** — (a) an instance attribute written both with and without
   a given lock held (a torn-read/lost-update window), and (b) two locks
@@ -35,12 +36,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.analysis.commcheck.callgraph import (
-    FunctionInfo,
-    Program,
-)
-from repro.analysis.commcheck.model import (
-    CheckFinding,
+from repro.analysis.callgraph import _SCOPE_NODES, FunctionInfo, Program
+from repro.analysis.engine import Rule, register
+from repro.analysis.model import (
+    Finding,
     LockOrderEdge,
     LockWrite,
     LockedCall,
@@ -100,8 +99,6 @@ _BLOCKING_CALLS = frozenset(
 #: Ops propagated interprocedurally (``wait`` stays lexical-only: a
 #: callee waiting on its *own* condition is the normal cv idiom).
 _CLOSURE_BLOCKING = _BLOCKING_CALLS - {"wait"}
-
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 
 @dataclass
@@ -369,22 +366,34 @@ def _direct_blocking(func: FunctionInfo) -> list[tuple[ast.Call, str]]:
 
 def _finding(
     func: FunctionInfo, node: ast.AST, code: str, message: str
-) -> CheckFinding:
-    return CheckFinding(
-        path=func.module.rel,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-        code=code,
-        message=message,
-        function=func.qname,
-    )
+) -> Finding:
+    return func.module.finding(node, code, message, func.qname)
 
 
 def _short(lock_id: str) -> str:
     return lock_id.rsplit(".", 1)[-1] if ":" not in lock_id else lock_id.split(":", 1)[-1]
 
 
-def check_lock_discipline(program: Program) -> Iterator[CheckFinding]:
+@dataclass
+class _LockFacts:
+    """What the lock walk found, shared by RPR014 and RPR015."""
+
+    class_locks: dict[str, ClassLocks]
+    facts: dict[str, _FuncFacts]
+    by_class: dict[tuple[str, str], list[_FuncFacts]]
+    #: Locks a private method holds at every intra-class call site.
+    held_bonus: dict[str, frozenset[str]]
+
+    def eff_held(self, fx: _FuncFacts, held) -> frozenset[str]:
+        return frozenset(held) | self.held_bonus.get(
+            fx.func.qname, frozenset()
+        )
+
+
+def _lock_facts(program: Program) -> _LockFacts:
+    """Walk every function once per program (both lock rules read it)."""
+    if program.lock_facts is not None:
+        return program.lock_facts
     class_locks = _discover_class_locks(program)
     facts: dict[str, _FuncFacts] = {}
     for func in program.functions.values():
@@ -427,180 +436,223 @@ def check_lock_discipline(program: Program) -> Iterator[CheckFinding]:
                             held_bonus.get(target.func.qname, frozenset())
                             | common
                         )
+    program.lock_facts = _LockFacts(class_locks, facts, by_class, held_bonus)
+    return program.lock_facts
 
-    def eff_held(fx: _FuncFacts, held) -> frozenset[str]:
-        return frozenset(held) | held_bonus.get(fx.func.qname, frozenset())
 
-    # -- RPR014a: mixed locked/unlocked writes --------------------------
-    for (mod_name, cls_name), members in sorted(by_class.items()):
-        cq = f"{mod_name}.{cls_name}"
-        locks = class_locks.get(cq)
-        lock_attr_names = set(locks.attrs) if locks else set()
-        writes_by_attr: dict[str, list[tuple[LockWrite, frozenset[str]]]] = {}
-        for fx in members:
-            for w in fx.writes:
-                if w.attr in lock_attr_names:
+@register
+class InconsistentLockDiscipline(Rule):
+    code = "RPR014"
+    name = "inconsistent-lock-discipline"
+    summary = (
+        "attribute written both with and without a lock held, or two "
+        "locks acquired in opposite orders"
+    )
+    rationale = (
+        "A shared attribute written under a lock in one method and "
+        "bare in another gives readers a torn-read/lost-update window "
+        "that shows up only under production interleavings.  Two locks "
+        "taken in opposite orders on different paths (ABBA) deadlock "
+        "the first time the schedules overlap.  Both need class-wide "
+        "and cross-function views, hence the whole-program pass."
+    )
+    whole_program = True
+
+    def check(self, program: Program) -> Iterator[Finding]:
+        lf = _lock_facts(program)
+        class_locks, facts, by_class = lf.class_locks, lf.facts, lf.by_class
+        # -- RPR014a: mixed locked/unlocked writes --------------------------
+        for (mod_name, cls_name), members in sorted(by_class.items()):
+            cq = f"{mod_name}.{cls_name}"
+            locks = class_locks.get(cq)
+            lock_attr_names = set(locks.attrs) if locks else set()
+            writes_by_attr: dict[str, list[tuple[LockWrite, frozenset[str]]]] = {}
+            for fx in members:
+                for w in fx.writes:
+                    if w.attr in lock_attr_names:
+                        continue
+                    writes_by_attr.setdefault(w.attr, []).append(
+                        (w, lf.eff_held(fx, w.held))
+                    )
+            for attr, entries in sorted(writes_by_attr.items()):
+                canonical = {
+                    lk
+                    for _, held in entries
+                    for lk in held
+                    if ":" not in lk  # canonical only — heuristics too fuzzy
+                }
+                if not canonical:
                     continue
-                writes_by_attr.setdefault(w.attr, []).append(
-                    (w, eff_held(fx, w.held))
-                )
-        for attr, entries in sorted(writes_by_attr.items()):
-            canonical = {
-                lk
-                for _, held in entries
-                for lk in held
-                if ":" not in lk  # canonical only — heuristics too fuzzy
-            }
-            if not canonical:
-                continue
-            locked = [
-                (w, h)
-                for w, h in entries
-                if h & canonical
-            ]
-            unlocked = [
-                (w, h)
-                for w, h in entries
-                if not h and w.func.name != "__init__"
-            ]
-            if not locked or not unlocked:
-                continue
-            lock_names = ", ".join(sorted(_short(c) for c in canonical))
-            locked_in = sorted({w.func.name for w, _ in locked})
-            seen_funcs: set[str] = set()
-            for w, _h in sorted(
-                unlocked, key=lambda e: (e[0].func.qname, e[0].node.lineno)
-            ):
-                if w.func.qname in seen_funcs:
+                locked = [
+                    (w, h)
+                    for w, h in entries
+                    if h & canonical
+                ]
+                unlocked = [
+                    (w, h)
+                    for w, h in entries
+                    if not h and w.func.name != "__init__"
+                ]
+                if not locked or not unlocked:
                     continue
-                seen_funcs.add(w.func.qname)
-                yield _finding(
-                    w.func,
-                    w.node,
-                    "RPR014",
-                    f"attribute 'self.{attr}' is written without a lock "
-                    f"here but under '{lock_names}' in "
-                    f"{', '.join(locked_in)}(); concurrent threads can "
-                    "tear or lose this update",
-                )
+                lock_names = ", ".join(sorted(_short(c) for c in canonical))
+                locked_in = sorted({w.func.name for w, _ in locked})
+                seen_funcs: set[str] = set()
+                for w, _h in sorted(
+                    unlocked, key=lambda e: (e[0].func.qname, e[0].node.lineno)
+                ):
+                    if w.func.qname in seen_funcs:
+                        continue
+                    seen_funcs.add(w.func.qname)
+                    yield _finding(
+                        w.func,
+                        w.node,
+                        "RPR014",
+                        f"attribute 'self.{attr}' is written without a lock "
+                        f"here but under '{lock_names}' in "
+                        f"{', '.join(locked_in)}(); concurrent threads can "
+                        "tear or lose this update",
+                    )
 
-    # -- RPR014b: inconsistent lock-acquisition order -------------------
-    edges: dict[tuple[str, str], list[LockOrderEdge]] = {}
-    for fx in facts.values():
-        for e in fx.order_edges:
-            edges.setdefault((e.first, e.second), []).append(e)
-    reported: set[frozenset[str]] = set()
-    for (a, b), sites in sorted(edges.items()):
-        pair = frozenset((a, b))
-        if pair in reported or (b, a) not in edges:
-            continue
-        reported.add(pair)
-        other = edges[(b, a)]
-        e = min(sites, key=lambda e: (e.func.module.rel, e.node.lineno))
-        o = min(other, key=lambda e: (e.func.module.rel, e.node.lineno))
-        yield _finding(
-            e.func,
-            e.node,
-            "RPR014",
-            f"lock '{_short(b)}' is acquired while holding "
-            f"'{_short(a)}' here, but {o.func.qname}() acquires them in "
-            "the opposite order; the two paths can deadlock (ABBA)",
-        )
-
-    # -- RPR015: blocking calls under a lock ----------------------------
-    direct_map: dict[str, list[tuple[ast.Call, str]]] = {
-        qn: _direct_blocking(fn) for qn, fn in program.functions.items()
-    }
-    # one propagation round: callee-of-callee blocking surfaces too
-    closure_map: dict[str, list[tuple[str, str]]] = {}
-    for qn, fn in program.functions.items():
-        entries: list[tuple[str, str]] = []
-        for site in program.calls.get(qn, []):
-            f3 = site.node.func
-            if not (
-                isinstance(f3, ast.Name)
-                or (
-                    isinstance(f3, ast.Attribute)
-                    and _self_attr(f3) is not None
-                )
-            ):
-                continue  # same confidence bar as the direct step
-            for callee in site.callees:
-                for _node, op in direct_map.get(callee, []):
-                    entries.append((callee, op))
-        closure_map[qn] = entries
-
-    for qn in sorted(facts):
-        fx = facts[qn]
-        for call in fx.calls:
-            held = tuple(
-                dict.fromkeys(
-                    tuple(call.held)
-                    + tuple(sorted(held_bonus.get(qn, frozenset())))
-                )
+        # -- RPR014b: inconsistent lock-acquisition order -------------------
+        edges: dict[tuple[str, str], list[LockOrderEdge]] = {}
+        for fx in facts.values():
+            for e in fx.order_edges:
+                edges.setdefault((e.first, e.second), []).append(e)
+        reported: set[frozenset[str]] = set()
+        for (a, b), sites in sorted(edges.items()):
+            pair = frozenset((a, b))
+            if pair in reported or (b, a) not in edges:
+                continue
+            reported.add(pair)
+            other = edges[(b, a)]
+            e = min(sites, key=lambda e: (e.func.module.rel, e.node.lineno))
+            o = min(other, key=lambda e: (e.func.module.rel, e.node.lineno))
+            yield _finding(
+                e.func,
+                e.node,
+                "RPR014",
+                f"lock '{_short(b)}' is acquired while holding "
+                f"'{_short(a)}' here, but {o.func.qname}() acquires them in "
+                "the opposite order; the two paths can deadlock (ABBA)",
             )
-            if not held:
-                continue
-            name = _call_name(call.node)
-            if (
-                name in ("wait", "wait_for")
-                and isinstance(call.node.func, ast.Attribute)
-            ):
-                try:
-                    recv = ast.unparse(call.node.func.value)
-                except Exception:  # pragma: no cover
-                    recv = ""
-                if recv in call.held_exprs:
-                    continue  # cv.wait() releases the lock it waits on
-            lock_txt = ", ".join(_short(h) for h in held)
-            op = _blocking_op(call.node, fx.func, _BLOCKING_CALLS)
-            if op == "join" and _is_str_join(call.node):
-                op = None
-            if op is not None:
-                yield _finding(
-                    fx.func,
-                    call.node,
-                    "RPR015",
-                    f"blocking '{op}()' while holding lock "
-                    f"[{lock_txt}]; every thread contending on the "
-                    "lock stalls behind this I/O",
+
+
+@register
+class BlockingCallUnderLock(Rule):
+    code = "RPR015"
+    name = "blocking-call-under-lock"
+    summary = (
+        "blocking socket/pipe/disk call (or sleep/join) made while "
+        "holding a lock"
+    )
+    rationale = (
+        "I/O under a lock serializes every contending thread behind "
+        "the slowest disk or peer, and wedges the process outright if "
+        "the I/O's completion depends on a thread that needs the lock. "
+        "Condition-variable waits on the held condition itself are "
+        "exempt (wait releases the lock); calls into helpers that "
+        "perform I/O are traced two levels through the call graph."
+    )
+    whole_program = True
+
+    def check(self, program: Program) -> Iterator[Finding]:
+        lf = _lock_facts(program)
+        facts, held_bonus = lf.facts, lf.held_bonus
+        # -- RPR015: blocking calls under a lock ----------------------------
+        direct_map: dict[str, list[tuple[ast.Call, str]]] = {
+            qn: _direct_blocking(fn) for qn, fn in program.functions.items()
+        }
+        # one propagation round: callee-of-callee blocking surfaces too
+        closure_map: dict[str, list[tuple[str, str]]] = {}
+        for qn, fn in program.functions.items():
+            entries: list[tuple[str, str]] = []
+            for site in program.calls.get(qn, []):
+                f3 = site.node.func
+                if not (
+                    isinstance(f3, ast.Name)
+                    or (
+                        isinstance(f3, ast.Attribute)
+                        and _self_attr(f3) is not None
+                    )
+                ):
+                    continue  # same confidence bar as the direct step
+                for callee in site.callees:
+                    for _node, op in direct_map.get(callee, []):
+                        entries.append((callee, op))
+            closure_map[qn] = entries
+
+        for qn in sorted(facts):
+            fx = facts[qn]
+            for call in fx.calls:
+                held = tuple(
+                    dict.fromkeys(
+                        tuple(call.held)
+                        + tuple(sorted(held_bonus.get(qn, frozenset())))
+                    )
                 )
-                continue
-            site = program.call_at(call.node)
-            if site is None:
-                continue
-            # Only follow high-confidence edges: self.method() and bare
-            # f() calls.  obj.method() edges are name-matched and too
-            # often link look-alike APIs (queue.put vs cache.put); the
-            # callee's own body is still analyzed in its own right.
-            f2 = call.node.func
-            confident = isinstance(f2, ast.Name) or (
-                isinstance(f2, ast.Attribute) and _self_attr(f2) is not None
-            )
-            if not confident:
-                continue
-            for callee in site.callees:
-                blk = direct_map.get(callee, [])
-                if blk:
-                    _n, op2 = blk[0]
+                if not held:
+                    continue
+                name = _call_name(call.node)
+                if (
+                    name in ("wait", "wait_for")
+                    and isinstance(call.node.func, ast.Attribute)
+                ):
+                    try:
+                        recv = ast.unparse(call.node.func.value)
+                    except Exception:  # pragma: no cover
+                        recv = ""
+                    if recv in call.held_exprs:
+                        continue  # cv.wait() releases the lock it waits on
+                lock_txt = ", ".join(_short(h) for h in held)
+                op = _blocking_op(call.node, fx.func, _BLOCKING_CALLS)
+                if op == "join" and _is_str_join(call.node):
+                    op = None
+                if op is not None:
                     yield _finding(
                         fx.func,
                         call.node,
                         "RPR015",
-                        f"call to {callee}() while holding lock "
-                        f"[{lock_txt}]: it performs blocking "
-                        f"'{op2}()'",
+                        f"blocking '{op}()' while holding lock "
+                        f"[{lock_txt}]; every thread contending on the "
+                        "lock stalls behind this I/O",
                     )
-                    break
-                deeper = closure_map.get(callee, [])
-                if deeper:
-                    mid, op2 = deeper[0]
-                    yield _finding(
-                        fx.func,
-                        call.node,
-                        "RPR015",
-                        f"call to {callee}() while holding lock "
-                        f"[{lock_txt}]: it reaches blocking "
-                        f"'{op2}()' via {mid}()",
-                    )
-                    break
+                    continue
+                site = program.call_at(call.node)
+                if site is None:
+                    continue
+                # Only follow high-confidence edges: self.method() and bare
+                # f() calls.  obj.method() edges are name-matched and too
+                # often link look-alike APIs (queue.put vs cache.put); the
+                # callee's own body is still analyzed in its own right.
+                f2 = call.node.func
+                confident = isinstance(f2, ast.Name) or (
+                    isinstance(f2, ast.Attribute) and _self_attr(f2) is not None
+                )
+                if not confident:
+                    continue
+                for callee in site.callees:
+                    blk = direct_map.get(callee, [])
+                    if blk:
+                        _n, op2 = blk[0]
+                        yield _finding(
+                            fx.func,
+                            call.node,
+                            "RPR015",
+                            f"call to {callee}() while holding lock "
+                            f"[{lock_txt}]: it performs blocking "
+                            f"'{op2}()'",
+                        )
+                        break
+                    deeper = closure_map.get(callee, [])
+                    if deeper:
+                        mid, op2 = deeper[0]
+                        yield _finding(
+                            fx.func,
+                            call.node,
+                            "RPR015",
+                            f"call to {callee}() while holding lock "
+                            f"[{lock_txt}]: it reaches blocking "
+                            f"'{op2}()' via {mid}()",
+                        )
+                        break

@@ -1,14 +1,19 @@
-"""Data model for the whole-program comm/lock analyzer (``repro check``).
+"""Data model of the static checker (``repro check``).
 
 Everything downstream of the loader works on these types:
 
-* :class:`CheckFinding` — one defect at a source location, with the
-  enclosing function recorded so baseline entries survive line drift;
+* :class:`Finding` — one defect at a source location; whole-program
+  rules also record the enclosing function so baseline entries survive
+  line drift;
+* :data:`COMM_OPS` / :data:`RAW_OPS` — the one table of the ``Comm``
+  surface (direction, blocking, argument positions, wildcard default);
+  a new primitive is added here and nowhere else;
 * :class:`TagInfo` — a (possibly) resolved message-tag expression;
-* :class:`CommSite` — one communication call site (p2p, probe or
-  collective) with tag, phase and loop context;
+* :class:`CommSite` — one communication call site (p2p, probe,
+  collective or raw scheduler primitive) with tag, phase and loop
+  context;
 * :class:`LockWrite` / :class:`LockedCall` — lock-discipline facts
-  collected per class by :mod:`repro.analysis.commcheck.locks`.
+  collected per class by :mod:`repro.analysis.locks`.
 """
 
 from __future__ import annotations
@@ -18,16 +23,16 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.analysis.commcheck.callgraph import FunctionInfo
+    from repro.analysis.callgraph import FunctionInfo
 
 
 @dataclass(frozen=True, order=True)
-class CheckFinding:
+class Finding:
     """One ``repro check`` finding.
 
-    Unlike the per-file lint :class:`repro.analysis.lint.Finding`, this
-    carries the enclosing function's qualified name: baseline entries
-    match on ``(code, path, function, message substring)`` so they stay
+    ``function`` is the enclosing function's qualified name where the
+    rule knows it (the whole-program rules do): baseline entries match
+    on ``(code, path, function, message substring)`` so they stay
     stable when unrelated edits shift line numbers.
     """
 
@@ -82,27 +87,58 @@ class TagInfo:
         return "<unresolved>"
 
 
-#: p2p ops: attr name -> (direction, blocking, src/dst argpos, tag argpos)
-P2P_OPS: dict[str, tuple[str, bool, int, int]] = {
-    "send": ("send", False, 0, 1),
-    "_send": ("send", False, 0, 1),
-    "isend": ("send", False, 0, 1),
-    "recv": ("recv", True, 0, 1),
-    "_recv": ("recv", True, 0, 1),
-    "irecv": ("recv", False, 0, 1),
-    "drain_recv": ("recv", False, 0, 1),
-    "_drain": ("recv", False, 0, 1),
-    "_tryrecv": ("recv", False, 0, 1),
-    "iprobe": ("probe", False, 0, 1),
-    "_iprobe": ("probe", False, 0, 1),
+@dataclass(frozen=True)
+class CommOp:
+    """One row of the ``Comm`` surface: what an op does and where its
+    arguments sit.  Positions index the call's positional arguments
+    (keywords ``src`` / ``tag`` / ``patterns`` are honoured too) or,
+    for a raw primitive, the yielded tuple (element 0 is the op name).
+    """
+
+    kind: str  # "send" | "recv" | "probe" | "both"
+    blocking: bool
+    tag: int | None = None
+    src: int | None = None  # receive side only
+    src_defaults_any: bool = False  # an omitted ``src`` is ANY_SOURCE
+    patterns: int | None = None  # a tuple of (src, tag) pairs instead
+
+
+_RECV = CommOp("recv", True, tag=1, src=0, src_defaults_any=True)
+_NB_RECV = CommOp("recv", False, tag=1, src=0, src_defaults_any=True)
+_POLL = CommOp("recv", False, tag=1, src=0)
+_IPROBE = CommOp("probe", False, tag=1, src=0, src_defaults_any=True)
+_SEND = CommOp("send", False, tag=1)
+_WAITANY = CommOp("probe", True, patterns=0)
+
+#: ``yield from comm.<op>(...)`` calls, by attribute name.  ``waitany``
+#: is one blocking probe per ``(src, tag)`` pattern spelled out at the
+#: call; ``sendrecv`` is both sides.
+COMM_OPS: dict[str, CommOp] = {
+    "send": _SEND,
+    "_send": _SEND,
+    "isend": _SEND,
+    "recv": _RECV,
+    "_recv": _RECV,
+    "irecv": _NB_RECV,
+    "drain_recv": _NB_RECV,
+    "_drain": _POLL,
+    "_tryrecv": _POLL,
+    "iprobe": _IPROBE,
+    "_iprobe": _IPROBE,
+    "sendrecv": CommOp("both", True, tag=2, src=1),
+    "waitany": _WAITANY,
+    "_waitany": _WAITANY,
 }
 
-#: A blocking probe over N ``(src, tag)`` patterns (first argument); one
-#: "probe" site per pattern that is spelled out at the call.
-WAITANY_OPS = frozenset({"waitany", "_waitany"})
-
-#: sendrecv is both sides: (dst, src, tag) positions.
-SENDRECV_OP = "sendrecv"
+#: Raw scheduler primitives (``yield ("inject", dst, tag, ...)``).
+RAW_OPS: dict[str, CommOp] = {
+    "inject": CommOp("send", False, tag=2),
+    "recv": CommOp("recv", True, tag=2, src=1),
+    "tryrecv": CommOp("recv", False, tag=2, src=1),
+    "iprobe": CommOp("probe", False, tag=2, src=1),
+    "drain": CommOp("recv", False, tag=2, src=1),
+    "waitany": CommOp("probe", True, patterns=1),
+}
 
 #: Collective ops (every rank of the communicator must call them).
 COLLECTIVE_OPS = frozenset(
@@ -118,26 +154,27 @@ COLLECTIVE_OPS = frozenset(
     }
 )
 
-#: Raw scheduler primitives (``yield ("inject", ...)`` tuples).
-RAW_PRIMITIVES = frozenset(
-    {"inject", "recv", "tryrecv", "iprobe", "drain", "waitany"}
-)
-
 
 @dataclass
 class CommSite:
     """One communication call site found in a rank program."""
 
     func: "FunctionInfo"
-    node: ast.AST
+    node: ast.AST  # the ``yield from`` / ``yield`` expression
     op: str  # "send", "recv", "bcast", ... (attr name or raw primitive)
-    kind: str  # "send" | "recv" | "probe" | "both" | "collective" | "raw"
+    kind: str  # "send" | "recv" | "probe" | "both" | "collective"
     blocking: bool
     comm_expr: str  # receiver expression text ("comm", "self", "sub")
+    call: ast.Call | None = None  # ``None`` for a raw primitive
+    tag_expr: ast.expr | None = None
     tag: TagInfo | None = None
     src_wildcard: bool | None = None  # recv side: ANY_SOURCE (or default)
     phase: str | None = None
     in_loop: bool = False
+
+    @property
+    def raw(self) -> bool:
+        return self.call is None
 
     @property
     def pos(self) -> tuple[int, int]:
@@ -152,7 +189,7 @@ class CommSite:
             "function": self.func.qname,
             "line": self.pos[0],
             "op": self.op,
-            "kind": self.kind,
+            "kind": "raw" if self.raw else self.kind,
             "blocking": self.blocking,
             "comm": self.comm_expr,
             "tag": self.tag.describe() if self.tag else None,
@@ -199,15 +236,15 @@ class CommSummary:
     sites: list[CommSite] = field(default_factory=list)
 
     def p2p(self) -> list[CommSite]:
-        return [s for s in self.sites if s.kind in ("send", "recv", "probe", "both")]
+        """User-level point-to-point sites (raw primitives excluded)."""
+        return [
+            s
+            for s in self.sites
+            if not s.raw and s.kind in ("send", "recv", "probe", "both")
+        ]
 
     def collectives(self) -> list[CommSite]:
         return [s for s in self.sites if s.kind == "collective"]
 
     def to_dicts(self) -> list[dict]:
-        return [
-            s.to_dict()
-            for s in sorted(
-                self.sites, key=lambda s: (s.func.module.rel, s.pos)
-            )
-        ]
+        return [s.to_dict() for s in self.sites]

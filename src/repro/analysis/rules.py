@@ -1,10 +1,14 @@
-"""The project lint rules (codes ``RPR001`` – ``RPR009``).
+"""The per-file rules (codes ``RPR001`` – ``RPR009``).
 
 Each rule enforces one invariant the simulated machine depends on; the
 rationale strings below are surfaced verbatim in
 ``docs/static-analysis.md``.  Rules are registered with
-:func:`repro.analysis.lint.register` and instantiated fresh per engine
-run, so they may keep per-file state inside ``check``.
+:func:`repro.analysis.engine.register` and instantiated fresh per engine
+run, so they may keep per-file state inside ``check_file``.  The rules
+that police communication calls (RPR001/005/008) read them from
+``ModuleInfo.comm_sites`` — the extractor in
+:mod:`repro.analysis.summary` is the only code that knows the ``Comm``
+surface.
 """
 
 from __future__ import annotations
@@ -12,14 +16,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.lint import (
-    Finding,
-    LintContext,
-    Rule,
-    dotted_name,
-    literal_patterns,
-    register,
-)
+from repro.analysis.callgraph import ModuleInfo, dotted_name
+from repro.analysis.engine import Rule, register
+from repro.analysis.model import Finding
 
 # ----------------------------------------------------------------------
 # shared AST helpers
@@ -32,57 +31,8 @@ def _int_literal(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and type(node.value) is int
 
 
-def _call_arg(
-    call: ast.Call, position: int, keyword: str
-) -> ast.AST | None:
-    """The argument passed at ``position`` or as ``keyword=``, if any."""
-    for kw in call.keywords:
-        if kw.arg == keyword:
-            return kw.value
-    if len(call.args) > position:
-        return call.args[position]
-    return None
-
-
 def _contains(node: ast.AST, types: tuple) -> bool:
     return any(isinstance(n, types) for n in ast.walk(node))
-
-
-#: Primitive-op strings whose third tuple element is a message tag
-#: (``"waitany"`` carries a tuple of ``(src, tag)`` patterns instead).
-_TAG_PRIMITIVES = {"recv", "tryrecv", "iprobe", "drain"}
-
-#: Comm-surface calls -> positional index of their ``tag`` argument.
-_TAGGED_CALLS = {
-    "send": 1,
-    "isend": 1,
-    "recv": 1,
-    "irecv": 1,
-    "iprobe": 1,
-    "drain_recv": 1,
-    "sendrecv": 2,
-}
-
-
-def _tag_exprs(node: ast.AST) -> list[ast.AST]:
-    """Tag expressions at a Comm-surface call or raw primitive yield;
-    for ``waitany`` the tag of every pattern spelled out in place."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        if node.func.attr == "waitany":
-            patterns = _call_arg(node, 0, "patterns")
-            return [tag for _src, tag in literal_patterns(patterns)]
-        pos = _TAGGED_CALLS.get(node.func.attr)
-        tag = None if pos is None else _call_arg(node, pos, "tag")
-        return [] if tag is None else [tag]
-    if isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple):
-        elts = node.value.elts
-        head = elts[0] if elts else None
-        kind = head.value if isinstance(head, ast.Constant) else None
-        if kind == "waitany" and len(elts) == 2:
-            return [tag for _src, tag in literal_patterns(elts[1])]
-        if kind in _TAG_PRIMITIVES and len(elts) >= 3:
-            return [elts[2]]
-    return []
 
 
 def _is_sorted_wrapped(node: ast.AST) -> bool:
@@ -126,23 +76,6 @@ def _unordered_iter_kind(node: ast.AST) -> str | None:
     return None
 
 
-def _is_send_call(node: ast.AST) -> bool:
-    """A comm send (``.send``/``.isend``/``._send``/``.sendrecv``) or a
-    raw ``("inject", ...)`` primitive yield."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        if node.func.attr in {"send", "isend", "_send", "sendrecv"}:
-            return True
-    if isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple):
-        elts = node.value.elts
-        if (
-            elts
-            and isinstance(elts[0], ast.Constant)
-            and elts[0].value == "inject"
-        ):
-            return True
-    return False
-
-
 # ----------------------------------------------------------------------
 # rules
 
@@ -166,24 +99,24 @@ class RawTagLiteral(Rule):
         "handle raw integers."
     )
 
-    def applies(self, ctx: LintContext) -> bool:
-        return not ctx.in_tests and not ctx.is_tag_module
+    def applies(self, mod: ModuleInfo) -> bool:
+        return not mod.in_tests and not mod.is_tag_module
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            for tag in _tag_exprs(node):
-                if not _int_literal(tag):
-                    continue
-                if isinstance(node, ast.Call):
-                    where = f"{node.func.attr}() call"
-                else:
-                    where = f"raw ({node.value.elts[0].value!r}, ...) primitive"
-                yield ctx.finding(
-                    tag,
-                    self.code,
-                    f"literal tag in {where}; use a named TAG_* constant "
-                    "(< MAX_USER_TAG) or ANY_TAG",
-                )
+    def check_file(self, mod: ModuleInfo) -> Iterator[Finding]:
+        for site in mod.comm_sites:
+            if site.tag_expr is None or not _int_literal(site.tag_expr):
+                continue
+            where = (
+                f"raw ({site.op!r}, ...) primitive"
+                if site.raw
+                else f"{site.op}() call"
+            )
+            yield mod.finding(
+                site.tag_expr,
+                self.code,
+                f"literal tag in {where}; use a named TAG_* constant "
+                "(< MAX_USER_TAG) or ANY_TAG",
+            )
 
 
 @register
@@ -219,15 +152,15 @@ class WallClock(Rule):
         "date.today",
     }
 
-    def applies(self, ctx: LintContext) -> bool:
-        return ctx.in_deterministic_path and not ctx.in_tests
+    def applies(self, mod: ModuleInfo) -> bool:
+        return mod.in_deterministic_path and not mod.in_tests
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    def check_file(self, mod: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(mod.tree):
             if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if name in self._CLOCKS:
-                    yield ctx.finding(
+                    yield mod.finding(
                         node,
                         self.code,
                         f"wall-clock read {name}() in a deterministic "
@@ -268,11 +201,11 @@ class UnseededRng(Rule):
         "getrandbits",
     }
 
-    def applies(self, ctx: LintContext) -> bool:
-        return ctx.in_deterministic_path and not ctx.in_tests
+    def applies(self, mod: ModuleInfo) -> bool:
+        return mod.in_deterministic_path and not mod.in_tests
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    def check_file(self, mod: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -282,28 +215,28 @@ class UnseededRng(Rule):
             if head in {"np.random", "numpy.random"}:
                 if leaf == "default_rng":
                     if not node.args and not node.keywords:
-                        yield ctx.finding(
+                        yield mod.finding(
                             node,
                             self.code,
                             "default_rng() without a seed draws OS "
                             "entropy; pass an explicit seed",
                         )
                 else:
-                    yield ctx.finding(
+                    yield mod.finding(
                         node,
                         self.code,
                         f"legacy global RNG {name}(); use "
                         "np.random.default_rng(seed)",
                     )
             elif head == "random" and leaf in self._RANDOM_FUNCS:
-                yield ctx.finding(
+                yield mod.finding(
                     node,
                     self.code,
                     f"stdlib global RNG {name}(); use "
                     "np.random.default_rng(seed)",
                 )
             elif name == "default_rng" and not node.args and not node.keywords:
-                yield ctx.finding(
+                yield mod.finding(
                     node,
                     self.code,
                     "default_rng() without a seed draws OS entropy; "
@@ -339,8 +272,8 @@ class MutableDefault(Rule):
         "collections.deque",
     }
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    def check_file(self, mod: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(mod.tree):
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ):
@@ -365,7 +298,7 @@ class MutableDefault(Rule):
                 )
                 if bad:
                     fn = getattr(node, "name", "<lambda>")
-                    yield ctx.finding(
+                    yield mod.finding(
                         d,
                         self.code,
                         f"mutable default argument in {fn}(); default "
@@ -391,24 +324,26 @@ class UnorderedSendLoop(Rule):
         "iterable in sorted(...) (cf. dcf.send_batches)."
     )
 
-    def applies(self, ctx: LintContext) -> bool:
-        return not ctx.in_tests
+    def applies(self, mod: ModuleInfo) -> bool:
+        return not mod.in_tests
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    def check_file(self, mod: ModuleInfo) -> Iterator[Finding]:
+        send_nodes = {
+            id(s.node) for s in mod.comm_sites if s.kind in ("send", "both")
+        }
+        for node in ast.walk(mod.tree):
             if not isinstance(node, (ast.For, ast.AsyncFor)):
                 continue
             kind = _unordered_iter_kind(node.iter)
             if kind is None:
                 continue
-            sends = [
-                n
+            sends = any(
+                id(n) in send_nodes
                 for stmt in node.body
                 for n in ast.walk(stmt)
-                if _is_send_call(n)
-            ]
+            )
             if sends:
-                yield ctx.finding(
+                yield mod.finding(
                     node,
                     self.code,
                     f"loop over unordered {kind} issues sends; iterate "
@@ -435,8 +370,8 @@ class SwallowedFailure(Rule):
 
     _BROAD = {"Exception", "BaseException"}
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    def check_file(self, mod: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Try):
                 continue
             body_yields = any(
@@ -445,7 +380,7 @@ class SwallowedFailure(Rule):
             )
             for handler in node.handlers:
                 if handler.type is None:
-                    yield ctx.finding(
+                    yield mod.finding(
                         handler,
                         self.code,
                         "bare except: swallows RankFailure/DeadlockError "
@@ -469,7 +404,7 @@ class SwallowedFailure(Rule):
                     _contains(stmt, (ast.Raise,)) for stmt in handler.body
                 )
                 if body_yields and not reraises:
-                    yield ctx.finding(
+                    yield mod.finding(
                         handler,
                         self.code,
                         "except "
@@ -499,32 +434,29 @@ class HashOrderIteration(Rule):
         "sends messages)."
     )
 
-    def applies(self, ctx: LintContext) -> bool:
-        return ctx.in_deterministic_path and not ctx.in_tests
+    def applies(self, mod: ModuleInfo) -> bool:
+        return mod.in_deterministic_path and not mod.in_tests
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    @staticmethod
+    def loops(mod: ModuleInfo) -> Iterator[tuple[ast.For | ast.AsyncFor, str]]:
+        """``(loop, kind of its unordered iterable)``; ``--fix`` wraps
+        exactly these iterables in ``sorted(...)``."""
+        for node in ast.walk(mod.tree):
             if not isinstance(node, (ast.For, ast.AsyncFor)):
                 continue
             kind = _unordered_iter_kind(node.iter)
             if kind is None or kind.startswith("."):
                 continue  # dict views handled by RPR005 only
-            yield ctx.finding(
+            yield node, kind
+
+    def check_file(self, mod: ModuleInfo) -> Iterator[Finding]:
+        for node, kind in self.loops(mod):
+            yield mod.finding(
                 node,
                 self.code,
                 f"for-loop over unordered {kind} in a deterministic "
                 "path; wrap the iterable in sorted(...)",
             )
-
-
-def _is_any_source(node: ast.AST | None) -> bool:
-    """Is this expression ``ANY_SOURCE`` (bare or dotted)?"""
-    if node is None:
-        return False
-    if isinstance(node, ast.Name):
-        return node.id == "ANY_SOURCE"
-    name = dotted_name(node)
-    return name is not None and name.endswith(".ANY_SOURCE")
 
 
 @register
@@ -548,25 +480,22 @@ class WildcardBlockingRecv(Rule):
         "to exercise the matching machinery itself."
     )
 
-    _WILDCARD_RECVS = {"recv", "irecv"}
+    _ARRIVAL_ORDERED = {"recv", "irecv"}
 
-    def applies(self, ctx: LintContext) -> bool:
-        return not ctx.in_tests and not ctx.is_tag_module
+    def applies(self, mod: ModuleInfo) -> bool:
+        return not mod.in_tests and not mod.is_tag_module
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._WILDCARD_RECVS
+    def check_file(self, mod: ModuleInfo) -> Iterator[Finding]:
+        for site in mod.comm_sites:
+            if (
+                site.op in self._ARRIVAL_ORDERED
+                and not site.raw
+                and site.src_wildcard
             ):
-                continue
-            src = _call_arg(node, 0, "src")
-            if _is_any_source(src):
-                yield ctx.finding(
-                    node,
+                yield mod.finding(
+                    site.call or site.node,
                     self.code,
-                    f"{node.func.attr}(ANY_SOURCE, ...) blocks on "
+                    f"{site.op}(ANY_SOURCE, ...) blocks on "
                     "arrival order; block in waitany(patterns), then "
                     "drain_recv(ANY_SOURCE, tag) to batch-receive "
                     "deterministically",
@@ -594,8 +523,8 @@ class UnorderedFloatReduction(Rule):
 
     _REDUCERS = {"sum", "fsum", "math.fsum"}
 
-    def applies(self, ctx: LintContext) -> bool:
-        return ctx.in_deterministic_path and not ctx.in_tests
+    def applies(self, mod: ModuleInfo) -> bool:
+        return mod.in_deterministic_path and not mod.in_tests
 
     def _unordered_arg_kind(self, arg: ast.AST) -> str | None:
         """Unordered-kind of a reducer argument, or None.
@@ -614,8 +543,8 @@ class UnorderedFloatReduction(Rule):
                     return k
         return None
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    def check_file(self, mod: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Call) or not node.args:
                 continue
             name = dotted_name(node.func)
@@ -623,7 +552,7 @@ class UnorderedFloatReduction(Rule):
                 continue
             kind = self._unordered_arg_kind(node.args[0])
             if kind is not None:
-                yield ctx.finding(
+                yield mod.finding(
                     node,
                     self.code,
                     f"{name}() over unordered {kind} accumulates floats "

@@ -1,6 +1,6 @@
 """SARIF 2.1.0 export for ``repro check`` findings.
 
-Emits one run with the full RPR010–RPR015 rule metadata in
+Emits one run with the rule catalog's metadata in
 ``tool.driver.rules`` and one result per finding.  Baseline-waived
 findings are included with an ``external`` suppression (GitHub code
 scanning hides them but keeps the audit trail); ``# noqa`` waivers are
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis.commcheck.baseline import BaselineEntry
-from repro.analysis.commcheck.model import CheckFinding
+from repro.analysis.baseline import BaselineEntry
+from repro.analysis.model import Finding
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
@@ -22,7 +22,7 @@ TOOL_URI = "docs/static-analysis.md"
 
 
 def _result(
-    finding: CheckFinding,
+    finding: Finding,
     rule_index: dict[str, int],
     suppression: dict | None = None,
 ) -> dict:
@@ -55,9 +55,9 @@ def _result(
 
 
 def to_sarif(
-    findings: list[CheckFinding],
-    waived: list[tuple[CheckFinding, BaselineEntry]] | None = None,
-    suppressed: list[CheckFinding] | None = None,
+    findings: list[Finding],
+    waived: list[tuple[Finding, BaselineEntry]] | None = None,
+    suppressed: list[Finding] | None = None,
     rules: list[dict] | None = None,
     tool_version: str = "0",
 ) -> dict:

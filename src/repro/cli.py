@@ -14,7 +14,7 @@ Usage (installed as ``python -m repro``):
     python -m repro run x38 --backend mp --trace-store /tmp/st
     python -m repro top /tmp/st --once
     python -m repro physics --scale 0.05 --steps 20
-    python -m repro lint src tests
+    python -m repro check src tests
     python -m repro run x38 --sanitize
     python -m repro bench all --quick
     python -m repro bench x38 --quick --compare
@@ -46,9 +46,10 @@ per-run statistics; with ``--fault`` / ``--checkpoint-every`` /
 checkpoints and elastic recovery.  With ``--sanitize`` the run is
 shadowed by the SimMPI sanitizer (:mod:`repro.analysis`), which
 reports wildcard message races, tag collisions, collective mismatches
-and finalize leaks without changing virtual time; ``lint`` runs the
-project's determinism lint (rules ``RPR001``-``RPR007``) over source
-trees.  Both exit non-zero when findings remain.  ``resume`` continues a run from a
+and finalize leaks without changing virtual time; ``check`` runs the
+project's static checker (rules ``RPR001``-``RPR015``: per-file
+determinism rules plus whole-program comm-protocol and lock-discipline
+rules) over source trees.  Both exit non-zero when findings remain.  ``resume`` continues a run from a
 checkpoint file (or the newest checkpoint in a directory).  ``sweep``
 produces a Table-1-style speedup table over several node counts;
 ``trace`` runs one simulation with per-rank span tracing enabled and
@@ -571,7 +572,7 @@ def cmd_bench(args) -> int:
     engine = _backend(args)  # fail fast on unknown/unavailable names
     engine.close()  # the harness builds its own engine; this one was a probe
     exit_code = 0
-    for i, case in enumerate(cases):
+    for case in cases:
         knobs = "scenario" if scenario else "quick" if args.quick else "full"
         print(f"bench {case} ({knobs}, {args.repeats} repeat(s), "
               f"backend={engine.name}) ...", file=sys.stderr)
@@ -589,8 +590,6 @@ def cmd_bench(args) -> int:
                 args.out,
                 quick=args.quick,
                 repeats=args.repeats,
-                # One micro-bench per invocation is plenty.
-                microbench=not args.no_microbench and i == 0,
                 backend=engine.name,
                 trace_store=(
                     str(Path(args.trace_store) / case)
@@ -618,13 +617,6 @@ def cmd_bench(args) -> int:
                 f"(+{e['created']}/-{e['destroyed']}), {ob['grouping']} cut "
                 f"{e['cut_points']} pts / {e['cut_edges']} edges, "
                 f"tau {e['balance_tau']:.3f}"
-            )
-        sv = payload["host"].get("serve_microbench")
-        if sv and "jobs_per_sec" in sv:
-            print(
-                f"  warm-pool throughput: {sv['jobs_per_sec']:.2f} jobs/s "
-                f"({sv['jobs']} x {sv['case']} over {sv['workers']} "
-                f"workers, {sv['wall_s']:.2f} s wall)"
             )
         meas = payload["host"].get("measured")
         if meas:
@@ -678,85 +670,40 @@ def cmd_trace_diff(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_lint(args) -> int:
-    from repro.analysis import fix_paths, lint_paths, rule_catalog
+def cmd_check(args) -> int:
+    from repro.analysis import fix_paths, load_baseline, rule_catalog, run_check
 
     if args.rules:
-        for rule in rule_catalog():
-            print(f"{rule['code']}  {rule['name']}: {rule['summary']}")
+        for r in rule_catalog():
+            print(f"{r['code']}  [{r['scope']}] {r['name']}: {r['summary']}")
         return 0
     paths = args.paths or ["src"]
-    select = args.select.split(",") if args.select else None
-    if args.fix:
-        result = fix_paths(paths)
-        print(result.format())
-    try:
-        report = lint_paths(paths, select=select)
-    except (ValueError, FileNotFoundError) as exc:
-        raise SystemExit(str(exc))
-    print(report.to_json() if args.json else report.format())
-    return 0 if report.ok else 1
-
-
-def cmd_check(args) -> int:
-    from repro.analysis import rule_catalog
-    from repro.analysis.commcheck import (
-        BaselineError,
-        COMMCHECK_CODES,
-        load_baseline,
-        run_check,
-        sarif_json,
-        to_sarif,
-    )
-
-    catalog = [r for r in rule_catalog() if r["code"] in COMMCHECK_CODES]
-    if args.rules:
-        for rule in catalog:
-            print(f"{rule['code']}  {rule['name']}: {rule['summary']}")
-        return 0
-    paths = args.paths or ["src/repro"]
-    select = args.select.split(",") if args.select else None
-    baseline = []
-    if not args.no_baseline:
-        from pathlib import Path
-
-        bl = Path(args.baseline)
-        if bl.is_file():
-            try:
-                baseline = load_baseline(bl)
-            except BaselineError as exc:
-                raise SystemExit(str(exc))
-        elif args.baseline_check:
-            raise SystemExit(
-                f"--baseline-check: baseline file not found: {bl}"
-            )
-    try:
-        report = run_check(paths, select=select, baseline=baseline)
-    except (ValueError, FileNotFoundError) as exc:
-        raise SystemExit(str(exc))
-    if args.sarif:
-        doc = to_sarif(
-            report.findings,
-            waived=report.waived,
-            suppressed=report.suppressed,
-            rules=catalog,
+    if args.baseline_check and not Path(args.baseline).is_file():
+        raise SystemExit(
+            f"--baseline-check: baseline file not found: {args.baseline}"
         )
-        text = sarif_json(doc)
-        if args.sarif == "-":
-            print(text)
-        else:
-            from pathlib import Path
-
-            Path(args.sarif).write_text(text + "\n", encoding="utf-8")
-    if not (args.sarif == "-"):
+    if args.fix:
+        print(fix_paths(paths).format())
+    try:
+        report = run_check(
+            paths,
+            select=args.select.split(",") if args.select else None,
+            baseline=load_baseline(args.baseline),
+        )
+    except (ValueError, FileNotFoundError) as exc:  # bad code/baseline/path
+        raise SystemExit(str(exc))
+    if args.sarif and args.sarif != "-":
+        Path(args.sarif).write_text(report.to_sarif() + "\n", encoding="utf-8")
+    if args.sarif == "-":
+        print(report.to_sarif())
+    else:
         print(
             report.to_json()
             if args.json
             else report.format(show_summary=args.summary)
         )
-    if args.baseline_check and report.stale_baseline:
-        return 1
-    return 0 if report.ok else 1
+    stale = args.baseline_check and report.stale_baseline
+    return 0 if report.ok and not stale else 1
 
 
 def _default_socket() -> str:
@@ -1179,10 +1126,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=str(DEFAULT_TRACE_DIR),
         help="output directory for BENCH_<case>.json files",
     )
-    bench.add_argument(
-        "--no-microbench", action="store_true",
-        help="skip the warm-pool job-throughput micro-benchmark",
-    )
     backend_opt(bench)
     scenario_opt(bench)
     bench.add_argument(
@@ -1249,45 +1192,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tdiff.set_defaults(fn=cmd_trace_diff)
 
-    lint = sub.add_parser(
-        "lint",
-        help="project determinism lint (RPR rules) over source trees",
-    )
-    lint.add_argument(
-        "paths", nargs="*",
-        help="files/directories to lint (default: src)",
-    )
-    lint.add_argument(
-        "--select", metavar="CODES",
-        help="comma-separated rule codes to run (e.g. RPR001,RPR005)",
-    )
-    lint.add_argument(
-        "--json", action="store_true", help="emit the JSON report"
-    )
-    lint.add_argument(
-        "--rules", action="store_true",
-        help="list the rule catalog and exit",
-    )
-    lint.add_argument(
-        "--fix", action="store_true",
-        help="auto-fix RPR007 findings in place (wrap unordered loop "
-        "iterables in sorted(...)), then lint the result",
-    )
-    lint.set_defaults(fn=cmd_lint)
-
     check = sub.add_parser(
         "check",
-        help="whole-program comm-protocol & lock-discipline analysis "
-        "(RPR010-RPR015) with baseline + SARIF output",
+        help="static checker: per-file determinism rules and "
+        "whole-program comm-protocol / lock-discipline rules "
+        "(RPR001-RPR015), noqa + baseline waivers, JSON / SARIF output",
     )
     check.add_argument(
         "paths", nargs="*",
-        help="files/directories to analyze as one program "
-        "(default: src/repro)",
+        help="files/directories to check; the non-test ones are linked "
+        "and analyzed as one program (default: src)",
     )
     check.add_argument(
         "--select", metavar="CODES",
-        help="comma-separated rule codes to run (e.g. RPR014,RPR015)",
+        help="comma-separated rule codes to run (e.g. RPR001,RPR014)",
     )
     check.add_argument(
         "--json", action="store_true", help="emit the JSON report"
@@ -1302,22 +1220,23 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: analysis-baseline.json; missing file = empty)",
     )
     check.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file (report raw findings)",
-    )
-    check.add_argument(
         "--baseline-check", action="store_true",
         help="also fail (exit 1) when the baseline contains stale "
         "entries that no longer match any finding",
     )
     check.add_argument(
         "--rules", action="store_true",
-        help="list the whole-program rule catalog and exit",
+        help="list the rule catalog and exit",
     )
     check.add_argument(
         "--summary", action="store_true",
         help="print the extracted communication summary after the "
         "findings",
+    )
+    check.add_argument(
+        "--fix", action="store_true",
+        help="auto-fix RPR007 findings in place (wrap unordered loop "
+        "iterables in sorted(...)), then check the result",
     )
     check.set_defaults(fn=cmd_check)
 

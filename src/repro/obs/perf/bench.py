@@ -11,9 +11,9 @@ emits one ``BENCH_<case>.json`` per case:
   sanitizer verdict.  Two runs of the same case on the same code emit
   byte-identical canonical JSON for this section — that is what
   ``repro trace-diff`` and the CI perf gate compare.
-* the ``host`` section is **nondeterministic**: wall-clock medians and
-  the warm-pool job-throughput micro-benchmark.  trace-diff ignores it.
-  With ``backend="mp"`` it additionally gains a ``measured`` block:
+* the ``host`` section is **nondeterministic**: wall-clock medians
+  (``benchmarks/perf`` is the host-time benchmark).  trace-diff ignores
+  it.  With ``backend="mp"`` it additionally gains a ``measured`` block:
   the same Table-1/3/4-shape numbers (time/step, Mflops/node, %DCF3D)
   re-measured on real ``multiprocessing`` ranks with wall clocks —
   printed next to the modeled ones, never compared by the CI gate.
@@ -175,7 +175,6 @@ def bench_payload(
     case: str,
     quick: bool = False,
     repeats: int = 3,
-    microbench: bool = True,
     backend: str = "sim",
     trace_store: str | Path | None = None,
 ) -> dict:
@@ -206,7 +205,7 @@ def bench_payload(
         )
     return _payload(
         case, lambda: _build_config(spec, quick), quick, repeats,
-        microbench, backend, trace_store,
+        backend, trace_store,
     )
 
 
@@ -229,7 +228,7 @@ def scenario_bench_payload(
     return _payload(
         scenario["name"],
         lambda: (build_offbody_case(scenario, grouping=grouping), config),
-        False, repeats, False, backend, None,
+        False, repeats, backend, None,
     )
 
 
@@ -248,7 +247,6 @@ def _payload(
     build: Callable[[], tuple[Any, dict[str, Any]]],
     quick: bool,
     repeats: int,
-    microbench: bool,
     backend: str,
     trace_store: str | Path | None,
 ) -> dict[str, Any]:
@@ -355,15 +353,6 @@ def _payload(
         "wall_s_median": statistics.median(walls),
         "wall_s_all": walls,
     }
-    if microbench:
-        # End-to-end job throughput against a warm `repro serve` pool —
-        # host data (wall clock), so the trace-diff gate ignores it.
-        from repro.serve.pool import throughput_microbench
-
-        serve = throughput_microbench()
-        host["serve_microbench"] = serve
-        if "jobs_per_sec" in serve:
-            host["jobs_per_sec"] = serve["jobs_per_sec"]
     if backend not in (None, "sim"):
         host["measured"] = _measured_section(build, repeats, backend, run)
 
@@ -439,7 +428,6 @@ def run_bench(
     out_dir: str | Path,
     quick: bool = False,
     repeats: int = 3,
-    microbench: bool = True,
     backend: str = "sim",
     trace_store: str | Path | None = None,
 ) -> tuple[dict, Path]:
@@ -448,7 +436,6 @@ def run_bench(
         case,
         quick=quick,
         repeats=repeats,
-        microbench=microbench,
         backend=backend,
         trace_store=trace_store,
     )

@@ -36,7 +36,6 @@ from repro.serve.pool import (
     WorkerCrash,
     WorkerPool,
     pool_available,
-    throughput_microbench,
 )
 from repro.serve.protocol import (
     MAX_FRAME,
@@ -65,7 +64,6 @@ __all__ = [
     "JobTimeout",
     "JobExecutionError",
     "pool_available",
-    "throughput_microbench",
     "ReproServer",
     "ServeClient",
     "ServeError",

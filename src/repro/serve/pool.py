@@ -49,7 +49,6 @@ __all__ = [
     "JobTimeout",
     "JobExecutionError",
     "pool_available",
-    "throughput_microbench",
 ]
 
 _worker_counter = itertools.count()
@@ -359,65 +358,3 @@ class WorkerPool:
         for w in all_workers:
             if w not in idle:
                 w.kill()
-
-
-# ----------------------------------------------------------------------
-# throughput micro-benchmark (feeds ``repro bench`` host.jobs_per_sec)
-
-
-def throughput_microbench(
-    jobs: int = 6,
-    workers: int = 2,
-    spec: JobSpec | None = None,
-    job_timeout: float = 120.0,
-) -> dict:
-    """Measure end-to-end job throughput against a warm pool.
-
-    Runs ``jobs`` copies of a tiny deterministic case through a
-    ``workers``-wide pool (one untimed warm-up first), with caller
-    threads saturating the pool the way concurrent clients would.
-    Returns host-section numbers: ``jobs_per_sec`` is wall-clock
-    throughput including dispatch, pipe transport and payload
-    canonicalisation — the serving overhead, not just the solve.
-    """
-    reason = pool_available()
-    if reason is not None:
-        return {"skipped": reason}
-    if spec is None:
-        spec = JobSpec("airfoil", nodes=3, scale=0.05, nsteps=1)
-    errors: list[str] = []
-    with WorkerPool(workers=workers, job_timeout=job_timeout) as pool:
-        pool.execute(spec)  # warm-up: touches every lazy import once
-        todo: queue.Queue[int] = queue.Queue()
-        for i in range(jobs):
-            todo.put(i)
-
-        def drain() -> None:
-            while True:
-                try:
-                    todo.get_nowait()
-                except queue.Empty:
-                    return
-                try:
-                    pool.execute(spec)
-                except PoolError as exc:  # pragma: no cover - host trouble
-                    errors.append(str(exc))
-
-        threads = [
-            threading.Thread(target=drain, daemon=True)
-            for _ in range(workers)
-        ]
-        t0 = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        wall = time.perf_counter() - t0
-    return {
-        "jobs": jobs,
-        "workers": workers,
-        "case": spec.case,
-        "wall_s": wall,
-        "jobs_per_sec": jobs / wall if wall > 0 else 0.0,
-        "errors": errors,
-    }

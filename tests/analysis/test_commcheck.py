@@ -1,4 +1,4 @@
-"""Tests for the whole-program analyzer (``repro check``).
+"""Tests for the whole-program rules of ``repro check``.
 
 Fixture packages under ``fixtures/commcheck/`` seed one defect class
 per rule: ``bad.py`` must fire the rule, ``good.py`` must stay clean.
@@ -11,51 +11,75 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import iter_rules, rule_catalog
-from repro.analysis.commcheck import (
+from repro.analysis import (
     BaselineEntry,
     BaselineError,
-    COMMCHECK_CODES,
+    Finding,
     apply_baseline,
     extract_summary,
+    iter_rules,
     load_baseline,
     load_program,
+    rule_catalog,
     run_check,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "commcheck"
+WHOLE_PROGRAM = [f"RPR01{n}" for n in range(6)]
 
 
 def check_fixture(name: str, which: str, code: str):
-    return run_check([FIXTURES / name / f"{which}.py"], select=[code])
+    # root=FIXTURES: relative to the repo the fixtures sit under
+    # ``tests/`` and would be checked per-file only, never linked.
+    return run_check(
+        [FIXTURES / name / f"{which}.py"], select=[code], root=FIXTURES
+    )
 
 
 class TestRegistry:
     def test_commcheck_codes_registered(self):
-        codes = {r.code for r in iter_rules()}
-        for code in COMMCHECK_CODES:
-            assert code in codes
+        assert [r.code for r in iter_rules() if r.whole_program] == (
+            WHOLE_PROGRAM
+        )
 
     def test_commcheck_rules_documented(self):
         by_code = {r["code"]: r for r in rule_catalog()}
-        for code in COMMCHECK_CODES:
+        for code in WHOLE_PROGRAM:
             entry = by_code[code]
             assert entry["name"] and entry["summary"] and entry["rationale"]
+            assert entry["scope"] == "whole-program"
 
     def test_commcheck_rules_inert_under_lint(self, tmp_path):
-        # whole-program rules never run in per-file lint mode
-        from repro.analysis import lint_paths
-
-        f = tmp_path / "x.py"
-        f.write_text(
+        # whole-program rules see only the linked (non-test) modules:
+        # the same defect under tests/ is checked per-file and no more
+        src = (
             "def p(comm):\n"
             "    if comm.rank == 0:\n"
             "        yield from comm.barrier()\n"
         )
-        report = lint_paths([f], root=tmp_path)
-        assert not any(
-            fi.code in COMMCHECK_CODES for fi in report.findings
+        for rel in ("tests/x.py", "lib/x.py"):
+            (tmp_path / rel).parent.mkdir()
+            (tmp_path / rel).write_text(src)
+        report = run_check([tmp_path], root=tmp_path)
+        assert [(f.path, f.code) for f in report.findings] == [
+            ("lib/x.py", "RPR010")
+        ]
+        assert report.files_checked == 2
+
+    def test_any_subset_of_codes_in_one_run(self):
+        # per-file and whole-program codes together (two commands and
+        # two registries before); RPR014 on its fixture used to print
+        # "0 finding(s)" under `lint --select RPR014`
+        bad = FIXTURES / "rpr014_locks" / "bad.py"
+        report = run_check([bad], select=["RPR014"], root=FIXTURES)
+        assert report.counts() == {"RPR014": 2}
+        report = run_check([bad], select=["RPR001", "RPR014"], root=FIXTURES)
+        assert report.counts() == {"RPR014": 2}
+        forged = FIXTURES / "rpr013_reserved" / "bad.py"
+        report = run_check(
+            [forged], select=["RPR001", "RPR013"], root=FIXTURES
         )
+        assert report.counts() == {"RPR001": 1, "RPR013": 3}
 
 
 @pytest.mark.parametrize(
@@ -128,7 +152,7 @@ class TestRPR012:
 
 class TestRPR013:
     def test_fallback_matches_simmpi(self):
-        from repro.analysis.commcheck.protocol import MAX_USER_TAG_FALLBACK
+        from repro.analysis.protocol import MAX_USER_TAG_FALLBACK
         from repro.machine.simmpi import MAX_USER_TAG
 
         assert MAX_USER_TAG_FALLBACK == MAX_USER_TAG
@@ -227,11 +251,8 @@ class TestSummary:
             ("probe", True, "TAG_C", False),
         ]
 
-    def test_real_tree_has_comm_sites(self):
-        repo = Path(__file__).resolve().parents[2]
-        program = load_program([repo / "src" / "repro"])
-        summary = extract_summary(program)
-        ops = {s.op for s in summary.sites}
+    def test_real_tree_has_comm_sites(self, tree_report):
+        ops = {s.op for s in tree_report.summary.sites}
         # collectives called by drivers, primitives inside simmpi itself
         assert "barrier" in ops and "allreduce" in ops and "_send" in ops
 
@@ -311,9 +332,7 @@ class TestBaseline:
             load_baseline(f)
 
     def test_apply_baseline_pure(self):
-        from repro.analysis.commcheck import CheckFinding
-
-        f = CheckFinding(
+        f = Finding(
             path="x.py", line=1, col=0, code="RPR015",
             message="blocking 'sleep()'", function="x.f",
         )
@@ -326,7 +345,7 @@ class TestBaseline:
 class TestEngine:
     def test_unknown_select_raises(self):
         with pytest.raises(ValueError, match="unknown rule code"):
-            run_check([FIXTURES], select=["RPR999"])
+            run_check([FIXTURES], select=["RPR999"], root=FIXTURES)
 
     def test_syntax_error_reported(self, tmp_path):
         (tmp_path / "broken.py").write_text("def f(:\n")

@@ -11,11 +11,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from repro.analysis import rule_catalog
-from repro.analysis.commcheck import (
+from repro.analysis import (
     BaselineEntry,
-    CheckFinding,
-    COMMCHECK_CODES,
+    Finding,
+    rule_catalog,
     run_check,
     sarif_json,
     to_sarif,
@@ -28,7 +27,7 @@ SCHEMA = json.loads(
 
 
 def commcheck_rules():
-    return [r for r in rule_catalog() if r["code"] in COMMCHECK_CODES]
+    return rule_catalog()
 
 
 def validate(doc: dict) -> None:
@@ -43,7 +42,7 @@ class TestSarifEmitter:
             function="x.C.f",
         )
         base.update(kw)
-        return CheckFinding(**base)
+        return Finding(**base)
 
     def test_empty_report_validates(self):
         doc = to_sarif([], rules=commcheck_rules())
@@ -51,7 +50,7 @@ class TestSarifEmitter:
         assert doc["version"] == "2.1.0"
         assert doc["runs"][0]["results"] == []
         ids = [r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]]
-        assert ids == list(COMMCHECK_CODES)
+        assert ids == [f"RPR{n:03d}" for n in range(1, 16)]
 
     def test_findings_round_trip(self):
         doc = to_sarif([self.finding()], rules=commcheck_rules())
@@ -130,9 +129,12 @@ class TestSarifOnFixtures:
     def test_real_findings_validate(self):
         base = Path(__file__).parent / "fixtures" / "commcheck"
         report = run_check(
-            [base / "rpr015_blocking" / "bad.py"], select=["RPR015"]
+            [base / "rpr015_blocking" / "bad.py"],
+            select=["RPR015"],
+            root=base,
         )
         assert report.findings
-        doc = to_sarif(report.findings, rules=commcheck_rules())
+        doc = json.loads(report.to_sarif())
         validate(doc)
         assert len(doc["runs"][0]["results"]) == len(report.findings)
+        assert len(doc["runs"][0]["tool"]["driver"]["rules"]) == 15

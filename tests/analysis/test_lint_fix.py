@@ -1,4 +1,4 @@
-"""Fixture tests for ``repro lint --fix`` (RPR007 auto-rewrite)."""
+"""Fixture tests for ``repro check --fix`` (RPR007 auto-rewrite)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis import fix_paths, fix_rpr007_source, lint_paths
+from repro.analysis import fix_paths, fix_rpr007_source, run_check
 
 #: Path that puts fixtures inside a deterministic package for scoping.
 DET = "core/module.py"
@@ -109,7 +109,7 @@ def test_fix_paths_rewrites_in_place_and_lints_clean(tmp_path: Path):
     clean = pkg / "clean.py"
     clean.write_text("def g():\n    return 1\n")
 
-    before = lint_paths([tmp_path], select=["RPR007"], root=tmp_path)
+    before = run_check([tmp_path], select=["RPR007"], root=tmp_path)
     assert before.counts().get("RPR007") == 1
 
     result = fix_paths([tmp_path], root=tmp_path)
@@ -120,7 +120,7 @@ def test_fix_paths_rewrites_in_place_and_lints_clean(tmp_path: Path):
     # The clean file was not rewritten.
     assert clean.read_text() == "def g():\n    return 1\n"
 
-    after = lint_paths([tmp_path], select=["RPR007"], root=tmp_path)
+    after = run_check([tmp_path], select=["RPR007"], root=tmp_path)
     assert after.ok
 
 
@@ -130,7 +130,7 @@ def test_cli_lint_fix_end_to_end(tmp_path: Path):
     target = pkg / "mod.py"
     target.write_text("for g in set(range(3)):\n    print(g)\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--fix", str(tmp_path)],
+        [sys.executable, "-m", "repro", "check", "--fix", str(tmp_path)],
         capture_output=True,
         text=True,
         cwd=str(tmp_path),
@@ -141,5 +141,5 @@ def test_cli_lint_fix_end_to_end(tmp_path: Path):
     )
     assert "fixed 1 RPR007 finding(s)" in proc.stdout, proc.stdout
     assert "sorted(set(range(3)))" in target.read_text()
-    # Post-fix lint of the fixture tree is clean -> exit 0.
+    # Post-fix check of the fixture tree is clean -> exit 0.
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,4 +1,4 @@
-"""One fixture battery per lint rule: positive, negative, noqa.
+"""One fixture battery per per-file rule: positive, negative, noqa.
 
 Fixture files are written under a temp root so the rules' path scoping
 (tests exemption, deterministic packages, tag-authority modules) is
@@ -7,7 +7,11 @@ exercised exactly as it is on the real tree.
 
 import textwrap
 
-from repro.analysis import lint_paths
+from repro.analysis import iter_rules, run_check
+
+#: Fixtures here are single files with one-sided traffic, so unless a
+#: test selects codes itself only the per-file rules run.
+PER_FILE = [r.code for r in iter_rules() if not r.whole_program]
 
 #: A path inside a deterministic package (RPR002/003/007 apply).
 DET = "src/repro/machine/mod.py"
@@ -19,7 +23,7 @@ def run_lint(tmp_path, rel, source, select=None):
     path = tmp_path / rel
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
-    return lint_paths([path], select=select, root=tmp_path)
+    return run_check([path], select=select or PER_FILE, root=tmp_path)
 
 
 def codes(report):
@@ -351,6 +355,7 @@ class TestRPR006SwallowedFailure:
                 except Exception:
                     pass
             """,
+            select=["RPR006"],  # recv() is also an RPR008 wildcard
         )
         assert codes(rep) == ["RPR006"]
 
@@ -366,6 +371,7 @@ class TestRPR006SwallowedFailure:
                     log()
                     raise
             """,
+            select=["RPR006"],  # recv() is also an RPR008 wildcard
         )
         assert rep.ok
 
@@ -394,6 +400,7 @@ class TestRPR006SwallowedFailure:
                 except ValueError:
                     pass
             """,
+            select=["RPR006"],  # recv() is also an RPR008 wildcard
         )
         assert rep.ok
 
@@ -514,6 +521,25 @@ class TestRPR008WildcardBlockingRecv:
             """,
         )
         assert codes(rep) == ["RPR008"]
+
+    def test_omitted_src_is_a_wildcard(self, tmp_path):
+        # recv/irecv default src to ANY_SOURCE: leaving it out is the
+        # same wildcard receive as spelling it (missed before the rule
+        # read CommSite.src_wildcard).
+        rep = run_lint(
+            tmp_path,
+            "src/app.py",
+            """\
+            def p(comm, TAG_X):
+                msg = yield from comm.recv(tag=TAG_X)
+                req = yield from comm.irecv()
+                got = yield from comm.recv(0, TAG_X)
+            """,
+        )
+        assert [(f.code, f.line) for f in rep.findings] == [
+            ("RPR008", 2),
+            ("RPR008", 3),
+        ]
 
     def test_drain_recv_is_canonical(self, tmp_path):
         # drain_recv(ANY_SOURCE, tag) batch-receives deterministically;
@@ -668,10 +694,6 @@ class TestRPR009UnorderedFloatReduction:
 
 
 class TestRealTree:
-    def test_src_lints_clean(self):
-        # The repo's own source must stay lint-clean (CI runs this too).
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[2]
-        report = lint_paths([root / "src"], root=root)
-        assert report.ok, report.format()
+    def test_src_lints_clean(self, tree_report):
+        # The repo's own source must stay clean (CI runs this too).
+        assert tree_report.ok, tree_report.format()

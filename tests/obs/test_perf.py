@@ -35,7 +35,6 @@ from repro.obs.perf.bench import config_sha
 def x38_quick_payload(**kw):
     kw.setdefault("quick", True)
     kw.setdefault("repeats", 1)
-    kw.setdefault("microbench", False)
     return bench_payload("x38", **kw)
 
 
@@ -327,7 +326,7 @@ class TestBenchPayload:
 
     def test_run_bench_writes_file(self, tmp_path):
         payload, path = run_bench(
-            "x38", tmp_path, quick=True, repeats=1, microbench=False
+            "x38", tmp_path, quick=True, repeats=1
         )
         assert path.exists()
         assert json.loads(path.read_text())["case"] == "x38"

@@ -238,7 +238,7 @@ class TestBenchTrend:
 
         def simulated(store_dir):
             payload = bench_payload(
-                "airfoil", quick=True, repeats=1, microbench=False,
+                "airfoil", quick=True, repeats=1,
                 trace_store=str(store_dir),
             )
             return payload["simulated"]

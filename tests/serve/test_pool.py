@@ -13,7 +13,7 @@ from repro.serve import (
     WorkerPool,
     run_job_bytes,
 )
-from repro.serve.pool import pool_available, throughput_microbench
+from repro.serve.pool import pool_available
 
 from tests.serve.conftest import tiny_spec
 
@@ -165,10 +165,3 @@ class TestLifecycle:
             payload, _ = p.execute(tiny_spec())
         assert payload
 
-
-class TestThroughputMicrobench:
-    def test_reports_positive_throughput(self):
-        out = throughput_microbench(jobs=2, workers=2, spec=tiny_spec())
-        assert out["jobs"] == 2
-        assert out["jobs_per_sec"] > 0
-        assert out["errors"] == []

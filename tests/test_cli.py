@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -141,24 +142,32 @@ class TestPhysics:
 
 
 class TestLintCommand:
+    """``repro check`` on per-file rules (the former ``repro lint``)."""
+
+    def test_lint_is_gone_not_aliased(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "src"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
+
     def test_lint_clean_file_exits_zero(self, capsys, tmp_path):
         f = tmp_path / "clean.py"
         f.write_text("X = 1\n")
-        rc = main(["lint", str(f)])
+        rc = main(["check", str(f)])
         assert rc == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_lint_finding_exits_one(self, capsys, tmp_path):
         f = tmp_path / "dirty.py"
         f.write_text("def f(x=[]):\n    pass\n")
-        rc = main(["lint", str(f)])
+        rc = main(["check", str(f)])
         assert rc == 1
         assert "RPR004" in capsys.readouterr().out
 
     def test_lint_json_output(self, capsys, tmp_path):
         f = tmp_path / "dirty.py"
         f.write_text("def f(x=[]):\n    pass\n")
-        rc = main(["lint", str(f), "--json"])
+        rc = main(["check", str(f), "--json"])
         assert rc == 1
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is False
@@ -167,26 +176,31 @@ class TestLintCommand:
     def test_lint_select(self, capsys, tmp_path):
         f = tmp_path / "dirty.py"
         f.write_text("def f(x=[]):\n    pass\n")
-        rc = main(["lint", str(f), "--select", "RPR001"])
+        rc = main(["check", str(f), "--select", "RPR001"])
         assert rc == 0
 
     def test_lint_unknown_select_exits(self, tmp_path):
-        with pytest.raises(SystemExit, match="unknown rule code"):
-            main(["lint", str(tmp_path), "--select", "RPR999"])
+        with pytest.raises(SystemExit, match="unknown rule code") as exc:
+            main(["check", str(tmp_path), "--select", "RPR001,RPR999"])
+        assert "RPR001" in str(exc.value) and "RPR015" in str(exc.value)
 
     def test_lint_rules_catalog(self, capsys):
-        rc = main(["lint", "--rules"])
+        rc = main(["check", "--rules"])
         assert rc == 0
-        out = capsys.readouterr().out
-        for code in ("RPR001", "RPR007"):
-            assert code in out
+        out = capsys.readouterr().out.splitlines()
+        assert [ln.split()[0] for ln in out] == [
+            f"RPR{n:03d}" for n in range(1, 16)
+        ]
 
-    def test_lint_repo_src_is_clean(self, capsys):
-        import pathlib
+    def test_lint_repo_src_is_clean(self, tree_report):
+        assert tree_report.ok, tree_report.format()
 
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        rc = main(["lint", str(src)])
-        assert rc == 0
+
+@pytest.fixture
+def in_dir(tmp_path, monkeypatch):
+    """Run from ``tmp_path`` (reported paths are cwd-relative)."""
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
 
 
 class TestCheckCommand:
@@ -195,25 +209,26 @@ class TestCheckCommand:
         "    if comm.rank == 0:\n"
         "        yield from comm.barrier()\n"
     )
+    FIXTURES = pathlib.Path(__file__).parent / "analysis/fixtures/commcheck"
 
     def test_check_clean_file_exits_zero(self, capsys, tmp_path):
         f = tmp_path / "clean.py"
         f.write_text("def p(comm):\n    yield from comm.barrier()\n")
-        rc = main(["check", str(f), "--no-baseline"])
+        rc = main(["check", str(f)])
         assert rc == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_check_finding_exits_one(self, capsys, tmp_path):
         f = tmp_path / "bad.py"
         f.write_text(self.BAD)
-        rc = main(["check", str(f), "--no-baseline"])
+        rc = main(["check", str(f)])
         assert rc == 1
         assert "RPR010" in capsys.readouterr().out
 
     def test_check_json_output(self, capsys, tmp_path):
         f = tmp_path / "bad.py"
         f.write_text(self.BAD)
-        rc = main(["check", str(f), "--no-baseline", "--json"])
+        rc = main(["check", str(f), "--json"])
         assert rc == 1
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is False
@@ -222,8 +237,22 @@ class TestCheckCommand:
     def test_check_select(self, capsys, tmp_path):
         f = tmp_path / "bad.py"
         f.write_text(self.BAD)
-        rc = main(["check", str(f), "--no-baseline", "--select", "RPR015"])
+        rc = main(["check", str(f), "--select", "RPR015"])
         assert rc == 0
+
+    def test_check_select_mixes_per_file_and_whole_program(
+        self, capsys, monkeypatch
+    ):
+        # from the fixture tree, so bad.py is not under a `tests` dir
+        monkeypatch.chdir(self.FIXTURES)
+        rc = main(["check", "rpr014_locks/bad.py", "--select", "RPR014"])
+        assert rc == 1
+        assert "2 finding(s) (RPR014 x2)" in capsys.readouterr().out
+        rc = main([
+            "check", "rpr013_reserved/bad.py", "--select", "RPR001,RPR013",
+        ])
+        assert rc == 1
+        assert "(RPR001 x1, RPR013 x3)" in capsys.readouterr().out
 
     def test_check_unknown_select_exits(self, tmp_path):
         with pytest.raises(SystemExit, match="unknown rule code"):
@@ -234,50 +263,60 @@ class TestCheckCommand:
         assert rc == 0
         out = capsys.readouterr().out
         for code in ("RPR010", "RPR015"):
-            assert code in out
-        assert "RPR001" not in out  # per-file lint rules stay separate
+            assert f"{code}  [whole-program]" in out
+        assert "RPR001  [per-file]" in out  # one catalog, all 15 rules
 
-    def test_check_baseline_waives_and_stale_fails(self, capsys, tmp_path):
-        f = tmp_path / "bad.py"
+    def test_check_baseline_waives_and_stale_fails(self, capsys, in_dir):
+        f = in_dir / "bad.py"
         f.write_text(self.BAD)
-        bl = tmp_path / "bl.json"
+        bl = in_dir / "bl.json"
         bl.write_text(json.dumps({
             "entries": [
                 {"code": "RPR010", "path": "bad.py",
                  "justification": "fixture: documented"},
             ],
         }))
-        import os
+        rc = main(["check", "bad.py", "--baseline", str(bl)])
+        assert rc == 0
+        assert "1 waived by baseline" in capsys.readouterr().out
+        # fix the defect -> entry goes stale -> --baseline-check fails
+        f.write_text("def p(comm):\n    yield from comm.barrier()\n")
+        rc = main(["check", "bad.py", "--baseline", str(bl)])
+        assert rc == 0  # stale alone does not fail a normal run
+        assert "stale baseline entry" in capsys.readouterr().out
+        rc = main([
+            "check", "bad.py", "--baseline", str(bl),
+            "--baseline-check",
+        ])
+        assert rc == 1
 
-        cwd = os.getcwd()
-        os.chdir(tmp_path)
-        try:
-            rc = main(["check", "bad.py", "--baseline", str(bl)])
-            assert rc == 0
-            assert "1 waived by baseline" in capsys.readouterr().out
-            # fix the defect -> entry goes stale -> --baseline-check fails
-            f.write_text("def p(comm):\n    yield from comm.barrier()\n")
-            rc = main(["check", "bad.py", "--baseline", str(bl)])
-            assert rc == 0  # stale alone does not fail a normal run
-            assert "stale baseline entry" in capsys.readouterr().out
-            rc = main([
-                "check", "bad.py", "--baseline", str(bl),
-                "--baseline-check",
-            ])
-            assert rc == 1
-        finally:
-            os.chdir(cwd)
+    def test_check_missing_baseline_is_empty_unless_checked(
+        self, capsys, in_dir
+    ):
+        (in_dir / "bad.py").write_text(self.BAD)
+        assert main(["check", "bad.py", "--baseline", "nope.json"]) == 1
+        with pytest.raises(SystemExit, match="baseline file not found"):
+            main(["check", "bad.py", "--baseline", "nope.json",
+                  "--baseline-check"])
 
     def test_check_sarif_file_output(self, capsys, tmp_path):
         f = tmp_path / "bad.py"
         f.write_text(self.BAD)
         out_file = tmp_path / "out.sarif"
-        rc = main([
-            "check", str(f), "--no-baseline", "--sarif", str(out_file),
-        ])
+        rc = main(["check", str(f), "--sarif", str(out_file)])
         assert rc == 1
+        assert "RPR010" in capsys.readouterr().out  # text report as well
         doc = json.loads(out_file.read_text())
         assert doc["version"] == "2.1.0"
+        assert doc["runs"][0]["results"][0]["ruleId"] == "RPR010"
+        assert len(doc["runs"][0]["tool"]["driver"]["rules"]) == 15
+
+    def test_check_sarif_stdout_prints_only_sarif(self, capsys, tmp_path):
+        f = tmp_path / "bad.py"
+        f.write_text(self.BAD)
+        rc = main(["check", str(f), "--sarif", "-"])
+        assert rc == 1
+        doc = json.loads(capsys.readouterr().out)
         assert doc["runs"][0]["results"][0]["ruleId"] == "RPR010"
 
     def test_check_summary_flag(self, capsys, tmp_path):
@@ -288,24 +327,34 @@ class TestCheckCommand:
             "    yield from comm.send(1, TAG_X, b'')\n"
             "    d, s = yield from comm.recv(0, TAG_X)\n"
         )
-        rc = main(["check", str(f), "--no-baseline", "--summary"])
+        rc = main(["check", str(f), "--summary"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "communication summary:" in out
         assert "send:send tag=TAG_X (= 5)" in out
 
-    def test_check_repo_clean_against_committed_baseline(self, capsys):
-        import os
-        import pathlib
+    def test_check_repo_clean_against_committed_baseline(
+        self, capsys, monkeypatch, tree_report
+    ):
+        # The CI step, as a shell test: cmd_check hands the paths and
+        # the committed baseline to run_check and maps the report to an
+        # exit code.  The whole-tree analysis itself is the shared
+        # session run (tests/conftest.py), not repeated here.
+        import repro.analysis
 
-        repo = pathlib.Path(__file__).resolve().parents[1]
-        cwd = os.getcwd()
-        os.chdir(repo)
-        try:
-            rc = main(["check", "src/repro", "--baseline-check"])
-        finally:
-            os.chdir(cwd)
+        seen = {}
+
+        def fake(paths, select=None, baseline=None):
+            seen.update(paths=paths, select=select, baseline=baseline)
+            return tree_report
+
+        monkeypatch.setattr(repro.analysis, "run_check", fake)
+        monkeypatch.chdir(pathlib.Path(__file__).resolve().parents[1])
+        rc = main(["check", "src", "tests", "--baseline-check"])
         assert rc == 0
+        assert seen["paths"] == ["src", "tests"] and seen["select"] is None
+        assert len(seen["baseline"]) == len(tree_report.waived)
+        assert "0 finding(s)" in capsys.readouterr().out
 
 
 class TestSanitize:
@@ -341,7 +390,7 @@ class TestBench:
     def test_bench_writes_canonical_payload(self, capsys, tmp_path):
         rc = main([
             "bench", "x38", "--quick", "--repeats", "1",
-            "--no-microbench", "--out", str(tmp_path),
+            "--out", str(tmp_path),
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -368,7 +417,7 @@ class TestBenchCompare:
         out = tmp_path / name
         rc = main([
             "bench", "x38", "--quick", "--repeats", "1",
-            "--no-microbench", "--out", str(out),
+            "--out", str(out),
         ])
         assert rc == 0
         return out / "BENCH_x38.json"
@@ -385,7 +434,7 @@ class TestBenchCompare:
     def _compare(self, tmp_path, base_dir):
         return main([
             "bench", "x38", "--quick", "--repeats", "1",
-            "--no-microbench", "--out", str(tmp_path / "cmp"),
+            "--out", str(tmp_path / "cmp"),
             "--compare", "--baseline-dir", str(base_dir),
         ])
 
@@ -442,7 +491,7 @@ class TestBenchCompare:
     def test_missing_baseline_exits_one(self, capsys, tmp_path):
         rc = main([
             "bench", "x38", "--quick", "--repeats", "1",
-            "--no-microbench", "--out", str(tmp_path / "cmp"),
+            "--out", str(tmp_path / "cmp"),
             "--compare", "--baseline-dir", str(tmp_path / "empty"),
         ])
         assert rc == 1
@@ -573,7 +622,7 @@ class TestTraceDiff:
         out = tmp_path / name
         rc = main([
             "bench", "x38", "--quick", "--repeats", "1",
-            "--no-microbench", "--out", str(out),
+            "--out", str(out),
         ])
         assert rc == 0
         return out / "BENCH_x38.json"
