@@ -4,7 +4,8 @@
 The CI perf gate trace-diffs fresh ``repro bench`` payloads against
 ``benchmarks/baselines/BENCH_<case>.json``; this script is the one
 sanctioned way to move those baselines.  It reruns every bench case
-with the exact knobs the gate uses (``--quick``, one repeat) and writes canonical JSON plus a ``provenance`` block:
+with the exact knobs the gate uses (``--quick``) and writes canonical
+JSON plus a ``provenance`` block:
 
 * ``git_sha`` — the commit the numbers were generated at,
 * ``generated`` — UTC timestamp,
@@ -54,12 +55,6 @@ from repro.obs.perf.bench import (  # noqa: E402
 )
 from repro.obs.perf.diff import diff_bench  # noqa: E402
 
-#: Generation knobs.  ``quick`` matches the CI perf job; ``repeats``
-#: only shapes the wall-clock ``host`` section the gate ignores, so one
-#: repeat keeps refreshes fast.
-GEN_KNOBS = {"quick": True, "repeats": 1}
-
-
 def _git_sha() -> str:
     try:
         out = subprocess.run(
@@ -89,7 +84,7 @@ def refresh(cases: list[str], check: bool, tolerance: float) -> int:
     """Rewrite (or verify) one baseline per case; returns #failures."""
     failures = 0
     for case in cases:
-        payload = bench_payload(case, **GEN_KNOBS)
+        payload = bench_payload(case, quick=True)  # the CI perf job's knobs
         payload["provenance"] = _provenance(payload)
         path = BASELINE_DIR / f"BENCH_{case}.json"
         if not check:

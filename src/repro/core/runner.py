@@ -821,23 +821,15 @@ def build_driver(
     return OffBodyDriver(target, **options)
 
 
-def resume_run(
-    checkpoint: Any,
-    tracer: Any = None,
-    sanitizer: Any = None,
-    backend: str | ExecutionBackend = "sim",
-    **resilience: Any,
-) -> RunResult:
-    """Resume a run from a checkpoint file/object.
+def resume_run(checkpoint: Any, **options: Any) -> RunResult:
+    """Resume a run from a checkpoint object, file or directory (the
+    newest checkpoint in it).
 
     Convenience wrapper: reads the case out of the checkpoint, builds
-    its driver and continues.  Used by ``repro resume``.
+    its driver (``options`` as for :func:`build_driver`) and continues.
+    Used by ``repro resume``.
     """
     if isinstance(checkpoint, (str, Path)):
         checkpoint = Checkpoint.load(checkpoint)
     target = pickle.loads(checkpoint.sections["config"])
-    driver = build_driver(
-        target, tracer=tracer, sanitizer=sanitizer, backend=backend,
-        **resilience,
-    )
-    return driver.resume(checkpoint)
+    return build_driver(target, **options).resume(checkpoint)

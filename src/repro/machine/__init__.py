@@ -33,6 +33,7 @@ from repro.machine.spec import (
     sp,
     cray_ymp,
     MACHINE_PRESETS,
+    machine_preset,
 )
 from repro.machine.event import Message, Mailbox, ANY_SOURCE, ANY_TAG
 from repro.machine.simmpi import MAX_USER_TAG, Comm, Request, Status, describe_tag
@@ -48,6 +49,7 @@ __all__ = [
     "sp",
     "cray_ymp",
     "MACHINE_PRESETS",
+    "machine_preset",
     "Message",
     "Mailbox",
     "ANY_SOURCE",

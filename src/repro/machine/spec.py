@@ -139,3 +139,20 @@ def cray_ymp() -> MachineSpec:
 
 
 MACHINE_PRESETS = {"sp2": sp2, "sp": sp, "ymp": cray_ymp}
+
+
+def machine_preset(name: str, nodes: int) -> MachineSpec:
+    """The preset called ``name`` sized to ``nodes`` nodes.
+
+    The one name -> :class:`MachineSpec` path (CLI, ``repro bench``,
+    serve jobs and scenario files all resolve through it).  ``ymp`` is
+    a single processor head whatever ``nodes`` says; an unknown name
+    (or a node count below 1) is a :class:`ValueError`.
+    """
+    try:
+        preset = MACHINE_PRESETS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown machine {name!r}; choose from {sorted(MACHINE_PRESETS)}"
+        ) from None
+    return cray_ymp() if preset is cray_ymp else preset(nodes=nodes)

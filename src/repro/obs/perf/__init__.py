@@ -15,6 +15,9 @@ subpackage turns the raw event streams of
 * :mod:`bench` — the ``repro bench`` harness: runs the table cases
   through the analyzers and emits schema-versioned, canonical-JSON
   ``BENCH_<case>.json`` payloads;
+* :mod:`traced` — :func:`traced_run`, the one "recorder -> sanitizer
+  -> driver -> store read-back" pipeline behind ``repro trace``,
+  ``repro run --trace-store`` and ``repro bench``;
 * :mod:`diff` — ``repro trace-diff``: classifies per-phase/per-metric
   deltas between two BENCH payloads with a tolerance, for the CI
   perf-regression gate;
@@ -32,11 +35,10 @@ from repro.obs.perf.bench import (
     BENCH_CASES,
     bench_payload,
     canonical_json,
-    run_bench,
-    scenario_bench_payload,
     write_bench,
 )
 from repro.obs.perf.diff import DiffReport, diff_bench, diff_files
+from repro.obs.perf.traced import TracedRun, traced_run
 from repro.obs.perf.trends import (
     step_series,
     trend_block,
@@ -53,12 +55,12 @@ __all__ = [
     "BENCH_CASES",
     "bench_payload",
     "canonical_json",
-    "run_bench",
-    "scenario_bench_payload",
     "write_bench",
     "DiffReport",
     "diff_bench",
     "diff_files",
+    "TracedRun",
+    "traced_run",
     "step_series",
     "trend_block",
     "trend_chart",

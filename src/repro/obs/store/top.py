@@ -33,7 +33,7 @@ from repro.obs.store.codec import (
     KIND_RECV,
     KIND_SEND,
 )
-from repro.obs.store.reader import Record, TailReader
+from repro.obs.store.reader import Record, TailReader, load_index
 
 __all__ = ["TopAggregator", "render_top", "run_top"]
 
@@ -230,6 +230,28 @@ def render_top(
     return "\n".join(lines)
 
 
+def _await_store(store: Path, wait: float) -> None:
+    """Return once ``store`` exists (``wait`` = 0) or holds an index or
+    a segment (within ``wait`` seconds); :class:`FileNotFoundError`
+    otherwise."""
+    if not wait:
+        if not store.is_dir():
+            raise FileNotFoundError(
+                f"no trace store at {store} (start a producer with "
+                f"--trace-store, or pass --wait to poll for one)"
+            )
+        return
+    deadline = time.monotonic() + wait
+    while not store.is_dir() or (
+        load_index(store) is None and not any(store.glob("shard-*.seg"))
+    ):
+        if time.monotonic() >= deadline:
+            raise FileNotFoundError(
+                f"no trace store appeared at {store} within {wait:.0f}s"
+            )
+        time.sleep(0.1)
+
+
 def run_top(
     directory: str | Path,
     interval: float = 1.0,
@@ -237,8 +259,13 @@ def run_top(
     width: int = 80,
     emit: Callable[[str], None] = print,
     max_refreshes: int | None = None,
+    wait: float = 0.0,
 ) -> int:
     """Tail ``directory`` and render until the store completes.
+
+    A store that does not exist yet is a :class:`FileNotFoundError`
+    unless it appears within ``wait`` seconds (for racing a freshly
+    launched producer).
 
     ``once`` polls whatever is durable right now, renders a single
     snapshot, and returns.  In loop mode the screen is cleared between
@@ -246,6 +273,7 @@ def run_top(
     no further records arrive (or on Ctrl-C).  ``max_refreshes`` bounds
     the loop for tests.
     """
+    _await_store(Path(directory), wait)
     tail = TailReader(directory)
     agg = TopAggregator()
     refreshes = 0

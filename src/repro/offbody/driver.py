@@ -172,6 +172,20 @@ class OffBodyEpoch(EpochResult):
     #: series behind :attr:`igbp`, kept for the physics signature.
     per_step_igbp: list[tuple[int, ...]] = field(default_factory=list)
 
+    def summary(self) -> dict[str, Any]:
+        """Patch/grouping statistics as a plain dict: one row of a BENCH
+        payload's ``simulated.offbody.epochs``."""
+        return {
+            "first_step": self.first_step,
+            "npatches": self.npatches,
+            "created": self.created,
+            "destroyed": self.destroyed,
+            "cut_points": self.cut_points,
+            "cut_edges": self.cut_edges,
+            "intra_edges": self.intra_edges,
+            "balance_tau": self.balance_tau,
+        }
+
 
 @dataclass
 class OffBodyRunResult(RunResult):

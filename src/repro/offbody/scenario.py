@@ -28,6 +28,7 @@ lookup path as the built-in benchmarks.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +39,7 @@ import numpy as np
 from repro.grids.bbox import AABB
 from repro.grids.generators import body_of_revolution_grid
 from repro.grids.motion import RigidMotion
+from repro.machine import machine_preset
 from repro.motion.prescribed import (
     PrescribedMotion,
     SteadyDescent,
@@ -284,6 +286,10 @@ def validate_scenario(payload: Any) -> dict[str, Any]:
             f"unknown grouping {run.get('grouping')!r}; "
             f"choose from {GROUPING_STRATEGIES}"
         )
+    try:
+        machine_preset(run.get("machine", "sp2"), nodes=1)
+    except ValueError as exc:
+        raise ScenarioError(f"run block: {exc}") from None
     return payload
 
 
@@ -308,17 +314,14 @@ def load_scenario(path: str | Path) -> dict[str, Any]:
 
 def build_offbody_case(
     payload: dict[str, Any],
-    machine=None,
     nodes: int | None = None,
     nsteps: int | None = None,
     grouping: str | None = None,
-    **_ignored: Any,
 ) -> OffBodyCase:
     """Materialise an :class:`OffBodyCase` from a scenario payload.
 
-    ``machine``/``nodes``/``nsteps``/``grouping`` override the
-    scenario's run block (the CLI passes its usual knobs through;
-    unrelated overflow-case knobs like ``scale`` are ignored).
+    ``nodes``/``nsteps``/``grouping`` override the scenario's run
+    block; the machine is its ``run.machine`` preset.
     """
     validate_scenario(payload)
     run = payload["run"]
@@ -329,17 +332,12 @@ def build_offbody_case(
         g["axis_origin"] = tuple(g.get("axis_origin", (0.0, 0.0, 0.0)))
         grids.append(body_of_revolution_grid(body["name"], **g))
         motions[gi] = _motion_from_spec(body["motion"])
-    if machine is None:
-        from repro.machine import MACHINE_PRESETS
-
-        preset = MACHINE_PRESETS[run.get("machine", "sp2")]
-        machine = preset(nodes=nodes or run["nodes"])
-    elif nodes is not None:
-        machine = machine.with_nodes(nodes)
     off = payload["offbody"]
     return OffBodyCase(
         name=payload["name"],
-        machine=machine,
+        machine=machine_preset(
+            run.get("machine", "sp2"), nodes or run["nodes"]
+        ),
         near_body=tuple(grids),
         motions=motions,
         domain=AABB(payload["domain"]["lo"], payload["domain"]["hi"]),
@@ -364,13 +362,9 @@ def register_scenario_case(payload: dict[str, Any], source: str | Path | None = 
     from repro.cases import register_case
 
     validate_scenario(payload)
-
-    def builder(**kwargs: Any) -> OffBodyCase:
-        return build_offbody_case(payload, **kwargs)
-
     return register_case(
         payload["name"],
-        builder,
+        functools.partial(build_offbody_case, payload),
         kind="offbody",
         help=f"generated {payload['kind']} scenario (seed {payload.get('seed')})",
         replace=True,

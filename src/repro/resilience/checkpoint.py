@@ -193,7 +193,14 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
+        """Load a checkpoint file, or the newest checkpoint of a
+        checkpoint directory."""
         path = Path(path)
+        if path.is_dir():
+            latest = CheckpointStore(path).latest()
+            if latest is None:
+                raise CheckpointError(f"no checkpoints in {path}")
+            return latest
         if not path.is_file():
             raise CheckpointError(f"no checkpoint at {path}")
         return cls.from_bytes(path.read_bytes())

@@ -8,9 +8,8 @@ the result cache and the request-coalescing map use.  Two submissions
 with the same knobs are *the same job* no matter how their dicts were
 ordered or which client sent them.
 
-:func:`run_job` is the one execution path: the daemon's pool workers,
-the ``jobs/sec`` micro-benchmark and direct in-process callers all go
-through it, so a deterministic (``sim``-backend) job produces
+:func:`run_job` is the one execution path: the daemon's pool workers
+and direct in-process callers all go through it, so a deterministic (``sim``-backend) job produces
 byte-identical canonical payloads whether it ran direct, through a cold
 server, or was answered from the cache (the cache stores the literal
 bytes).  Payloads carry only modeled quantities for ``sim`` jobs —
@@ -50,19 +49,6 @@ _INJECT_PREFIXES = ("crash", "sleep:", "error:", "rankfail")
 
 class JobSpecError(ValueError):
     """A job description is malformed (bad field, unknown case, ...)."""
-
-
-def _known_cases() -> dict:
-    """Runnable case builders, straight from the shared registry.
-
-    Only ``"overflow"``-kind entries are serveable: a job spec carries
-    scalar knobs (scale/nsteps/f0), not a scenario file.
-    """
-    from repro.cases import case_entry, case_names
-
-    return {
-        name: case_entry(name).builder for name in case_names(kind="overflow")
-    }
 
 
 def _parse_float(value: Any, name: str) -> float:
@@ -189,20 +175,24 @@ class JobSpec:
         return spec
 
     def check_runnable(self) -> None:
-        """Raise :class:`JobSpecError` for names no worker could run."""
-        from repro.backend import backend_help
-        from repro.machine import MACHINE_PRESETS
+        """Raise :class:`JobSpecError` for names no worker could run.
 
-        if self.case not in _known_cases():
+        Only ``"overflow"``-kind cases are serveable: a job spec carries
+        scalar knobs (scale/nsteps/f0), not a scenario file.
+        """
+        from repro.backend import backend_help
+        from repro.cases import case_names
+        from repro.machine import machine_preset
+
+        runnable = case_names(kind="overflow")
+        if self.case not in runnable:
             raise JobSpecError(
-                f"unknown case {self.case!r}; choose from "
-                f"{sorted(_known_cases())}"
+                f"unknown case {self.case!r}; choose from {list(runnable)}"
             )
-        if self.machine not in MACHINE_PRESETS:
-            raise JobSpecError(
-                f"unknown machine {self.machine!r}; choose from "
-                f"{sorted(MACHINE_PRESETS)}"
-            )
+        try:
+            machine_preset(self.machine, self.nodes)
+        except ValueError as exc:
+            raise JobSpecError(str(exc)) from None
         if self.backend not in backend_help():
             raise JobSpecError(
                 f"unknown backend {self.backend!r}; choose from "
@@ -275,15 +265,18 @@ def run_job(spec: JobSpec) -> dict:
     for ``sim`` jobs, so it is deterministic; ``deterministic: false``
     marks measured (``mp``) payloads as host data.
     """
+    from repro.cases import build_case
     from repro.core import build_driver, run_summary
-    from repro.machine import MACHINE_PRESETS
+    from repro.machine import machine_preset
 
     spec.check_runnable()
     _apply_inject(spec)
-    preset = MACHINE_PRESETS[spec.machine]
-    machine = preset() if spec.machine == "ymp" else preset(nodes=spec.nodes)
-    cfg = _known_cases()[spec.case](
-        machine=machine, scale=spec.scale, nsteps=spec.nsteps, f0=spec.f0
+    cfg = build_case(
+        spec.case,
+        machine=machine_preset(spec.machine, spec.nodes),
+        scale=spec.scale,
+        nsteps=spec.nsteps,
+        f0=spec.f0,
     )
     run = build_driver(cfg, backend=_job_backend(spec.backend)).run()
     result = run_summary(run)

@@ -199,6 +199,16 @@ class ReproServer:
         self._accept_thread.start()
         return self
 
+    def wait(self) -> None:
+        """Block until the accept loop has exited, i.e. until a
+        :meth:`shutdown` (from a signal handler or another thread) got
+        that far.  Joins in short slices so signal handlers keep
+        running in the calling thread."""
+        if self._accept_thread is None:
+            raise RuntimeError("wait() before start()")
+        while self._accept_thread.is_alive():
+            self._accept_thread.join(timeout=0.5)
+
     def __enter__(self) -> "ReproServer":
         return self.start()
 

@@ -26,10 +26,10 @@ def airfoil():
 
 
 def debris():
-    # Two adapt epochs: steps 0-1 and 2-3.
+    # Two adapt epochs (the generator's adapt_interval is 2): steps
+    # 0-1 and 2-3.
     return build_offbody_case(
-        generate_scenario("debris", seed=5, nbodies=3),
-        nsteps=NSTEPS, adapt_interval=2,
+        generate_scenario("debris", seed=5, nbodies=3), nsteps=NSTEPS
     )
 
 

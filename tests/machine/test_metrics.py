@@ -1,8 +1,14 @@
-"""Direct tests for per-rank and machine-wide metrics."""
+"""Direct tests for per-rank and machine-wide metrics.
+
+The derived statistics (imbalance, fractions, flop totals) have one
+home, :class:`repro.obs.rollup.PhaseRollup`; the machine-wide tests
+check them on ``PhaseRollup.from_metrics(mm)``.
+"""
 
 import pytest
 
 from repro.machine.metrics import MachineMetrics, RankMetrics
+from repro.obs import PhaseRollup
 
 
 def rank(r, phases):
@@ -41,19 +47,22 @@ class TestMachineMetrics:
     def test_imbalance(self):
         mm = MachineMetrics([rank(0, [("a", "compute", 1.0)]),
                              rank(1, [("a", "compute", 3.0)])])
-        assert mm.imbalance("a") == pytest.approx(3.0 / 2.0)
+        assert PhaseRollup.from_metrics(mm).imbalance("a") == pytest.approx(
+            3.0 / 2.0
+        )
 
     def test_perfect_balance_is_one(self):
         mm = MachineMetrics([rank(0, [("a", "compute", 2.0)]),
                              rank(1, [("a", "compute", 2.0)])])
-        assert mm.imbalance("a") == pytest.approx(1.0)
+        assert PhaseRollup.from_metrics(mm).imbalance("a") == pytest.approx(1.0)
 
     def test_phase_fraction(self):
         mm = MachineMetrics([
             rank(0, [("flow", "compute", 3.0), ("dcf", "compute", 1.0)]),
             rank(1, [("flow", "compute", 3.0), ("dcf", "compute", 1.0)]),
         ])
-        assert mm.phase_fraction("dcf") == pytest.approx(0.25)
+        roll = PhaseRollup.from_metrics(mm)
+        assert roll.phase_fraction("dcf") == pytest.approx(0.25)
 
     def test_mflops_per_node(self):
         a = rank(0, [("x", "compute", 2.0)])
@@ -62,14 +71,20 @@ class TestMachineMetrics:
         b.add_flops("x", 30e6)
         mm = MachineMetrics([a, b])
         # 40 Mflop over 2 s on 2 nodes = 10 Mflop/s/node.
-        assert mm.mflops_per_node() == pytest.approx(10.0)
+        roll = PhaseRollup.from_metrics(mm)
+        assert roll.total_flops() == pytest.approx(40e6)
+        assert roll.total_flops() / roll.elapsed / roll.nranks / 1e6 == (
+            pytest.approx(10.0)
+        )
 
     def test_summary_structure(self):
         mm = MachineMetrics([rank(0, [("a", "compute", 1.0)])])
-        s = mm.summary()
-        assert s["nranks"] == 1
-        assert "a" in s["phases"]
-        assert s["phases"]["a"]["fraction"] == pytest.approx(1.0)
+        roll = PhaseRollup.from_metrics(mm)
+        assert roll.nranks == mm.nranks == 1
+        (row,) = roll.breakdown()
+        assert row["phase"] == "a"
+        assert row["max_s"] == row["avg_s"] == pytest.approx(1.0)
+        assert row["fraction"] == pytest.approx(1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

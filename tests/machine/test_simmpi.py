@@ -13,6 +13,7 @@ from repro.machine import (
     Simulator,
     sp2,
 )
+from repro.obs import PhaseRollup
 
 
 def make_machine(nodes=2, flops=1e6, latency=1e-4, bandwidth=1e6):
@@ -40,7 +41,8 @@ class TestCompute:
             yield from comm.compute(flops=5e5)
 
         result = run(make_machine(nodes=3), program)
-        assert result.metrics.total_flops() == pytest.approx(1.5e6)
+        roll = PhaseRollup.from_metrics(result.metrics)
+        assert roll.total_flops() == pytest.approx(1.5e6)
 
     def test_elapse_charges_no_flops(self):
         def program(comm):
@@ -48,7 +50,7 @@ class TestCompute:
 
         result = run(make_machine(nodes=1), program)
         assert result.elapsed == pytest.approx(3.5)
-        assert result.metrics.total_flops() == 0
+        assert PhaseRollup.from_metrics(result.metrics).total_flops() == 0
 
     def test_zero_work_is_free(self):
         def program(comm):
@@ -326,9 +328,9 @@ class TestSchedulerSemantics:
             yield from comm.compute(flops=3e6)
 
         result = run(make_machine(nodes=1, flops=1e6), program)
-        m = result.metrics
-        assert m.phase_time_max("alpha") == pytest.approx(1.0)
-        assert m.phase_time_max("beta") == pytest.approx(3.0)
+        m = PhaseRollup.from_metrics(result.metrics)
+        assert m.phase_max("alpha") == pytest.approx(1.0)
+        assert m.phase_max("beta") == pytest.approx(3.0)
         assert m.phase_fraction("beta") == pytest.approx(0.75)
 
     def test_wait_time_attributed(self):

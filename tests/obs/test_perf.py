@@ -26,7 +26,6 @@ from repro.obs.perf import (
     canonical_json,
     diff_bench,
     diff_files,
-    run_bench,
     write_bench,
 )
 from repro.obs.perf.bench import config_sha
@@ -34,7 +33,6 @@ from repro.obs.perf.bench import config_sha
 
 def x38_quick_payload(**kw):
     kw.setdefault("quick", True)
-    kw.setdefault("repeats", 1)
     return bench_payload("x38", **kw)
 
 
@@ -43,14 +41,21 @@ def payload():
     return x38_quick_payload()
 
 
+def x38_quick_case():
+    from repro.cases import build_case
+
+    knobs = BENCH_CASES["x38"].knobs(quick=True)
+    return build_case(
+        "x38", machine=sp2(nodes=knobs["nodes"]), scale=knobs["scale"],
+        nsteps=knobs["nsteps"],
+    )
+
+
 @pytest.fixture(scope="module")
 def traced_x38():
     """One traced x38 quick run: (run, tracer)."""
-    from repro.obs.perf.bench import BENCH_CASES, _build_config
-
-    cfg, _ = _build_config(BENCH_CASES["x38"], quick=True)
     tracer = SpanTracer()
-    run = OverflowD1(cfg, tracer=tracer).run()
+    run = OverflowD1(x38_quick_case(), tracer=tracer).run()
     return run, tracer
 
 
@@ -195,11 +200,8 @@ class TestCriticalPath:
 
     def test_deterministic_across_runs(self, traced_x38):
         _run, tracer = traced_x38
-        from repro.obs.perf.bench import BENCH_CASES, _build_config
-
-        cfg, _ = _build_config(BENCH_CASES["x38"], quick=True)
         tracer2 = SpanTracer()
-        OverflowD1(cfg, tracer=tracer2).run()
+        OverflowD1(x38_quick_case(), tracer=tracer2).run()
         a = analyze_critical_path(tracer).to_dict(include_steps=True)
         b = analyze_critical_path(tracer2).to_dict(include_steps=True)
         assert canonical_json(a) == canonical_json(b)
@@ -318,16 +320,18 @@ class TestBenchPayload:
         text = path.read_text()
         assert canonical_json(json.loads(text)) == text
 
-    def test_unknown_case_and_bad_repeats(self):
+    def test_unknown_case(self):
         with pytest.raises(ValueError, match="unknown bench case"):
             bench_payload("nonsense")
-        with pytest.raises(ValueError, match="repeats"):
-            bench_payload("x38", repeats=0)
 
-    def test_run_bench_writes_file(self, tmp_path):
-        payload, path = run_bench(
-            "x38", tmp_path, quick=True, repeats=1
-        )
+    def test_payload_is_all_deterministic(self, payload):
+        """No host section: nothing in a payload varies run to run."""
+        assert sorted(payload) == [
+            "case", "config", "config_sha", "quick", "schema", "simulated",
+        ]
+
+    def test_run_bench_writes_file(self, payload, tmp_path):
+        path = write_bench(payload, tmp_path)
         assert path.exists()
         assert json.loads(path.read_text())["case"] == "x38"
 
@@ -335,6 +339,36 @@ class TestBenchPayload:
         assert {"airfoil", "x38", "deltawing", "store"} <= set(BENCH_CASES)
         for spec in BENCH_CASES.values():
             assert spec.knobs(True)["nsteps"] <= spec.knobs(False)["nsteps"]
+
+
+# ----------------------------------------------------------------------
+# traced_run
+
+
+class TestTracedRun:
+    def case(self):
+        from repro.cases import build_case
+
+        return build_case("airfoil", machine=sp2(nodes=4), scale=0.05, nsteps=2)
+
+    def test_store_replay_equals_in_memory_recording(self, tmp_path):
+        from repro.obs.perf import traced_run
+
+        mem = traced_run(self.case())
+        assert mem.store is None and mem.steps == [] and mem.sanitizer is None
+        st = traced_run(self.case(), store_dir=tmp_path / "st", sanitize=True)
+        assert st.tracer.ops == mem.tracer.ops
+        assert st.run.elapsed == mem.run.elapsed
+        assert len(st.steps) == 2 and st.store.closed
+        assert st.sanitizer.report().ok
+        tail = traced_run(self.case(), store_dir=tmp_path / "st", from_step=1)
+        assert 0 < len(tail.tracer.ops) < len(mem.tracer.ops)
+
+    def test_from_step_needs_a_store(self):
+        from repro.obs.perf import traced_run
+
+        with pytest.raises(ValueError, match="store_dir"):
+            traced_run(self.case(), from_step=1)
 
 
 # ----------------------------------------------------------------------

@@ -238,8 +238,7 @@ class TestBenchTrend:
 
         def simulated(store_dir):
             payload = bench_payload(
-                "airfoil", quick=True, repeats=1,
-                trace_store=str(store_dir),
+                "airfoil", quick=True, trace_store=str(store_dir),
             )
             return payload["simulated"]
 

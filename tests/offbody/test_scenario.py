@@ -83,6 +83,22 @@ class TestRoundtrip:
             load_scenario(p)
 
 
+    @pytest.mark.parametrize("machine, error, match", [
+        ("bogus", ScenarioError, "unknown machine 'bogus'"),
+        # The single-processor head: a valid preset no off-body case fits.
+        ("ymp", ValueError, "need >= "),
+    ])
+    def test_run_machine_is_validated(self, tmp_path, machine, error, match):
+        """A scenario file's ``run.machine`` is outside input: a bad
+        name was a raw KeyError, ``ymp`` a TypeError."""
+        payload = generate_scenario("debris", seed=3)
+        payload["run"]["machine"] = machine
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(error, match=match):
+            build_offbody_case(load_scenario(p))
+
+
 class TestBuildCase:
     def test_case_follows_run_block(self):
         payload = generate_scenario("store-salvo", seed=7)

@@ -115,6 +115,16 @@ class TestRunJob:
         b = run_job_bytes(tiny_spec())
         assert a == b
 
+    def test_serve_payload_sha_unchanged(self):
+        """Refactors of the resolution / summary path must not move a
+        served payload byte (regenerate only with a deliberate
+        simulated-time change, like the BENCH baselines)."""
+        import hashlib
+
+        assert hashlib.sha256(run_job_bytes(tiny_spec())).hexdigest() == (
+            "1c4322ce764238987f01be14b30d489042adc90a2b01867cfecb5dcac70cc1c7"
+        )
+
     def test_bytes_are_canonical_json(self):
         payload = run_job_bytes(tiny_spec())
         assert payload.endswith(b"\n")

@@ -389,7 +389,7 @@ class TestSanitize:
 class TestBench:
     def test_bench_writes_canonical_payload(self, capsys, tmp_path):
         rc = main([
-            "bench", "x38", "--quick", "--repeats", "1",
+            "bench", "x38", "--quick",
             "--out", str(tmp_path),
         ])
         assert rc == 0
@@ -405,6 +405,38 @@ class TestBench:
         with pytest.raises(SystemExit, match="unknown bench case"):
             main(["bench", "bogus", "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", "x38", "--quick", "--repeats", "1"],
+        ["bench", "x38", "--quick", "--backend", "mp"],
+        ["run", "--case", "airfoil"],
+    ], ids=["repeats", "bench-backend", "case-flag"])
+    def test_removed_flags_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cmd_trace_and_bench_share_traced_run(self, tmp_path, monkeypatch):
+        """`repro trace` and `repro bench` execute through the one
+        traced-run pipeline: one call each."""
+        import repro.obs.perf.traced as traced_mod
+
+        calls = []
+        real = traced_mod.traced_run
+
+        def spy(target, **kw):
+            calls.append(kw["meta"]["component"])
+            return real(target, **kw)
+
+        monkeypatch.setattr(traced_mod, "traced_run", spy)
+        monkeypatch.setattr("repro.obs.perf.traced_run", spy)
+        assert main([
+            "trace", "airfoil", "--nodes", "4", "--scale", "0.05",
+            "--steps", "2", "--no-timeline", "--out", str(tmp_path),
+        ]) == 0
+        assert main(["bench", "x38", "--quick", "--out", str(tmp_path)]) == 0
+        assert calls == ["trace", "bench"]
+
 
 class TestBenchCompare:
     """Exit-code contract of `repro bench --compare`:
@@ -416,7 +448,7 @@ class TestBenchCompare:
     def _fresh(self, tmp_path, name="out"):
         out = tmp_path / name
         rc = main([
-            "bench", "x38", "--quick", "--repeats", "1",
+            "bench", "x38", "--quick",
             "--out", str(out),
         ])
         assert rc == 0
@@ -433,7 +465,7 @@ class TestBenchCompare:
 
     def _compare(self, tmp_path, base_dir):
         return main([
-            "bench", "x38", "--quick", "--repeats", "1",
+            "bench", "x38", "--quick",
             "--out", str(tmp_path / "cmp"),
             "--compare", "--baseline-dir", str(base_dir),
         ])
@@ -490,7 +522,7 @@ class TestBenchCompare:
 
     def test_missing_baseline_exits_one(self, capsys, tmp_path):
         rc = main([
-            "bench", "x38", "--quick", "--repeats", "1",
+            "bench", "x38", "--quick",
             "--out", str(tmp_path / "cmp"),
             "--compare", "--baseline-dir", str(tmp_path / "empty"),
         ])
@@ -498,9 +530,57 @@ class TestBenchCompare:
         assert "no baseline" in capsys.readouterr().err
 
 
+def _bad_scenario(tmp_path, machine):
+    from repro.offbody import generate_scenario
+
+    payload = generate_scenario("debris", seed=5)
+    payload["run"]["machine"] = machine
+    path = tmp_path / f"{machine}.json"
+    path.write_text(json.dumps(payload))
+    return ["run", "--scenario", str(path)]
+
+
 class TestCleanErrors:
-    """`repro resume` / `repro submit` report clear errors, never
-    tracebacks, for nonexistent checkpoint/socket paths."""
+    """Bad input ends in a one-line message and exit status 1 (the one
+    error boundary in `main`), never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "airfoil", "--nodes", "0"],
+        ["run", "airfoil", "--scale", "0"],
+        ["run", "airfoil", "--steps", "0"],
+        ["run", "airfoil", "--nodes", "2"],  # 3 grids
+        ["run", "airfoil", "--machine", "ymp", "--nodes", "4"],
+        ["sweep", "airfoil", "--nodes", "6,x"],
+        ["trace", "airfoil", "--scale", "0.05", "--steps", "2",
+         "--from-step", "1", "--no-timeline"],
+        "bogus",  # scenario file naming an unknown machine
+        "ymp",    # ... and one naming the single-processor head
+    ], ids=[
+        "nodes-0", "scale-0", "steps-0", "too-few-nodes", "ymp-nodes",
+        "sweep-nodes", "from-step-no-store", "scenario-bogus-machine",
+        "scenario-ymp",
+    ])
+    def test_bad_input_exits_with_message(self, argv, tmp_path):
+        if isinstance(argv, str):
+            argv = _bad_scenario(tmp_path, argv)
+        if argv[0] == "trace":
+            argv = argv + ["--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        message = exc_info.value.code
+        assert isinstance(message, str) and message.strip()
+        assert "Traceback" not in message
+
+    def test_bugs_still_traceback(self, monkeypatch):
+        """The boundary converts user-input errors only."""
+        import repro.cli.run as run_mod
+
+        def boom(_args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(run_mod, "cmd_list", boom)
+        with pytest.raises(KeyError):
+            main(["list"])
 
     def test_resume_missing_file_is_clean(self, tmp_path):
         missing = tmp_path / "nope.rpk"
@@ -621,7 +701,7 @@ class TestTraceDiff:
     def _emit(self, tmp_path, name):
         out = tmp_path / name
         rc = main([
-            "bench", "x38", "--quick", "--repeats", "1",
+            "bench", "x38", "--quick",
             "--out", str(out),
         ])
         assert rc == 0
@@ -806,7 +886,7 @@ class TestScenarioCLI:
     def test_bench_scenario_payload(self, capsys, tmp_path):
         path = self._scenario(tmp_path)
         rc = main([
-            "bench", "--scenario", str(path), "--repeats", "1",
+            "bench", "--scenario", str(path),
             "--out", str(tmp_path),
         ])
         assert rc == 0
