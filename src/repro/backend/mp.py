@@ -29,12 +29,21 @@ scheduler dispatches, against real transport:
   frames tagged :data:`CTRL_TAG` (above the entire collective tag
   space): ``done``/``error`` up, ``abort``/``exit`` down.  Results,
   measured metrics and trace events travel here, never on data pipes.
-* **supervision** — the parent waits on control pipes and process
-  sentinels; a worker crash (non-zero exit without a result), a worker
-  timeout, or an ``error`` frame aborts the surviving workers and
-  surfaces as the existing typed
-  :class:`repro.machine.faults.RankFailure` (crash/timeout) or the
-  re-raised original exception (program error).
+* **one worker group** — :class:`RankWorkers` owns the whole worker
+  lifecycle (pipes, fork, control frames and sentinels turned into one
+  ``done``/``error``/``crash`` event per rank, stop, close, the
+  shared-memory sweep) and :class:`ChunkOutcome` the bookkeeping and
+  the ending: a worker crash or timeout surfaces as the typed
+  :class:`repro.machine.faults.RankFailure`, a program error as the
+  re-raised original exception.  The cluster's node daemon hosts its
+  ranks through the same two classes; there a destination without a
+  local inbox is off-host and its frames leave through the worker's
+  uplink pipe (:meth:`_Engine._transmit` is the one transmit site).
+* **one ordered event log** — a traced worker records through the
+  ``Tracer`` API into an :class:`repro.obs.tracer.EventLog`; the log
+  rides the ``done`` payload and the parent replays it in recording
+  order, ranks ascending, so a step-detecting tracer (the trace
+  store's per-step index) sees what it sees on ``sim``.
 
 Time is **measured, not modeled**: workers account host wall-clock
 seconds into the standard :class:`repro.machine.metrics.RankMetrics`
@@ -55,7 +64,7 @@ import pickle
 import time
 import traceback
 from multiprocessing import connection, get_context, resource_tracker, shared_memory
-from typing import Any, Generator, Sequence
+from typing import Any, Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
@@ -69,8 +78,17 @@ from repro.machine.event import Mailbox, Message
 from repro.machine.faults import RankFailure
 from repro.machine.metrics import MachineMetrics, RankMetrics
 from repro.machine.simmpi import Comm
+from repro.obs.tracer import EventLog, Tracer
 
-__all__ = ["MpBackend", "CTRL_TAG", "mp_available"]
+__all__ = [
+    "MpBackend",
+    "RankWorkers",
+    "ChunkOutcome",
+    "CTRL_TAG",
+    "check_measured_run",
+    "mp_available",
+    "restage_frame",
+]
 
 #: Tag carried by every control-channel frame.  Sits above the entire
 #: collective tag space (``simmpi._COLL_TAG_BASE`` + named collectives
@@ -104,9 +122,9 @@ def _untrack_shm(name: str) -> None:
 
     CPython (POSIX) registers a ``SharedMemory`` with the resource
     tracker on *attach* as well as create; since segment lifetime here
-    is managed explicitly (receiver unlinks after copying, parent
-    sweeps leftovers), tracker bookkeeping would only produce noisy
-    double-unlink warnings at interpreter exit.
+    is managed explicitly (receiver unlinks after copying, the worker
+    group sweeps leftovers), tracker bookkeeping would only produce
+    noisy double-unlink warnings at interpreter exit.
     """
     try:
         resource_tracker.unregister("/" + name, "shared_memory")
@@ -114,20 +132,65 @@ def _untrack_shm(name: str) -> None:
         pass
 
 
+def stage(runid: str, key: str, data: Any) -> str:
+    """Copy bytes-like ``data`` into a fresh shared-memory segment named
+    ``{runid}_{key}`` — the run id is what lets :func:`_sweep` find a
+    segment no receiver ever took — and return the name."""
+    view = memoryview(data)
+    name = f"{runid}_{key}"
+    shm = shared_memory.SharedMemory(
+        create=True, size=max(1, view.nbytes), name=name
+    )
+    _untrack_shm(name)
+    shm.buf[: view.nbytes] = view
+    shm.close()
+    return name
+
+
+def take(name: str, size: int) -> bytearray:
+    """Copy ``size`` bytes out of a staged segment and unlink it."""
+    # Attach registers with the resource tracker and unlink() below
+    # unregisters — a matched pair, so no explicit _untrack_shm here
+    # (it would double-unregister).
+    shm = shared_memory.SharedMemory(name=name)
+    try:
+        return bytearray(shm.buf[:size])
+    finally:
+        shm.close()
+        try:
+            shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - racing sweep
+            pass
+
+
+def _sweep(runid: str) -> None:
+    """Unlink every segment of ``runid`` still staged: messages in
+    flight at abort time have segments no receiver will ever take."""
+    for path in glob.glob(f"/dev/shm/{runid}_*"):
+        try:
+            os.unlink(path)
+        except OSError:  # pragma: no cover - already gone
+            pass
+
+
+def restage_frame(frame: bytes, runid: str, key: str) -> bytes:
+    """Move an inline frame's body into shared memory (``frame`` itself
+    if it is already staged): how a daemon keeps its inbox pipe writes
+    small for frames that crossed hosts inline."""
+    try:
+        src, tag, seq, nbytes, (kind, data) = pickle.loads(frame)
+    except Exception:  # pragma: no cover - forward verbatim
+        return frame
+    if kind != _FRAME_INLINE:
+        return frame
+    body = (_FRAME_SHM_PICKLE, (stage(runid, key, data), len(data)))
+    return pickle.dumps(
+        (src, tag, seq, nbytes, body), protocol=pickle.HIGHEST_PROTOCOL
+    )
+
+
 class _Abort(Exception):
     """Parent told this worker to stop (a peer failed)."""
-
-
-class _TraceLog:
-    """Per-worker event buffers mirroring :class:`SpanTracer` lists."""
-
-    __slots__ = ("ops", "phases", "sends", "recvs")
-
-    def __init__(self) -> None:
-        self.ops: list[tuple] = []
-        self.phases: list[tuple] = []
-        self.sends: list[tuple] = []
-        self.recvs: list[tuple] = []
 
 
 class _Engine:
@@ -139,6 +202,12 @@ class _Engine:
     two yields (user generator code executing) is charged ``compute``;
     the time inside a send (serialise + pipe write) is ``comm``; the
     time blocked for a matching message is ``wait``.
+
+    ``writers[dst] is None`` marks an off-host destination (cluster
+    only): those frames are handed to the node daemon over ``uplink``
+    instead of a local inbox, and never stage through shared memory
+    (segments do not cross hosts — the bytes travel inline and the
+    receiving daemon re-stages oversized ones locally).
     """
 
     def __init__(
@@ -157,6 +226,7 @@ class _Engine:
         start_clock: float,
         metrics: RankMetrics,
         trace: bool,
+        uplink: Any = None,
     ) -> None:
         self.rank = rank
         self.nranks = nranks
@@ -164,6 +234,7 @@ class _Engine:
         self.writers = writers
         self.locks = locks
         self.ctrl = ctrl
+        self.uplink = uplink
         self.runid = runid
         self.shm_threshold = shm_threshold
         self.poll_interval = poll_interval
@@ -171,13 +242,13 @@ class _Engine:
         self.metrics = metrics
         self.mailbox = Mailbox()
         self.phase = "default"
-        self.events = _TraceLog() if trace else None
+        self.tracer: Tracer | None = EventLog() if trace else None
         self._seq = 0       # sender-local: strictly increasing per sender
         self._arrival = 0   # receiver-local arrival ordinal
         self._clock0 = start_clock
         self._t0 = time.perf_counter()
 
-    # -- clocks ---------------------------------------------------------
+    # -- clocks and accounting ------------------------------------------
 
     def wall(self) -> float:
         """Measured clock: carried start clock + wall seconds elapsed."""
@@ -185,13 +256,21 @@ class _Engine:
 
     def _charge(self, kind: str, t0: float, t1: float, *, flops: float = 0.0,
                 nbytes: int = 0) -> None:
+        """Account one span: into the metrics, and as a tracer op."""
         dt = t1 - t0
         if dt > 0.0:
             self.metrics.time[self.phase][kind] += dt
-        if self.events is not None and (dt > 0.0 or flops or nbytes):
-            self.events.ops.append(
-                (self.rank, self.phase, kind, t0, t1, flops, nbytes)
-            )
+        if self.tracer is not None and (dt > 0.0 or flops or nbytes):
+            self.tracer.op(self.rank, self.phase, kind, t0, t1, flops, nbytes)
+
+    def _received(self, msgs: list[Message], t: float) -> None:
+        """Account consumed messages: the counter, and tracer recvs."""
+        self.metrics.messages_received += len(msgs)
+        if self.tracer is not None:
+            for m in msgs:
+                self.tracer.recv(
+                    t, self.rank, m.src, m.tag, m.nbytes, self.phase
+                )
 
     # -- transport ------------------------------------------------------
 
@@ -200,32 +279,20 @@ class _Engine:
     ) -> bytes:
         self._seq += 1
         seq = self._seq
+        key = f"{self.rank}_{seq}"
         if (
             shm_ok
             and isinstance(payload, np.ndarray)
             and payload.nbytes >= self.shm_threshold
         ):
             arr = np.ascontiguousarray(payload)
-            name = f"{self.runid}_{self.rank}_{seq}"
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(1, arr.nbytes), name=name
-            )
-            _untrack_shm(shm.name.lstrip("/"))
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-            view[...] = arr
+            name = stage(self.runid, key, arr.reshape(-1).view(np.uint8))
             body = (_FRAME_SHM_ARRAY, (name, arr.shape, arr.dtype.str))
-            shm.close()
         else:
             blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             if shm_ok and len(blob) >= self.shm_threshold:
-                name = f"{self.runid}_{self.rank}_{seq}"
-                shm = shared_memory.SharedMemory(
-                    create=True, size=len(blob), name=name
-                )
-                _untrack_shm(shm.name.lstrip("/"))
-                shm.buf[: len(blob)] = blob
+                name = stage(self.runid, key, blob)
                 body = (_FRAME_SHM_PICKLE, (name, len(blob)))
-                shm.close()
             else:
                 body = (_FRAME_INLINE, blob)
         return pickle.dumps(
@@ -233,20 +300,16 @@ class _Engine:
             protocol=pickle.HIGHEST_PROTOCOL,
         )
 
-    def _shm_ok(self, dst: int) -> bool:
-        """Whether payloads to ``dst`` may stage through shared memory.
-
-        All destinations share the host here; the cluster engine
-        overrides this to gate the fast path to same-node peers.
-        """
-        return True
-
     def _transmit(self, dst: int, frame: bytes) -> None:
-        """Deliver one encoded frame to a remote rank's inbox."""
+        """Deliver one encoded frame to another rank's inbox — the one
+        place a frame leaves this worker."""
         # Opportunistically drain our own inbox first so a blocked
         # peer writing to us is never part of a write cycle involving
         # our own blocking write below.
         self._pump(0.0)
+        if self.writers[dst] is None:
+            self.uplink.send((dst, frame))
+            return
         with self.locks[dst]:
             self.writers[dst].send_bytes(frame)
 
@@ -256,31 +319,11 @@ class _Engine:
             payload = pickle.loads(data)
         elif kind == _FRAME_SHM_ARRAY:
             name, shape, dtype = data
-            # Note: attach registers with the resource tracker and
-            # unlink() below unregisters — a matched pair, so no
-            # explicit _untrack_shm here (it would double-unregister).
-            shm = shared_memory.SharedMemory(name=name)
-            try:
-                payload = np.ndarray(
-                    shape, dtype=np.dtype(dtype), buffer=shm.buf
-                ).copy()
-            finally:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover - racing sweep
-                    pass
+            dt = np.dtype(dtype)
+            raw = take(name, math.prod(shape) * dt.itemsize)
+            payload = np.frombuffer(raw, dtype=dt).reshape(shape)
         elif kind == _FRAME_SHM_PICKLE:
-            name, size = data
-            shm = shared_memory.SharedMemory(name=name)
-            try:
-                payload = pickle.loads(bytes(shm.buf[:size]))
-            finally:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover - racing sweep
-                    pass
+            payload = pickle.loads(take(*data))
         else:  # pragma: no cover - framing bug guard
             raise RuntimeError(f"unknown frame kind {kind!r}")
         self._arrival += 1
@@ -323,14 +366,6 @@ class _Engine:
                 self._pump(0.0)
             got = probe()
         return got
-
-    def _received(self, msgs: list[Message], t: float) -> None:
-        self.metrics.messages_received += len(msgs)
-        if self.events is not None:
-            for m in msgs:
-                self.events.recvs.append(
-                    (t, self.rank, m.src, m.tag, m.nbytes, self.phase)
-                )
 
     def _check_ctrl(self) -> None:
         while self.ctrl.poll(0):
@@ -387,8 +422,7 @@ class _Engine:
             _, dst, tag, payload, nbytes = op
             t0 = self.wall()
             frame = self._encode(
-                tag, payload, nbytes,
-                shm_ok=dst == self.rank or self._shm_ok(dst),
+                tag, payload, nbytes, shm_ok=self.writers[dst] is not None
             )
             if dst == self.rank:
                 # Self-send: same value semantics as remote (the pickle
@@ -396,17 +430,11 @@ class _Engine:
                 self._deposit(frame)
             else:
                 self._transmit(dst, frame)
-            t1 = self.wall()
-            self.metrics.time[self.phase]["comm"] += t1 - t0
+            self._charge("comm", t0, self.wall(), nbytes=nbytes)
             self.metrics.messages_sent += 1
             self.metrics.bytes_sent += nbytes
-            if self.events is not None:
-                self.events.ops.append(
-                    (self.rank, self.phase, "comm", t0, t1, 0.0, nbytes)
-                )
-                self.events.sends.append(
-                    (t0, self.rank, dst, tag, nbytes, self.phase)
-                )
+            if self.tracer is not None:
+                self.tracer.send(t0, self.rank, dst, tag, nbytes, self.phase)
             return None
         if kind == "recv":
             _, src, tag = op
@@ -417,11 +445,7 @@ class _Engine:
                 )
             )
             t1 = self.wall()
-            self.metrics.time[self.phase]["wait"] += t1 - t0
-            if self.events is not None:
-                self.events.ops.append(
-                    (self.rank, self.phase, "wait", t0, t1, 0.0, msg.nbytes)
-                )
+            self._charge("wait", t0, t1, nbytes=msg.nbytes)
             self._received([msg], t1)
             return msg
         if kind == "waitany":
@@ -464,8 +488,8 @@ class _Engine:
             return self.wall()
         if kind == "set_phase":
             old, self.phase = self.phase, op[1]
-            if self.events is not None:
-                self.events.phases.append((self.rank, self.wall(), self.phase))
+            if self.tracer is not None:
+                self.tracer.phase(self.rank, self.wall(), self.phase)
             return old
         raise ValueError(  # pragma: no cover - API misuse guard
             f"unknown primitive op {kind!r} from rank {self.rank}"
@@ -473,59 +497,29 @@ class _Engine:
 
 
 def _worker_main(
-    rank: int,
-    nranks: int,
     machine: Any,
     program: RankProgram,
+    init: Callable[[], None] | None,
+    rank: int,
+    nranks: int,
     reader: Any,
     writers: Sequence[Any],
     locks: Sequence[Any],
     ctrl: Any,
-    *,
-    runid: str,
-    shm_threshold: int,
-    poll_interval: float,
-    sleep_cap: float,
-    start_clock: float,
-    metrics: RankMetrics,
-    trace: bool,
-    engine_factory: Any = None,
+    **options: Any,
 ) -> None:
-    """Entry point of one forked rank process.
-
-    ``engine_factory`` (default :class:`_Engine`) lets other backends
-    reuse this whole lifecycle — result/error control frames, abort
-    handling, the linger-until-acknowledged exit — with an engine
-    subclass that routes off-host traffic differently (the cluster
-    node daemon passes one wired to its uplink).
-    """
+    """Entry point of one forked rank process: ``init`` first, then an
+    :class:`_Engine` (``options`` are its keyword arguments) drives the
+    program and reports over ``ctrl``."""
     try:
-        engine = (engine_factory or _Engine)(
-            rank,
-            nranks,
-            reader,
-            writers,
-            locks,
-            ctrl,
-            runid=runid,
-            shm_threshold=shm_threshold,
-            poll_interval=poll_interval,
-            sleep_cap=sleep_cap,
-            start_clock=start_clock,
-            metrics=metrics,
-            trace=trace,
+        if init is not None:
+            init()
+        engine = _Engine(
+            rank, nranks, reader, writers, locks, ctrl, **options
         )
-        comm = Comm(rank, nranks, machine)
-        retval = engine.run(program(comm))
-        events = engine.events
+        retval = engine.run(program(Comm(rank, nranks, machine)))
         payload = pickle.dumps(
-            (
-                retval,
-                engine.metrics,
-                None
-                if events is None
-                else (events.ops, events.phases, events.sends, events.recvs),
-            ),
+            (retval, engine.metrics, engine.tracer),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         ctrl.send((CTRL_TAG, "done", payload))
@@ -557,6 +551,251 @@ def _worker_main(
     except (EOFError, OSError):  # pragma: no cover - parent died first
         pass
     os._exit(0)
+
+
+class RankWorkers:
+    """The forked worker processes of one chunk's local ranks.
+
+    Owns the whole lifecycle both measured engines need: an inbox pipe,
+    transport lock and control pipe per local rank (plus an uplink pipe
+    each when some of the ``nranks`` live elsewhere), the forks, the
+    classification of what comes back, and the teardown.  ``programs``,
+    ``clocks`` and ``metrics`` are indexed by rank; ``worker_init``
+    runs in each child before its engine exists.
+
+    The parent keeps the inbox ``writers`` (and ``locks``): the mp
+    backend never uses them, a node daemon deposits inbound frames
+    there, and reads outbound ones from ``uplinks``.
+    """
+
+    def __init__(
+        self,
+        ranks: Iterable[int],
+        nranks: int,
+        machine: Any,
+        programs: Any,
+        *,
+        runid: str,
+        clocks: Any,
+        metrics: Any,
+        trace: bool,
+        shm_threshold: int,
+        poll_interval: float,
+        sleep_cap: float,
+        worker_init: Callable[[], None] | None = None,
+    ) -> None:
+        ctx = get_context("fork")
+        self.ranks = list(ranks)
+        self.runid = runid
+        self.pending = set(self.ranks)  # no done / error / crash event yet
+        self.writers: list[Any] = [None] * nranks
+        self.locks: list[Any] = [None] * nranks
+        self.uplinks: dict[int, Any] = {}
+        self._ctrls: dict[int, Any] = {}
+        self._procs: dict[int, Any] = {}
+        readers: dict[int, Any] = {}
+        ctrl_child: dict[int, Any] = {}
+        uplink_w: dict[int, Any] = {}
+        for r in self.ranks:
+            readers[r], self.writers[r] = ctx.Pipe(duplex=False)
+            self.locks[r] = ctx.Lock()
+            self._ctrls[r], ctrl_child[r] = ctx.Pipe(duplex=True)
+            if len(self.ranks) < nranks:
+                self.uplinks[r], uplink_w[r] = ctx.Pipe(duplex=False)
+        try:
+            for r in self.ranks:
+                self._procs[r] = ctx.Process(
+                    target=_worker_main,
+                    args=(
+                        machine, programs[r], worker_init, r, nranks,
+                        readers[r], self.writers, self.locks, ctrl_child[r],
+                    ),
+                    kwargs=dict(
+                        runid=runid,
+                        shm_threshold=shm_threshold,
+                        poll_interval=poll_interval,
+                        sleep_cap=sleep_cap,
+                        start_clock=float(clocks[r]),
+                        metrics=metrics[r],
+                        trace=trace,
+                        uplink=uplink_w.get(r),
+                    ),
+                    daemon=True,
+                    name=f"{runid}-{r}",
+                )
+                self._procs[r].start()
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            # The worker-held ends are unused in the parent.
+            for end in (*readers.values(), *ctrl_child.values(),
+                        *uplink_w.values()):
+                end.close()
+
+    def waitables(self) -> list[Any]:
+        """What to ``connection.wait`` on for :meth:`events`: control
+        pipe and process sentinel of every rank not yet reported."""
+        return [self._ctrls[r] for r in self.pending] + [
+            self._procs[r].sentinel for r in self.pending
+        ]
+
+    def events(self, ready: Iterable[Any]) -> list[tuple[int, str, Any]]:
+        """Turn ready waitables into ``(rank, kind, payload)`` events,
+        exactly one per rank over the group's life: ``"done"`` (the
+        pickled result), ``"error"`` (``(pickled exception or None,
+        traceback text)``) or ``"crash"`` (died without either)."""
+        fired = set(ready)
+        out: list[tuple[int, str, Any]] = []
+        for rank in sorted(self.pending):
+            dead = self._procs[rank].sentinel in fired
+            if not dead and self._ctrls[rank] not in fired:
+                continue
+            # Control frame first: a crashed-looking sentinel may still
+            # have a buffered result, so the pipe is (re-)checked before
+            # a death is called a crash.
+            event = self._ctrl_event(rank)
+            if event is None and dead and not self._procs[rank].is_alive():
+                event = (rank, "crash", None)
+            if event is not None:
+                self.pending.discard(rank)
+                out.append(event)
+        return out
+
+    def _ctrl_event(self, rank: int) -> tuple[int, str, Any] | None:
+        ctrl = self._ctrls[rank]
+        try:
+            while ctrl.poll(0):
+                frame = ctrl.recv()
+                if frame[0] != CTRL_TAG:  # pragma: no cover - framing guard
+                    continue
+                if frame[1] == "done" or frame[1] == "error":
+                    return rank, frame[1], frame[2]
+        except (EOFError, OSError):
+            pass
+        return None
+
+    def stop(self, how: str, grace: float) -> None:
+        """Send every worker ``"exit"`` (the chunk is over) or
+        ``"abort"`` (a peer failed), give them ``grace`` seconds to
+        leave, then terminate the rest."""
+        for ctrl in self._ctrls.values():
+            try:
+                ctrl.send((CTRL_TAG, how, None))
+            except (BrokenPipeError, OSError):
+                pass
+        deadline = time.monotonic() + grace
+        for p in self._procs.values():
+            p.join(timeout=max(0.0, deadline - time.monotonic()))
+        for p in self._procs.values():
+            if p.is_alive():
+                p.terminate()
+
+    def close(self) -> None:
+        """Reap every worker, close the pipes and sweep shared-memory
+        leftovers; idempotent, and safe on a half-built group."""
+        for p in self._procs.values():
+            if p.is_alive():
+                p.terminate()
+                p.join(timeout=1.0)
+            p.close()
+        self._procs.clear()
+        for end in (*self._ctrls.values(), *self.uplinks.values(),
+                    *filter(None, self.writers)):
+            try:
+                end.close()
+            except OSError:  # pragma: no cover
+                pass
+        _sweep(self.runid)
+
+
+class ChunkOutcome:
+    """What became of each rank of one chunk, and how the chunk ends.
+
+    ``done`` maps rank to its pickled ``(return value, metrics, event
+    log)``, ``errors`` to ``(pickled exception or None, traceback)``,
+    ``failed`` to the seconds into the chunk at which the rank was
+    lost (crash, node loss, timeout); ``pending`` is everyone else.
+    """
+
+    def __init__(self, backend: str, nranks: int) -> None:
+        self.backend = backend
+        self.nranks = nranks
+        self.pending = set(range(nranks))
+        self.done: dict[int, bytes] = {}
+        self.errors: dict[int, tuple] = {}
+        self.failed: dict[int, float] = {}
+
+    def record(self, rank: int, kind: str, payload: Any, t: float) -> None:
+        """File one :meth:`RankWorkers.events` event, seen at ``t``."""
+        if rank not in self.pending:
+            return
+        self.pending.discard(rank)
+        if kind == "done":
+            self.done[rank] = payload
+        elif kind == "error":
+            self.errors[rank] = payload
+        else:
+            self.failed[rank] = t
+
+    def fail(self, ranks: Iterable[int], t: float) -> None:
+        """Give up on those of ``ranks`` still pending."""
+        for rank in sorted(self.pending.intersection(ranks)):
+            self.record(rank, "crash", None, t)
+
+    @property
+    def finished(self) -> bool:
+        """Nothing left to wait for: all reported, or one went wrong."""
+        return not self.pending or bool(self.errors or self.failed)
+
+    @property
+    def clean(self) -> bool:
+        return not (self.pending or self.errors or self.failed)
+
+    def result(self, tracer: Any) -> BackendResult:
+        """The chunk's ending: re-raise the lowest failing rank's own
+        exception (traceback attached as a note), else raise
+        :class:`RankFailure`, else unpack the ``done`` payloads —
+        replaying each rank's event log into ``tracer`` (None: tracing
+        is off) in recording order, ranks ascending."""
+        if self.errors:
+            rank = min(self.errors)
+            blob, tb = self.errors[rank]
+            exc: BaseException | None = None
+            if blob is not None:
+                try:
+                    exc = pickle.loads(blob)
+                except Exception:
+                    exc = None
+            if exc is None:
+                raise RuntimeError(
+                    f"rank {rank} raised in the {self.backend} backend:\n{tb}"
+                )
+            exc.add_note(f"raised in {self.backend} worker rank {rank}:\n{tb}")
+            raise exc
+        if self.failed:
+            raise RankFailure(
+                failed=self.failed,
+                time=max(self.failed.values()),
+                blocked=[],
+                completed=sorted(self.done),
+                nranks=self.nranks,
+            )
+        returns: list[Any] = [None] * self.nranks
+        ranks = [RankMetrics(r) for r in range(self.nranks)]
+        for rank in sorted(self.done):
+            returns[rank], ranks[rank], log = pickle.loads(self.done[rank])
+            if log is not None and tracer is not None:
+                log.replay(tracer)
+        metrics = MachineMetrics(ranks)
+        return BackendResult(
+            elapsed=metrics.elapsed,
+            returns=returns,
+            metrics=metrics,
+            failed_ranks=(),
+            backend=self.backend,
+            measured=True,
+        )
 
 
 def check_measured_run(
@@ -605,30 +844,6 @@ def check_measured_run(
     return n, trace_enabled
 
 
-def measured_result(
-    backend: str, done: dict[int, bytes], n: int, tracer: Any
-) -> BackendResult:
-    """Unpack the workers' ``done`` payloads into a result, replaying
-    their trace events into ``tracer`` (None: tracing is off)."""
-    returns: list[Any] = [None] * n
-    metrics_list: list[RankMetrics] = [RankMetrics(r) for r in range(n)]
-    for rank, payload in done.items():
-        retval, met, events = pickle.loads(payload)
-        returns[rank] = retval
-        metrics_list[rank] = met
-        if events is not None and tracer is not None:
-            MpBackend._merge_trace(tracer, events)
-    metrics = MachineMetrics(metrics_list)
-    return BackendResult(
-        elapsed=metrics.elapsed,
-        returns=returns,
-        metrics=metrics,
-        failed_ranks=(),
-        backend=backend,
-        measured=True,
-    )
-
-
 class MpBackend(ExecutionBackend):
     """Execute each rank as a real ``multiprocessing`` process.
 
@@ -674,8 +889,6 @@ class MpBackend(ExecutionBackend):
         self.poll_interval = float(poll_interval)
         self.sleep_cap = float(sleep_cap)
 
-    # ------------------------------------------------------------------
-
     def run(
         self,
         machine: Any,
@@ -693,211 +906,39 @@ class MpBackend(ExecutionBackend):
             machine, programs, tracer, sanitizer, fault_plan,
             initial_clocks, initial_metrics,
         )
-        ctx = get_context("fork")
-        runid = f"repro_mp_{os.getpid()}_{next(_run_counter)}"
-        readers, writers = [], []
-        for _ in range(n):
-            r, w = ctx.Pipe(duplex=False)
-            readers.append(r)
-            writers.append(w)
-        locks = [ctx.Lock() for _ in range(n)]
-        ctrl_parent, ctrl_child = [], []
-        for _ in range(n):
-            a, b = ctx.Pipe(duplex=True)
-            ctrl_parent.append(a)
-            ctrl_child.append(b)
-
-        procs = []
+        outcome = ChunkOutcome(self.name, n)
         t_start = time.monotonic()
-        try:
-            for rank in range(n):
-                clk = (
-                    float(initial_clocks[rank])
-                    if initial_clocks is not None
-                    else 0.0
-                )
-                met = (
-                    initial_metrics[rank]
-                    if initial_metrics is not None
-                    else RankMetrics(rank)
-                )
-                p = ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        rank,
-                        n,
-                        machine,
-                        programs[rank],
-                        readers[rank],
-                        writers,
-                        locks,
-                        ctrl_child[rank],
-                    ),
-                    kwargs=dict(
-                        runid=runid,
-                        shm_threshold=self.shm_threshold,
-                        poll_interval=self.poll_interval,
-                        sleep_cap=self.sleep_cap,
-                        start_clock=clk,
-                        metrics=met,
-                        trace=trace_enabled,
-                    ),
-                    daemon=True,
-                    name=f"repro-mp-{rank}",
-                )
-                p.start()
-                procs.append(p)
-            # The parent's copies of the data-plane ends are unused.
-            for r in readers:
-                r.close()
-            for w in writers:
-                w.close()
-            for c in ctrl_child:
-                c.close()
-            done, errors, failed = self._supervise(
-                procs, ctrl_parent, t_start, n
-            )
-        finally:
-            self._teardown(procs, ctrl_parent, runid)
-
-        if errors:
-            rank = min(errors)
-            blob, tb = errors[rank]
-            exc: BaseException | None = None
-            if blob is not None:
-                try:
-                    exc = pickle.loads(blob)
-                except Exception:
-                    exc = None
-            if exc is None:
-                exc = RuntimeError(
-                    f"rank {rank} raised in the mp backend:\n{tb}"
-                )
-            else:
-                exc.add_note(f"raised in mp worker rank {rank}:\n{tb}")
-            raise exc
-        if failed:
-            raise RankFailure(
-                failed=failed,
-                time=max(failed.values()),
-                blocked=[],
-                completed=sorted(done),
-                nranks=n,
-            )
-
-        return measured_result(
-            self.name, done, n, tracer if trace_enabled else None
+        workers = RankWorkers(
+            range(n), n, machine, programs,
+            runid=f"repro_mp_{os.getpid()}_{next(_run_counter)}",
+            clocks=[0.0] * n if initial_clocks is None else initial_clocks,
+            metrics=(
+                [RankMetrics(r) for r in range(n)]
+                if initial_metrics is None
+                else initial_metrics
+            ),
+            trace=trace_enabled,
+            shm_threshold=self.shm_threshold,
+            poll_interval=self.poll_interval,
+            sleep_cap=self.sleep_cap,
         )
-
-    # ------------------------------------------------------------------
-
-    def _supervise(
-        self,
-        procs: list,
-        ctrls: list,
-        t_start: float,
-        n: int,
-    ) -> tuple[dict[int, bytes], dict[int, tuple], dict[int, float]]:
-        """Wait for every worker; classify done / error / crashed."""
-        done: dict[int, bytes] = {}
-        errors: dict[int, tuple] = {}
-        failed: dict[int, float] = {}
-        pending = set(range(n))
-        by_ctrl = {id(c): r for r, c in enumerate(ctrls)}
-        by_sentinel = {procs[r].sentinel: r for r in range(n)}
-        while pending and not errors and not failed:
-            remaining = None
-            if self.timeout is not None:
-                remaining = self.timeout - (time.monotonic() - t_start)
-                if remaining <= 0:
-                    elapsed = time.monotonic() - t_start
-                    for r in sorted(pending):
-                        failed[r] = elapsed
-                    break
-            waitees: list[Any] = [ctrls[r] for r in pending]
-            waitees += [procs[r].sentinel for r in pending]
-            slice_ = 0.5 if remaining is None else min(0.5, remaining)
-            ready = connection.wait(waitees, timeout=slice_)
-            # Control frames first: a crashed-looking sentinel may still
-            # have a buffered result.
-            for obj in ready:
-                rank = by_ctrl.get(id(obj))
-                if rank is None or rank not in pending:
-                    continue
-                self._drain_ctrl(ctrls[rank], rank, done, errors, pending)
-            for obj in ready:
-                rank = by_sentinel.get(obj)
-                if rank is None or rank not in pending:
-                    continue
-                # Exited without a result frame? Re-check the pipe once.
-                self._drain_ctrl(ctrls[rank], rank, done, errors, pending)
-                if rank in pending and not procs[rank].is_alive():
-                    failed[rank] = time.monotonic() - t_start
-                    pending.discard(rank)
-        return done, errors, failed
-
-    @staticmethod
-    def _drain_ctrl(
-        ctrl: Any,
-        rank: int,
-        done: dict[int, bytes],
-        errors: dict[int, tuple],
-        pending: set[int],
-    ) -> None:
         try:
-            while rank in pending and ctrl.poll(0):
-                frame = ctrl.recv()
-                if frame[0] != CTRL_TAG:  # pragma: no cover - framing guard
-                    continue
-                if frame[1] == "done":
-                    done[rank] = frame[2]
-                    pending.discard(rank)
-                elif frame[1] == "error":
-                    errors[rank] = frame[2]
-                    pending.discard(rank)
-        except (EOFError, OSError):
-            pass
-
-    def _teardown(self, procs: list, ctrls: list, runid: str) -> None:
-        """Stop every worker and sweep shared-memory leftovers."""
-        for c in ctrls:
-            try:
-                c.send((CTRL_TAG, "exit", None))
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.monotonic() + 5.0
-        for p in procs:
-            p.join(timeout=max(0.0, deadline - time.monotonic()))
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-        for p in procs:
-            if p.is_alive():  # pragma: no cover - terminate is enough
-                p.join(timeout=1.0)
-        for p in procs:
-            p.close()
-        for c in ctrls:
-            try:
-                c.close()
-            except OSError:  # pragma: no cover
-                pass
-        # Messages in flight at abort time may have staged segments that
-        # no receiver will ever unlink; the run id makes them findable.
-        for path in glob.glob(f"/dev/shm/{runid}_*"):
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - already gone
-                pass
-
-    @staticmethod
-    def _merge_trace(tracer: Any, events: tuple) -> None:
-        """Replay a worker's event buffers through the tracer API."""
-        ops, phases, sends, recvs = events
-        for rank, phase, kind, t0, t1, flops, nbytes in ops:
-            tracer.op(rank, phase, kind, t0, t1, flops, nbytes)
-        for rank, t, name in phases:
-            tracer.phase(rank, t, name)
-        for t, src, dst, tag, nbytes, phase in sends:
-            tracer.send(t, src, dst, tag, nbytes, phase)
-        for t, rank, src, tag, nbytes, phase in recvs:
-            tracer.recv(t, rank, src, tag, nbytes, phase)
+            # All ranks are local: file events until every rank has
+            # reported, one went wrong, or the timeout trips.
+            while not outcome.finished:
+                elapsed = time.monotonic() - t_start
+                slice_ = 0.5
+                if self.timeout is not None:
+                    if elapsed >= self.timeout:
+                        outcome.fail(outcome.pending, elapsed)
+                        break
+                    slice_ = min(slice_, self.timeout - elapsed)
+                ready = connection.wait(workers.waitables(), timeout=slice_)
+                for rank, kind, payload in workers.events(ready):
+                    outcome.record(
+                        rank, kind, payload, time.monotonic() - t_start
+                    )
+        finally:
+            workers.stop("exit" if outcome.clean else "abort", grace=5.0)
+            workers.close()
+        return outcome.result(tracer if trace_enabled else None)

@@ -32,11 +32,7 @@ from repro.backend.api import (
     ExecutionBackend,
     RankProgram,
 )
-from repro.backend.mp import (
-    check_measured_run,
-    measured_result,
-    mp_available,
-)
+from repro.backend.mp import check_measured_run, mp_available
 from repro.cluster.head import ClusterSupervisor
 from repro.cluster.placement import Placement
 from repro.cluster.shipping import blobs_sha, ship_program
@@ -214,7 +210,7 @@ class ClusterBackend(ExecutionBackend):
             if initial_metrics is not None
             else [RankMetrics(r) for r in range(n)]
         )
-        done = sup.run_chunk(
+        return sup.run_chunk(
             runid=runid,
             machine=machine,
             nranks=n,
@@ -229,10 +225,6 @@ class ClusterBackend(ExecutionBackend):
             },
             clocks=clocks,
             metrics=metrics_in,
-            trace=trace_enabled,
+            tracer=tracer if trace_enabled else None,
             timeout=self.timeout,
-        )
-
-        return measured_result(
-            self.name, done, n, tracer if trace_enabled else None
         )

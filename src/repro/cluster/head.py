@@ -25,7 +25,6 @@ shrink-and-continue recovery possible without any rejoin choreography.
 from __future__ import annotations
 
 import os
-import pickle
 import select
 import socket
 import subprocess
@@ -35,6 +34,8 @@ from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Any
 
+from repro.backend.api import BackendResult
+from repro.backend.mp import ChunkOutcome
 from repro.cluster.placement import Placement
 from repro.cluster.protocol import (
     CLUSTER_PROTOCOL_VERSION,
@@ -45,7 +46,6 @@ from repro.cluster.protocol import (
     send_data,
     send_payload,
 )
-from repro.machine.faults import RankFailure
 
 __all__ = ["ClusterSupervisor", "NodeHandle"]
 
@@ -73,10 +73,10 @@ class ClusterSupervisor:
         Pool size to wait for before the first chunk may run.
     spawn:
         When true (the default, and what tests/CI use) the supervisor
-        spawns ``nnodes`` local daemons itself via
-        ``python -m repro.cluster.node``.  When false it only listens:
-        operators start ``repro node --connect HOST:PORT`` on each
-        host by hand.
+        spawns ``nnodes`` local daemons itself, with the command an
+        operator would run by hand on each host when it is false and
+        the supervisor only listens: ``python -m repro node --connect
+        HOST:PORT``.
     host / port:
         Listen address.  Port 0 picks a free port (read it back from
         :attr:`addr` to point manual nodes at it).
@@ -104,6 +104,7 @@ class ClusterSupervisor:
         self.hb_timeout = float(hb_timeout)
         self.connect_timeout = float(connect_timeout)
         self.nodes: dict[int, NodeHandle] = {}
+        self._spawned: list[subprocess.Popen] = []
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -148,11 +149,7 @@ class ClusterSupervisor:
         )
         proc = subprocess.Popen(
             [
-                sys.executable, "-c",
-                # -c (not -m): runpy would import repro.cluster.node
-                # twice, once as a package member and once as __main__.
-                "import sys; from repro.cluster.node import main; "
-                "sys.exit(main(sys.argv[1:]))",
+                sys.executable, "-m", "repro", "node",
                 "--connect", f"{self.addr[0]}:{self.addr[1]}",
                 "--name", f"node{i}",
             ],
@@ -160,7 +157,6 @@ class ClusterSupervisor:
             stdin=subprocess.DEVNULL,
         )
         # The handle is attached to the NodeHandle at admit time by pid.
-        self._spawned = getattr(self, "_spawned", [])
         self._spawned.append(proc)
 
     def _admit(self, sock: socket.socket) -> None:
@@ -206,7 +202,7 @@ class ClusterSupervisor:
             host=str(hello.get("host", "?")),
             pid=int(hello.get("pid", -1)),
         )
-        for proc in getattr(self, "_spawned", []):
+        for proc in self._spawned:
             if proc.pid == handle.pid:
                 handle.proc = proc
         self.nodes[node_id] = handle
@@ -248,14 +244,16 @@ class ClusterSupervisor:
         options: dict[str, Any],
         clocks: list[float],
         metrics: list[Any],
-        trace: bool,
+        tracer: Any,
         timeout: float | None,
-    ) -> dict[int, bytes]:
-        """Run one chunk to completion; returns ``{rank: done_payload}``.
+    ) -> BackendResult:
+        """Run one chunk to completion and return its result, replaying
+        the ranks' trace events into ``tracer`` (None: tracing is off).
 
-        Raises the worker's own exception for a program error (mp
-        semantics: lowest rank wins, traceback attached as a note) and
-        :class:`RankFailure` for crashed/lost/timed-out ranks.
+        Ends as every measured chunk does (:class:`ChunkOutcome`): the
+        worker's own exception for a program error (lowest rank wins,
+        traceback attached as a note), :class:`RankFailure` for
+        crashed/lost/timed-out ranks.
         """
         self.start()
         participants = [self.nodes[nid] for nid in placement.node_ids]
@@ -276,7 +274,7 @@ class ClusterSupervisor:
             "options": options,
             "clocks": clocks,
             "metrics": metrics,
-            "trace": trace,
+            "trace": tracer is not None,
         }
         t_start = time.monotonic()
         for h in participants:
@@ -284,21 +282,17 @@ class ClusterSupervisor:
             send_payload(h.sock, launch)
 
         node_of = placement.node_of_rank
-        pending = set(range(nranks))
-        done: dict[int, bytes] = {}
-        errors: dict[int, tuple] = {}
-        failed: dict[int, float] = {}
+        outcome = ChunkOutcome("cluster", nranks)
 
         def elapsed() -> float:
             return time.monotonic() - t_start
 
         def fail_node(handle: NodeHandle, why: str) -> None:
             self._mark_dead(handle, why)
-            t = elapsed()
-            for r in sorted(pending):
-                if node_of[r] == handle.node_id:
-                    failed[r] = t
-                    pending.discard(r)
+            outcome.fail(
+                (r for r in range(nranks) if node_of[r] == handle.node_id),
+                elapsed(),
+            )
 
         def handle_msg(handle: NodeHandle, msg: tuple[str, Any]) -> None:
             handle.last_seen = time.monotonic()
@@ -313,34 +307,20 @@ class ClusterSupervisor:
                         fail_node(target, "send failed")
                 return
             op = body.get("op")
-            if op in ("hb", "ready"):
-                return
-            if op == "rank_done":
-                r = int(body["rank"])
-                if r in pending:
-                    done[r] = body["payload"]
-                    pending.discard(r)
-            elif op == "rank_error":
-                r = int(body["rank"])
-                if r in pending:
-                    errors[r] = body["payload"]
-                    pending.discard(r)
-            elif op == "rank_crash":
-                r = int(body["rank"])
-                if r in pending:
-                    failed[r] = elapsed()
-                    pending.discard(r)
+            if op in ("rank_done", "rank_error", "rank_crash"):
+                outcome.record(
+                    int(body["rank"]), op.removeprefix("rank_"),
+                    body.get("payload"), elapsed(),
+                )
             elif op == "launch_failed":
                 raise ClusterProtocolError(
                     f"node {handle.node_id} refused launch: {body.get('error')}"
                 )
 
         try:
-            while pending and not errors and not failed:
+            while not outcome.finished:
                 if timeout is not None and elapsed() > timeout:
-                    t = elapsed()
-                    for r in sorted(pending):
-                        failed[r] = t
+                    outcome.fail(outcome.pending, elapsed())
                     break
                 now = time.monotonic()
                 for h in participants:
@@ -367,59 +347,29 @@ class ClusterSupervisor:
                             break
                         handle_msg(h, msg)
         except BaseException:
-            self._abort_chunk(participants, runid)
+            self._end_chunk(participants, runid, clean=False)
             raise
+        self._end_chunk(participants, runid, clean=outcome.clean)
+        return outcome.result(tracer)
 
-        if errors or failed:
-            self._abort_chunk(participants, runid)
-        else:
-            self._finish_chunk(participants, runid)
-
-        if errors:
-            rank = min(errors)
-            blob, tb = errors[rank]
-            exc: BaseException | None = None
-            if blob is not None:
-                try:
-                    exc = pickle.loads(blob)
-                except Exception:
-                    exc = None
-            if exc is None:
-                exc = RuntimeError(
-                    f"rank {rank} raised in the cluster backend:\n{tb}"
-                )
-            else:
-                exc.add_note(f"raised in cluster worker rank {rank}:\n{tb}")
-            raise exc
-        if failed:
-            raise RankFailure(
-                failed=failed,
-                time=max(failed.values()),
-                blocked=[],
-                completed=sorted(done),
-                nranks=nranks,
-            )
-        return done
-
-    def _abort_chunk(self, participants: list[NodeHandle], runid: str) -> None:
+    def _end_chunk(
+        self, participants: list[NodeHandle], runid: str, clean: bool
+    ) -> None:
+        """Tell every live participant the chunk is over — released
+        (``exit_chunk``) or aborted — and await its acknowledgement."""
+        op, ack, deadline = (
+            ("exit_chunk", "chunk_done", 5.0)
+            if clean
+            else ("abort", "chunk_aborted", 3.0)
+        )
         for h in participants:
             if not h.alive:
                 continue
             try:
-                send_control(h.sock, {"op": "abort", "runid": runid})
+                send_control(h.sock, {"op": op, "runid": runid})
             except OSError:
-                self._mark_dead(h, "abort send failed")
-        self._await_acks(participants, "chunk_aborted", deadline=3.0)
-
-    def _finish_chunk(self, participants: list[NodeHandle], runid: str) -> None:
-        for h in participants:
-            if not h.alive:  # pragma: no cover - all alive on success
-                continue
-            try:
-                send_control(h.sock, {"op": "exit_chunk", "runid": runid})
-            except OSError:
-                self._mark_dead(h, "exit_chunk send failed")
-        self._await_acks(participants, "chunk_done", deadline=5.0)
+                self._mark_dead(h, f"{op} send failed")
+        self._await_acks(participants, ack, deadline)
 
     def _await_acks(
         self, participants: list[NodeHandle], op: str, deadline: float
@@ -480,7 +430,7 @@ class ClusterSupervisor:
             self._listener.close()
         except OSError:  # pragma: no cover
             pass
-        for proc in getattr(self, "_spawned", []):
+        for proc in self._spawned:
             try:
                 proc.wait(timeout=5.0)
             except subprocess.TimeoutExpired:

@@ -3,25 +3,26 @@
 One daemon runs on every participating host.  It dials the head,
 handshakes (protocol version + CPython version — shipped programs are
 marshalled byte-code, so the interpreter feature version must match),
-then serves *chunks*: for each ``launch`` it forks one worker process
-per local rank, pumps messages for the duration, and tears the workers
-down when the head says the chunk is over.
+then serves *chunks*: for each ``launch`` it hosts its ranks in the
+same :class:`repro.backend.mp.RankWorkers` group the mp backend forks
+(one process per local rank, same control frames, same stop / close /
+shared-memory sweep), pumps messages for the duration, and stops the
+workers when the head says the chunk is over.
 
 Data plane
 ----------
-Workers run the very same primitive interpreter as the mp backend
-(:class:`repro.backend.mp._Engine`), subclassed only in how a frame
-leaves the host:
+Workers run the very same primitive interpreter as the mp backend;
+what differs is only where a frame goes:
 
 * **local destination** — the frame goes straight down the peer's
   inbox pipe, shared-memory fast path included, exactly as mp;
-* **remote destination** — the frame rides the worker's *uplink* pipe
-  to the daemon, which wraps it in a data frame and sends it to the
-  head; the head routes it to the destination's daemon, which deposits
-  it into the destination worker's inbox.  Frames larger than the
-  shm threshold are re-staged through a local shared-memory segment on
-  arrival so inbox pipe writes stay small (the same no-wedge argument
-  the mp backend makes for its pipes).
+* **remote destination** (no local inbox) — the frame rides the
+  worker's *uplink* pipe to the daemon, which wraps it in a data frame
+  and sends it to the head; the head routes it to the destination's
+  daemon, which deposits it into the destination worker's inbox.
+  Larger frames are re-staged through a local shared-memory segment
+  on arrival so inbox pipe writes stay small (the same no-wedge
+  argument the mp backend makes for its pipes).
 
 Mailbox semantics, sender sequence numbers and the canonical
 ``(src, seq)`` drain order are untouched — physics stays byte-identical
@@ -30,33 +31,24 @@ to ``sim`` and ``mp`` by the same argument the mp backend documents.
 Control plane
 -------------
 Heartbeats flow daemon -> head on the reserved control channel at the
-interval the ``welcome`` frame sets; worker results (``rank_done``),
-program errors (``rank_error``) and silent worker deaths
-(``rank_crash``) are forwarded as they happen.  A daemon that loses
+interval the ``welcome`` frame sets; the worker group's events —
+results (``rank_done``), program errors (``rank_error``) and silent
+worker deaths (``rank_crash``) — are forwarded as they happen.  A daemon that loses
 its head aborts its workers and exits — orphaned rank workers see
 their control pipe close and kill themselves.
 """
 
 from __future__ import annotations
 
-import glob
 import os
-import pickle
 import select
 import socket
 import sys
 import time
-from multiprocessing import connection, get_context, shared_memory
+from multiprocessing import connection
 from typing import Any
 
-from repro.backend.mp import (
-    CTRL_TAG,
-    _Engine,
-    _FRAME_INLINE,
-    _FRAME_SHM_PICKLE,
-    _untrack_shm,
-    _worker_main,
-)
+from repro.backend.mp import RankWorkers, restage_frame
 from repro.cluster import shipping
 from repro.cluster.protocol import (
     CLUSTER_PROTOCOL_VERSION,
@@ -76,6 +68,13 @@ __all__ = ["NodeDaemon"]
 #: loop deadlock-free (a blocking deposit into a stalled worker would
 #: otherwise stop heartbeats and frame routing for the whole node).
 _PIPE_SAFE = 3072
+
+#: How the head ends a chunk: its control op -> what the workers are
+#: told, how long they get to leave, and the acknowledgement sent back.
+_CHUNK_END = {
+    "exit_chunk": ("exit", 5.0, "chunk_done"),
+    "abort": ("abort", 2.0, "chunk_aborted"),
+}
 
 
 class _HeadLost(Exception):
@@ -103,31 +102,6 @@ def _arm_deathwatch() -> None:
             os._exit(4)
     except Exception:  # pragma: no cover - non-Linux fallback: the
         pass           # head's heartbeat timeout still catches the loss
-
-
-class _RemoteEngine(_Engine):
-    """mp's measured-time interpreter with an off-host uplink.
-
-    ``writers[dst] is None`` marks a remote destination: those frames
-    are handed to the daemon over the uplink pipe instead of a local
-    inbox, and shared-memory staging is disabled for them (segments
-    do not cross hosts — the raw bytes travel inline and the receiving
-    daemon re-stages oversized ones locally).
-    """
-
-    def __init__(self, *args: Any, uplink: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.uplink = uplink
-
-    def _shm_ok(self, dst: int) -> bool:
-        return self.writers[dst] is not None
-
-    def _transmit(self, dst: int, frame: bytes) -> None:
-        if self.writers[dst] is not None:
-            super()._transmit(dst, frame)
-            return
-        self._pump(0.0)
-        self.uplink.send((dst, frame))
 
 
 class NodeDaemon:
@@ -245,7 +219,8 @@ class NodeDaemon:
     # ------------------------------------------------------------- chunk
 
     def _chunk(self, launch: dict[str, Any]) -> None:
-        """Run one chunk: fork local workers, pump until torn down."""
+        """Run one chunk: host my ranks in a worker group (whose engines
+        route off-host frames up their uplinks), pump until it ends."""
         sock = self._sock
         assert sock is not None
         runid = launch["runid"]
@@ -253,7 +228,6 @@ class NodeDaemon:
         placement = list(launch["placement"])
         blobs = launch["programs"]
         index = launch["program_of_rank"]
-        opts = launch["options"]
         declared = launch["config_sha"]
         got = shipping.blobs_sha(blobs)
         if got != declared:
@@ -273,94 +247,31 @@ class NodeDaemon:
             return
 
         local = [r for r in range(n) if placement[r] == self.node_id]
-        machine = launch["machine"]
-        clocks = launch["clocks"]
-        metrics = launch["metrics"]
-        trace = bool(launch["trace"])
-        shm_threshold = int(opts["shm_threshold"])
-
-        ctx = get_context("fork")
-        writers: list[Any] = [None] * n
-        locks: list[Any] = [None] * n
-        readers: dict[int, Any] = {}
-        for r in local:
-            rd, wr = ctx.Pipe(duplex=False)
-            readers[r] = rd
-            writers[r] = wr
-            locks[r] = ctx.Lock()
-        ctrls: dict[int, Any] = {}
-        ctrl_childs: dict[int, Any] = {}
-        uplinks: dict[int, Any] = {}
-        uplink_ws: dict[int, Any] = {}
-        for r in local:
-            a, b = ctx.Pipe(duplex=True)
-            ctrls[r], ctrl_childs[r] = a, b
-            ur, uw = ctx.Pipe(duplex=False)
-            uplinks[r], uplink_ws[r] = ur, uw
-
-        procs: dict[int, Any] = {}
-        for r in local:
-            uplink = uplink_ws[r]
-
-            def factory(*a: Any, _uplink: Any = uplink, **kw: Any) -> _RemoteEngine:
-                _arm_deathwatch()
-                return _RemoteEngine(*a, uplink=_uplink, **kw)
-
-            p = ctx.Process(
-                target=_worker_main,
-                args=(
-                    r, n, machine, programs[index[r]],
-                    readers[r], writers, locks, ctrl_childs[r],
-                ),
-                kwargs=dict(
-                    runid=runid,
-                    shm_threshold=shm_threshold,
-                    poll_interval=float(opts["poll_interval"]),
-                    sleep_cap=float(opts["sleep_cap"]),
-                    start_clock=float(clocks[r]),
-                    metrics=metrics[r],
-                    trace=trace,
-                    engine_factory=factory,
-                ),
-                daemon=True,
-                name=f"repro-cluster-{r}",
-            )
-            p.start()
-            procs[r] = p
-        # Parent keeps the inbox *writers* (it deposits inbound frames)
-        # but not the worker-held ends.
-        for r in local:
-            readers[r].close()
-            ctrl_childs[r].close()
-            uplink_ws[r].close()
-
-        send_control(sock, {"op": "ready", "runid": runid,
-                            "config_sha": declared, "ranks": local})
+        workers = RankWorkers(
+            local, n, launch["machine"],
+            {r: programs[index[r]] for r in local},
+            runid=runid,
+            clocks=launch["clocks"],
+            metrics=launch["metrics"],
+            trace=bool(launch["trace"]),
+            worker_init=_arm_deathwatch,
+            **launch["options"],
+        )
         try:
-            self._pump_chunk(
-                runid, local, writers, locks, ctrls, uplinks, procs,
-            )
+            send_control(sock, {"op": "ready", "runid": runid,
+                                "config_sha": declared, "ranks": local})
+            self._pump_chunk(runid, workers)
         finally:
-            self._teardown_chunk(runid, local, writers, ctrls, uplinks, procs)
+            workers.close()
 
-    def _pump_chunk(
-        self,
-        runid: str,
-        local: list[int],
-        writers: list[Any],
-        locks: list[Any],
-        ctrls: dict[int, Any],
-        uplinks: dict[int, Any],
-        procs: dict[int, Any],
-    ) -> None:
-        """Route frames and supervise local workers until the head ends
+    def _pump_chunk(self, runid: str, workers: RankWorkers) -> None:
+        """Route frames and forward worker events until the head ends
         the chunk (``exit_chunk``/``abort``) or dies."""
         sock = self._sock
         assert sock is not None
-        pending = set(local)         # ranks with no done/error/crash yet
-        open_uplinks = dict(uplinks)
-        sentinels = {procs[r].sentinel: r for r in local}
-        backlog: dict[int, list[bytes]] = {r: [] for r in local}
+        writers, locks = workers.writers, workers.locks
+        open_uplinks = dict(workers.uplinks)
+        backlog: dict[int, list[bytes]] = {r: [] for r in workers.ranks}
 
         def deposit(dst: int, frame: bytes) -> None:
             """Queue a frame for a local inbox; never blocks.
@@ -373,7 +284,10 @@ class NodeDaemon:
             if writers[dst] is None:
                 return  # stale frame for a rank we no longer host
             if len(frame) >= _PIPE_SAFE:
-                frame = self._restage(runid, frame)
+                self._restage_count += 1
+                frame = restage_frame(
+                    frame, runid, f"fw{self.node_id}_{self._restage_count}"
+                )
             backlog[dst].append(frame)
             flush(dst)
 
@@ -389,20 +303,18 @@ class NodeDaemon:
 
         while True:
             self._heartbeat()
-            for r in local:
+            for r in workers.ranks:
                 if backlog[r]:
                     flush(r)
             waitees: list[Any] = [sock]
             waitees += list(open_uplinks.values())
-            waitees += [ctrls[r] for r in pending]
-            waitees += [procs[r].sentinel for r in pending]
-            backed_up = any(backlog[r] for r in local)
+            waitees += workers.waitables()
+            backed_up = any(backlog.values())
             timeout = 0.002 if backed_up else self._hb_slice()
             ready = connection.wait(waitees, timeout=timeout)
-            ready_ids = {id(o) for o in ready}
 
             # -- frames from the head (drained greedily) ----------------
-            if id(sock) in ready_ids or sock in ready:
+            if sock in ready:
                 while True:
                     r_, _, _ = select.select([sock], [], [], 0)
                     if not r_:
@@ -414,20 +326,11 @@ class NodeDaemon:
                     if kind == "data":
                         dst, frame = body
                         deposit(dst, frame)
-                    elif kind == "control":
-                        op = body.get("op")
-                        if op == "abort":
-                            self._abort_workers(ctrls, procs)
-                            send_control(sock, {
-                                "op": "chunk_aborted", "runid": runid,
-                            })
-                            return
-                        if op == "exit_chunk":
-                            self._release_workers(ctrls, procs)
-                            send_control(sock, {
-                                "op": "chunk_done", "runid": runid,
-                            })
-                            return
+                    elif kind == "control" and body.get("op") in _CHUNK_END:
+                        how, grace, ack = _CHUNK_END[body["op"]]
+                        workers.stop(how, grace=grace)
+                        send_control(sock, {"op": ack, "runid": runid})
+                        return
 
             # -- frames from local workers ------------------------------
             for r, ur in list(open_uplinks.items()):
@@ -441,140 +344,9 @@ class NodeDaemon:
                 except (EOFError, OSError):
                     del open_uplinks[r]
 
-            # -- worker control frames ----------------------------------
-            for r in list(pending):
-                ctrl = ctrls[r]
-                try:
-                    while r in pending and ctrl.poll(0):
-                        frame = ctrl.recv()
-                        if frame[0] != CTRL_TAG:  # pragma: no cover
-                            continue
-                        if frame[1] == "done":
-                            pending.discard(r)
-                            send_payload(sock, {
-                                "op": "rank_done", "runid": runid,
-                                "rank": r, "payload": frame[2],
-                            })
-                        elif frame[1] == "error":
-                            pending.discard(r)
-                            send_payload(sock, {
-                                "op": "rank_error", "runid": runid,
-                                "rank": r, "payload": frame[2],
-                            })
-                except (EOFError, OSError):
-                    if r in pending:
-                        pending.discard(r)
-                        send_control(sock, {
-                            "op": "rank_crash", "runid": runid, "rank": r,
-                        })
-
-            # -- silent worker deaths -----------------------------------
-            for sentinel, r in list(sentinels.items()):
-                if r in pending and sentinel in ready and not procs[r].is_alive():
-                    pending.discard(r)
-                    send_control(sock, {
-                        "op": "rank_crash", "runid": runid, "rank": r,
-                    })
-
-    def _restage(self, runid: str, frame: bytes) -> bytes:
-        """Move an oversized inline frame body into local shared memory
-        so the inbox pipe write stays below the pipe-buffer bound."""
-        try:
-            src, tag, seq, nbytes, (kind, data) = pickle.loads(frame)
-        except Exception:  # pragma: no cover - forward verbatim
-            return frame
-        if kind != _FRAME_INLINE:
-            return frame
-        self._restage_count += 1
-        name = f"{runid}_fw{self.node_id}_{self._restage_count}"
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(1, len(data)), name=name
-        )
-        _untrack_shm(shm.name.lstrip("/"))
-        shm.buf[: len(data)] = data
-        shm.close()
-        return pickle.dumps(
-            (src, tag, seq, nbytes, (_FRAME_SHM_PICKLE, (name, len(data)))),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-
-    # ---------------------------------------------------------- teardown
-
-    @staticmethod
-    def _abort_workers(ctrls: dict[int, Any], procs: dict[int, Any]) -> None:
-        for rank in sorted(ctrls):
-            try:
-                ctrls[rank].send((CTRL_TAG, "abort", None))
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.monotonic() + 2.0
-        for p in procs.values():
-            p.join(timeout=max(0.0, deadline - time.monotonic()))
-        for p in procs.values():
-            if p.is_alive():
-                p.terminate()
-
-    @staticmethod
-    def _release_workers(ctrls: dict[int, Any], procs: dict[int, Any]) -> None:
-        for rank in sorted(ctrls):
-            try:
-                ctrls[rank].send((CTRL_TAG, "exit", None))
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.monotonic() + 5.0
-        for p in procs.values():
-            p.join(timeout=max(0.0, deadline - time.monotonic()))
-        for p in procs.values():
-            if p.is_alive():  # pragma: no cover - exit is enough
-                p.terminate()
-
-    def _teardown_chunk(
-        self,
-        runid: str,
-        local: list[int],
-        writers: list[Any],
-        ctrls: dict[int, Any],
-        uplinks: dict[int, Any],
-        procs: dict[int, Any],
-    ) -> None:
-        for p in procs.values():
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=1.0)
-        for p in procs.values():
-            p.close()
-        for r in local:
-            for conn in (writers[r], ctrls[r], uplinks[r]):
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-        # Sweep staged segments no receiver will ever unlink (aborted
-        # messages in flight) — same policy as the mp backend.
-        for path in glob.glob(f"/dev/shm/{runid}_*"):
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - already gone
-                pass
-
-
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover - CLI shim
-    """Standalone entry (the CLI's ``repro node`` calls NodeDaemon
-    directly; this exists for ``python -m repro.cluster.node``)."""
-    import argparse
-
-    from repro.cluster.protocol import parse_hostport
-
-    p = argparse.ArgumentParser(prog="repro-node")
-    p.add_argument("--connect", required=True, metavar="HOST:PORT")
-    p.add_argument("--name", default=None)
-    args = p.parse_args(argv)
-    host, port = parse_hostport(args.connect)
-    try:
-        return NodeDaemon(host, port, name=args.name).run()
-    except KeyboardInterrupt:
-        return 130
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+            # -- worker results, errors and silent deaths ---------------
+            for rank, kind, payload in workers.events(ready):
+                send_payload(sock, {
+                    "op": f"rank_{kind}", "runid": runid,
+                    "rank": rank, "payload": payload,
+                })

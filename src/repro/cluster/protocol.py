@@ -7,14 +7,14 @@ One TCP connection per node daemon carries three frame kinds, each
     Small structured control messages: the ``hello``/``welcome``
     handshake (protocol version, CPython version, node identity),
     ``hb`` heartbeats on the reserved control channel, ``ready`` /
-    ``rank_crash`` / ``abort`` / ``exit_chunk`` / ``shutdown`` and
-    their acknowledgements.  Capped at :data:`MAX_CONTROL_FRAME` —
+    ``abort`` / ``exit_chunk`` / ``shutdown`` and their
+    acknowledgements.  Capped at :data:`MAX_CONTROL_FRAME` —
     mirroring the ``repro.serve`` framing discipline, an oversized or
     malformed control frame is a typed error, never a raw traceback.
 ``P`` (payload, pickle)
     Control messages that must carry binary cargo: ``launch`` (shipped
-    program blobs, machine spec, per-rank clocks/metrics) and
-    ``rank_done`` / ``rank_error`` results.  Head and nodes are
+    program blobs, machine spec, per-rank clocks/metrics) and the
+    per-rank events ``rank_done`` / ``rank_error`` / ``rank_crash``.  Head and nodes are
     mutually trusted (the head spawns the nodes, or an operator starts
     them against a head they own), so pickle is acceptable here; the
     handshake's version checks keep it compatible.

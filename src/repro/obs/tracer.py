@@ -37,9 +37,9 @@ times stay on one continuous virtual axis.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
-__all__ = ["Tracer", "NullTracer", "SpanTracer", "OpEvent"]
+__all__ = ["Tracer", "NullTracer", "SpanTracer", "EventLog", "OpEvent"]
 
 #: Alias documenting the tuple layout of one ``op`` span.
 OpEvent = tuple  # (rank, phase, kind, t0, t1, flops, nbytes)
@@ -105,6 +105,36 @@ class Tracer:
 
 class NullTracer(Tracer):
     """Explicitly-disabled tracer; identical to passing ``tracer=None``."""
+
+
+def _recording(name: str) -> Callable[..., None]:
+    def record(self: "EventLog", *fields: Any, **args: Any) -> None:
+        self.events.append((name, fields, args))
+
+    return record
+
+
+class EventLog(Tracer):
+    """One picklable list of ``(call, fields, args)`` in recording
+    order, for replay into another tracer.  A measured-engine worker
+    records here and the parent replays the log, so a step-detecting
+    consumer meets each rank's phase marks before the ops they open."""
+
+    enabled = True
+
+    def __init__(self) -> None:
+        self.events: list[tuple] = []
+
+    op = _recording("op")
+    phase = _recording("phase")
+    mark = _recording("mark")
+    send = _recording("send")
+    recv = _recording("recv")
+
+    def replay(self, tracer: Tracer) -> None:
+        """Make the recorded calls on ``tracer``, in recording order."""
+        for name, fields, args in self.events:
+            getattr(tracer, name)(*fields, **args)
 
 
 class SpanTracer(Tracer):

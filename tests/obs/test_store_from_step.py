@@ -8,12 +8,18 @@ numbers at or after the earliest seeded record.  The contract: the
 merged result is a seq-sorted sub-stream of the full replay, every
 seeded shard opens on the step-phase record, and ``from_step=0``
 reproduces the full replay exactly.
+
+Those three properties are stated once (the ``check_*`` functions) and
+held against a synthetic store and against the real store of an
+airfoil run on every engine — where the measured engines' per-step
+index used to be empty (``t0: null``, no ``phase_time``) because their
+events were replayed stream by stream instead of in recording order.
 """
 
 import pytest
 
 from repro.obs.store import StoreReader, StoreTracer, load_store
-from repro.obs.store.codec import KIND_PHASE
+from repro.obs.store.codec import KIND_MARK, KIND_OP, KIND_PHASE
 from repro.obs.store.writer import INDEX_NAME
 
 NRANKS = 3
@@ -49,39 +55,59 @@ def reader(tmp_path):
     return StoreReader(tmp_path)
 
 
+def check_from_step_zero_is_full_replay(reader):
+    """Returns what ``from_step=0`` leaves out: the records that come
+    before any rank's first step, in the same relative order."""
+    full = list(reader.iter_records())
+    tail = list(reader.iter_records(from_step=0))
+    kept = {seq for seq, _, _ in tail}
+    assert tail == [rec for rec in full if rec[0] in kept]
+    return [rec for rec in full if rec[0] not in kept]
+
+
+def check_tail_is_sorted_subset_of_full(reader, nsteps):
+    """Returns ``(full, tails)`` for producer-specific follow-ups."""
+    full = list(reader.iter_records())
+    seqs_full = {seq for seq, _, _ in full}
+    tails = [list(reader.iter_records(from_step=k)) for k in range(nsteps)]
+    prev_len = len(full) + 1
+    for tail in tails:
+        seqs = [seq for seq, _, _ in tail]
+        assert seqs == sorted(seqs)
+        assert set(seqs) <= seqs_full
+        # Strictly shrinking: each later step drops a step's worth.
+        assert 0 < len(tail) < prev_len
+        prev_len = len(tail)
+    return full, tails
+
+
+def check_each_seeded_shard_opens_on_step_phase(reader, nsteps, nranks):
+    for k in range(nsteps):
+        starts = reader._step_starts(k)
+        assert set(starts) == {str(r) for r in range(nranks)}
+        for shard in starts:
+            seg, byte = starts[shard]
+            _seq, kind, fields = next(
+                reader._iter_shard_from(shard, seg, byte)
+            )
+            assert kind == KIND_PHASE
+            assert fields[2] == "overflow"
+
+
 class TestFromStep:
     def test_from_step_zero_is_full_replay(self, reader):
-        assert list(reader.iter_records(from_step=0)) == list(
-            reader.iter_records()
-        )
+        assert check_from_step_zero_is_full_replay(reader) == []
 
     def test_tail_is_sorted_subset_of_full(self, reader):
-        full = list(reader.iter_records())
-        seqs_full = [seq for seq, _, _ in full]
-        prev_len = len(full) + 1
-        for k in range(STEPS):
-            tail = list(reader.iter_records(from_step=k))
-            seqs = [seq for seq, _, _ in tail]
-            assert seqs == sorted(seqs)
-            assert set(seqs) <= set(seqs_full)
-            # Strictly shrinking: each later step drops a step's worth.
-            assert len(tail) < prev_len
-            prev_len = len(tail)
-            # The tail is suffix-closed: every record at or after the
+        full, tails = check_tail_is_sorted_subset_of_full(reader, STEPS)
+        for tail in tails:
+            # This producer records in global time order, so the tail
+            # is also suffix-closed: every record at or after the
             # smallest surviving seq of an offset shard survives.
-            assert tail == [rec for rec in full if rec[0] >= seqs[0]]
+            assert tail == [rec for rec in full if rec[0] >= tail[0][0]]
 
     def test_each_seeded_shard_opens_on_step_phase(self, reader):
-        for k in range(STEPS):
-            starts = reader._step_starts(k)
-            assert set(starts) == {str(r) for r in range(NRANKS)}
-            for shard in starts:
-                seg, byte = starts[shard]
-                _seq, kind, fields = next(
-                    reader._iter_shard_from(shard, seg, byte)
-                )
-                assert kind == KIND_PHASE
-                assert fields[2] == "overflow"
+        check_each_seeded_shard_opens_on_step_phase(reader, STEPS, NRANKS)
 
     def test_to_tracer_partial_view(self, reader):
         full = reader.to_tracer()
@@ -114,3 +140,56 @@ class TestFromStep:
         # ... but partial replay needs the per-step offsets.
         with pytest.raises(ValueError, match="index"):
             reader.to_tracer(from_step=1)
+
+
+ENGINES = [
+    "sim",
+    pytest.param("mp", marks=pytest.mark.mp),
+    pytest.param("cluster", marks=[pytest.mark.mp, pytest.mark.cluster]),
+]
+
+
+@pytest.mark.parametrize("backend", ENGINES)
+def test_every_engine_indexes_every_step(backend, tmp_path):
+    """The store of a real run carries a usable per-step index whatever
+    engine produced it (regression: empty on ``mp`` and ``cluster``)."""
+    from repro.backend.mp import mp_available
+    from repro.cases import airfoil_case
+    from repro.machine import sp2
+    from repro.obs import PhaseRollup
+    from repro.obs.perf.traced import traced_run
+    from repro.obs.perf.trends import trend_block
+
+    if backend != "sim" and mp_available() is not None:
+        pytest.skip(str(mp_available()))
+    nranks, nsteps = 6, 3
+    case = airfoil_case(machine=sp2(nodes=nranks), scale=0.1, nsteps=nsteps)
+    traced_run(case, store_dir=tmp_path, backend=backend)
+    reader = StoreReader(tmp_path)
+    steps = reader.steps
+
+    assert len(steps) == nsteps
+    ranks = {str(r) for r in range(nranks)}
+    for row in steps:
+        assert row["t0"] < row["t1"]
+        for phase in PHASES:
+            assert set(row["phase_time"][phase]) == ranks
+    # Per (phase, rank), the index's per-step seconds add up to what
+    # the full replay's rollup says.
+    rollup = PhaseRollup.from_tracer(reader.to_tracer())
+    for phase in PHASES:
+        for r in range(nranks):
+            indexed = sum(row["phase_time"][phase][str(r)] for row in steps)
+            assert indexed == pytest.approx(
+                rollup.cell(r, phase).total, rel=1e-9
+            )
+    assert all(busy > 0 for busy in trend_block(steps)["busy_s"])
+
+    # A real run has a preamble no step owns: the opening epoch mark
+    # and, on a measured engine, each rank's start-up compute span.
+    for _seq, kind, fields in check_from_step_zero_is_full_replay(reader):
+        assert kind == KIND_MARK or (kind == KIND_OP and fields[1] == "default")
+    check_tail_is_sorted_subset_of_full(reader, nsteps)
+    check_each_seeded_shard_opens_on_step_phase(reader, nsteps, nranks)
+    full, part = reader.to_tracer(), reader.to_tracer(from_step=1)
+    assert 0 < len(part.ops) < len(full.ops)
