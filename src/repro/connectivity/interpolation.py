@@ -30,11 +30,7 @@ def interpolation_weights(fracs: np.ndarray) -> np.ndarray:
 
 def corner_offsets(ndim: int) -> np.ndarray:
     """Integer corner offsets, shape (2**ndim, ndim), dim-0 fastest."""
-    out = np.zeros((2**ndim, ndim), dtype=np.int64)
-    for corner in range(2**ndim):
-        for d in range(ndim):
-            out[corner, d] = (corner >> d) & 1
-    return out
+    return (np.arange(2**ndim)[:, None] >> np.arange(ndim)) & 1
 
 
 def interpolate(

@@ -19,35 +19,13 @@ reduction" in search cost.
 The per-point *step counts* are returned: they are the connectivity
 work measure the simulated machine charges
 (:class:`repro.solver.workmodel.WorkModel.search_step_flops`).
-
-Kernel layout and exactness contract.  One Newton loop
-(:func:`_invert_cells`) serves the walk and the last-resort probe, 2-D
-and 3-D.  In 3-D the corners of a batch are gathered once per walk step
-as one ``(n, 8, 3)`` fancy index, held ``(8, 3, n)`` so every operation
-runs along the point axis; each iteration evaluates the residual point
-and the three eps-perturbed points of the forward-difference Jacobian as
-one stacked ``(4, 3, n)`` trilinear map, and takes the adjugate through
-a constant gather table (nine ``a*d - b*c`` cofactors and a sign).
-``steps`` feeds every simulated time and ``fracs`` every interpolated
-value, so the kernel is held to *bit identity* with the one it replaced,
-not to a tolerance.  Load-bearing: the weight product ``(wa*wb)*wc``;
-the eight weighted corners summed left to right from ``0.0 +`` (no
-``.sum``, ``einsum`` or ``@``); the forward difference, ``eps = 1e-7``;
-``np.linalg.det``; the final ``einsum("nij,nj->ni")`` over C-contiguous
-operands (its reduction order follows the layout); the 2-D closed forms
-as written; the batch-wide ``abs(r).max() < tol`` exit.
-``tests/connectivity/test_kernel_exact.py`` compares every result array
-byte for byte with the replaced kernel and is the gate for touching them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.connectivity.interpolation import corner_offsets
 
 
 @dataclass
@@ -66,6 +44,16 @@ class DonorSearchResult:
         return int(self.steps.sum())
 
 
+def _corners2d(xyz: np.ndarray, cells: np.ndarray):
+    i, j = cells[:, 0], cells[:, 1]
+    return (
+        xyz[i, j],
+        xyz[i + 1, j],
+        xyz[i, j + 1],
+        xyz[i + 1, j + 1],
+    )
+
+
 def _map2d(c00, c10, c01, c11, s):
     a, b = s[:, :1], s[:, 1:2]
     return (
@@ -76,99 +64,76 @@ def _map2d(c00, c10, c01, c11, s):
     )
 
 
-_DI, _DJ, _DK = corner_offsets(3).T  # corner m = di + 2*dj + 4*dk
-_EPS = 1e-7  # forward-difference step of the 3-D Jacobian
-# The residual point plus one eps-step per local coordinate, (4, 3, 1).
-_STEP = np.zeros((4, 3, 1))
-_STEP[(1, 2, 3), (0, 1, 2), 0] = _EPS
-# Adjugate gather table into D[c, r] = dx_r/ds_c flattened to (9, n):
-# entry [j, i] is the minor without row i and column j, i.e. rows
-# (_LO[i], _HI[i]) x columns (_LO[j], _HI[j]); the four planes are its
-# a, d, b, c in ``a*d - b*c`` and _SIGN its checkerboard sign.
-_LO, _HI = np.array([1, 0, 0]), np.array([2, 2, 1])
-_MINOR = np.stack(
-    [3 * c[:, None] + r for r, c in ((_LO, _LO), (_HI, _HI), (_LO, _HI), (_HI, _LO))]
-)  # (4, 3, 3)
-_SIGN = (1.0 - 2.0 * (np.add.outer(np.arange(3), np.arange(3)) % 2))[:, :, None]
+def _jac2d(c00, c10, c01, c11, s):
+    a, b = s[:, :1], s[:, 1:2]
+    dxa = (1 - b) * (c10 - c00) + b * (c11 - c01)
+    dxb = (1 - a) * (c01 - c00) + a * (c11 - c10)
+    return np.stack([dxa, dxb], axis=-1)  # (n, 2, 2): d(xy)/d(ab)
 
 
-def _corners(xyz: np.ndarray, cells: np.ndarray):
-    """Corner coordinates of ``cells``.  2-D: four (n, 2) arrays.  3-D:
-    one (8, 3, n) array — a single fancy index, then the point axis
-    moved last so every kernel operation runs along it."""
-    if cells.shape[1] == 2:
-        i, j = cells[:, 0], cells[:, 1]
-        return xyz[i, j], xyz[i + 1, j], xyz[i, j + 1], xyz[i + 1, j + 1]
-    i, j, k = cells[:, 0, None], cells[:, 1, None], cells[:, 2, None]
-    return np.ascontiguousarray(xyz[i + _DI, j + _DJ, k + _DK].transpose(1, 2, 0))
+def _corners3d(xyz: np.ndarray, cells: np.ndarray):
+    i, j, k = cells[:, 0], cells[:, 1], cells[:, 2]
+    return [
+        xyz[i + di, j + dj, k + dk]
+        for dk in (0, 1)
+        for dj in (0, 1)
+        for di in (0, 1)
+    ]  # order: di fastest
 
 
 def _map3d(corners, s):
-    """Trilinear map of (8, 3, n) ``corners`` at ``s`` (p, 3, n).  The
-    weight product ``(wa*wb)*wc`` and the left-to-right 8-term chain
-    from ``0.0 +`` are load-bearing."""
-    w = np.stack([1 - s, s])  # (2, p, 3, n)
-    wa, wb, wc = w[:, :, 0], w[:, :, 1], w[:, :, 2]
-    w8 = (wa * wb[:, None]) * wc[:, None, None]  # (dk, dj, di, p, n)
-    terms = w8.reshape(8, -1, 1, s.shape[-1]) * corners[:, None]
+    a, b, c = s[:, :1], s[:, 1:2], s[:, 2:3]
+    wa = [(1 - a), a]
+    wb = [(1 - b), b]
+    wc = [(1 - c), c]
     out = 0.0
-    for m in range(8):
-        out = out + terms[m]
+    idx = 0
+    for dk in (0, 1):
+        for dj in (0, 1):
+            for di in (0, 1):
+                out = out + wa[di] * wb[dj] * wc[dk] * corners[idx]
+                idx += 1
     return out
 
 
-def _clamp_det(det):
-    """Keep a determinant away from zero — degenerate cells (e.g.
-    collapsed trailing-edge cells) then produce a large-but-finite
-    Newton step that the walk damps, instead of a LinAlgError."""
-    return np.where(np.abs(det) < 1e-14, np.where(det < 0, -1e-14, 1e-14), det)
+def _jac3d(corners, s):
+    eps = 1e-7
+    base = _map3d(corners, s)
+    cols = []
+    for d in range(3):
+        sp = s.copy()
+        sp[:, d] += eps
+        cols.append((_map3d(corners, sp) - base) / eps)
+    return np.stack(cols, axis=-1)  # (n, 3, 3)
 
 
-def _newton2d(corners, s, targets):
-    """Residual and Newton step of the bilinear map, (n, 2) layout:
-    analytic Jacobian d(xy)/d(s0 s1), closed-form 2x2 solve."""
-    c00, c10, c01, c11 = corners
-    r = _map2d(*corners, s) - targets
-    dx0 = (1 - s[:, 1:2]) * (c10 - c00) + s[:, 1:2] * (c11 - c01)
-    dx1 = (1 - s[:, :1]) * (c01 - c00) + s[:, :1] * (c11 - c10)
-    a, b, c, d = dx0[:, 0], dx1[:, 0], dx0[:, 1], dx1[:, 1]
-    det = _clamp_det(a * d - b * c)
-    x0 = (d * r[:, 0] - b * r[:, 1]) / det
-    x1 = (-c * r[:, 0] + a * r[:, 1]) / det
-    return r, np.stack([x0, x1], axis=-1)
-
-
-def _newton3d(corners, s, targets):
-    """Residual and Newton step of the trilinear map, (3, n) layout:
-    base + three eps-perturbed points as one stacked map evaluation,
-    then adjugate / determinant with all nine cofactors at once."""
-    x = _map3d(corners, s + _STEP)  # (4, 3, n)
-    r = x[0] - targets
-    D = (x[1:] - x[0]) / _EPS  # D[c, r] = J[r, c]
-    det = _clamp_det(np.linalg.det(D.transpose(2, 1, 0)))
-    m = D.reshape(9, -1)[_MINOR]  # (4, 3, 3, n)
-    adj = (_SIGN * (m[0] * m[1] - m[2] * m[3])).transpose(2, 0, 1)
-    # einsum's reduction order follows the operand layout: feed it the
-    # C-contiguous (n, 3, 3) x (n, 3) it has always seen.
-    adj, rhs = np.ascontiguousarray(adj), np.ascontiguousarray(r.T)
-    return r, np.einsum("nij,nj->ni", adj, rhs).T / det
-
-
-def _invert_cells(corners, targets, newton_iters, tol):
-    """Newton-invert the multilinear map of the gathered ``corners`` at
-    ``targets`` (n, ndim); returns ``s`` (n, ndim).  The module's one
-    Newton loop; its early exit is batch-wide (every point iterates
-    until the worst has converged)."""
-    flat = targets.shape[1] == 2
-    newton = _newton2d if flat else _newton3d
-    targets = targets if flat else np.ascontiguousarray(targets.T)
-    s = np.full(targets.shape, 0.5)
-    for _ in range(newton_iters):
-        r, step = newton(corners, s, targets)
-        s = s - np.clip(step, -1e6, 1e6)
-        if np.abs(r).max() < tol:
-            break
-    return s if flat else s.T
+def _solve_clamped(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve J x = r per point with the determinant clamped away from
+    zero — degenerate cells (e.g. collapsed trailing-edge cells) then
+    produce a large-but-finite Newton step that the walk damps, instead
+    of a LinAlgError."""
+    ndim = J.shape[-1]
+    if ndim == 2:
+        a, b = J[:, 0, 0], J[:, 0, 1]
+        c, d = J[:, 1, 0], J[:, 1, 1]
+        det = a * d - b * c
+        det = np.where(np.abs(det) < 1e-14, np.where(det < 0, -1e-14, 1e-14), det)
+        x0 = (d * r[:, 0] - b * r[:, 1]) / det
+        x1 = (-c * r[:, 0] + a * r[:, 1]) / det
+        return np.stack([x0, x1], axis=-1)
+    # 3-D: adjugate / determinant.
+    det = np.linalg.det(J)
+    det = np.where(np.abs(det) < 1e-14, np.where(det < 0, -1e-14, 1e-14), det)
+    adj = np.empty_like(J)
+    for i in range(3):
+        for j in range(3):
+            minor = np.delete(np.delete(J, i, axis=1), j, axis=2)
+            cof = (
+                minor[:, 0, 0] * minor[:, 1, 1]
+                - minor[:, 0, 1] * minor[:, 1, 0]
+            )
+            adj[:, j, i] = ((-1) ** (i + j)) * cof
+    return np.einsum("nij,nj->ni", adj, r) / det[:, None]
 
 
 def _nearest_node_seed(
@@ -241,46 +206,58 @@ def donor_search(
     Rows of ``guesses`` containing any negative entry are treated as
     cold (no hint) and seeded like a ``guesses=None`` search.
     """
+    dims = xyz.shape[:-1]
     ndim = xyz.shape[-1]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
-    max_cell = np.array(xyz.shape[:-1]) - 2
-    lo = np.zeros_like(max_cell) if cell_lo is None else np.maximum(np.asarray(cell_lo, np.int64), 0)
-    hi = max_cell if cell_hi is None else np.minimum(np.asarray(cell_hi, np.int64), max_cell)
+    max_cell = np.array(dims) - 2
+    lo = np.zeros(ndim, dtype=np.int64) if cell_lo is None else np.asarray(cell_lo, np.int64)
+    hi = max_cell.copy() if cell_hi is None else np.asarray(cell_hi, np.int64)
+    lo = np.maximum(lo, 0)
+    hi = np.minimum(hi, max_cell)
 
     fracs = np.full((n, ndim), 0.5)
     found = np.zeros(n, dtype=bool)
     escaped = np.zeros(n, dtype=bool)
     steps = np.zeros(n, dtype=np.int64)
 
-    # Rows there is anything to search for: a finite point and a window
-    # holding at least one cell.  The rest end found=False,
-    # escaped=False, steps=0 without being seeded, walked or probed.
-    live = np.isfinite(pts).all(axis=1) & bool(np.all(lo <= hi))
     if guesses is None:
-        cold = live.copy()
+        cold = np.ones(n, dtype=bool)
         cells = np.zeros((n, ndim), dtype=np.int64)
     else:
-        guesses = np.atleast_2d(np.asarray(guesses, np.int64))
-        if guesses.shape != pts.shape:
-            raise ValueError(
-                f"guesses shape {guesses.shape} does not match "
-                f"points shape {pts.shape}"
-            )
-        cold = np.any(guesses < 0, axis=1) & live
-        cells = np.clip(guesses, lo, hi)
+        cells = np.asarray(guesses, np.int64).copy()
+        cold = np.any(cells < 0, axis=1)
+        cells[~cold] = np.clip(cells[~cold], lo, hi)
     if cold.any():
         seeds, seed_cost = _nearest_node_seed(xyz, pts[cold], lo, hi)
         cells[cold] = seeds
         steps[cold] += seed_cost
 
-    active = live.copy()
+    active = np.ones(n, dtype=bool)
     for _ in range(max_steps):
         if not active.any():
             break
         idx = np.nonzero(active)[0]
+        c = cells[idx]
+        target = pts[idx]
         # Newton inversion of the multilinear map within the cell.
-        s = _invert_cells(_corners(xyz, cells[idx]), pts[idx], newton_iters, tol)
+        s = np.full((idx.size, ndim), 0.5)
+        if ndim == 2:
+            corners = _corners2d(xyz, c)
+            for _ in range(newton_iters):
+                r = _map2d(*corners, s) - target
+                J = _jac2d(*corners, s)
+                s = s - np.clip(_solve_clamped(J, r), -1e6, 1e6)
+                if np.abs(r).max() < tol:
+                    break
+        else:
+            corners = _corners3d(xyz, c)
+            for _ in range(newton_iters):
+                r = _map3d(corners, s) - target
+                J = _jac3d(corners, s)
+                s = s - np.clip(_solve_clamped(J, r), -1e6, 1e6)
+                if np.abs(r).max() < tol:
+                    break
 
         steps[idx] += 1
         inside = np.all((s >= -1e-9) & (s <= 1 + 1e-9), axis=1)
@@ -300,21 +277,27 @@ def donor_search(
             # cell in the dominant escape direction.  Walks are local
             # (seeded or warm-started) so large Newton extrapolations
             # are distrusted and damped hard.
-            delta = np.clip(np.floor(sm).astype(np.int64), -2, 2)
-            zero = np.nonzero(np.all(delta == 0, axis=1))[0]
-            if zero.size:
+            delta = np.floor(sm).astype(np.int64)
+            delta = np.clip(delta, -2, 2)
+            zero_rows = np.all(delta == 0, axis=1)
+            if zero_rows.any():
                 # s in [-eps, 1+eps) but flagged outside: nudge dominant.
-                dom = np.argmax(np.abs(sm[zero] - 0.5), axis=1)
-                sgn = np.sign(sm[zero, dom] - 0.5).astype(np.int64)
-                delta[zero, dom] = np.where(sgn == 0, 1, sgn)
+                dom = np.argmax(np.abs(sm[zero_rows] - 0.5), axis=1)
+                sgn = np.sign(sm[zero_rows, dom] - 0.5).astype(np.int64)
+                d2 = delta[zero_rows]
+                d2[np.arange(d2.shape[0]), dom] = np.where(sgn == 0, 1, sgn)
+                delta[zero_rows] = d2
             newcells = cells[mi] + delta
             out = np.any((newcells < lo) | (newcells > hi), axis=1)
             # Points leaving the allowed window: stop, report last cell
             # clipped to the window edge plus the attempted step (the
             # forwarding hint is the attempted cell).
-            escaped[mi] = out
-            active[mi] = ~out
-            cells[mi] = np.where(out[:, None], np.clip(newcells, 0, max_cell), newcells)
+            stop = mi[out]
+            escaped[stop] = True
+            active[stop] = False
+            cells[stop] = np.clip(newcells[out], 0, max_cell)
+            stay = mi[~out]
+            cells[stay] = newcells[~out]
 
     # Full-grid searches retry walks that ran off an index boundary from
     # the opposite edge: on O-grids the physical neighbourhood wraps
@@ -322,12 +305,23 @@ def donor_search(
     # live in the last cells.  Windowed (distributed) searches must not
     # retry — their escapes are forwarding hints.
     full_grid = cell_lo is None and cell_hi is None
-    if full_grid and escaped.any():
+    retry = full_grid and escaped.any()
+    if retry:
         rows = np.nonzero(escaped & ~found)[0]
-        seeds = cells[rows]
-        seeds = np.where(seeds >= hi, lo, np.where(seeds <= lo, hi, seeds))
-        again = donor_search(  # explicit bounds: no second-level retry
-            xyz, pts[rows], seeds, max_steps, newton_iters, tol, lo, hi
+        seeds = cells[rows].copy()
+        at_lo = seeds <= lo
+        at_hi = seeds >= hi
+        seeds[at_lo] = np.broadcast_to(hi, seeds.shape)[at_lo]
+        seeds[at_hi] = np.broadcast_to(lo, seeds.shape)[at_hi]
+        again = donor_search(
+            xyz,
+            pts[rows],
+            guesses=seeds,
+            max_steps=max_steps,
+            newton_iters=newton_iters,
+            tol=tol,
+            cell_lo=lo,   # pass explicit bounds: no second-level retry
+            cell_hi=hi,
         )
         steps[rows] += again.steps
         hit = again.found
@@ -349,22 +343,43 @@ def donor_search(
     # Windowed (distributed) searches skip this: their escapes are
     # forwarding hints and must stay bit-identical.
     if full_grid and not found.all():
-        rows = np.nonzero(~found & live)[0]
+        rows = np.nonzero(~found)[0]
         base = np.clip(cells[rows], lo, hi)
         targets = pts[rows]
+        offsets = np.stack(
+            np.meshgrid(*([np.array([0, -1, 1])] * ndim), indexing="ij"),
+            axis=-1,
+        ).reshape(-1, ndim)  # (0,...,0) first: the clipped cell itself
         remaining = np.ones(rows.size, dtype=bool)
-        # (0, ..., 0) first: the clipped cell itself.
-        for off in itertools.product((0, -1, 1), repeat=ndim):
+        for off in offsets:
             if not remaining.any():
                 break
             sub = np.nonzero(remaining)[0]
             cand = np.clip(base[sub] + off, lo, hi)
-            corners = _corners(xyz, cand)
-            s = _invert_cells(corners, targets[sub], newton_iters, tol)
-            x = _map2d(*corners, s) if ndim == 2 else _map3d(corners, s.T[None])[0].T
-            resid = np.abs(x - targets[sub]).max(axis=1)
+            s = np.full((sub.size, ndim), 0.5)
+            if ndim == 2:
+                corners = _corners2d(xyz, cand)
+                for _ in range(newton_iters):
+                    r = _map2d(*corners, s) - targets[sub]
+                    J = _jac2d(*corners, s)
+                    s = s - np.clip(_solve_clamped(J, r), -1e6, 1e6)
+                    if np.abs(r).max() < tol:
+                        break
+                resid = np.abs(_map2d(*corners, s) - targets[sub]).max(axis=1)
+            else:
+                corners = _corners3d(xyz, cand)
+                for _ in range(newton_iters):
+                    r = _map3d(corners, s) - targets[sub]
+                    J = _jac3d(corners, s)
+                    s = s - np.clip(_solve_clamped(J, r), -1e6, 1e6)
+                    if np.abs(r).max() < tol:
+                        break
+                resid = np.abs(_map3d(corners, s) - targets[sub]).max(axis=1)
             steps[rows[sub]] += 1  # one Newton solve ~ one walk step
-            inside = np.all((s >= -1e-9) & (s <= 1 + 1e-9), axis=1) & (resid <= 1e-8)
+            inside = (
+                np.all((s >= -1e-9) & (s <= 1 + 1e-9), axis=1)
+                & (resid <= 1e-8)
+            )
             hit = sub[inside]
             gi = rows[hit]
             found[gi] = True
@@ -374,4 +389,6 @@ def donor_search(
             remaining[hit] = False
 
     # Anything still active after max_steps is not found.
-    return DonorSearchResult(cells, fracs, found, steps, escaped)
+    return DonorSearchResult(
+        cells=cells, fracs=fracs, found=found, steps=steps, escaped=escaped
+    )

@@ -271,3 +271,184 @@ class TestRoundTripProperties:
         assert (warm.cells == cold.cells).all()
         # ... but the restart pays strictly fewer walk steps.
         assert warm.total_steps < cold.total_steps
+
+
+# ----------------------------------------------------------------------
+# 3-D on curvilinear grids, checked against formulas written here rather
+# than the kernel's own helpers
+
+
+def wavy_grid3d(dims, amp, seed):
+    """Index-space lattice with smooth sinusoidal waves plus a little
+    random node jitter; ``amp <= 0.2`` keeps every hexahedron well away
+    from degenerate."""
+    rng = np.random.default_rng(seed)
+    axes = [np.arange(d, dtype=float) for d in dims]
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    waves = amp * np.sin(0.9 * np.roll(x, 1, axis=-1) + rng.uniform(0, 6, 3))
+    return x + waves + rng.uniform(-0.03, 0.03, x.shape)
+
+
+def trilinear(xyz, cells, s):
+    """Trilinear map of ``cells`` (..., 3) at ``s`` (..., 3), written as
+    three nested linear interpolations."""
+    o = np.arange(2)
+    i, j, k = (cells[..., d, None, None, None] for d in range(3))
+    c = xyz[i + o[:, None, None], j + o[None, :, None], k + o]  # (..., 2, 2, 2, 3)
+    s = np.asarray(s)
+    a, b, g = s[..., 0, None, None, None], s[..., 1, None, None], s[..., 2, None]
+    c = c[..., 0, :, :, :] + a * (c[..., 1, :, :, :] - c[..., 0, :, :, :])
+    c = c[..., 0, :, :] + b * (c[..., 1, :, :] - c[..., 0, :, :])
+    return c[..., 0, :] + g * (c[..., 1, :] - c[..., 0, :])
+
+
+def invert_in_cells(xyz, cells, pts, iters=25, h=1e-6):
+    """Newton per (cell, point) row with a central-difference Jacobian;
+    returns ``s`` and the max-abs residual of each row."""
+    s = np.full(pts.shape, 0.5)
+    for _ in range(iters):
+        r = trilinear(xyz, cells, s) - pts
+        jac = np.stack(
+            [
+                (trilinear(xyz, cells, s + h * e) - trilinear(xyz, cells, s - h * e))
+                / (2 * h)
+                for e in np.eye(3)
+            ],
+            axis=-1,
+        )
+        s = np.clip(s - np.linalg.solve(jac, r[..., None])[..., 0], -50, 50)
+    return s, np.abs(trilinear(xyz, cells, s) - pts).max(axis=-1)
+
+
+class TestCurvilinear3D:
+    @settings(max_examples=25, deadline=None)
+    @given(amp=st.floats(0.0, 0.2), seed=st.integers(0, 1_000))
+    def test_roundtrip_cold_and_warm(self, amp, seed):
+        dims = (8, 7, 6)
+        xyz = wavy_grid3d(dims, amp, seed)
+        rng = np.random.default_rng(seed)
+        n = 40
+        cells = np.stack([rng.integers(0, d - 1, n) for d in dims], axis=-1)
+        fracs = rng.uniform(0.05, 0.95, (n, 3))
+        pts = trilinear(xyz, cells, fracs)
+        cold = donor_search(xyz, pts)
+        off = rng.integers(-1, 2, cells.shape)
+        warm = donor_search(xyz, pts, guesses=cells + off)
+        for r in (cold, warm):
+            assert r.found.all() and not r.escaped.any()
+            assert (r.cells == cells).all()
+            assert np.abs(r.fracs - fracs).max() < 1e-8
+        # The hint pays: no coarse seed scan, a walk of a cell or two.
+        assert warm.total_steps < cold.total_steps
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_brute_force_containing_cell(self, seed):
+        dims = (6, 5, 6)
+        xyz = wavy_grid3d(dims, 0.15, seed)
+        rng = np.random.default_rng(100 + seed)
+        pts = rng.uniform(-0.6, np.array(dims) - 0.4, (60, 3))
+        got = donor_search(xyz, pts)
+        every = np.array(list(np.ndindex(*(d - 1 for d in dims))))  # (m, 3)
+        s, resid = invert_in_cells(
+            xyz,
+            np.broadcast_to(every, (len(pts), *every.shape)),
+            np.broadcast_to(pts[:, None, :], (len(pts), *every.shape)),
+        )
+        # Distance of each converged solution outside the unit cube.
+        outside = np.where(
+            resid < 1e-9, np.abs(s - np.clip(s, 0, 1)).max(axis=-1), np.inf
+        )  # (n, m)
+        decided = 0
+        for p, pt in enumerate(pts):
+            holders = {tuple(c) for c in every[outside[p] < 1e-7]}
+            if not holders and outside[p].min() < 1e-5:
+                continue  # within rounding of the hull: either answer
+            decided += 1
+            assert got.found[p] == bool(holders), (p, pt)
+            if holders:  # several only on a shared face / edge / node
+                assert tuple(got.cells[p]) in holders, (p, pt)
+                assert np.allclose(
+                    trilinear(xyz, got.cells[p], got.fracs[p]), pt, atol=1e-8
+                )
+        assert decided >= 55 and 10 < got.found.sum() < 55
+
+    def test_windowed_escape_hints_into_neighbour_window(self):
+        xyz = wavy_grid3d((14, 7, 7), 0.15, 3)
+        rng = np.random.default_rng(3)
+        n = 30
+        # Donors live in i-cells 7..12; this rank owns i-cells 0..5 and
+        # its neighbour 6..12.
+        cells = np.stack(
+            [rng.integers(7, 13, n), rng.integers(0, 6, n), rng.integers(0, 6, n)],
+            axis=-1,
+        )
+        pts = trilinear(xyz, cells, rng.uniform(0.1, 0.9, (n, 3)))
+        mine = donor_search(xyz, pts, cell_lo=[0, 0, 0], cell_hi=[5, 5, 5])
+        assert mine.escaped.all() and not mine.found.any()
+        assert (mine.cells[:, 0] >= 6).all()
+        assert ((mine.cells >= 0) & (mine.cells <= [12, 5, 5])).all()
+        # The neighbour finishes the search from the hint.
+        theirs = donor_search(
+            xyz, pts, guesses=mine.cells, cell_lo=[6, 0, 0], cell_hi=[12, 5, 5]
+        )
+        assert theirs.found.all()
+        assert (theirs.cells == cells).all()
+
+
+# ----------------------------------------------------------------------
+# input normalisation and degenerate inputs
+
+
+class TestInputEdges:
+    def test_single_point_single_guess_are_normalised_alike(self):
+        xyz = uniform_xyz()
+        r = donor_search(xyz, np.array([1.5, 1.5]), guesses=np.array([1, 1]))
+        assert r.found.tolist() == [True]
+        assert r.cells.tolist() == [[1, 1]]
+        assert r.steps.tolist() == [1]
+
+    def test_guess_shape_mismatch_names_both_shapes(self):
+        xyz = uniform_xyz()
+        with pytest.raises(ValueError, match=r"\(1, 2\).*\(3, 2\)"):
+            donor_search(xyz, np.ones((3, 2)), guesses=np.array([1, 1]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("guesses", [None, np.array([[2, 2, 2]] * 3)])
+    def test_empty_cell_window_finds_nothing(self, guesses):
+        """``cell_lo > cell_hi`` on an axis: a rank whose box holds only
+        the last node plane owns no cell."""
+        g = cartesian_background("bg", (0, 0, 0), (5, 5, 5), (6, 6, 6))
+        pts = np.array([[2.5, 3.5, 1.25], [0.5, 0.5, 4.5], [9.0, 2.0, 2.0]])
+        r = donor_search(
+            g.xyz, pts, guesses=guesses, cell_lo=[5, 0, 0], cell_hi=[4, 4, 4]
+        )
+        assert not r.found.any() and not r.escaped.any()
+        assert r.steps.tolist() == [0, 0, 0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("windowed", [False, True])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_non_finite_points_are_skipped(self, warm, windowed):
+        g = cartesian_background("bg", (0, 0, 0), (5, 5, 5), (6, 6, 6))
+        pts = np.array([
+            [2.5, 3.5, 1.25],
+            [np.nan, 1.0, 1.0],
+            [0.5, np.inf, 4.5],
+            [0.5, 0.5, 4.5],
+        ])
+        finite = np.array([True, False, False, True])
+        kw = {}
+        if warm:
+            kw["guesses"] = np.array([[1, 1, 1], [-1, -1, -1], [2, 2, 2], [0, 0, 3]])
+        if windowed:
+            kw.update(cell_lo=[0, 0, 0], cell_hi=[4, 4, 4])
+        r = donor_search(g.xyz, pts, **kw)
+        assert r.found.tolist() == finite.tolist()
+        assert not r.escaped.any()
+        assert (r.steps[~finite] == 0).all()
+        # The finite rows are searched exactly as if they were alone.
+        if warm:
+            kw["guesses"] = kw["guesses"][finite]
+        alone = donor_search(g.xyz, pts[finite], **kw)
+        for f in ("cells", "fracs", "found", "steps", "escaped"):
+            assert (getattr(r, f)[finite] == getattr(alone, f)).all()
