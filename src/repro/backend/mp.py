@@ -29,15 +29,16 @@ scheduler dispatches, against real transport:
   frames tagged :data:`CTRL_TAG` (above the entire collective tag
   space): ``done``/``error`` up, ``abort``/``exit`` down.  Results,
   measured metrics and trace events travel here, never on data pipes.
-* **one worker group** — :class:`RankWorkers` owns the whole worker
-  lifecycle (pipes, fork, control frames and sentinels turned into one
-  ``done``/``error``/``crash`` event per rank, stop, close, the
-  shared-memory sweep) and :class:`ChunkOutcome` the bookkeeping and
-  the ending: a worker crash or timeout surfaces as the typed
-  :class:`repro.machine.faults.RankFailure`, a program error as the
-  re-raised original exception.  The cluster's node daemon hosts its
-  ranks through the same two classes; there a destination without a
-  local inbox is off-host and its frames leave through the worker's
+* **one worker group** — :class:`RankWorkers` owns what is specific to
+  ranks (inbox pipes, transport locks, uplinks, the shared-memory
+  sweep) over one supervised :class:`repro.backend.proc.Child` per
+  rank, whose control frames and sentinels it turns into one
+  ``done``/``error``/``crash`` event per rank, and :class:`ChunkOutcome`
+  the bookkeeping and the ending: a worker crash or timeout surfaces as
+  the typed :class:`repro.machine.faults.RankFailure`, a program error
+  as the re-raised original exception.  The cluster's node daemon hosts
+  its ranks through the same two classes; there a destination without
+  a local inbox is off-host and its frames leave through the worker's
   uplink pipe (:meth:`_Engine._transmit` is the one transmit site).
 * **one ordered event log** — a traced worker records through the
   ``Tracer`` API into an :class:`repro.obs.tracer.EventLog`; the log
@@ -63,11 +64,12 @@ import os
 import pickle
 import time
 import traceback
-from multiprocessing import connection, get_context, resource_tracker, shared_memory
+from multiprocessing import get_context, resource_tracker, shared_memory
 from typing import Any, Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
+from repro.backend import proc
 from repro.backend.api import (
     BackendResult,
     BackendUnavailable,
@@ -221,7 +223,6 @@ class _Engine:
         *,
         runid: str,
         shm_threshold: int,
-        poll_interval: float,
         sleep_cap: float,
         start_clock: float,
         metrics: RankMetrics,
@@ -237,7 +238,6 @@ class _Engine:
         self.uplink = uplink
         self.runid = runid
         self.shm_threshold = shm_threshold
-        self.poll_interval = poll_interval
         self.sleep_cap = sleep_cap
         self.metrics = metrics
         self.mailbox = Mailbox()
@@ -357,13 +357,13 @@ class _Engine:
         return got
 
     def _block_until(self, probe: Any) -> Any:
-        """Sleep on the inbox (and the control pipe, in ``poll_interval``
-        slices) until ``probe()`` returns something truthy."""
+        """Sleep on the inbox and the control pipe (an abort wakes the
+        rank at once) until ``probe()`` returns something truthy."""
         got = probe()
         while not got:
             self._check_ctrl()
-            if connection.wait([self.reader, self.ctrl], self.poll_interval):
-                self._pump(0.0)
+            proc.wait([self.reader, self.ctrl], None)
+            self._pump(0.0)
             got = probe()
         return got
 
@@ -497,6 +497,7 @@ class _Engine:
 
 
 def _worker_main(
+    ctrl: Any,
     machine: Any,
     program: RankProgram,
     init: Callable[[], None] | None,
@@ -505,12 +506,11 @@ def _worker_main(
     reader: Any,
     writers: Sequence[Any],
     locks: Sequence[Any],
-    ctrl: Any,
     **options: Any,
 ) -> None:
-    """Entry point of one forked rank process: ``init`` first, then an
-    :class:`_Engine` (``options`` are its keyword arguments) drives the
-    program and reports over ``ctrl``."""
+    """Entry point of one forked rank process (a :class:`proc.Child`
+    target: ``ctrl`` comes first): ``init``, then an :class:`_Engine`
+    (``options``) drives the program and reports over ``ctrl``."""
     try:
         if init is not None:
             init()
@@ -556,12 +556,13 @@ def _worker_main(
 class RankWorkers:
     """The forked worker processes of one chunk's local ranks.
 
-    Owns the whole lifecycle both measured engines need: an inbox pipe,
-    transport lock and control pipe per local rank (plus an uplink pipe
-    each when some of the ``nranks`` live elsewhere), the forks, the
-    classification of what comes back, and the teardown.  ``programs``,
-    ``clocks`` and ``metrics`` are indexed by rank; ``worker_init``
-    runs in each child before its engine exists.
+    Owns what is rank-specific in both measured engines: an inbox pipe
+    and transport lock per local rank (plus an uplink pipe each when
+    some of the ``nranks`` live elsewhere), the shared-memory sweep, and
+    one supervised :class:`proc.Child` per rank, whose classification
+    and stop ladder it applies group-wide.  ``programs``, ``clocks``
+    and ``metrics`` are indexed by rank; ``worker_init`` runs in each
+    child before its engine exists.
 
     The parent keeps the inbox ``writers`` (and ``locks``): the mp
     backend never uses them, a node daemon deposits inbound frames
@@ -580,7 +581,6 @@ class RankWorkers:
         metrics: Any,
         trace: bool,
         shm_threshold: int,
-        poll_interval: float,
         sleep_cap: float,
         worker_init: Callable[[], None] | None = None,
     ) -> None:
@@ -591,29 +591,26 @@ class RankWorkers:
         self.writers: list[Any] = [None] * nranks
         self.locks: list[Any] = [None] * nranks
         self.uplinks: dict[int, Any] = {}
-        self._ctrls: dict[int, Any] = {}
-        self._procs: dict[int, Any] = {}
+        self._children: dict[int, proc.Child] = {}
         readers: dict[int, Any] = {}
-        ctrl_child: dict[int, Any] = {}
         uplink_w: dict[int, Any] = {}
         for r in self.ranks:
             readers[r], self.writers[r] = ctx.Pipe(duplex=False)
             self.locks[r] = ctx.Lock()
-            self._ctrls[r], ctrl_child[r] = ctx.Pipe(duplex=True)
             if len(self.ranks) < nranks:
                 self.uplinks[r], uplink_w[r] = ctx.Pipe(duplex=False)
         try:
             for r in self.ranks:
-                self._procs[r] = ctx.Process(
-                    target=_worker_main,
-                    args=(
+                self._children[r] = proc.Child(
+                    ctx,
+                    _worker_main,
+                    (
                         machine, programs[r], worker_init, r, nranks,
-                        readers[r], self.writers, self.locks, ctrl_child[r],
+                        readers[r], self.writers, self.locks,
                     ),
-                    kwargs=dict(
+                    dict(
                         runid=runid,
                         shm_threshold=shm_threshold,
-                        poll_interval=poll_interval,
                         sleep_cap=sleep_cap,
                         start_clock=float(clocks[r]),
                         metrics=metrics[r],
@@ -621,23 +618,20 @@ class RankWorkers:
                         uplink=uplink_w.get(r),
                     ),
                     daemon=True,
-                    name=f"{runid}-{r}",
                 )
-                self._procs[r].start()
         except BaseException:
             self.close()
             raise
         finally:
             # The worker-held ends are unused in the parent.
-            for end in (*readers.values(), *ctrl_child.values(),
-                        *uplink_w.values()):
+            for end in (*readers.values(), *uplink_w.values()):
                 end.close()
 
     def waitables(self) -> list[Any]:
-        """What to ``connection.wait`` on for :meth:`events`: control
+        """What to :func:`proc.wait` on for :meth:`events`: control
         pipe and process sentinel of every rank not yet reported."""
-        return [self._ctrls[r] for r in self.pending] + [
-            self._procs[r].sentinel for r in self.pending
+        return [
+            w for r in self.pending for w in self._children[r].waitables()
         ]
 
     def events(self, ready: Iterable[Any]) -> list[tuple[int, str, Any]]:
@@ -648,60 +642,30 @@ class RankWorkers:
         fired = set(ready)
         out: list[tuple[int, str, Any]] = []
         for rank in sorted(self.pending):
-            dead = self._procs[rank].sentinel in fired
-            if not dead and self._ctrls[rank] not in fired:
+            child = self._children[rank]
+            if fired.isdisjoint(child.waitables()):
                 continue
-            # Control frame first: a crashed-looking sentinel may still
-            # have a buffered result, so the pipe is (re-)checked before
-            # a death is called a crash.
-            event = self._ctrl_event(rank)
-            if event is None and dead and not self._procs[rank].is_alive():
-                event = (rank, "crash", None)
-            if event is not None:
-                self.pending.discard(rank)
-                out.append(event)
+            got = child.take()
+            if got is None:
+                continue
+            self.pending.discard(rank)
+            crashed = isinstance(got, proc.Crash)
+            kind, payload = ("crash", None) if crashed else got[1:]
+            out.append((rank, kind, payload))
         return out
-
-    def _ctrl_event(self, rank: int) -> tuple[int, str, Any] | None:
-        ctrl = self._ctrls[rank]
-        try:
-            while ctrl.poll(0):
-                frame = ctrl.recv()
-                if frame[0] != CTRL_TAG:  # pragma: no cover - framing guard
-                    continue
-                if frame[1] == "done" or frame[1] == "error":
-                    return rank, frame[1], frame[2]
-        except (EOFError, OSError):
-            pass
-        return None
 
     def stop(self, how: str, grace: float) -> None:
         """Send every worker ``"exit"`` (the chunk is over) or
-        ``"abort"`` (a peer failed), give them ``grace`` seconds to
-        leave, then terminate the rest."""
-        for ctrl in self._ctrls.values():
-            try:
-                ctrl.send((CTRL_TAG, how, None))
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.monotonic() + grace
-        for p in self._procs.values():
-            p.join(timeout=max(0.0, deadline - time.monotonic()))
-        for p in self._procs.values():
-            if p.is_alive():
-                p.terminate()
+        ``"abort"`` (a peer failed) and walk them down the stop ladder:
+        ``grace`` seconds to leave, then SIGTERM, then SIGKILL."""
+        proc.stop(self._children.values(), (CTRL_TAG, how, None), grace)
 
     def close(self) -> None:
-        """Reap every worker, close the pipes and sweep shared-memory
-        leftovers; idempotent, and safe on a half-built group."""
-        for p in self._procs.values():
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=1.0)
-            p.close()
-        self._procs.clear()
-        for end in (*self._ctrls.values(), *self.uplinks.values(),
-                    *filter(None, self.writers)):
+        """Reap whatever :meth:`stop` has not, close the pipes and sweep
+        shared-memory leftovers; idempotent, and safe on a half-built
+        group."""
+        proc.stop(self._children.values())
+        for end in (*self.uplinks.values(), *filter(None, self.writers)):
             try:
                 end.close()
             except OSError:  # pragma: no cover
@@ -858,10 +822,6 @@ class MpBackend(ExecutionBackend):
         Exceeding it aborts the workers and raises
         :class:`repro.machine.faults.RankFailure` naming the
         unfinished ranks.  ``None`` disables the limit.
-    poll_interval:
-        Worker-side blocking-receive wakeup slice (seconds); bounds
-        abort latency, not message latency (arrivals wake the worker
-        immediately through ``connection.wait``).
     sleep_cap:
         Upper bound actually slept for one modeled ``elapse`` pause.
 
@@ -878,7 +838,6 @@ class MpBackend(ExecutionBackend):
         self,
         shm_threshold: int = 32 * 1024,
         timeout: float | None = 120.0,
-        poll_interval: float = 0.02,
         sleep_cap: float = 0.005,
     ) -> None:
         reason = mp_available()
@@ -886,7 +845,6 @@ class MpBackend(ExecutionBackend):
             raise BackendUnavailable(f"backend 'mp' unavailable: {reason}")
         self.shm_threshold = int(shm_threshold)
         self.timeout = timeout
-        self.poll_interval = float(poll_interval)
         self.sleep_cap = float(sleep_cap)
 
     def run(
@@ -919,21 +877,16 @@ class MpBackend(ExecutionBackend):
             ),
             trace=trace_enabled,
             shm_threshold=self.shm_threshold,
-            poll_interval=self.poll_interval,
             sleep_cap=self.sleep_cap,
         )
+        deadline = None if self.timeout is None else t_start + self.timeout
         try:
             # All ranks are local: file events until every rank has
             # reported, one went wrong, or the timeout trips.
             while not outcome.finished:
-                elapsed = time.monotonic() - t_start
-                slice_ = 0.5
-                if self.timeout is not None:
-                    if elapsed >= self.timeout:
-                        outcome.fail(outcome.pending, elapsed)
-                        break
-                    slice_ = min(slice_, self.timeout - elapsed)
-                ready = connection.wait(workers.waitables(), timeout=slice_)
+                ready = proc.wait(workers.waitables(), deadline)
+                if not ready:
+                    outcome.fail(outcome.pending, time.monotonic() - t_start)
                 for rank, kind, payload in workers.events(ready):
                     outcome.record(
                         rank, kind, payload, time.monotonic() - t_start

@@ -66,7 +66,7 @@ class ClusterBackend(ExecutionBackend):
         ``False`` means "operator brings the nodes": the supervisor
         only listens on ``host:port`` and waits for ``repro node
         --connect`` daemons to dial in.
-    shm_threshold / timeout / poll_interval / sleep_cap:
+    shm_threshold / timeout / sleep_cap:
         Same worker-level knobs as the mp backend, applied on every
         node.
     hb_interval / hb_timeout:
@@ -92,7 +92,6 @@ class ClusterBackend(ExecutionBackend):
         port: int = 0,
         shm_threshold: int = 32 * 1024,
         timeout: float | None = 120.0,
-        poll_interval: float = 0.02,
         sleep_cap: float = 0.005,
         hb_interval: float = 0.5,
         hb_timeout: float = 5.0,
@@ -109,7 +108,6 @@ class ClusterBackend(ExecutionBackend):
         self.port = int(port)
         self.shm_threshold = int(shm_threshold)
         self.timeout = timeout
-        self.poll_interval = float(poll_interval)
         self.sleep_cap = float(sleep_cap)
         self.hb_interval = float(hb_interval)
         self.hb_timeout = float(hb_timeout)
@@ -220,7 +218,6 @@ class ClusterBackend(ExecutionBackend):
             config_sha=config_sha,
             options={
                 "shm_threshold": self.shm_threshold,
-                "poll_interval": self.poll_interval,
                 "sleep_cap": self.sleep_cap,
             },
             clocks=clocks,

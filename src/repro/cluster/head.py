@@ -24,6 +24,7 @@ shrink-and-continue recovery possible without any rejoin choreography.
 
 from __future__ import annotations
 
+import math
 import os
 import select
 import socket
@@ -31,11 +32,11 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from multiprocessing import connection
 from typing import Any
 
 from repro.backend.api import BackendResult
 from repro.backend.mp import ChunkOutcome
+from repro.backend.proc import wait
 from repro.cluster.placement import Placement
 from repro.cluster.protocol import (
     CLUSTER_PROTOCOL_VERSION,
@@ -124,19 +125,13 @@ class ClusterSupervisor:
                 self._spawn_node(i)
         deadline = time.monotonic() + self.connect_timeout
         while len(self.nodes) < self.nnodes:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            if not wait([self._listener], deadline):
                 self.close()
                 raise HandshakeError(
                     f"only {len(self.nodes)}/{self.nnodes} node daemons "
                     f"connected within {self.connect_timeout:.0f}s"
                 )
-            self._listener.settimeout(remaining)
-            try:
-                sock, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            self._admit(sock)
+            self._admit(self._listener.accept()[0])
         self._started = True
 
     def _spawn_node(self, i: int) -> None:
@@ -218,11 +213,11 @@ class ClusterSupervisor:
             handle.sock.close()
         except OSError:  # pragma: no cover
             pass
-        if handle.proc is not None and handle.proc.poll() is None:
-            try:
-                handle.proc.terminate()
-            except OSError:  # pragma: no cover
-                pass
+        if handle.proc is not None:
+            # Written off, so no polite rungs: SIGKILL is the one signal
+            # a daemon stopped by SIGSTOP still acts on, and its workers
+            # follow it (``_arm_deathwatch``).
+            _reap([handle.proc], None)
         print(
             f"[repro cluster] node {handle.node_id} ({handle.name}) "
             f"lost: {why}",
@@ -287,15 +282,7 @@ class ClusterSupervisor:
         def elapsed() -> float:
             return time.monotonic() - t_start
 
-        def fail_node(handle: NodeHandle, why: str) -> None:
-            self._mark_dead(handle, why)
-            outcome.fail(
-                (r for r in range(nranks) if node_of[r] == handle.node_id),
-                elapsed(),
-            )
-
         def handle_msg(handle: NodeHandle, msg: tuple[str, Any]) -> None:
-            handle.last_seen = time.monotonic()
             kind, body = msg
             if kind == "data":
                 dst, frame = body
@@ -304,7 +291,7 @@ class ClusterSupervisor:
                     try:
                         send_data(target.sock, dst, frame)
                     except OSError:
-                        fail_node(target, "send failed")
+                        self._mark_dead(target, "send failed")
                 return
             op = body.get("op")
             if op in ("rank_done", "rank_error", "rank_crash"):
@@ -317,50 +304,72 @@ class ClusterSupervisor:
                     f"node {handle.node_id} refused launch: {body.get('error')}"
                 )
 
+        run_deadline = math.inf if timeout is None else t_start + timeout
         try:
-            while not outcome.finished:
-                if timeout is not None and elapsed() > timeout:
-                    outcome.fail(outcome.pending, elapsed())
-                    break
+            while True:
                 now = time.monotonic()
+                if now >= run_deadline:
+                    outcome.fail(outcome.pending, elapsed())
                 for h in participants:
-                    if h.alive and now - h.last_seen > self.hb_timeout:
-                        fail_node(h, f"no heartbeat for {self.hb_timeout:.0f}s")
-                socks = [h.sock for h in participants if h.alive]
-                if not socks:
+                    if h.alive and now >= h.last_seen + self.hb_timeout:
+                        self._mark_dead(
+                            h, f"no heartbeat for {self.hb_timeout:.0f}s"
+                        )
+                # However a node was lost (silence, EOF, a failed send),
+                # this is where its still-pending ranks fail.
+                lost = {h.node_id for h in participants if not h.alive}
+                if lost:
+                    outcome.fail(
+                        (r for r in range(nranks) if node_of[r] in lost),
+                        elapsed(),
+                    )
+                if outcome.finished:
                     break
-                ready = connection.wait(socks, timeout=0.1)
-                for h in participants:
-                    if not h.alive or h.sock not in ready:
-                        continue
-                    while h.alive:
-                        r_, _, _ = select.select([h.sock], [], [], 0)
-                        if not r_:
-                            break
-                        try:
-                            msg = recv_message(h.sock)
-                        except (OSError, ClusterProtocolError) as exc:
-                            fail_node(h, f"recv failed: {exc}")
-                            break
-                        if msg is None:
-                            fail_node(h, "connection closed")
-                            break
-                        handle_msg(h, msg)
+                # Sleep until a frame arrives, the run times out or the
+                # quietest node's heartbeat expires — whichever is first.
+                live = [h for h in participants if h.alive]
+                ready = wait([h.sock for h in live], min(
+                    run_deadline,
+                    min(h.last_seen for h in live) + self.hb_timeout,
+                ))
+                for h in [h for h in live if h.sock in ready]:
+                    while h.alive and select.select([h.sock], [], [], 0)[0]:
+                        msg = self._recv(h)
+                        if msg is not None:
+                            handle_msg(h, msg)
         except BaseException:
             self._end_chunk(participants, runid, clean=False)
             raise
         self._end_chunk(participants, runid, clean=outcome.clean)
         return outcome.result(tracer)
 
+    def _recv(self, h: NodeHandle) -> tuple[str, Any] | None:
+        """One frame from a node; ``None`` — and the node marked dead —
+        when its socket fails or has closed."""
+        try:
+            msg = recv_message(h.sock)
+        except (OSError, ClusterProtocolError) as exc:
+            self._mark_dead(h, f"recv failed: {exc}")
+            return None
+        if msg is None:
+            self._mark_dead(h, "connection closed")
+        else:
+            h.last_seen = time.monotonic()
+        return msg
+
     def _end_chunk(
         self, participants: list[NodeHandle], runid: str, clean: bool
     ) -> None:
         """Tell every live participant the chunk is over — released
-        (``exit_chunk``) or aborted — and await its acknowledgement."""
-        op, ack, deadline = (
+        (``exit_chunk``) or aborted — and await its acknowledgement,
+        best-effort (late data frames in flight are dropped)."""
+        # The abort span covers a node's whole abort ladder (2 s grace
+        # in ``node._CHUNK_END`` + ``proc.TERM_GRACE``): a rank that has
+        # to be SIGKILLed does not make its node miss the ack.
+        op, ack, span = (
             ("exit_chunk", "chunk_done", 5.0)
             if clean
-            else ("abort", "chunk_aborted", 3.0)
+            else ("abort", "chunk_aborted", 4.0)
         )
         for h in participants:
             if not h.alive:
@@ -369,43 +378,18 @@ class ClusterSupervisor:
                 send_control(h.sock, {"op": op, "runid": runid})
             except OSError:
                 self._mark_dead(h, f"{op} send failed")
-        self._await_acks(participants, ack, deadline)
-
-    def _await_acks(
-        self, participants: list[NodeHandle], op: str, deadline: float
-    ) -> None:
-        """Best-effort wait for per-node teardown acknowledgements (late
-        data frames in flight are drained and dropped on the floor)."""
-        waiting = {h.node_id for h in participants if h.alive}
-        limit = time.monotonic() + deadline
-        while waiting and time.monotonic() < limit:
-            socks = [
-                h.sock for h in participants
-                if h.alive and h.node_id in waiting
-            ]
-            if not socks:
+        deadline = time.monotonic() + span
+        waiting = [h for h in participants if h.alive]
+        while waiting:
+            ready = wait([h.sock for h in waiting], deadline)
+            if not ready:
                 break
-            ready = connection.wait(
-                socks, timeout=max(0.0, limit - time.monotonic())
-            )
-            for h in participants:
-                if h.node_id not in waiting or not h.alive:
-                    continue
-                if h.sock not in ready:
-                    continue
-                try:
-                    msg = recv_message(h.sock)
-                except (OSError, ClusterProtocolError):
-                    self._mark_dead(h, "teardown recv failed")
-                    waiting.discard(h.node_id)
-                    continue
-                if msg is None:
-                    self._mark_dead(h, "closed during teardown")
-                    waiting.discard(h.node_id)
-                    continue
-                h.last_seen = time.monotonic()
-                if msg[0] == "control" and msg[1].get("op") == op:
-                    waiting.discard(h.node_id)
+            for h in [h for h in waiting if h.sock in ready]:
+                msg = self._recv(h)
+                if msg is None or (
+                    msg[0] == "control" and msg[1].get("op") == ack
+                ):
+                    waiting.remove(h)
 
     # ------------------------------------------------------------- close
 
@@ -430,19 +414,36 @@ class ClusterSupervisor:
             self._listener.close()
         except OSError:  # pragma: no cover
             pass
-        for proc in self._spawned:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    proc.kill()
-                    proc.wait()
+        _reap(self._spawned, 5.0)
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:
             self.close()
         except Exception:
+            pass
+
+
+def _reap(procs: list[subprocess.Popen], grace: float | None) -> None:
+    """The ``Popen`` stop ladder (node daemons are the operator's own
+    command, not forked children, so :func:`repro.backend.proc.stop`
+    does not fit them): all ``procs`` share each rung's deadline —
+    ``grace`` seconds to exit, SIGTERM, 2 s more — and every path ends
+    in SIGKILL and a reaped process.  ``grace=None`` skips the polite
+    rungs."""
+    if grace is not None:
+        _wait_all(procs, grace)
+        for p in procs:
+            p.terminate()  # like kill(): a no-op once the process is reaped
+        _wait_all(procs, 2.0)
+    for p in procs:
+        p.kill()
+        p.wait()
+
+
+def _wait_all(procs: list[subprocess.Popen], seconds: float) -> None:
+    deadline = time.monotonic() + seconds
+    for p in procs:
+        try:
+            p.wait(timeout=max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
             pass

@@ -45,10 +45,10 @@ import select
 import socket
 import sys
 import time
-from multiprocessing import connection
 from typing import Any
 
 from repro.backend.mp import RankWorkers, restage_frame
+from repro.backend.proc import wait
 from repro.cluster import shipping
 from repro.cluster.protocol import (
     CLUSTER_PROTOCOL_VERSION,
@@ -187,8 +187,7 @@ class NodeDaemon:
         assert sock is not None
         while True:
             self._heartbeat()
-            ready = connection.wait([sock], timeout=self._hb_slice())
-            if not ready:
+            if not wait([sock], self._next_hb):
                 continue
             msg = recv_message(sock)
             if msg is None:
@@ -202,9 +201,6 @@ class NodeDaemon:
                 self._chunk(body)
             # Anything else while idle (stray data from a chunk that
             # was just torn down, late aborts) is dropped.
-
-    def _hb_slice(self) -> float:
-        return min(0.2, max(0.0, self._next_hb - time.monotonic()))
 
     def _heartbeat(self) -> None:
         now = time.monotonic()
@@ -309,9 +305,12 @@ class NodeDaemon:
             waitees: list[Any] = [sock]
             waitees += list(open_uplinks.values())
             waitees += workers.waitables()
-            backed_up = any(backlog.values())
-            timeout = 0.002 if backed_up else self._hb_slice()
-            ready = connection.wait(waitees, timeout=timeout)
+            # Next heartbeat due — or, with a backlog, the 2 ms retry
+            # of its flush (a retry interval, not a deadline).
+            due = self._next_hb
+            if any(backlog.values()):
+                due = min(due, time.monotonic() + 0.002)
+            ready = wait(waitees, due)
 
             # -- frames from the head (drained greedily) ----------------
             if sock in ready:

@@ -17,7 +17,8 @@ Failure semantics, all typed:
   are pure functions of their spec.  Exhausting retries raises
   :class:`WorkerCrash`.
 * a job exceeding ``job_timeout`` kills its worker (the only way to
-  interrupt it), forks a replacement, and raises :class:`JobTimeout` —
+  interrupt it; :func:`repro.backend.proc.stop`, the ladder that ends
+  in SIGKILL), forks a replacement, and raises :class:`JobTimeout` —
   never retried, since a retry would just burn another timeout.
 * a job whose *program* raised is not a pool failure at all: the
   exception travels back as data and surfaces as
@@ -33,13 +34,14 @@ as it has workers.
 
 from __future__ import annotations
 
-import itertools
 import os
 import queue
 import threading
 import time
+from multiprocessing import get_context
 from typing import Any
 
+from repro.backend.proc import Child, Crash, stop, wait
 from repro.serve.jobs import JobSpec, close_warm_backends, run_job_bytes
 
 __all__ = [
@@ -50,8 +52,6 @@ __all__ = [
     "JobExecutionError",
     "pool_available",
 ]
-
-_worker_counter = itertools.count()
 
 
 def pool_available() -> str | None:
@@ -107,9 +107,6 @@ def _worker_main(conn: Any) -> None:
             break  # parent is gone
         if frame[0] == "exit":
             break
-        if frame[0] == "ping":
-            conn.send(("pong", os.getpid()))
-            continue
         _, wire, attempt = frame
         try:
             spec = JobSpec.from_dict(wire)
@@ -137,55 +134,6 @@ def _worker_main(conn: Any) -> None:
     # coverage's multiprocessing hook flushes data on the way out).
 
 
-class _Worker:
-    """One warm process plus its duplex pipe."""
-
-    def __init__(self, ctx: Any) -> None:
-        self.conn, child = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(
-            target=_worker_main,
-            args=(child,),
-            name=f"repro-serve-worker-{next(_worker_counter)}",
-            daemon=False,  # mp-backend jobs fork their own rank processes
-        )
-        self.proc.start()
-        child.close()
-
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def stop(self, timeout: float = 2.0) -> None:
-        """Polite shutdown; escalates to terminate."""
-        try:
-            self.conn.send(("exit",))
-        except (BrokenPipeError, OSError):
-            pass
-        self.proc.join(timeout=timeout)
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(timeout=1.0)
-        self._close()
-
-    def kill(self) -> None:
-        """Immediate teardown (timeout enforcement)."""
-        self.proc.terminate()
-        self.proc.join(timeout=2.0)
-        if self.proc.is_alive():  # pragma: no cover - terminate is enough
-            self.proc.kill()
-            self.proc.join(timeout=1.0)
-        self._close()
-
-    def _close(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        try:
-            self.proc.close()
-        except ValueError:  # pragma: no cover - still running
-            pass
-
-
 class WorkerPool:
     """A fixed-size pool of warm job-executing processes."""
 
@@ -207,8 +155,8 @@ class WorkerPool:
         self.job_timeout = job_timeout
         self.max_retries = int(max_retries)
         self.retry_backoff = float(retry_backoff)
-        self._idle: queue.Queue[_Worker] = queue.Queue()
-        self._all: list[_Worker] = []
+        self._idle: queue.Queue[Child] = queue.Queue()
+        self._all: list[Child] = []
         self._lock = threading.Lock()
         self._started = False
         self._closed = False
@@ -224,15 +172,20 @@ class WorkerPool:
                 raise PoolError("pool is closed")
             if self._started:
                 return self
-            from multiprocessing import get_context
-
-            self._ctx = get_context("fork")
             for _ in range(self.workers):
-                w = _Worker(self._ctx)
-                self._all.append(w)
-                self._idle.put(w)
+                self._idle.put(self._spawn())
             self._started = True
         return self
+
+    def _spawn(self) -> Child:
+        """Fork one warm worker (caller holds the lock)."""
+        worker = Child(
+            get_context("fork"),
+            _worker_main,
+            daemon=False,  # mp-backend jobs fork their own rank processes
+        )
+        self._all.append(worker)
+        return worker
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
@@ -240,17 +193,18 @@ class WorkerPool:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    def _respawn(self, dead: _Worker) -> _Worker:
-        """Replace a dead/killed worker with a fresh fork."""
+    def _respawn(self, dead: Child) -> Child:
+        """Walk a crashed or timed-out worker down the stop ladder (it
+        is killed, reaped and closed whatever state it is in) and fork
+        its replacement."""
+        stop([dead])
         with self._lock:
             if dead in self._all:
                 self._all.remove(dead)
             self.crashes += 1
             if self._closed:
                 raise PoolError("pool is closed")
-            fresh = _Worker(self._ctx)
-            self._all.append(fresh)
-            return fresh
+            return self._spawn()
 
     # ------------------------------------------------------------------
 
@@ -282,57 +236,34 @@ class WorkerPool:
         self, spec: JobSpec, attempt: int, limit: float | None
     ) -> bytes:
         worker = self._idle.get()
-        give_back: _Worker | None = worker
         try:
-            try:
-                worker.conn.send(("job", spec.to_wire(), attempt))
-            except (BrokenPipeError, OSError):
-                give_back = self._respawn(worker)
+            if not worker.send(("job", spec.to_wire(), attempt)):
                 raise WorkerCrash("worker pipe closed before dispatch")
             deadline = None if limit is None else time.monotonic() + limit
             while True:
-                slice_ = 0.1
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        worker.kill()
-                        give_back = self._respawn(worker)
-                        raise JobTimeout(
-                            f"job {spec.sha()[:12]} exceeded the "
-                            f"{limit:.6g}s per-job timeout"
-                        )
-                    slice_ = min(slice_, remaining)
-                try:
-                    has_frame = worker.conn.poll(slice_)
-                except (EOFError, OSError):
-                    has_frame = False
-                if has_frame:
-                    try:
-                        frame = worker.conn.recv()
-                    except (EOFError, OSError):
-                        give_back = self._respawn(worker)
-                        raise WorkerCrash("worker died mid-result")
-                    if frame[0] == "done":
-                        return frame[1]
-                    if frame[0] == "error":
-                        _, kind, message, detail = frame
-                        raise JobExecutionError(kind, message, detail)
-                    continue  # stray pong etc.
-                if not worker.alive():
-                    # Drain any result that raced the exit.
-                    try:
-                        if worker.conn.poll(0):
-                            continue
-                    except (EOFError, OSError):
-                        pass
-                    give_back = self._respawn(worker)
-                    raise WorkerCrash(
-                        f"worker exited with code "
-                        f"{worker.proc.exitcode} mid-job"
+                if not wait(worker.waitables(), deadline):
+                    raise JobTimeout(
+                        f"job {spec.sha()[:12]} exceeded the "
+                        f"{limit:.6g}s per-job timeout"
                     )
+                got = worker.take()
+                if isinstance(got, Crash):
+                    raise WorkerCrash(
+                        f"worker exited with code {got.exitcode} mid-job"
+                    )
+                if got is None:
+                    continue
+                if got[0] == "done":
+                    return got[1]
+                _, kind, message, detail = got
+                raise JobExecutionError(kind, message, detail)
+        except (WorkerCrash, JobTimeout):
+            # Either way this worker is finished: the job is still
+            # running in it, or it is gone.
+            worker = self._respawn(worker)
+            raise
         finally:
-            if give_back is not None:
-                self._idle.put(give_back)
+            self._idle.put(worker)
 
     # ------------------------------------------------------------------
 
@@ -346,15 +277,11 @@ class WorkerPool:
             self._closed = True
             all_workers = list(self._all)
             self._all.clear()
-        deadline = time.monotonic() + timeout
-        idle: list[_Worker] = []
+        idle: list[Child] = []
         while True:
             try:
                 idle.append(self._idle.get_nowait())
             except queue.Empty:
                 break
-        for w in idle:
-            w.stop(timeout=max(0.1, deadline - time.monotonic()))
-        for w in all_workers:
-            if w not in idle:
-                w.kill()
+        stop([w for w in all_workers if w not in idle])
+        stop(idle, ("exit",), timeout)

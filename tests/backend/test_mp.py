@@ -13,6 +13,8 @@ seconds vs measured wall seconds).
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from repro.backend import BackendResult, get_backend
 from repro.backend.mp import mp_available
 from repro.machine import sp2
 from repro.machine.faults import RankFailure
+
+from tests.conftest import REPO, deadline, pid_gone
 
 pytestmark = [
     pytest.mark.mp,
@@ -177,6 +181,46 @@ def test_timeout_surfaces_as_rank_failure():
 
     with pytest.raises(RankFailure):
         get_backend("mp", timeout=1.0).run_spmd(sp2(nodes=2), program)
+
+
+_STOPPED_RANK_SCRIPT = """
+import glob, os, sys
+from repro.backend import get_backend
+from repro.machine import sp2
+from repro.machine.faults import RankFailure
+from tests.conftest import stops_itself
+
+def program(comm):
+    with open(sys.argv[1] + str(comm.rank), "w") as f:
+        f.write(str(os.getpid()))
+    return (yield from stops_itself(comm))
+
+try:
+    get_backend("mp", timeout=1.0).run_spmd(sp2(nodes=2), program)
+except RankFailure as failure:
+    print("RankFailure", *failure.failed_ranks)
+print("shm", *glob.glob(f"/dev/shm/repro_mp_{os.getpid()}_*"))
+"""
+
+
+def test_stopped_rank_is_a_rank_failure_and_the_interpreter_exits(tmp_path):
+    """A rank stopped by SIGSTOP ignores both "abort" and SIGTERM: the
+    run must still end in the typed failure, leave no process and no
+    segment, and — checked in a fresh interpreter, where the unreaped
+    child used to hang multiprocessing's atexit join — exit."""
+    script = tmp_path / "stopped_rank.py"
+    script.write_text(_STOPPED_RANK_SCRIPT)
+    with deadline(40):
+        out = subprocess.run(
+            [sys.executable, str(script), str(tmp_path / "pid")],
+            capture_output=True, text=True, timeout=30, cwd=REPO,
+            env={**os.environ, "PYTHONPATH": f"{REPO / 'src'}:{REPO}"},
+        )
+    assert out.returncode == 0, out.stderr[-2000:]
+    # Both ranks are unfinished: rank 0 waits in the barrier for rank 1.
+    assert out.stdout.splitlines() == ["RankFailure 0 1", "shm"]
+    for rank in (0, 1):
+        assert pid_gone(int((tmp_path / f"pid{rank}").read_text()))
 
 
 def test_mp_rejects_sanitizer_and_faults():

@@ -14,15 +14,17 @@ import glob
 import itertools
 import os
 import time
-from multiprocessing import connection
 
 import numpy as np
 import pytest
 
 from repro.backend.mp import ChunkOutcome, RankWorkers, mp_available
+from repro.backend.proc import wait
 from repro.machine import sp2
 from repro.machine.faults import RankFailure
 from repro.machine.metrics import RankMetrics
+
+from tests.conftest import deadline, stops_itself
 
 pytestmark = [
     pytest.mark.mp,
@@ -55,7 +57,6 @@ def _group(programs, pid_dir, trace=False):
         metrics=[RankMetrics(r) for r in range(n)],
         trace=trace,
         shm_threshold=SHM_THRESHOLD,
-        poll_interval=0.02,
         sleep_cap=0.005,
     )
 
@@ -64,8 +65,10 @@ def _collect(workers, count, limit=20.0):
     """Events until ``count`` have arrived (or ``limit`` seconds)."""
     events = []
     deadline = time.monotonic() + limit
-    while len(events) < count and time.monotonic() < deadline:
-        ready = connection.wait(workers.waitables(), timeout=0.5)
+    while len(events) < count:
+        ready = wait(workers.waitables(), deadline)
+        if not ready:
+            break
         events += workers.events(ready)
     return events
 
@@ -167,6 +170,24 @@ def test_abort_reaps_a_deaf_worker_and_sweeps_in_flight_segments(tmp_path):
         assert time.monotonic() - t0 < 5.0, "join -> terminate, not 60 s"
     finally:
         workers.close()
+    _assert_gone(workers, tmp_path)
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_abort_reaps_a_stopped_worker(tmp_path):
+    """SIGTERM is not enough for a process stopped by SIGSTOP — it
+    stays pending for ever — so the ladder must reach SIGKILL, or
+    ``close()`` raises ``ValueError`` out of ``Process.close()``."""
+    with deadline(30):
+        workers = _group([stops_itself, stops_itself], tmp_path)
+        try:
+            assert _collect(workers, 1, limit=0.5) == []
+            assert workers.pending == {0, 1}
+            t0 = time.monotonic()
+            workers.stop("abort", grace=0.3)
+            assert time.monotonic() - t0 < 5.0
+        finally:
+            workers.close()
     _assert_gone(workers, tmp_path)
     assert len(list(tmp_path.iterdir())) == 2
 

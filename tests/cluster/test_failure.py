@@ -1,6 +1,7 @@
 """Elastic failure recovery: kill a node daemon, finish the run.
 
-Two layers under test, both against *real* SIGKILLed daemons:
+Two layers under test, both against *real* SIGKILLed (and, at the
+end, SIGSTOPped — alive but mute) daemons and ranks:
 
 * the backend layer turns a lost node into the same typed
   :class:`RankFailure` the simulator's fault plans raise, naming
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import os
 import signal
+import time
 
 import pytest
 
@@ -27,6 +29,8 @@ from repro.core import OverflowD1
 from repro.machine import sp2
 from repro.machine.faults import RankFailure
 from repro.obs.tracer import SpanTracer
+
+from tests.conftest import deadline, pid_gone, stops_itself
 
 pytestmark = [
     pytest.mark.mp,
@@ -121,3 +125,57 @@ def test_driver_recovers_and_completes_after_node_loss():
     assert "recovery" in marks and "recovered" in marks
     rec_mark = next(a for _, n, a in tracer.marks if n == "recovery")
     assert rec_mark["failed_ranks"] == [3, 4, 5]
+
+
+def prog_barrier(comm):
+    yield from comm.barrier()
+    return comm.rank
+
+
+def test_stopped_rank_does_not_cost_the_node():
+    """The node's abort ladder SIGKILLs the rank that SIGTERM cannot
+    reach; the daemon itself survives and hosts the next chunk."""
+    engine = get_backend("cluster", nnodes=2, timeout=1.5)
+    try:
+        with deadline(40):
+            with pytest.raises(RankFailure) as info:
+                engine.run_spmd(sp2(nodes=2), stops_itself)
+            assert info.value.failed_ranks == (0, 1)
+            assert engine.supervisor.alive_ids() == [0, 1]
+            assert all(
+                h.proc.poll() is None for h in engine.supervisor.nodes.values()
+            )
+            out = engine.run_spmd(sp2(nodes=2), prog_barrier)
+            assert out.returns == [0, 1]
+    finally:
+        engine.close()
+
+
+def test_stopped_daemon_is_a_lost_node_and_does_not_stall_close():
+    hb_timeout = 1.5
+    engine = get_backend("cluster", nnodes=3, hb_timeout=hb_timeout)
+    try:
+        with deadline(40):
+            sup = engine.supervisor
+            pids = [sup.nodes[nid].proc.pid for nid in range(3)]
+            # A stopped daemon keeps its socket open and says nothing:
+            # only the heartbeat deadline can tell, and only SIGKILL
+            # gets rid of it.
+            os.kill(pids[2], signal.SIGSTOP)
+            t0 = time.monotonic()
+            with pytest.raises(RankFailure) as info:
+                engine.run_spmd(sp2(nodes=3), prog_chatter)
+            assert time.monotonic() - t0 < hb_timeout + 2.0
+            assert info.value.failed_ranks == (2,)
+            assert sup.alive_ids() == [0, 1] and pid_gone(pids[2])
+
+            # Two stopped daemons share one ladder (5 s to leave, 2 s
+            # after SIGTERM, SIGKILL) instead of walking it in turn.
+            for pid in pids[:2]:
+                os.kill(pid, signal.SIGSTOP)
+            t0 = time.monotonic()
+            engine.close()
+            assert time.monotonic() - t0 < 9.0
+            assert all(pid_gone(pid) for pid in pids)
+    finally:
+        engine.close()

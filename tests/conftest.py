@@ -1,12 +1,50 @@
 """Fixtures shared across the test tree."""
 
 import ast
+import contextlib
+import os
+import signal
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail (rather than hang the suite) if the body outlives ``seconds``
+    — ``pytest-timeout`` is not installed everywhere tier-1 runs."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def stops_itself(comm):
+    """Rank program for the supervision battery: rank 1 SIGSTOPs itself
+    before a barrier, so it neither reports nor dies nor obeys SIGTERM."""
+    if comm.rank == 1:
+        os.kill(os.getpid(), signal.SIGSTOP)
+    yield from comm.barrier()
+    return comm.rank
+
+
+def pid_gone(pid: int) -> bool:
+    """True once ``pid`` has been killed *and* reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
 
 
 @pytest.fixture(scope="session")

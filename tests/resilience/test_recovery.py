@@ -1,8 +1,6 @@
 """Elastic recovery: detection, exclude_ranks, faulted runs, resume."""
 
-import contextlib
 import json
-import signal
 
 import numpy as np
 import pytest
@@ -20,6 +18,8 @@ from repro.resilience import (
     RecoveryRecord,
     run_failure_detection,
 )
+
+from tests.conftest import deadline
 
 
 def small_case(nsteps=12, nodes=6, scale=0.3):
@@ -148,22 +148,6 @@ class TestCheckpointingBitIdentity:
         assert resumed.elapsed == full.elapsed
         for a, b in zip(resumed.epochs, full.epochs):
             assert np.array_equal(a.igbp.per_step(), b.igbp.per_step())
-
-
-@contextlib.contextmanager
-def deadline(seconds: int):
-    """Fail (rather than hang the suite) if the body outlives ``seconds``."""
-
-    def expired(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 class TestFaultInsideDcf:

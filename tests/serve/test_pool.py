@@ -1,5 +1,7 @@
 """Warm worker pool: execution, crash recovery, timeouts, lifecycle."""
 
+import os
+import signal
 import threading
 import time
 
@@ -15,6 +17,7 @@ from repro.serve import (
 )
 from repro.serve.pool import pool_available
 
+from tests.conftest import deadline, pid_gone
 from tests.serve.conftest import tiny_spec
 
 pytestmark = pytest.mark.skipif(
@@ -121,6 +124,21 @@ class TestTimeout:
             assert payload == run_job_bytes(tiny_spec())
         finally:
             p.close()
+
+    def test_stopped_worker_is_killed_reaped_and_replaced(self):
+        """The SIGKILL rung of the shared stop ladder: a worker stopped
+        by SIGSTOP never acts on the SIGTERM a timeout sends first."""
+        with deadline(30), WorkerPool(workers=1, job_timeout=1.0) as p:
+            pid = p._all[0].proc.pid
+            stopper = threading.Timer(0.3, os.kill, (pid, signal.SIGSTOP))
+            stopper.start()
+            with pytest.raises(JobTimeout):
+                p.execute(tiny_spec(inject="sleep:3"))
+            stopper.join()
+            assert pid_gone(pid)
+            assert p.crashes == 1
+            payload, _ = p.execute(tiny_spec(), timeout=60.0)
+            assert payload == run_job_bytes(tiny_spec())
 
     def test_per_call_timeout_overrides_default(self, pool):
         with pytest.raises(JobTimeout):

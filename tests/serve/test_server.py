@@ -197,7 +197,7 @@ class TestOps:
 
     def test_wait_timeout_reports_not_hangs(self, server):
         with ServeClient(server.socket_path) as c:
-            rec = c.submit(tiny_spec(inject="sleep:5"), cache=False)
+            rec = c.submit(tiny_spec(inject="sleep:1"), cache=False)
             with pytest.raises(Exception, match="timed out"):
                 c.wait(job_id=rec["id"], timeout=0.2)
             # The job still completes; a later wait succeeds.
