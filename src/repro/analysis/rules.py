@@ -321,7 +321,7 @@ class UnorderedSendLoop(Rule):
         "arrival-dependent insertion order, and set order depends on "
         "hashes, so iterating either while sending re-broadcasts "
         "upstream nondeterminism to every receiver.  Wrap the "
-        "iterable in sorted(...) (cf. dcf.send_batches)."
+        "iterable in sorted(...) (dcf.py sends by ascending destination)."
     )
 
     def applies(self, mod: ModuleInfo) -> bool:

@@ -44,6 +44,9 @@ TAG_REPLY = 102
 TAG_DONE = 103
 TAG_FINISH = 104
 
+#: Slack on the exchanged bounding boxes (points on a face still route).
+BBOX_MARGIN = 1e-9
+
 
 @dataclass
 class DcfConfig:
@@ -51,8 +54,6 @@ class DcfConfig:
 
     search_lists: dict[int, list[int]]  # receiver grid -> donor grids, in order
     max_forward_hops: int = 20
-    use_restart: bool = True
-    bbox_margin: float = 1e-9
 
 
 @dataclass
@@ -83,12 +84,15 @@ class DcfWorld:
     config: DcfConfig
     work: WorkModel = field(default_factory=lambda: DEFAULT_WORK_MODEL)
 
-    def cell_owner(self, grid: int, cell: np.ndarray) -> int | None:
-        """Rank of ``grid`` owning the cell (by its low-corner node)."""
+    def cell_owners(self, grid: int, cells: np.ndarray) -> np.ndarray:
+        """Rank of ``grid`` owning each cell (by its low-corner node), or
+        -1 where none does — the -1 rows of a cold hint array included."""
+        owners = np.full(len(cells), -1, dtype=np.int64)
         for rank in self.ranks_of_grid[grid]:
-            if self.rank_boxes[rank].contains_index(cell):
-                return rank
-        return None
+            box = self.rank_boxes[rank]
+            inside = np.all((cells >= box.lo) & (cells < box.hi), axis=1)
+            owners[inside & (owners < 0)] = rank
+        return owners
 
     def cell_window(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
         """Cell-index window a rank may search (its box, +1 halo node on
@@ -119,6 +123,14 @@ def _physical_bbox(world: DcfWorld, rank: int) -> tuple:
     return pts.min(axis=0), pts.max(axis=0)
 
 
+def _by_destination(dst: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(destination, positions in dst)`` per distinct destination,
+    ascending; positions keep their order (one stable argsort)."""
+    order = np.argsort(dst, kind="stable")
+    cuts = np.flatnonzero(np.diff(dst[order])) + 1
+    return [(int(dst[g[0]]), g) for g in np.split(order, cuts) if g.size]
+
+
 def dcf_rank_program(
     comm,
     world: DcfWorld,
@@ -144,9 +156,7 @@ def dcf_rank_program(
     boxes_raw = yield from comm.allgather(
         (lo.tolist(), hi.tolist()), nbytes=2 * ndim * 8
     )
-    rank_bboxes = [
-        AABB(b[0], b[1]).inflated(cfg.bbox_margin) for b in boxes_raw
-    ]
+    rank_bboxes = [AABB(b[0], b[1]).inflated(BBOX_MARGIN) for b in boxes_raw]
 
     n = int(len(igbp_flat))
     result = {
@@ -160,137 +170,84 @@ def dcf_rank_program(
     resolved = np.zeros(n, dtype=bool)
     outstanding = 0  # points awaiting a reply
 
-    search_list = list(cfg.search_lists.get(my_grid, []))
+    search_list = np.array(cfg.search_lists.get(my_grid, []), dtype=np.int64)
 
-    # Per-point donor-grid candidate order: the grid that donated last
-    # step first (the other half of the nth-level restart), then the
-    # user's hierarchical search list.
-    orders: list[list[int]] = []
-    for row in range(n):
-        cached = -1
-        if cfg.use_restart and restart is not None:
-            cached = restart.donor_grid_of(my_grid, igbp_flat[row])
-        if cached >= 0 and cached in search_list:
-            orders.append(
-                [cached] + [g for g in search_list if g != cached]
-            )
-        else:
-            orders.append(search_list)
+    # Per-point donor-grid candidate order, one row per point: the grid
+    # that donated last step first (the other half of the nth-level
+    # restart), then the user's hierarchical search list.
+    orders = np.tile(search_list, (n, 1))
+    if restart is not None:
+        cached = restart.donor_grids_of(my_grid, igbp_flat)
+        front = np.argsort(orders != cached[:, None], axis=1, kind="stable")
+        orders = np.take_along_axis(orders, front, axis=1)
 
-    def route_points(rows: np.ndarray):
-        """Pick (dst_rank, hint) per point at its current candidate;
-        returns batched messages {dst: [(row, hint)]} and rows that
-        exhausted their candidate list.
+    def route_points(active: np.ndarray):
+        """Send each point to a rank of its current candidate grid — the
+        owner of its cached donor cell, else the first rank whose
+        bounding box contains it, else on to the next candidate — as one
+        batched SEARCH message per destination; points that exhaust
+        their candidates are orphans.
 
         Vectorised: cached-donor lookups and containment tests run per
         donor-grid batch rather than per point (this routine is on the
         per-timestep critical path for every rank).
         """
-        batches: dict[int, list] = {}
-        dead: list[int] = []
-        active = np.asarray(rows, dtype=np.int64)
+        nonlocal outstanding
+        rows, dst, hints = [], [], []
         while active.size:
-            donor = np.array(
-                [
-                    orders[r][level[r]] if level[r] < len(orders[r]) else -1
-                    for r in active
-                ],
-                dtype=np.int64,
-            )
-            dead.extend(int(r) for r in active[donor < 0])
-            keep = donor >= 0
-            active = active[keep]
-            donor = donor[keep]
-            if active.size == 0:
-                break
-            next_active: list[int] = []
+            alive = level[active] < search_list.size
+            dead = active[~alive]
+            dead = dead[~resolved[dead]]
+            resolved[dead] = True
+            stats.orphans += int(dead.size)
+            active = active[alive]
+            donor = orders[active, level[active]]
+            unplaced = []
             for dg in np.unique(donor):
                 sel = active[donor == dg]
                 pts = igbp_points[sel]
-                dst = np.full(sel.size, -1, dtype=np.int64)
-                hint_cells = np.full((sel.size, ndim), -1, dtype=np.int64)
-                if cfg.use_restart and restart is not None:
-                    cells, known = restart.hints_with_mask(
+                cells = np.full((sel.size, ndim), -1, dtype=np.int64)
+                if restart is not None:
+                    cells, _ = restart.hints_with_mask(
                         my_grid, int(dg), igbp_flat[sel], ndim
                     )
-                    hint_cells = cells
-                    if known.any():
-                        for rk in world.ranks_of_grid[int(dg)]:
-                            box = world.rank_boxes[rk]
-                            lo = np.asarray(box.lo)
-                            hi = np.asarray(box.hi)
-                            inside = (
-                                known
-                                & (dst < 0)
-                                & np.all(
-                                    (cells >= lo) & (cells < hi), axis=1
-                                )
-                            )
-                            dst[inside] = rk
-                missing = dst < 0
-                if missing.any():
-                    for rk in world.ranks_of_grid[int(dg)]:
-                        need = dst < 0
-                        if not need.any():
-                            break
-                        inside = rank_bboxes[rk].contains(pts)
-                        dst[need & inside] = rk
-                placed = dst >= 0
-                for row, d_, hc in zip(
-                    sel[placed], dst[placed], hint_cells[placed]
-                ):
-                    batches.setdefault(int(d_), []).append(
-                        (int(row), hc if (hc >= 0).all() else None)
-                    )
-                unplaced = sel[~placed]
-                level[unplaced] += 1
-                next_active.extend(int(r) for r in unplaced)
-            active = np.array(next_active, dtype=np.int64)
-        return batches, dead
-
-    def send_batches(batches: dict):
-        nonlocal outstanding
-        for dst, items in sorted(batches.items()):
-            rows = np.array([it[0] for it in items], dtype=np.int64)
-            hints = np.array(
-                [
-                    it[1] if it[1] is not None else [-1] * ndim
-                    for it in items
-                ],
-                dtype=np.int64,
-            )
+                to = world.cell_owners(int(dg), cells)
+                for rk in world.ranks_of_grid[int(dg)]:
+                    need = to < 0
+                    if not need.any():
+                        break
+                    to[need & rank_bboxes[rk].contains(pts)] = rk
+                placed = to >= 0
+                rows.append(sel[placed])
+                dst.append(to[placed])
+                hints.append(cells[placed])
+                level[sel[~placed]] += 1
+                unplaced.append(sel[~placed])
+            active = np.concatenate([active[:0], *unplaced])
+        if not rows:
+            return
+        rows, dst, hints = (np.concatenate(a) for a in (rows, dst, hints))
+        for to, at in _by_destination(dst):
             payload = {
                 "requester": rank,
-                "rows": rows,
-                "points": igbp_points[rows],
-                "hints": hints,
+                "rows": rows[at],
+                "points": igbp_points[rows[at]],
+                "hints": hints[at],
                 "hops": 0,
             }
             # Forming and tagging the IGBP list (step 1 of Fig. 3).
             yield from comm.compute(
-                flops=rows.size * world.work.igbp_request_flops
+                flops=at.size * world.work.igbp_request_flops
             )
             yield from comm.send(
-                dst, TAG_SEARCH, payload,
-                nbytes=int(rows.size * world.work.igbp_request_bytes),
+                to, TAG_SEARCH, payload,
+                nbytes=int(at.size * world.work.igbp_request_bytes),
             )
-            stats.requests_sent += int(rows.size)
-            outstanding += int(rows.size)
-
-    def mark_dead(rows):
-        for row in rows:
-            if not resolved[row]:
-                resolved[row] = True
-                stats.orphans += 1
+            stats.requests_sent += int(at.size)
+            outstanding += int(at.size)
 
     # ------------------------------------------------------------ step 2
-    if n and search_list:
-        batches, dead = route_points(np.arange(n))
-        mark_dead(np.array(dead, dtype=np.int64))
-        yield from send_batches(batches)
-    else:
-        resolved[:] = True
-        stats.orphans += n
+    yield from route_points(np.arange(n))
 
     # ------------------------------------------------------------ step 3
     #
@@ -328,11 +285,8 @@ def dcf_rank_program(
                 stats.donors_found += int(found.sum())
                 # Failed points: try the next grid in the hierarchy.
                 bad = rows[~found]
-                if bad.size:
-                    level[bad] += 1
-                    batches, dead = route_points(bad)
-                    mark_dead(np.array(dead, dtype=np.int64))
-                    yield from send_batches(batches)
+                level[bad] += 1
+                yield from route_points(bad)
 
         # Own work complete? Tell rank 0 (once).
         if not done_sent and resolved.all() and outstanding == 0:
@@ -357,14 +311,12 @@ def dcf_rank_program(
         ))
 
     if restart is not None:
-        for dg in sorted(set(search_list)):
+        for dg in np.unique(search_list).tolist():
             sel = result["donor_grid"] == dg
-            if sel.any():
-                restart.store(
-                    my_grid, dg,
-                    igbp_flat[sel], result["cells"][sel],
-                    result["found"][sel],
-                )
+            restart.store(
+                my_grid, dg,
+                igbp_flat[sel], result["cells"][sel], result["found"][sel],
+            )
     return result, stats
 
 
@@ -373,7 +325,6 @@ def _serve_search(comm, world: DcfWorld, rank: int, payload: dict, stats):
     cfg = world.config
     my_grid = world.grid_of_rank[rank]
     xyz = world.grid_xyz[my_grid]
-    ndim = xyz.shape[-1]
     points = payload["points"]
     rows = payload["rows"]
     hints = payload["hints"]
@@ -383,9 +334,7 @@ def _serve_search(comm, world: DcfWorld, rank: int, payload: dict, stats):
 
     lo, hi = world.cell_window(rank)
     # Negative hints mark cold points; the search seeds them itself.
-    res = donor_search(
-        xyz, points, guesses=hints, cell_lo=lo, cell_hi=hi
-    )
+    res = donor_search(xyz, points, guesses=hints, cell_lo=lo, cell_hi=hi)
     stats.search_steps += res.total_steps
     # Walk arithmetic plus the fixed per-point service cost (stencil
     # quality checks, coefficient computation, packing).
@@ -395,23 +344,14 @@ def _serve_search(comm, world: DcfWorld, rank: int, payload: dict, stats):
     )
 
     # Forward escapes whose exit cell belongs to a neighbour.
-    forward_to: dict[int, list[int]] = {}
-    notfound = []
-    for k in range(rows.size):
-        if res.found[k]:
-            continue
-        dst = None
-        if res.escaped[k] and hops < cfg.max_forward_hops:
-            owner = world.cell_owner(my_grid, res.cells[k])
-            if owner is not None and owner != rank:
-                dst = owner
-        if dst is None:
-            notfound.append(k)
-        else:
-            forward_to.setdefault(dst, []).append(k)
-
-    for dst, ks in sorted(forward_to.items()):
-        ks = np.array(ks, dtype=np.int64)
+    dst = np.full(rows.size, -1, dtype=np.int64)
+    if hops < cfg.max_forward_hops:
+        out = ~res.found & res.escaped
+        owners = world.cell_owners(my_grid, res.cells[out])
+        dst[out] = np.where(owners == rank, -1, owners)
+    for to, ks in _by_destination(dst):
+        if to < 0:
+            continue  # answered here, below
         fwd = {
             "requester": requester,
             "rows": rows[ks],
@@ -421,7 +361,7 @@ def _serve_search(comm, world: DcfWorld, rank: int, payload: dict, stats):
         }
         stats.forwards += int(ks.size)
         yield from comm.send(
-            dst, TAG_SEARCH, fwd,
+            to, TAG_SEARCH, fwd,
             nbytes=int(ks.size * world.work.igbp_request_bytes),
         )
 
@@ -432,12 +372,10 @@ def _serve_search(comm, world: DcfWorld, rank: int, payload: dict, stats):
     # reply is the natural implementation and is charged here.
     nfound = int(res.found.sum())
     if nfound:
-        yield from comm.compute(
-            flops=nfound * world.work.interp_flops_per_igbp
-        )
+        yield from comm.compute(flops=nfound * world.work.interp_flops_per_igbp)
     answered = np.concatenate(
-        [np.nonzero(res.found)[0], np.array(notfound, dtype=np.int64)]
-    ).astype(np.int64)
+        [np.flatnonzero(res.found), np.flatnonzero(~res.found & (dst < 0))]
+    )
     if answered.size:
         reply = {
             "rows": rows[answered],

@@ -56,6 +56,10 @@ class CaseConfig:
                     raise ValueError(f"search list entry {d} out of range")
                 if d == gi:
                     raise ValueError(f"grid {gi} cannot donate to itself")
+                if lst.count(d) > 1:
+                    raise ValueError(
+                        f"search list for grid {gi} repeats donor {d}"
+                    )
         for gi in self.motions:
             if not (0 <= gi < n):
                 raise ValueError(f"motion for unknown grid {gi}")

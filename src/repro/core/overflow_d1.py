@@ -300,9 +300,7 @@ class _NearBody(Workload):
         base_hits = cache.hits if cache is not None else 0
         base_misses = cache.misses if cache is not None else 0
         neighbors = _halo_neighbors(partition)
-        dcf_cfg = DcfConfig(
-            search_lists=cfg.search_lists, use_restart=cfg.use_restart
-        )
+        dcf_cfg = DcfConfig(search_lists=cfg.search_lists)
         grid_of_rank = [partition.grid_of_rank(r) for r in range(nprocs)]
         rank_boxes = [partition.subdomain_of(r).box for r in range(nprocs)]
         ranks_of_grid = {

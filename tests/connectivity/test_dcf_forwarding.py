@@ -18,7 +18,11 @@ from repro.connectivity import (
     find_igbps,
 )
 from repro.connectivity.dcf import DcfWorld
-from repro.grids.generators import annulus_grid, cartesian_background
+from repro.grids.generators import (
+    annulus_grid,
+    body_of_revolution_grid,
+    cartesian_background,
+)
 from repro.machine import MachineSpec, NetworkSpec, NodeSpec, Simulator
 from repro.partition import build_partition
 
@@ -104,6 +108,53 @@ class TestForwarding:
             serial.cells[ok] + serial.fracs[ok],
             atol=1e-6,
         )
+
+    def test_stale_hints_are_forwarded_in_3d(self):
+        """A store body inside a 3-D background split four ways, every
+        cached donor cell sitting in one corner of the background."""
+        body = body_of_revolution_grid(
+            "body", ni=13, nj=9, nk=7, length=1.0, outer_radius=0.4
+        )
+        bg = cartesian_background(
+            "bg", (-1, -1, -1), (2, 1, 1), (25, 13, 13)
+        )
+        grids = [body, bg]
+        s = find_igbps(body, 0)
+        caches = []
+        for _ in range(5):
+            cache = RestartCache()
+            cache.store(
+                0, 1, s.flat_indices,
+                np.tile([1, 1, 1], (s.count, 1)),
+                np.ones(s.count, dtype=bool),
+            )
+            caches.append(cache)
+        result, part, _ = run(
+            grids, 5, caches, {0: [1], 1: [0]}, procs_per_grid=[1, 4]
+        )
+        owners = {part.subdomain_of(r).box.lo for r in range(1, 5)}
+        assert len(owners) == 4  # a real split, not four copies
+        assert sum(r[2].forwards for r in result.returns) > 0
+        from repro.connectivity import donor_search
+
+        flat0, assign, _ = result.returns[0]
+        serial = donor_search(bg.xyz, body.points_flat()[flat0])
+        assert serial.found.all()
+        assert np.array_equal(assign["found"], serial.found)
+        assert np.allclose(
+            assign["cells"] + assign["fracs"],
+            serial.cells + serial.fracs,
+            atol=1e-6,
+        )
+        # Every donor rank is the owner of the cell it reported.
+        world_owner = [
+            next(
+                r for r in part.ranks_of_grid(1)
+                if part.subdomain_of(r).box.contains_index(c)
+            )
+            for c in assign["cells"]
+        ]
+        assert assign["donor_rank"].tolist() == world_owner
 
     def test_hop_budget_caps_chains(self):
         """With a zero hop budget, stale hints cannot be forwarded; the

@@ -49,6 +49,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="cannot donate to itself"):
             make(search_lists={0: [0]})
 
+    def test_repeated_donor(self):
+        # A repeat would re-send a point that missed grid 1 to grid 1,
+        # and make the candidate count depend on the restart cache.
+        with pytest.raises(
+            ValueError, match="search list for grid 0 repeats donor 1"
+        ):
+            make(search_lists={0: [1, 1]})
+
     def test_motion_for_unknown_grid(self):
         from repro.motion import SteadyDescent
 

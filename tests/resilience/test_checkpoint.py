@@ -50,7 +50,7 @@ class TestWireFormat:
     def test_magic_and_version(self):
         blob = sample_checkpoint().to_bytes()
         assert blob[:8] == CHECKPOINT_MAGIC
-        assert CHECKPOINT_VERSION == 2
+        assert CHECKPOINT_VERSION == 3
 
     def test_bytes_round_trip(self):
         ck = sample_checkpoint()
@@ -70,10 +70,11 @@ class TestWireFormat:
 
     def test_unknown_version_rejected(self):
         # 9: from the future; 1: written before the driver state moved
-        # into repro.core.runner (its pickles name a class that is gone).
-        for version in (9, 1):
+        # into repro.core.runner (its pickles name a class that is gone);
+        # 2: its carry holds the dict-shaped RestartCache.
+        for version in (9, 1, 2):
             blob = bytearray(sample_checkpoint().to_bytes())
-            idx = blob.find(b'"version":2')
+            idx = blob.find(b'"version":3')
             assert idx > 0
             blob[idx : idx + 11] = b'"version":%d' % version
             with pytest.raises(
