@@ -119,8 +119,8 @@ def _physical_bbox(world: DcfWorld, rank: int) -> tuple:
         slice(lo, min(hi + 1, d))
         for lo, hi, d in zip(box.lo, box.hi, dims)
     )
-    pts = xyz[sl].reshape(-1, xyz.shape[-1])
-    return pts.min(axis=0), pts.max(axis=0)
+    box = AABB.of_points(xyz[sl])
+    return box.lo, box.hi
 
 
 def _by_destination(dst: np.ndarray) -> list[tuple[int, np.ndarray]]:

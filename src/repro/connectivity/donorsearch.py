@@ -35,7 +35,8 @@ the eight weighted corners summed left to right from ``0.0 +`` (no
 ``.sum``, ``einsum`` or ``@``); the forward difference, ``eps = 1e-7``;
 ``np.linalg.det``; the final ``einsum("nij,nj->ni")`` over C-contiguous
 operands (its reduction order follows the layout); the 2-D closed forms
-as written; the batch-wide ``abs(r).max() < tol`` exit.
+as written; the batch-wide ``abs(r).max() < tol`` exit; the seed scan's
+squared distance accumulated per axis, ``(dx2 + dy2) + dz2``.
 ``tests/connectivity/test_kernel_exact.py`` compares every result array
 byte for byte with the replaced kernel and is the gate for touching them.
 """
@@ -199,7 +200,12 @@ def _nearest_node_seed(
     chunk = max(1, 4_000_000 // max(1, sample_xyz.shape[0]))
     for start in range(0, n, chunk):
         p = pts[start : start + chunk]
-        d2 = ((p[:, None, :] - sample_xyz[None, :, :]) ** 2).sum(axis=-1)
+        # Per-axis accumulation, (dx2 + dy2) + dz2 as ``.sum(axis=-1)``
+        # adds them, without the (n, m, ndim) temporary.
+        d2 = np.zeros((p.shape[0], sample_xyz.shape[0]))
+        for d in range(ndim):
+            diff = p[:, d, None] - sample_xyz[None, :, d]
+            d2 += diff * diff
         # Prefer the *last* minimal sample: on O-grids the seam node is
         # stored twice (i = 0 and i = ni-1 coincide) and only the
         # high-index copy starts the walk inside a valid cell window.

@@ -13,6 +13,9 @@ experiments need — a realistic population of hole-fringe IGBPs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from functools import cache
+
 import numpy as np
 
 from repro.grids.bbox import AABB
@@ -27,31 +30,31 @@ def points_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
     poly = np.asarray(polygon, dtype=float)
     if np.allclose(poly[0], poly[-1]):
         poly = poly[:-1]
-    x, y = pts[:, 0], pts[:, 1]
     x0, y0 = poly[:, 0], poly[:, 1]
-    x1 = np.roll(x0, -1)
-    y1 = np.roll(y0, -1)
+    x1, y1 = np.concatenate((poly[1:], poly[:1])).T
     inside = np.zeros(pts.shape[0], dtype=bool)
-    for k in range(poly.shape[0]):
-        cond = (y0[k] > y) != (y1[k] > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xcross = (x1[k] - x0[k]) * (y - y0[k]) / (y1[k] - y0[k]) + x0[k]
-        inside ^= cond & (x < xcross)
+    # Point blocks bound the (edges, points) straddle mask.
+    block = max(1, 4_000_000 // max(1, poly.shape[0]))
+    for start in range(0, inside.size, block):
+        x, y = pts[start : start + block].T
+        # Half-open crossing rule: an edge counts for a point iff exactly
+        # one endpoint lies strictly above it, so a ray through a vertex
+        # meets one of the two edges there and horizontal edges (which
+        # never straddle) none — no zero division below.
+        e, p = np.nonzero((y0[:, None] > y) != (y1[:, None] > y))
+        xcross = (x1[e] - x0[e]) * (y[p] - y0[e]) / (y1[e] - y0[e]) + x0[e]
+        crossings = np.bincount(p[x[p] < xcross], minlength=x.size)
+        inside[start : start + block] = crossings & 1
     return inside
-
-
-def body_polygon(grid: CurvilinearGrid, face: str = "jmin") -> np.ndarray:
-    """The closed solid-surface curve of a 2-D body-fitted grid."""
-    if grid.ndim != 2:
-        raise ValueError("body_polygon is 2-D only")
-    return grid.face_points(face)
 
 
 def cut_holes(
     grids: list[CurvilinearGrid],
     inflate: float = 0.0,
-) -> list[np.ndarray]:
-    """Compute iblank masks (1 = active, 0 = hole) for every grid.
+    receivers: Iterable[int] | None = None,
+) -> list:
+    """Compute iblank masks (1 = active, 0 = hole) for the ``receivers``
+    (grid indices; default every grid), ``None`` for the other grids.
 
     Each grid with a wall face cuts holes in every *other* grid:
     2-D: exact polygon containment of the wall curve (optionally
@@ -59,43 +62,33 @@ def cut_holes(
     3-D: containment in the wall-surface bounding box shrunk/inflated
     by ``inflate`` (negative shrinks).
     """
-    iblanks = [np.ones(g.dims, dtype=np.int8) for g in grids]
-    grid_boxes = [g.bounding_box() for g in grids]
-    for bi, body in enumerate(grids):
-        walls = body.wall_faces()
-        if not walls:
-            continue
-        body_box = grid_boxes[bi]
-        for gi, grid in enumerate(grids):
-            if gi == bi:
-                continue
+    walls = [g.wall_faces() for g in grids]
+    box_of = cache(lambda i: grids[i].bounding_box())  # only those needed
+    iblanks: list = [None] * len(grids)
+    for gi in range(len(grids)) if receivers is None else receivers:
+        grid = grids[gi]
+        iblanks[gi] = np.ones(grid.dims, dtype=np.int8)
+        mask = iblanks[gi].reshape(-1)
+        for bi, body in enumerate(grids):
             # Cheap cull: a grid that nowhere overlaps the body grid
             # cannot contain any of its wall surface.
-            if not grid_boxes[gi].intersects(body_box):
+            if bi == gi or not walls[bi] or not box_of(gi).intersects(box_of(bi)):
                 continue
             pts = grid.points_flat()
-            blank = np.zeros(pts.shape[0], dtype=bool)
-            for wall in walls:
+            for wall in walls[bi]:
                 if grid.ndim == 2 and body.ndim == 2:
                     poly = body.face_points(wall.face)
-                    surf_box = AABB.of_points(poly)
-                    candidates = surf_box.contains(pts)
-                    if candidates.any():
-                        blank[candidates] |= points_in_polygon(
-                            pts[candidates], poly
-                        )
+                    cand = np.flatnonzero(AABB.of_points(poly).contains(pts))
+                    if cand.size:
+                        mask[cand[points_in_polygon(pts[cand], poly)]] = 0
                 else:
-                    surf = body.face_points(wall.face).reshape(-1, body.ndim)
-                    box = AABB.of_points(surf)
+                    box = AABB.of_points(body.face_points(wall.face))
                     margin = inflate - 0.02 * float(box.extent.max())
                     try:
                         box = box.inflated(margin)
                     except ValueError:
                         continue  # degenerate surface: nothing to cut
-                    blank |= box.contains(pts)
-            if blank.any():
-                mask = iblanks[gi].reshape(-1)
-                mask[blank] = 0
+                    mask[box.contains(pts)] = 0
     return iblanks
 
 
@@ -104,12 +97,13 @@ def hole_fringe_mask(iblank: np.ndarray) -> np.ndarray:
     become IGBPs that need donors."""
     hole = iblank == 0
     fringe = np.zeros_like(hole)
+    if not hole.any():
+        return fringe
     for axis in range(iblank.ndim):
-        for shift in (-1, 1):
-            rolled = np.roll(hole, shift, axis=axis)
-            # np.roll wraps; kill the wrapped slice.
-            sl: list = [slice(None)] * iblank.ndim
-            sl[axis] = 0 if shift == 1 else -1
-            rolled[tuple(sl)] = False
-            fringe |= rolled
+        lo: list = [slice(None)] * iblank.ndim
+        hi = list(lo)
+        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+        # Shifted slices: nothing wraps across the ends.
+        fringe[tuple(hi)] |= hole[tuple(lo)]
+        fringe[tuple(lo)] |= hole[tuple(hi)]
     return fringe & (iblank == 1)

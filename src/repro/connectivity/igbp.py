@@ -33,14 +33,6 @@ class IgbpSet:
     def count(self) -> int:
         return int(self.flat_indices.shape[0])
 
-    def updated_coordinates(self, grid: CurvilinearGrid) -> "IgbpSet":
-        """Same point set with coordinates re-read after grid motion."""
-        return IgbpSet(
-            self.grid_index,
-            self.flat_indices,
-            grid.points_flat()[self.flat_indices],
-        )
-
 
 def find_igbps(
     grid: CurvilinearGrid,

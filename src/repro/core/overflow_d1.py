@@ -6,9 +6,9 @@ Runs the paper's per-timestep loop on the simulated machine:
    subdomain and exchanges halo faces with its neighbours on the same
    component grid (one round per factored sweep direction);
 2. **grid motion** — ranks of moving grids charge the rigid-transform
-   update; the shared world state advances (new coordinates, holes cut,
-   IGBPs identified);
-3. **domain connectivity** — the real distributed DCF3D protocol
+   update; the shared world state advances (new coordinates);
+3. **domain connectivity** — holes are cut and IGBPs identified per
+   grid, then the real distributed DCF3D protocol
    (:mod:`repro.connectivity.dcf`) runs, producing per-rank received-
    IGBP counts I(p) and walk-step work.
 
@@ -67,15 +67,16 @@ TAG_HALO = 201
 
 
 class _WorldState:
-    """Shared (read-mostly) overset system state, advanced by rank 0."""
+    """Shared (read-mostly) overset system state.  ``advance`` /
+    ``restore`` only move the grids; a grid's holes and IGBPs are
+    prepared when the first of its ranks asks for them."""
 
     def __init__(self, config: CaseConfig) -> None:
         self.config = config
         self.reference = list(config.grids)
         self.grids = list(config.grids)
         self.time = 0.0
-        self.iblanks: list[np.ndarray] = []
-        self.igbp_sets: list[IgbpSet] = []
+        self._igbps: dict[int, IgbpSet] = {}
         self.advance(0.0)
 
     def advance(self, t: float) -> None:
@@ -89,7 +90,7 @@ class _WorldState:
                 grids.append(ref.with_coordinates(motion.at(t).apply(ref.xyz)))
         self.grids = grids
         self.time = t
-        self._recompute()
+        self._igbps = {}
 
     def restore(self, t: float, xyz_list) -> None:
         """Reset to checkpointed poses (no motion recomputation).
@@ -105,15 +106,7 @@ class _WorldState:
             for ref, xyz in zip(self.reference, xyz_list)
         ]
         self.time = t
-        self._recompute()
-
-    def _recompute(self) -> None:
-        cfg = self.config
-        self.iblanks = cut_holes(self.grids)
-        self.igbp_sets = [
-            find_igbps(g, gi, self.iblanks[gi], cfg.fringe_layers)
-            for gi, g in enumerate(self.grids)
-        ]
+        self._igbps = {}
 
     def own_igbps(
         self, partition: Partition, rank: int
@@ -121,7 +114,12 @@ class _WorldState:
         """(flat ids, coordinates) of the IGBPs this rank owns."""
         gi = partition.grid_of_rank(rank)
         box = partition.subdomain_of(rank).box
-        s = self.igbp_sets[gi]
+        s = self._igbps.get(gi)
+        if s is None:
+            iblank = cut_holes(self.grids, receivers=(gi,))[gi]
+            s = self._igbps[gi] = find_igbps(
+                self.grids[gi], gi, iblank, self.config.fringe_layers
+            )
         if s.count == 0:
             return (
                 np.zeros(0, dtype=np.int64),
@@ -276,11 +274,12 @@ class _NearBody(Workload):
     ) -> BackendResult:
         """Simulate ``nsteps`` timesteps at a fixed partition.
 
-        Backends without shared state (real processes) need three
-        deviations, all behind ``shared_state``:
+        What differs on backends without shared state (real
+        processes), all behind ``shared_state``:
 
-        * every rank advances its *private* world copy in the motion
-          phase (rank 0 alone would leave peers' copies stale);
+        * every rank advances its private copy of the *coordinates*;
+          hole cutting and IGBPs are prepared per grid on first read
+          on every backend;
         * each rank returns its private restart cache alongside its
           step stats, and the driver merges them back (ownership of
           IGBP points is disjoint within a chunk, so the union equals

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.connectivity.donorsearch import donor_search
+from repro.connectivity.donorsearch import _nearest_node_seed, donor_search
 from repro.connectivity.interpolation import interpolate
 from repro.grids.generators import (
     airfoil_ogrid,
     annulus_grid,
     cartesian_background,
+)
+from tests.connectivity._reference_donorsearch import (
+    _nearest_node_seed as reference_seed,
 )
 
 
@@ -452,3 +455,25 @@ class TestInputEdges:
         alone = donor_search(g.xyz, pts[finite], **kw)
         for f in ("cells", "fracs", "found", "steps", "escaped"):
             assert (getattr(r, f)[finite] == getattr(alone, f)).all()
+
+
+# ----------------------------------------------------------------------
+# the cold-start seed against the (n, m, ndim) scan it replaced
+
+
+@pytest.mark.parametrize("dims", [(19, 14), (9, 8, 7)])
+def test_seed_scan_matches_reference(dims):
+    """Per-axis accumulation keeps ``.sum(axis=-1)``'s order, so the
+    squared distances — and with them every argmin, exact ties on a
+    doubled O-grid seam included — are the reference's bit for bit."""
+    rng = np.random.default_rng(len(dims))
+    xyz = rng.normal(size=dims + (len(dims),))
+    xyz[-1] = xyz[0]  # the seam: every i = 0 sample ties with i = ni - 1
+    on_seam = xyz[0, ::2].reshape(-1, len(dims))
+    pts = np.concatenate([rng.normal(size=(300, len(dims))), on_seam])
+    lo = np.zeros(len(dims), dtype=np.int64)
+    hi = np.array(dims) - 2
+    for target in (256, 10_000):  # strided and every-node sampling
+        got, cost = _nearest_node_seed(xyz, pts, lo, hi, target)
+        want, want_cost = reference_seed(xyz, pts, lo, hi, target)
+        assert np.array_equal(got, want) and cost == want_cost

@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 
 from repro.cases import airfoil_case
-from repro.core import OverflowD1, speedup_table
+from repro.connectivity.holecut import cut_holes
+from repro.connectivity.igbp import find_igbps
+from repro.core import OverflowD1, overflow_d1, speedup_table
 from repro.core.overflow_d1 import (
     PHASE_DCF,
     PHASE_FLOW,
     PHASE_MOTION,
     _halo_neighbors,
     _shared_face,
+    _WorldState,
 )
 from repro.grids.subdomain import Box
 from repro.machine import sp, sp2
+from repro.machine.simmpi import Comm
 from repro.partition import build_partition
 
 SCALE = 0.05  # tiny grids: fast tests, same code paths
@@ -58,6 +62,59 @@ class TestSharedFace:
                 ]
                 # Neighbours always on the same grid.
                 assert part.grid_of_rank(other) == part.grid_of_rank(r)
+
+
+class TestLazyWorldPrep:
+    """``advance`` only moves grids; holes and IGBPs are prepared per
+    grid on first read — in the phase the work model charges them to."""
+
+    def test_memo_fills_per_grid_and_equals_eager_prep(self):
+        cfg = airfoil_case(machine=sp2(nodes=4), scale=0.1)
+        world = _WorldState(cfg)
+        world.advance(3 * cfg.dt)
+        assert world._igbps == {}
+        part = build_partition([g.dims for g in cfg.grids], 4)
+        iblanks = cut_holes(world.grids)
+        for rank in range(part.nprocs):
+            gi = part.grid_of_rank(rank)
+            seen = set(world._igbps)
+            flat, pts = world.own_igbps(part, rank)
+            assert set(world._igbps) == seen | {gi}
+            eager = find_igbps(
+                world.grids[gi], gi, iblanks[gi], cfg.fringe_layers
+            )
+            memo = world._igbps[gi]
+            assert np.array_equal(memo.flat_indices, eager.flat_indices)
+            assert np.array_equal(memo.points, eager.points)
+            assert np.isin(flat, eager.flat_indices).all()
+            assert np.array_equal(pts, world.grids[gi].points_flat()[flat])
+        world.restore(0.0, [g.xyz for g in cfg.grids])
+        assert world._igbps == {}
+
+    def test_hole_cutting_runs_inside_the_dcf3d_phase(self, monkeypatch):
+        """Barriers fence the phases, so between a rank's
+        ``set_phase(DCF3D)`` and the end-of-step barrier no rank can
+        set any other phase: the last phase set is the caller's."""
+        phases, cuts = [], []
+        set_phase = Comm.set_phase
+
+        def spy_phase(comm, phase):
+            phases.append(phase)
+            return set_phase(comm, phase)
+
+        def spy_cut(grids, **kw):
+            cuts.append((phases[-1] if phases else None, kw["receivers"]))
+            return cut_holes(grids, **kw)
+
+        monkeypatch.setattr(Comm, "set_phase", spy_phase)
+        monkeypatch.setattr(overflow_d1, "cut_holes", spy_cut)
+        cfg = airfoil_case(machine=sp2(nodes=4), scale=SCALE, nsteps=2)
+        OverflowD1(cfg).run()
+        steps = cfg.warmup_steps + 2
+        assert [phase for phase, _ in cuts] == [PHASE_DCF] * 3 * steps
+        asked = [r for _, r in cuts]
+        for k in range(steps):  # once per (grid, step)
+            assert sorted(asked[3 * k : 3 * k + 3]) == [(0,), (1,), (2,)]
 
 
 class TestRun:

@@ -116,3 +116,40 @@ class TestProperties:
         assert (i1 is None) == (i2 is None)
         if i1 is not None:
             assert i1 == i2
+
+
+maybe_nan = st.floats(min_value=-1e6, max_value=1e6) | st.just(np.nan)
+point_sets = st.integers(1, 3).flatmap(
+    lambda d: arrays(
+        np.float64,
+        st.sampled_from([(5, d), (1, d), (2, 3, d)]),
+        elements=maybe_nan,
+    )
+)
+
+
+class TestPerAxisReductions:
+    """``of_points`` / ``contains`` reduce per coordinate column; the
+    whole-array formulas they replaced are the oracle."""
+
+    @given(point_sets)
+    def test_of_points_is_min_max_over_points(self, pts):
+        flat = pts.reshape(-1, pts.shape[-1])
+        box = AABB.of_points(pts)
+        assert np.array_equal(box.lo, flat.min(axis=0), equal_nan=True)
+        assert np.array_equal(box.hi, flat.max(axis=0), equal_nan=True)
+
+    @given(point_sets, st.data())
+    def test_contains_is_all_over_last_axis(self, pts, data):
+        d = pts.shape[-1]
+        corners = data.draw(arrays(np.float64, (2, d), elements=finite))
+        box = AABB(corners.min(axis=0), corners.max(axis=0))
+        want = np.all((pts >= box.lo) & (pts <= box.hi), axis=-1)
+        got = box.contains(pts)
+        assert got.dtype == bool and np.array_equal(got, want)
+        first = pts.reshape(-1, d)[0]
+        assert box.contains(first) is bool(want.reshape(-1)[0])
+
+    def test_contains_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError):
+            AABB([0.0, 0.0], [1.0, 1.0]).contains(np.zeros((4, 3)))
