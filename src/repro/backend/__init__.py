@@ -35,7 +35,6 @@ from typing import Any
 from repro.backend.api import (
     BackendResult,
     BackendUnavailable,
-    CommProtocol,
     ExecutionBackend,
     RankProgram,
     available_backends,
@@ -48,7 +47,6 @@ from repro.backend.sim import SimBackend
 __all__ = [
     "BackendResult",
     "BackendUnavailable",
-    "CommProtocol",
     "ExecutionBackend",
     "RankProgram",
     "SimBackend",

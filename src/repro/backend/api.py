@@ -11,9 +11,10 @@ very same generators.
 
 This module pins that contract down:
 
-* :class:`CommProtocol` — the rank-facing communicator surface
-  (structural; :class:`repro.machine.simmpi.Comm` satisfies it, and so
-  does any group communicator derived from it).
+* the rank-facing communicator surface is
+  :class:`repro.machine.simmpi.Comm` itself: every engine hands its
+  ranks a ``Comm`` and differs only in how the primitives it yields are
+  interpreted;
 * :class:`BackendResult` — what an execution produces.  Field-compatible
   with :class:`repro.machine.scheduler.SimulationResult` (``elapsed``,
   ``returns``, ``metrics``, ``failed_ranks``) so existing drivers keep
@@ -34,18 +35,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Protocol, Sequence, runtime_checkable
-
-from repro.machine.event import ANY_SOURCE, ANY_TAG
-from repro.machine.simmpi import MAX_USER_TAG, Request, Status
+from typing import Any, Callable, Generator, Sequence
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "MAX_USER_TAG",
-    "Status",
-    "Request",
-    "CommProtocol",
     "RankProgram",
     "BackendResult",
     "BackendUnavailable",
@@ -61,87 +53,6 @@ __all__ = [
 #: generator's ``return`` value becomes the rank's entry in
 #: :attr:`BackendResult.returns`.
 RankProgram = Callable[..., Generator]
-
-
-@runtime_checkable
-class CommProtocol(Protocol):
-    """The rank-facing communicator surface every backend must provide.
-
-    This is the *contract* between rank programs and execution engines.
-    All methods except the attributes are generator functions invoked
-    with ``yield from``; see :class:`repro.machine.simmpi.Comm` for the
-    reference semantics (tag space, collective algorithms, eager-send
-    model) and ``docs/backends.md`` for the primitive each method yields
-    (``waitany`` is the one blocking multi-pattern probe).  Backends do
-    not subclass this — they provide objects that structurally satisfy
-    it (today all engines reuse ``Comm`` itself and differ only in how
-    its primitive yields are interpreted).
-    """
-
-    rank: int
-    size: int
-
-    # -- time and work -------------------------------------------------
-    def compute(
-        self,
-        flops: float = ...,
-        seconds: float = ...,
-        points_per_node: float | None = ...,
-    ) -> Generator: ...
-    def elapse(self, seconds: float) -> Generator: ...
-    def now(self) -> Generator: ...
-    def set_phase(self, phase: str) -> Generator: ...
-
-    # -- point to point ------------------------------------------------
-    def send(
-        self, dst: int, tag: int, payload: Any = ..., nbytes: int | None = ...
-    ) -> Generator: ...
-    def isend(
-        self, dst: int, tag: int, payload: Any = ..., nbytes: int | None = ...
-    ) -> Generator: ...
-    def recv(self, src: int = ..., tag: int = ...) -> Generator: ...
-    def irecv(self, src: int = ..., tag: int = ...) -> Generator: ...
-    def wait(self, req: Request) -> Generator: ...
-    def test(self, req: Request) -> Generator: ...
-    def waitall(self, reqs: Any) -> Generator: ...
-    def iprobe(self, src: int = ..., tag: int = ...) -> Generator: ...
-    def drain_recv(self, src: int = ..., tag: int = ...) -> Generator: ...
-    def waitany(self, patterns: Any) -> Generator: ...
-
-    # -- collectives ---------------------------------------------------
-    def barrier(self) -> Generator: ...
-    def bcast(
-        self, payload: Any = ..., root: int = ..., nbytes: int | None = ...
-    ) -> Generator: ...
-    def gather(
-        self, payload: Any, root: int = ..., nbytes: int | None = ...
-    ) -> Generator: ...
-    def allgather(self, payload: Any, nbytes: int | None = ...) -> Generator: ...
-    def reduce(
-        self,
-        value: Any,
-        op: Callable[[Any, Any], Any] = ...,
-        root: int = ...,
-        nbytes: int | None = ...,
-    ) -> Generator: ...
-    def allreduce(
-        self,
-        value: Any,
-        op: Callable[[Any, Any], Any] = ...,
-        nbytes: int | None = ...,
-    ) -> Generator: ...
-    def alltoall(self, payloads: list, nbytes: int | None = ...) -> Generator: ...
-    def sendrecv(
-        self,
-        dst: int,
-        src: int,
-        tag: int,
-        payload: Any = ...,
-        nbytes: int | None = ...,
-    ) -> Generator: ...
-
-    # -- groups --------------------------------------------------------
-    def split(self, members: list[int]) -> "CommProtocol": ...
 
 
 @dataclass
@@ -190,13 +101,6 @@ class ExecutionBackend(abc.ABC):
 
     ``name``
         Registry name (``"sim"``, ``"mp"``).
-    ``shared_state``
-        ``True`` when all ranks execute inside one address space (the
-        simulator), ``False`` when each rank owns a private copy of the
-        Python objects its program closed over (real processes).  Rank
-        programs that mutate shared driver state must consult this —
-        see ``OverflowD1`` for the pattern (world motion is applied by
-        rank 0 only under shared state, by every rank otherwise).
     ``measured``
         Whether results are host wall-clock measurements rather than
         modeled virtual time.
@@ -209,7 +113,6 @@ class ExecutionBackend(abc.ABC):
     """
 
     name: str = "?"
-    shared_state: bool = True
     measured: bool = False
     elastic: bool = False
 

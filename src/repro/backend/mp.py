@@ -831,7 +831,6 @@ class MpBackend(ExecutionBackend):
     """
 
     name = "mp"
-    shared_state = False
     measured = True
 
     def __init__(
@@ -892,6 +891,9 @@ class MpBackend(ExecutionBackend):
                         rank, kind, payload, time.monotonic() - t_start
                     )
         finally:
-            workers.stop("exit" if outcome.clean else "abort", grace=5.0)
+            if outcome.clean:
+                workers.stop("exit", grace=proc.EXIT_GRACE)
+            else:
+                workers.stop("abort", grace=proc.ABORT_GRACE)
             workers.close()
         return outcome.result(tracer if trace_enabled else None)

@@ -24,8 +24,16 @@ import time
 from multiprocessing import connection
 from typing import Any, Callable, Iterable, NamedTuple
 
-__all__ = ["Child", "Crash", "TERM_GRACE", "stop", "wait"]
+__all__ = [
+    "ABORT_GRACE", "Child", "Crash", "EXIT_GRACE", "TERM_GRACE", "stop",
+    "wait",
+]
 
+#: Seconds a finished chunk's rank workers get to leave on their own.
+EXIT_GRACE = 5.0
+#: The same for an aborted chunk: its ranks' results are discarded, so
+#: waiting for them buys nothing.
+ABORT_GRACE = 0.5
 #: Seconds a SIGTERMed child gets to die before it is SIGKILLed.
 TERM_GRACE = 1.0
 

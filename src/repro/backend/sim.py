@@ -22,14 +22,13 @@ class SimBackend(ExecutionBackend):
     """Conservative discrete-event execution over modeled virtual time.
 
     * deterministic: results and traces are a pure function of inputs;
-    * ``shared_state=True``: all rank generators live in one process and
-      may close over (and mutate) shared driver objects;
+    * all rank generators live in one process, so objects their
+      programs close over are shared between ranks;
     * supports the full feature surface — fault injection, sanitizer
       shadow layer, warm-started clocks/metrics.
     """
 
     name = "sim"
-    shared_state = True
     measured = False
 
     def run(

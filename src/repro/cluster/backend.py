@@ -79,7 +79,6 @@ class ClusterBackend(ExecutionBackend):
     """
 
     name = "cluster"
-    shared_state = False
     measured = True
     elastic = True
 

@@ -36,7 +36,7 @@ from typing import Any
 
 from repro.backend.api import BackendResult
 from repro.backend.mp import ChunkOutcome
-from repro.backend.proc import wait
+from repro.backend.proc import ABORT_GRACE, EXIT_GRACE, TERM_GRACE, wait
 from repro.cluster.placement import Placement
 from repro.cluster.protocol import (
     CLUSTER_PROTOCOL_VERSION,
@@ -363,13 +363,13 @@ class ClusterSupervisor:
         """Tell every live participant the chunk is over — released
         (``exit_chunk``) or aborted — and await its acknowledgement,
         best-effort (late data frames in flight are dropped)."""
-        # The abort span covers a node's whole abort ladder (2 s grace
-        # in ``node._CHUNK_END`` + ``proc.TERM_GRACE``): a rank that has
-        # to be SIGKILLed does not make its node miss the ack.
+        # The abort span covers a node's whole abort ladder plus a
+        # margin: a rank that has to be SIGKILLed does not make its node
+        # miss the ack.
         op, ack, span = (
-            ("exit_chunk", "chunk_done", 5.0)
+            ("exit_chunk", "chunk_done", EXIT_GRACE)
             if clean
-            else ("abort", "chunk_aborted", 4.0)
+            else ("abort", "chunk_aborted", ABORT_GRACE + TERM_GRACE + 1.0)
         )
         for h in participants:
             if not h.alive:

@@ -48,7 +48,7 @@ import time
 from typing import Any
 
 from repro.backend.mp import RankWorkers, restage_frame
-from repro.backend.proc import wait
+from repro.backend.proc import ABORT_GRACE, EXIT_GRACE, wait
 from repro.cluster import shipping
 from repro.cluster.protocol import (
     CLUSTER_PROTOCOL_VERSION,
@@ -72,8 +72,8 @@ _PIPE_SAFE = 3072
 #: How the head ends a chunk: its control op -> what the workers are
 #: told, how long they get to leave, and the acknowledgement sent back.
 _CHUNK_END = {
-    "exit_chunk": ("exit", 5.0, "chunk_done"),
-    "abort": ("abort", 2.0, "chunk_aborted"),
+    "exit_chunk": ("exit", EXIT_GRACE, "chunk_done"),
+    "abort": ("abort", ABORT_GRACE, "chunk_aborted"),
 }
 
 

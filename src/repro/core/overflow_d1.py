@@ -1,19 +1,13 @@
-"""The OVERFLOW-D1 performance driver.
+"""The OVERFLOW-D1 performance driver: the near-body workload.
 
-Runs the paper's per-timestep loop on the simulated machine:
-
-1. **flow solve** — each rank charges the work-model arithmetic for its
-   subdomain and exchanges halo faces with its neighbours on the same
-   component grid (one round per factored sweep direction);
-2. **grid motion** — ranks of moving grids charge the rigid-transform
-   update; the shared world state advances (new coordinates);
-3. **domain connectivity** — holes are cut and IGBPs identified per
-   grid, then the real distributed DCF3D protocol
-   (:mod:`repro.connectivity.dcf`) runs, producing per-rank received-
-   IGBP counts I(p) and walk-step work.
-
-Barriers separate the three modules, as in the paper ("barriers are put
-in place to synchronize each of the solution modules").
+Each rank owns one subdomain of one component grid.  Per timestep (the
+loop itself is :func:`repro.core.runner.timestep_program`) it charges
+the work-model arithmetic for its subdomain, exchanges halo faces with
+its neighbours on the same grid (one round per factored sweep
+direction), charges the rigid-transform update when its grid moves,
+and runs the real distributed DCF3D protocol
+(:mod:`repro.connectivity.dcf`) over the IGBPs it owns, producing
+per-rank received-IGBP counts I(p) and walk-step work.
 
 Dynamic load balancing (Algorithm 2) happens between *epochs*: the
 driver simulates ``lb_check_interval`` timesteps, inspects the
@@ -21,10 +15,9 @@ accumulated I(p), and — when f0 is finite and some processor exceeds it
 — rebuilds the partition and continues.  Virtual time accumulates
 across epochs.
 
-The epoch loop itself — chunking, checkpoints, fault plans, elastic
-recovery — is :class:`repro.core.runner.EpochRunner`; this module is
-its near-body :class:`~repro.core.runner.Workload` (world state,
-Algorithm 2, the DCF rank program) and the public constructor.
+The epoch loop — chunking, checkpoints, fault plans, elastic recovery
+— is :class:`repro.core.runner.EpochRunner`; this module is its
+near-body :class:`~repro.core.runner.Workload` and public constructor.
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ import numpy as np
 from repro.backend import BackendResult, ExecutionBackend
 from repro.connectivity.dcf import DcfConfig, DcfWorld, dcf_rank_program
 from repro.connectivity.holecut import cut_holes
-from repro.connectivity.igbp import IgbpSet, find_igbps
+from repro.connectivity.igbp import find_igbps
 from repro.connectivity.restart import RestartCache
 from repro.core.config import CaseConfig
 from repro.core.runner import (
@@ -47,12 +40,15 @@ from repro.core.runner import (
     PHASE_MOTION,
     EpochResult,
     EpochRunner,
+    MovingWorld,
+    RankLoad,
     RunResult,
     StepStats,
     Workload,
     _DriverState,
     _EpochAccum,
     resume_run,
+    timestep_program,
 )
 from repro.grids.subdomain import interior_face_points
 from repro.machine.faults import RankFailure
@@ -61,36 +57,19 @@ from repro.partition.dynamic_lb import DynamicRebalancer
 from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.recovery import RecoveryPolicy
 
-__all__ = ["OverflowD1", "RunResult", "EpochResult", "StepStats", "resume_run"]
+__all__ = [
+    "OverflowD1", "RunResult", "EpochResult", "StepStats", "resume_run",
+    "PHASE_FLOW", "PHASE_MOTION", "PHASE_DCF",
+]
 
-TAG_HALO = 201
 
-
-class _WorldState:
-    """Shared (read-mostly) overset system state.  ``advance`` /
-    ``restore`` only move the grids; a grid's holes and IGBPs are
-    prepared when the first of its ranks asks for them."""
+class _WorldState(MovingWorld):
+    """The near-body grids; a grid's holes and IGBPs are prepared when
+    the first of its ranks asks for them, inside DCF3D."""
 
     def __init__(self, config: CaseConfig) -> None:
         self.config = config
-        self.reference = list(config.grids)
-        self.grids = list(config.grids)
-        self.time = 0.0
-        self._igbps: dict[int, IgbpSet] = {}
-        self.advance(0.0)
-
-    def advance(self, t: float) -> None:
-        cfg = self.config
-        grids = []
-        for gi, ref in enumerate(self.reference):
-            motion = cfg.motions.get(gi)
-            if motion is None:
-                grids.append(self.grids[gi] if t > 0.0 else ref)
-            else:
-                grids.append(ref.with_coordinates(motion.at(t).apply(ref.xyz)))
-        self.grids = grids
-        self.time = t
-        self._igbps = {}
+        super().__init__(config.grids, config.motions)
 
     def restore(self, t: float, xyz_list) -> None:
         """Reset to checkpointed poses (no motion recomputation).
@@ -101,12 +80,10 @@ class _WorldState:
         trajectory depends on history, and is bit-identical by
         construction for the prescribed ones.
         """
-        self.grids = [
+        self.place(t, [
             ref.with_coordinates(xyz)
             for ref, xyz in zip(self.reference, xyz_list)
-        ]
-        self.time = t
-        self._igbps = {}
+        ])
 
     def own_igbps(
         self, partition: Partition, rank: int
@@ -114,10 +91,10 @@ class _WorldState:
         """(flat ids, coordinates) of the IGBPs this rank owns."""
         gi = partition.grid_of_rank(rank)
         box = partition.subdomain_of(rank).box
-        s = self._igbps.get(gi)
+        s = self.memo.get(gi)
         if s is None:
             iblank = cut_holes(self.grids, receivers=(gi,))[gi]
-            s = self._igbps[gi] = find_igbps(
+            s = self.memo[gi] = find_igbps(
                 self.grids[gi], gi, iblank, self.config.fringe_layers
             )
         if s.count == 0:
@@ -274,28 +251,18 @@ class _NearBody(Workload):
     ) -> BackendResult:
         """Simulate ``nsteps`` timesteps at a fixed partition.
 
-        What differs on backends without shared state (real
-        processes), all behind ``shared_state``:
-
-        * every rank advances its private copy of the *coordinates*;
-          hole cutting and IGBPs are prepared per grid on first read
-          on every backend;
-        * each rank returns its private restart cache alongside its
-          step stats, and the driver merges them back (ownership of
-          IGBP points is disjoint within a chunk, so the union equals
-          the shared cache's content at every read point — the
-          backend-equivalence tests pin this);
-        * the driver re-synchronises its own world copy to the chunk's
-          end time (``at(t)`` motions are deterministic functions of
-          absolute time, so this is exact).
+        Every rank returns its step stats and the restart cache it
+        searched with.  Under the simulator that is the driver's own
+        cache; a real-process rank returns its private copy, which the
+        driver merges (ownership of IGBP points is disjoint within a
+        chunk, so the union equals the shared cache's content at every
+        read point — the backend-equivalence tests pin this).
         """
         cfg = self.target
         world = self.world
         partition = carry.partition
         cache = carry.cache
         nprocs = partition.nprocs
-        shared_state = backend.shared_state
-        caches = [cache] * nprocs
         base_hits = cache.hits if cache is not None else 0
         base_misses = cache.misses if cache is not None else 0
         neighbors = _halo_neighbors(partition)
@@ -312,78 +279,19 @@ class _NearBody(Workload):
             grid0 = cfg.grids[gi]
             box = rank_boxes[rank]
             own_pts = box.npoints
-            # Fraction of this subdomain's points in the halo-adjacent
-            # strip (the part that must wait for neighbour data when
-            # overlapping communication with computation).
-            strip = min(
-                0.9, interior_face_points(box, grid0.dims) / max(1, own_pts)
+            load = RankLoad(
+                points=own_pts,
+                flow_flops=cfg.work.flow_flops(
+                    own_pts, grid0.viscous, grid0.turbulence, grid0.ndim
+                ),
+                halo=neighbors[rank],
+                moves=gi in cfg.motions,
+                strip=min(
+                    0.9, interior_face_points(box, grid0.dims) / max(1, own_pts)
+                ),
             )
-            flow_flops = cfg.work.flow_flops(
-                own_pts, grid0.viscous, grid0.turbulence, grid0.ndim
-            )
-            moves = gi in cfg.motions
-            stats_out: list[StepStats] = []
 
-            for s in range(nsteps):
-                step = first_step + s
-                # ---- (1) flow solve -------------------------------------
-                yield from comm.set_phase(PHASE_FLOW)
-                if cfg.overlap_halo:
-                    # Section-5 latency hiding: inject halos, sweep the
-                    # interior while they fly, then finish the strip.
-                    for _ in range(cfg.work.halo_exchanges_per_step):
-                        for nbr, shared in neighbors[rank]:
-                            yield from comm.send(
-                                nbr, TAG_HALO, None,
-                                nbytes=cfg.work.halo_bytes(shared),
-                            )
-                        yield from comm.compute(
-                            flops=flow_flops
-                            * (1.0 - strip)
-                            / cfg.work.halo_exchanges_per_step,
-                            points_per_node=own_pts,
-                        )
-                        for nbr, _ in neighbors[rank]:
-                            yield from comm.recv(nbr, TAG_HALO)
-                        yield from comm.compute(
-                            flops=flow_flops
-                            * strip
-                            / cfg.work.halo_exchanges_per_step,
-                            points_per_node=own_pts,
-                        )
-                else:
-                    yield from comm.compute(
-                        flops=flow_flops, points_per_node=own_pts
-                    )
-                    for _ in range(cfg.work.halo_exchanges_per_step):
-                        for nbr, shared in neighbors[rank]:
-                            yield from comm.send(
-                                nbr, TAG_HALO, None,
-                                nbytes=cfg.work.halo_bytes(shared),
-                            )
-                        for nbr, _ in neighbors[rank]:
-                            yield from comm.recv(nbr, TAG_HALO)
-                yield from comm.barrier()
-
-                # ---- (2) grid motion ------------------------------------
-                yield from comm.set_phase(PHASE_MOTION)
-                if moves:
-                    yield from comm.compute(
-                        flops=cfg.work.motion_flops(own_pts)
-                    )
-                if rank == 0 or not shared_state:
-                    # Shared state: rank 0 advances the one world every
-                    # rank reads.  Private state (mp): every rank must
-                    # advance its own copy — deterministic in absolute
-                    # time, so all copies agree bit-for-bit.
-                    world.advance((step + 1) * cfg.dt)
-                yield from comm.barrier()
-
-                # ---- (3) domain connectivity ----------------------------
-                yield from comm.set_phase(PHASE_DCF)
-                yield from comm.compute(
-                    flops=cfg.work.holecut_flops_per_point * own_pts
-                )
+            def exchange(step):
                 dcf_world = DcfWorld(
                     grid_xyz=[g.xyz for g in world.grids],
                     grid_of_rank=grid_of_rank,
@@ -394,41 +302,31 @@ class _NearBody(Workload):
                 )
                 flat, pts = world.own_igbps(partition, rank)
                 _, cstats = yield from dcf_rank_program(
-                    comm, dcf_world, flat, pts, caches[rank]
+                    comm, dcf_world, flat, pts, cache
                 )
-                stats_out.append(
-                    StepStats(
-                        step=step,
-                        igbps_received=cstats.igbps_received,
-                        search_steps=cstats.search_steps,
-                        donors_found=cstats.donors_found,
-                        orphans=cstats.orphans,
-                    )
+                return StepStats(
+                    step, cstats.igbps_received, cstats.search_steps,
+                    cstats.donors_found, cstats.orphans,
                 )
-                yield from comm.barrier()
-            if shared_state:
-                return stats_out
-            # Private-state backends ship the rank's cache copy home so
-            # the driver can merge this chunk's warm-start data.
-            return stats_out, caches[rank]
+
+            stats = yield from timestep_program(
+                comm, load, world, cfg.work, cfg.dt,
+                range(first_step, first_step + nsteps), exchange,
+                cfg.overlap_halo,
+            )
+            return stats, cache
 
         out = backend.run(
             cfg.machine.with_nodes(nprocs), [program] * nprocs, **run_kwargs
         )
-        if not shared_state:
-            returns = []
-            for ret in out.returns:
-                stats, rank_cache = ret
-                returns.append(stats)
-                if cache is not None and rank_cache is not None:
-                    cache.merge(
-                        rank_cache,
-                        base_hits=base_hits,
-                        base_misses=base_misses,
-                    )
-            out.returns = returns
-            # Bring the driver's own world copy up to the chunk end.
-            world.advance((first_step + nsteps) * cfg.dt)
+        returns = []
+        for stats, rank_cache in out.returns:
+            returns.append(stats)
+            if cache is not None and rank_cache is not cache:
+                cache.merge(
+                    rank_cache, base_hits=base_hits, base_misses=base_misses
+                )
+        out.returns = returns
         return out
 
 

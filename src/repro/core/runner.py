@@ -9,10 +9,12 @@ alike.  :class:`EpochRunner` is that loop:
                -> accumulate -> commit epoch -> checkpoint
 
 and, on a :class:`repro.machine.faults.RankFailure`, the recovery
-episode.  What differs between the two kinds of run — which grids
-exist, how an epoch's decomposition is chosen, what one rank executes
-per step, which ranks a shrink may drop — sits behind the
-:class:`Workload` seam, with exactly two implementations:
+episode.  Every rank of either kind of run executes one timestep,
+:func:`timestep_program`, over one :class:`MovingWorld`.  What differs
+between the two kinds of run — which grids exist, how an epoch's
+decomposition is chosen, a rank's load and connectivity exchange,
+which ranks a shrink may drop — sits behind the :class:`Workload`
+seam, with exactly two implementations:
 :mod:`repro.core.overflow_d1` (near-body grids, Algorithm 2 between
 epochs) and :mod:`repro.offbody.driver` (near-body grids plus off-body
 patch groups, regenerated and regrouped each epoch).  The public
@@ -45,7 +47,7 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
@@ -74,6 +76,9 @@ PHASE_DCF = "dcf3d"
 #: barriers (flow / motion / dcf3d) — the conversion factor between
 #: driver-level ``step`` fault triggers and scheduler phase triggers.
 PHASES_PER_STEP = 3
+
+#: Halo faces, between near-body subdomains and patch groups alike.
+TAG_HALO = 201
 
 
 # ----------------------------------------------------------------------
@@ -341,19 +346,132 @@ def driver_span(
     tracer.advance(seconds)
 
 
+# ----------------------------------------------------------------------
+# the timestep
+
+
+class MovingWorld:
+    """Grid poses as a deterministic function of absolute time.
+
+    Under the simulator every rank reads this one object; under real
+    processes each rank moves its private copy, and all copies agree
+    bit-for-bit.  :meth:`advance` does nothing when the grids are
+    already at ``t``, so every rank calls it and the first one there
+    moves them.  What a workload derives from the poses (holes, IGBPs,
+    patch coupling) lives in :attr:`memo`, which empties whenever the
+    grids move.
+    """
+
+    def __init__(self, reference: Sequence[Any], motions: dict[int, Any]) -> None:
+        self.reference = list(reference)
+        self.motions = motions
+        self.grids = list(reference)
+        self.time: float | None = None
+        self.advance(0.0)
+
+    def advance(self, t: float) -> None:
+        if t != self.time:
+            self.place(t, [
+                g if gi not in self.motions
+                else ref.with_coordinates(self.motions[gi].at(t).apply(ref.xyz))
+                for gi, (ref, g) in enumerate(zip(self.reference, self.grids))
+            ])
+
+    def place(self, t: float, grids: list[Any]) -> None:
+        self.grids = grids
+        self.time = t
+        self.memo: dict[Any, Any] = {}
+
+
+@dataclass(frozen=True)
+class RankLoad:
+    """One rank's share of a timestep, as the work model charges it."""
+
+    points: int
+    flow_flops: float
+    #: ``(neighbour rank, shared face points)`` per halo partner.
+    halo: list[tuple[int, int]]
+    moves: bool
+    #: Fraction of the points in the halo-adjacent strip: the part of
+    #: the sweep that waits for neighbour data under ``overlap_halo``.
+    strip: float = 0.0
+
+
+def timestep_program(
+    comm: Any,
+    load: RankLoad,
+    world: MovingWorld,
+    work: Any,
+    dt: float,
+    steps: range,
+    exchange: Callable[[int], Generator],
+    overlap_halo: bool = False,
+) -> Generator:
+    """One rank's timesteps: flow solve, grid motion, connectivity, a
+    barrier after each.  ``exchange(step)`` is the workload's part of
+    connectivity; the :class:`StepStats` it returns are collected."""
+    rounds = work.halo_exchanges_per_step
+    stats: list[StepStats] = []
+    for step in steps:
+        # ---- (1) flow solve ---------------------------------------------
+        yield from comm.set_phase(PHASE_FLOW)
+        if load.points and not overlap_halo:
+            yield from comm.compute(
+                flops=load.flow_flops, points_per_node=load.points
+            )
+        for _ in range(rounds):
+            for nbr, shared in load.halo:
+                yield from comm.send(
+                    nbr, TAG_HALO, None, nbytes=work.halo_bytes(shared)
+                )
+            if overlap_halo:
+                # Section-5 latency hiding: sweep the interior while the
+                # halos fly, then finish the strip.
+                yield from comm.compute(
+                    flops=load.flow_flops * (1.0 - load.strip) / rounds,
+                    points_per_node=load.points,
+                )
+            for nbr, _ in load.halo:
+                yield from comm.recv(nbr, TAG_HALO)
+            if overlap_halo:
+                yield from comm.compute(
+                    flops=load.flow_flops * load.strip / rounds,
+                    points_per_node=load.points,
+                )
+        yield from comm.barrier()
+
+        # ---- (2) grid motion --------------------------------------------
+        yield from comm.set_phase(PHASE_MOTION)
+        if load.moves:
+            yield from comm.compute(flops=work.motion_flops(load.points))
+        world.advance((step + 1) * dt)
+        yield from comm.barrier()
+
+        # ---- (3) domain connectivity ------------------------------------
+        yield from comm.set_phase(PHASE_DCF)
+        if load.points:
+            yield from comm.compute(
+                flops=work.holecut_flops_per_point * load.points
+            )
+        stats.append((yield from exchange(step)))
+        yield from comm.barrier()
+    return stats
+
+
 class Workload:
     """The grids of one run — the seam the epoch runner is
     parameterised by.
 
-    A workload owns the live world (grid poses at the current step) and
-    knows how to decompose it; everything that must survive a
-    checkpoint lives in the picklable ``carry`` object it hands the
-    runner at step 0 and gets back on every call.
+    A workload owns the live :class:`MovingWorld` (grid poses at the
+    current step) and knows how to decompose it; everything that must
+    survive a checkpoint lives in the picklable ``carry`` object it
+    hands the runner at step 0 and gets back on every call.
     """
 
     #: Untraced, unfaulted, discarded steps before measurement starts.
     warmup_steps: int = 0
     result_type: type[RunResult] = RunResult
+    world: MovingWorld
 
     def __init__(self, target: Any) -> None:
         """Build the world of ``target`` at step 0."""
@@ -379,9 +497,10 @@ class Workload:
         nsteps: int,
         **run_kwargs: Any,
     ) -> BackendResult:
-        """Run ``nsteps`` timesteps of the planned epoch on ``backend``;
-        ``run_kwargs`` go to :meth:`ExecutionBackend.run` verbatim.
-        Each rank returns one :class:`StepStats` per step."""
+        """Run ``nsteps`` timesteps of the planned epoch on ``backend``,
+        one :func:`timestep_program` per rank; ``run_kwargs`` go to
+        :meth:`ExecutionBackend.run` verbatim.  The result's ``returns``
+        hold each rank's :class:`StepStats` list."""
         raise NotImplementedError
 
     def finish_epoch(self, carry: Any, acc: _EpochAccum) -> EpochResult:
@@ -475,7 +594,7 @@ class EpochRunner:
             if isinstance(backend, ExecutionBackend)
             else get_backend(backend)
         )
-        if not self.backend.shared_state:
+        if self.backend.measured:
             if sanitizer is not None:
                 raise ValueError(
                     "the sanitizer needs the deterministic simulator; "
@@ -524,10 +643,7 @@ class EpochRunner:
         # and their metrics are discarded.  Warm-up is never traced,
         # never checkpointed and never faulted.
         if wl.warmup_steps:
-            wl.run_chunk(
-                self.backend, state.carry, 0, wl.warmup_steps,
-                sanitizer=self.sanitizer,
-            )
+            self._run_chunk(wl, state.carry, 0, wl.warmup_steps)
         self._last_ckpt = None
         if self.fault_plan is not None or getattr(self.backend, "elastic", False):
             # Implicit step-0 restore point: recovery works even before
@@ -606,13 +722,12 @@ class EpochRunner:
         nsteps = chunk_end - state.step
 
         # Carried clocks and counters continue a split epoch exactly.
-        out = wl.run_chunk(
-            self.backend, state.carry, state.step, nsteps,
+        out = self._run_chunk(
+            wl, state.carry, state.step, nsteps,
             tracer=tracer,
             fault_plan=self._chunk_fault_plan(wl, state, nsteps),
             initial_clocks=acc.clocks,
             initial_metrics=acc.metrics,
-            sanitizer=self.sanitizer,
         )
         acc.add(out, nsteps)
         state.step = chunk_end
@@ -642,6 +757,18 @@ class EpochRunner:
                     step=state.step - wl.warmup_steps,
                     nbytes=ckpt.nbytes,
                 )
+
+    def _run_chunk(
+        self, wl: Workload, carry: Any, first_step: int, nsteps: int,
+        **run_kwargs: Any,
+    ) -> BackendResult:
+        out = wl.run_chunk(
+            self.backend, carry, first_step, nsteps,
+            sanitizer=self.sanitizer, **run_kwargs,
+        )
+        # Catch up with the ranks' private copies (a no-op on sim).
+        wl.world.advance((first_step + nsteps) * wl.target.dt)
+        return out
 
     # ------------------------------------------------------------------
     # fault plumbing

@@ -1,15 +1,15 @@
 """The off-body adaptive Cartesian workload (paper section 5, Algorithm 3).
 
 Runs a multi-body :class:`OffBodyCase` on a simulated (or real-process)
-machine.  The timestep loop is the one every driver runs
-(:class:`repro.core.runner.EpochRunner` — flow / motion / connectivity
-phases separated by barriers, checkpoints, elastic recovery); this
-module is its off-body :class:`~repro.core.runner.Workload`.  The grid
-population is *dynamic*: every ``adapt_interval`` steps the workload
-regenerates the off-body Cartesian patch layout around the moved
-near-body grids (``offbody:regen`` trace phase) and re-runs the
-Algorithm 3 grouping that packs patches into connectivity-local,
-load-balanced groups, one group per off-body rank (``offbody:group``).
+machine.  The epoch loop and the timestep are the ones every driver
+runs (:mod:`repro.core.runner`); this module is their off-body
+:class:`~repro.core.runner.Workload`: each rank's load and its
+connectivity exchange.  The grid population is *dynamic*: every
+``adapt_interval`` steps the workload regenerates the off-body
+Cartesian patch layout around the moved near-body grids
+(``offbody:regen`` trace phase) and re-runs the Algorithm 3 grouping
+that packs patches into connectivity-local, load-balanced groups, one
+group per off-body rank (``offbody:group``).
 
 Rank layout
 -----------
@@ -36,7 +36,7 @@ message schedules are derived from one globally sorted relation list,
 so every (src, dst, tag) channel sees the same order on both ends.
 
 Determinism: the whole step is a pure function of (case, step index),
-so private-state backends (mp) reproduce the sim backend's physics
+so the real-process backends reproduce the sim backend's physics
 byte-for-byte — pinned by the backend-equivalence tests.
 """
 
@@ -50,17 +50,17 @@ import numpy as np
 from repro.backend import BackendResult, ExecutionBackend
 from repro.connectivity.donorsearch import donor_search
 from repro.core.runner import (
-    PHASE_DCF,
-    PHASE_FLOW,
-    PHASE_MOTION,
     EpochResult,
     EpochRunner,
+    MovingWorld,
+    RankLoad,
     RunResult,
     StepStats,
     Workload,
     _DriverState,
     _EpochAccum,
     driver_span,
+    timestep_program,
 )
 from repro.grids.bbox import AABB
 from repro.grids.structured import CurvilinearGrid
@@ -78,7 +78,6 @@ from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.recovery import RecoveryPolicy
 from repro.solver.workmodel import WorkModel
 
-TAG_OB_HALO = 401
 TAG_OB_REQ = 402
 TAG_OB_DONOR = 403
 
@@ -243,52 +242,29 @@ class _StepConn:
     w_np: dict[tuple[int, int], int]
     #: nb grid -> stencil-walk steps spent serving patch fringes.
     search_steps: dict[int, int]
-    #: patch -> points blanked by near-body wall boxes.
-    holes: dict[int, int]
     #: patch -> fringe points in the hole region with no donor.
     orphans_p: dict[int, int]
     #: nb grid -> outer points with no patch donor inside the domain.
     orphans_n: dict[int, int]
 
 
-class _OffBodyWorld:
-    """Near-body poses + per-step connectivity versus the patch layout.
-
-    Shared by all ranks under the sim backend; copied per rank under
-    private-state backends — every method is a deterministic function
-    of absolute time, so all copies agree bit-for-bit.
-    """
+class _OffBodyWorld(MovingWorld):
+    """Near-body poses + per-step connectivity versus the patch layout,
+    computed once per (pose, layout epoch)."""
 
     def __init__(self, case: OffBodyCase) -> None:
         self.case = case
-        self.reference = list(case.near_body)
-        self.grids = list(case.near_body)
-        self.time = 0.0
-        self._conn: tuple[tuple[float, int], _StepConn] | None = None
-        self.advance(0.0)
-
-    def advance(self, t: float) -> None:
-        grids = []
-        for gi, ref in enumerate(self.reference):
-            motion = self.case.motions.get(gi)
-            if motion is None:
-                grids.append(ref)
-            else:
-                grids.append(ref.with_coordinates(motion.at(t).apply(ref.xyz)))
-        self.grids = grids
-        self.time = t
-        self._conn = None
+        super().__init__(case.near_body, case.motions)
 
     def body_boxes(self) -> list[AABB]:
         return [g.bounding_box() for g in self.grids]
 
     def connectivity(self, layout: OffBodyLayout) -> _StepConn:
-        key = (self.time, layout.epoch)
-        if self._conn is not None and self._conn[0] == key:
-            return self._conn[1]
-        conn = _step_connectivity(self.grids, layout, self.case.domain)
-        self._conn = (key, conn)
-        return conn
+        if layout.epoch not in self.memo:
+            self.memo[layout.epoch] = _step_connectivity(
+                self.grids, layout, self.case.domain
+            )
+        return self.memo[layout.epoch]
 
 
 def _step_connectivity(
@@ -300,7 +276,6 @@ def _step_connectivity(
     w_pn: dict[tuple[int, int], int] = {}
     w_np: dict[tuple[int, int], int] = {}
     search_steps: dict[int, int] = {}
-    holes: dict[int, int] = {}
     orphans_p: dict[int, int] = {}
     orphans_n: dict[int, int] = {}
 
@@ -330,15 +305,7 @@ def _step_connectivity(
         for pi in range(len(layout.grids)):
             if not patch_boxes[pi].intersects(nb_box):
                 continue
-            pgrid = layout.grids[pi]
-            if wall_box is not None:
-                blanked = wall_box.contains(
-                    pgrid.coordinates().reshape(-1, pgrid.ndim)
-                )
-                nblank = int(np.sum(blanked))
-                if nblank:
-                    holes[pi] = holes.get(pi, 0) + nblank
-            fringe = fringe_points(pgrid)
+            fringe = fringe_points(layout.grids[pi])
             inside = nb_box.contains(fringe)
             if not np.any(inside):
                 continue
@@ -385,7 +352,7 @@ def _step_connectivity(
 
     return _StepConn(
         w_pn=w_pn, w_np=w_np, search_steps=search_steps,
-        holes=holes, orphans_p=orphans_p, orphans_n=orphans_n,
+        orphans_p=orphans_p, orphans_n=orphans_n,
     )
 
 
@@ -437,8 +404,8 @@ def _donor_exchange(
     return sorted((r, d, w) for (r, d), w in agg.items())
 
 
-def _halo_pairs(plan: _EpochPlan) -> list[tuple[int, int, int]]:
-    """Cross-rank off-body halo volumes: (rank a, rank b, points)."""
+def _halo_partners(plan: _EpochPlan) -> list[list[tuple[int, int]]]:
+    """Per rank: (neighbour rank, halo points) across group boundaries."""
     vol: dict[tuple[int, int], int] = {}
     w = plan.layout.weights
     for i, j in sorted(plan.layout.edges):
@@ -448,7 +415,12 @@ def _halo_pairs(plan: _EpochPlan) -> list[tuple[int, int, int]]:
         key = (min(a, b), max(a, b))
         pts = w.get((i, j), 0) + w.get((j, i), 0)
         vol[key] = vol.get(key, 0) + pts
-    return [(a, b, pts) for (a, b), pts in sorted(vol.items()) if pts > 0]
+    out: list[list[tuple[int, int]]] = [[] for _ in range(plan.nranks)]
+    for (a, b), pts in sorted(vol.items()):
+        if pts > 0:
+            out[a].append((b, pts))
+            out[b].append((a, pts))
+    return out
 
 
 @dataclass
@@ -603,67 +575,26 @@ class _OffBody(Workload):
         world = self.world
         case = self.target
         work = case.work
-        shared_state = backend.shared_state
-        nranks = plan.nranks
-        n_near = plan.n_near
-        halo = _halo_pairs(plan)
-        dt = case.dt
-        patch_npts = plan.layout.sizes
+        halo = _halo_partners(plan)
 
         def program(comm):
             rank = comm.rank
             mine = plan.owned_patches(rank)
-            if rank < n_near:
+            if rank < plan.n_near:
                 grid0 = case.near_body[rank]
                 own_pts = grid0.npoints
                 flow_flops = work.flow_flops(
                     own_pts, grid0.viscous, grid0.turbulence, grid0.ndim
                 )
-                moves = rank in case.motions
             else:
-                own_pts = sum(patch_npts[pi] for pi in mine)
+                own_pts = sum(plan.layout.sizes[pi] for pi in mine)
                 # Patch grids are inviscid background Cartesian blocks.
                 flow_flops = work.flow_flops(own_pts, False, False, case.domain.ndim)
-                moves = False
-            my_halo = [
-                (b if a == rank else a, pts)
-                for a, b, pts in halo
-                if rank in (a, b)
-            ]
-            stats_out: list[StepStats] = []
+            load = RankLoad(
+                own_pts, flow_flops, halo[rank], moves=rank in case.motions
+            )
 
-            for s in range(nsteps):
-                step = first_step + s
-                # ---- (1) flow solve -----------------------------------
-                yield from comm.set_phase(PHASE_FLOW)
-                if own_pts:
-                    yield from comm.compute(
-                        flops=flow_flops, points_per_node=own_pts
-                    )
-                for _ in range(work.halo_exchanges_per_step):
-                    for nbr, pts in my_halo:
-                        yield from comm.send(
-                            nbr, TAG_OB_HALO, None,
-                            nbytes=work.halo_bytes(pts),
-                        )
-                    for nbr, _pts in my_halo:
-                        yield from comm.recv(nbr, TAG_OB_HALO)
-                yield from comm.barrier()
-
-                # ---- (2) grid motion ----------------------------------
-                yield from comm.set_phase(PHASE_MOTION)
-                if moves:
-                    yield from comm.compute(flops=work.motion_flops(own_pts))
-                if rank == 0 or not shared_state:
-                    world.advance((step + 1) * dt)
-                yield from comm.barrier()
-
-                # ---- (3) domain connectivity --------------------------
-                yield from comm.set_phase(PHASE_DCF)
-                if own_pts:
-                    yield from comm.compute(
-                        flops=work.holecut_flops_per_point * own_pts
-                    )
+            def exchange(step):
                 conn = world.connectivity(plan.layout)
                 pairs = _donor_exchange(plan, conn)
                 my_out = [
@@ -704,34 +635,28 @@ class _OffBody(Workload):
                         flops=received * work.interp_flops_per_igbp
                     )
                 # Walk-step work for donor searches served by my nb grid.
-                my_search = (
-                    conn.search_steps.get(rank, 0) if rank < n_near else 0
-                )
+                my_search = conn.search_steps.get(rank, 0)
                 if my_search:
                     yield from comm.compute(
                         flops=work.search_flops(my_search)
                     )
-                my_orphans = (
-                    conn.orphans_n.get(rank, 0)
-                    if rank < n_near
-                    else sum(conn.orphans_p.get(pi, 0) for pi in mine)
+                my_orphans = conn.orphans_n.get(rank, 0) + sum(
+                    conn.orphans_p.get(pi, 0) for pi in mine
                 )
-                stats_out.append(StepStats(
-                    step=step,
-                    igbps_received=received,
-                    search_steps=my_search,
-                    donors_found=received,
-                    orphans=my_orphans,
-                ))
-                yield from comm.barrier()
-            return stats_out
+                # Donor relations only exist for points that found one.
+                return StepStats(
+                    step, received, my_search, received, my_orphans
+                )
+
+            return (yield from timestep_program(
+                comm, load, world, work, case.dt,
+                range(first_step, first_step + nsteps), exchange,
+            ))
 
         out = backend.run(
-            case.machine.with_nodes(nranks), [program] * nranks, **run_kwargs
+            case.machine.with_nodes(plan.nranks), [program] * plan.nranks,
+            **run_kwargs,
         )
-        if not shared_state:
-            # Bring the driver's own world copy up to the chunk end.
-            world.advance((first_step + nsteps) * dt)
         return out
 
 

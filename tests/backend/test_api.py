@@ -7,7 +7,6 @@ import pytest
 from repro.backend import (
     BackendResult,
     BackendUnavailable,
-    CommProtocol,
     ExecutionBackend,
     SimBackend,
     available_backends,
@@ -16,14 +15,12 @@ from repro.backend import (
     register_backend,
 )
 from repro.machine import sp2
-from repro.machine.simmpi import Comm
 
 
 def test_sim_always_available():
     assert "sim" in available_backends()
     engine = get_backend("sim")
     assert isinstance(engine, SimBackend)
-    assert engine.shared_state is True
     assert engine.measured is False
 
 
@@ -58,31 +55,6 @@ def test_unavailable_backend_raises_typed():
         from repro.backend.api import _REGISTRY
 
         _REGISTRY.pop("never", None)
-
-
-def test_comm_satisfies_backend_protocol():
-    """The rank-facing Comm surface is exactly what backends promise."""
-    for name in (
-        "rank",
-        "size",
-        "send",
-        "recv",
-        "irecv",
-        "wait",
-        "iprobe",
-        "allreduce",
-        "barrier",
-        "bcast",
-        "gather",
-        "compute",
-        "set_phase",
-        "now",
-    ):
-        assert hasattr(Comm, name) or name in ("rank", "size"), name
-    # Protocol membership is checked structurally on an instance.
-    comm = Comm.__new__(Comm)
-    comm.rank, comm.size = 0, 1
-    assert isinstance(comm, CommProtocol)
 
 
 def test_run_spmd_defaults_to_machine_nodes():

@@ -1,4 +1,4 @@
-"""CommProtocol conformance: one battery, every execution engine.
+"""Comm conformance: one battery, every execution engine.
 
 The three engines (``sim``, ``mp``, ``cluster``) promise the *same*
 communication semantics — per-source FIFO ordering, wildcard receive,

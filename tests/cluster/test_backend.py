@@ -72,7 +72,6 @@ def test_registry_lists_cluster():
 def test_capability_flags(engine):
     assert engine.name == "cluster"
     assert engine.measured and engine.elastic
-    assert not engine.shared_state
 
 
 def test_ring_and_warm_pool_reuse(engine):

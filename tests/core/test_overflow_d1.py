@@ -72,24 +72,27 @@ class TestLazyWorldPrep:
         cfg = airfoil_case(machine=sp2(nodes=4), scale=0.1)
         world = _WorldState(cfg)
         world.advance(3 * cfg.dt)
-        assert world._igbps == {}
+        assert world.memo == {}
         part = build_partition([g.dims for g in cfg.grids], 4)
         iblanks = cut_holes(world.grids)
         for rank in range(part.nprocs):
             gi = part.grid_of_rank(rank)
-            seen = set(world._igbps)
+            seen = set(world.memo)
             flat, pts = world.own_igbps(part, rank)
-            assert set(world._igbps) == seen | {gi}
+            assert set(world.memo) == seen | {gi}
             eager = find_igbps(
                 world.grids[gi], gi, iblanks[gi], cfg.fringe_layers
             )
-            memo = world._igbps[gi]
+            memo = world.memo[gi]
             assert np.array_equal(memo.flat_indices, eager.flat_indices)
             assert np.array_equal(memo.points, eager.points)
             assert np.isin(flat, eager.flat_indices).all()
             assert np.array_equal(pts, world.grids[gi].points_flat()[flat])
+        # Every rank calls advance; only a real move empties the memo.
+        world.advance(3 * cfg.dt)
+        assert set(world.memo) == set(range(len(cfg.grids)))
         world.restore(0.0, [g.xyz for g in cfg.grids])
-        assert world._igbps == {}
+        assert world.memo == {}
 
     def test_hole_cutting_runs_inside_the_dcf3d_phase(self, monkeypatch):
         """Barriers fence the phases, so between a rank's

@@ -8,8 +8,10 @@ only one of them shows is a bug in the seam.
 
 import pytest
 
+from repro.backend import SimBackend
 from repro.backend.mp import mp_available
 from repro.cases import airfoil_case
+from repro.cluster.shipping import load_program, ship_program
 from repro.core import build_driver
 from repro.machine import sp2
 from repro.machine.faults import RankFailure
@@ -104,6 +106,34 @@ def test_recovery_episode_order_in_trace(target):
     ]
     assert episode == sorted(episode)
     assert episode[0] < episode[-1]
+
+
+class _Capture(SimBackend):
+    """The simulator, keeping the rank programs it was handed."""
+
+    def __init__(self):
+        self.programs = []
+
+    def run(self, machine, programs, **kw):
+        self.programs.append(programs[0])
+        return super().run(machine, programs, **kw)
+
+
+def test_rank_program_ships_with_one_world(target):
+    """A cluster node rebuilds a rank program from its shipped closure.
+    The cells travel as one pickle — so the world and the case stay one
+    object, as under fork — only while none of them is a local
+    function; a second copy of the world would see grids that never
+    move and a second copy of the cache would never warm."""
+    engine = _Capture()
+    build_driver(target, backend=engine).run()
+    program = load_program(ship_program(engine.programs[-1]))
+    cells = dict(zip(
+        program.__code__.co_freevars,
+        (c.cell_contents for c in program.__closure__),
+    ))
+    world, case = cells["world"], cells.get("cfg") or cells["case"]
+    assert (getattr(world, "config", None) or world.case) is case
 
 
 def test_downtime_accounting(target):
