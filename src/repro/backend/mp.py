@@ -40,11 +40,12 @@ scheduler dispatches, against real transport:
   its ranks through the same two classes; there a destination without
   a local inbox is off-host and its frames leave through the worker's
   uplink pipe (:meth:`_Engine._transmit` is the one transmit site).
-* **one ordered event log** — a traced worker records through the
-  ``Tracer`` API into an :class:`repro.obs.tracer.EventLog`; the log
-  rides the ``done`` payload and the parent replays it in recording
-  order, ranks ascending, so a step-detecting tracer (the trace
-  store's per-step index) sees what it sees on ``sim``.
+* **one ordered event log** — a traced worker records into an
+  :class:`repro.obs.tracer.EventLog`, the same recording path every
+  tracer shares; the log rides the ``done`` payload and the parent
+  extends its own tracer with it (``tracer.extend(log)``), ranks
+  ascending, so a step-detecting tracer (the trace store's per-step
+  index) sees what it sees on ``sim``.
 
 Time is **measured, not modeled**: workers account host wall-clock
 seconds into the standard :class:`repro.machine.metrics.RankMetrics`
@@ -80,7 +81,7 @@ from repro.machine.event import Mailbox, Message
 from repro.machine.faults import RankFailure
 from repro.machine.metrics import MachineMetrics, RankMetrics
 from repro.machine.simmpi import Comm
-from repro.obs.tracer import EventLog, Tracer
+from repro.obs.tracer import EventLog
 
 __all__ = [
     "MpBackend",
@@ -242,7 +243,7 @@ class _Engine:
         self.metrics = metrics
         self.mailbox = Mailbox()
         self.phase = "default"
-        self.tracer: Tracer | None = EventLog() if trace else None
+        self.tracer: EventLog | None = EventLog() if trace else None
         self._seq = 0       # sender-local: strictly increasing per sender
         self._arrival = 0   # receiver-local arrival ordinal
         self._clock0 = start_clock
@@ -716,12 +717,12 @@ class ChunkOutcome:
     def clean(self) -> bool:
         return not (self.pending or self.errors or self.failed)
 
-    def result(self, tracer: Any) -> BackendResult:
+    def result(self, tracer: EventLog | None) -> BackendResult:
         """The chunk's ending: re-raise the lowest failing rank's own
         exception (traceback attached as a note), else raise
         :class:`RankFailure`, else unpack the ``done`` payloads —
-        replaying each rank's event log into ``tracer`` (None: tracing
-        is off) in recording order, ranks ascending."""
+        extending ``tracer`` (None: tracing is off) with each rank's
+        event log, ranks ascending."""
         if self.errors:
             rank = min(self.errors)
             blob, tb = self.errors[rank]
@@ -750,7 +751,7 @@ class ChunkOutcome:
         for rank in sorted(self.done):
             returns[rank], ranks[rank], log = pickle.loads(self.done[rank])
             if log is not None and tracer is not None:
-                log.replay(tracer)
+                tracer.extend(log)
         metrics = MachineMetrics(ranks)
         return BackendResult(
             elapsed=metrics.elapsed,
@@ -799,12 +800,9 @@ def check_measured_run(
         raise ValueError(
             f"initial_metrics has {len(initial_metrics)} entries for {n} ranks"
         )
-    trace_enabled = tracer is not None and getattr(tracer, "enabled", False)
-    if trace_enabled and getattr(tracer, "clock", "virtual") == "virtual":
-        try:
-            tracer.clock = "wall"
-        except AttributeError:  # pragma: no cover - exotic tracer
-            pass
+    trace_enabled = tracer is not None and tracer.enabled
+    if trace_enabled:
+        tracer.clock = "wall"
     return n, trace_enabled
 
 

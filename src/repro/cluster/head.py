@@ -242,8 +242,8 @@ class ClusterSupervisor:
         tracer: Any,
         timeout: float | None,
     ) -> BackendResult:
-        """Run one chunk to completion and return its result, replaying
-        the ranks' trace events into ``tracer`` (None: tracing is off).
+        """Run one chunk to completion and return its result, extending
+        ``tracer`` with the ranks' event logs (None: tracing is off).
 
         Ends as every measured chunk does (:class:`ChunkOutcome`): the
         worker's own exception for a program error (lowest rank wins,

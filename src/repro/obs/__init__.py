@@ -6,11 +6,14 @@ connectivity, received-IGBP counts I(p), and load-imbalance factors
 f(p) = I(p)/Ibar.  This subpackage is the instrumentation layer that
 produces those series from the simulated machine:
 
-* :mod:`tracer` — span-event recording (:class:`SpanTracer`) with a
-  zero-cost disabled path (:class:`NullTracer` / ``tracer=None``); the
-  scheduler emits one span per primitive (compute, message injection,
-  blocked-receive wait, poll) tagged with rank, phase, virtual begin
-  and end times, flops and bytes;
+* :mod:`tracer` — span-event recording with a zero-cost disabled path
+  (:class:`NullTracer` / ``tracer=None``); the scheduler emits one span
+  per primitive (compute, message injection, blocked-receive wait,
+  poll) tagged with rank, phase, virtual begin and end times, flops and
+  bytes.  One log, two sinks: every recorder is an ``EventLog`` (one
+  ordered ``(kind, fields)`` list), :class:`SpanTracer` reads it per
+  kind and :class:`StoreTracer` drains it to disk; mp / cluster
+  workers ship their log and the parent extends its tracer with it;
 * :mod:`rollup` — derived per-rank/per-phase aggregates
   (:class:`PhaseRollup`, the Table-4-style breakdown) and the I(p) /
   f(p) series (:class:`IgbpRollup`) consumed by

@@ -8,14 +8,7 @@ existing exporters and analyzers.  See ``docs/observability.md`` for
 the on-disk format.
 """
 
-from repro.obs.store.codec import (
-    KIND_MARK,
-    KIND_OP,
-    KIND_PHASE,
-    KIND_RECV,
-    KIND_SEND,
-    StoreCodecError,
-)
+from repro.obs.store.codec import StoreCodecError
 from repro.obs.store.reader import (
     StoreReader,
     TailReader,
@@ -33,6 +26,13 @@ from repro.obs.store.writer import (
     INDEX_NAME,
     STORE_FORMAT,
     StoreTracer,
+)
+from repro.obs.tracer import (
+    KIND_MARK,
+    KIND_OP,
+    KIND_PHASE,
+    KIND_RECV,
+    KIND_SEND,
 )
 
 __all__ = [

@@ -27,13 +27,11 @@ from __future__ import annotations
 import struct
 import zlib
 
+from repro.obs.tracer import KIND_MARK, KIND_OP, KIND_PHASE
+from repro.obs.tracer import KIND_RECV, KIND_SEND
+
 __all__ = [
     "FRAME_HEADER",
-    "KIND_MARK",
-    "KIND_OP",
-    "KIND_PHASE",
-    "KIND_RECV",
-    "KIND_SEND",
     "RECORD_FIELDS",
     "StoreCodecError",
     "decode_record",
@@ -47,15 +45,9 @@ __all__ = [
 #: struct layout of the frame header: payload length, payload crc32.
 FRAME_HEADER = struct.Struct("<II")
 
-# Record kind bytes (also the reader's dispatch key).
-KIND_OP = 1
-KIND_PHASE = 2
-KIND_MARK = 3
-KIND_SEND = 4
-KIND_RECV = 5
-
-#: Field count per record kind (after the kind byte and seq varint),
-#: mirroring the SpanTracer tuple layouts.
+#: Field count per record kind byte (the tracer's ``KIND_*`` event
+#: codes), after the kind byte and seq varint, mirroring the SpanTracer
+#: tuple layouts.
 RECORD_FIELDS = {
     KIND_OP: 7,     # rank, phase, kind, t0, t1, flops, nbytes
     KIND_PHASE: 3,  # rank, t, name

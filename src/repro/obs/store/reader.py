@@ -4,8 +4,8 @@ Three consumers, three shapes:
 
 :func:`load_store`
     Reconstruct the exact :class:`~repro.obs.tracer.SpanTracer` view of
-    a finished store — merge every shard by global sequence number and
-    replay into a fresh tracer.  Everything downstream (Chrome-trace
+    a finished store — merge every shard by global sequence number into
+    a fresh tracer's event log.  Everything downstream (Chrome-trace
     exporter, rollup CSV, critical path, ``repro trace-diff``) consumes
     the result unchanged and byte-identically to the in-memory path.
 
@@ -31,18 +31,12 @@ import json
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.obs.store.codec import (
-    KIND_MARK,
-    KIND_OP,
-    KIND_PHASE,
-    KIND_RECV,
-    KIND_SEND,
-    read_frame,
-)
 from repro.obs.store.codec import decode_record as _decode_record
+from repro.obs.store.codec import read_frame
 from repro.obs.store.segment import (
     StoreCorruptionError,
     iter_segment_records,
+    read_segment,
     shard_segments,
 )
 from repro.obs.store.writer import INDEX_NAME, STORE_FORMAT
@@ -180,24 +174,15 @@ class StoreReader:
         return heapq.merge(*streams)
 
     def to_tracer(self, from_step: int | None = None) -> SpanTracer:
-        """Replay the merged stream into an in-memory SpanTracer."""
+        """The merged stream as an in-memory SpanTracer's event log."""
         tracer = SpanTracer()
         if self.index is not None:
             tracer.clock = self.index.get("clock", "virtual")
             tracer._offset = float(self.index.get("offset", 0.0))
-        for _seq, kind, fields in self.iter_records(from_step=from_step):
-            if kind == KIND_OP:
-                tracer.ops.append(tuple(fields))
-            elif kind == KIND_PHASE:
-                tracer.phase_marks.append(tuple(fields))
-            elif kind == KIND_MARK:
-                tracer.marks.append(tuple(fields))
-            elif kind == KIND_SEND:
-                tracer.sends.append(tuple(fields))
-            elif kind == KIND_RECV:
-                tracer.recvs.append(tuple(fields))
-            else:  # pragma: no cover - codec rejects unknown kinds first
-                raise StoreCorruptionError(f"unknown record kind {kind}")
+        tracer.events.extend(
+            (kind, tuple(fields))
+            for _seq, kind, fields in self.iter_records(from_step=from_step)
+        )
         return tracer
 
     @property
@@ -219,11 +204,12 @@ class TailReader:
     """Incrementally tail a store that may still be growing.
 
     Keeps one cursor per shard: the segment currently being read and
-    the byte offset of the next frame.  A shard's cursor only advances
-    past a segment once the *next* numbered segment exists (rotation
-    means the previous file is sealed); an incomplete or CRC-failing
-    frame at the current position is treated as in-flight and retried
-    on the next poll.
+    the byte offset of the next frame, from which each poll reads, so a
+    refresh costs the bytes appended since the last one.  A shard's
+    cursor only advances past a segment once the *next* numbered segment
+    exists (rotation means the previous file is sealed); an incomplete
+    or CRC-failing frame at the current position is treated as in-flight
+    and retried on the next poll.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -246,8 +232,8 @@ class TailReader:
                 path = by_index.get(cursor[0])
                 if path is None:
                     break
-                buf = path.read_bytes()
-                off = cursor[1]
+                buf = read_segment(path, cursor[1])
+                off = 0
                 while off < len(buf):
                     payload, off2 = read_frame(buf, off)
                     if payload is None:
@@ -255,7 +241,7 @@ class TailReader:
                     kind, seq, fields = _decode_record(payload)
                     out.append((seq, kind, fields))
                     off = off2
-                cursor[1] = off
+                cursor[1] += off
                 # Advance to the next segment only once it exists:
                 # rotation guarantees the current file is sealed then.
                 if cursor[0] + 1 in by_index and off >= len(buf):

@@ -38,6 +38,7 @@ __all__ = [
     "SegmentWriter",
     "StoreCorruptionError",
     "iter_segment_records",
+    "read_segment",
     "segment_path",
     "shard_segments",
 ]
@@ -72,6 +73,13 @@ def shard_segments(directory: Path) -> dict[str, list[Path]]:
     }
 
 
+def read_segment(path: Path, start: int = 0) -> bytes:
+    """The bytes of one segment file from byte ``start`` on."""
+    with open(path, "rb") as f:
+        f.seek(start)
+        return f.read()
+
+
 def iter_segment_records(
     path: Path, last: bool = True, start: int = 0
 ) -> Iterator[tuple[int, int, list]]:
@@ -81,17 +89,19 @@ def iter_segment_records(
     CRC-failing tail frame a silent stop — the crash-recovery contract.
     On interior segments the same condition raises
     :class:`StoreCorruptionError`.  ``start`` skips to a byte offset
-    (must be a frame boundary, e.g. from the index's per-step offsets).
+    (must be a frame boundary, e.g. from the index's per-step offsets);
+    only the bytes from there on are read.
     """
-    buf = path.read_bytes()
-    off = start
+    buf = read_segment(path, start)
+    off = 0
     while off < len(buf):
         payload, off2 = read_frame(buf, off)
         if payload is None:
             if last:
                 return  # truncated tail: drop it
             raise StoreCorruptionError(
-                f"{path}: corrupt frame at byte {off} in a non-final segment"
+                f"{path}: corrupt frame at byte {start + off} in a "
+                f"non-final segment"
             )
         try:
             yield decode_record(payload)

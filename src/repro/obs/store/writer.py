@@ -1,18 +1,18 @@
 """StoreTracer: the streaming, sharded counterpart of SpanTracer.
 
-Implements the full :class:`repro.obs.tracer.Tracer` API, so every
-producer — the simulated scheduler, the mp/cluster trace-merge path,
-serve's per-job tracer — works unchanged.  Instead of accumulating
-events in Python lists it appends framed binary records to per-rank
-segment files (:mod:`repro.obs.store.segment`): op/phase records go to
-the rank's shard, sends to the source rank's shard, recvs to the
-receiving rank's shard, and rank-less driver marks to the ``driver``
-shard.  Memory is bounded by one flush buffer per shard regardless of
-run length.
+An :class:`repro.obs.tracer.EventLog` like every recorder, so every
+producer — the simulated scheduler, the mp/cluster parent extending it
+with its workers' logs, serve's per-job tracer — works unchanged.
+Instead of keeping the log it drains it to per-rank segment files
+(:mod:`repro.obs.store.segment`) as framed binary records: op/phase
+records go to the rank's shard, sends to the source rank's shard, recvs
+to the receiving rank's shard, and rank-less driver marks to the
+``driver`` shard.  Memory is bounded by one flush buffer per shard plus
+at most :data:`DRAIN_EVENTS` pending events, regardless of run length.
 
-Every record carries a **global sequence number** assigned under the
-store lock, so a reader merging the shards by sequence recovers the
-exact order SpanTracer would have recorded — which is what makes the
+Every record carries a **global sequence number** assigned in drain
+order, so a reader merging the shards by sequence recovers the exact
+order SpanTracer would have recorded — which is what makes the
 reconstructed view (and everything exported from it) byte-identical to
 the in-memory path.
 
@@ -34,19 +34,14 @@ import threading
 from pathlib import Path
 from typing import Any
 
-from repro.obs.store.codec import (
-    KIND_MARK,
-    KIND_OP,
-    KIND_PHASE,
-    KIND_RECV,
-    KIND_SEND,
-)
 from repro.obs.store.segment import (
     DEFAULT_FLUSH_BYTES,
     DEFAULT_SEGMENT_BYTES,
     SegmentWriter,
 )
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import (
+    KIND_OP, KIND_PHASE, EventLog, event_ranks, shifted,
+)
 
 __all__ = ["StoreTracer", "INDEX_NAME", "STORE_FORMAT", "DRIVER_SHARD"]
 
@@ -62,9 +57,18 @@ DRIVER_SHARD = "driver"
 #: Default phase name whose entry starts a new solver step.
 DEFAULT_STEP_PHASE = "overflow"
 
+#: Pending events that force a drain to the shard buffers.
+DRAIN_EVENTS = 1024
 
-class StoreTracer(Tracer):
+
+class StoreTracer(EventLog):
     """Streaming tracer writing a sharded segment store.
+
+    Recorded events wait in ``events``, without the trace offset, until
+    a drain writes them: at :meth:`flush`, :meth:`advance`,
+    :meth:`close`, every ``flush_every`` records and whenever
+    :data:`DRAIN_EVENTS` are pending.  Every drain precedes an offset
+    change, so one offset covers the whole batch.
 
     Parameters
     ----------
@@ -90,8 +94,6 @@ class StoreTracer(Tracer):
         per-shard byte threshold.
     """
 
-    enabled = True
-
     def __init__(
         self,
         directory: str | Path,
@@ -103,6 +105,7 @@ class StoreTracer(Tracer):
         fresh: bool = False,
         flush_every: int = 0,
     ) -> None:
+        super().__init__()
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         existing = sorted(
@@ -126,7 +129,6 @@ class StoreTracer(Tracer):
         self.closed = False
         self._lock = threading.RLock()
         self._seq = 0
-        self._offset = 0.0
         self._advances: list[float] = []
         self._writers: dict[str, SegmentWriter] = {}
         self._max_rank = -1
@@ -135,168 +137,108 @@ class StoreTracer(Tracer):
         self._index_gen = 0
         self._published_gen = 0
 
-    # -- shard plumbing -------------------------------------------------
-
-    def _writer(self, shard: str) -> SegmentWriter:
-        writer = self._writers.get(shard)
-        if writer is None:
-            writer = SegmentWriter(
-                self.directory,
-                shard,
-                segment_bytes=self.segment_bytes,
-                flush_bytes=self.flush_bytes,
-            )
-            self._writers[shard] = writer
-        return writer
-
-    def _append(
-        self, shard: str, kind: int, fields: tuple
-    ) -> tuple[int, str] | None:
-        """Append one record; returns an index snapshot to publish when
-        the ``flush_every`` cadence fires (caller writes it to disk
-        *after* releasing the lock)."""
-        if self.closed:
-            raise RuntimeError("trace store is closed")
-        writer = self._writer(shard)
-        writer.append(kind, self._seq, fields)
-        self._seq += 1
-        if self.flush_every and self._seq % self.flush_every == 0:
-            for w in self._writers.values():
-                w.flush()
-            return self._snapshot_index(complete=False)
-        return None
-
-    def _saw_rank(self, *ranks: int) -> None:
-        for rank in ranks:
-            if rank > self._max_rank:
-                self._max_rank = rank
-
-    # -- step / rollup accounting ---------------------------------------
-
-    def _step_entry(self, step: int) -> dict[str, Any]:
-        while len(self._steps) <= step:
-            self._steps.append(
-                {
-                    "step": len(self._steps),
-                    "starts": {},
-                    "t0": None,
-                    "t1": None,
-                    "phase_time": {},
-                    "kind_time": {},
-                }
-            )
-        return self._steps[step]
-
     # -- recording ------------------------------------------------------
 
-    def op(
-        self,
-        rank: int,
-        phase: str,
-        kind: str,
-        t0: float,
-        t1: float,
-        flops: float = 0.0,
-        nbytes: int = 0,
-    ) -> None:
-        off = self._offset
+    # EventLog's calls, named in this class body as well so per-class
+    # instrumentation (``benchmarks/perf/layers.py``) can wrap them here.
+    op = EventLog.op
+    phase = EventLog.phase
+    mark = EventLog.mark
+    send = EventLog.send
+    recv = EventLog.recv
+
+    def _record(self, kind: int, fields: tuple) -> None:
+        """Queue one unshifted event; drain at the bound, and sync to
+        disk when the record count reaches the ``flush_every`` cadence."""
         with self._lock:
-            self._saw_rank(rank)
-            snapshot = self._append(
-                str(rank),
-                KIND_OP,
-                (rank, phase, kind, t0 + off, t1 + off, flops, nbytes),
-            )
-            step = self._step_of_rank.get(rank, -1)
-            if step >= 0:
-                entry = self._steps[step]
-                span = t1 - t0
-                key = str(rank)
-                for bucket, name in (
-                    (entry["phase_time"], phase),
-                    (entry["kind_time"], kind),
-                ):
-                    per_rank = bucket.setdefault(name, {})
-                    per_rank[key] = per_rank.get(key, 0.0) + span
-                if entry["t0"] is None or t0 + off < entry["t0"]:
-                    entry["t0"] = t0 + off
-                if entry["t1"] is None or t1 + off > entry["t1"]:
-                    entry["t1"] = t1 + off
+            if self.closed:
+                raise RuntimeError("trace store is closed")
+            self.events.append((kind, fields))
+            pending = len(self.events)
+            every = self.flush_every
+            if not every or (self._seq + pending) % every:
+                if pending >= DRAIN_EVENTS:
+                    self._drain()
+                return
+            snapshot = self._sync()
         self._publish_index(snapshot)
 
-    def phase(self, rank: int, t: float, name: str) -> None:
-        with self._lock:
-            self._saw_rank(rank)
-            shard = str(rank)
-            if name == self.step_phase:
-                step = self._step_of_rank.get(rank, -1) + 1
-                self._step_of_rank[rank] = step
-                entry = self._step_entry(step)
+    def _drain(self) -> None:
+        """Write every pending event to its shard's buffer, in order:
+        shard routing, global seq, step detection, per-step rollup and
+        the encoded record.  Caller holds the lock."""
+        off = self._offset
+        for kind, fields in self.events:
+            ranks = event_ranks(kind, fields)
+            self._max_rank = max((self._max_rank, *ranks))
+            shard = str(ranks[0]) if ranks else DRIVER_SHARD
+            writer = self._writers.get(shard)
+            if writer is None:
+                writer = self._writers[shard] = SegmentWriter(
+                    self.directory, shard, self.segment_bytes, self.flush_bytes
+                )
+            if kind == KIND_PHASE and fields[2] == self.step_phase:
+                step = self._step_of_rank.get(fields[0], -1) + 1
+                self._step_of_rank[fields[0]] = step
+                if step == len(self._steps):
+                    self._steps.append({
+                        "step": step, "starts": {}, "t0": None, "t1": None,
+                        "phase_time": {}, "kind_time": {},
+                    })
                 # Offset of the phase record itself, so reading a step
                 # from its start yields the opening phase mark too.
-                seg, byte = self._writer(shard).position()
-                entry["starts"][shard] = [seg, byte]
-            snapshot = self._append(
-                shard, KIND_PHASE, (rank, t + self._offset, name)
-            )
-        self._publish_index(snapshot)
+                self._steps[step]["starts"][shard] = list(writer.position())
+            elif kind == KIND_OP:
+                self._roll_up(fields, off)
+            writer.append(kind, self._seq, shifted(kind, fields, off))
+            self._seq += 1
+        self.events.clear()
 
-    def mark(self, t: float, name: str, **args: Any) -> None:
-        with self._lock:
-            snapshot = self._append(
-                DRIVER_SHARD, KIND_MARK, (t + self._offset, name, dict(args))
-            )
-        self._publish_index(snapshot)
-
-    def send(
-        self, t: float, src: int, dst: int, tag: int, nbytes: int, phase: str
-    ) -> None:
-        with self._lock:
-            self._saw_rank(src, dst)
-            snapshot = self._append(
-                str(src),
-                KIND_SEND,
-                (t + self._offset, src, dst, tag, nbytes, phase),
-            )
-        self._publish_index(snapshot)
-
-    def recv(
-        self, t: float, rank: int, src: int, tag: int, nbytes: int, phase: str
-    ) -> None:
-        with self._lock:
-            self._saw_rank(rank, src)
-            snapshot = self._append(
-                str(rank),
-                KIND_RECV,
-                (t + self._offset, rank, src, tag, nbytes, phase),
-            )
-        self._publish_index(snapshot)
+    def _roll_up(self, fields: tuple, off: float) -> None:
+        """Add one unshifted op span to its rank's current step."""
+        rank, phase, kind, t0, t1 = fields[:5]
+        step = self._step_of_rank.get(rank, -1)
+        if step < 0:
+            return
+        entry = self._steps[step]
+        span = t1 - t0
+        key = str(rank)
+        for bucket, name in ((entry["phase_time"], phase),
+                             (entry["kind_time"], kind)):
+            per_rank = bucket.setdefault(name, {})
+            per_rank[key] = per_rank.get(key, 0.0) + span
+        if entry["t0"] is None or t0 + off < entry["t0"]:
+            entry["t0"] = t0 + off
+        if entry["t1"] is None or t1 + off > entry["t1"]:
+            entry["t1"] = t1 + off
 
     # -- epoch plumbing -------------------------------------------------
 
-    @property
-    def offset(self) -> float:
-        return self._offset
-
     def advance(self, dt: float) -> None:
-        if dt < 0:
-            raise ValueError(f"cannot advance the trace origin by {dt}")
         with self._lock:
-            self._offset += dt
+            self._drain()
+            super().advance(dt)
             self._advances.append(dt)
-            for writer in self._writers.values():
-                writer.flush()
-            snapshot = self._snapshot_index(complete=False)
+            snapshot = self._sync()
         self._publish_index(snapshot)
 
     # -- lifecycle ------------------------------------------------------
 
+    def _sync(self, complete: bool = False) -> tuple[int, str]:
+        """Drain, flush (or seal) every shard and snapshot the index.
+        Caller holds the lock and publishes the snapshot after it."""
+        self._drain()
+        for writer in self._writers.values():
+            if complete:
+                writer.close()
+            else:
+                writer.flush()
+        return self._snapshot_index(complete)
+
     def flush(self) -> None:
         """Flush every shard buffer and rewrite the index atomically."""
         with self._lock:
-            for writer in self._writers.values():
-                writer.flush()
-            snapshot = self._snapshot_index(complete=False)
+            snapshot = self._sync()
         self._publish_index(snapshot)
 
     def close(self) -> None:
@@ -304,9 +246,7 @@ class StoreTracer(Tracer):
         with self._lock:
             if self.closed:
                 return
-            for writer in self._writers.values():
-                writer.close()
-            snapshot = self._snapshot_index(complete=True)
+            snapshot = self._sync(complete=True)
             self.closed = True
         self._publish_index(snapshot)
 
@@ -321,12 +261,15 @@ class StoreTracer(Tracer):
     @property
     def nranks(self) -> int:
         """Number of ranks seen across all five event streams."""
-        return self._max_rank + 1
+        with self._lock:
+            self._drain()
+            return self._max_rank + 1
 
     @property
     def records(self) -> int:
-        """Total records appended so far."""
-        return self._seq
+        """Total records recorded so far (written or pending)."""
+        with self._lock:
+            return self._seq + len(self.events)
 
     @property
     def max_buffered_bytes(self) -> int:
@@ -344,13 +287,21 @@ class StoreTracer(Tracer):
                 1 for w in self._writers.values() if w._file is not None
             )
 
-    def index_payload(self, complete: bool) -> dict[str, Any]:
-        return {
+    def _snapshot_index(self, complete: bool) -> tuple[int, str]:
+        """Serialize the index under the lock; caller publishes outside.
+
+        Returns ``(generation, json text)``.  Serialization must happen
+        while the lock is held (the payload reads writer state), but
+        the disk write must not — with ``flush_every`` active every
+        recording thread would otherwise stall behind index I/O.
+        """
+        self._index_gen += 1
+        payload = {
             "format": STORE_FORMAT,
             "clock": self.clock,
             "complete": complete,
             "records": self._seq,
-            "nranks": self.nranks,
+            "nranks": self._max_rank + 1,
             "offset": self._offset,
             "advances": list(self._advances),
             "step_phase": self.step_phase,
@@ -361,22 +312,10 @@ class StoreTracer(Tracer):
             },
             "meta": self.meta,
         }
-
-    def _snapshot_index(self, complete: bool) -> tuple[int, str]:
-        """Serialize the index under the lock; caller publishes outside.
-
-        Returns ``(generation, json text)``.  Serialization must happen
-        while the lock is held (the payload reads writer state), but
-        the disk write must not — with ``flush_every`` active every
-        recording thread would otherwise stall behind index I/O.
-        """
-        self._index_gen += 1
-        text = json.dumps(
-            self.index_payload(complete), sort_keys=True, indent=1
-        ) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
         return self._index_gen, text
 
-    def _publish_index(self, snapshot: tuple[int, str] | None) -> None:
+    def _publish_index(self, snapshot: tuple[int, str]) -> None:
         """Atomically install an index snapshot, newest-wins.
 
         The tmp file is written with no lock held; the cheap rename is
@@ -384,8 +323,6 @@ class StoreTracer(Tracer):
         newer snapshot (in particular, ``close()``'s ``complete`` index
         always survives).
         """
-        if snapshot is None:
-            return
         gen, text = snapshot
         tmp = self.directory / f"{INDEX_NAME}.{gen}.tmp"
         tmp.write_text(text, encoding="utf-8")
@@ -399,6 +336,6 @@ class StoreTracer(Tracer):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"StoreTracer({self.directory}, {self._seq} records, "
+            f"StoreTracer({self.directory}, {self.records} records, "
             f"{len(self._writers)} shards)"
         )

@@ -7,28 +7,37 @@ disabled path costs one pointer comparison and allocates nothing —
 benchmark virtual times are bit-identical with tracing on or off
 (asserted by the golden-trace tests).
 
-Five event kinds are kept, all in *virtual seconds*:
+Five event kinds are kept, all in *virtual seconds*, each with a kind
+code (``KIND_*``, also the record kind byte of the segment store):
 
-``op`` spans
+``op`` spans (:data:`KIND_OP`)
     ``(rank, phase, kind, t0, t1, flops, nbytes)`` — one per scheduler
     primitive.  ``kind`` is ``compute`` (charged arithmetic), ``comm``
     (message injection / polling; the sender-side cost) or ``wait``
     (blocked receive; ``t1 - t0`` is the idle time, ``nbytes`` the size
     of the message that ended it).
-``phase`` marks
+``phase`` marks (:data:`KIND_PHASE`)
     ``(rank, t, name)`` — emitted at every ``Comm.set_phase``.
-``mark`` instants
+``mark`` instants (:data:`KIND_MARK`)
     ``(t, name, args)`` — driver-level annotations (epoch boundaries,
     repartitions).
-``send`` events
+``send`` events (:data:`KIND_SEND`)
     ``(t, src, dst, tag, nbytes, phase)`` — one per message injection
     (including messages black-holed at failed ranks: the sender still
     paid).  These feed :class:`repro.obs.perf.CommMatrix`.
-``recv`` events
+``recv`` events (:data:`KIND_RECV`)
     ``(t, rank, src, tag, nbytes, phase)`` — one per message actually
     consumed (blocking recv, successful tryrecv, or drain).  These let
     :mod:`repro.obs.perf.critical_path` blame wait spans on the sender
     whose message ended them.
+
+There is one recording path.  Every recorder is an :class:`EventLog`:
+each of the five calls builds its kind's tuple and hands it to one
+``_record``, which appends ``(kind, fields)`` to ``events`` in recording
+order.  :class:`SpanTracer` reads that log per kind; the segment store's
+``StoreTracer`` drains it to disk; a measured-engine worker ships its
+log and the parent extends its own recorder with it
+(:meth:`EventLog.extend`).
 
 A multi-epoch run (the driver restarts the scheduler after each dynamic
 rebalance) calls :meth:`Tracer.advance` between epochs so recorded
@@ -37,12 +46,43 @@ times stay on one continuous virtual axis.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
-__all__ = ["Tracer", "NullTracer", "SpanTracer", "EventLog", "OpEvent"]
+__all__ = [
+    "Tracer", "NullTracer", "EventLog", "SpanTracer", "event_ranks", "shifted",
+    "KIND_OP", "KIND_PHASE", "KIND_MARK", "KIND_SEND", "KIND_RECV",
+]
 
-#: Alias documenting the tuple layout of one ``op`` span.
-OpEvent = tuple  # (rank, phase, kind, t0, t1, flops, nbytes)
+# Event kind codes (the segment store writes them as record kind bytes).
+KIND_OP = 1
+KIND_PHASE = 2
+KIND_MARK = 3
+KIND_SEND = 4
+KIND_RECV = 5
+
+#: The fields of each kind that name a rank, the event's own rank first.
+_RANK_FIELDS = {
+    KIND_OP: slice(0, 1),     # rank
+    KIND_PHASE: slice(0, 1),  # rank
+    KIND_MARK: slice(0, 0),   # rank-less
+    KIND_SEND: slice(1, 3),   # src, dst
+    KIND_RECV: slice(1, 3),   # rank, src
+}
+
+
+def event_ranks(kind: int, fields: tuple) -> tuple:
+    """The ranks an event names, its own rank first (none for a mark)."""
+    return fields[_RANK_FIELDS[kind]]
+
+
+def shifted(kind: int, fields: tuple, off: float) -> tuple:
+    """``fields`` with ``off`` added to every time field."""
+    if kind == KIND_OP:
+        rank, phase, k, t0, t1, flops, nbytes = fields
+        return (rank, phase, k, t0 + off, t1 + off, flops, nbytes)
+    if kind == KIND_PHASE:
+        return (fields[0], fields[1] + off, fields[2])
+    return (fields[0] + off, *fields[1:])
 
 
 class Tracer:
@@ -64,16 +104,8 @@ class Tracer:
 
     # -- recording (called from the scheduler hot path) ----------------
 
-    def op(
-        self,
-        rank: int,
-        phase: str,
-        kind: str,
-        t0: float,
-        t1: float,
-        flops: float = 0.0,
-        nbytes: int = 0,
-    ) -> None:
+    def op(self, rank: int, phase: str, kind: str, t0: float, t1: float,
+           flops: float = 0.0, nbytes: int = 0) -> None:
         """Record one primitive span on ``rank``."""
 
     def phase(self, rank: int, t: float, name: str) -> None:
@@ -107,38 +139,66 @@ class NullTracer(Tracer):
     """Explicitly-disabled tracer; identical to passing ``tracer=None``."""
 
 
-def _recording(name: str) -> Callable[..., None]:
-    def record(self: "EventLog", *fields: Any, **args: Any) -> None:
-        self.events.append((name, fields, args))
-
-    return record
-
-
 class EventLog(Tracer):
-    """One picklable list of ``(call, fields, args)`` in recording
-    order, for replay into another tracer.  A measured-engine worker
-    records here and the parent replays the log, so a step-detecting
-    consumer meets each rank's phase marks before the ops they open."""
+    """One picklable list of ``(kind, fields)`` in recording order.
+
+    ``fields`` is the kind's tuple layout with the trace offset already
+    added to its time fields.  A measured-engine worker records here and
+    the parent passes the shipped log to its recorder's :meth:`extend`,
+    so a step-detecting consumer meets each rank's phase marks before
+    the ops they open.
+    """
 
     enabled = True
 
     def __init__(self) -> None:
-        self.events: list[tuple] = []
+        self.events: list[tuple[int, tuple]] = []
+        self._offset = 0.0
 
-    op = _recording("op")
-    phase = _recording("phase")
-    mark = _recording("mark")
-    send = _recording("send")
-    recv = _recording("recv")
+    # -- recording ------------------------------------------------------
 
-    def replay(self, tracer: Tracer) -> None:
-        """Make the recorded calls on ``tracer``, in recording order."""
-        for name, fields, args in self.events:
-            getattr(tracer, name)(*fields, **args)
+    def op(self, rank: int, phase: str, kind: str, t0: float, t1: float,
+           flops: float = 0.0, nbytes: int = 0) -> None:
+        self._record(KIND_OP, (rank, phase, kind, t0, t1, flops, nbytes))
+
+    def phase(self, rank: int, t: float, name: str) -> None:
+        self._record(KIND_PHASE, (rank, t, name))
+
+    def mark(self, t: float, name: str, **args: Any) -> None:
+        self._record(KIND_MARK, (t, name, args))
+
+    def send(
+        self, t: float, src: int, dst: int, tag: int, nbytes: int, phase: str
+    ) -> None:
+        self._record(KIND_SEND, (t, src, dst, tag, nbytes, phase))
+
+    def recv(
+        self, t: float, rank: int, src: int, tag: int, nbytes: int, phase: str
+    ) -> None:
+        self._record(KIND_RECV, (t, rank, src, tag, nbytes, phase))
+
+    def _record(self, kind: int, fields: tuple) -> None:
+        self.events.append((kind, shifted(kind, fields, self._offset)))
+
+    def extend(self, log: "EventLog") -> None:
+        """Record ``log``'s events here, in its order, at this offset."""
+        for kind, fields in log.events:
+            self._record(kind, fields)
+
+    # -- epoch plumbing -------------------------------------------------
+
+    @property
+    def offset(self) -> float:
+        return self._offset
+
+    def advance(self, dt: float) -> None:
+        if dt < 0:
+            raise ValueError(f"cannot advance the trace origin by {dt}")
+        self._offset += dt
 
 
-class SpanTracer(Tracer):
-    """Accumulates every event in memory.
+class SpanTracer(EventLog):
+    """Accumulates every event in memory, with per-kind views.
 
     Attributes
     ----------
@@ -153,59 +213,32 @@ class SpanTracer(Tracer):
         List of ``(t, src, dst, tag, nbytes, phase)`` message injections.
     recvs:
         List of ``(t, rank, src, tag, nbytes, phase)`` consumptions.
+
+    Each view is derived from ``events`` and caught up incrementally
+    when read.
     """
 
-    enabled = True
-
     def __init__(self) -> None:
-        self.ops: list[tuple] = []
-        self.phase_marks: list[tuple] = []
-        self.marks: list[tuple] = []
-        self.sends: list[tuple] = []
-        self.recvs: list[tuple] = []
-        self._offset = 0.0
+        super().__init__()
+        self._by_kind: dict[int, list[tuple]] = {
+            k: [] for k in (KIND_OP, KIND_PHASE, KIND_MARK, KIND_SEND, KIND_RECV)
+        }
+        self._seen = 0
 
-    # -- recording ------------------------------------------------------
+    def _view(self, kind: int) -> list[tuple]:
+        events = self.events
+        if self._seen < len(events):
+            by_kind = self._by_kind
+            for k, fields in events[self._seen:]:
+                by_kind[k].append(fields)
+            self._seen = len(events)
+        return self._by_kind[kind]
 
-    def op(
-        self,
-        rank: int,
-        phase: str,
-        kind: str,
-        t0: float,
-        t1: float,
-        flops: float = 0.0,
-        nbytes: int = 0,
-    ) -> None:
-        off = self._offset
-        self.ops.append((rank, phase, kind, t0 + off, t1 + off, flops, nbytes))
-
-    def phase(self, rank: int, t: float, name: str) -> None:
-        self.phase_marks.append((rank, t + self._offset, name))
-
-    def mark(self, t: float, name: str, **args: Any) -> None:
-        self.marks.append((t + self._offset, name, dict(args)))
-
-    def send(
-        self, t: float, src: int, dst: int, tag: int, nbytes: int, phase: str
-    ) -> None:
-        self.sends.append((t + self._offset, src, dst, tag, nbytes, phase))
-
-    def recv(
-        self, t: float, rank: int, src: int, tag: int, nbytes: int, phase: str
-    ) -> None:
-        self.recvs.append((t + self._offset, rank, src, tag, nbytes, phase))
-
-    # -- epoch plumbing -------------------------------------------------
-
-    @property
-    def offset(self) -> float:
-        return self._offset
-
-    def advance(self, dt: float) -> None:
-        if dt < 0:
-            raise ValueError(f"cannot advance the trace origin by {dt}")
-        self._offset += dt
+    ops = property(lambda self: self._view(KIND_OP))
+    phase_marks = property(lambda self: self._view(KIND_PHASE))
+    marks = property(lambda self: self._view(KIND_MARK))
+    sends = property(lambda self: self._view(KIND_SEND))
+    recvs = property(lambda self: self._view(KIND_RECV))
 
     # -- derived views --------------------------------------------------
 
@@ -214,24 +247,9 @@ class SpanTracer(Tracer):
         """Number of ranks seen (max rank id + 1), across all five
         event streams — a rank black-holed before its first op span
         still shows up as a send source or destination."""
-        top = -1
-        for e in self.ops:
-            if e[0] > top:
-                top = e[0]
-        for e in self.phase_marks:
-            if e[0] > top:
-                top = e[0]
-        for e in self.sends:  # (t, src, dst, ...)
-            if e[1] > top:
-                top = e[1]
-            if e[2] > top:
-                top = e[2]
-        for e in self.recvs:  # (t, rank, src, ...)
-            if e[1] > top:
-                top = e[1]
-            if e[2] > top:
-                top = e[2]
-        return top + 1
+        return 1 + max(
+            (r for k, f in self.events for r in event_ranks(k, f)), default=-1
+        )
 
     @property
     def t_end(self) -> float:

@@ -1,0 +1,106 @@
+"""Golden pins for the bytes a :class:`StoreTracer` writes.
+
+Per run, the sha256 of every file the store leaves behind (each segment
+and the complete ``index.json``) plus the record and rank counts.  The
+runs cover the default buffering, small segments and flush buffers
+(rotation at many points), a ``flush_every`` cadence, a sanitizer
+recording into the same store, and the off-body driver.  Every run is
+deterministic on the simulator, so any change to record order, shard
+routing, flush points, step detection or the per-step rollup shows up
+as a changed digest.  Regenerate on purpose with
+``python tests/obs/test_golden_store.py``.
+"""
+
+import dataclasses
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from repro.analysis import Sanitizer
+from repro.cases import build_case
+from repro.core import build_driver
+from repro.machine import sp2
+from repro.obs.store import StoreTracer
+from repro.offbody import build_offbody_case, generate_scenario
+
+GOLDEN_PATH = Path(__file__).parent / "golden_store.json"
+
+
+def airfoil():
+    return build_case("airfoil", machine=sp2(nodes=6), scale=0.05, nsteps=3)
+
+
+def store():
+    cfg = build_case(
+        "store", machine=sp2(nodes=18), scale=0.05, nsteps=2, f0=2.0
+    )
+    return dataclasses.replace(cfg, lb_check_interval=1)
+
+
+def debris():
+    return build_offbody_case(
+        generate_scenario("debris", seed=5, nbodies=3), nsteps=4
+    )
+
+
+#: name -> (case builder, StoreTracer keyword arguments, sanitized)
+CASES = {
+    "airfoil-default": (airfoil, {}, False),
+    "airfoil-small-segments": (
+        airfoil, {"segment_bytes": 4096, "flush_bytes": 256}, False
+    ),
+    "store-sanitized": (store, {}, True),
+    "store-flush-every": (
+        store,
+        {"flush_every": 17, "flush_bytes": 512, "segment_bytes": 8192},
+        False,
+    ),
+    "debris-5": (debris, {"segment_bytes": 4096}, False),
+}
+
+
+def record(name: str) -> dict:
+    """File digests and counts of one case's store."""
+    build, kwargs, sanitized = CASES[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        tracer = StoreTracer(tmp, **kwargs)
+        sanitizer = Sanitizer(tracer=tracer) if sanitized else None
+        build_driver(build(), tracer=tracer, sanitizer=sanitizer).run()
+        tracer.close()
+        files = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(Path(tmp).iterdir())
+        }
+    return {"files": files, "records": tracer.records, "nranks": tracer.nranks}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_golden(name):
+    want = json.loads(GOLDEN_PATH.read_text())[name]
+    got = record(name)
+    assert sorted(got["files"]) == sorted(want["files"]), f"{name}: file set"
+    for fname in sorted(want["files"]):
+        assert got["files"][fname] == want["files"][fname], (
+            f"{name}: {fname} drifted"
+        )
+    assert (got["records"], got["nranks"]) == (want["records"], want["nranks"])
+
+
+def test_small_segments_rotate():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    for name in ("airfoil-small-segments", "store-flush-every", "debris-5"):
+        segs = [f for f in golden[name]["files"] if f.endswith(".seg")]
+        assert any(f.endswith("-00001.seg") for f in segs), name
+
+
+def regenerate() -> None:  # pragma: no cover - manual tool
+    doc = {name: record(name) for name in sorted(CASES)}
+    GOLDEN_PATH.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":  # pragma: no cover
+    regenerate()

@@ -8,7 +8,15 @@ from repro.machine import (
     NodeSpec,
     Simulator,
 )
-from repro.obs import NullTracer, SpanTracer, Tracer
+from repro.obs import NullTracer, SpanTracer, StoreTracer, Tracer, load_store
+from repro.obs.tracer import (
+    KIND_MARK,
+    KIND_OP,
+    KIND_PHASE,
+    KIND_RECV,
+    KIND_SEND,
+    EventLog,
+)
 
 
 def make_machine(nodes=2, flops=1e6, latency=1e-4, bandwidth=1e6):
@@ -93,6 +101,69 @@ class TestTracerInterface:
         t.op(0, "flow", "compute", 3.0, 4.0)  # rank idle in between
         spans = t.phase_spans()[0]
         assert len(spans) == 2
+
+
+#: Positions of the time fields in each kind's tuple.
+TIME_FIELDS = {
+    KIND_OP: (3, 4),
+    KIND_PHASE: (1,),
+    KIND_MARK: (0,),
+    KIND_SEND: (0,),
+    KIND_RECV: (0,),
+}
+
+
+def five_kind_log():
+    """One worker-style log holding every event kind once."""
+    log = EventLog()
+    log.phase(0, 0.25, "overflow")
+    log.op(0, "overflow", "compute", 0.25, 1.5, 10.0, 64)
+    log.send(0.5, 0, 1, 7, 64, "overflow")
+    log.recv(0.75, 1, 0, 7, 64, "overflow")
+    log.mark(1.0, "epoch", step=0)
+    return log
+
+
+class TestEventLog:
+    def test_records_every_kind_in_order(self):
+        log = five_kind_log()
+        assert [kind for kind, _ in log.events] == [
+            KIND_PHASE, KIND_OP, KIND_SEND, KIND_RECV, KIND_MARK,
+        ]
+        assert log.events[-1] == (KIND_MARK, (1.0, "epoch", {"step": 0}))
+
+    def test_extend_shifts_every_time_field_by_the_offset(self, tmp_path):
+        log = five_kind_log()
+        span = SpanTracer()
+        span.advance(5.0)
+        span.extend(log)
+        store = StoreTracer(tmp_path)
+        store.advance(5.0)
+        store.extend(log)
+        store.close()
+
+        assert len(span.events) == len(log.events)
+        for (kind, got), (raw_kind, raw) in zip(span.events, log.events):
+            assert kind == raw_kind
+            assert len(got) == len(raw)
+            for i, value in enumerate(raw):
+                want = value + 5.0 if i in TIME_FIELDS[kind] else value
+                assert got[i] == want, (kind, i)
+
+        back = load_store(tmp_path)
+        assert back.events == span.events
+        for view in ("ops", "phase_marks", "marks", "sends", "recvs"):
+            assert getattr(back, view) == getattr(span, view), view
+        assert back.offset == span.offset == 5.0
+        assert back.nranks == span.nranks == 2
+
+    def test_span_views_follow_later_records(self):
+        t = SpanTracer()
+        t.op(0, "a", "compute", 0.0, 1.0)
+        assert len(t.ops) == 1
+        t.extend(five_kind_log())
+        assert len(t.ops) == 2
+        assert t.sends == [(0.5, 0, 1, 7, 64, "overflow")]
 
 
 class TestSchedulerEmission:
