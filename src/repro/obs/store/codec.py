@@ -1,4 +1,4 @@
-"""Binary value codec and record framing for the segment store.
+"""Record encoding and framing for the segment store.
 
 Segment files are sequences of **length-framed records**::
 
@@ -11,19 +11,20 @@ the *final* frame of the *final* segment simply drops that tail — every
 fully-flushed record before it is intact (see
 :func:`repro.obs.store.segment.iter_segment_records`).
 
-The payload is one record: a kind byte, a varint global sequence
-number, and the event's fields encoded with a small tagged value codec
-(:func:`encode_value` / :func:`decode_value`).  The codec round-trips
-exactly the Python values the tracer records — ``None``, ``bool``,
-arbitrary-precision ``int``, ``float`` (binary64, bit-exact), ``str``,
-``bytes``, ``list`` and ``dict`` — so a trace read back from the store
-compares **equal** to the in-memory one, and exporters fed either
-produce byte-identical output.  Tuples are encoded as lists (the
-tracer's tuple layouts are rebuilt by the reader, not the codec).
+The payload is ``marshal.dumps((kind, seq, fields), MARSHAL_VERSION)``:
+the tracer's ``KIND_*`` code, the global sequence number and the event's
+field tuple.  marshal round-trips exactly the values the tracer records
+(``None``, ``bool``, ``int``, bit-exact ``float``, ``str``, ``bytes``,
+``tuple``, ``list``, ``dict``), so a store reads back **equal** to the
+in-memory trace and exporters fed either write identical bytes.  numpy
+scalars are reduced to Python numbers first.  The bytes, not the values,
+also follow object sharing (marshal flags objects referenced elsewhere).
+A store is trusted input, like a pickled checkpoint.
 """
 
 from __future__ import annotations
 
+import marshal
 import struct
 import zlib
 
@@ -32,12 +33,11 @@ from repro.obs.tracer import KIND_RECV, KIND_SEND
 
 __all__ = [
     "FRAME_HEADER",
+    "MARSHAL_VERSION",
     "RECORD_FIELDS",
     "StoreCodecError",
     "decode_record",
-    "decode_value",
     "encode_record",
-    "encode_value",
     "frame",
     "read_frame",
 ]
@@ -45,9 +45,11 @@ __all__ = [
 #: struct layout of the frame header: payload length, payload crc32.
 FRAME_HEADER = struct.Struct("<II")
 
-#: Field count per record kind byte (the tracer's ``KIND_*`` event
-#: codes), after the kind byte and seq varint, mirroring the SpanTracer
-#: tuple layouts.
+#: marshal format version, pinned against the interpreter's default.
+MARSHAL_VERSION = 4
+
+#: Field count per record kind (the tracer's ``KIND_*`` event codes),
+#: mirroring the SpanTracer tuple layouts.
 RECORD_FIELDS = {
     KIND_OP: 7,     # rank, phase, kind, t0, t1, flops, nbytes
     KIND_PHASE: 3,  # rank, t, name
@@ -56,163 +58,31 @@ RECORD_FIELDS = {
     KIND_RECV: 6,   # t, rank, src, tag, nbytes, phase
 }
 
+#: Field types marshal reads back as themselves, no walk needed.
+_PLAIN = frozenset((type(None), bool, int, float, str, bytes))
+
 
 class StoreCodecError(ValueError):
-    """Malformed frame or value encoding (not a truncated tail)."""
+    """Malformed frame or record encoding (not a truncated tail)."""
 
 
-# ----------------------------------------------------------------------
-# varints (unsigned LEB128)
-
-
-def _encode_uvarint(value: int, out: bytearray) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _decode_uvarint(buf: bytes, off: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if off >= len(buf):
-            raise StoreCodecError("truncated varint")
-        byte = buf[off]
-        off += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, off
-        shift += 7
-
-
-# ----------------------------------------------------------------------
-# tagged values
-
-_T_NONE = 0
-_T_FALSE = 1
-_T_TRUE = 2
-_T_INT_POS = 3   # uvarint
-_T_INT_NEG = 4   # uvarint of -value
-_T_FLOAT = 5     # binary64 little-endian
-_T_STR = 6       # uvarint length + utf-8
-_T_BYTES = 7     # uvarint length + raw
-_T_LIST = 8      # uvarint count + values
-_T_DICT = 9      # uvarint count + (key value)*
-
-_F64 = struct.Struct("<d")
-
-
-def encode_value(value: object, out: bytearray) -> None:
-    """Append one tagged value to ``out``."""
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif type(value) is int:
-        if value >= 0:
-            out.append(_T_INT_POS)
-            _encode_uvarint(value, out)
-        else:
-            out.append(_T_INT_NEG)
-            _encode_uvarint(-value, out)
-    elif type(value) is float:
-        out.append(_T_FLOAT)
-        out += _F64.pack(value)
-    elif type(value) is str:
-        raw = value.encode("utf-8")
-        out.append(_T_STR)
-        _encode_uvarint(len(raw), out)
-        out += raw
-    elif type(value) is bytes:
-        out.append(_T_BYTES)
-        _encode_uvarint(len(value), out)
-        out += value
-    elif type(value) in (list, tuple):
-        out.append(_T_LIST)
-        _encode_uvarint(len(value), out)  # type: ignore[arg-type]
-        for item in value:  # type: ignore[union-attr]
-            encode_value(item, out)
-    elif type(value) is dict:
-        out.append(_T_DICT)
-        _encode_uvarint(len(value), out)
-        for key, item in value.items():
-            if type(key) is not str:
-                raise StoreCodecError(
-                    f"dict keys must be str, got {type(key).__name__}"
-                )
-            encode_value(key, out)
-            encode_value(item, out)
-    else:
-        # numpy scalars and friends: reduce to the nearest Python type
-        # so re-reading yields plain numbers (equality still holds).
-        item = getattr(value, "item", None)
-        if callable(item):
-            encode_value(item(), out)
-            return
-        raise StoreCodecError(
-            f"value of type {type(value).__name__} is not storable"
-        )
-
-
-def decode_value(buf: bytes, off: int) -> tuple[object, int]:
-    """Decode one tagged value at ``off``; returns ``(value, next_off)``."""
-    if off >= len(buf):
-        raise StoreCodecError("truncated value")
-    tag = buf[off]
-    off += 1
-    if tag == _T_NONE:
-        return None, off
-    if tag == _T_TRUE:
-        return True, off
-    if tag == _T_FALSE:
-        return False, off
-    if tag == _T_INT_POS:
-        return _decode_uvarint(buf, off)
-    if tag == _T_INT_NEG:
-        value, off = _decode_uvarint(buf, off)
-        return -value, off
-    if tag == _T_FLOAT:
-        if off + 8 > len(buf):
-            raise StoreCodecError("truncated float")
-        return _F64.unpack_from(buf, off)[0], off + 8
-    if tag in (_T_STR, _T_BYTES):
-        length, off = _decode_uvarint(buf, off)
-        if off + length > len(buf):
-            raise StoreCodecError("truncated string")
-        raw = buf[off: off + length]
-        off += length
-        return (raw.decode("utf-8") if tag == _T_STR else bytes(raw)), off
-    if tag == _T_LIST:
-        count, off = _decode_uvarint(buf, off)
-        items = []
-        for _ in range(count):
-            item, off = decode_value(buf, off)
-            items.append(item)
-        return items, off
-    if tag == _T_DICT:
-        count, off = _decode_uvarint(buf, off)
-        mapping = {}
-        for _ in range(count):
-            key, off = decode_value(buf, off)
-            item, off = decode_value(buf, off)
-            mapping[key] = item  # type: ignore[index]
-        return mapping, off
-    raise StoreCodecError(f"unknown value tag {tag}")
-
-
-# ----------------------------------------------------------------------
-# records and frames
+def _plain(value: object) -> object:
+    """``value`` with numpy scalars reduced to Python numbers, through
+    tuples, lists and dicts; anything else is refused."""
+    if type(value) in _PLAIN:
+        return value
+    if type(value) in (tuple, list):
+        return type(value)(map(_plain, value))  # type: ignore[call-overload]
+    if type(value) is dict:
+        return {_plain(k): _plain(v) for k, v in value.items()}
+    item = getattr(value, "item", None)
+    if callable(item):
+        return _plain(item())
+    raise StoreCodecError(f"{type(value).__name__} value is not storable")
 
 
 def encode_record(kind: int, seq: int, fields: tuple) -> bytes:
-    """One framed record: header + (kind, seq, fields...) payload."""
+    """One framed record: header + marshalled ``(kind, seq, fields)``."""
     expected = RECORD_FIELDS.get(kind)
     if expected is None:
         raise StoreCodecError(f"unknown record kind {kind}")
@@ -220,12 +90,9 @@ def encode_record(kind: int, seq: int, fields: tuple) -> bytes:
         raise StoreCodecError(
             f"record kind {kind} takes {expected} fields, got {len(fields)}"
         )
-    payload = bytearray()
-    payload.append(kind)
-    _encode_uvarint(seq, payload)
-    for value in fields:
-        encode_value(value, payload)
-    return frame(bytes(payload))
+    if type(fields) is not tuple or not _PLAIN.issuperset(map(type, fields)):
+        fields = tuple(map(_plain, fields))
+    return frame(marshal.dumps((kind, seq, fields), MARSHAL_VERSION))
 
 
 def frame(payload: bytes) -> bytes:
@@ -252,21 +119,17 @@ def read_frame(buf: bytes, off: int) -> tuple[bytes | None, int]:
     return payload, end + length
 
 
-def decode_record(payload: bytes) -> tuple[int, int, list]:
+def decode_record(payload: bytes) -> tuple[int, int, tuple]:
     """Decode one frame payload into ``(kind, seq, fields)``."""
-    if not payload:
-        raise StoreCodecError("empty record payload")
-    kind = payload[0]
-    expected = RECORD_FIELDS.get(kind)
-    if expected is None:
-        raise StoreCodecError(f"unknown record kind {kind}")
-    seq, off = _decode_uvarint(payload, 1)
-    fields = []
-    for _ in range(expected):
-        value, off = decode_value(payload, off)
-        fields.append(value)
-    if off != len(payload):
-        raise StoreCodecError(
-            f"record kind {kind} has {len(payload) - off} trailing bytes"
-        )
-    return kind, seq, fields
+    try:
+        record = marshal.loads(payload)
+    except (ValueError, EOFError, TypeError) as exc:
+        raise StoreCodecError(f"undecodable record: {exc}") from exc
+    if not (
+        type(record) is tuple and len(record) == 3
+        and type(record[0]) is int and type(record[1]) is int
+        and type(record[2]) is tuple
+        and RECORD_FIELDS.get(record[0]) == len(record[2])
+    ):
+        raise StoreCodecError(f"malformed record {record!r:.80}")
+    return record

@@ -36,16 +36,13 @@ from repro.obs.store.codec import read_frame
 from repro.obs.store.segment import (
     StoreCorruptionError,
     iter_segment_records,
+    numbered_segments,
     read_segment,
-    shard_segments,
 )
 from repro.obs.store.writer import INDEX_NAME, STORE_FORMAT
 from repro.obs.tracer import SpanTracer
 
 __all__ = ["StoreReader", "TailReader", "load_store", "load_index"]
-
-#: One decoded record: (seq, kind, fields).
-Record = tuple[int, int, list]
 
 
 def load_index(directory: str | Path) -> dict[str, Any] | None:
@@ -78,39 +75,25 @@ class StoreReader:
         if not self.directory.is_dir():
             raise FileNotFoundError(f"no trace store at {self.directory}")
         self.index = load_index(self.directory)
-        self.shards = shard_segments(self.directory)
+        self.shards = numbered_segments(self.directory)
         if not self.shards and self.index is None:
             raise FileNotFoundError(
                 f"{self.directory} holds neither segments nor an index"
             )
 
-    def _iter_shard(self, shard: str) -> Iterator[Record]:
-        paths = self.shards.get(shard, [])
-        for i, path in enumerate(paths):
-            last = i == len(paths) - 1
-            for kind, seq, fields in iter_segment_records(path, last=last):
-                yield seq, kind, fields
-
-    def _shard_by_index(self, shard: str) -> dict[int, Path]:
-        return {
-            int(p.name.rsplit("-", 1)[1].split(".")[0]): p
-            for p in self.shards.get(shard, [])
-        }
-
     def _iter_shard_from(
         self, shard: str, seg: int, byte: int
-    ) -> Iterator[Record]:
-        """One shard's records starting at a (segment, byte) offset."""
-        by_index = self._shard_by_index(shard)
-        if not by_index:
-            return
-        final = max(by_index)
-        for idx in sorted(by_index):
+    ) -> Iterator[tuple]:
+        """One shard's ``(seq, kind, fields)`` records from a (segment,
+        byte) offset on."""
+        segments = self.shards.get(shard, {})
+        final = max(segments, default=None)
+        for idx, path in segments.items():
             if idx < seg:
                 continue
             start = byte if idx == seg else 0
             for kind, seq, fields in iter_segment_records(
-                by_index[idx], last=idx == final, start=start
+                path, last=idx == final, start=start
             ):
                 yield seq, kind, fields
 
@@ -130,7 +113,7 @@ class StoreReader:
         starts = steps[from_step].get("starts", {})
         return {s: (int(v[0]), int(v[1])) for s, v in starts.items()}
 
-    def iter_records(self, from_step: int | None = None) -> Iterator[Record]:
+    def iter_records(self, from_step: int | None = None) -> Iterator[tuple]:
         """All records across shards, merged by global sequence number.
 
         Per-shard streams are already seq-sorted (the writer's counter
@@ -148,10 +131,10 @@ class StoreReader:
         """
         if from_step is None:
             return heapq.merge(
-                *(self._iter_shard(shard) for shard in self.shards)
+                *(self._iter_shard_from(s, 0, 0) for s in self.shards)
             )
         starts = self._step_starts(from_step)
-        streams: list[Iterator[Record]] = []
+        streams: list[Iterator[tuple]] = []
         min_seq: int | None = None
         for shard in sorted(starts):
             if shard not in self.shards:
@@ -169,7 +152,8 @@ class StoreReader:
             if shard in starts:
                 continue
             streams.append(
-                rec for rec in self._iter_shard(shard) if rec[0] >= floor
+                rec for rec in self._iter_shard_from(shard, 0, 0)
+                if rec[0] >= floor
             )
         return heapq.merge(*streams)
 
@@ -180,7 +164,7 @@ class StoreReader:
             tracer.clock = self.index.get("clock", "virtual")
             tracer._offset = float(self.index.get("offset", 0.0))
         tracer.events.extend(
-            (kind, tuple(fields))
+            (kind, fields)
             for _seq, kind, fields in self.iter_records(from_step=from_step)
         )
         return tracer
@@ -217,16 +201,12 @@ class TailReader:
         # shard -> [segment index, byte offset]
         self._cursors: dict[str, list[int]] = {}
 
-    def poll(self) -> list[Record]:
+    def poll(self) -> list[tuple]:
         """Return records that became durable since the last poll."""
-        out: list[Record] = []
+        out: list[tuple] = []
         if not self.directory.is_dir():
             return out
-        shards = shard_segments(self.directory)
-        for shard, paths in shards.items():
-            by_index = {
-                int(p.name.rsplit("-", 1)[1].split(".")[0]): p for p in paths
-            }
+        for shard, by_index in numbered_segments(self.directory).items():
             cursor = self._cursors.setdefault(shard, [0, 0])
             while True:
                 path = by_index.get(cursor[0])

@@ -38,6 +38,7 @@ __all__ = [
     "SegmentWriter",
     "StoreCorruptionError",
     "iter_segment_records",
+    "numbered_segments",
     "read_segment",
     "segment_path",
     "shard_segments",
@@ -60,16 +61,25 @@ def segment_path(directory: Path, shard: str, index: int) -> Path:
     return directory / f"shard-{shard}-{index:05d}.seg"
 
 
-def shard_segments(directory: Path) -> dict[str, list[Path]]:
-    """Map shard name -> ordered segment files found in ``directory``."""
+def numbered_segments(directory: Path) -> dict[str, dict[int, Path]]:
+    """Map shard name -> {segment number: file} found in ``directory``,
+    both in ascending order."""
     shards: dict[str, list[tuple[int, Path]]] = {}
     for path in directory.iterdir():
         m = _SEGMENT_RE.match(path.name)
         if m:
             shards.setdefault(m.group(1), []).append((int(m.group(2)), path))
     return {
-        shard: [p for _, p in sorted(entries)]
+        shard: dict(sorted(entries))
         for shard, entries in sorted(shards.items())
+    }
+
+
+def shard_segments(directory: Path) -> dict[str, list[Path]]:
+    """Map shard name -> ordered segment files found in ``directory``."""
+    return {
+        shard: list(segments.values())
+        for shard, segments in numbered_segments(directory).items()
     }
 
 
@@ -82,7 +92,7 @@ def read_segment(path: Path, start: int = 0) -> bytes:
 
 def iter_segment_records(
     path: Path, last: bool = True, start: int = 0
-) -> Iterator[tuple[int, int, list]]:
+) -> Iterator[tuple[int, int, tuple]]:
     """Yield ``(kind, seq, fields)`` records from one segment file.
 
     ``last=True`` (the final segment of a shard) makes an incomplete or

@@ -26,14 +26,14 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from repro.obs.store.codec import (
+from repro.obs.store.reader import TailReader, load_index
+from repro.obs.tracer import (
     KIND_MARK,
     KIND_OP,
     KIND_PHASE,
     KIND_RECV,
     KIND_SEND,
 )
-from repro.obs.store.reader import Record, TailReader, load_index
 
 __all__ = ["TopAggregator", "render_top", "run_top"]
 
@@ -65,7 +65,7 @@ class TopAggregator:
             self.ranks[rank] = state
         return state
 
-    def feed(self, records: Iterable[Record]) -> int:
+    def feed(self, records: Iterable[tuple]) -> int:
         """Consume new records; returns how many were consumed."""
         n = 0
         for _seq, kind, fields in records:

@@ -49,7 +49,7 @@ __all__ = ["StoreTracer", "INDEX_NAME", "STORE_FORMAT", "DRIVER_SHARD"]
 INDEX_NAME = "index.json"
 
 #: Format tag written to (and checked from) the index.
-STORE_FORMAT = "repro-trace-store/1"
+STORE_FORMAT = "repro-trace-store/2"
 
 #: Shard name for rank-less driver marks.
 DRIVER_SHARD = "driver"

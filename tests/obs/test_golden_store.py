@@ -1,17 +1,26 @@
-"""Golden pins for the bytes a :class:`StoreTracer` writes.
+"""Golden pins for what a :class:`StoreTracer` writes.
 
-Per run, the sha256 of every file the store leaves behind (each segment
-and the complete ``index.json``) plus the record and rank counts.  The
-runs cover the default buffering, small segments and flush buffers
+Two pins per run.  ``files`` is the sha256 of every file the store
+leaves behind (each segment and the complete ``index.json``) plus the
+record and rank counts: any change to record order, shard routing,
+flush points, step detection, the per-step rollup *or the record
+encoding* shows up as a changed digest.  ``decoded`` takes the encoding
+out: the sha256 of each shard's decoded record stream, and the index
+with every step's ``starts`` turned from byte positions into per-shard
+record ordinals and the byte-level fields (``format``, the per-shard
+``segments``) dropped — so a codec change must leave it alone, and so
+must a change in which objects the producer shares (marshal flags an
+object referenced elsewhere, which moves ``files`` but not ``decoded``).
+
+The runs cover the default buffering, small segments and flush buffers
 (rotation at many points), a ``flush_every`` cadence, a sanitizer
 recording into the same store, and the off-body driver.  Every run is
-deterministic on the simulator, so any change to record order, shard
-routing, flush points, step detection or the per-step rollup shows up
-as a changed digest.  Regenerate on purpose with
+deterministic on the simulator.  Regenerate on purpose with
 ``python tests/obs/test_golden_store.py``.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import tempfile
@@ -23,7 +32,8 @@ from repro.analysis import Sanitizer
 from repro.cases import build_case
 from repro.core import build_driver
 from repro.machine import sp2
-from repro.obs.store import StoreTracer
+from repro.obs.store import INDEX_NAME, StoreTracer
+from repro.obs.store.codec import decode_record, read_frame
 from repro.offbody import build_offbody_case, generate_scenario
 
 GOLDEN_PATH = Path(__file__).parent / "golden_store.json"
@@ -62,8 +72,50 @@ CASES = {
 }
 
 
+def shard_records(directory: Path) -> dict[str, list]:
+    """shard -> ``[((segment, byte), record), ...]`` for every frame."""
+    shards: dict[str, list] = {}
+    for path in sorted(directory.glob("shard-*.seg")):
+        shard, seg = path.stem[len("shard-"):].rsplit("-", 1)
+        buf, off = path.read_bytes(), 0
+        while off < len(buf):
+            payload, nxt = read_frame(buf, off)
+            assert payload is not None, f"{path.name}: bad frame at {off}"
+            shards.setdefault(shard, []).append(
+                ((int(seg), off), decode_record(payload))
+            )
+            off = nxt
+    return shards
+
+
+def decoded(directory: Path) -> dict:
+    """The store's content with every byte position taken out."""
+    shards = shard_records(directory)
+    streams = {
+        shard: hashlib.sha256(
+            json.dumps([rec for _, rec in recs]).encode()
+        ).hexdigest()
+        for shard, recs in shards.items()
+    }
+    ordinal = {
+        shard: {pos: i for i, (pos, _) in enumerate(recs)}
+        for shard, recs in shards.items()
+    }
+    index = json.loads((directory / INDEX_NAME).read_text())
+    del index["format"]
+    for entry in index["shards"].values():
+        del entry["segments"]
+    for step in index["steps"]:
+        step["starts"] = {
+            shard: ordinal[shard][tuple(pos)]
+            for shard, pos in step["starts"].items()
+        }
+    return {"streams": streams, "index": index}
+
+
+@functools.cache
 def record(name: str) -> dict:
-    """File digests and counts of one case's store."""
+    """File digests, counts and decoded content of one case's store."""
     build, kwargs, sanitized = CASES[name]
     with tempfile.TemporaryDirectory() as tmp:
         tracer = StoreTracer(tmp, **kwargs)
@@ -74,7 +126,13 @@ def record(name: str) -> dict:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(Path(tmp).iterdir())
         }
-    return {"files": files, "records": tracer.records, "nranks": tracer.nranks}
+        content = decoded(Path(tmp))
+    return {
+        "files": files,
+        "records": tracer.records,
+        "nranks": tracer.nranks,
+        "decoded": content,
+    }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -87,6 +145,14 @@ def test_matches_golden(name):
             f"{name}: {fname} drifted"
         )
     assert (got["records"], got["nranks"]) == (want["records"], want["nranks"])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_decoded_content_matches_golden(name):
+    want = json.loads(GOLDEN_PATH.read_text())[name]["decoded"]
+    got = record(name)["decoded"]
+    assert got["streams"] == want["streams"], f"{name}: record streams"
+    assert got["index"] == want["index"], f"{name}: index"
 
 
 def test_small_segments_rotate():

@@ -9,6 +9,7 @@ unflushed tail of each shard.
 """
 
 import json
+import tempfile
 import threading
 
 import pytest
@@ -18,6 +19,7 @@ from repro.core import OverflowD1
 from repro.machine import sp2
 from repro.obs import SpanTracer, ascii_timeline, chrome_trace
 from repro.obs.store import (
+    KIND_MARK,
     KIND_OP,
     STORE_FORMAT,
     SegmentWriter,
@@ -25,27 +27,26 @@ from repro.obs.store import (
     StoreCorruptionError,
     StoreReader,
     StoreTracer,
+    TailReader,
     iter_segment_records,
     load_index,
     load_store,
     shard_segments,
 )
-from repro.obs.store.codec import (
-    decode_record,
-    decode_value,
-    encode_record,
-    encode_value,
-    read_frame,
-)
+from repro.obs.store.codec import decode_record, encode_record, read_frame
 from repro.obs.store.writer import INDEX_NAME
 
 
 def roundtrip(value):
-    buf = bytearray()
-    encode_value(value, buf)
-    decoded, off = decode_value(bytes(buf), 0)
-    assert off == len(buf)
-    return decoded
+    """``value`` recorded as a mark arg, read back through StoreReader;
+    TailReader must read back the same value of the same type."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with StoreTracer(tmp) as store:
+            store.mark(0.0, "m", v=value)
+        got = load_store(tmp).marks[0][2]["v"]
+        [(_seq, _kind, (_t, _name, args))] = TailReader(tmp).poll()
+    assert args["v"] == got and type(args["v"]) is type(got)
+    return got
 
 
 class TestCodec:
@@ -66,27 +67,47 @@ class TestCodec:
         import math
         for value in (math.pi, 1e-308, float("inf"), float("-inf")):
             assert roundtrip(value) == value
+        assert math.copysign(1.0, roundtrip(-0.0)) == -1.0
 
     def test_containers(self):
         value = {"a": [1, 2.5, "x"], "b": {"c": None, "d": [True]}}
         assert roundtrip(value) == value
 
-    def test_tuples_become_lists(self):
-        assert roundtrip((1, 2)) == [1, 2]
-
-    def test_non_str_dict_key_rejected(self):
-        with pytest.raises(StoreCodecError):
-            roundtrip({1: "x"})
+    def test_tuple_mark_args_read_back_equal_to_span_tracer(self, tmp_path):
+        span, store = SpanTracer(), StoreTracer(tmp_path)
+        for tracer in (span, store):
+            tracer.mark(1.0, "m", pair=(1, 2.5), rows=[(0, "a"), {"k": ()}])
+        store.close()
+        got = load_store(tmp_path).marks
+        assert got == span.marks
+        assert type(got[0][2]["pair"]) is tuple
+        assert type(got[0][2]["rows"][0]) is tuple
 
     def test_unstorable_type_rejected(self):
         with pytest.raises(StoreCodecError):
             roundtrip(object())
+        with pytest.raises(StoreCodecError):
+            roundtrip([{"nested": {1, 2}}])
 
-    def test_numpy_scalars_reduce_to_python(self):
+    def test_numpy_scalars_reduce_to_python(self, tmp_path):
         import numpy as np
-        assert roundtrip(np.int64(7)) == 7
-        assert type(roundtrip(np.int64(7))) is int
-        assert type(roundtrip(np.float64(7.5))) is float
+        span, store = SpanTracer(), StoreTracer(tmp_path)
+        for tracer in (span, store):
+            tracer.op(1, "p", "compute", np.float64(0.5),
+                      np.float64(1.5), np.float64(2.0), np.int64(64))
+            tracer.mark(np.float64(2.0), "m", n=np.int64(7),
+                        pair=(np.int64(1), np.float64(7.5)))
+        store.close()
+        got = load_store(tmp_path)
+        assert got.ops == span.ops and got.marks == span.marks
+        tailed = {kind: fields for _, kind, fields
+                  in TailReader(tmp_path).poll()}
+        for op, (t, _name, args) in ((got.ops[0], got.marks[0]),
+                                     (tailed[KIND_OP], tailed[KIND_MARK])):
+            assert [type(v) for v in op] == [int, str, str, float, float,
+                                             float, int]
+            assert type(t) is float and type(args["n"]) is int
+            assert [type(v) for v in args["pair"]] == [int, float]
 
     def test_record_roundtrip(self):
         rec = encode_record(KIND_OP, 42, (3, "overflow", "compute",
@@ -95,13 +116,29 @@ class TestCodec:
         assert off == len(rec)
         kind, seq, fields = decode_record(payload)
         assert (kind, seq) == (KIND_OP, 42)
-        assert fields == [3, "overflow", "compute", 0.5, 1.5, 100.0, 2048]
+        assert fields == (3, "overflow", "compute", 0.5, 1.5, 100.0, 2048)
 
     def test_record_field_count_enforced(self):
         with pytest.raises(StoreCodecError):
             encode_record(KIND_OP, 0, (1, 2))
         with pytest.raises(StoreCodecError):
             encode_record(99, 0, ())
+
+    def test_bad_payloads_raise_codec_error_only(self):
+        import marshal
+        for payload in (
+            b"",                                      # EOFError
+            marshal.dumps((KIND_OP, 0, (0,) * 7), 4)[:-1],  # EOFError
+            b"\x01\x00\x03\x00",                      # ValueError
+            b"<\x01\x00\x00\x00[\x00\x00\x00\x00",      # TypeError
+            marshal.dumps([KIND_OP, 0, (0,) * 7], 4),  # not a tuple
+            marshal.dumps((KIND_OP, 0, (0,) * 6), 4),  # field count
+            marshal.dumps((99, 0, ()), 4),             # unknown kind
+            marshal.dumps((KIND_OP, "0", (0,) * 7), 4),  # seq type
+        ):
+            with pytest.raises(StoreCodecError) as info:
+                decode_record(payload)
+            assert type(info.value) is StoreCodecError, payload
 
     def test_truncated_and_corrupt_frames_return_none(self):
         rec = encode_record(KIND_OP, 1, (0, "p", "compute", 0.0, 1.0,
@@ -112,6 +149,44 @@ class TestCodec:
         bad = bytearray(rec)
         bad[-1] ^= 0xFF
         assert read_frame(bytes(bad), 0) == (None, 0)
+
+
+#: Two CRC-framed records as the ``repro-trace-store/1`` codec wrote them
+#: (LEB128 varints and tagged values): an op on rank 0 and a driver mark.
+FORMAT_1_SEGMENTS = {
+    "shard-0-00000.seg": bytes.fromhex(
+        "2d0000005ecb7d2f010003000601700607636f6d707574650500000000000000"
+        "0005000000000000f03f0500000000000000000308"
+    ),
+    "shard-driver-00000.seg": bytes.fromhex(
+        "1c000000a4d84b6a0301050000000000000040060565706f6368090106047374"
+        "65700300"
+    ),
+}
+
+
+class TestOldStores:
+    def test_format_1_index_refused_naming_both_formats(self, tmp_path):
+        StoreTracer(tmp_path).close()
+        payload = json.loads((tmp_path / INDEX_NAME).read_text())
+        payload["format"] = "repro-trace-store/1"
+        (tmp_path / INDEX_NAME).write_text(json.dumps(payload))
+        with pytest.raises(StoreCorruptionError) as info:
+            load_index(tmp_path)
+        assert "repro-trace-store/1" in str(info.value)
+        assert STORE_FORMAT in str(info.value)
+        with pytest.raises(StoreCorruptionError):
+            StoreReader(tmp_path)
+
+    def test_format_1_segments_raise_typed_errors(self, tmp_path):
+        for name, blob in FORMAT_1_SEGMENTS.items():
+            (tmp_path / name).write_bytes(blob)
+        with pytest.raises(StoreCorruptionError) as info:
+            StoreReader(tmp_path).to_tracer()
+        assert type(info.value.__cause__) is StoreCodecError
+        with pytest.raises(StoreCodecError) as info:
+            TailReader(tmp_path).poll()
+        assert type(info.value) is StoreCodecError
 
 
 class TestSegments:
