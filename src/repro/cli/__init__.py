@@ -115,13 +115,16 @@ def _user_errors() -> tuple[type[BaseException], ...]:
     covers the typed input errors (``UnknownCaseError``,
     ``ScenarioError``, ``JobSpecError``, ``BaselineError``,
     ``ClusterProtocolError``) and machine / case-builder / partition
-    validation.  Everything else (``TypeError``, ``KeyError``,
+    validation; ``StoreCorruptionError`` a damaged or old-format trace
+    store.  Everything else (``TypeError``, ``KeyError``,
     ``RankFailure``, ``DeadlockError``, ...) keeps its traceback."""
     from repro.backend import BackendUnavailable
+    from repro.obs.store import StoreCorruptionError
     from repro.resilience import CheckpointError
     from repro.serve import ServeError
 
-    return (ValueError, OSError, CheckpointError, BackendUnavailable, ServeError)
+    return (ValueError, OSError, CheckpointError, BackendUnavailable,
+            ServeError, StoreCorruptionError)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -67,8 +67,8 @@ def backend_opt(sp: argparse.ArgumentParser, cluster: bool = True) -> None:
 def trace_store_opt(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--trace-store", metavar="DIR",
-        help="stream trace events to a sharded segment store at DIR "
-        "(append-only per-rank segments + index; O(segment) memory; "
+        help="stream trace events to a segment store at DIR "
+        "(one append-only log of segments + index; bounded memory; "
         "tail it live with 'repro top DIR')",
     )
 

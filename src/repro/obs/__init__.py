@@ -24,8 +24,8 @@ produces those series from the simulated machine:
 * :mod:`perf` — the performance observatory: critical-path and
   comm-matrix analytics over recorded traces, the ``repro bench``
   canonical-JSON harness and the ``repro trace-diff`` regression gate;
-* :mod:`store` — the streaming, sharded trace store
-  (:class:`StoreTracer` writing append-only per-rank segment files
+* :mod:`store` — the streaming trace store
+  (:class:`StoreTracer` writing one append-only log of segment files
   with an index, :func:`load_store` reconstructing the exact
   SpanTracer view) that lifts the in-memory cap on run length and
   feeds the live ``repro top`` view.

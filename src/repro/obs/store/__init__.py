@@ -1,8 +1,8 @@
-"""Streaming, sharded trace store (append-only segments + index).
+"""Streaming trace store (one append-only log of segments + index).
 
 The scalable successor to buffering every event in
 :class:`repro.obs.tracer.SpanTracer`: :class:`StoreTracer` streams
-events to per-rank segment files with bounded memory, and
+events to numbered segment files with bounded memory, and
 :func:`load_store` reconstructs the exact in-memory view for the
 existing exporters and analyzers.  See ``docs/observability.md`` for
 the on-disk format.
@@ -19,10 +19,8 @@ from repro.obs.store.segment import (
     SegmentWriter,
     StoreCorruptionError,
     iter_segment_records,
-    shard_segments,
 )
 from repro.obs.store.writer import (
-    DRIVER_SHARD,
     INDEX_NAME,
     STORE_FORMAT,
     StoreTracer,
@@ -36,7 +34,6 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "DRIVER_SHARD",
     "INDEX_NAME",
     "KIND_MARK",
     "KIND_OP",
@@ -53,5 +50,4 @@ __all__ = [
     "iter_segment_records",
     "load_index",
     "load_store",
-    "shard_segments",
 ]

@@ -11,15 +11,16 @@ the *final* frame of the *final* segment simply drops that tail — every
 fully-flushed record before it is intact (see
 :func:`repro.obs.store.segment.iter_segment_records`).
 
-The payload is ``marshal.dumps((kind, seq, fields), MARSHAL_VERSION)``:
-the tracer's ``KIND_*`` code, the global sequence number and the event's
-field tuple.  marshal round-trips exactly the values the tracer records
-(``None``, ``bool``, ``int``, bit-exact ``float``, ``str``, ``bytes``,
-``tuple``, ``list``, ``dict``), so a store reads back **equal** to the
-in-memory trace and exporters fed either write identical bytes.  numpy
-scalars are reduced to Python numbers first.  The bytes, not the values,
-also follow object sharing (marshal flags objects referenced elsewhere).
-A store is trusted input, like a pickled checkpoint.
+The payload is ``marshal.dumps((kind, fields), MARSHAL_VERSION)``: the
+tracer's ``KIND_*`` code and the event's field tuple; a record's place
+in the store is its order.  marshal round-trips exactly the values the
+tracer records (``None``, ``bool``, ``int``, bit-exact ``float``,
+``str``, ``bytes``, ``tuple``, ``list``, ``dict``), so a store reads
+back **equal** to the in-memory trace and exporters fed either write
+identical bytes.  numpy scalars are reduced to Python numbers first.
+The bytes, not the values, also follow object sharing (marshal flags
+objects referenced elsewhere).  A store is trusted input, like a
+pickled checkpoint.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def _plain(value: object) -> object:
     raise StoreCodecError(f"{type(value).__name__} value is not storable")
 
 
-def encode_record(kind: int, seq: int, fields: tuple) -> bytes:
-    """One framed record: header + marshalled ``(kind, seq, fields)``."""
+def encode_record(kind: int, fields: tuple) -> bytes:
+    """One framed record: header + marshalled ``(kind, fields)``."""
     expected = RECORD_FIELDS.get(kind)
     if expected is None:
         raise StoreCodecError(f"unknown record kind {kind}")
@@ -92,7 +93,7 @@ def encode_record(kind: int, seq: int, fields: tuple) -> bytes:
         )
     if type(fields) is not tuple or not _PLAIN.issuperset(map(type, fields)):
         fields = tuple(map(_plain, fields))
-    return frame(marshal.dumps((kind, seq, fields), MARSHAL_VERSION))
+    return frame(marshal.dumps((kind, fields), MARSHAL_VERSION))
 
 
 def frame(payload: bytes) -> bytes:
@@ -119,17 +120,16 @@ def read_frame(buf: bytes, off: int) -> tuple[bytes | None, int]:
     return payload, end + length
 
 
-def decode_record(payload: bytes) -> tuple[int, int, tuple]:
-    """Decode one frame payload into ``(kind, seq, fields)``."""
+def decode_record(payload: bytes) -> tuple[int, tuple]:
+    """Decode one frame payload into ``(kind, fields)``."""
     try:
         record = marshal.loads(payload)
     except (ValueError, EOFError, TypeError) as exc:
         raise StoreCodecError(f"undecodable record: {exc}") from exc
     if not (
-        type(record) is tuple and len(record) == 3
-        and type(record[0]) is int and type(record[1]) is int
-        and type(record[2]) is tuple
-        and RECORD_FIELDS.get(record[0]) == len(record[2])
+        type(record) is tuple and len(record) == 2
+        and type(record[0]) is int and type(record[1]) is tuple
+        and RECORD_FIELDS.get(record[0]) == len(record[1])
     ):
         raise StoreCodecError(f"malformed record {record!r:.80}")
     return record

@@ -1,46 +1,43 @@
-"""Readers for the sharded segment store.
+"""Readers for the segment store.
 
 Three consumers, three shapes:
 
 :func:`load_store`
     Reconstruct the exact :class:`~repro.obs.tracer.SpanTracer` view of
-    a finished store — merge every shard by global sequence number into
-    a fresh tracer's event log.  Everything downstream (Chrome-trace
-    exporter, rollup CSV, critical path, ``repro trace-diff``) consumes
-    the result unchanged and byte-identically to the in-memory path.
+    a finished store — its records, in order, as a fresh tracer's event
+    log.  Everything downstream (Chrome-trace exporter, rollup CSV,
+    critical path, ``repro trace-diff``) consumes the result unchanged
+    and byte-identically to the in-memory path.
 
 :class:`StoreReader`
-    Lazy k-way merge over the shards (O(shards) memory) plus access to
-    the index.  Works with or without ``index.json``: segments are
+    Lazy, in-order iteration over the segments plus access to the
+    index.  Works with or without ``index.json``: segments are
     self-describing, so a store whose writer crashed before its first
     index flush still reads back everything durably flushed.
 
 :class:`TailReader`
     Incremental tailing of a store that is **still being written** —
     the feed for ``repro top``.  Each :meth:`~TailReader.poll` returns
-    records that became durable since the previous poll, tolerating
-    in-flight partial frames (retried next poll) and newly appearing
-    segment files.
+    records that became durable since the previous poll, tolerating an
+    in-flight partial frame in the newest segment (retried next poll)
+    and newly appearing segment files.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import json
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.obs.store.codec import decode_record as _decode_record
-from repro.obs.store.codec import read_frame
 from repro.obs.store.segment import (
     StoreCorruptionError,
+    iter_frames,
     iter_segment_records,
     numbered_segments,
     read_segment,
 )
 from repro.obs.store.writer import INDEX_NAME, STORE_FORMAT
-from repro.obs.tracer import SpanTracer
+from repro.obs.tracer import SpanTracer, event_ranks
 
 __all__ = ["StoreReader", "TailReader", "load_store", "load_index"]
 
@@ -75,30 +72,45 @@ class StoreReader:
         if not self.directory.is_dir():
             raise FileNotFoundError(f"no trace store at {self.directory}")
         self.index = load_index(self.directory)
-        self.shards = numbered_segments(self.directory)
-        if not self.shards and self.index is None:
+        self.segments = numbered_segments(self.directory)
+        if not self.segments and self.index is None:
             raise FileNotFoundError(
                 f"{self.directory} holds neither segments nor an index"
             )
 
-    def _iter_shard_from(
-        self, shard: str, seg: int, byte: int
-    ) -> Iterator[tuple]:
-        """One shard's ``(seq, kind, fields)`` records from a (segment,
-        byte) offset on."""
-        segments = self.shards.get(shard, {})
-        final = max(segments, default=None)
-        for idx, path in segments.items():
-            if idx < seg:
-                continue
-            start = byte if idx == seg else 0
-            for kind, seq, fields in iter_segment_records(
-                path, last=idx == final, start=start
-            ):
-                yield seq, kind, fields
+    def _iter_from(self, seg: int, byte: int) -> Iterator[tuple]:
+        """``(kind, fields)`` records from a (segment, byte) position on."""
+        final = max(self.segments, default=None)
+        for idx, path in self.segments.items():
+            if idx >= seg:
+                yield from iter_segment_records(
+                    path, last=idx == final, start=byte if idx == seg else 0
+                )
 
-    def _step_starts(self, from_step: int) -> dict[str, tuple[int, int]]:
-        """Per-shard (segment, byte) start offsets for ``from_step``."""
+    def _iter_step(self, row: dict[str, Any]) -> Iterator[tuple]:
+        """Records from a step row's ``start`` on, each rank's from its
+        own ``starts`` ordinal on."""
+        seg, byte, first = row["start"]
+        starts = {int(r): n for r, n in row["starts"].items()}
+        for n, (kind, fields) in enumerate(self._iter_from(seg, byte), first):
+            ranks = event_ranks(kind, fields)
+            if not ranks or starts.get(ranks[0], n) <= n:
+                yield kind, fields
+
+    def iter_records(self, from_step: int | None = None) -> Iterator[tuple]:
+        """Every record, ``(kind, fields)``, in recording order.
+
+        ``from_step`` seeks to the step's ``start`` — the first rank's
+        step-phase record — instead of replaying from byte zero, and
+        drops each record whose own rank (:func:`event_ranks`' first)
+        enters the step later than that record: each rank's records
+        begin at its own step-phase record.  Marks, and records of ranks
+        that never entered the step, are kept from the seek point on.
+        Raises :class:`ValueError` when the store has no index or the
+        step is out of range.
+        """
+        if from_step is None:
+            return self._iter_from(0, 0)
         steps = self.steps
         if not steps:
             raise ValueError(
@@ -110,63 +122,15 @@ class StoreReader:
                 f"from_step {from_step} out of range; store has steps "
                 f"0..{len(steps) - 1}"
             )
-        starts = steps[from_step].get("starts", {})
-        return {s: (int(v[0]), int(v[1])) for s, v in starts.items()}
-
-    def iter_records(self, from_step: int | None = None) -> Iterator[tuple]:
-        """All records across shards, merged by global sequence number.
-
-        Per-shard streams are already seq-sorted (the writer's counter
-        is monotone), so this is a lazy k-way heap merge: O(shards)
-        memory however long the trace is.
-
-        ``from_step`` seeds each rank shard at the index's per-step
-        byte offset instead of replaying from byte zero — only the
-        bytes from that step on are read.  Shards without an offset
-        entry for the step (the rank-less ``driver`` stream, or ranks
-        that died earlier) are filtered to sequence numbers at or after
-        the earliest offset-started record, so the merged stream is
-        exactly the tail of the full replay.  Raises :class:`ValueError`
-        when the store has no index or the step is out of range.
-        """
-        if from_step is None:
-            return heapq.merge(
-                *(self._iter_shard_from(s, 0, 0) for s in self.shards)
-            )
-        starts = self._step_starts(from_step)
-        streams: list[Iterator[tuple]] = []
-        min_seq: int | None = None
-        for shard in sorted(starts):
-            if shard not in self.shards:
-                continue
-            seg, byte = starts[shard]
-            it = self._iter_shard_from(shard, seg, byte)
-            first = next(it, None)
-            if first is None:
-                continue
-            if min_seq is None or first[0] < min_seq:
-                min_seq = first[0]
-            streams.append(itertools.chain([first], it))
-        floor = 0 if min_seq is None else min_seq
-        for shard in self.shards:
-            if shard in starts:
-                continue
-            streams.append(
-                rec for rec in self._iter_shard_from(shard, 0, 0)
-                if rec[0] >= floor
-            )
-        return heapq.merge(*streams)
+        return self._iter_step(steps[from_step])
 
     def to_tracer(self, from_step: int | None = None) -> SpanTracer:
-        """The merged stream as an in-memory SpanTracer's event log."""
+        """The record stream as an in-memory SpanTracer's event log."""
         tracer = SpanTracer()
         if self.index is not None:
             tracer.clock = self.index.get("clock", "virtual")
             tracer._offset = float(self.index.get("offset", 0.0))
-        tracer.events.extend(
-            (kind, fields)
-            for _seq, kind, fields in self.iter_records(from_step=from_step)
-        )
+        tracer.events.extend(self.iter_records(from_step=from_step))
         return tracer
 
     @property
@@ -187,49 +151,36 @@ def load_store(
 class TailReader:
     """Incrementally tail a store that may still be growing.
 
-    Keeps one cursor per shard: the segment currently being read and
-    the byte offset of the next frame, from which each poll reads, so a
-    refresh costs the bytes appended since the last one.  A shard's
-    cursor only advances past a segment once the *next* numbered segment
-    exists (rotation means the previous file is sealed); an incomplete
-    or CRC-failing frame at the current position is treated as in-flight
-    and retried on the next poll.
+    Keeps one cursor — the segment and byte offset of the next frame —
+    so a refresh costs the bytes appended since the last one.  Rotation
+    seals a segment before its successor exists, so only in the newest
+    segment is an incomplete or CRC-failing frame in flight (retried
+    next poll); in a sealed one it raises :class:`StoreCorruptionError`.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        # shard -> [segment index, byte offset]
-        self._cursors: dict[str, list[int]] = {}
+        self._segment = 0
+        self._byte = 0
 
     def poll(self) -> list[tuple]:
         """Return records that became durable since the last poll."""
         out: list[tuple] = []
         if not self.directory.is_dir():
             return out
-        for shard, by_index in numbered_segments(self.directory).items():
-            cursor = self._cursors.setdefault(shard, [0, 0])
-            while True:
-                path = by_index.get(cursor[0])
-                if path is None:
-                    break
-                buf = read_segment(path, cursor[1])
-                off = 0
-                while off < len(buf):
-                    payload, off2 = read_frame(buf, off)
-                    if payload is None:
-                        break  # in-flight tail: retry next poll
-                    kind, seq, fields = _decode_record(payload)
-                    out.append((seq, kind, fields))
-                    off = off2
-                cursor[1] += off
-                # Advance to the next segment only once it exists:
-                # rotation guarantees the current file is sealed then.
-                if cursor[0] + 1 in by_index and off >= len(buf):
-                    cursor[0] += 1
-                    cursor[1] = 0
-                else:
-                    break
-        out.sort()
+        segments = numbered_segments(self.directory)
+        while self._segment in segments:
+            newest = self._segment + 1 not in segments
+            path = segments[self._segment]
+            buf = read_segment(path, self._byte)
+            end = 0
+            for record, end in iter_frames(path, buf, self._byte, newest):
+                out.append(record)
+            self._byte += end
+            if newest:
+                break
+            self._segment += 1
+            self._byte = 0
         return out
 
     def index(self) -> dict[str, Any] | None:

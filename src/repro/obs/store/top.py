@@ -68,7 +68,7 @@ class TopAggregator:
     def feed(self, records: Iterable[tuple]) -> int:
         """Consume new records; returns how many were consumed."""
         n = 0
-        for _seq, kind, fields in records:
+        for kind, fields in records:
             n += 1
             if kind == KIND_OP:
                 rank, phase, op_kind, t0, t1 = fields[:5]
@@ -243,7 +243,7 @@ def _await_store(store: Path, wait: float) -> None:
         return
     deadline = time.monotonic() + wait
     while not store.is_dir() or (
-        load_index(store) is None and not any(store.glob("shard-*.seg"))
+        load_index(store) is None and not any(store.glob("*.seg"))
     ):
         if time.monotonic() >= deadline:
             raise FileNotFoundError(

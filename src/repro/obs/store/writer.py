@@ -1,26 +1,24 @@
-"""StoreTracer: the streaming, sharded counterpart of SpanTracer.
+"""StoreTracer: the streaming counterpart of SpanTracer.
 
 An :class:`repro.obs.tracer.EventLog` like every recorder, so every
 producer — the simulated scheduler, the mp/cluster parent extending it
 with its workers' logs, serve's per-job tracer — works unchanged.
-Instead of keeping the log it drains it to per-rank segment files
-(:mod:`repro.obs.store.segment`) as framed binary records: op/phase
-records go to the rank's shard, sends to the source rank's shard, recvs
-to the receiving rank's shard, and rank-less driver marks to the
-``driver`` shard.  Memory is bounded by one flush buffer per shard plus
-at most :data:`DRAIN_EVENTS` pending events, regardless of run length.
+Instead of keeping the log it drains it, in recording order, to one
+series of segment files (:mod:`repro.obs.store.segment`) as framed
+binary records.  Memory is bounded by one flush buffer plus at most
+:data:`DRAIN_EVENTS` pending events, regardless of run length.
 
-Every record carries a **global sequence number** assigned in drain
-order, so a reader merging the shards by sequence recovers the exact
-order SpanTracer would have recorded — which is what makes the
-reconstructed view (and everything exported from it) byte-identical to
-the in-memory path.
+A record's position in the series is its place in the recording, so a
+reader that reads the segments in order recovers the exact order
+SpanTracer would have recorded — which is what makes the reconstructed
+view (and everything exported from it) byte-identical to the in-memory
+path.
 
-The writer also maintains the **segment index** (``index.json``):
-per-shard segment lists, per-step start offsets, and per-step rollups
-of phase/kind busy time per rank.  Steps are detected from phase
-switches — a rank entering ``step_phase`` (default ``"overflow"``, the
-first phase of every solver step) starts its next step.  The index is
+The writer also maintains the **segment index** (``index.json``): the
+segment list, per-step start positions, and per-step rollups of
+phase/kind busy time per rank.  Steps are detected from phase switches
+— a rank entering ``step_phase`` (default ``"overflow"``, the first
+phase of every solver step) starts its next step.  The index is
 rewritten atomically on :meth:`flush`, :meth:`advance` and
 :meth:`close`; readers never need it for correctness (segments are
 self-describing) but use it for per-step analytics and trend plots.
@@ -39,30 +37,26 @@ from repro.obs.store.segment import (
     DEFAULT_SEGMENT_BYTES,
     SegmentWriter,
 )
-from repro.obs.tracer import (
-    KIND_OP, KIND_PHASE, EventLog, event_ranks, shifted,
-)
+from repro.obs.tracer import KIND_OP, KIND_PHASE, EventLog
+from repro.obs.tracer import event_ranks, shifted
 
-__all__ = ["StoreTracer", "INDEX_NAME", "STORE_FORMAT", "DRIVER_SHARD"]
+__all__ = ["StoreTracer", "INDEX_NAME", "STORE_FORMAT"]
 
 #: File name of the segment index inside a store directory.
 INDEX_NAME = "index.json"
 
 #: Format tag written to (and checked from) the index.
-STORE_FORMAT = "repro-trace-store/2"
-
-#: Shard name for rank-less driver marks.
-DRIVER_SHARD = "driver"
+STORE_FORMAT = "repro-trace-store/3"
 
 #: Default phase name whose entry starts a new solver step.
 DEFAULT_STEP_PHASE = "overflow"
 
-#: Pending events that force a drain to the shard buffers.
+#: Pending events that force a drain to the flush buffer.
 DRAIN_EVENTS = 1024
 
 
 class StoreTracer(EventLog):
-    """Streaming tracer writing a sharded segment store.
+    """Streaming tracer writing a segment store.
 
     Recorded events wait in ``events``, without the trace offset, until
     a drain writes them: at :meth:`flush`, :meth:`advance`,
@@ -74,24 +68,24 @@ class StoreTracer(EventLog):
     ----------
     directory:
         Store directory (created if missing).  With ``fresh=True`` any
-        store-owned files already there (``shard-*.seg``, the index)
+        store-owned files already there (``*.seg``, the index)
         are removed first; otherwise their presence is an error — a
         store is append-only within one run, never across runs.
     segment_bytes / flush_bytes:
         Rotation size per segment file and flush threshold of the
-        per-shard buffer (see :class:`SegmentWriter`).
+        buffer (see :class:`SegmentWriter`).
     step_phase:
         Phase name that opens a new solver step on each rank.
     meta:
         Optional JSON-serialisable dict stored verbatim in the index
         (case name, backend, nranks requested, ...).
     flush_every:
-        When > 0, flush all shards and rewrite the index every that
+        When > 0, flush the buffer and rewrite the index every that
         many records — the knob long-lived producers (``repro serve``)
         use so a live ``repro top`` sees progress without waiting for
         an epoch boundary.  0 (default) flushes only on
         :meth:`advance`, :meth:`flush` and :meth:`close` plus the
-        per-shard byte threshold.
+        buffer's byte threshold.
     """
 
     def __init__(
@@ -121,16 +115,13 @@ class StoreTracer(EventLog):
                 )
             for name in existing:
                 (self.directory / name).unlink()
-        self.segment_bytes = segment_bytes
-        self.flush_bytes = flush_bytes
         self.step_phase = step_phase
         self.flush_every = flush_every
         self.meta = dict(meta or {})
         self.closed = False
         self._lock = threading.RLock()
-        self._seq = 0
         self._advances: list[float] = []
-        self._writers: dict[str, SegmentWriter] = {}
+        self._writer = SegmentWriter(self.directory, segment_bytes, flush_bytes)
         self._max_rank = -1
         self._step_of_rank: dict[int, int] = {}
         self._steps: list[dict[str, Any]] = []
@@ -156,7 +147,7 @@ class StoreTracer(EventLog):
             self.events.append((kind, fields))
             pending = len(self.events)
             every = self.flush_every
-            if not every or (self._seq + pending) % every:
+            if not every or (self._writer.records + pending) % every:
                 if pending >= DRAIN_EVENTS:
                     self._drain()
                 return
@@ -164,34 +155,29 @@ class StoreTracer(EventLog):
         self._publish_index(snapshot)
 
     def _drain(self) -> None:
-        """Write every pending event to its shard's buffer, in order:
-        shard routing, global seq, step detection, per-step rollup and
-        the encoded record.  Caller holds the lock."""
+        """Write every pending event to the buffer, in order: step
+        detection, per-step rollup and the encoded record.  Caller
+        holds the lock."""
         off = self._offset
+        writer = self._writer
         for kind, fields in self.events:
-            ranks = event_ranks(kind, fields)
-            self._max_rank = max((self._max_rank, *ranks))
-            shard = str(ranks[0]) if ranks else DRIVER_SHARD
-            writer = self._writers.get(shard)
-            if writer is None:
-                writer = self._writers[shard] = SegmentWriter(
-                    self.directory, shard, self.segment_bytes, self.flush_bytes
-                )
+            self._max_rank = max((self._max_rank, *event_ranks(kind, fields)))
             if kind == KIND_PHASE and fields[2] == self.step_phase:
-                step = self._step_of_rank.get(fields[0], -1) + 1
-                self._step_of_rank[fields[0]] = step
+                rank = fields[0]
+                step = self._step_of_rank.get(rank, -1) + 1
+                self._step_of_rank[rank] = step
+                # Positions of the phase record itself, so reading a
+                # step from its start yields the opening phase mark too.
                 if step == len(self._steps):
                     self._steps.append({
-                        "step": step, "starts": {}, "t0": None, "t1": None,
+                        "step": step, "start": list(writer.position()),
+                        "starts": {}, "t0": None, "t1": None,
                         "phase_time": {}, "kind_time": {},
                     })
-                # Offset of the phase record itself, so reading a step
-                # from its start yields the opening phase mark too.
-                self._steps[step]["starts"][shard] = list(writer.position())
+                self._steps[step]["starts"][str(rank)] = writer.records
             elif kind == KIND_OP:
                 self._roll_up(fields, off)
-            writer.append(kind, self._seq, shifted(kind, fields, off))
-            self._seq += 1
+            writer.append(kind, shifted(kind, fields, off))
         self.events.clear()
 
     def _roll_up(self, fields: tuple, off: float) -> None:
@@ -225,18 +211,17 @@ class StoreTracer(EventLog):
     # -- lifecycle ------------------------------------------------------
 
     def _sync(self, complete: bool = False) -> tuple[int, str]:
-        """Drain, flush (or seal) every shard and snapshot the index.
+        """Drain, flush (or seal) the log and snapshot the index.
         Caller holds the lock and publishes the snapshot after it."""
         self._drain()
-        for writer in self._writers.values():
-            if complete:
-                writer.close()
-            else:
-                writer.flush()
+        if complete:
+            self._writer.close()
+        else:
+            self._writer.flush()
         return self._snapshot_index(complete)
 
     def flush(self) -> None:
-        """Flush every shard buffer and rewrite the index atomically."""
+        """Flush the buffer and rewrite the index atomically."""
         with self._lock:
             snapshot = self._sync()
         self._publish_index(snapshot)
@@ -269,23 +254,17 @@ class StoreTracer(EventLog):
     def records(self) -> int:
         """Total records recorded so far (written or pending)."""
         with self._lock:
-            return self._seq + len(self.events)
+            return self._writer.records + len(self.events)
 
     @property
     def max_buffered_bytes(self) -> int:
-        """High-water mark of any single shard's flush buffer."""
-        with self._lock:
-            return max(
-                (w.max_buffered for w in self._writers.values()), default=0
-            )
+        """High-water mark of the flush buffer."""
+        return self._writer.max_buffered
 
     @property
     def open_segments(self) -> int:
-        """Open segment files right now (at most one per shard)."""
-        with self._lock:
-            return sum(
-                1 for w in self._writers.values() if w._file is not None
-            )
+        """Open segment files right now (at most one)."""
+        return int(self._writer._file is not None)
 
     def _snapshot_index(self, complete: bool) -> tuple[int, str]:
         """Serialize the index under the lock; caller publishes outside.
@@ -300,16 +279,13 @@ class StoreTracer(EventLog):
             "format": STORE_FORMAT,
             "clock": self.clock,
             "complete": complete,
-            "records": self._seq,
+            "records": self._writer.records,
             "nranks": self._max_rank + 1,
             "offset": self._offset,
             "advances": list(self._advances),
             "step_phase": self.step_phase,
             "steps": self._steps,
-            "shards": {
-                shard: writer.describe()
-                for shard, writer in sorted(self._writers.items())
-            },
+            "segments": self._writer.segments,
             "meta": self.meta,
         }
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
@@ -335,7 +311,4 @@ class StoreTracer(EventLog):
             tmp.unlink()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"StoreTracer({self.directory}, {self.records} records, "
-            f"{len(self._writers)} shards)"
-        )
+        return f"StoreTracer({self.directory}, {self.records} records)"

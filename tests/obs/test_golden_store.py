@@ -1,16 +1,16 @@
 """Golden pins for what a :class:`StoreTracer` writes.
 
-Two pins per run.  ``files`` is the sha256 of every file the store
-leaves behind (each segment and the complete ``index.json``) plus the
-record and rank counts: any change to record order, shard routing,
-flush points, step detection, the per-step rollup *or the record
-encoding* shows up as a changed digest.  ``decoded`` takes the encoding
-out: the sha256 of each shard's decoded record stream, and the index
-with every step's ``starts`` turned from byte positions into per-shard
-record ordinals and the byte-level fields (``format``, the per-shard
-``segments``) dropped — so a codec change must leave it alone, and so
-must a change in which objects the producer shares (marshal flags an
-object referenced elsewhere, which moves ``files`` but not ``decoded``).
+Two pins per run, both with the record and rank counts.  ``files`` is
+the sha256 of every file the store leaves behind (each segment and the
+complete ``index.json``): any change to record order, flush points,
+step detection, the per-step rollup *or the on-disk layout* shows up as
+a changed digest.  ``decoded`` takes the layout out: the sha256 of the
+read-back ``(kind, fields)`` stream, of every ``from_step=k`` replay,
+and the index without its format tag, segment table and step start
+positions — so a change of record encoding or file layout must leave
+it alone, and so must a change in which objects the producer shares
+(marshal flags an object referenced elsewhere, which moves ``files``
+but not ``decoded``).
 
 The runs cover the default buffering, small segments and flush buffers
 (rotation at many points), a ``flush_every`` cadence, a sanitizer
@@ -32,8 +32,7 @@ from repro.analysis import Sanitizer
 from repro.cases import build_case
 from repro.core import build_driver
 from repro.machine import sp2
-from repro.obs.store import INDEX_NAME, StoreTracer
-from repro.obs.store.codec import decode_record, read_frame
+from repro.obs.store import INDEX_NAME, StoreReader, StoreTracer
 from repro.offbody import build_offbody_case, generate_scenario
 
 GOLDEN_PATH = Path(__file__).parent / "golden_store.json"
@@ -72,45 +71,30 @@ CASES = {
 }
 
 
-def shard_records(directory: Path) -> dict[str, list]:
-    """shard -> ``[((segment, byte), record), ...]`` for every frame."""
-    shards: dict[str, list] = {}
-    for path in sorted(directory.glob("shard-*.seg")):
-        shard, seg = path.stem[len("shard-"):].rsplit("-", 1)
-        buf, off = path.read_bytes(), 0
-        while off < len(buf):
-            payload, nxt = read_frame(buf, off)
-            assert payload is not None, f"{path.name}: bad frame at {off}"
-            shards.setdefault(shard, []).append(
-                ((int(seg), off), decode_record(payload))
-            )
-            off = nxt
-    return shards
+def digest(events: list) -> str:
+    return hashlib.sha256(json.dumps(events).encode()).hexdigest()
 
 
 def decoded(directory: Path) -> dict:
-    """The store's content with every byte position taken out."""
-    shards = shard_records(directory)
-    streams = {
-        shard: hashlib.sha256(
-            json.dumps([rec for _, rec in recs]).encode()
-        ).hexdigest()
-        for shard, recs in shards.items()
-    }
-    ordinal = {
-        shard: {pos: i for i, (pos, _) in enumerate(recs)}
-        for shard, recs in shards.items()
-    }
+    """The store's content with the encoding and every position taken
+    out: the read-back ``(kind, fields)`` stream, every partial replay,
+    and the index without its format tag, segment table and step
+    starts."""
+    reader = StoreReader(directory)
     index = json.loads((directory / INDEX_NAME).read_text())
-    del index["format"]
-    for entry in index["shards"].values():
-        del entry["segments"]
+    for key in ("format", "segments", "shards"):
+        index.pop(key, None)
     for step in index["steps"]:
-        step["starts"] = {
-            shard: ordinal[shard][tuple(pos)]
-            for shard, pos in step["starts"].items()
-        }
-    return {"streams": streams, "index": index}
+        step.pop("start", None)
+        step.pop("starts")
+    return {
+        "stream": digest(reader.to_tracer().events),
+        "from_step": [
+            digest(reader.to_tracer(from_step=k).events)
+            for k in range(len(index["steps"]))
+        ],
+        "index": index,
+    }
 
 
 @functools.cache
@@ -149,10 +133,12 @@ def test_matches_golden(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_decoded_content_matches_golden(name):
-    want = json.loads(GOLDEN_PATH.read_text())[name]["decoded"]
-    got = record(name)["decoded"]
-    assert got["streams"] == want["streams"], f"{name}: record streams"
-    assert got["index"] == want["index"], f"{name}: index"
+    want = json.loads(GOLDEN_PATH.read_text())[name]
+    got = record(name)
+    assert got["decoded"]["stream"] == want["decoded"]["stream"], name
+    assert got["decoded"]["from_step"] == want["decoded"]["from_step"], name
+    assert (got["records"], got["nranks"]) == (want["records"], want["nranks"])
+    assert got["decoded"]["index"] == want["decoded"]["index"], name
 
 
 def test_small_segments_rotate():

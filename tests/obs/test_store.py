@@ -2,10 +2,10 @@
 
 The contract under test: anything recorded through
 :class:`repro.obs.store.StoreTracer` reads back as the **exact**
-in-memory :class:`SpanTracer` view — same tuples, same global order,
-same exported bytes — while the writer's memory stays bounded by one
-flush buffer per shard, and a crash mid-write costs at most the
-unflushed tail of each shard.
+in-memory :class:`SpanTracer` view — same tuples, same order, same
+exported bytes — while the writer's memory stays bounded by one flush
+buffer, and a crash mid-write costs at most the unflushed tail of the
+recording.
 """
 
 import json
@@ -31,9 +31,9 @@ from repro.obs.store import (
     iter_segment_records,
     load_index,
     load_store,
-    shard_segments,
 )
 from repro.obs.store.codec import decode_record, encode_record, read_frame
+from repro.obs.store.segment import numbered_segments
 from repro.obs.store.writer import INDEX_NAME
 
 
@@ -44,7 +44,7 @@ def roundtrip(value):
         with StoreTracer(tmp) as store:
             store.mark(0.0, "m", v=value)
         got = load_store(tmp).marks[0][2]["v"]
-        [(_seq, _kind, (_t, _name, args))] = TailReader(tmp).poll()
+        [(_kind, (_t, _name, args))] = TailReader(tmp).poll()
     assert args["v"] == got and type(args["v"]) is type(got)
     return got
 
@@ -100,8 +100,7 @@ class TestCodec:
         store.close()
         got = load_store(tmp_path)
         assert got.ops == span.ops and got.marks == span.marks
-        tailed = {kind: fields for _, kind, fields
-                  in TailReader(tmp_path).poll()}
+        tailed = dict(TailReader(tmp_path).poll())
         for op, (t, _name, args) in ((got.ops[0], got.marks[0]),
                                      (tailed[KIND_OP], tailed[KIND_MARK])):
             assert [type(v) for v in op] == [int, str, str, float, float,
@@ -110,39 +109,39 @@ class TestCodec:
             assert [type(v) for v in args["pair"]] == [int, float]
 
     def test_record_roundtrip(self):
-        rec = encode_record(KIND_OP, 42, (3, "overflow", "compute",
-                                          0.5, 1.5, 100.0, 2048))
+        rec = encode_record(KIND_OP, (3, "overflow", "compute",
+                                      0.5, 1.5, 100.0, 2048))
         payload, off = read_frame(rec, 0)
         assert off == len(rec)
-        kind, seq, fields = decode_record(payload)
-        assert (kind, seq) == (KIND_OP, 42)
+        kind, fields = decode_record(payload)
+        assert kind == KIND_OP
         assert fields == (3, "overflow", "compute", 0.5, 1.5, 100.0, 2048)
 
     def test_record_field_count_enforced(self):
         with pytest.raises(StoreCodecError):
-            encode_record(KIND_OP, 0, (1, 2))
+            encode_record(KIND_OP, (1, 2))
         with pytest.raises(StoreCodecError):
-            encode_record(99, 0, ())
+            encode_record(99, ())
 
     def test_bad_payloads_raise_codec_error_only(self):
         import marshal
         for payload in (
             b"",                                      # EOFError
-            marshal.dumps((KIND_OP, 0, (0,) * 7), 4)[:-1],  # EOFError
+            marshal.dumps((KIND_OP, (0,) * 7), 4)[:-1],  # EOFError
             b"\x01\x00\x03\x00",                      # ValueError
             b"<\x01\x00\x00\x00[\x00\x00\x00\x00",      # TypeError
-            marshal.dumps([KIND_OP, 0, (0,) * 7], 4),  # not a tuple
-            marshal.dumps((KIND_OP, 0, (0,) * 6), 4),  # field count
-            marshal.dumps((99, 0, ()), 4),             # unknown kind
-            marshal.dumps((KIND_OP, "0", (0,) * 7), 4),  # seq type
+            marshal.dumps([KIND_OP, (0,) * 7], 4),     # not a tuple
+            marshal.dumps((KIND_OP, (0,) * 6), 4),     # field count
+            marshal.dumps((99, ()), 4),                # unknown kind
+            marshal.dumps((KIND_OP, [0] * 7), 4),      # fields type
+            marshal.dumps((KIND_OP, 0, (0,) * 7), 4),  # format-2 record
         ):
             with pytest.raises(StoreCodecError) as info:
                 decode_record(payload)
             assert type(info.value) is StoreCodecError, payload
 
     def test_truncated_and_corrupt_frames_return_none(self):
-        rec = encode_record(KIND_OP, 1, (0, "p", "compute", 0.0, 1.0,
-                                         0.0, 0))
+        rec = encode_record(KIND_OP, (0, "p", "compute", 0.0, 1.0, 0.0, 0))
         # Short header, short payload, CRC flip: all (None, off).
         for cut in (1, 7, len(rec) - 1):
             assert read_frame(rec[:cut], 0) == (None, 0)
@@ -164,6 +163,38 @@ FORMAT_1_SEGMENTS = {
     ),
 }
 
+#: A whole ``repro-trace-store/2`` store, hex per file: one shard per
+#: rank plus a driver shard (an op on rank 0 and a mark), and its index.
+FORMAT_2_STORE = {
+    "shard-0-00000.seg": (
+        "3f0000007a34b8022903e901000000e900000000a9077201000000da0170da07"
+        "636f6d7075746567000000000000000067000000000000f03fe7000000000000"
+        "00007201000000"
+    ),
+    "shard-driver-00000.seg": (
+        "2b000000e12a82662903e903000000e901000000a903e70000000000000040da"
+        "0565706f63687bda0473746570e90000000030"
+    ),
+    "index.json": (
+        "7b0a2022616476616e636573223a205b5d2c0a2022636c6f636b223a20227669"
+        "727475616c222c0a2022636f6d706c657465223a20747275652c0a2022666f72"
+        "6d6174223a2022726570726f2d74726163652d73746f72652f32222c0a20226d"
+        "657461223a207b7d2c0a20226e72616e6b73223a20312c0a20226f6666736574"
+        "223a20302e302c0a20227265636f726473223a20322c0a202273686172647322"
+        "3a207b0a20202230223a207b0a2020202266697273745f736571223a20302c0a"
+        "202020226c6173745f736571223a20302c0a202020227265636f726473223a20"
+        "312c0a202020227365676d656e7473223a205b0a202020207b0a202020202022"
+        "6279746573223a2037312c0a202020202022696e646578223a20300a20202020"
+        "7d0a2020205d0a20207d2c0a202022647269766572223a207b0a202020226669"
+        "7273745f736571223a20312c0a202020226c6173745f736571223a20312c0a20"
+        "2020227265636f726473223a20312c0a202020227365676d656e7473223a205b"
+        "0a202020207b0a2020202020226279746573223a2035312c0a20202020202269"
+        "6e646578223a20300a202020207d0a2020205d0a20207d0a207d2c0a20227374"
+        "65705f7068617365223a20226f766572666c6f77222c0a20227374657073223a"
+        "205b5d0a7d0a"
+    ),
+}
+
 
 class TestOldStores:
     def test_format_1_index_refused_naming_both_formats(self, tmp_path):
@@ -181,41 +212,64 @@ class TestOldStores:
     def test_format_1_segments_raise_typed_errors(self, tmp_path):
         for name, blob in FORMAT_1_SEGMENTS.items():
             (tmp_path / name).write_bytes(blob)
-        with pytest.raises(StoreCorruptionError) as info:
-            StoreReader(tmp_path).to_tracer()
-        assert type(info.value.__cause__) is StoreCodecError
-        with pytest.raises(StoreCodecError) as info:
+        for read in (lambda: StoreReader(tmp_path).to_tracer(),
+                     lambda: TailReader(tmp_path).poll()):
+            with pytest.raises(StoreCorruptionError, match="shard-"):
+                read()
+
+    def test_format_2_store_refused(self, tmp_path):
+        for name, blob in FORMAT_2_STORE.items():
+            (tmp_path / name).write_bytes(bytes.fromhex(blob))
+        with pytest.raises(StoreCorruptionError, match="repro-trace-store/2"):
+            StoreReader(tmp_path)
+        with pytest.raises(StoreCorruptionError, match="shard-"):
             TailReader(tmp_path).poll()
-        assert type(info.value) is StoreCodecError
+        (tmp_path / INDEX_NAME).unlink()
+        with pytest.raises(StoreCorruptionError, match="shard-"):
+            StoreReader(tmp_path)
+
+    def test_cli_top_on_format_2_store_is_one_line(self, tmp_path):
+        from repro.cli import main
+
+        for name, blob in FORMAT_2_STORE.items():
+            (tmp_path / name).write_bytes(bytes.fromhex(blob))
+        with pytest.raises(SystemExit) as info:
+            main(["top", str(tmp_path), "--once"])
+        message = info.value.code
+        assert isinstance(message, str)  # printed to stderr, exit status 1
+        assert message.strip() and "\n" not in message
 
 
 class TestSegments:
+    @staticmethod
+    def op(i):
+        return (0, "p", "compute", float(i), float(i + 1), 0.0, 0)
+
     def test_rotation_and_discovery(self, tmp_path):
-        w = SegmentWriter(tmp_path, "0", segment_bytes=200, flush_bytes=50)
+        w = SegmentWriter(tmp_path, segment_bytes=200, flush_bytes=50)
         for i in range(40):
-            w.append(KIND_OP, i, (0, "p", "compute", float(i),
-                                  float(i + 1), 0.0, 0))
+            w.append(KIND_OP, self.op(i))
         w.close()
-        segs = shard_segments(tmp_path)["0"]
-        assert len(segs) > 1
-        seqs = [seq for p in segs for _, seq, _ in
-                iter_segment_records(p, last=False)]
-        assert seqs == list(range(40))
-        desc = w.describe()
-        assert desc["records"] == 40
-        assert desc["first_seq"] == 0 and desc["last_seq"] == 39
+        segs = numbered_segments(tmp_path)
+        assert list(segs) == list(range(len(segs))) and len(segs) > 1
+        got = [rec for p in segs.values()
+               for rec in iter_segment_records(p, last=False)]
+        assert got == [(KIND_OP, self.op(i)) for i in range(40)]
+        assert w.records == 40
+        assert w.segments == [
+            {"index": i, "bytes": p.stat().st_size} for i, p in segs.items()
+        ]
 
     def test_truncated_tail_dropped_only_on_last_segment(self, tmp_path):
-        w = SegmentWriter(tmp_path, "0", segment_bytes=10**6,
-                          flush_bytes=1)
+        w = SegmentWriter(tmp_path, segment_bytes=10**6, flush_bytes=1)
         for i in range(5):
-            w.append(KIND_OP, i, (0, "p", "compute", 0.0, 1.0, 0.0, 0))
+            w.append(KIND_OP, self.op(i))
         w.close()
-        path = shard_segments(tmp_path)["0"][0]
+        path = numbered_segments(tmp_path)[0]
         blob = path.read_bytes()
         path.write_bytes(blob[:-3])  # crash mid-frame
         got = list(iter_segment_records(path, last=True))
-        assert [seq for _, seq, _ in got] == [0, 1, 2, 3]
+        assert got == [(KIND_OP, self.op(i)) for i in range(4)]
         with pytest.raises(StoreCorruptionError):
             list(iter_segment_records(path, last=False))
 
@@ -268,19 +322,16 @@ class TestStoreTracerRoundTrip:
         record_script(span)
         record_script(store)
         store.flush()
-        # Crash: never close(); additionally truncate one shard's last
-        # segment mid-frame and tear the index.
-        shard0 = shard_segments(tmp_path)["0"][-1]
-        blob = shard0.read_bytes()
-        shard0.write_bytes(blob[:-2])
+        # Crash: never close(); additionally truncate the last segment
+        # mid-frame and tear the index.
+        last = list(numbered_segments(tmp_path).values())[-1]
+        blob = last.read_bytes()
+        last.write_bytes(blob[:-2])
         (tmp_path / INDEX_NAME).write_text("{ torn")
         got = load_store(tmp_path)
-        # Everything recovered is a prefix of the true per-shard streams.
-        assert got.ops == [e for e in span.ops if tuple(e) in
-                           {tuple(x) for x in span.ops}][: len(got.ops)]
-        assert 0 < len(got.ops) <= len(span.ops)
-        assert all(e in span.ops for e in got.ops)
-        assert all(e in span.sends for e in got.sends)
+        # Everything recovered is a prefix of the recording.
+        assert 0 < len(got.events) < len(span.events)
+        assert got.events == span.events[: len(got.events)]
 
     def test_refuses_reuse_without_fresh(self, tmp_path):
         StoreTracer(tmp_path).close()
@@ -311,9 +362,11 @@ class TestStoreTracerRoundTrip:
             th.join()
         store.close()
         got = load_store(tmp_path)
-        assert len(got.ops) == 800
-        seqs = sorted(s for s, _, _ in StoreReader(tmp_path).iter_records())
-        assert seqs == list(range(800))
+        assert len(got.ops) == store.records == 800
+        for worker in range(4):
+            assert [e[3] for e in got.ops if e[0] == worker] == [
+                float(i) for i in range(200)
+            ]
 
 
 class TestBoundedMemory:
@@ -323,15 +376,14 @@ class TestBoundedMemory:
                             flush_bytes=flush_bytes)
         cfg = airfoil_case(machine=sp2(nodes=4), scale=0.1, nsteps=5)
         OverflowD1(cfg, tracer=store).run()
-        # At most one open segment per shard, ever.
-        assert store.open_segments <= len(store._writers)
+        # At most one open segment, ever.
+        assert store.open_segments <= 1
         # The flush buffer never grew past threshold + one record.
         assert store.max_buffered_bytes < flush_bytes + 512
         # Rotation actually happened: the trace spans many segments.
         store.close()
         assert store.open_segments == 0
-        segs = shard_segments(tmp_path)
-        assert max(len(paths) for paths in segs.values()) > 3
+        assert len(numbered_segments(tmp_path)) > 3
         # And the data is still exact: spot-check via a fresh run.
         span = SpanTracer()
         cfg = airfoil_case(machine=sp2(nodes=4), scale=0.1, nsteps=5)
@@ -416,26 +468,27 @@ class TestIndex:
         assert index["nranks"] == 2
         assert len(index["steps"]) == 3
         assert index["advances"]  # one advance in the script
+        assert [s["index"] for s in index["segments"]] == [0]
         step0 = index["steps"][0]
         assert set(step0["starts"]) == {"0", "1"}
+        assert step0["start"][2] == min(step0["starts"].values())
         assert "overflow" in step0["phase_time"]
         assert "compute" in step0["kind_time"]
 
     def test_step_start_offsets_point_at_step_phase_mark(self, tmp_path):
-        from pathlib import Path
-
         from repro.obs.store.codec import KIND_PHASE
         from repro.obs.store.segment import segment_path
 
-        store = StoreTracer(tmp_path)
+        store = StoreTracer(tmp_path, segment_bytes=512, flush_bytes=64)
         record_script(store, nranks=2, steps=3)
         store.close()
         index = load_index(tmp_path)
+        full = list(StoreReader(tmp_path).iter_records())
         for entry in index["steps"]:
-            for shard, (seg, off) in entry["starts"].items():
-                path = segment_path(Path(tmp_path), shard, seg)
-                kind, _seq, fields = next(
-                    iter_segment_records(path, last=True, start=off)
-                )
-                assert kind == KIND_PHASE
-                assert fields[2] == "overflow"
+            seg, off, ordinal = entry["start"]
+            path = segment_path(tmp_path, seg)
+            first = next(iter_segment_records(path, last=True, start=off))
+            assert first == full[ordinal]
+            for rank, n in entry["starts"].items():
+                kind, (r, _t, name) = full[n]
+                assert (kind, r, name) == (KIND_PHASE, int(rank), "overflow")

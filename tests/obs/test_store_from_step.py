@@ -1,13 +1,14 @@
 """Partial replay: ``StoreReader.iter_records(from_step=N)``.
 
-The index records, per step, each rank shard's (segment, byte) start
-offset.  Partial replay seeds every offset-carrying shard at its own
-step boundary — a per-shard *tail*, not a global sequence cut — and
-filters offset-less shards (the rank-less driver stream) to sequence
-numbers at or after the earliest seeded record.  The contract: the
-merged result is a seq-sorted sub-stream of the full replay, every
-seeded shard opens on the step-phase record, and ``from_step=0``
-reproduces the full replay exactly.
+The index records, per step, ``start`` — the (segment, byte, record)
+position of the first rank's step-phase record — and ``starts``, each
+rank's record ordinal of its own step-phase record.  Partial replay
+seeks to ``start`` and drops a record whose own rank enters the step
+later than that record: a per-rank *tail*, not a global cut; marks and
+ranks that never entered the step are kept from the seek point on.
+The contract: reading from the seek point equals filtering the full
+replay by ordinal, each rank's ``starts`` ordinal is its step-phase
+record, and ``from_step=0`` reproduces the full replay exactly.
 
 Those three properties are stated once (the ``check_*`` functions) and
 held against a synthetic store and against the real store of an
@@ -21,6 +22,7 @@ import pytest
 from repro.obs.store import StoreReader, StoreTracer, load_store
 from repro.obs.store.codec import KIND_MARK, KIND_OP, KIND_PHASE
 from repro.obs.store.writer import INDEX_NAME
+from repro.obs.tracer import event_ranks
 
 NRANKS = 3
 STEPS = 5
@@ -55,43 +57,51 @@ def reader(tmp_path):
     return StoreReader(tmp_path)
 
 
+def kept_ordinals(reader, k, full):
+    """Ordinals of the full replay that step ``k``'s replay keeps."""
+    row = reader.steps[k]
+    starts = {int(r): n for r, n in row["starts"].items()}
+    return [
+        n for n, (kind, fields) in enumerate(full)
+        if n >= row["start"][2]
+        and starts.get((event_ranks(kind, fields) or (None,))[0], n) <= n
+    ]
+
+
 def check_from_step_zero_is_full_replay(reader):
     """Returns what ``from_step=0`` leaves out: the records that come
     before any rank's first step, in the same relative order."""
     full = list(reader.iter_records())
-    tail = list(reader.iter_records(from_step=0))
-    kept = {seq for seq, _, _ in tail}
-    assert tail == [rec for rec in full if rec[0] in kept]
-    return [rec for rec in full if rec[0] not in kept]
+    kept = set(kept_ordinals(reader, 0, full))
+    assert list(reader.iter_records(from_step=0)) == [
+        rec for n, rec in enumerate(full) if n in kept
+    ]
+    return [rec for n, rec in enumerate(full) if n not in kept]
 
 
-def check_tail_is_sorted_subset_of_full(reader, nsteps):
-    """Returns ``(full, tails)`` for producer-specific follow-ups."""
+def check_tail_is_ordered_subset_of_full(reader, nsteps):
+    """Each step's replay, read from its seek position, is the full
+    replay filtered by ordinal.  Returns ``(full, tails)``."""
     full = list(reader.iter_records())
-    seqs_full = {seq for seq, _, _ in full}
     tails = [list(reader.iter_records(from_step=k)) for k in range(nsteps)]
     prev_len = len(full) + 1
-    for tail in tails:
-        seqs = [seq for seq, _, _ in tail]
-        assert seqs == sorted(seqs)
-        assert set(seqs) <= seqs_full
+    for k, tail in enumerate(tails):
+        assert tail == [full[n] for n in kept_ordinals(reader, k, full)]
         # Strictly shrinking: each later step drops a step's worth.
         assert 0 < len(tail) < prev_len
         prev_len = len(tail)
     return full, tails
 
 
-def check_each_seeded_shard_opens_on_step_phase(reader, nsteps, nranks):
-    for k in range(nsteps):
-        starts = reader._step_starts(k)
-        assert set(starts) == {str(r) for r in range(nranks)}
-        for shard in starts:
-            seg, byte = starts[shard]
-            _seq, kind, fields = next(
-                reader._iter_shard_from(shard, seg, byte)
-            )
+def check_each_rank_starts_on_its_step_phase(reader, nsteps, nranks):
+    full = list(reader.iter_records())
+    for row in reader.steps[:nsteps]:
+        assert set(row["starts"]) == {str(r) for r in range(nranks)}
+        assert row["start"][2] == min(row["starts"].values())
+        for rank, n in row["starts"].items():
+            kind, fields = full[n]
             assert kind == KIND_PHASE
-            assert fields[2] == "overflow"
+            assert (fields[0], fields[2]) == (int(rank), "overflow")
 
 
 class TestFromStep:
@@ -99,15 +109,15 @@ class TestFromStep:
         assert check_from_step_zero_is_full_replay(reader) == []
 
     def test_tail_is_sorted_subset_of_full(self, reader):
-        full, tails = check_tail_is_sorted_subset_of_full(reader, STEPS)
-        for tail in tails:
-            # This producer records in global time order, so the tail
-            # is also suffix-closed: every record at or after the
-            # smallest surviving seq of an offset shard survives.
-            assert tail == [rec for rec in full if rec[0] >= tail[0][0]]
+        full, tails = check_tail_is_ordered_subset_of_full(reader, STEPS)
+        for row, tail in zip(reader.steps, tails):
+            # Every rank enters the step before any cross-rank record,
+            # so the tail is also suffix-closed: everything from the
+            # seek point on survives.
+            assert tail == full[row["start"][2]:]
 
-    def test_each_seeded_shard_opens_on_step_phase(self, reader):
-        check_each_seeded_shard_opens_on_step_phase(reader, STEPS, NRANKS)
+    def test_each_rank_starts_on_its_step_phase(self, reader):
+        check_each_rank_starts_on_its_step_phase(reader, STEPS, NRANKS)
 
     def test_to_tracer_partial_view(self, reader):
         full = reader.to_tracer()
@@ -187,9 +197,9 @@ def test_every_engine_indexes_every_step(backend, tmp_path):
 
     # A real run has a preamble no step owns: the opening epoch mark
     # and, on a measured engine, each rank's start-up compute span.
-    for _seq, kind, fields in check_from_step_zero_is_full_replay(reader):
+    for kind, fields in check_from_step_zero_is_full_replay(reader):
         assert kind == KIND_MARK or (kind == KIND_OP and fields[1] == "default")
-    check_tail_is_sorted_subset_of_full(reader, nsteps)
-    check_each_seeded_shard_opens_on_step_phase(reader, nsteps, nranks)
+    check_tail_is_ordered_subset_of_full(reader, nsteps)
+    check_each_rank_starts_on_its_step_phase(reader, nsteps, nranks)
     full, part = reader.to_tracer(), reader.to_tracer(from_step=1)
     assert 0 < len(part.ops) < len(full.ops)

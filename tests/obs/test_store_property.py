@@ -4,8 +4,8 @@ Hypothesis drives arbitrary interleavings of the five event kinds plus
 multi-epoch ``advance`` through a :class:`SpanTracer` and a
 :class:`StoreTracer` side by side, then asserts the store reads back the
 *exact* in-memory view — and that a crash (buffered tail lost, final
-segment truncated mid-frame, index torn) loses at most a per-shard
-suffix while keeping every surviving record intact and ordered.
+segment truncated mid-frame, index torn) reads back as an exact prefix
+of the recording.
 """
 
 import pytest
@@ -15,12 +15,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.obs import SpanTracer  # noqa: E402
-from repro.obs.store import (  # noqa: E402
-    StoreTracer,
-    load_store,
-    shard_segments,
+from repro.obs.store import StoreTracer, load_store  # noqa: E402
+from repro.obs.store.segment import (  # noqa: E402
+    iter_segment_records,
+    numbered_segments,
 )
-from repro.obs.store.writer import DRIVER_SHARD, INDEX_NAME  # noqa: E402
+from repro.obs.store.writer import INDEX_NAME  # noqa: E402
 
 PHASES = ("overflow", "motion", "dcf3d", "solver")
 KINDS = ("compute", "comm", "wait")
@@ -28,8 +28,8 @@ KINDS = ("compute", "comm", "wait")
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 ranks = st.integers(min_value=0, max_value=3)
 small_int = st.integers(min_value=0, max_value=2**20)
-# Codec normalizes tuples to lists, so mark args stick to list-free
-# JSON-ish values for exact round-trip equality.
+# Mark args stick to scalars here; tuples, lists and dicts round-trip
+# exactly too (``test_store.py::TestCodec``).
 arg_value = st.one_of(
     st.none(), st.booleans(), st.integers(min_value=-(2**40), max_value=2**40),
     finite, st.text(max_size=8),
@@ -118,49 +118,35 @@ def test_store_reads_back_exact_tracer_view(tmp_path_factory, sequence):
     chop=st.integers(min_value=1, max_value=64),
     tear_index=st.booleans(),
 )
-def test_crash_recovery_keeps_per_shard_prefixes(
+def test_crash_recovery_keeps_a_prefix_of_the_recording(
     tmp_path_factory, sequence, chop, tear_index
 ):
     tmp = tmp_path_factory.mktemp("prop-crash")
     span = drive(SpanTracer(), sequence)
     store = drive(StoreTracer(tmp, flush_bytes=64, segment_bytes=512),
                   sequence)
-    # Crash: flush but never close, truncate the largest shard's final
-    # segment mid-frame, optionally tear the index too.
+    # Crash: flush but never close, truncate the final segment
+    # mid-frame, optionally tear the index too.
     store.flush()
-    shards = shard_segments(tmp)
-    if shards:
-        victim = max(shards, key=lambda s: shards[s][-1].stat().st_size)
-        tail = shards[victim][-1]
-        blob = tail.read_bytes()
-        tail.write_bytes(blob[: max(0, len(blob) - chop)])
+    segments = list(numbered_segments(tmp).values())
+    if segments:
+        blob = segments[-1].read_bytes()
+        segments[-1].write_bytes(blob[: max(0, len(blob) - chop)])
     if tear_index:
         (tmp / INDEX_NAME).write_text("{ not json")
-    if not shards and tear_index:
+    if not segments and tear_index:
         # Nothing durable survived this crash at all; the reader says so.
         with pytest.raises(FileNotFoundError):
             load_store(tmp)
         return
     got = load_store(tmp)
 
-    # Each shard's recovered stream is an exact prefix of what was
-    # recorded for that shard.
-    def ops_of(t, rank):
-        return [e for e in t.ops if e[0] == rank]
-
-    def pm_of(t, rank):
-        return [e for e in t.phase_marks if e[0] == rank]
-
-    for rank in range(max(span.nranks, got.nranks)):
-        assert ops_of(got, rank) == ops_of(span, rank)[: len(ops_of(got, rank))]
-        assert pm_of(got, rank) == pm_of(span, rank)[: len(pm_of(got, rank))]
-        got_sends = [e for e in got.sends if e[1] == rank]
-        all_sends = [e for e in span.sends if e[1] == rank]
-        assert got_sends == all_sends[: len(got_sends)]
-        got_recvs = [e for e in got.recvs if e[1] == rank]
-        all_recvs = [e for e in span.recvs if e[1] == rank]
-        assert got_recvs == all_recvs[: len(got_recvs)]
-    assert got.marks == span.marks[: len(got.marks)]  # driver shard
+    # The recovered stream is an exact prefix of the recording: a crash
+    # loses a suffix of it, never a record from the middle.
+    assert got.events == span.events[: len(got.events)]
+    sealed = sum(len(list(iter_segment_records(p, last=False)))
+                 for p in segments[:-1])
+    assert len(got.events) >= sealed
 
 
 @settings(max_examples=20, deadline=None)
@@ -191,11 +177,3 @@ def test_multi_epoch_advance_offsets_match(tmp_path_factory, epochs):
         sum(dt for _, dt in epochs)
     )
 
-
-def test_driver_shard_holds_marks_only(tmp_path):
-    store = StoreTracer(tmp_path, flush_bytes=1)
-    store.mark(0.0, "start", run=1)
-    store.op(0, "p", "compute", 0.0, 1.0)
-    store.close()
-    shards = shard_segments(tmp_path)
-    assert DRIVER_SHARD in shards and "0" in shards

@@ -1,9 +1,9 @@
 """StoreTracer under concurrent recorders (serve's dispatcher threads).
 
 Events are queued under the store lock and drained in batches, so a
-lost update would show as a missing or duplicated sequence number, a
-per-thread order change, or a ``records`` count that disagrees with
-what reads back.
+lost update would show as a missing or duplicated record, a per-thread
+order change, or a ``records`` count that disagrees with what reads
+back.
 """
 
 import sys
@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.obs.store import StoreReader, StoreTracer, load_store
+from repro.obs.store import KIND_OP, KIND_PHASE, StoreReader, StoreTracer
 
 THREADS = 8
 OPS = 700  # per thread: each thread alone crosses the drain bound
@@ -21,11 +21,19 @@ OPS = 700  # per thread: each thread alone crosses the drain bound
 def test_concurrent_recorders_lose_nothing(tmp_path, flush_every):
     store = StoreTracer(tmp_path, flush_every=flush_every)
 
-    def work(rank):
+    def script(rank):
         for i in range(OPS):
             if i % 100 == 0:
-                store.phase(rank, float(i), "overflow")
-            store.op(rank, "overflow", "compute", float(i), i + 0.5, 0.0, 8)
+                yield KIND_PHASE, (rank, float(i), "overflow")
+            yield KIND_OP, (rank, "overflow", "compute", float(i), i + 0.5,
+                            0.0, 8)
+
+    def work(rank):
+        for kind, fields in script(rank):
+            if kind == KIND_PHASE:
+                store.phase(*fields)
+            else:
+                store.op(*fields)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -41,12 +49,9 @@ def test_concurrent_recorders_lose_nothing(tmp_path, flush_every):
     assert not any(th.is_alive() for th in threads)
     store.close()
 
-    per_thread = OPS + OPS // 100
-    assert store.records == THREADS * per_thread
-    seqs = [seq for seq, _, _ in StoreReader(tmp_path).iter_records()]
-    assert seqs == list(range(THREADS * per_thread))
-    got = load_store(tmp_path)
+    records = list(StoreReader(tmp_path).iter_records())
+    assert store.records == len(records) == THREADS * (OPS + OPS // 100)
     for rank in range(THREADS):
-        times = [e[3] for e in got.ops if e[0] == rank]
-        assert times == [float(i) for i in range(OPS)]
-    assert got.nranks == THREADS
+        mine = [rec for rec in records if rec[1][0] == rank]
+        assert mine == list(script(rank))
+    assert store.nranks == THREADS

@@ -20,7 +20,7 @@ from repro.obs.store import (
     load_index,
 )
 from repro.obs.store.codec import encode_record
-from repro.obs.store.segment import shard_segments
+from repro.obs.store.segment import numbered_segments
 from repro.obs.store.top import TopAggregator, render_top, run_top
 from repro.obs.perf.trends import (
     step_series,
@@ -31,8 +31,8 @@ from repro.obs.perf.trends import (
 )
 
 
-def op_rec(seq, rank, phase, kind, t0, t1, flops=0.0, nbytes=0):
-    return (seq, KIND_OP, [rank, phase, kind, t0, t1, flops, nbytes])
+def op_rec(rank, phase, kind, t0, t1, flops=0.0, nbytes=0):
+    return (KIND_OP, [rank, phase, kind, t0, t1, flops, nbytes])
 
 
 class TestTailReader:
@@ -41,32 +41,32 @@ class TestTailReader:
         store.op(0, "p", "compute", 0.0, 1.0)
         store.flush()
         tail = TailReader(tmp_path)
-        first = tail.poll()
-        assert [seq for seq, _, _ in first] == [0]
+        assert tail.poll() == [(KIND_OP, (0, "p", "compute", 0.0, 1.0,
+                                          0.0, 0))]
         assert tail.poll() == []
         store.op(1, "p", "compute", 1.0, 2.0)
         store.send(1.0, 0, 1, 5, 256, "p")
         store.flush()
         second = tail.poll()
-        assert [seq for seq, _, _ in second] == [1, 2]
+        assert [kind for kind, _ in second] == [KIND_OP, KIND_SEND]
         store.close()
 
     def test_partial_frame_is_in_flight_not_an_error(self, tmp_path):
-        w = SegmentWriter(tmp_path, "0", flush_bytes=1)
-        w.append(KIND_OP, 0, (0, "p", "compute", 0.0, 1.0, 0.0, 0))
+        w = SegmentWriter(tmp_path, flush_bytes=1)
+        w.append(KIND_OP, (0, "p", "compute", 0.0, 1.0, 0.0, 0))
         w.close()
         tail = TailReader(tmp_path)
         assert len(tail.poll()) == 1
         # A writer mid-flush: half a frame on disk.
-        frame = encode_record(KIND_OP, 1, (0, "p", "compute", 1.0, 2.0,
-                                           0.0, 0))
-        path = shard_segments(tmp_path)["0"][-1]
+        fields = (0, "p", "compute", 1.0, 2.0, 0.0, 0)
+        frame = encode_record(KIND_OP, fields)
+        path = numbered_segments(tmp_path)[0]
         with open(path, "ab") as f:
             f.write(frame[: len(frame) // 2])
         assert tail.poll() == []  # retried, not raised
         with open(path, "ab") as f:
             f.write(frame[len(frame) // 2:])
-        assert [seq for seq, _, _ in tail.poll()] == [1]
+        assert tail.poll() == [(KIND_OP, fields)]
 
     def test_follows_segment_rotation(self, tmp_path):
         store = StoreTracer(tmp_path, segment_bytes=256, flush_bytes=1)
@@ -79,19 +79,19 @@ class TestTailReader:
         store.close()
         total += len(tail.poll())
         assert total == 60
-        assert len(shard_segments(tmp_path)["0"]) > 1
+        assert len(numbered_segments(tmp_path)) > 1
 
 
 class TestTopAggregator:
     def feed_basic(self):
         agg = TopAggregator()
         agg.feed([
-            op_rec(0, 0, "overflow", "compute", 0.0, 3.0),
-            op_rec(1, 0, "overflow", "wait", 3.0, 4.0),
-            op_rec(2, 1, "overflow", "compute", 0.0, 1.0),
-            (3, KIND_SEND, [0.5, 0, 1, 9, 4096, "overflow"]),
-            (4, KIND_SEND, [0.6, 0, 1, 9, 1024, "overflow"]),
-            (5, KIND_SEND, [0.7, 1, 0, 9, 512, "overflow"]),
+            op_rec(0, "overflow", "compute", 0.0, 3.0),
+            op_rec(0, "overflow", "wait", 3.0, 4.0),
+            op_rec(1, "overflow", "compute", 0.0, 1.0),
+            (KIND_SEND, [0.5, 0, 1, 9, 4096, "overflow"]),
+            (KIND_SEND, [0.6, 0, 1, 9, 1024, "overflow"]),
+            (KIND_SEND, [0.7, 1, 0, 9, 512, "overflow"]),
         ])
         return agg
 
@@ -277,7 +277,7 @@ class TestLiveTopOverMp:
             deadline = time.monotonic() + 120
             while not store.is_dir() or (
                 load_index(store) is None
-                and not any(store.glob("shard-*.seg"))
+                and not any(store.glob("*.seg"))
             ):
                 if time.monotonic() >= deadline:
                     pytest.fail("trace store never appeared")
