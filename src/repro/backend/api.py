@@ -15,10 +15,12 @@ This module pins that contract down:
   :class:`repro.machine.simmpi.Comm` itself: every engine hands its
   ranks a ``Comm`` and differs only in how the primitives it yields are
   interpreted;
-* :class:`BackendResult` — what an execution produces.  Field-compatible
-  with :class:`repro.machine.scheduler.SimulationResult` (``elapsed``,
-  ``returns``, ``metrics``, ``failed_ranks``) so existing drivers keep
-  working unchanged, plus backend provenance (``backend``, ``measured``).
+* :class:`BackendResult` — what an execution produces, on every engine
+  the same: ``elapsed``, ``returns``, ``metrics`` (the run's
+  :class:`repro.machine.metrics.PhaseRollup`), ``failed_ranks``, plus
+  provenance (``backend``, ``measured``).  It is defined beside the
+  accounting in :mod:`repro.machine.metrics`, because the simulator's
+  scheduler returns it directly.
 * :class:`ExecutionBackend` — the engine interface: take a machine and a
   list of rank programs, run them to completion, return a result.
 * a registry (:func:`register_backend` / :func:`get_backend` /
@@ -37,6 +39,8 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Sequence
 
+from repro.machine.metrics import BackendResult
+
 __all__ = [
     "RankProgram",
     "BackendResult",
@@ -53,41 +57,6 @@ __all__ = [
 #: generator's ``return`` value becomes the rank's entry in
 #: :attr:`BackendResult.returns`.
 RankProgram = Callable[..., Generator]
-
-
-@dataclass
-class BackendResult:
-    """Outcome of one backend execution.
-
-    Quacks like :class:`repro.machine.scheduler.SimulationResult` —
-    the four result fields drivers consume (``elapsed``, ``returns``,
-    ``metrics``, ``failed_ranks``) carry the same types and meaning —
-    with two provenance fields on top:
-
-    ``backend``
-        Registry name of the engine that produced this result.
-    ``measured``
-        ``False`` for modeled (virtual-time, deterministic) results,
-        ``True`` for measured (host wall-clock, nondeterministic) ones.
-        Anything downstream that demands bit-identical numbers (golden
-        traces, canonical BENCH sections, trace-diff gates) must treat
-        ``measured=True`` results as host-section data.
-    """
-
-    elapsed: float
-    returns: list[Any]
-    metrics: Any  # repro.machine.metrics.MachineMetrics
-    failed_ranks: tuple[int, ...] = ()
-    backend: str = "sim"
-    measured: bool = False
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        unit = "s wall" if self.measured else "s virtual"
-        return (
-            f"BackendResult(backend={self.backend!r}, "
-            f"elapsed={self.elapsed:.6g}{unit}, "
-            f"ranks={self.metrics.nranks}, failed={list(self.failed_ranks)})"
-        )
 
 
 class BackendUnavailable(RuntimeError):
@@ -127,17 +96,17 @@ class ExecutionBackend(abc.ABC):
         fault_plan: Any = None,
         initial_clocks: Sequence[float] | None = None,
         initial_metrics: Sequence[Any] | None = None,
-        max_events: int = 500_000_000,
-        raise_on_failure: bool = True,
     ) -> BackendResult:
         """Run one program per rank to completion.
 
         ``programs[i]`` runs as rank ``i``; ``len(programs)`` must not
         exceed ``machine.nodes``.  Keyword arguments mirror
-        :class:`repro.machine.scheduler.Simulator`; backends that do
-        not support a feature (e.g. fault injection outside the
-        simulator) raise :class:`ValueError` when it is requested
-        rather than silently ignoring it.
+        :class:`repro.machine.scheduler.Simulator`; ``initial_metrics``
+        are the :class:`repro.machine.metrics.RankMetrics` rows to
+        continue accumulating into.  Backends that do not support a
+        feature (e.g. fault injection outside the simulator) raise
+        :class:`ValueError` when it is requested rather than silently
+        ignoring it.
         """
 
     def run_spmd(

@@ -48,10 +48,11 @@ scheduler dispatches, against real transport:
   index) sees what it sees on ``sim``.
 
 Time is **measured, not modeled**: workers account host wall-clock
-seconds into the standard :class:`repro.machine.metrics.RankMetrics`
-shapes (generator execution → ``compute``, transport injection →
-``comm``, blocked receives → ``wait``), so every Table-1/3/4-style
-rollup downstream works on measured numbers — flagged
+seconds into the cells of the standard
+:class:`repro.machine.metrics.RankMetrics` row (generator execution →
+``compute``, transport injection → ``comm``, blocked receives →
+``wait``), so every Table-1/3/4-style rollup downstream works on
+measured numbers — flagged
 ``measured=True`` and never fed to golden traces or canonical BENCH
 sections.  See ``docs/backends.md`` for the full determinism contract.
 """
@@ -79,7 +80,7 @@ from repro.backend.api import (
 )
 from repro.machine.event import Mailbox, Message
 from repro.machine.faults import RankFailure
-from repro.machine.metrics import MachineMetrics, RankMetrics
+from repro.machine.metrics import PhaseRollup, RankMetrics
 from repro.machine.simmpi import Comm
 from repro.obs.tracer import EventLog
 
@@ -257,10 +258,10 @@ class _Engine:
 
     def _charge(self, kind: str, t0: float, t1: float, *, flops: float = 0.0,
                 nbytes: int = 0) -> None:
-        """Account one span: into the metrics, and as a tracer op."""
+        """Account one span: into the metrics row, and as a tracer op."""
         dt = t1 - t0
         if dt > 0.0:
-            self.metrics.time[self.phase][kind] += dt
+            self.metrics.add_time(self.phase, kind, dt)
         if self.tracer is not None and (dt > 0.0 or flops or nbytes):
             self.tracer.op(self.rank, self.phase, kind, t0, t1, flops, nbytes)
 
@@ -752,12 +753,11 @@ class ChunkOutcome:
             returns[rank], ranks[rank], log = pickle.loads(self.done[rank])
             if log is not None and tracer is not None:
                 tracer.extend(log)
-        metrics = MachineMetrics(ranks)
+        metrics = PhaseRollup(ranks)
         return BackendResult(
             elapsed=metrics.elapsed,
             returns=returns,
             metrics=metrics,
-            failed_ranks=(),
             backend=self.backend,
             measured=True,
         )
@@ -772,9 +772,11 @@ def check_measured_run(
     initial_clocks: Sequence[float] | None,
     initial_metrics: Sequence[Any] | None,
     fault_hint: str = "",
-) -> tuple[int, bool]:
+) -> tuple[list[float], list[RankMetrics], bool]:
     """Validate ``run`` arguments for a measured engine (mp, cluster)
-    and switch the tracer to wall time; ``(nranks, trace_enabled)``."""
+    and switch the tracer to wall time; returns the ranks' start clocks
+    and metrics rows (fresh ones when none are carried) and whether
+    tracing is on."""
     if sanitizer is not None:
         raise ValueError(
             "the sanitizer shadow layer needs deterministic virtual "
@@ -803,7 +805,13 @@ def check_measured_run(
     trace_enabled = tracer is not None and tracer.enabled
     if trace_enabled:
         tracer.clock = "wall"
-    return n, trace_enabled
+    clocks = [0.0] * n if initial_clocks is None else list(initial_clocks)
+    rows = (
+        [RankMetrics(r) for r in range(n)]
+        if initial_metrics is None
+        else list(initial_metrics)
+    )
+    return clocks, rows, trace_enabled
 
 
 class MpBackend(ExecutionBackend):
@@ -854,24 +862,19 @@ class MpBackend(ExecutionBackend):
         fault_plan: Any = None,
         initial_clocks: Sequence[float] | None = None,
         initial_metrics: Sequence[Any] | None = None,
-        max_events: int = 500_000_000,
-        raise_on_failure: bool = True,
     ) -> BackendResult:
-        n, trace_enabled = check_measured_run(
+        clocks, rows, trace_enabled = check_measured_run(
             machine, programs, tracer, sanitizer, fault_plan,
             initial_clocks, initial_metrics,
         )
+        n = len(rows)
         outcome = ChunkOutcome(self.name, n)
         t_start = time.monotonic()
         workers = RankWorkers(
             range(n), n, machine, programs,
             runid=f"repro_mp_{os.getpid()}_{next(_run_counter)}",
-            clocks=[0.0] * n if initial_clocks is None else initial_clocks,
-            metrics=(
-                [RankMetrics(r) for r in range(n)]
-                if initial_metrics is None
-                else initial_metrics
-            ),
+            clocks=clocks,
+            metrics=rows,
             trace=trace_enabled,
             shm_threshold=self.shm_threshold,
             sleep_cap=self.sleep_cap,

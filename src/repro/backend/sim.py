@@ -41,31 +41,15 @@ class SimBackend(ExecutionBackend):
         fault_plan: Any = None,
         initial_clocks: Sequence[float] | None = None,
         initial_metrics: Sequence[Any] | None = None,
-        max_events: int = 500_000_000,
-        raise_on_failure: bool = True,
     ) -> BackendResult:
-        if not programs:
-            raise ValueError("no rank programs given")
         sim = Simulator(
             machine,
             tracer=tracer,
             fault_plan=fault_plan,
-            initial_clocks=(
-                list(initial_clocks) if initial_clocks is not None else None
-            ),
-            initial_metrics=(
-                list(initial_metrics) if initial_metrics is not None else None
-            ),
+            initial_clocks=initial_clocks,
+            initial_metrics=initial_metrics,
             sanitizer=sanitizer,
         )
         for program in programs:
             sim.spawn(program)
-        out = sim.run(max_events=max_events, raise_on_failure=raise_on_failure)
-        return BackendResult(
-            elapsed=out.elapsed,
-            returns=out.returns,
-            metrics=out.metrics,
-            failed_ranks=out.failed_ranks,
-            backend=self.name,
-            measured=False,
-        )
+        return sim.run()

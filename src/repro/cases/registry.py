@@ -1,27 +1,18 @@
-"""Dynamic case registry — the single source of truth for case lookup.
+"""Case registry — the single source of truth for case lookup.
 
-Every runnable case — the four checked-in paper benchmarks *and*
-generated off-body scenarios — is a :class:`CaseEntry` in one registry,
-so the CLI, ``repro bench``, and the serve daemon resolve names through
-the same path and fail with the same typed :class:`UnknownCaseError`.
-
-Two kinds of entry exist:
-
-* ``"overflow"`` — the builder returns a :class:`repro.core.CaseConfig`
-  and runs under :class:`repro.core.OverflowD1`;
-* ``"offbody"`` — the builder returns a
-  :class:`repro.offbody.OffBodyCase` and runs under
-  :class:`repro.offbody.OffBodyDriver` (scenario files register
-  themselves here when loaded).
-
-The four built-ins are registered by :mod:`repro.cases` at import time;
-``repro scenario`` output is registered on demand by
-:func:`repro.offbody.scenario.register_scenario_case`.
+The four checked-in paper benchmarks are :class:`CaseEntry` rows in one
+registry, registered by :mod:`repro.cases` at import time, so the CLI,
+``repro bench`` and the serve daemon resolve names through the same
+path and fail with the same typed :class:`UnknownCaseError`.  Every
+builder returns a :class:`repro.core.CaseConfig` for
+:class:`repro.core.OverflowD1`.  Generated off-body scenarios are not
+cases: ``--scenario FILE`` builds them directly with
+:func:`repro.offbody.build_offbody_case`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 
@@ -47,38 +38,19 @@ class CaseEntry:
 
     name: str
     builder: Callable[..., Any]
-    kind: str = "overflow"
     help: str = ""
-    #: Extra metadata (e.g. the scenario file a generated case came
-    #: from); not interpreted by the registry.
-    meta: dict[str, Any] = field(default_factory=dict)
 
 
 _REGISTRY: dict[str, CaseEntry] = {}
 
-_KINDS = ("overflow", "offbody")
-
 
 def register_case(
-    name: str,
-    builder: Callable[..., Any],
-    *,
-    kind: str = "overflow",
-    help: str = "",
-    replace: bool = False,
-    **meta: Any,
+    name: str, builder: Callable[..., Any], *, help: str = ""
 ) -> CaseEntry:
-    """Register ``builder`` under ``name``; returns the entry.
-
-    Re-registering an existing name raises unless ``replace=True``
-    (reloading the same scenario file is a legitimate replace).
-    """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown case kind {kind!r}; choose from {_KINDS}")
-    if name in _REGISTRY and not replace:
+    """Register ``builder`` under ``name``; a name registers once."""
+    if name in _REGISTRY:
         raise ValueError(f"case {name!r} already registered")
-    entry = CaseEntry(name=name, builder=builder, kind=kind, help=help, meta=dict(meta))
-    _REGISTRY[name] = entry
+    entry = _REGISTRY[name] = CaseEntry(name=name, builder=builder, help=help)
     return entry
 
 
@@ -90,15 +62,9 @@ def case_entry(name: str) -> CaseEntry:
         raise UnknownCaseError(name, tuple(sorted(_REGISTRY))) from None
 
 
-def case_names(kind: str | None = None) -> tuple[str, ...]:
-    """Sorted registered names, optionally filtered by kind."""
-    return tuple(
-        sorted(
-            name
-            for name, entry in _REGISTRY.items()
-            if kind is None or entry.kind == kind
-        )
-    )
+def case_names() -> tuple[str, ...]:
+    """Sorted registered names."""
+    return tuple(sorted(_REGISTRY))
 
 
 def build_case(name: str, **kwargs: Any) -> Any:

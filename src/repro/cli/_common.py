@@ -9,7 +9,7 @@ import os
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.cases import build_case, case_entry
+from repro.cases import build_case
 from repro.machine import machine_preset
 
 DEFAULT_TRACE_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
@@ -131,18 +131,16 @@ def resolve_target(args: argparse.Namespace) -> tuple[str, Any, str]:
     """What ``run``/``trace`` execute: (case name, case object, banner)
     from a case name or ``--scenario FILE``."""
     if args.scenario:
-        from repro.offbody import load_scenario, register_scenario_case
+        from repro.offbody import build_offbody_case, load_scenario
 
         if args.case:
             raise SystemExit("give either a case name or --scenario, not both")
-        name = register_scenario_case(
-            load_scenario(args.scenario), source=args.scenario
-        ).name
         # None = flag not given: the file's own run block wins.
-        target = build_case(
-            name, nodes=args.nodes, nsteps=args.steps, grouping=args.grouping
+        target = build_offbody_case(
+            load_scenario(args.scenario),
+            nodes=args.nodes, nsteps=args.steps, grouping=args.grouping,
         )
-        return name, target, (
+        return target.name, target, (
             f"{target.name}: {target.n_near} near-body grids, "
             f"{target.machine.name} x {target.machine.nodes} nodes, "
             f"{target.nsteps} steps (adapt every {target.adapt_interval}), "
@@ -150,11 +148,6 @@ def resolve_target(args: argparse.Namespace) -> tuple[str, Any, str]:
         )
     if not args.case:
         raise SystemExit("no case given (a case name or --scenario FILE)")
-    if case_entry(args.case).kind != "overflow":
-        raise SystemExit(
-            f"case {args.case!r} is an off-body scenario case; "
-            f"run it via --scenario <file>"
-        )
     nodes = args.nodes if args.nodes is not None else args.default_nodes
     machine = machine_preset(args.machine, nodes)
     cfg = build_case(

@@ -18,9 +18,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
     print("cases:    " + ", ".join(case_names()))
     print("machines: " + ", ".join(sorted(MACHINE_PRESETS)))
     for name in case_names():
-        entry = case_entry(name)
-        kind = "" if entry.kind == "overflow" else f" [{entry.kind}]"
-        print(f"  {name:<12}{kind} {entry.help}")
+        print(f"  {name:<12} {case_entry(name).help}")
     return 0
 
 

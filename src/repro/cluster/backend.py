@@ -33,10 +33,9 @@ from repro.backend.api import (
     RankProgram,
 )
 from repro.backend.mp import check_measured_run, mp_available
-from repro.cluster.head import ClusterSupervisor
+from repro.cluster.head import HB_INTERVAL, HB_TIMEOUT, ClusterSupervisor
 from repro.cluster.placement import Placement
 from repro.cluster.shipping import blobs_sha, ship_program
-from repro.machine.metrics import RankMetrics
 
 __all__ = ["ClusterBackend", "cluster_available"]
 
@@ -59,19 +58,17 @@ class ClusterBackend(ExecutionBackend):
     Parameters
     ----------
     nnodes:
-        Node-daemon pool size (default 2).  With ``spawn=True`` the
-        pool is spawned on localhost at first use — the two-node
-        localhost topology the docs and CI smoke job use.
-    spawn:
-        ``False`` means "operator brings the nodes": the supervisor
-        only listens on ``host:port`` and waits for ``repro node
-        --connect`` daemons to dial in.
+        Node-daemon pool size (default 2), spawned on localhost at
+        first use — the two-node localhost topology the docs and CI
+        smoke job use.  To bring the nodes yourself, build a
+        ``ClusterSupervisor(..., spawn=False)`` and :meth:`attach` it.
     shm_threshold / timeout / sleep_cap:
         Same worker-level knobs as the mp backend, applied on every
         node.
     hb_interval / hb_timeout:
-        Heartbeat cadence and the silence span after which a node is
-        declared dead (driving elastic :class:`RankFailure`).
+        Heartbeat cadence and the silence span after which a node of
+        the spawned pool is declared dead (driving elastic
+        :class:`RankFailure`).
 
     Like mp, requesting the sanitizer or a fault plan raises
     ``ValueError`` — both need deterministic virtual time.  *Real*
@@ -86,15 +83,11 @@ class ClusterBackend(ExecutionBackend):
         self,
         nnodes: int = 2,
         *,
-        spawn: bool = True,
-        host: str = "127.0.0.1",
-        port: int = 0,
         shm_threshold: int = 32 * 1024,
         timeout: float | None = 120.0,
         sleep_cap: float = 0.005,
-        hb_interval: float = 0.5,
-        hb_timeout: float = 5.0,
-        connect_timeout: float = 20.0,
+        hb_interval: float = HB_INTERVAL,
+        hb_timeout: float = HB_TIMEOUT,
     ) -> None:
         reason = cluster_available()
         if reason is not None:
@@ -102,15 +95,11 @@ class ClusterBackend(ExecutionBackend):
                 f"backend 'cluster' unavailable: {reason}"
             )
         self.nnodes = int(nnodes)
-        self.spawn = bool(spawn)
-        self.host = host
-        self.port = int(port)
         self.shm_threshold = int(shm_threshold)
         self.timeout = timeout
         self.sleep_cap = float(sleep_cap)
         self.hb_interval = float(hb_interval)
         self.hb_timeout = float(hb_timeout)
-        self.connect_timeout = float(connect_timeout)
         self._sup: ClusterSupervisor | None = None
 
     # ------------------------------------------------------------- pool
@@ -121,12 +110,8 @@ class ClusterBackend(ExecutionBackend):
         if self._sup is None:
             self._sup = ClusterSupervisor(
                 self.nnodes,
-                spawn=self.spawn,
-                host=self.host,
-                port=self.port,
                 hb_interval=self.hb_interval,
                 hb_timeout=self.hb_timeout,
-                connect_timeout=self.connect_timeout,
             )
             self._sup.start()
         return self._sup
@@ -166,10 +151,8 @@ class ClusterBackend(ExecutionBackend):
         fault_plan: Any = None,
         initial_clocks: Sequence[float] | None = None,
         initial_metrics: Sequence[Any] | None = None,
-        max_events: int = 500_000_000,
-        raise_on_failure: bool = True,
     ) -> BackendResult:
-        n, trace_enabled = check_measured_run(
+        clocks, rows, trace_enabled = check_measured_run(
             machine, programs, tracer, sanitizer, fault_plan,
             initial_clocks, initial_metrics,
             fault_hint=" (the cluster backend experiences real faults: "
@@ -181,6 +164,7 @@ class ClusterBackend(ExecutionBackend):
             raise BackendUnavailable(
                 "backend 'cluster' unavailable: every node daemon is dead"
             )
+        n = len(rows)
         placement = Placement.contiguous(n, alive)
 
         # SPMD runs ship each distinct program object once.
@@ -196,19 +180,8 @@ class ClusterBackend(ExecutionBackend):
             program_of_rank.append(idx)
         config_sha = blobs_sha(blobs)
 
-        runid = f"repro_cl_{os.getpid()}_{next(_run_counter)}"
-        clocks = (
-            [float(c) for c in initial_clocks]
-            if initial_clocks is not None
-            else [0.0] * n
-        )
-        metrics_in = (
-            list(initial_metrics)
-            if initial_metrics is not None
-            else [RankMetrics(r) for r in range(n)]
-        )
         return sup.run_chunk(
-            runid=runid,
+            runid=f"repro_cl_{os.getpid()}_{next(_run_counter)}",
             machine=machine,
             nranks=n,
             placement=placement,
@@ -220,7 +193,7 @@ class ClusterBackend(ExecutionBackend):
                 "sleep_cap": self.sleep_cap,
             },
             clocks=clocks,
-            metrics=metrics_in,
+            metrics=rows,
             tracer=tracer if trace_enabled else None,
             timeout=self.timeout,
         )

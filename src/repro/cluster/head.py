@@ -48,7 +48,13 @@ from repro.cluster.protocol import (
     send_payload,
 )
 
-__all__ = ["ClusterSupervisor", "NodeHandle"]
+__all__ = ["ClusterSupervisor", "NodeHandle", "HB_INTERVAL", "HB_TIMEOUT"]
+
+#: Heartbeat cadence pushed to the nodes, and the silence span after
+#: which a node is declared dead — one pair for spawned and
+#: operator-managed pools alike.
+HB_INTERVAL = 0.5
+HB_TIMEOUT = 5.0
 
 
 @dataclass
@@ -93,8 +99,8 @@ class ClusterSupervisor:
         spawn: bool = True,
         host: str = "127.0.0.1",
         port: int = 0,
-        hb_interval: float = 1.0,
-        hb_timeout: float = 10.0,
+        hb_interval: float = HB_INTERVAL,
+        hb_timeout: float = HB_TIMEOUT,
         connect_timeout: float = 20.0,
     ) -> None:
         if nnodes < 1:

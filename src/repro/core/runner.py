@@ -54,8 +54,14 @@ import numpy as np
 from repro.backend import BackendResult, ExecutionBackend, get_backend
 from repro.core.config import CaseConfig
 from repro.machine.faults import FaultPlan, FaultSpec, RankFailure
-from repro.machine.metrics import MachineMetrics
-from repro.obs.rollup import IgbpRollup, PhaseRollup
+from repro.machine.metrics import (
+    PHASE_DCF,
+    PHASE_FLOW,
+    PHASE_MOTION,
+    STEP_PHASES,
+    PhaseRollup,
+)
+from repro.obs.rollup import IgbpRollup
 from repro.partition.assignment import Partition
 from repro.resilience.checkpoint import Checkpoint, CheckpointStore
 from repro.resilience.recovery import (
@@ -68,14 +74,10 @@ if TYPE_CHECKING:  # both import this module
     from repro.core.overflow_d1 import OverflowD1
     from repro.offbody.driver import OffBodyDriver
 
-PHASE_FLOW = "overflow"
-PHASE_MOTION = "motion"
-PHASE_DCF = "dcf3d"
-
 #: Each measured timestep executes exactly this many ``set_phase``
 #: barriers (flow / motion / dcf3d) — the conversion factor between
 #: driver-level ``step`` fault triggers and scheduler phase triggers.
-PHASES_PER_STEP = 3
+PHASES_PER_STEP = len(STEP_PHASES)
 
 #: Halo faces, between near-body subdomains and patch groups alike.
 TAG_HALO = 201
@@ -100,8 +102,9 @@ class StepStats:
 class EpochResult:
     """One contiguous run at a fixed decomposition.
 
-    All timing/counter data lives in the two :mod:`repro.obs` rollups;
-    the former ad-hoc dict/array fields survive as derived properties.
+    All timing/counter data lives in the two rollups: ``rollup``, the
+    engines' own per-rank rows, and ``igbp``; every per-phase statistic
+    is read off them.
     """
 
     #: Grid -> processor-group map in force; ``None`` on off-body
@@ -114,20 +117,6 @@ class EpochResult:
     igbp: IgbpRollup        # per-step, per-rank I(p)
     search_steps_total: int
     orphans_total: int
-
-    @property
-    def phase_totals(self) -> dict:
-        """phase -> summed rank-seconds (derived from the rollup)."""
-        return {p: self.rollup.phase_total(p) for p in self.rollup.phases()}
-
-    @property
-    def phase_max(self) -> dict:
-        """phase -> max single-rank seconds (derived from the rollup)."""
-        return {p: self.rollup.phase_max(p) for p in self.rollup.phases()}
-
-    @property
-    def total_flops(self) -> float:
-        return self.rollup.total_flops()
 
     @property
     def igbp_per_rank_step(self) -> np.ndarray:
@@ -202,7 +191,7 @@ class RunResult:
         """Merged per-rank/per-phase rollup over every epoch."""
         if not self.epochs:
             raise ValueError("run has no epochs")
-        merged = PhaseRollup(self.nprocs)
+        merged = PhaseRollup.empty(self.nprocs)
         for e in self.epochs:
             merged.merge(e.rollup)
         return merged
@@ -253,12 +242,12 @@ def run_summary(run: RunResult) -> dict[str, Any]:
 class _EpochAccum:
     """Accumulates sub-chunks of one epoch into a single epoch result.
 
-    The per-rank :class:`repro.machine.metrics.RankMetrics` accumulators
-    are *carried* from chunk to chunk
-    (``Simulator(initial_metrics=...)``), so the epoch's counters see
-    exactly the same additions in exactly the same order as an unsplit
-    run — the rollup built at :meth:`totals` is bit-identical, not just
-    close, which the checkpointing bit-identity tests pin.
+    The per-rank :class:`repro.machine.metrics.RankMetrics` rows are
+    *carried* from chunk to chunk (``Simulator(initial_metrics=...)``),
+    so the epoch's cells see exactly the same additions in exactly the
+    same order as an unsplit run — the rollup :meth:`totals` builds on
+    them is bit-identical, not just close, which the checkpointing
+    bit-identity tests pin.
     """
 
     nranks: int
@@ -273,8 +262,8 @@ class _EpochAccum:
     #: into the next sub-chunk's Simulator so the split epoch's virtual
     #: timeline is continuous (and bit-identical to the unsplit run).
     clocks: list | None = None
-    #: Per-rank RankMetrics carried across sub-chunks (see class doc).
-    metrics: list | None = None
+    #: Per-rank RankMetrics rows carried across sub-chunks (see class doc).
+    rows: list | None = None
 
     @property
     def base(self) -> float:
@@ -291,8 +280,8 @@ class _EpochAccum:
                 self.donors_total += st.donors_found
         for s in range(nsteps):
             self.per_step.append(mat[s])
-        self.metrics = list(out.metrics.ranks)
-        self.clocks = [rm.final_clock for rm in out.metrics.ranks]
+        self.rows = out.metrics.ranks
+        self.clocks = [row.final_clock for row in self.rows]
         self.steps_done += nsteps
 
     def totals(self) -> dict[str, Any]:
@@ -300,10 +289,10 @@ class _EpochAccum:
         igbp = IgbpRollup()
         for row in self.per_step:
             igbp.record(row)
-        if self.metrics is not None:
-            rollup = PhaseRollup.from_metrics(MachineMetrics(self.metrics))
+        if self.rows is not None:
+            rollup = PhaseRollup(self.rows)
         else:
-            rollup = PhaseRollup(self.nranks)
+            rollup = PhaseRollup.empty(self.nranks)
         return {
             "first_step": self.first_step,
             "nsteps": self.steps_done,
@@ -727,7 +716,7 @@ class EpochRunner:
             tracer=tracer,
             fault_plan=self._chunk_fault_plan(wl, state, nsteps),
             initial_clocks=acc.clocks,
-            initial_metrics=acc.metrics,
+            initial_metrics=acc.rows,
         )
         acc.add(out, nsteps)
         state.step = chunk_end

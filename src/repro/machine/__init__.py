@@ -38,8 +38,8 @@ from repro.machine.spec import (
 from repro.machine.event import Message, Mailbox, ANY_SOURCE, ANY_TAG
 from repro.machine.simmpi import MAX_USER_TAG, Comm, Request, Status, describe_tag
 from repro.machine.faults import FaultSpec, FaultPlan, RankFailure
-from repro.machine.scheduler import Simulator, SimulationResult, DeadlockError
-from repro.machine.metrics import RankMetrics, MachineMetrics
+from repro.machine.scheduler import Simulator, DeadlockError
+from repro.machine.metrics import PhaseRollup, RankMetrics
 
 __all__ = [
     "NodeSpec",
@@ -63,8 +63,7 @@ __all__ = [
     "FaultPlan",
     "RankFailure",
     "Simulator",
-    "SimulationResult",
     "DeadlockError",
+    "PhaseRollup",
     "RankMetrics",
-    "MachineMetrics",
 ]

@@ -56,7 +56,6 @@ Two extensions support resilience experiments (:mod:`repro.resilience`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
@@ -67,7 +66,7 @@ if TYPE_CHECKING:  # import would be circular at runtime (analysis -> machine)
 from repro.machine import event
 from repro.machine.event import ANY_SOURCE, ANY_TAG, Mailbox, Message
 from repro.machine.faults import FaultPlan, RankFailure
-from repro.machine.metrics import MachineMetrics, RankMetrics
+from repro.machine.metrics import BackendResult, PhaseCell, PhaseRollup, RankMetrics
 from repro.machine.simmpi import Comm, describe_tag
 from repro.machine.spec import MachineSpec
 
@@ -82,22 +81,6 @@ class DeadlockError(RuntimeError):
     mailbox still holds, so protocol bugs are diagnosable from the
     exception alone.
     """
-
-
-@dataclass
-class SimulationResult:
-    """Outcome of one simulated run."""
-
-    elapsed: float
-    returns: list[Any]
-    metrics: MachineMetrics
-    failed_ranks: tuple[int, ...] = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SimulationResult(elapsed={self.elapsed:.6g}s, "
-            f"ranks={self.metrics.nranks}, failed={list(self.failed_ranks)})"
-        )
 
 
 class _RankState:
@@ -119,7 +102,7 @@ class _RankState:
         "fault_time",
         "fault_phase",
         "phases_set",
-        "tacc",
+        "cell",
         "ver",
     )
 
@@ -135,11 +118,10 @@ class _RankState:
         self.peeking = False
         self.phase = "default"
         self.metrics = RankMetrics(rank)
-        # Cached kind->seconds accumulator for the *current* phase,
-        # bound lazily on first charge (so a phase with no charged time
-        # never appears in the metrics — matching add_time semantics
-        # bit-for-bit) and invalidated on every set_phase.
-        self.tacc: dict | None = None
+        # The metrics row's cell of the *current* phase, bound lazily
+        # on first charge (so a phase with no charged time never
+        # appears in the row) and unbound on every set_phase.
+        self.cell: PhaseCell | None = None
         self.alive = True
         self.failed = False  # fail-stopped by the fault plan
         self.retval: Any = None
@@ -158,7 +140,8 @@ class Simulator:
 
     Programs are generator functions ``program(comm, *args) -> Generator``;
     their return value (via ``return``) is collected into
-    :attr:`SimulationResult.returns` indexed by rank.
+    :attr:`repro.machine.metrics.BackendResult.returns` indexed by
+    rank.
 
     Parameters
     ----------
@@ -171,8 +154,8 @@ class Simulator:
         to resume a split epoch: virtual time continues exactly where
         the previous run's clocks ended.
     initial_metrics:
-        Optional per-rank :class:`repro.machine.metrics.RankMetrics` to
-        continue accumulating into (one per spawned rank).  A split
+        Optional per-rank :class:`repro.machine.metrics.RankMetrics`
+        rows to continue accumulating into (one per spawned rank).  A split
         epoch that carries both clocks and metrics produces counters
         bit-identical to the unsplit run — the same additions happen in
         the same order on the same accumulators.
@@ -255,12 +238,13 @@ class Simulator:
         self,
         max_events: int = 500_000_000,
         raise_on_failure: bool = True,
-    ) -> SimulationResult:
-        """Execute all rank programs to completion; returns the result.
+    ) -> BackendResult:
+        """Execute all rank programs to completion; returns the result,
+        whose ``metrics`` rollup holds the spawned ranks' rows.
 
         With ``raise_on_failure=False`` a run in which ranks were
         fail-stopped still returns (failed ranks contribute ``None``
-        returns and appear in :attr:`SimulationResult.failed_ranks`);
+        returns and appear in ``failed_ranks``);
         survivors blocked forever still raise :class:`RankFailure`,
         because their returns would be silently missing otherwise.
         """
@@ -340,8 +324,8 @@ class Simulator:
 
         for s in states:
             s.metrics.final_clock = s.clock
-        metrics = MachineMetrics([s.metrics for s in states])
-        return SimulationResult(
+        metrics = PhaseRollup([s.metrics for s in states])
+        return BackendResult(
             elapsed=metrics.elapsed,
             returns=[s.retval for s in states],
             metrics=metrics,
@@ -544,9 +528,10 @@ class Simulator:
                 )
             t0 = state.clock
             state.clock += dt
-            self._acc(state)["compute"] += dt
+            cell = self._acc(state)
+            cell.compute += dt
             if flops:
-                state.metrics.add_flops(state.phase, flops)
+                cell.flops += flops
             if self._tracer is not None:
                 self._tracer.op(
                     state.rank, state.phase, "compute", t0, state.clock, flops
@@ -588,7 +573,7 @@ class Simulator:
                 return
             state.phases_set += 1
             old, state.phase = state.phase, op[1]
-            state.tacc = None  # re-bind the time accumulator lazily
+            state.cell = None  # re-bind the phase's cell lazily
             state.send_value = old
             if self._tracer is not None:
                 self._tracer.phase(state.rank, state.clock, state.phase)
@@ -605,7 +590,7 @@ class Simulator:
             arrival = state.clock + dt + net.latency
         t0 = state.clock
         state.clock += dt
-        self._acc(state)["comm"] += dt
+        self._acc(state).comm += dt
         state.metrics.messages_sent += 1
         state.metrics.bytes_sent += nbytes
         if self._tracer is not None:
@@ -670,7 +655,7 @@ class Simulator:
         t0 = state.clock
         wait = max(0.0, msg.arrival_time - state.clock)
         state.clock = max(state.clock, msg.arrival_time)
-        self._acc(state)["wait"] += wait
+        self._acc(state).wait += wait
         if self._sanitizer is not None:
             self._san_recvs += 1
         state.send_value = msg
@@ -698,7 +683,7 @@ class Simulator:
         t0 = state.clock
         state.clock = now = self._wake_time(state)
         if now > t0:
-            self._acc(state)["wait"] += now - t0
+            self._acc(state).wait += now - t0
             if self._tracer is not None:
                 self._tracer.op(state.rank, state.phase, "wait", t0, now)
         state.send_value = tuple(
@@ -710,17 +695,17 @@ class Simulator:
         state.peeking = False
 
     @staticmethod
-    def _acc(state: _RankState) -> dict:
-        """Kind->seconds accumulator of the rank's current phase."""
-        acc = state.tacc
-        if acc is None:
-            acc = state.tacc = state.metrics.time[state.phase]
-        return acc
+    def _acc(state: _RankState) -> PhaseCell:
+        """The metrics cell of the rank's current phase."""
+        cell = state.cell
+        if cell is None:
+            cell = state.cell = state.metrics.cell(state.phase)
+        return cell
 
     def _charge_poll(self, state: _RankState) -> None:
         dt = self.machine.network.poll_overhead
         t0 = state.clock
         state.clock += dt
-        self._acc(state)["comm"] += dt
+        self._acc(state).comm += dt
         if self._tracer is not None:
             self._tracer.op(state.rank, state.phase, "comm", t0, state.clock)

@@ -14,10 +14,10 @@ produces those series from the simulated machine:
   ordered ``(kind, fields)`` list), :class:`SpanTracer` reads it per
   kind and :class:`StoreTracer` drains it to disk; mp / cluster
   workers ship their log and the parent extends its tracer with it;
-* :mod:`rollup` — derived per-rank/per-phase aggregates
-  (:class:`PhaseRollup`, the Table-4-style breakdown) and the I(p) /
-  f(p) series (:class:`IgbpRollup`) consumed by
-  :mod:`repro.partition.dynamic_lb`;
+* :mod:`rollup` — the I(p) / f(p) series (:class:`IgbpRollup`)
+  consumed by :mod:`repro.partition.dynamic_lb`; the per-rank/per-phase
+  breakdown (:class:`PhaseRollup`, Table-4 style) is the engines' own
+  accounting, :mod:`repro.machine.metrics`, re-exported here;
 * :mod:`export` — Chrome ``trace_event`` JSON (loadable in
   ``chrome://tracing`` / Perfetto), CSV rollups, and an ASCII per-rank
   timeline rendered through :mod:`repro.core.ascii_plot`;
@@ -33,8 +33,9 @@ produces those series from the simulated machine:
 See ``docs/observability.md`` for the schema and reading guide.
 """
 
+from repro.machine.metrics import PhaseCell, PhaseRollup
 from repro.obs.tracer import NullTracer, SpanTracer, Tracer
-from repro.obs.rollup import IgbpRollup, PhaseCell, PhaseRollup
+from repro.obs.rollup import IgbpRollup
 from repro.obs.export import (
     ascii_timeline,
     chrome_trace,

@@ -7,7 +7,7 @@
   counter ("C") series of per-phase comm-matrix traffic, plus instant
   ("i") events for driver marks.  Timestamps are virtual microseconds.
 * :func:`rollup_csv` — per-rank, per-phase rows of a
-  :class:`repro.obs.rollup.PhaseRollup`; lands under
+  :class:`repro.machine.metrics.PhaseRollup`; lands under
   ``benchmarks/results/`` so table regenerations and traces live in
   one place.
 * :func:`ascii_timeline` — per-rank timeline rendered through
@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.obs.rollup import PhaseRollup
+from repro.machine.metrics import PhaseRollup
 from repro.obs.tracer import SpanTracer
 
 __all__ = [

@@ -23,11 +23,11 @@ paper's Table-style accounting per timestep:
   can be charged to the rank whose message arrived late.
 
 Steps are identified by counting per-rank entries into the *first*
-cyclic phase (``phase_order[0]``): the k-th entry starts that rank's
-step k.  Activity before the first entry, and activity in phases
-outside ``phase_order`` (e.g. ``restore`` / ``repartition`` recovery
-spans), is grouped under the pseudo-step ``-1`` ("off-cycle") so
-faulted runs remain analyzable.
+phase of the timestep cycle (:data:`repro.machine.metrics.STEP_PHASES`):
+the k-th entry starts that rank's step k.  Activity before the first
+entry, and activity in phases outside the cycle (e.g. ``restore`` /
+``repartition`` recovery spans), is grouped under the pseudo-step
+``-1`` ("off-cycle") so faulted runs remain analyzable.
 """
 
 from __future__ import annotations
@@ -37,10 +37,12 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["CriticalPathReport", "analyze_critical_path", "DEFAULT_PHASE_ORDER"]
+from repro.machine.metrics import STEP_PHASES
 
-#: The OVERFLOW-D1 per-step phase cycle (see repro.core.overflow_d1).
-DEFAULT_PHASE_ORDER: tuple[str, ...] = ("overflow", "motion", "dcf3d")
+__all__ = ["CriticalPathReport", "analyze_critical_path"]
+
+#: Sender ranks kept per phase in the wait-blame list.
+BLAME_TOP_K = 5
 
 #: Pseudo-step index for activity outside the phase cycle.
 OFF_CYCLE = -1
@@ -191,33 +193,27 @@ class CriticalPathReport:
         return "\n".join(lines)
 
 
-def _step_segments(
-    tracer: Any, phase_order: tuple[str, ...]
-) -> dict[int, list[tuple[float, int, str]]]:
+def _step_segments(tracer: Any) -> dict[int, list[tuple[float, int, str]]]:
     """Per-rank step boundaries from the phase-mark stream.
 
     Returns ``{rank: [(t, step, phase), ...]}`` in time order, where
     ``step`` is the 0-based timestep the segment belongs to (OFF_CYCLE
     for pre-cycle or out-of-cycle phases).
     """
-    cycle = set(phase_order)
-    first = phase_order[0]
+    first = STEP_PHASES[0]
     segs: dict[int, list[tuple[float, int, str]]] = {}
     counters: dict[int, int] = {}
     for rank, t, name in tracer.phase_marks:
         lst = segs.setdefault(rank, [])
         if name == first:
             counters[rank] = counters.get(rank, -1) + 1
-        step = counters.get(rank, OFF_CYCLE) if name in cycle else OFF_CYCLE
+        step = counters.get(rank, OFF_CYCLE) if name in STEP_PHASES else OFF_CYCLE
         lst.append((t, step, name))
     return segs
 
 
 def analyze_critical_path(
-    tracer: Any,
-    igbp: Any | None = None,
-    phase_order: tuple[str, ...] = DEFAULT_PHASE_ORDER,
-    blame_top_k: int = 5,
+    tracer: Any, igbp: Any | None = None
 ) -> CriticalPathReport:
     """Walk one :class:`SpanTracer` into a :class:`CriticalPathReport`.
 
@@ -228,14 +224,9 @@ def analyze_critical_path(
     igbp:
         Optional :class:`repro.obs.rollup.IgbpRollup`; its f(p) series
         is embedded in the report (the paper's Algorithm-2 input).
-    phase_order:
-        The per-step phase cycle; entries into ``phase_order[0]`` start
-        a new step on that rank.
-    blame_top_k:
-        How many sender ranks to keep per phase in the wait-blame list.
     """
     nranks = tracer.nranks
-    segs = _step_segments(tracer, phase_order)
+    segs = _step_segments(tracer)
 
     # Attribute each op span to (step, phase, rank).
     cells: dict[tuple[int, str, int], _Cell] = {}
@@ -253,7 +244,7 @@ def analyze_critical_path(
         # Trust the op's own phase label; use the segment only for the
         # step index (the label is what the scheduler charged).
         if step == OFF_CYCLE or phase != seg_phase:
-            if phase not in set(phase_order):
+            if phase not in STEP_PHASES:
                 off_cycle[phase] = off_cycle.get(phase, 0.0) + (t1 - t0)
                 continue
             if step == OFF_CYCLE:
@@ -272,7 +263,7 @@ def analyze_critical_path(
         cell.t1 = max(cell.t1, t1)
 
     steps = sorted({s for (s, _p, _r) in cells if s != OFF_CYCLE})
-    pos = {p: i for i, p in enumerate(phase_order)}
+    pos = {p: i for i, p in enumerate(STEP_PHASES)}
 
     # Wait blame: map recv events (t, rank, src, ...) onto the senders
     # whose messages ended recorded wait spans.  A blocking receive's
@@ -300,7 +291,7 @@ def analyze_critical_path(
         for r in range(nranks)
     }
     for step in steps:
-        for phase in phase_order:
+        for phase in STEP_PHASES:
             ranks = [
                 r for r in range(nranks) if (step, phase, r) in cells
             ]
@@ -343,7 +334,7 @@ def analyze_critical_path(
                 s["barrier_s"] += max(0.0, span - cs[r].total)
     chain.sort(key=lambda c: (c.step, pos.get(c.phase, len(pos))))
 
-    for phase in phase_order:
+    for phase in STEP_PHASES:
         links = [c for c in chain if c.phase == phase]
         if not links:
             continue
@@ -369,7 +360,7 @@ def analyze_critical_path(
         phase: sorted(
             ((r, s) for r, s in by_src.items()),
             key=lambda rs: (-rs[1], rs[0]),
-        )[:blame_top_k]
+        )[:BLAME_TOP_K]
         for phase, by_src in sorted(blame.items())
     }
 
@@ -387,7 +378,7 @@ def analyze_critical_path(
     return CriticalPathReport(
         nranks=nranks,
         nsteps=len(steps),
-        phase_order=tuple(phase_order),
+        phase_order=STEP_PHASES,
         chain=chain,
         phase_totals=phase_totals,
         rank_slack=rank_slack,

@@ -1,247 +1,21 @@
-"""Derived rollups: the paper's per-rank / per-phase breakdowns.
+"""The per-step, per-rank received-IGBP rollup.
 
-Two aggregates cover everything the evaluation consumes:
-
-* :class:`PhaseRollup` — per-rank, per-phase seconds split into
-  compute / comm / wait, plus flops, bytes and event counts.  This is
-  the Table-4-style breakdown (flow solve vs. grid motion vs. DCF3D
-  connectivity vs. wait time) and the source of the load-imbalance
-  factors the tables report.  It can be built from the scheduler's
-  always-on :class:`repro.machine.metrics.MachineMetrics` (cheap; no
-  event counts or bytes) or from a :class:`repro.obs.tracer.SpanTracer`
-  (full fidelity); on the shared fields the two constructions agree
-  exactly, which the test battery asserts.
-
-* :class:`IgbpRollup` — the per-step, per-rank received-IGBP counts
-  I(p) with the derived global average Ibar and load factors
-  f(p) = I(p)/Ibar.  This is the series Algorithm 2
-  (:mod:`repro.partition.dynamic_lb`) consumes; the driver no longer
-  threads raw counter arrays through its result types.
+:class:`IgbpRollup` holds the per-step, per-rank received-IGBP counts
+I(p) with the derived global average Ibar and load factors
+f(p) = I(p)/Ibar.  This is the series Algorithm 2
+(:mod:`repro.partition.dynamic_lb`) consumes; the driver no longer
+threads raw counter arrays through its result types.  The per-rank,
+per-phase time breakdown is :class:`repro.machine.metrics.PhaseRollup`,
+re-exported from :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from repro.machine.metrics import KINDS
-
-__all__ = ["PhaseCell", "PhaseRollup", "IgbpRollup"]
-
-
-@dataclass
-class PhaseCell:
-    """Accounting for one (rank, phase) pair."""
-
-    compute: float = 0.0
-    comm: float = 0.0
-    wait: float = 0.0
-    flops: float = 0.0
-    nbytes: int = 0
-    events: int = 0
-
-    @property
-    def total(self) -> float:
-        """Virtual seconds attributed to this cell (all kinds)."""
-        return self.compute + self.comm + self.wait
-
-    def add(self, other: "PhaseCell") -> None:
-        self.compute += other.compute
-        self.comm += other.comm
-        self.wait += other.wait
-        self.flops += other.flops
-        self.nbytes += other.nbytes
-        self.events += other.events
-
-
-class PhaseRollup:
-    """Per-rank, per-phase aggregate of one or more simulated runs.
-
-    Phases keep first-seen order, matching the order ranks entered them.
-    """
-
-    def __init__(self, nranks: int):
-        if nranks < 1:
-            raise ValueError(f"rollup needs >= 1 rank, got {nranks}")
-        self.nranks = nranks
-        self.elapsed = 0.0  # virtual wall-clock covered by this rollup
-        self._cells: dict[tuple[int, str], PhaseCell] = {}
-        self._phases: dict[str, None] = {}  # insertion-ordered set
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_metrics(cls, metrics: Any) -> "PhaseRollup":
-        """Build from :class:`repro.machine.metrics.MachineMetrics`.
-
-        Always available (the scheduler keeps these counters whether or
-        not tracing is enabled); ``nbytes``/``events`` stay zero because
-        the coarse counters do not attribute them per phase.
-        """
-        roll = cls(metrics.nranks)
-        roll.elapsed = metrics.elapsed
-        for r in metrics.ranks:
-            for phase, kinds in r.time.items():
-                cell = roll._cell(r.rank, phase)
-                for kind, dt in kinds.items():
-                    setattr(cell, kind, getattr(cell, kind) + dt)
-            for phase, fl in r.flops.items():
-                roll._cell(r.rank, phase).flops += fl
-        return roll
-
-    @classmethod
-    def from_tracer(
-        cls, tracer: Any, nranks: int | None = None
-    ) -> "PhaseRollup":
-        """Build from a :class:`repro.obs.tracer.SpanTracer`'s op spans."""
-        n = tracer.nranks if nranks is None else nranks
-        roll = cls(max(1, n))
-        roll.elapsed = tracer.t_end
-        for rank, phase, kind, t0, t1, flops, nbytes in tracer.ops:
-            cell = roll._cell(rank, phase)
-            if kind not in KINDS:
-                raise ValueError(f"unknown span kind {kind!r}")
-            setattr(cell, kind, getattr(cell, kind) + (t1 - t0))
-            cell.flops += flops
-            cell.nbytes += nbytes
-            cell.events += 1
-        return roll
-
-    def merge(self, other: "PhaseRollup") -> "PhaseRollup":
-        """Accumulate another rollup (e.g. the next epoch) in place.
-
-        Elapsed times add (epochs are sequential); rank counts may
-        differ across repartitions — the merged rollup covers the
-        largest rank id seen.
-        """
-        self.nranks = max(self.nranks, other.nranks)
-        self.elapsed += other.elapsed
-        for (rank, phase), cell in other._cells.items():
-            self._cell(rank, phase).add(cell)
-        return self
-
-    # -- access ---------------------------------------------------------
-
-    def _cell(self, rank: int, phase: str) -> PhaseCell:
-        key = (rank, phase)
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = self._cells[key] = PhaseCell()
-            self._phases.setdefault(phase)
-        return cell
-
-    def cell(self, rank: int, phase: str) -> PhaseCell:
-        """The (possibly empty) accounting cell for one rank and phase."""
-        return self._cells.get((rank, phase), PhaseCell())
-
-    def phases(self) -> list[str]:
-        return list(self._phases)
-
-    def rank_total(self, rank: int) -> float:
-        """All virtual seconds accounted to ``rank`` across phases."""
-        return sum(
-            c.total for (r, _), c in self._cells.items() if r == rank
-        )
-
-    def phase_seconds(self, phase: str) -> np.ndarray:
-        """Per-rank seconds in ``phase`` (zeros where a rank never entered)."""
-        out = np.zeros(self.nranks)
-        for (rank, p), cell in self._cells.items():
-            if p == phase:
-                out[rank] = cell.total
-        return out
-
-    def phase_total(self, phase: str) -> float:
-        """Summed rank-seconds in ``phase``."""
-        return float(self.phase_seconds(phase).sum())
-
-    def phase_max(self, phase: str) -> float:
-        """Slowest single rank — the barrier-separated critical path."""
-        return float(self.phase_seconds(phase).max())
-
-    def phase_avg(self, phase: str) -> float:
-        return self.phase_total(phase) / self.nranks
-
-    def phase_wait(self, phase: str) -> float:
-        """Summed rank-seconds idle (blocked) inside ``phase``."""
-        return sum(
-            c.wait for (_, p), c in self._cells.items() if p == phase
-        )
-
-    def imbalance(self, phase: str) -> float:
-        """max/avg load factor for one phase (1.0 = perfect balance)."""
-        avg = self.phase_avg(phase)
-        return self.phase_max(phase) / avg if avg else 1.0
-
-    def total_seconds(self) -> float:
-        return sum(c.total for c in self._cells.values())
-
-    def total_flops(self) -> float:
-        return sum(c.flops for c in self._cells.values())
-
-    def phase_fraction(self, phase: str) -> float:
-        total = self.total_seconds()
-        return self.phase_total(phase) / total if total else 0.0
-
-    # -- presentation ---------------------------------------------------
-
-    def breakdown(self, order: list[str] | None = None) -> list[dict]:
-        """Table-4-style rows: one dict per phase.
-
-        ``avg_s``/``max_s`` are per-rank seconds over the whole rollup;
-        ``wait_s`` the summed idle seconds inside the phase;
-        ``imbalance`` the max/avg factor; ``fraction`` the share of all
-        rank-seconds.
-        """
-        phases = order if order is not None else self.phases()
-        return [
-            {
-                "phase": p,
-                "avg_s": self.phase_avg(p),
-                "max_s": self.phase_max(p),
-                "wait_s": self.phase_wait(p),
-                "imbalance": self.imbalance(p),
-                "fraction": self.phase_fraction(p),
-            }
-            for p in phases
-        ]
-
-    def format_breakdown(self) -> str:
-        """Human-readable breakdown table (the paper's Table-4 shape)."""
-        hdr = f"{'phase':>12s} {'avg s':>10s} {'max s':>10s} {'wait s':>10s} {'imbal':>7s} {'frac':>6s}"
-        lines = [hdr]
-        for row in self.breakdown():
-            lines.append(
-                f"{row['phase']:>12s} {row['avg_s']:>10.5f} "
-                f"{row['max_s']:>10.5f} {row['wait_s']:>10.5f} "
-                f"{row['imbalance']:>7.3f} {row['fraction']:>6.1%}"
-            )
-        return "\n".join(lines)
-
-    def summary(self) -> dict:
-        """JSON-serialisable summary (used by the golden-trace tests)."""
-        return {
-            "nranks": self.nranks,
-            "elapsed": self.elapsed,
-            "total_flops": self.total_flops(),
-            "phases": {
-                p: {
-                    "total_s": self.phase_total(p),
-                    "max_s": self.phase_max(p),
-                    "wait_s": self.phase_wait(p),
-                    "events": int(
-                        sum(
-                            c.events
-                            for (_, q), c in self._cells.items()
-                            if q == p
-                        )
-                    ),
-                }
-                for p in self.phases()
-            },
-        }
+__all__ = ["IgbpRollup"]
 
 
 class IgbpRollup:

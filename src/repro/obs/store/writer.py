@@ -17,8 +17,9 @@ path.
 The writer also maintains the **segment index** (``index.json``): the
 segment list, per-step start positions, and per-step rollups of
 phase/kind busy time per rank.  Steps are detected from phase switches
-— a rank entering ``step_phase`` (default ``"overflow"``, the first
-phase of every solver step) starts its next step.  The index is
+— a rank entering the first phase of the timestep cycle
+(:data:`repro.machine.metrics.PHASE_FLOW`, ``"overflow"``) starts its
+next step.  The index is
 rewritten atomically on :meth:`flush`, :meth:`advance` and
 :meth:`close`; readers never need it for correctness (segments are
 self-describing) but use it for per-step analytics and trend plots.
@@ -32,6 +33,7 @@ import threading
 from pathlib import Path
 from typing import Any
 
+from repro.machine.metrics import PHASE_FLOW
 from repro.obs.store.segment import (
     DEFAULT_FLUSH_BYTES,
     DEFAULT_SEGMENT_BYTES,
@@ -47,9 +49,6 @@ INDEX_NAME = "index.json"
 
 #: Format tag written to (and checked from) the index.
 STORE_FORMAT = "repro-trace-store/3"
-
-#: Default phase name whose entry starts a new solver step.
-DEFAULT_STEP_PHASE = "overflow"
 
 #: Pending events that force a drain to the flush buffer.
 DRAIN_EVENTS = 1024
@@ -74,8 +73,6 @@ class StoreTracer(EventLog):
     segment_bytes / flush_bytes:
         Rotation size per segment file and flush threshold of the
         buffer (see :class:`SegmentWriter`).
-    step_phase:
-        Phase name that opens a new solver step on each rank.
     meta:
         Optional JSON-serialisable dict stored verbatim in the index
         (case name, backend, nranks requested, ...).
@@ -94,7 +91,6 @@ class StoreTracer(EventLog):
         *,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         flush_bytes: int = DEFAULT_FLUSH_BYTES,
-        step_phase: str = DEFAULT_STEP_PHASE,
         meta: dict[str, Any] | None = None,
         fresh: bool = False,
         flush_every: int = 0,
@@ -115,7 +111,6 @@ class StoreTracer(EventLog):
                 )
             for name in existing:
                 (self.directory / name).unlink()
-        self.step_phase = step_phase
         self.flush_every = flush_every
         self.meta = dict(meta or {})
         self.closed = False
@@ -162,7 +157,7 @@ class StoreTracer(EventLog):
         writer = self._writer
         for kind, fields in self.events:
             self._max_rank = max((self._max_rank, *event_ranks(kind, fields)))
-            if kind == KIND_PHASE and fields[2] == self.step_phase:
+            if kind == KIND_PHASE and fields[2] == PHASE_FLOW:
                 rank = fields[0]
                 step = self._step_of_rank.get(rank, -1) + 1
                 self._step_of_rank[rank] = step
@@ -283,7 +278,7 @@ class StoreTracer(EventLog):
             "nranks": self._max_rank + 1,
             "offset": self._offset,
             "advances": list(self._advances),
-            "step_phase": self.step_phase,
+            "step_phase": PHASE_FLOW,
             "steps": self._steps,
             "segments": self._writer.segments,
             "meta": self.meta,

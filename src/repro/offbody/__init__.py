@@ -34,7 +34,6 @@ from repro.offbody.scenario import (
     build_offbody_case,
     generate_scenario,
     load_scenario,
-    register_scenario_case,
     scenario_json,
     write_scenario,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "generate_scenario",
     "gradient_boxes",
     "load_scenario",
-    "register_scenario_case",
     "scenario_json",
     "write_scenario",
 ]

@@ -20,15 +20,12 @@ same invocation always produces byte-identical files — the property
 battery pins this.
 
 Scenario files carry ``schema = "repro-scenario/1"``; loading validates
-structure and raises the typed :class:`ScenarioError`.  Loaded
-scenarios register themselves in the shared case registry
-(:mod:`repro.cases.registry`) so the CLI resolves them through the same
-lookup path as the built-in benchmarks.
+structure and raises the typed :class:`ScenarioError`;
+:func:`build_offbody_case` turns a loaded payload into the case object.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -352,21 +349,3 @@ def build_offbody_case(
         grouping=grouping or run.get("grouping", "algorithm3"),
     )
 
-
-def register_scenario_case(payload: dict[str, Any], source: str | Path | None = None):
-    """Register a loaded scenario in the shared case registry.
-
-    Returns the :class:`repro.cases.registry.CaseEntry`.  Re-loading the
-    same name replaces the entry (the file is the source of truth).
-    """
-    from repro.cases import register_case
-
-    validate_scenario(payload)
-    return register_case(
-        payload["name"],
-        functools.partial(build_offbody_case, payload),
-        kind="offbody",
-        help=f"generated {payload['kind']} scenario (seed {payload.get('seed')})",
-        replace=True,
-        source=str(source) if source is not None else None,
-    )

@@ -20,7 +20,7 @@ So two runs that reach the same virtual state write byte-identical
 checkpoints — which is what lets the test battery assert restore
 round-trips and repeated faulted runs bit-for-bit.
 
-On-disk format (version 3; the layout is version 1's)::
+On-disk format (version 4; the layout is version 1's)::
 
     offset  size  field
     0       8     magic  b"RPROCKPT"
@@ -56,7 +56,9 @@ CHECKPOINT_MAGIC = b"RPROCKPT"
 #: files would unpickle against a class that is gone, so they are
 #: refused by version instead.  v3: ``RestartCache`` in the carry is
 #: sorted arrays, not the dict a v2 file would unpickle into routing.
-CHECKPOINT_VERSION = 3
+#: v4: an in-flight epoch carries ``RankMetrics`` rows of ``PhaseCell``s,
+#: not the ``time``/``flops`` dicts of v3.
+CHECKPOINT_VERSION = 4
 
 #: Fixed so the same state pickles to the same bytes on every
 #: supported interpreter (protocol 4 is available from Python 3.4).

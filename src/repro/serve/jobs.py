@@ -177,14 +177,14 @@ class JobSpec:
     def check_runnable(self) -> None:
         """Raise :class:`JobSpecError` for names no worker could run.
 
-        Only ``"overflow"``-kind cases are serveable: a job spec carries
-        scalar knobs (scale/nsteps/f0), not a scenario file.
+        A job names one of the registered cases: it carries scalar
+        knobs (scale/nsteps/f0), not a scenario file.
         """
         from repro.backend import backend_help
         from repro.cases import case_names
         from repro.machine import machine_preset
 
-        runnable = case_names(kind="overflow")
+        runnable = case_names()
         if self.case not in runnable:
             raise JobSpecError(
                 f"unknown case {self.case!r}; choose from {list(runnable)}"

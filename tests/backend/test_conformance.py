@@ -2,8 +2,9 @@
 
 The three engines (``sim``, ``mp``, ``cluster``) promise the *same*
 communication semantics — per-source FIFO ordering, wildcard receive,
-rank-ordered collectives, the reserved-tag guard — differing only in
-how time is measured.  This module states that contract once and runs
+rank-ordered collectives, the reserved-tag guard — and the same result
+shape (one rollup of per-rank rows), differing only in how time is
+measured.  This module states that contract once and runs
 it against each engine through a parametrized module-scoped fixture, so
 a new engine earns conformance by appearing in one params list.
 
@@ -26,6 +27,7 @@ from repro.backend.mp import mp_available
 from repro.cluster import cluster_available
 from repro.machine import sp2
 from repro.machine.simmpi import MAX_USER_TAG
+from repro.obs import PhaseRollup
 
 NRANKS = 4
 TAG = 5
@@ -75,6 +77,17 @@ def prog_ring(comm):
     yield from comm.send(dst, TAG, ("tok", comm.rank), nbytes=64)
     payload, status = yield from comm.recv(src, TAG)
     return (payload[1], status.source, status.tag)
+
+
+def prog_accounted_ring(comm):
+    """Send ``64 * (rank + 1)`` bytes in the default phase, receive in
+    a named one."""
+    yield from comm.send(
+        (comm.rank + 1) % comm.size, TAG, comm.rank,
+        nbytes=64 * (comm.rank + 1),
+    )
+    yield from comm.set_phase("ring")
+    yield from comm.recv((comm.rank - 1) % comm.size, TAG)
 
 
 def prog_fifo(comm):
@@ -232,6 +245,18 @@ def test_ring_send_recv(engine):
         ((r - 1) % NRANKS, (r - 1) % NRANKS, TAG) for r in range(NRANKS)
     ]
     assert _run(engine, prog_ring) == expected
+
+
+def test_result_is_one_rollup_of_rank_rows(engine):
+    result = engine.run_spmd(sp2(nodes=NRANKS), prog_accounted_ring)
+    roll = result.metrics
+    assert isinstance(roll, PhaseRollup)
+    assert roll.elapsed == result.elapsed
+    assert roll.phases() == ["default", "ring"]
+    assert [
+        (row.rank, row.messages_sent, row.bytes_sent, row.messages_received)
+        for row in roll.ranks
+    ] == [(r, 1, 64 * (r + 1), 1) for r in range(NRANKS)]
 
 
 def test_per_source_fifo_ordering(engine):

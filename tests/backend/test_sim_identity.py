@@ -50,7 +50,7 @@ def test_sim_backend_bit_identical():
     assert out.failed_ranks == tuple(direct.failed_ranks)
     for a, b in zip(out.metrics.ranks, direct.metrics.ranks):
         assert a.final_clock == b.final_clock
-        assert a.flops == b.flops
+        assert a.cells == b.cells
         assert a.messages_sent == b.messages_sent
         assert a.bytes_sent == b.bytes_sent
     # Trace events are the same tuples in the same dispatch order.

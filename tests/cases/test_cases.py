@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.cases import (
+    UnknownCaseError,
     airfoil_case,
     airfoil_grids,
+    case_entry,
+    case_names,
     deltawing_case,
     deltawing_grids,
+    register_case,
     store_case,
     store_grids,
     x38_case,
@@ -168,3 +172,20 @@ class TestX38:
             assert 0 <= gi < 3
             for d in donors:
                 assert gi in cfg.search_lists[d]
+
+
+class TestRegistry:
+    def test_holds_the_four_builtins(self):
+        assert case_names() == ("airfoil", "deltawing", "store", "x38")
+
+    def test_unknown_name_is_typed(self):
+        with pytest.raises(
+            UnknownCaseError,
+            match="unknown case 'bogus'; choose from airfoil, deltawing",
+        ) as info:
+            case_entry("bogus")
+        assert info.value.known == case_names()
+
+    def test_a_name_registers_once(self):
+        with pytest.raises(ValueError, match="already registered"):
+            register_case("airfoil", airfoil_case)

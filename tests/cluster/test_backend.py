@@ -64,7 +64,7 @@ def prog_worker_error(comm):
 
 def test_registry_lists_cluster():
     assert "cluster" in backend_help()
-    eng = get_backend("cluster", nnodes=2, spawn=False)
+    eng = get_backend("cluster", nnodes=2)
     assert isinstance(eng, ClusterBackend)
     eng.close()  # never started; must be a harmless no-op
 

@@ -13,7 +13,6 @@ from repro.machine import (
     Simulator,
     sp2,
 )
-from repro.obs import PhaseRollup
 
 
 def make_machine(nodes=2, flops=1e6, latency=1e-4, bandwidth=1e6):
@@ -41,8 +40,7 @@ class TestCompute:
             yield from comm.compute(flops=5e5)
 
         result = run(make_machine(nodes=3), program)
-        roll = PhaseRollup.from_metrics(result.metrics)
-        assert roll.total_flops() == pytest.approx(1.5e6)
+        assert result.metrics.total_flops() == pytest.approx(1.5e6)
 
     def test_elapse_charges_no_flops(self):
         def program(comm):
@@ -50,7 +48,7 @@ class TestCompute:
 
         result = run(make_machine(nodes=1), program)
         assert result.elapsed == pytest.approx(3.5)
-        assert PhaseRollup.from_metrics(result.metrics).total_flops() == 0
+        assert result.metrics.total_flops() == 0
 
     def test_zero_work_is_free(self):
         def program(comm):
@@ -328,7 +326,7 @@ class TestSchedulerSemantics:
             yield from comm.compute(flops=3e6)
 
         result = run(make_machine(nodes=1, flops=1e6), program)
-        m = PhaseRollup.from_metrics(result.metrics)
+        m = result.metrics
         assert m.phase_max("alpha") == pytest.approx(1.0)
         assert m.phase_max("beta") == pytest.approx(3.0)
         assert m.phase_fraction("beta") == pytest.approx(0.75)
@@ -344,7 +342,7 @@ class TestSchedulerSemantics:
 
         result = run(make_machine(), program)
         r1 = result.metrics.ranks[1]
-        assert r1.time["work"]["wait"] == pytest.approx(1.0, rel=0.01)
+        assert r1.cells["work"].wait == pytest.approx(1.0, rel=0.01)
 
     def test_spawn_more_than_nodes_raises(self):
         sim = Simulator(make_machine(nodes=1))

@@ -95,15 +95,15 @@ class TestGoldenTrace:
     def test_tracer_rollup_agrees_with_metrics_rollup(self):
         """Full-fidelity and coarse-counter rollups agree exactly."""
         run, tracer = run_traced()
-        from_metrics = run.rollup()
+        from_rows = run.rollup()
         from_tracer = PhaseRollup.from_tracer(tracer)
-        assert from_tracer.nranks == from_metrics.nranks
-        for phase in from_metrics.phases():
+        assert from_tracer.nranks == from_rows.nranks
+        for phase in from_rows.phases():
             assert from_tracer.phase_total(phase) == pytest.approx(
-                from_metrics.phase_total(phase), rel=1e-12
+                from_rows.phase_total(phase), rel=1e-12
             )
             assert from_tracer.phase_wait(phase) == pytest.approx(
-                from_metrics.phase_wait(phase), rel=1e-12
+                from_rows.phase_wait(phase), rel=1e-12
             )
 
     def test_phase_totals_cover_elapsed(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.machine import MachineSpec, NetworkSpec, NodeSpec, Simulator
+from repro.machine import MachineSpec, NetworkSpec, NodeSpec, RankMetrics, Simulator
 from repro.obs import IgbpRollup, PhaseRollup, SpanTracer
 
 
@@ -34,10 +34,10 @@ def sample_program(comm):
 class TestPhaseRollup:
     def test_needs_one_rank(self):
         with pytest.raises(ValueError, match="rank"):
-            PhaseRollup(0)
+            PhaseRollup.empty(0)
 
     def test_empty_cell_is_zero(self):
-        roll = PhaseRollup(2)
+        roll = PhaseRollup.empty(2)
         c = roll.cell(1, "nope")
         assert c.total == 0.0 and c.events == 0
         assert roll.phases() == []
@@ -72,7 +72,7 @@ class TestPhaseRollup:
     def test_metrics_and_tracer_agree(self):
         """The two constructions agree exactly on shared fields."""
         out, tracer = traced_run(3, sample_program)
-        from_m = PhaseRollup.from_metrics(out.metrics)
+        from_m = out.metrics
         from_t = PhaseRollup.from_tracer(tracer)
         assert from_m.nranks == from_t.nranks
         assert from_m.phases() == from_t.phases()
@@ -98,16 +98,20 @@ class TestPhaseRollup:
         assert roll.rank_total(1) == pytest.approx(3.0)
 
     def test_merge_adds_epochs(self):
-        a, b = PhaseRollup(2), PhaseRollup(3)
-        a.elapsed, b.elapsed = 1.0, 2.0
-        a._cell(0, "flow").compute = 1.0
-        b._cell(0, "flow").compute = 2.0
-        b._cell(2, "dcf").wait = 0.5
+        ra = [RankMetrics(r) for r in range(2)]
+        rb = [RankMetrics(r) for r in range(3)]
+        ra[1].final_clock, rb[2].final_clock = 1.0, 2.0
+        ra[0].add_time("flow", "compute", 1.0)
+        rb[0].add_time("flow", "compute", 2.0)
+        rb[2].add_time("dcf", "wait", 0.5)
+        rb[2].messages_sent = 4
+        a, b = PhaseRollup(ra), PhaseRollup(rb)
         a.merge(b)
         assert a.nranks == 3  # repartition grew the rank count
         assert a.elapsed == pytest.approx(3.0)
         assert a.cell(0, "flow").compute == pytest.approx(3.0)
         assert a.cell(2, "dcf").wait == pytest.approx(0.5)
+        assert a.ranks[2].messages_sent == 4
         assert a.phases() == ["flow", "dcf"]
 
     def test_breakdown_rows_and_format(self):

@@ -1,10 +1,9 @@
-"""Seeded scenario generator: determinism, schema, registry plumbing."""
+"""Seeded scenario generator: determinism, schema, case construction."""
 
 import json
 
 import pytest
 
-from repro.cases import UnknownCaseError, case_entry
 from repro.offbody import (
     SCENARIO_KINDS,
     SCENARIO_SCHEMA,
@@ -12,7 +11,6 @@ from repro.offbody import (
     build_offbody_case,
     generate_scenario,
     load_scenario,
-    register_scenario_case,
     scenario_json,
     write_scenario,
 )
@@ -130,22 +128,3 @@ class TestBuildCase:
         # And it actually moves.
         assert (xa != a.near_body[0].xyz).any()
 
-
-class TestRegistry:
-    def test_register_then_build_by_name(self):
-        payload = generate_scenario("formation", seed=13)
-        name = payload["name"]
-        with pytest.raises(UnknownCaseError):
-            case_entry(name)
-        entry = register_scenario_case(payload, source="mem")
-        assert entry.kind == "offbody"
-        assert case_entry(name) is entry
-        case = entry.builder(nsteps=1)
-        assert case.name == name and case.nsteps == 1
-
-    def test_reregistration_replaces(self):
-        payload = generate_scenario("formation", seed=13)
-        a = register_scenario_case(payload)
-        b = register_scenario_case(payload)
-        assert case_entry(payload["name"]) is b
-        assert a is not b

@@ -781,14 +781,6 @@ class TestScenarioCLI:
         assert rc == 0
         assert "grouping=roundrobin" in capsys.readouterr().out
 
-    def test_run_registers_scenario_in_case_list(self, capsys, tmp_path):
-        path = self._scenario(tmp_path)
-        assert main(["run", "--scenario", str(path), "--steps", "1"]) == 0
-        capsys.readouterr()
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "store-salvo-3" in out and "[offbody]" in out
-
     def test_run_rejects_case_and_scenario(self, tmp_path):
         path = self._scenario(tmp_path)
         with pytest.raises(SystemExit, match="not both"):
