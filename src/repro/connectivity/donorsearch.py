@@ -39,6 +39,18 @@ as written; the batch-wide ``abs(r).max() < tol`` exit; the seed scan's
 squared distance accumulated per axis, ``(dx2 + dy2) + dz2``.
 ``tests/connectivity/test_kernel_exact.py`` compares every result array
 byte for byte with the replaced kernel and is the gate for touching them.
+
+A walk that repeats a state (the active rows plus their cells) is
+finished in closed form.  One walk iteration is a pure function of the
+state (``_invert_cells``, batch-wide exit included, sees only the
+batch) and rows only ever leave the active set, so none left since the
+first visit and the full loop would cycle until ``max_steps``.  The
+loop adds the remaining iterations to those rows' ``steps``, sets their
+``cells`` to the state the last iteration would reach, and stops.  It
+writes only rows that end neither found nor escaped with every walk
+iteration spent, whose ``found``, ``fracs`` and ``escaped`` a cycle
+cannot change: all five arrays, and the probe from those cells, are the
+full loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -192,27 +204,29 @@ def _nearest_node_seed(
     stride = max(1, int(round((total / target_samples) ** (1.0 / ndim))))
     axes = [w[::stride] for w in window]
     mesh = np.meshgrid(*axes, indexing="ij")
-    sample_idx = np.stack([m.ravel() for m in mesh], axis=-1)  # (m, ndim)
-    sample_xyz = xyz[tuple(sample_idx.T)]  # (m, ndim)
+    # Reversed samples: argmin's first minimum is then the *last* minimal
+    # sample.  On O-grids the seam node is stored twice (i = 0 and
+    # i = ni-1 coincide); only the high-index copy starts a valid walk.
+    sample_idx = np.stack([a.ravel() for a in mesh], axis=-1)[::-1]  # (m, ndim)
+    sample_xyz = np.ascontiguousarray(xyz[tuple(sample_idx.T)].T)  # (ndim, m)
     # Chunk over points to bound the (n, m) distance matrix.
-    n = pts.shape[0]
+    n, m = pts.shape[0], sample_xyz.shape[1]
     out = np.zeros((n, ndim), dtype=np.int64)
-    chunk = max(1, 4_000_000 // max(1, sample_xyz.shape[0]))
+    chunk = max(1, 4_000_000 // max(1, m))
+    d2_buf, diff_buf = np.empty((2, min(n, chunk), m))
     for start in range(0, n, chunk):
         p = pts[start : start + chunk]
+        d2, diff = d2_buf[: p.shape[0]], diff_buf[: p.shape[0]]
         # Per-axis accumulation, (dx2 + dy2) + dz2 as ``.sum(axis=-1)``
         # adds them, without the (n, m, ndim) temporary.
-        d2 = np.zeros((p.shape[0], sample_xyz.shape[0]))
+        d2.fill(0.0)
         for d in range(ndim):
-            diff = p[:, d, None] - sample_xyz[None, :, d]
-            d2 += diff * diff
-        # Prefer the *last* minimal sample: on O-grids the seam node is
-        # stored twice (i = 0 and i = ni-1 coincide) and only the
-        # high-index copy starts the walk inside a valid cell window.
-        best = d2.shape[1] - 1 - np.argmin(d2[:, ::-1], axis=1)
-        out[start : start + chunk] = sample_idx[best]
+            np.subtract(p[:, d, None], sample_xyz[d], out=diff)
+            diff *= diff
+            d2 += diff
+        out[start : start + chunk] = sample_idx[np.argmin(d2, axis=1)]
     out = np.clip(out, lo, hi)
-    cost = max(1, sample_xyz.shape[0] // 8)
+    cost = max(1, m // 8)
     return out, cost
 
 
@@ -281,10 +295,22 @@ def donor_search(
         steps[cold] += seed_cost
 
     active = live.copy()
-    for _ in range(max_steps):
+    # Walk states — the active rows plus their cells — by the iteration
+    # that started from each; insertion order is iteration order.
+    seen: dict[bytes, int] = {}
+    for it in range(max_steps):
         if not active.any():
             break
         idx = np.nonzero(active)[0]
+        state = idx.tobytes() + cells[idx].tobytes()
+        first = seen.setdefault(state, it)
+        if first < it:
+            # A repeat: the rest of the walk cycles through the states
+            # since ``first``; finish it in closed form (module docstring).
+            end = list(seen)[first + (max_steps - first) % (it - first)]
+            cells[idx] = np.frombuffer(end, cells.dtype, offset=idx.nbytes).reshape(-1, ndim)
+            steps[idx] += max_steps - it
+            break
         # Newton inversion of the multilinear map within the cell.
         s = _invert_cells(_corners(xyz, cells[idx]), pts[idx], newton_iters, tol)
 

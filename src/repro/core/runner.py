@@ -118,11 +118,6 @@ class EpochResult:
     search_steps_total: int
     orphans_total: int
 
-    @property
-    def igbp_per_rank_step(self) -> np.ndarray:
-        """(nsteps, nprocs) I(p) matrix (derived from the IGBP rollup)."""
-        return self.igbp.per_step()
-
 
 @dataclass
 class RunResult:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.grids.bbox import AABB
-from repro.grids.structured import BoundaryFace, CurvilinearGrid
 
 
 class CartesianGrid:
@@ -60,15 +59,6 @@ class CartesianGrid:
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.ascontiguousarray(np.stack(mesh, axis=-1))
-
-    def as_curvilinear(
-        self, boundaries: tuple[BoundaryFace, ...] = (), viscous: bool = False
-    ) -> CurvilinearGrid:
-        """Materialise as a curvilinear grid (for the general solver and
-        connectivity paths)."""
-        return CurvilinearGrid(
-            self.name, self.coordinates(), boundaries, viscous=viscous
-        )
 
     # ------------------------------------------------------------------
     # closed-form donor lookup

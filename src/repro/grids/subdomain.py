@@ -45,9 +45,6 @@ class Box:
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))
 
-    def contains_index(self, idx) -> bool:
-        return all(l <= i < h for l, i, h in zip(self.lo, idx, self.hi))
-
     def split(self, axis: int, nparts: int) -> list["Box"]:
         """Split along one axis into ``nparts`` near-equal boxes."""
         n = self.shape[axis]
@@ -66,14 +63,6 @@ class Box:
             out.append(Box(tuple(lo), tuple(hi)))
             start += size
         return out
-
-    def surface_points(self) -> int:
-        """Points on the box surface (upper bound on halo size)."""
-        total = self.npoints
-        inner = 1
-        for s in self.shape:
-            inner *= max(0, s - 2)
-        return total - inner
 
 
 def interior_face_points(box: Box, grid_dims: tuple[int, ...]) -> int:

@@ -8,8 +8,15 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import settings
 
 REPO = Path(__file__).resolve().parents[1]
+
+# ``--hypothesis-profile=nightly`` (the CI schedule job, on
+# ``tests/machine/test_scheduler_order.py`` and
+# ``tests/connectivity/test_kernel_exact.py``) runs 10x the default 100
+# examples and prints the ``@reproduce_failure`` blob of a failing one.
+settings.register_profile("nightly", max_examples=1000, print_blob=True)
 
 
 @contextlib.contextmanager

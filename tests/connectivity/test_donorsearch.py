@@ -468,7 +468,9 @@ def test_seed_scan_matches_reference(dims):
     doubled O-grid seam included — are the reference's bit for bit."""
     rng = np.random.default_rng(len(dims))
     xyz = rng.normal(size=dims + (len(dims),))
-    xyz[-1] = xyz[0]  # the seam: every i = 0 sample ties with i = ni - 1
+    # The seam, and a coincident node line inside the sampled window
+    # (cells 0..ni-2): every i = 0 sample ties with i = ni - 2.
+    xyz[-2:] = xyz[0]
     on_seam = xyz[0, ::2].reshape(-1, len(dims))
     pts = np.concatenate([rng.normal(size=(300, len(dims))), on_seam])
     lo = np.zeros(len(dims), dtype=np.int64)

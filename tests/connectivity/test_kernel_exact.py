@@ -10,7 +10,9 @@ and both are driven over generated curvilinear grids; all five
 ``DonorSearchResult`` arrays must be byte-equal.
 
 This file is the gate for touching the operation orders the module
-docstring of ``repro.connectivity.donorsearch`` lists as load-bearing.
+docstring of ``repro.connectivity.donorsearch`` lists as load-bearing,
+and for the walk's closed-form finish of a walk that repeats a state:
+folded grids make walks cycle until the step cap.
 It runs in the ordinary ``tests`` CI matrix, which is where a numpy
 whose reduction order differs would show.
 """
@@ -62,6 +64,15 @@ def seam(dims, jitter, rng):
     return xy
 
 
+def fold(dims, amp, freq, jitter, rng):
+    """A wavy grid folded back on itself along axis 0 (x -> |x - mid|):
+    a point beyond the fold gets Newton solutions that point the walk
+    back across it, cell after cell, until the step cap."""
+    xyz = wavy(dims, amp, freq, jitter, rng)
+    xyz[..., 0] = np.abs(xyz[..., 0] - (dims[0] - 1) / 2)
+    return xyz
+
+
 def assert_same(new, old, tag):
     for f in FIELDS:
         a, b = getattr(new, f), getattr(old, f)
@@ -69,13 +80,25 @@ def assert_same(new, old, tag):
         assert a.tobytes() == b.tobytes(), (tag, f)
 
 
-def check_case(dims, amp, freq, jitter, n, seed, o_grid=False):
-    """Old vs new over the search modes; returns how many points the
-    full-grid search found and lost, and how many of the found only the
-    opposite-edge retry / last-resort probe recovered."""
+def capped(res):
+    """Rows that end neither found nor escaped with all 200 walk
+    iterations spent — the only rows a walk's closed-form cycle finish
+    writes."""
+    return int((~res.found & ~res.escaped & (res.steps >= 200)).sum())
+
+
+def check_case(dims, amp, freq, jitter, n, seed, kind="wavy"):
+    """Old vs new over the search modes on a ``kind`` grid (wavy, seam
+    or fold); returns how many points the full-grid search found and
+    lost, how many of the found only the opposite-edge retry /
+    last-resort probe recovered, and how many rows the windowed walks
+    left at the step cap."""
     rng = np.random.default_rng(seed)
     ndim = len(dims)
-    xyz = seam(dims, jitter, rng) if o_grid else wavy(dims, amp, freq, jitter, rng)
+    if kind == "seam":
+        xyz = seam(dims, jitter, rng)
+    else:
+        xyz = (fold if kind == "fold" else wavy)(dims, amp, freq, jitter, rng)
     lo_x = xyz.reshape(-1, ndim).min(axis=0)
     hi_x = xyz.reshape(-1, ndim).max(axis=0)
     # Half the points in the bounding box, half in a padded one: inside
@@ -102,14 +125,12 @@ def check_case(dims, amp, freq, jitter, n, seed, o_grid=False):
     max_cell = np.array(xyz.shape[:-1]) - 2
     lo = rng.integers(0, max_cell + 1)
     hi = rng.integers(lo, max_cell + 1)
-    assert_same(
-        donor_search(xyz, pts, cell_lo=lo, cell_hi=hi),
-        reference_search(xyz, pts, cell_lo=lo, cell_hi=hi),
-        "windowed",
-    )
+    windowed = reference_search(xyz, pts, cell_lo=lo, cell_hi=hi)
+    assert_same(donor_search(xyz, pts, cell_lo=lo, cell_hi=hi), windowed, "windowed")
+    windowed_warm = reference_search(xyz, pts, guesses=g, cell_lo=lo, cell_hi=hi)
     assert_same(
         donor_search(xyz, pts, guesses=g, cell_lo=lo, cell_hi=hi),
-        reference_search(xyz, pts, guesses=g, cell_lo=lo, cell_hi=hi),
+        windowed_warm,
         "windowed-warm",
     )
     # The whole grid as an explicit window: the plain walk, no recovery.
@@ -120,16 +141,17 @@ def check_case(dims, amp, freq, jitter, n, seed, o_grid=False):
         "whole-grid window",
     )
     found = int(cold.found.sum())
-    return found, n - found, int((cold.found & ~walk.found).sum())
+    at_cap = capped(windowed) + capped(windowed_warm) + capped(walk)
+    return found, n - found, int((cold.found & ~walk.found).sum()), at_cap
 
 
 def test_fixed_seeds_match_reference():
     """The Hypothesis check below with pinned draws: a failure here is
     reproducible without an example database.  Also guards the oracle
-    against going vacuous — hits, orphans and points only the retry /
-    probe recovered must all occur."""
+    against going vacuous — hits, orphans, points only the retry / probe
+    recovered and walks left at the step cap must all occur."""
     rng = np.random.default_rng(2024)
-    totals = np.zeros(3, dtype=int)
+    totals = np.zeros(4, dtype=int)
     for seed in range(12):
         ndim = 2 if seed % 3 == 0 else 3
         dims = tuple(int(d) for d in rng.integers(3, 15, ndim))
@@ -140,13 +162,17 @@ def test_fixed_seeds_match_reference():
             jitter=rng.uniform(0.0, 0.12),
             n=int(rng.integers(1, 301)),
             seed=seed,
-            o_grid=seed % 4 == 3,
+            # Folds on two of the 2-D grids: 3-D ones cost the
+            # reference seconds of walking to the cap.
+            kind="seam" if seed % 4 == 3 else ("fold" if seed % 6 == 0 else "wavy"),
         )
-    found, orphans, recovered = totals
-    assert found > 500 and orphans > 500 and recovered > 10
+    found, orphans, recovered, at_cap = totals
+    assert found > 500 and orphans > 500 and recovered > 10 and at_cap > 10
 
 
-@settings(max_examples=30, deadline=None)
+# Tier-1 draws 8 grids (the default profile's 100 examples / 12); the
+# nightly profile in tests/conftest.py draws ten times as many.
+@settings(deadline=None, max_examples=settings.default.max_examples // 12)
 @given(
     dims=st.lists(st.integers(3, 14), min_size=2, max_size=3).map(tuple),
     amp=st.floats(0.0, 0.3),
@@ -154,10 +180,59 @@ def test_fixed_seeds_match_reference():
     jitter=st.floats(0.0, 0.12),
     n=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
-    o_grid=st.booleans(),
+    kind=st.sampled_from(["wavy", "seam", "fold"]),
 )
-def test_generated_grids_match_reference(dims, amp, freq, jitter, n, seed, o_grid):
-    check_case(dims, amp, freq, jitter, n, seed, o_grid)
+def test_generated_grids_match_reference(dims, amp, freq, jitter, n, seed, kind):
+    check_case(dims, amp, freq, jitter, n, seed, kind)
+
+
+# Node x-coordinates along i (y = j, z = k) of grids whose i-lines fold
+# back, and a point x beyond the fold plus one x the grid covers.
+CYCLES = {
+    # x = |i - 5|: cells 4 and 6 send x = -2.5 to each other, both steps
+    # clipped to +-2 (period 2; a cold seed bounces 5 <-> 3 instead).
+    "period 2": ([5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5], -2.5, 3.5),
+    # Cell 4 steps +2, cells 6 and 5 step -1 each (period 3).
+    "period 3": ([5, 4, 3, 2, 0.9, 0.5, 1.5, 3.5, 5], 0.0, 3.0),
+}
+
+
+CAPS = [1, 2, 3, 4, 5, 6, 199, 200, 201]
+
+
+# 3-D (the same grids extruded) only at the small caps: the reference
+# spends about a millisecond per 3-D walk step.
+@pytest.mark.parametrize(
+    "ndim, max_steps", [(2, m) for m in CAPS] + [(3, m) for m in CAPS[:6]]
+)
+@pytest.mark.parametrize("cycle", sorted(CYCLES))
+def test_cycling_walks_match_reference(cycle, ndim, max_steps):
+    """Walks that repeat a state are finished in closed form: every
+    remainder of the cap against the period, a repeat on the very last
+    iteration, a cycler whose state recurs only once the rows walking
+    beside it have left, and full-grid searches whose probe then starts
+    from the cycler's final cell."""
+    xs, beyond, covered = CYCLES[cycle]
+    axes = [np.asarray(xs, float), np.arange(12.0)] + [np.arange(3.0)] * (ndim - 2)
+    xyz = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    rest = [0.5] * (ndim - 2)
+    # Cyclers warm (one step of approach first) and cold-seeded; rows
+    # found and escaped after six steps each.
+    pts = np.array([[beyond, 0.5, *rest], [beyond, 4.5, *rest],
+                    [covered, 10.5, *rest], [covered, 30.0, *rest]])
+    guesses = np.zeros((4, ndim), np.int64)
+    guesses[:, 0] = [2, 0, 4, 4]
+    guesses[1] = -1
+    max_cell = np.array(xyz.shape[:-1]) - 2
+    window = {"cell_lo": 0 * max_cell, "cell_hi": max_cell}
+    # The warm cycler alone, then the mixed batch windowed and full-grid.
+    for n, kw in ((1, window), (4, window), (4, {})):
+        args = (xyz, pts[:n], guesses[:n], max_steps)
+        res = donor_search(*args, **kw)
+        assert_same(res, reference_search(*args, **kw), (n, kw))
+        # The cyclers end neither found nor escaped, at the cap.
+        assert not (res.found | res.escaped)[:2].any()
+        assert (res.steps[:2] >= max_steps).all()
 
 
 @pytest.mark.parametrize("ndim", [2, 3])

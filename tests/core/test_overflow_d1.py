@@ -208,7 +208,7 @@ class TestDynamicLoadBalance:
 
     def test_igbp_counts_collected(self):
         result, _ = run(nodes=4, nsteps=3)
-        igbp = result.epochs[0].igbp_per_rank_step
+        igbp = result.epochs[0].igbp.per_step()
         assert igbp.shape == (3, 4)
         assert igbp.sum() > 0
 

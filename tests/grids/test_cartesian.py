@@ -41,12 +41,6 @@ class TestConstruction:
         assert xyz.shape == (3, 2, 2)
         assert np.allclose(xyz[2, 1], [2.0, 1.0])
 
-    def test_as_curvilinear(self):
-        g = CartesianGrid("bg", (0.0, 0.0), 1.0, (4, 4))
-        cg = g.as_curvilinear()
-        assert cg.npoints == g.npoints
-        assert cg.bounding_box() == g.bounding_box()
-
 
 class TestLocate:
     def test_interior_point(self):

@@ -23,11 +23,6 @@ class TestBox:
         b = Box((1, 2), (3, 5))
         assert arr[b.slices()].shape == (2, 3)
 
-    def test_contains_index(self):
-        b = Box((1, 1), (3, 3))
-        assert b.contains_index((1, 2))
-        assert not b.contains_index((3, 2))  # hi exclusive
-
     def test_split_even(self):
         parts = Box.whole((12, 4)).split(0, 3)
         assert [p.shape for p in parts] == [(4, 4)] * 3
@@ -52,11 +47,6 @@ class TestBox:
             k = n
         parts = Box.whole((n, 3)).split(0, k)
         assert sum(p.npoints for p in parts) == 3 * n
-
-    def test_surface_points(self):
-        assert Box.whole((4, 4)).surface_points() == 16 - 4
-        assert Box.whole((2, 2)).surface_points() == 4
-        assert Box.whole((4, 4, 4)).surface_points() == 64 - 8
 
 
 class TestInteriorFacePoints:
