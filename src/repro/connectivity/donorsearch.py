@@ -51,6 +51,18 @@ writes only rows that end neither found nor escaped with every walk
 iteration spent, whose ``found``, ``fracs`` and ``escaped`` a cycle
 cannot change: all five arrays, and the probe from those cells, are the
 full loop's bit for bit.
+
+The last-resort probe skips a candidate block no row can hit
+(:func:`_may_hit`).  A hit needs ``s`` within ``1e-9`` of the unit cube
+and a residual ``<= 1e-8``; there the multilinear weights sum to 1 with
+negative mass below ``3.1e-9``, so the map lies in the corners' box
+widened by ``3.1e-9 * span``, plus about ``1e-15 * max|corner|`` of
+rounding in ``_map2d`` / ``_map3d``.  A target outside that box padded
+by ``1e-6 * (1 + span) + 1e-12 * max|corner|`` cannot hit, whatever
+Newton returns.  Only a block whose rows *all* lie outside is skipped,
+after charging its step per row; any other block runs on its full batch
+(same batch-wide Newton exit), and a skipped one would have written only
+``steps``: all five arrays are unchanged.  Windowed searches never probe.
 """
 
 from __future__ import annotations
@@ -182,6 +194,15 @@ def _invert_cells(corners, targets, newton_iters, tol):
         if np.abs(r).max() < tol:
             break
     return s if flat else s.T
+
+
+def _may_hit(corners, targets):
+    """Rows (n,) whose target may pass the probe's acceptance test: inside
+    the corner box padded as the module docstring derives (NaN keeps)."""
+    c = np.stack(corners) if targets.shape[1] == 2 else corners.transpose(0, 2, 1)
+    lo, hi = c.min(axis=0), c.max(axis=0)  # (n, ndim)
+    pad = 1e-6 * (1 + (hi - lo)) + 1e-12 * np.maximum(np.abs(lo), np.abs(hi))
+    return ~np.any((targets < lo - pad) | (targets > hi + pad), axis=1)
 
 
 def _nearest_node_seed(
@@ -392,10 +413,12 @@ def donor_search(
             sub = np.nonzero(remaining)[0]
             cand = np.clip(base[sub] + off, lo, hi)
             corners = _corners(xyz, cand)
+            steps[rows[sub]] += 1  # one Newton solve ~ one walk step
+            if not _may_hit(corners, targets[sub]).any():
+                continue  # no row can hit: the solve would change nothing
             s = _invert_cells(corners, targets[sub], newton_iters, tol)
             x = _map2d(*corners, s) if ndim == 2 else _map3d(corners, s.T[None])[0].T
             resid = np.abs(x - targets[sub]).max(axis=1)
-            steps[rows[sub]] += 1  # one Newton solve ~ one walk step
             inside = np.all((s >= -1e-9) & (s <= 1 + 1e-9), axis=1) & (resid <= 1e-8)
             hit = sub[inside]
             gi = rows[hit]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.grids.structured import BoundaryFace, CurvilinearGrid
-from repro.grids.cartesian import CartesianGrid
 
 
 # ----------------------------------------------------------------------
@@ -376,13 +375,3 @@ def pipe_grid(
         ),
         viscous=viscous,
     )
-
-
-def cartesian_grid_3d(name: str, lo, hi, spacing: float, level: int = 0) -> CartesianGrid:
-    """Uniform Cartesian grid covering [lo, hi] at the given spacing —
-    the seven-parameter grids of the adaptive off-body scheme."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    dims = tuple(int(np.ceil((hi[a] - lo[a]) / spacing)) + 1 for a in range(lo.shape[0]))
-    dims = tuple(max(2, d) for d in dims)
-    return CartesianGrid(name, lo, spacing, dims, level)

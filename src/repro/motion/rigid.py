@@ -45,16 +45,6 @@ class Quaternion:
         out = Quaternion(*(self.q / n))
         return out
 
-    def multiply(self, other: "Quaternion") -> "Quaternion":
-        w1, x1, y1, z1 = self.q
-        w2, x2, y2, z2 = other.q
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
-
     def rotation_matrix(self) -> np.ndarray:
         w, x, y, z = self.normalized().q
         return np.array(

@@ -266,6 +266,15 @@ class _OffBodyWorld(MovingWorld):
             )
         return self.memo[layout.epoch]
 
+    def donor_exchange(self, plan: _EpochPlan) -> list[tuple[int, int, int]]:
+        """:func:`_donor_exchange` at the current poses, once per step for
+        all ranks (the memo keeps ``plan`` alive, so ``is`` is safe)."""
+        hit = self.memo.get("exchange")
+        if hit is None or hit[0] is not plan:
+            conn = self.connectivity(plan.layout)
+            hit = self.memo["exchange"] = (plan, _donor_exchange(plan, conn))
+        return hit[1]
+
 
 def _step_connectivity(
     nb_grids: list[CurvilinearGrid],
@@ -280,6 +289,8 @@ def _step_connectivity(
     orphans_n: dict[int, int] = {}
 
     patch_boxes = [g.bounding_box() for g in layout.grids]
+    # Fringe points per patch, built once and shared by every nb grid.
+    fringes: dict[int, np.ndarray] = {}
 
     for gi, g in enumerate(nb_grids):
         nb_box = g.bounding_box()
@@ -305,7 +316,9 @@ def _step_connectivity(
         for pi in range(len(layout.grids)):
             if not patch_boxes[pi].intersects(nb_box):
                 continue
-            fringe = fringe_points(layout.grids[pi])
+            fringe = fringes.get(pi)
+            if fringe is None:
+                fringe = fringes[pi] = fringe_points(layout.grids[pi])
             inside = nb_box.contains(fringe)
             if not np.any(inside):
                 continue
@@ -596,7 +609,7 @@ class _OffBody(Workload):
 
             def exchange(step):
                 conn = world.connectivity(plan.layout)
-                pairs = _donor_exchange(plan, conn)
+                pairs = world.donor_exchange(plan)
                 my_out = [
                     (d, w) for r, d, w in pairs if r == rank and d != rank
                 ]

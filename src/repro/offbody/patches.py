@@ -141,13 +141,6 @@ class PatchSystem:
             level=p.level,
         )
 
-    def patch_points(self, p: Patch) -> int:
-        """Grid points in patch ``p`` (varies with its brick shape)."""
-        n = 1
-        for s in p.shape:
-            n *= (self.points_per_patch - 1) * s + 1
-        return n
-
     # ------------------------------------------------------------------
     # integer-lattice helpers
 
@@ -164,13 +157,6 @@ class PatchSystem:
         lo = tuple(c * f for c in p.ijk)
         hi = tuple((c + s) * f for c, s in zip(p.ijk, p.shape))
         return lo, hi
-
-    def touches(self, p: Patch, q: Patch) -> bool:
-        """Whether two patches share a face, edge, or corner (exact)."""
-        (plo, phi), (qlo, qhi) = self._span(p), self._span(q)
-        return all(
-            plo[a] <= qhi[a] and qlo[a] <= phi[a] for a in range(self.ndim)
-        )
 
     # ------------------------------------------------------------------
     # generation
@@ -273,22 +259,13 @@ class PatchSystem:
         ranges[axis] = (ijk[axis] + shape[axis],)
         return list(itertools.product(*ranges))
 
-    def _span_arrays(
-        self, leaves: list[Patch] | tuple[Patch, ...]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        spans = [self._span(p) for p in leaves]
-        lo = np.array([s[0] for s in spans], dtype=np.int64)
-        hi = np.array([s[1] for s in spans], dtype=np.int64)
-        return lo, hi
-
     def _touch_matrix(self, leaves: list[Patch] | tuple[Patch, ...]) -> np.ndarray:
         """(n, n) bool: leaves share at least a corner (exact integers)."""
-        lo, hi = self._span_arrays(leaves)
-        return np.all(
-            (lo[:, None, :] <= hi[None, :, :])
-            & (lo[None, :, :] <= hi[:, None, :]),
-            axis=-1,
-        )
+        spans = np.array([self._span(p) for p in leaves], dtype=np.int64)
+        touch = np.ones((len(leaves), len(leaves)), dtype=bool)
+        for lo, hi in spans.transpose(2, 1, 0):  # one (n, n) test per axis
+            touch &= (lo[:, None] <= hi) & (lo <= hi[:, None])
+        return touch
 
     def _grading_violations(self, leaves: list[Patch]) -> set[int]:
         levels = np.array([p.level for p in leaves], dtype=np.int64)

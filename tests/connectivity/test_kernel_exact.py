@@ -11,18 +11,25 @@ and both are driven over generated curvilinear grids; all five
 
 This file is the gate for touching the operation orders the module
 docstring of ``repro.connectivity.donorsearch`` lists as load-bearing,
-and for the walk's closed-form finish of a walk that repeats a state:
-folded grids make walks cycle until the step cap.
+for the walk's closed-form finish of a walk that repeats a state
+(folded grids make walks cycle until the step cap), and for the padded
+corner-box certificate that lets the last-resort probe skip blocks no
+row can hit (a soundness property over single cells, plus searches that
+skip blocks and hit in the same call).
 It runs in the ordinary ``tests`` CI matrix, which is where a numpy
 whose reduction order differs would show.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.connectivity.donorsearch import donor_search
+from repro.connectivity import donorsearch
+from repro.connectivity.donorsearch import _map2d, _map3d, _may_hit, donor_search
+from repro.connectivity.interpolation import corner_offsets
 from tests.connectivity._reference_donorsearch import (
     donor_search as reference_search,
 )
@@ -87,12 +94,37 @@ def capped(res):
     return int((~res.found & ~res.escaped & (res.steps >= 200)).sum())
 
 
+def probed_search(*args, **kw):
+    """``donor_search`` recording each last-resort probe block as
+    ``(rows, ran)``: its batch size and whether the certificate let its
+    Newton solve run."""
+    blocks = []
+
+    def spy(corners, targets):
+        may = _may_hit(corners, targets)
+        blocks.append((len(targets), bool(may.any())))
+        return may
+
+    with mock.patch.object(donorsearch, "_may_hit", spy):
+        return donor_search(*args, **kw), blocks
+
+
+def probe_counts(res, blocks):
+    """Skipped blocks and probe hits of one full-grid search of finite
+    points: the probe's batch is every row still missing, so the rows it
+    found are that batch less the rows missing at the end."""
+    skipped = sum(not ran for _, ran in blocks)
+    hits = blocks[0][0] - int((~res.found).sum()) if blocks else 0
+    return skipped, hits
+
+
 def check_case(dims, amp, freq, jitter, n, seed, kind="wavy"):
     """Old vs new over the search modes on a ``kind`` grid (wavy, seam
     or fold); returns how many points the full-grid search found and
     lost, how many of the found only the opposite-edge retry /
-    last-resort probe recovered, and how many rows the windowed walks
-    left at the step cap."""
+    last-resort probe recovered, how many rows the windowed walks left
+    at the step cap, the cold search's skipped probe blocks and probe
+    hits, and whether it had both."""
     rng = np.random.default_rng(seed)
     ndim = len(dims)
     if kind == "seam":
@@ -109,7 +141,9 @@ def check_case(dims, amp, freq, jitter, n, seed, kind="wavy"):
     # Full grid, cold: the opposite-edge retry and the last-resort
     # probe run for whatever fell off the hull.
     cold = reference_search(xyz, pts)
-    assert_same(donor_search(xyz, pts), cold, "cold")
+    res, blocks = probed_search(xyz, pts)
+    assert_same(res, cold, "cold")
+    skipped, hits = probe_counts(res, blocks)
 
     # Warm: previous donors knocked off by up to two cells, some rows
     # without a hint (negative => seeded like a cold point).
@@ -142,16 +176,19 @@ def check_case(dims, amp, freq, jitter, n, seed, kind="wavy"):
     )
     found = int(cold.found.sum())
     at_cap = capped(windowed) + capped(windowed_warm) + capped(walk)
-    return found, n - found, int((cold.found & ~walk.found).sum()), at_cap
+    recovered = int((cold.found & ~walk.found).sum())
+    both = int(skipped > 0 and hits > 0)
+    return found, n - found, recovered, at_cap, skipped, hits, both
 
 
 def test_fixed_seeds_match_reference():
     """The Hypothesis check below with pinned draws: a failure here is
     reproducible without an example database.  Also guards the oracle
     against going vacuous — hits, orphans, points only the retry / probe
-    recovered and walks left at the step cap must all occur."""
+    recovered, walks left at the step cap, skipped probe blocks and probe
+    hits must all occur, a skip and a hit in one search at least once."""
     rng = np.random.default_rng(2024)
-    totals = np.zeros(4, dtype=int)
+    totals = np.zeros(7, dtype=int)
     for seed in range(12):
         ndim = 2 if seed % 3 == 0 else 3
         dims = tuple(int(d) for d in rng.integers(3, 15, ndim))
@@ -166,8 +203,9 @@ def test_fixed_seeds_match_reference():
             # reference seconds of walking to the cap.
             kind="seam" if seed % 4 == 3 else ("fold" if seed % 6 == 0 else "wavy"),
         )
-    found, orphans, recovered, at_cap = totals
+    found, orphans, recovered, at_cap, skipped, hits, both = totals
     assert found > 500 and orphans > 500 and recovered > 10 and at_cap > 10
+    assert skipped > 0 and hits > 0 and both > 0
 
 
 # Tier-1 draws 8 grids (the default profile's 100 examples / 12); the
@@ -184,6 +222,75 @@ def test_fixed_seeds_match_reference():
 )
 def test_generated_grids_match_reference(dims, amp, freq, jitter, n, seed, kind):
     check_case(dims, amp, freq, jitter, n, seed, kind)
+
+
+def probe_map(corners, s):
+    """The probe's own evaluation of the map at its Newton solution."""
+    return _map2d(*corners, s) if s.shape[1] == 2 else _map3d(corners, s.T[None])[0].T
+
+
+@settings(deadline=None)
+@given(
+    ndim=st.sampled_from([2, 3]),
+    kind=st.sampled_from(["wavy", "fold", "collapsed"]),
+    offset=st.sampled_from([0.0, 1e6, -1e6]),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_may_hit_keeps_every_possible_hit(ndim, kind, offset, scale, seed):
+    """Soundness of the probe's certificate: every ``s`` the probe can
+    accept (``[-1e-9, 1 + 1e-9]`` per axis, the cube's extreme corners
+    included), mapped the way the probe maps it, and every target within
+    the ``1e-8`` residual of that map passes ``_may_hit`` — on wavy,
+    folded and collapsed cells, near the origin and 1e6 away from it.
+    Targets far outside the corner box are refused, so the test is not
+    passed by a certificate that never skips."""
+    rng = np.random.default_rng(seed)
+    m, n = 1 << ndim, 64
+    # n cells: the unit cube's corners, perturbed, scaled and offset.
+    c = corner_offsets(ndim)[None] + rng.uniform(-0.4, 0.4, (n, m, ndim))
+    if kind == "fold":
+        c[..., 0] = np.abs(c[..., 0] - rng.uniform(0.0, 1.0, (n, 1)))
+    elif kind == "collapsed":
+        same = rng.random((n, m)) < 0.5
+        c[same] = np.broadcast_to(c[:, :1], c.shape)[same]
+    c = c * scale + offset
+    corners = tuple(c[:, k] for k in range(4)) if ndim == 2 else (
+        np.ascontiguousarray(c.transpose(1, 2, 0))
+    )
+    lo, hi = -1e-9, 1 + 1e-9
+    s = rng.uniform(lo, hi, (n, ndim))
+    s[rng.random((n, ndim)) < 0.3] = lo
+    s[rng.random((n, ndim)) < 0.3] = hi
+    s[: 1 << ndim] = np.where(corner_offsets(ndim) == 1, hi, lo)
+    x = probe_map(corners, s)
+    assert _may_hit(corners, x).all()
+    for d in (rng.uniform(-1e-8, 1e-8, x.shape), rng.choice([-1e-8, 1e-8], x.shape)):
+        assert _may_hit(corners, x + d).all()
+    box_lo, box_hi = c.min(axis=1), c.max(axis=1)
+    margin = 1e-3 * (1 + box_hi - box_lo) + 1e-9 * np.abs(c).max(axis=1)
+    assert not _may_hit(corners, box_hi + margin).any()
+    assert not _may_hit(corners, box_lo - margin).any()
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_probe_hit_then_all_blocks_skipped(ndim):
+    """The probe finds one row in its clipped cell (offset 0, the walk
+    given no steps), then every later block holds only an orphan far
+    off the grid: each is skipped, charged its step, and all five
+    arrays are the reference's."""
+    rng = np.random.default_rng(11)
+    xyz = wavy((6,) * ndim, 0.1, 0.7, 0.05, rng)
+    cell = np.full(ndim, 2)
+    corners = xyz[tuple(cell[:, None] + corner_offsets(ndim).T)]
+    pts = np.stack([corners.mean(axis=0), np.full(ndim, 100.0)])
+    guesses = np.stack([cell, cell])
+    res, blocks = probed_search(xyz, pts, guesses, 0)
+    assert_same(res, reference_search(xyz, pts, guesses, 0), ndim)
+    assert blocks == [(2, True)] + [(1, False)] * (3**ndim - 1)
+    assert res.found.tolist() == [True, False]
+    assert (res.cells[0] == cell).all()
+    assert res.steps.tolist() == [1, 3**ndim]
 
 
 # Node x-coordinates along i (y = j, z = k) of grids whose i-lines fold

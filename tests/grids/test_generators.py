@@ -155,8 +155,3 @@ class TestFinAndPipe:
     def test_pipe_grid_points_down(self):
         g = gen.pipe_grid("pipe", origin=(0.0, 0.0, 0.0), length=2.0)
         assert g.xyz[..., 1].min() == pytest.approx(-2.0)
-
-    def test_cartesian_grid_3d_covers_box(self):
-        g = gen.cartesian_grid_3d("bg", (0, 0, 0), (1.0, 2.0, 0.5), 0.3)
-        box = g.bounding_box()
-        assert (box.hi >= [1.0, 2.0, 0.5]).all()

@@ -24,12 +24,6 @@ class TestQuaternion:
         R = q.rotation_matrix()
         assert np.allclose(R @ [1, 0, 0], [0, 1, 0], atol=1e-12)
 
-    def test_multiply_composes(self):
-        qa = Quaternion.from_axis_angle((0, 0, 1), 0.3)
-        qb = Quaternion.from_axis_angle((0, 1, 0), 0.4)
-        Rab = qa.multiply(qb).rotation_matrix()
-        assert np.allclose(Rab, qa.rotation_matrix() @ qb.rotation_matrix())
-
     def test_normalized(self):
         q = Quaternion(2.0, 0.0, 0.0, 0.0).normalized()
         assert np.allclose(q.q, [1, 0, 0, 0])

@@ -14,6 +14,7 @@ import pytest
 from repro.grids.bbox import AABB
 from repro.offbody import OffBodyManager, Patch, PatchSystem, gradient_boxes
 from repro.offbody.patches import fringe_points
+from tests.offbody._reference_patches import touches
 
 DOMAIN = AABB((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))
 BODY = AABB((0.8, 0.8, 0.8), (1.2, 1.2, 1.2))
@@ -76,7 +77,7 @@ class TestGenerate:
         patches = system.generate([BODY], margin=0.05)
         for i, p in enumerate(patches):
             for q in patches[i + 1:]:
-                if system.touches(p, q):
+                if touches(system, p, q):
                     assert abs(p.level - q.level) <= 1
 
     def test_brick_cap_respected(self):
@@ -94,7 +95,7 @@ class TestGenerate:
         assert len(pb) < len(pu)
         # Coalescing must produce a spread of patch sizes — that spread
         # is what lets Algorithm 3's largest-first seeding bite.
-        assert len({brick.patch_points(p) for p in pb}) > 1
+        assert len({brick.patch_grid(p).npoints for p in pb}) > 1
 
     def test_pure_function_of_inputs(self):
         a = make_system().generate([BODY], margin=0.05)
@@ -107,13 +108,14 @@ class TestGenerate:
         assert all(p.level == 0 for p in patches)
         assert_tiles_lattice(system, patches)
 
-    def test_patch_grid_matches_patch_points(self):
+    def test_patch_grid_spans_patch_box(self):
         system = make_system()
         for p in system.generate([BODY], margin=0.05):
             grid = system.patch_grid(p)
-            assert grid.npoints == system.patch_points(p)
             box = system.patch_box(p)
             assert np.allclose(grid.origin, box.lo)
+            far = grid.origin + grid.spacing * (np.asarray(grid.dims) - 1)
+            assert np.allclose(far, box.hi)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -142,7 +144,7 @@ class TestAdjacencyAndWeights:
         edges = system.adjacency(patches)
         for i, j in edges:
             assert i < j
-            assert system.touches(patches[i], patches[j])
+            assert touches(system, patches[i], patches[j])
 
     def test_fringe_weights_target_adjacent_patches(self):
         system = make_system()

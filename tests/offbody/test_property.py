@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.grids.bbox import AABB  # noqa: E402
 from repro.offbody import PatchSystem  # noqa: E402
 from repro.partition import group_grids, round_robin_grids  # noqa: E402
+from tests.offbody._reference_patches import touches  # noqa: E402
 
 DOMAIN = AABB((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))
 
@@ -65,7 +66,7 @@ class TestGenerationInvariants:
         patches = system.generate(boxes, margin=0.05)
         for i, p in enumerate(patches):
             for q in patches[i + 1:]:
-                if system.touches(p, q):
+                if touches(system, p, q):
                     assert abs(p.level - q.level) <= 1
 
     @settings(max_examples=25, deadline=None)
@@ -84,6 +85,18 @@ class TestGenerationInvariants:
                     alo[d] < bhi[d] and blo[d] < ahi[d] for d in range(3)
                 )
         assert all(max(p.shape) <= system.max_brick_cells for p in patches)
+
+    @settings(max_examples=10, deadline=None)
+    @given(system=systems, boxes=body_boxes)
+    def test_touch_matrix_matches_scalar_oracle(self, system, boxes):
+        """The per-axis matrix grading and adjacency read is the scalar
+        pairwise test, entry for entry, diagonal included."""
+        patches = system.generate(boxes, margin=0.05)
+        touch = system._touch_matrix(patches)
+        assert touch.dtype == bool and touch.shape == (len(patches),) * 2
+        assert touch.tolist() == [
+            [touches(system, p, q) for q in patches] for p in patches
+        ]
 
     @settings(max_examples=15, deadline=None)
     @given(system=systems, boxes=body_boxes)
