@@ -1,9 +1,10 @@
 """Real multiprocess execution of rank programs.
 
 Runs each rank as a genuine ``multiprocessing`` process (``fork`` start
-method — rank programs are closures over driver state and cannot be
-pickled) and interprets the very same primitive tuples the simulator's
-scheduler dispatches, against real transport:
+method, once per chunk — the child inherits its rank program, so mp
+never pickles one and a closure runs as well as the picklable programs
+the drivers build) and interprets the very same primitive tuples the
+simulator's scheduler dispatches, against real transport:
 
 * **pickle-over-pipe point-to-point** — one OS pipe per destination
   rank, shared by all senders behind a per-destination lock.  Frames
@@ -115,8 +116,8 @@ def mp_available() -> str | None:
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return (
-            "requires the 'fork' start method (rank programs are closures "
-            "and cannot be pickled for spawn)"
+            "requires the 'fork' start method (each chunk forks its "
+            "ranks, which inherit their programs unpickled)"
         )
     return None
 

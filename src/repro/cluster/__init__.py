@@ -3,8 +3,8 @@
 The package behind ``--backend cluster``: a head-side supervisor
 (:mod:`repro.cluster.head`), per-host node daemons
 (:mod:`repro.cluster.node`), the length-framed wire protocol between
-them (:mod:`repro.cluster.protocol`), closure shipping for rank
-programs (:mod:`repro.cluster.shipping`) and rank-to-node placement
+them (:mod:`repro.cluster.protocol`, which also carries each rank
+program as one pickle) and rank-to-node placement
 (:mod:`repro.cluster.placement`).  See ``docs/cluster.md`` for the
 topology, failure model and a two-node localhost walkthrough.
 """
@@ -19,7 +19,6 @@ from repro.cluster.protocol import (
     FrameTooLarge,
     HandshakeError,
 )
-from repro.cluster.shipping import ShipError, blobs_sha, load_program, ship_program
 
 __all__ = [
     "ClusterBackend",
@@ -31,8 +30,4 @@ __all__ = [
     "ClusterProtocolError",
     "FrameTooLarge",
     "HandshakeError",
-    "ShipError",
-    "ship_program",
-    "load_program",
-    "blobs_sha",
 ]

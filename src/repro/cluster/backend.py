@@ -3,8 +3,11 @@
 The third execution engine in the registry.  Rank programs — the very
 same generators ``sim`` interprets against virtual time and ``mp``
 runs as forked processes — execute inside worker processes hosted by
-per-host ``repro node`` daemons; the head (this process) ships the
-programs over TCP, routes inter-node messages, and collects results.
+per-host ``repro node`` daemons; the head (this process) ships each
+program over TCP as one pickle, routes inter-node messages, and
+collects results.  A program is therefore picklable data: a
+module-level generator function, or ``functools.partial`` of one over
+the data it needs, resolved by import on the node.
 
 Physics is byte-identical to ``sim`` and ``mp`` by construction: the
 workers run the mp backend's primitive interpreter with the same
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import pickle
 from typing import Any, Sequence
 
 from repro.backend.api import (
@@ -35,7 +39,7 @@ from repro.backend.api import (
 from repro.backend.mp import check_measured_run, mp_available
 from repro.cluster.head import HB_INTERVAL, HB_TIMEOUT, ClusterSupervisor
 from repro.cluster.placement import Placement
-from repro.cluster.shipping import blobs_sha, ship_program
+from repro.cluster.protocol import blobs_sha
 
 __all__ = ["ClusterBackend", "cluster_available"]
 
@@ -158,16 +162,8 @@ class ClusterBackend(ExecutionBackend):
             fault_hint=" (the cluster backend experiences real faults: "
             "kill a node daemon)",
         )
-        sup = self.supervisor
-        alive = sup.alive_ids()
-        if not alive:
-            raise BackendUnavailable(
-                "backend 'cluster' unavailable: every node daemon is dead"
-            )
-        n = len(rows)
-        placement = Placement.contiguous(n, alive)
-
-        # SPMD runs ship each distinct program object once.
+        # SPMD runs ship each distinct program object once; all are
+        # pickled before the pool is touched.
         blob_index: dict[int, int] = {}
         blobs: list[bytes] = []
         program_of_rank: list[int] = []
@@ -176,18 +172,24 @@ class ClusterBackend(ExecutionBackend):
             if idx is None:
                 idx = len(blobs)
                 blob_index[id(prog)] = idx
-                blobs.append(ship_program(prog))
+                blobs.append(_pickle_program(prog))
             program_of_rank.append(idx)
-        config_sha = blobs_sha(blobs)
 
+        sup = self.supervisor
+        alive = sup.alive_ids()
+        if not alive:
+            raise BackendUnavailable(
+                "backend 'cluster' unavailable: every node daemon is dead"
+            )
+        n = len(rows)
         return sup.run_chunk(
             runid=f"repro_cl_{os.getpid()}_{next(_run_counter)}",
             machine=machine,
             nranks=n,
-            placement=placement,
+            placement=Placement.contiguous(n, alive),
             program_blobs=blobs,
             program_of_rank=program_of_rank,
-            config_sha=config_sha,
+            config_sha=blobs_sha(blobs),
             options={
                 "shm_threshold": self.shm_threshold,
                 "sleep_cap": self.sleep_cap,
@@ -197,3 +199,17 @@ class ClusterBackend(ExecutionBackend):
             tracer=tracer if trace_enabled else None,
             timeout=self.timeout,
         )
+
+
+def _pickle_program(prog: RankProgram) -> bytes:
+    """One rank program as the pickle a node resolves by import."""
+    try:
+        return pickle.dumps(prog, pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        fn = getattr(prog, "func", prog)  # a functools.partial names its function
+        name = getattr(fn, "__qualname__", type(fn).__name__)
+        raise TypeError(
+            f"rank program {name!r} cannot be pickled for the cluster "
+            f"({type(exc).__name__}: {exc}); pass a module-level generator "
+            "function, or functools.partial of one over picklable data"
+        ) from exc

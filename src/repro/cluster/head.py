@@ -3,10 +3,10 @@
 The supervisor is the hub of the cluster's star topology.  It listens
 on one TCP port, admits node daemons through the ``hello``/``welcome``
 handshake (protocol string and CPython feature version must match —
-shipped programs are marshalled byte-code), and then serves the
-backend one *chunk* at a time: ship programs, route inter-node data
-frames by destination rank, collect per-rank results, and tear the
-chunk down on success or failure.
+programs are pickles that resolve their code by import on the node),
+and then serves the backend one *chunk* at a time: ship programs,
+route inter-node data frames by destination rank, collect per-rank
+results, and tear the chunk down on success or failure.
 
 Failure detection is two-layered, both surfacing as the same typed
 :class:`repro.machine.faults.RankFailure` the mp backend raises:
@@ -179,7 +179,7 @@ class ClusterSupervisor:
         if their_py != our_py:
             problems.append(
                 f"CPython {their_py} != head's {our_py} "
-                "(shipped programs are marshalled byte-code)"
+                "(programs are pickles that resolve code by import)"
             )
         if problems:
             detail = "; ".join(problems)

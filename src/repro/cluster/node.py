@@ -1,13 +1,14 @@
 """``repro node`` — the per-host daemon of the cluster backend.
 
 One daemon runs on every participating host.  It dials the head,
-handshakes (protocol version + CPython version — shipped programs are
-marshalled byte-code, so the interpreter feature version must match),
-then serves *chunks*: for each ``launch`` it hosts its ranks in the
-same :class:`repro.backend.mp.RankWorkers` group the mp backend forks
-(one process per local rank, same control frames, same stop / close /
-shared-memory sweep), pumps messages for the duration, and stops the
-workers when the head says the chunk is over.
+handshakes (protocol version + CPython version — programs arrive as
+pickles that resolve their code by import, so head and node must run
+the same interpreter feature version over the same checkout), then
+serves *chunks*: for each ``launch`` it unpickles the programs, hosts
+its ranks in the same :class:`repro.backend.mp.RankWorkers` group the
+mp backend forks (one process per local rank, same control frames,
+same stop / close / shared-memory sweep), pumps messages for the
+duration, and stops the workers when the head says the chunk is over.
 
 Data plane
 ----------
@@ -41,6 +42,7 @@ their control pipe close and kill themselves.
 from __future__ import annotations
 
 import os
+import pickle
 import select
 import socket
 import sys
@@ -49,10 +51,10 @@ from typing import Any
 
 from repro.backend.mp import RankWorkers, restage_frame
 from repro.backend.proc import ABORT_GRACE, EXIT_GRACE, wait
-from repro.cluster import shipping
 from repro.cluster.protocol import (
     CLUSTER_PROTOCOL_VERSION,
     ClusterProtocolError,
+    blobs_sha,
     recv_message,
     send_control,
     send_data,
@@ -225,7 +227,7 @@ class NodeDaemon:
         blobs = launch["programs"]
         index = launch["program_of_rank"]
         declared = launch["config_sha"]
-        got = shipping.blobs_sha(blobs)
+        got = blobs_sha(blobs)
         if got != declared:
             send_control(sock, {
                 "op": "launch_failed", "runid": runid,
@@ -234,7 +236,7 @@ class NodeDaemon:
             })
             return
         try:
-            programs = [shipping.load_program(b) for b in blobs]
+            programs = [pickle.loads(b) for b in blobs]
         except Exception as exc:
             send_control(sock, {
                 "op": "launch_failed", "runid": runid,

@@ -12,8 +12,8 @@ One TCP connection per node daemon carries three frame kinds, each
     mirroring the ``repro.serve`` framing discipline, an oversized or
     malformed control frame is a typed error, never a raw traceback.
 ``P`` (payload, pickle)
-    Control messages that must carry binary cargo: ``launch`` (shipped
-    program blobs, machine spec, per-rank clocks/metrics) and the
+    Control messages that must carry binary cargo: ``launch`` (pickled
+    rank programs, machine spec, per-rank clocks/metrics) and the
     per-rank events ``rank_done`` / ``rank_error`` / ``rank_crash``.  Head and nodes are
     mutually trusted (the head spawns the nodes, or an operator starts
     them against a head they own), so pickle is acceptable here; the
@@ -32,11 +32,12 @@ is a graceful shutdown or a dead peer.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 import socket
 import struct
-from typing import Any
+from typing import Any, Iterable
 
 __all__ = [
     "CLUSTER_PROTOCOL_VERSION",
@@ -50,6 +51,7 @@ __all__ = [
     "send_data",
     "recv_message",
     "parse_hostport",
+    "blobs_sha",
 ]
 
 #: Bumped on every incompatible wire change; ``hello``/``welcome``
@@ -211,3 +213,14 @@ def parse_hostport(text: str) -> tuple[str, int]:
         raise ClusterProtocolError(
             f"bad port in {text!r}"
         ) from None
+
+
+def blobs_sha(blobs: Iterable[bytes], extra: bytes = b"") -> str:
+    """Content identity of a chunk's pickled programs (the launch
+    frame's ``config_sha``): nodes verify what they received is what
+    the head declared."""
+    h = hashlib.sha256()
+    for blob in blobs:
+        h.update(hashlib.sha256(blob).digest())
+    h.update(extra)
+    return h.hexdigest()

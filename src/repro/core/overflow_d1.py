@@ -22,6 +22,7 @@ near-body :class:`~repro.core.runner.Workload` and public constructor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -145,6 +146,57 @@ def _shared_face(a, b) -> int:
     return overlap if touch_axis is not None else 0
 
 
+def _near_body_program(
+    comm, *, cfg, world, partition, cache, neighbors, dcf_cfg,
+    grid_of_rank, rank_boxes, ranks_of_grid, first_step, nsteps,
+):
+    """One near-body rank for one chunk: the timestep loop over its
+    subdomain, with DCF3D as the connectivity exchange.
+
+    A module-level function over plain data, so ``functools.partial``
+    of it pickles whole: a node on another host rebuilds it by import,
+    and ``world`` and ``cfg`` (which it references) arrive as one
+    object graph.
+    """
+    rank = comm.rank
+    gi = grid_of_rank[rank]
+    grid0 = cfg.grids[gi]
+    box = rank_boxes[rank]
+    own_pts = box.npoints
+    load = RankLoad(
+        points=own_pts,
+        flow_flops=cfg.work.flow_flops(
+            own_pts, grid0.viscous, grid0.turbulence, grid0.ndim
+        ),
+        halo=neighbors[rank],
+        moves=gi in cfg.motions,
+        strip=min(0.9, interior_face_points(box, grid0.dims) / max(1, own_pts)),
+    )
+
+    def exchange(step):
+        dcf_world = DcfWorld(
+            grid_xyz=[g.xyz for g in world.grids],
+            grid_of_rank=grid_of_rank,
+            rank_boxes=rank_boxes,
+            ranks_of_grid=ranks_of_grid,
+            config=dcf_cfg,
+            work=cfg.work,
+        )
+        flat, pts = world.own_igbps(partition, rank)
+        _, cstats = yield from dcf_rank_program(comm, dcf_world, flat, pts, cache)
+        return StepStats(
+            step, cstats.igbps_received, cstats.search_steps,
+            cstats.donors_found, cstats.orphans,
+        )
+
+    stats = yield from timestep_program(
+        comm, load, world, cfg.work, cfg.dt,
+        range(first_step, first_step + nsteps), exchange,
+        cfg.overlap_halo,
+    )
+    return stats, cache
+
+
 @dataclass
 class _NearBodyCarry:
     """What a near-body run carries from epoch to epoch."""
@@ -259,62 +311,24 @@ class _NearBody(Workload):
         read point — the backend-equivalence tests pin this).
         """
         cfg = self.target
-        world = self.world
         partition = carry.partition
         cache = carry.cache
         nprocs = partition.nprocs
         base_hits = cache.hits if cache is not None else 0
         base_misses = cache.misses if cache is not None else 0
-        neighbors = _halo_neighbors(partition)
-        dcf_cfg = DcfConfig(search_lists=cfg.search_lists)
-        grid_of_rank = [partition.grid_of_rank(r) for r in range(nprocs)]
-        rank_boxes = [partition.subdomain_of(r).box for r in range(nprocs)]
-        ranks_of_grid = {
-            gi: partition.ranks_of_grid(gi) for gi in range(partition.ngrids)
-        }
-
-        def program(comm):
-            rank = comm.rank
-            gi = grid_of_rank[rank]
-            grid0 = cfg.grids[gi]
-            box = rank_boxes[rank]
-            own_pts = box.npoints
-            load = RankLoad(
-                points=own_pts,
-                flow_flops=cfg.work.flow_flops(
-                    own_pts, grid0.viscous, grid0.turbulence, grid0.ndim
-                ),
-                halo=neighbors[rank],
-                moves=gi in cfg.motions,
-                strip=min(
-                    0.9, interior_face_points(box, grid0.dims) / max(1, own_pts)
-                ),
-            )
-
-            def exchange(step):
-                dcf_world = DcfWorld(
-                    grid_xyz=[g.xyz for g in world.grids],
-                    grid_of_rank=grid_of_rank,
-                    rank_boxes=rank_boxes,
-                    ranks_of_grid=ranks_of_grid,
-                    config=dcf_cfg,
-                    work=cfg.work,
-                )
-                flat, pts = world.own_igbps(partition, rank)
-                _, cstats = yield from dcf_rank_program(
-                    comm, dcf_world, flat, pts, cache
-                )
-                return StepStats(
-                    step, cstats.igbps_received, cstats.search_steps,
-                    cstats.donors_found, cstats.orphans,
-                )
-
-            stats = yield from timestep_program(
-                comm, load, world, cfg.work, cfg.dt,
-                range(first_step, first_step + nsteps), exchange,
-                cfg.overlap_halo,
-            )
-            return stats, cache
+        program = functools.partial(
+            _near_body_program, cfg=cfg, world=self.world,
+            partition=partition, cache=cache,
+            neighbors=_halo_neighbors(partition),
+            dcf_cfg=DcfConfig(search_lists=cfg.search_lists),
+            grid_of_rank=[partition.grid_of_rank(r) for r in range(nprocs)],
+            rank_boxes=[partition.subdomain_of(r).box for r in range(nprocs)],
+            ranks_of_grid={
+                gi: partition.ranks_of_grid(gi)
+                for gi in range(partition.ngrids)
+            },
+            first_step=first_step, nsteps=nsteps,
+        )
 
         out = backend.run(
             cfg.machine.with_nodes(nprocs), [program] * nprocs, **run_kwargs

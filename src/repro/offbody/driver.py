@@ -42,6 +42,7 @@ byte-for-byte — pinned by the backend-equivalence tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Sequence, cast
 
@@ -436,6 +437,70 @@ def _halo_partners(plan: _EpochPlan) -> list[list[tuple[int, int]]]:
     return out
 
 
+def _off_body_program(comm, *, case, world, plan, halo, first_step, nsteps):
+    """One rank of an off-body chunk: a near-body grid (rank
+    ``< n_near``) or an off-body patch group, stepping with the donor
+    exchange as its connectivity phase (``functools.partial`` of it
+    is the picklable rank program)."""
+    work = case.work
+    rank = comm.rank
+    mine = plan.owned_patches(rank)
+    if rank < plan.n_near:
+        grid0 = case.near_body[rank]
+        own_pts = grid0.npoints
+        flow_flops = work.flow_flops(
+            own_pts, grid0.viscous, grid0.turbulence, grid0.ndim
+        )
+    else:
+        own_pts = sum(plan.layout.sizes[pi] for pi in mine)
+        # Patch grids are inviscid background Cartesian blocks.
+        flow_flops = work.flow_flops(own_pts, False, False, case.domain.ndim)
+    load = RankLoad(own_pts, flow_flops, halo[rank], moves=rank in case.motions)
+
+    def exchange(step):
+        conn = world.connectivity(plan.layout)
+        pairs = world.donor_exchange(plan)
+        my_out = [(d, w) for r, d, w in pairs if r == rank and d != rank]
+        my_in = [(r, w) for r, d, w in pairs if d == rank and r != rank]
+        received = sum(w for r, _d, w in pairs if r == rank)
+        served = sum(w for _r, d, w in pairs if d == rank)
+        # Requests out (I am the receiver asking for donors)...
+        for d, w in my_out:
+            yield from comm.send(
+                d, TAG_OB_REQ, None, nbytes=w * work.igbp_request_bytes
+            )
+        if received:
+            yield from comm.compute(flops=received * work.igbp_request_flops)
+        # ...requests in, serviced, replies out...
+        for r, _w in my_in:
+            yield from comm.recv(r, TAG_OB_REQ)
+        if served:
+            yield from comm.compute(flops=served * work.igbp_service_flops)
+        for r, w in my_in:
+            yield from comm.send(
+                r, TAG_OB_DONOR, None, nbytes=w * work.donor_reply_bytes
+            )
+        # ...replies in, then interpolation on received donors.
+        for d, _w in my_out:
+            yield from comm.recv(d, TAG_OB_DONOR)
+        if received:
+            yield from comm.compute(flops=received * work.interp_flops_per_igbp)
+        # Walk-step work for donor searches served by my nb grid.
+        my_search = conn.search_steps.get(rank, 0)
+        if my_search:
+            yield from comm.compute(flops=work.search_flops(my_search))
+        my_orphans = conn.orphans_n.get(rank, 0) + sum(
+            conn.orphans_p.get(pi, 0) for pi in mine
+        )
+        # Donor relations only exist for points that found one.
+        return StepStats(step, received, my_search, received, my_orphans)
+
+    return (yield from timestep_program(
+        comm, load, world, work, case.dt,
+        range(first_step, first_step + nsteps), exchange,
+    ))
+
+
 @dataclass
 class _OffBodyCarry:
     """What an off-body run carries from epoch to epoch."""
@@ -585,92 +650,14 @@ class _OffBody(Workload):
     ) -> BackendResult:
         plan = carry.plan
         assert plan is not None  # plan_epoch ran before the first chunk
-        world = self.world
-        case = self.target
-        work = case.work
-        halo = _halo_partners(plan)
-
-        def program(comm):
-            rank = comm.rank
-            mine = plan.owned_patches(rank)
-            if rank < plan.n_near:
-                grid0 = case.near_body[rank]
-                own_pts = grid0.npoints
-                flow_flops = work.flow_flops(
-                    own_pts, grid0.viscous, grid0.turbulence, grid0.ndim
-                )
-            else:
-                own_pts = sum(plan.layout.sizes[pi] for pi in mine)
-                # Patch grids are inviscid background Cartesian blocks.
-                flow_flops = work.flow_flops(own_pts, False, False, case.domain.ndim)
-            load = RankLoad(
-                own_pts, flow_flops, halo[rank], moves=rank in case.motions
-            )
-
-            def exchange(step):
-                conn = world.connectivity(plan.layout)
-                pairs = world.donor_exchange(plan)
-                my_out = [
-                    (d, w) for r, d, w in pairs if r == rank and d != rank
-                ]
-                my_in = [
-                    (r, w) for r, d, w in pairs if d == rank and r != rank
-                ]
-                received = sum(w for r, _d, w in pairs if r == rank)
-                served = sum(w for _r, d, w in pairs if d == rank)
-                # Requests out (I am the receiver asking for donors)...
-                for d, w in my_out:
-                    yield from comm.send(
-                        d, TAG_OB_REQ, None,
-                        nbytes=w * work.igbp_request_bytes,
-                    )
-                if received:
-                    yield from comm.compute(
-                        flops=received * work.igbp_request_flops
-                    )
-                # ...requests in, serviced, replies out...
-                for r, _w in my_in:
-                    yield from comm.recv(r, TAG_OB_REQ)
-                if served:
-                    yield from comm.compute(
-                        flops=served * work.igbp_service_flops
-                    )
-                for r, w in my_in:
-                    yield from comm.send(
-                        r, TAG_OB_DONOR, None,
-                        nbytes=w * work.donor_reply_bytes,
-                    )
-                # ...replies in, then interpolation on received donors.
-                for d, _w in my_out:
-                    yield from comm.recv(d, TAG_OB_DONOR)
-                if received:
-                    yield from comm.compute(
-                        flops=received * work.interp_flops_per_igbp
-                    )
-                # Walk-step work for donor searches served by my nb grid.
-                my_search = conn.search_steps.get(rank, 0)
-                if my_search:
-                    yield from comm.compute(
-                        flops=work.search_flops(my_search)
-                    )
-                my_orphans = conn.orphans_n.get(rank, 0) + sum(
-                    conn.orphans_p.get(pi, 0) for pi in mine
-                )
-                # Donor relations only exist for points that found one.
-                return StepStats(
-                    step, received, my_search, received, my_orphans
-                )
-
-            return (yield from timestep_program(
-                comm, load, world, work, case.dt,
-                range(first_step, first_step + nsteps), exchange,
-            ))
-
-        out = backend.run(
-            case.machine.with_nodes(plan.nranks), [program] * plan.nranks,
-            **run_kwargs,
+        program = functools.partial(
+            _off_body_program, case=self.target, world=self.world, plan=plan,
+            halo=_halo_partners(plan), first_step=first_step, nsteps=nsteps,
         )
-        return out
+        return backend.run(
+            self.target.machine.with_nodes(plan.nranks),
+            [program] * plan.nranks, **run_kwargs,
+        )
 
 
 class OffBodyDriver(EpochRunner):

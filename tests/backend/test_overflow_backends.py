@@ -3,7 +3,9 @@
 The acceptance contract for the mp backend: physics outputs are
 *byte-identical* to the simulator — per-step IGBP counts, connectivity
 search totals, orphan counts for OVERFLOW-D1; the final Q field for the
-fine-grained 2-D solver.  Only the clocks (virtual vs wall) differ.
+fine-grained 2-D solver (on ``mp`` and on ``cluster``, whose node
+daemons receive the solver's rank program as one pickle).  Only the
+clocks (virtual vs wall) differ.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 from repro.backend import get_backend
 from repro.backend.mp import mp_available
 from repro.cases import airfoil_case
+from repro.cluster import cluster_available
 from repro.core import OverflowD1
 from repro.machine import sp2
 
@@ -56,7 +59,20 @@ def test_overflow_airfoil_physics_identical():
     assert mp.elapsed > 0 and sim.elapsed > 0
 
 
-def test_parallel2d_q_field_byte_identical():
+@pytest.mark.parametrize(
+    "name",
+    [
+        "mp",
+        pytest.param("cluster", marks=[
+            pytest.mark.cluster,
+            pytest.mark.skipif(
+                cluster_available() is not None,
+                reason=str(cluster_available()),
+            ),
+        ]),
+    ],
+)
+def test_parallel2d_q_field_byte_identical(name):
     from repro.cases.airfoil import airfoil_grids
     from repro.solver import FlowConfig, ParallelSolver2D, Solver2D
 
@@ -68,10 +84,14 @@ def test_parallel2d_q_field_byte_identical():
     dt = 0.8 * serial.timestep()
 
     q_sim, out_sim = ParallelSolver2D(grid, cfg, sp2(nodes=4)).run(2, dt)
-    q_mp, out_mp = ParallelSolver2D(
-        grid, cfg, sp2(nodes=4), backend="mp"
-    ).run(2, dt)
+    engine = get_backend(name)
+    try:
+        q_real, out_real = ParallelSolver2D(
+            grid, cfg, sp2(nodes=4), backend=engine
+        ).run(2, dt)
+    finally:
+        engine.close()
 
-    assert q_sim.tobytes() == q_mp.tobytes()
-    assert out_sim.backend == "sim" and out_mp.backend == "mp"
-    assert out_mp.measured
+    assert q_sim.tobytes() == q_real.tobytes()
+    assert out_sim.backend == "sim" and out_real.backend == name
+    assert out_real.measured

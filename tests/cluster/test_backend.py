@@ -1,4 +1,5 @@
-"""ClusterBackend behaviour: pool reuse, routing, errors, registry.
+"""ClusterBackend behaviour: pool reuse, routing, errors, registry,
+and how a rank program that cannot travel as a pickle is refused.
 
 Spawns real node daemons on loopback, so the module rides behind the
 ``mp`` + ``cluster`` markers and skips on hosts without fork.
@@ -6,11 +7,14 @@ Spawns real node daemons on loopback, so the module rides behind the
 
 from __future__ import annotations
 
+import sys
+import types
+
 import numpy as np
 import pytest
 
 from repro.backend import BackendResult, backend_help, get_backend
-from repro.cluster import ClusterBackend, cluster_available
+from repro.cluster import ClusterBackend, ClusterProtocolError, cluster_available
 from repro.machine import sp2
 
 pytestmark = [
@@ -123,3 +127,39 @@ def test_rejects_sanitizer_and_fault_plan(engine):
 def test_more_ranks_than_machine_nodes_rejected(engine):
     with pytest.raises(ValueError, match="cannot run"):
         engine.run_spmd(sp2(nodes=2), prog_ring, nranks=3)
+
+
+def test_program_unknown_to_the_node_is_a_refused_launch(engine):
+    # Pickles on the head (by reference to a module only the head has
+    # registered) but cannot unpickle on any node.
+    mod = types.ModuleType("repro_head_only_programs")
+    exec(
+        "def prog(comm):\n"
+        "    yield from comm.elapse(1e-4)\n"
+        "    return comm.rank\n",
+        vars(mod),
+    )
+    sys.modules[mod.__name__] = mod
+    try:
+        with pytest.raises(ClusterProtocolError, match="refused launch"):
+            engine.run_spmd(sp2(nodes=NRANKS), mod.prog)
+    finally:
+        del sys.modules[mod.__name__]
+    # The refusal leaves the pool able to run the next chunk.
+    ok = engine.run_spmd(sp2(nodes=NRANKS), prog_ring)
+    assert len(ok.returns) == NRANKS
+
+
+def test_unpicklable_program_is_refused_at_the_head():
+    eng = ClusterBackend(nnodes=2)
+    with open(__file__) as handle:
+
+        def prog(comm):
+            yield from comm.elapse(1e-4)
+            return handle.name
+
+        with pytest.raises(TypeError, match="rank program .*prog.* cannot be pickled"):
+            eng.run_spmd(sp2(nodes=NRANKS), prog)
+    # Refused before any node daemon was spawned.
+    assert eng._sup is None
+    eng.close()

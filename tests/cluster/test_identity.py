@@ -4,7 +4,8 @@ The same OVERFLOW-D1 assertions the mp backend passes
 (``tests/backend/test_overflow_backends.py``), now across real TCP
 daemons: per-step IGBP counts, connectivity search totals, orphan
 counts and repartition decisions must match exactly; only the clock
-(wall vs virtual) may differ.
+(wall vs virtual) may differ.  The off-body driver's rank program
+crosses the same wire and must reproduce its physics signature.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from repro.cases import airfoil_case, x38_case
 from repro.cluster import cluster_available
 from repro.core import OverflowD1
 from repro.machine import sp2
+from repro.obs.perf.bench import canonical_json
+from repro.offbody import OffBodyDriver, build_offbody_case, generate_scenario
 
 pytestmark = [
     pytest.mark.mp,
@@ -68,3 +71,18 @@ def test_x38_physics_identical(engine):
         return OverflowD1(cfg, backend=backend).run()
 
     _assert_identical(run("sim"), run(engine))
+
+
+def test_debris_physics_identical(engine):
+    def run(backend):
+        # Two adapt epochs (the generator's adapt_interval is 2).
+        case = build_offbody_case(
+            generate_scenario("debris", seed=5, nbodies=3), nsteps=4
+        )
+        return OffBodyDriver(case, backend=backend).run()
+
+    sim, cl = run("sim"), run(engine)
+    assert len(sim.epochs) == 2
+    assert canonical_json(cl.physics_signature()) == canonical_json(
+        sim.physics_signature()
+    )

@@ -1,20 +1,26 @@
-"""Wire-protocol unit tests: framing, caps, truncation, addresses.
+"""Wire-protocol unit tests: framing, caps, truncation, addresses,
+the launch frame's program digest and the head's handshake checks.
 
-Pure socketpair tests — no daemons, no forks — so this file runs in the
-default (unmarked) tier.
+Socketpair and loopback tests — no daemons, no forks — so this file
+runs in the default (unmarked) tier.
 """
 
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 
 import pytest
 
+from repro.cluster.head import ClusterSupervisor
 from repro.cluster.protocol import (
+    CLUSTER_PROTOCOL_VERSION,
     MAX_CONTROL_FRAME,
     ClusterProtocolError,
     FrameTooLarge,
+    HandshakeError,
+    blobs_sha,
     parse_hostport,
     recv_message,
     send_control,
@@ -123,3 +129,31 @@ class TestParseHostport:
     def test_malformed(self, bad):
         with pytest.raises(ClusterProtocolError):
             parse_hostport(bad)
+
+
+def test_blobs_sha_is_order_and_content_sensitive():
+    a, b = b"blob-a", b"blob-b"
+    assert blobs_sha([a, b]) == blobs_sha([a, b])
+    assert blobs_sha([a, b]) != blobs_sha([b, a])
+    assert blobs_sha([a]) != blobs_sha([a], extra=b"salt")
+
+
+def test_handshake_refuses_other_cpython_minor():
+    """Programs resolve their code by import, so a node on another
+    CPython feature version is turned away at ``hello``."""
+    sup = ClusterSupervisor(1, spawn=False, connect_timeout=5.0)
+    node = socket.create_connection(sup.addr)
+    try:
+        major, minor = sys.version_info[:2]
+        send_control(node, {
+            "op": "hello", "protocol": CLUSTER_PROTOCOL_VERSION,
+            "python": [major, minor + 1, 0], "name": "odd",
+        })
+        with pytest.raises(HandshakeError, match="CPython"):
+            sup.start()
+        kind, welcome = recv_message(node)
+        assert kind == "control" and welcome["ok"] is False
+        assert welcome["error"]["type"] == "HandshakeError"
+    finally:
+        node.close()
+        sup.close()

@@ -6,12 +6,13 @@ through :class:`repro.core.runner.EpochRunner`, so a behaviour that
 only one of them shows is a bug in the seam.
 """
 
+import pickle
+
 import pytest
 
 from repro.backend import SimBackend
 from repro.backend.mp import mp_available
 from repro.cases import airfoil_case
-from repro.cluster.shipping import load_program, ship_program
 from repro.core import build_driver
 from repro.machine import sp2
 from repro.machine.faults import RankFailure
@@ -120,19 +121,16 @@ class _Capture(SimBackend):
 
 
 def test_rank_program_ships_with_one_world(target):
-    """A cluster node rebuilds a rank program from its shipped closure.
-    The cells travel as one pickle — so the world and the case stay one
-    object, as under fork — only while none of them is a local
-    function; a second copy of the world would see grids that never
-    move and a second copy of the cache would never warm."""
+    """A cluster node rebuilds a rank program from one plain pickle.
+    Its data travels in that one pickle, so the world and the case stay
+    one object, as under fork; a second copy of the world would see
+    grids that never move and a second copy of the cache would never
+    warm."""
     engine = _Capture()
     build_driver(target, backend=engine).run()
-    program = load_program(ship_program(engine.programs[-1]))
-    cells = dict(zip(
-        program.__code__.co_freevars,
-        (c.cell_contents for c in program.__closure__),
-    ))
-    world, case = cells["world"], cells.get("cfg") or cells["case"]
+    program = pickle.loads(pickle.dumps(engine.programs[-1]))
+    data = program.keywords
+    world, case = data["world"], data.get("cfg") or data["case"]
     assert (getattr(world, "config", None) or world.case) is case
 
 
