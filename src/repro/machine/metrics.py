@@ -132,15 +132,24 @@ class PhaseRollup:
         n = tracer.nranks if nranks is None else nranks
         roll = cls.empty(max(1, n))
         roll.elapsed = tracer.t_end
-        for rank, phase, kind, t0, t1, flops, nbytes in tracer.ops:
-            if kind not in KINDS:
-                raise ValueError(f"unknown span kind {kind!r}")
-            cell = roll._cell(rank, phase)
-            setattr(cell, kind, getattr(cell, kind) + (t1 - t0))
-            cell.flops += flops
-            cell.nbytes += nbytes
-            cell.events += 1
+        for op in tracer.ops:
+            roll.add_span(*op)
         return roll
+
+    def add_span(
+        self, rank: int, phase: str, kind: str, t0: float, t1: float,
+        flops: float = 0.0, nbytes: int = 0,
+    ) -> PhaseCell:
+        """Add one op span (a tracer ``op`` record's fields) to the cell
+        of its rank and phase, and return that cell."""
+        if kind not in KINDS:
+            raise ValueError(f"unknown span kind {kind!r}")
+        cell = self._cell(rank, phase)
+        setattr(cell, kind, getattr(cell, kind) + (t1 - t0))
+        cell.flops += flops
+        cell.nbytes += nbytes
+        cell.events += 1
+        return cell
 
     def merge(self, other: "PhaseRollup") -> "PhaseRollup":
         """Accumulate another rollup (e.g. the next epoch) in place.

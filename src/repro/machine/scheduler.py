@@ -164,7 +164,6 @@ class Simulator:
     def __init__(
         self,
         machine: MachineSpec,
-        trace: Callable[[str], None] | None = None,
         tracer: Tracer | None = None,
         fault_plan: FaultPlan | None = None,
         initial_clocks: list[float] | None = None,
@@ -172,7 +171,6 @@ class Simulator:
         sanitizer: Sanitizer | None = None,
     ):
         self.machine = machine
-        self.trace = trace
         # Span tracing (repro.obs).  Disabled tracers are dropped here so
         # the per-event hot path is a single `is not None` test and the
         # simulated timings are bit-identical with tracing on or off.
@@ -445,11 +443,6 @@ class Simulator:
             self._tracer.mark(
                 time, "rank_failure", rank=state.rank, lost_messages=len(lost)
             )
-        if self.trace is not None:  # pragma: no cover - debugging aid
-            self.trace(
-                f"t={time:.6g} rank{state.rank} FAIL-STOP "
-                f"({len(lost)} mailbox messages lost)"
-            )
 
     def _kill_overdue(self, states: list[_RankState]) -> bool:
         """Kill blocked ranks whose virtual-time fault is due; True if any."""
@@ -619,11 +612,6 @@ class Simulator:
             # listening; the message is black-holed (sender still paid
             # the injection cost, as on a real machine).
             self.dropped_messages += 1
-            if self.trace is not None:  # pragma: no cover - debugging aid
-                self.trace(
-                    f"t={state.clock:.6g} rank{state.rank} -> DEAD rank{dst} "
-                    f"tag={tag} bytes={nbytes} dropped"
-                )
             return
         msg = Message(
             src=state.rank,
@@ -645,11 +633,6 @@ class Simulator:
             target.ver += 1
             heappush(self._heap, (wake, dst, target.ver))
             self.requeues += 1
-        if self.trace is not None:  # pragma: no cover - debugging aid
-            self.trace(
-                f"t={state.clock:.6g} rank{state.rank} -> rank{dst} "
-                f"tag={tag} bytes={nbytes} arrives={arrival:.6g}"
-            )
 
     def _complete_recv(self, state: _RankState, msg: Message) -> None:
         t0 = state.clock

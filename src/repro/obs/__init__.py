@@ -15,7 +15,8 @@ produces those series from the simulated machine:
   kind and :class:`StoreTracer` drains it to disk; mp / cluster
   workers ship their log and the parent extends its tracer with it;
 * :mod:`rollup` — the I(p) / f(p) series (:class:`IgbpRollup`)
-  consumed by :mod:`repro.partition.dynamic_lb`; the per-rank/per-phase
+  consumed by :mod:`repro.partition.dynamic_lb` and the per-step fold
+  of a trace (:class:`StepRollup`); the per-rank/per-phase
   breakdown (:class:`PhaseRollup`, Table-4 style) is the engines' own
   accounting, :mod:`repro.machine.metrics`, re-exported here;
 * :mod:`export` — Chrome ``trace_event`` JSON (loadable in
@@ -35,7 +36,7 @@ See ``docs/observability.md`` for the schema and reading guide.
 
 from repro.machine.metrics import PhaseCell, PhaseRollup
 from repro.obs.tracer import NullTracer, SpanTracer, Tracer
-from repro.obs.rollup import IgbpRollup
+from repro.obs.rollup import IgbpRollup, StepRollup
 from repro.obs.export import (
     ascii_timeline,
     chrome_trace,
@@ -56,6 +57,7 @@ __all__ = [
     "PhaseCell",
     "PhaseRollup",
     "IgbpRollup",
+    "StepRollup",
     "chrome_trace",
     "write_chrome_trace",
     "rollup_csv",

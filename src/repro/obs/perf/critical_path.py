@@ -22,12 +22,12 @@ paper's Table-style accounting per timestep:
   span; the matching ``recv`` event names the sender, so idle seconds
   can be charged to the rank whose message arrived late.
 
-Steps are identified by counting per-rank entries into the *first*
-phase of the timestep cycle (:data:`repro.machine.metrics.STEP_PHASES`):
-the k-th entry starts that rank's step k.  Activity before the first
-entry, and activity in phases outside the cycle (e.g. ``restore`` /
-``repartition`` recovery spans), is grouped under the pseudo-step
-``-1`` ("off-cycle") so faulted runs remain analyzable.
+Steps come from :class:`repro.obs.rollup.StepRollup`, in recording
+order: a rank's k-th entry into the first phase of the timestep cycle
+(:data:`repro.machine.metrics.STEP_PHASES`) starts its step k.
+Activity before a rank's first entry, and activity in phases outside
+the cycle (e.g. ``restore`` / ``repartition`` recovery spans), is
+reported as off-cycle seconds so faulted runs remain analyzable.
 """
 
 from __future__ import annotations
@@ -38,33 +38,12 @@ from typing import Any
 import numpy as np
 
 from repro.machine.metrics import STEP_PHASES
+from repro.obs.rollup import StepRollup
 
 __all__ = ["CriticalPathReport", "analyze_critical_path"]
 
 #: Sender ranks kept per phase in the wait-blame list.
 BLAME_TOP_K = 5
-
-#: Pseudo-step index for activity outside the phase cycle.
-OFF_CYCLE = -1
-
-
-@dataclass
-class _Cell:
-    """Accounting for one (step, phase, rank) triple."""
-
-    compute: float = 0.0
-    comm: float = 0.0
-    wait: float = 0.0
-    t0: float = float("inf")
-    t1: float = float("-inf")
-
-    @property
-    def busy(self) -> float:
-        return self.compute + self.comm
-
-    @property
-    def total(self) -> float:
-        return self.compute + self.comm + self.wait
 
 
 @dataclass
@@ -193,25 +172,6 @@ class CriticalPathReport:
         return "\n".join(lines)
 
 
-def _step_segments(tracer: Any) -> dict[int, list[tuple[float, int, str]]]:
-    """Per-rank step boundaries from the phase-mark stream.
-
-    Returns ``{rank: [(t, step, phase), ...]}`` in time order, where
-    ``step`` is the 0-based timestep the segment belongs to (OFF_CYCLE
-    for pre-cycle or out-of-cycle phases).
-    """
-    first = STEP_PHASES[0]
-    segs: dict[int, list[tuple[float, int, str]]] = {}
-    counters: dict[int, int] = {}
-    for rank, t, name in tracer.phase_marks:
-        lst = segs.setdefault(rank, [])
-        if name == first:
-            counters[rank] = counters.get(rank, -1) + 1
-        step = counters.get(rank, OFF_CYCLE) if name in STEP_PHASES else OFF_CYCLE
-        lst.append((t, step, name))
-    return segs
-
-
 def analyze_critical_path(
     tracer: Any, igbp: Any | None = None
 ) -> CriticalPathReport:
@@ -226,44 +186,16 @@ def analyze_critical_path(
         is embedded in the report (the paper's Algorithm-2 input).
     """
     nranks = tracer.nranks
-    segs = _step_segments(tracer)
-
-    # Attribute each op span to (step, phase, rank).
-    cells: dict[tuple[int, str, int], _Cell] = {}
+    fold = StepRollup()
+    for kind, fields in tracer.events:
+        fold.feed(kind, fields)
     off_cycle: dict[str, float] = {}
-    pointers = {rank: 0 for rank in segs}
-    cur: dict[int, tuple[int, str]] = {}  # rank -> (step, phase)
-    for rank, phase, kind, t0, t1, _flops, _nbytes in tracer.ops:
-        marks = segs.get(rank, [])
-        i = pointers.get(rank, 0)
-        while i < len(marks) and marks[i][0] <= t0:
-            cur[rank] = (marks[i][1], marks[i][2])
-            i += 1
-        pointers[rank] = i
-        step, seg_phase = cur.get(rank, (OFF_CYCLE, "default"))
-        # Trust the op's own phase label; use the segment only for the
-        # step index (the label is what the scheduler charged).
-        if step == OFF_CYCLE or phase != seg_phase:
-            if phase not in STEP_PHASES:
-                off_cycle[phase] = off_cycle.get(phase, 0.0) + (t1 - t0)
-                continue
-            if step == OFF_CYCLE:
-                off_cycle[phase] = off_cycle.get(phase, 0.0) + (t1 - t0)
-                continue
-        cell = cells.get((step, phase, rank))
-        if cell is None:
-            cell = cells[(step, phase, rank)] = _Cell()
-        if kind == "compute":
-            cell.compute += t1 - t0
-        elif kind == "comm":
-            cell.comm += t1 - t0
-        else:
-            cell.wait += t1 - t0
-        cell.t0 = min(cell.t0, t0)
-        cell.t1 = max(cell.t1, t1)
-
-    steps = sorted({s for (s, _p, _r) in cells if s != OFF_CYCLE})
-    pos = {p: i for i, p in enumerate(STEP_PHASES)}
+    for roll in (fold.before, *fold.steps):
+        for phase in roll.phases():
+            if roll is fold.before or phase not in STEP_PHASES:
+                off_cycle[phase] = (
+                    off_cycle.get(phase, 0.0) + roll.phase_total(phase)
+                )
 
     # Wait blame: map recv events (t, rank, src, ...) onto the senders
     # whose messages ended recorded wait spans.  A blocking receive's
@@ -290,19 +222,17 @@ def analyze_critical_path(
         r: {"compute_s": 0.0, "comm_s": 0.0, "wait_s": 0.0, "barrier_s": 0.0}
         for r in range(nranks)
     }
-    for step in steps:
+    for step, (roll, bounds) in enumerate(zip(fold.steps, fold.bounds)):
         for phase in STEP_PHASES:
-            ranks = [
-                r for r in range(nranks) if (step, phase, r) in cells
-            ]
+            ranks = [r for r in range(nranks) if (r, phase) in bounds]
             if not ranks:
                 continue
-            cs = {r: cells[(step, phase, r)] for r in ranks}
-            t0 = min(c.t0 for c in cs.values())
-            t1 = max(c.t1 for c in cs.values())
+            cs = {r: roll.ranks[r].cells[phase] for r in ranks}
+            t0 = min(bounds[r, phase][0] for r in ranks)
+            t1 = max(bounds[r, phase][1] for r in ranks)
             # Critical rank: last finisher; ties to the lowest rank id.
-            critical = min(r for r in ranks if cs[r].t1 == t1)
-            busy = np.array([cs[r].busy for r in ranks])
+            critical = min(r for r in ranks if bounds[r, phase][1] == t1)
+            busy = np.array([cs[r].compute + cs[r].comm for r in ranks])
             busy_max = float(busy.max())
             busy_avg = float(busy.mean())
             wait_total = float(sum(c.wait for c in cs.values()))
@@ -332,7 +262,6 @@ def analyze_critical_path(
                 s["comm_s"] += cs[r].comm
                 s["wait_s"] += cs[r].wait
                 s["barrier_s"] += max(0.0, span - cs[r].total)
-    chain.sort(key=lambda c: (c.step, pos.get(c.phase, len(pos))))
 
     for phase in STEP_PHASES:
         links = [c for c in chain if c.phase == phase]
@@ -377,7 +306,7 @@ def analyze_critical_path(
 
     return CriticalPathReport(
         nranks=nranks,
-        nsteps=len(steps),
+        nsteps=len({c.step for c in chain}),
         phase_order=STEP_PHASES,
         chain=chain,
         phase_totals=phase_totals,

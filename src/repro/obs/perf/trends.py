@@ -3,8 +3,9 @@
 The paper's tables aggregate whole runs; its *dynamics* — connectivity
 cost spiking as bodies cross grid boundaries, imbalance drifting until
 Algorithm 2 repartitions — only show up step by step.  The segment
-store's index (:mod:`repro.obs.store.writer`) already carries per-step
-rollups of phase and kind time per rank; this module turns those into:
+store's index (:mod:`repro.obs.store.writer`) already carries, per
+step, each rank's compute / comm / wait seconds per phase; this module
+turns those into:
 
 * :func:`step_series` — deterministic per-step series (phase seconds,
   busy/wait seconds, and the time-analogue of the paper's f(p)
@@ -35,19 +36,20 @@ __all__ = [
     "write_trend_csv",
 ]
 
-#: Op kinds counted as *busy* for the imbalance factor (``wait`` is the
-#: complement: time blocked in a receive).
-BUSY_KINDS = ("compute", "comm")
-
 
 def step_series(steps: list[dict[str, Any]]) -> dict[str, Any]:
     """Aggregate index step entries into per-step series.
 
     ``steps`` is the ``steps`` list of a store index (or
-    :attr:`repro.obs.store.StoreReader.steps`).  Steps with no recorded
-    ops (possible at a crash boundary) contribute zeros.
+    :attr:`repro.obs.store.StoreReader.steps`); each row's ``cells`` map
+    rank -> phase -> ``[compute, comm, wait]`` seconds.  Busy time is
+    compute plus comm; wait is the time blocked in a receive.  Steps
+    with no recorded ops (possible at a crash boundary) contribute
+    zeros.
     """
-    phases = sorted({p for s in steps for p in s.get("phase_time", {})})
+    phases = sorted({
+        p for s in steps for row in s["cells"].values() for p in row
+    })
     series: dict[str, Any] = {
         "steps": len(steps),
         "phases": phases,
@@ -59,32 +61,25 @@ def step_series(steps: list[dict[str, Any]]) -> dict[str, Any]:
         "span_s": [],
     }
     for entry in steps:
-        phase_time = entry.get("phase_time", {})
-        kind_time = entry.get("kind_time", {})
+        rows = entry["cells"].values()
         for p in phases:
-            per_rank = phase_time.get(p, {})
-            series["phase_total_s"][p].append(sum(per_rank.values()))
-            series["phase_max_s"][p].append(
-                max(per_rank.values(), default=0.0)
-            )
-        busy_by_rank: dict[str, float] = {}
-        for kind in BUSY_KINDS:
-            for rank, sec in kind_time.get(kind, {}).items():
-                busy_by_rank[rank] = busy_by_rank.get(rank, 0.0) + sec
-        busy = sum(busy_by_rank.values())
+            per_rank = [sum(row[p]) for row in rows if p in row]
+            series["phase_total_s"][p].append(sum(per_rank))
+            series["phase_max_s"][p].append(max(per_rank, default=0.0))
+        busy_by_rank = [
+            sum(cell[0] + cell[1] for cell in row.values()) for row in rows
+        ]
+        busy = sum(busy_by_rank)
         series["busy_s"].append(busy)
-        series["wait_s"].append(sum(kind_time.get("wait", {}).values()))
-        if busy_by_rank:
-            mean = busy / len(busy_by_rank)
-            series["imbalance"].append(
-                max(busy_by_rank.values()) / mean if mean > 0 else 1.0
-            )
-        else:
-            series["imbalance"].append(1.0)
-        t0, t1 = entry.get("t0"), entry.get("t1")
-        series["span_s"].append(
-            (t1 - t0) if t0 is not None and t1 is not None else 0.0
+        series["wait_s"].append(
+            sum(sum(cell[2] for cell in row.values()) for row in rows)
         )
+        mean = busy / len(busy_by_rank) if busy_by_rank else 0.0
+        series["imbalance"].append(
+            max(busy_by_rank) / mean if mean > 0 else 1.0
+        )
+        t0, t1 = entry["t0"], entry["t1"]  # None when the step has no op
+        series["span_s"].append(t1 - t0 if t0 is not None else 0.0)
     return series
 
 

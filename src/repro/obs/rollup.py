@@ -1,12 +1,13 @@
-"""The per-step, per-rank received-IGBP rollup.
+"""The per-step rollups: received IGBPs and time per phase.
 
 :class:`IgbpRollup` holds the per-step, per-rank received-IGBP counts
 I(p) with the derived global average Ibar and load factors
 f(p) = I(p)/Ibar.  This is the series Algorithm 2
 (:mod:`repro.partition.dynamic_lb`) consumes; the driver no longer
-threads raw counter arrays through its result types.  The per-rank,
-per-phase time breakdown is :class:`repro.machine.metrics.PhaseRollup`,
-re-exported from :mod:`repro.obs`.
+threads raw counter arrays through its result types.
+
+:class:`StepRollup` splits a recorded event stream into timesteps, one
+:class:`repro.machine.metrics.PhaseRollup` per step.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["IgbpRollup"]
+from repro.machine.metrics import PHASE_FLOW, PhaseRollup
+from repro.obs.tracer import KIND_OP, KIND_PHASE
+
+__all__ = ["IgbpRollup", "StepRollup"]
 
 
 class IgbpRollup:
@@ -99,3 +103,46 @@ class IgbpRollup:
             f"IgbpRollup(nsteps={self.nsteps}, nranks={self.nranks}, "
             f"ibar={self.ibar():.3g})"
         )
+
+
+class StepRollup:
+    """Per-step, per-rank, per-phase time of one recorded event stream.
+
+    :meth:`feed` takes ``(kind, fields)`` events in recording order and
+    applies the one step rule: a rank's next step starts when that rank
+    enters :data:`~repro.machine.metrics.PHASE_FLOW`.  Each op span goes
+    through :meth:`PhaseRollup.add_span` into the cell of its (step,
+    rank, phase) in ``steps``; ``bounds`` keeps each cell's first start
+    and last end beside it.  A rank's ops before its first step go to
+    ``before``.
+    """
+
+    def __init__(self) -> None:
+        #: step -> its rollup (rows grow as ranks show up).
+        self.steps: list[PhaseRollup] = []
+        #: step -> (rank, phase) -> [first start, last end].
+        self.bounds: list[dict[tuple[int, str], list[float]]] = []
+        self.before = PhaseRollup.empty(1)
+        self._step_of: dict[int, int] = {}
+
+    def feed(self, kind: int, fields: tuple) -> int | None:
+        """Fold one event; return the step it starts for its rank (a
+        :data:`PHASE_FLOW` phase mark does), else ``None``."""
+        if kind == KIND_OP:
+            rank, phase, _kind, t0, t1 = fields[:5]
+            step = self._step_of.get(rank, -1)
+            if step < 0:
+                self.before.add_span(*fields)
+                return None
+            self.steps[step].add_span(*fields)
+            bound = self.bounds[step].setdefault((rank, phase), [t0, t1])
+            bound[0] = min(bound[0], t0)
+            bound[1] = max(bound[1], t1)
+        elif kind == KIND_PHASE and fields[2] == PHASE_FLOW:
+            rank = fields[0]
+            step = self._step_of[rank] = self._step_of.get(rank, -1) + 1
+            if step == len(self.steps):
+                self.steps.append(PhaseRollup.empty(1))
+                self.bounds.append({})
+            return step
+        return None

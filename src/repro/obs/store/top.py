@@ -26,6 +26,7 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from repro.machine.metrics import PhaseRollup
 from repro.obs.store.reader import TailReader, load_index
 from repro.obs.tracer import (
     KIND_MARK,
@@ -47,9 +48,10 @@ class TopAggregator:
     def __init__(self, recent_marks: int = 4) -> None:
         self.records = 0
         self.t_end = 0.0
-        # rank -> {"busy": s, "wait": s, "phase_time": {phase: s},
-        #          "phase": current phase name}
-        self.ranks: dict[int, dict[str, Any]] = {}
+        #: Every op span, added into its (rank, phase) cell.
+        self.rollup = PhaseRollup.empty(1)
+        #: rank -> its current phase ("-" before its first phase mark).
+        self.phase: dict[int, str] = {}
         # (src, dst) -> [messages, bytes]
         self.edges: dict[tuple[int, int], list[int]] = {}
         self.marks: deque[tuple[float, str, dict]] = deque(
@@ -58,33 +60,18 @@ class TopAggregator:
         self.sends = 0
         self.recvs = 0
 
-    def _rank(self, rank: int) -> dict[str, Any]:
-        state = self.ranks.get(rank)
-        if state is None:
-            state = {"busy": 0.0, "wait": 0.0, "phase_time": {}, "phase": "-"}
-            self.ranks[rank] = state
-        return state
-
     def feed(self, records: Iterable[tuple]) -> int:
         """Consume new records; returns how many were consumed."""
         n = 0
         for kind, fields in records:
             n += 1
             if kind == KIND_OP:
-                rank, phase, op_kind, t0, t1 = fields[:5]
-                state = self._rank(rank)
-                span = t1 - t0
-                if op_kind == "wait":
-                    state["wait"] += span
-                else:
-                    state["busy"] += span
-                pt = state["phase_time"]
-                pt[phase] = pt.get(phase, 0.0) + span
-                if t1 > self.t_end:
-                    self.t_end = t1
+                self.rollup.add_span(*fields)
+                self.phase.setdefault(fields[0], "-")
+                self.t_end = max(self.t_end, fields[4])
             elif kind == KIND_PHASE:
                 rank, t, name = fields
-                self._rank(rank)["phase"] = name
+                self.phase[rank] = name
             elif kind == KIND_MARK:
                 t, name, args = fields
                 self.marks.append((t, name, args))
@@ -99,9 +86,14 @@ class TopAggregator:
         self.records += n
         return n
 
+    def seconds(self, rank: int) -> tuple[float, float]:
+        """``rank``'s busy (compute + comm) and wait seconds."""
+        cells = [self.rollup.cell(rank, p) for p in self.rollup.phases()]
+        return sum(c.compute + c.comm for c in cells), sum(c.wait for c in cells)
+
     def imbalance(self) -> dict[int, float]:
         """Per-rank f(p): busy time over the mean busy time."""
-        busies = {r: s["busy"] for r, s in self.ranks.items()}
+        busies = {r: self.seconds(r)[0] for r in self.phase}
         total = sum(busies.values())
         if not busies or total <= 0:
             return {r: 1.0 for r in busies}
@@ -192,20 +184,19 @@ def render_top(
         f"{'phase':<10} occupancy"
     )
     fp = agg.imbalance()
-    markers = _phase_markers(
-        {p for s in agg.ranks.values() for p in s["phase_time"]}
-    )
-    for rank in sorted(agg.ranks):
-        state = agg.ranks[rank]
-        total = state["busy"] + state["wait"]
-        busy_pct = 100.0 * state["busy"] / total if total > 0 else 0.0
-        bar = _bar(state["phase_time"], markers, bar_width)
+    markers = _phase_markers(agg.rollup.phases())
+    for rank in sorted(agg.phase):
+        busy, wait = agg.seconds(rank)
+        total = busy + wait
+        busy_pct = 100.0 * busy / total if total > 0 else 0.0
+        phase_time = {p: agg.rollup.cell(rank, p).total for p in markers}
+        bar = _bar(phase_time, markers, bar_width)
         lines.append(
-            f"{rank:>4} {state['busy']:>9.3f} {state['wait']:>9.3f} "
+            f"{rank:>4} {busy:>9.3f} {wait:>9.3f} "
             f"{busy_pct:>5.1f}% {fp.get(rank, 1.0):>6.2f} "
-            f"{state['phase']:<10} [{bar}]"
+            f"{agg.phase[rank]:<10} [{bar}]"
         )
-    if not agg.ranks:
+    if not agg.phase:
         lines.append("  (no rank activity yet)")
     if markers:
         lines.append(

@@ -15,11 +15,12 @@ view (and everything exported from it) byte-identical to the in-memory
 path.
 
 The writer also maintains the **segment index** (``index.json``): the
-segment list, per-step start positions, and per-step rollups of
-phase/kind busy time per rank.  Steps are detected from phase switches
-— a rank entering the first phase of the timestep cycle
-(:data:`repro.machine.metrics.PHASE_FLOW`, ``"overflow"``) starts its
-next step.  The index is
+segment list and, per step, its start positions, its time span and
+each rank's ``[compute, comm, wait]`` seconds per phase.  Steps come
+from :class:`repro.obs.rollup.StepRollup`, which every event passes
+through on its way to disk: a rank entering the first phase of the
+timestep cycle (:data:`repro.machine.metrics.PHASE_FLOW`,
+``"overflow"``) starts its next step.  The index is
 rewritten atomically on :meth:`flush`, :meth:`advance` and
 :meth:`close`; readers never need it for correctness (segments are
 self-describing) but use it for per-step analytics and trend plots.
@@ -39,8 +40,8 @@ from repro.obs.store.segment import (
     DEFAULT_SEGMENT_BYTES,
     SegmentWriter,
 )
-from repro.obs.tracer import KIND_OP, KIND_PHASE, EventLog
-from repro.obs.tracer import event_ranks, shifted
+from repro.obs.rollup import StepRollup
+from repro.obs.tracer import EventLog, event_ranks, shifted
 
 __all__ = ["StoreTracer", "INDEX_NAME", "STORE_FORMAT"]
 
@@ -48,7 +49,7 @@ __all__ = ["StoreTracer", "INDEX_NAME", "STORE_FORMAT"]
 INDEX_NAME = "index.json"
 
 #: Format tag written to (and checked from) the index.
-STORE_FORMAT = "repro-trace-store/3"
+STORE_FORMAT = "repro-trace-store/4"
 
 #: Pending events that force a drain to the flush buffer.
 DRAIN_EVENTS = 1024
@@ -118,8 +119,9 @@ class StoreTracer(EventLog):
         self._advances: list[float] = []
         self._writer = SegmentWriter(self.directory, segment_bytes, flush_bytes)
         self._max_rank = -1
-        self._step_of_rank: dict[int, int] = {}
-        self._steps: list[dict[str, Any]] = []
+        self._fold = StepRollup()
+        # step -> (its first record's position, rank -> record ordinal)
+        self._starts: list[tuple[list[int], dict[str, int]]] = []
         self._index_gen = 0
         self._published_gen = 0
 
@@ -150,48 +152,46 @@ class StoreTracer(EventLog):
         self._publish_index(snapshot)
 
     def _drain(self) -> None:
-        """Write every pending event to the buffer, in order: step
-        detection, per-step rollup and the encoded record.  Caller
-        holds the lock."""
+        """Write every pending event to the buffer, in order, folding
+        each into the per-step rollup.  Caller holds the lock."""
         off = self._offset
         writer = self._writer
         for kind, fields in self.events:
-            self._max_rank = max((self._max_rank, *event_ranks(kind, fields)))
-            if kind == KIND_PHASE and fields[2] == PHASE_FLOW:
-                rank = fields[0]
-                step = self._step_of_rank.get(rank, -1) + 1
-                self._step_of_rank[rank] = step
-                # Positions of the phase record itself, so reading a
-                # step from its start yields the opening phase mark too.
-                if step == len(self._steps):
-                    self._steps.append({
-                        "step": step, "start": list(writer.position()),
-                        "starts": {}, "t0": None, "t1": None,
-                        "phase_time": {}, "kind_time": {},
-                    })
-                self._steps[step]["starts"][str(rank)] = writer.records
-            elif kind == KIND_OP:
-                self._roll_up(fields, off)
-            writer.append(kind, shifted(kind, fields, off))
+            record = shifted(kind, fields, off)
+            self._max_rank = max((self._max_rank, *event_ranks(kind, record)))
+            # A step starts at its phase record, so reading a step from
+            # its start yields the opening phase mark too.
+            start = writer.position()
+            # Encode before the fold keeps references to the record's
+            # values: marshal flags shared objects, and the segment
+            # bytes would follow.
+            writer.append(kind, record)
+            step = self._fold.feed(kind, record)
+            if step is not None:
+                if step == len(self._starts):
+                    self._starts.append((list(start), {}))
+                self._starts[step][1][str(record[0])] = start[2]
         self.events.clear()
 
-    def _roll_up(self, fields: tuple, off: float) -> None:
-        """Add one unshifted op span to its rank's current step."""
-        rank, phase, kind, t0, t1 = fields[:5]
-        step = self._step_of_rank.get(rank, -1)
-        if step < 0:
-            return
-        entry = self._steps[step]
-        span = t1 - t0
-        key = str(rank)
-        for bucket, name in ((entry["phase_time"], phase),
-                             (entry["kind_time"], kind)):
-            per_rank = bucket.setdefault(name, {})
-            per_rank[key] = per_rank.get(key, 0.0) + span
-        if entry["t0"] is None or t0 + off < entry["t0"]:
-            entry["t0"] = t0 + off
-        if entry["t1"] is None or t1 + off > entry["t1"]:
-            entry["t1"] = t1 + off
+    def _step_rows(self) -> list[dict[str, Any]]:
+        """The index's step rows: where each step starts, its time span
+        and each rank's ``[compute, comm, wait]`` seconds per phase."""
+        rows = []
+        for step, (start, starts) in enumerate(self._starts):
+            bounds = self._fold.bounds[step].values()
+            rows.append({
+                "step": step, "start": start, "starts": starts,
+                "t0": min((b[0] for b in bounds), default=None),
+                "t1": max((b[1] for b in bounds), default=None),
+                "cells": {
+                    str(row.rank): {
+                        phase: [c.compute, c.comm, c.wait]
+                        for phase, c in row.cells.items()
+                    }
+                    for row in self._fold.steps[step].ranks if row.cells
+                },
+            })
+        return rows
 
     # -- epoch plumbing -------------------------------------------------
 
@@ -279,7 +279,7 @@ class StoreTracer(EventLog):
             "offset": self._offset,
             "advances": list(self._advances),
             "step_phase": PHASE_FLOW,
-            "steps": self._steps,
+            "steps": self._step_rows(),
             "segments": self._writer.segments,
             "meta": self.meta,
         }

@@ -216,6 +216,46 @@ class TestCriticalPath:
         canonical_json(d)  # serialisable
 
 
+    @pytest.mark.parametrize("case", ["debris", "store"])
+    def test_dcf3d_links_start_at_their_steps_dcf3d_marks(self, case):
+        """A step's closing zero-length barrier wait stays in that step.
+
+        Ops are filed by recording order, not by comparing timestamps
+        with phase marks, so no dcf3d link starts before any rank has
+        entered dcf3d in that step, and no link is padded with another
+        phase's time as barrier slack."""
+
+        from repro.cases import build_case
+        from repro.core import build_driver
+        from repro.offbody import build_offbody_case, generate_scenario
+
+        if case == "debris":
+            target = build_offbody_case(
+                generate_scenario("debris", 5, nbodies=3), nsteps=3, nodes=6
+            )
+        else:
+            target = build_case(
+                "store", machine=sp2(nodes=18), scale=0.05, nsteps=3, f0=2.0
+            )
+        tracer = SpanTracer()
+        build_driver(target, tracer=tracer).run()
+        step_of: dict[int, int] = {}
+        first_dcf: dict[int, float] = {}
+        for rank, t, name in tracer.phase_marks:
+            if name == "overflow":
+                step_of[rank] = step_of.get(rank, -1) + 1
+            elif name == "dcf3d":
+                step = step_of[rank]
+                first_dcf[step] = min(first_dcf.get(step, t), t)
+        cp = analyze_critical_path(tracer)
+        dcf_links = [link for link in cp.chain if link.phase == "dcf3d"]
+        assert [link.step for link in dcf_links] == [0, 1, 2]
+        for link in dcf_links:
+            assert link.t0 == first_dcf[link.step], link
+        for link in cp.chain:
+            assert link.barrier_total <= 0.01, link
+
+
 # ----------------------------------------------------------------------
 # hook batching
 

@@ -197,14 +197,15 @@ FORMAT_2_STORE = {
 
 
 class TestOldStores:
-    def test_format_1_index_refused_naming_both_formats(self, tmp_path):
+    @pytest.mark.parametrize("old", ["1", "3"])
+    def test_format_1_index_refused_naming_both_formats(self, tmp_path, old):
         StoreTracer(tmp_path).close()
         payload = json.loads((tmp_path / INDEX_NAME).read_text())
-        payload["format"] = "repro-trace-store/1"
+        payload["format"] = f"repro-trace-store/{old}"
         (tmp_path / INDEX_NAME).write_text(json.dumps(payload))
         with pytest.raises(StoreCorruptionError) as info:
             load_index(tmp_path)
-        assert "repro-trace-store/1" in str(info.value)
+        assert f"repro-trace-store/{old}" in str(info.value)
         assert STORE_FORMAT in str(info.value)
         with pytest.raises(StoreCorruptionError):
             StoreReader(tmp_path)
@@ -472,8 +473,10 @@ class TestIndex:
         step0 = index["steps"][0]
         assert set(step0["starts"]) == {"0", "1"}
         assert step0["start"][2] == min(step0["starts"].values())
-        assert "overflow" in step0["phase_time"]
-        assert "compute" in step0["kind_time"]
+        # rank -> phase -> [compute, comm, wait] seconds
+        assert set(step0["cells"]) == {"0", "1"}
+        compute, comm, wait = step0["cells"]["0"]["overflow"]
+        assert compute > 0 and comm >= 0 and wait >= 0
 
     def test_step_start_offsets_point_at_step_phase_mark(self, tmp_path):
         from repro.obs.store.codec import KIND_PHASE

@@ -13,7 +13,7 @@ record, and ``from_step=0`` reproduces the full replay exactly.
 Those three properties are stated once (the ``check_*`` functions) and
 held against a synthetic store and against the real store of an
 airfoil run on every engine — where the measured engines' per-step
-index used to be empty (``t0: null``, no ``phase_time``) because their
+index used to be empty (``t0: null``, no per-rank time) because their
 events were replayed stream by stream instead of in recording order.
 """
 
@@ -182,17 +182,20 @@ def test_every_engine_indexes_every_step(backend, tmp_path):
     ranks = {str(r) for r in range(nranks)}
     for row in steps:
         assert row["t0"] < row["t1"]
-        for phase in PHASES:
-            assert set(row["phase_time"][phase]) == ranks
-    # Per (phase, rank), the index's per-step seconds add up to what
-    # the full replay's rollup says.
+        assert set(row["cells"]) == ranks
+        for cells in row["cells"].values():
+            assert set(PHASES) <= set(cells)
+    # Per (phase, rank), the index's per-step [compute, comm, wait]
+    # cells add up to what the full replay's rollup says.
     rollup = PhaseRollup.from_tracer(reader.to_tracer())
     for phase in PHASES:
         for r in range(nranks):
-            indexed = sum(row["phase_time"][phase][str(r)] for row in steps)
-            assert indexed == pytest.approx(
-                rollup.cell(r, phase).total, rel=1e-9
-            )
+            cell = rollup.cell(r, phase)
+            for i, kind in enumerate(("compute", "comm", "wait")):
+                indexed = sum(row["cells"][str(r)][phase][i] for row in steps)
+                assert indexed == pytest.approx(
+                    getattr(cell, kind), rel=1e-9, abs=1e-12
+                )
     assert all(busy > 0 for busy in trend_block(steps)["busy_s"])
 
     # A real run has a preamble no step owns: the opening epoch mark

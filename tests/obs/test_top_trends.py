@@ -97,8 +97,7 @@ class TestTopAggregator:
 
     def test_busy_wait_and_imbalance(self):
         agg = self.feed_basic()
-        assert agg.ranks[0]["busy"] == pytest.approx(3.0)
-        assert agg.ranks[0]["wait"] == pytest.approx(1.0)
+        assert agg.seconds(0) == pytest.approx((3.0, 1.0))
         f = agg.imbalance()
         # mean busy = 2.0 -> f(0)=1.5, f(1)=0.5 (paper's f(p) shape).
         assert f[0] == pytest.approx(1.5)
