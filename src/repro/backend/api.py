@@ -23,20 +23,20 @@ This module pins that contract down:
   scheduler returns it directly.
 * :class:`ExecutionBackend` — the engine interface: take a machine and a
   list of rank programs, run them to completion, return a result.
-* a registry (:func:`register_backend` / :func:`get_backend` /
-  :func:`available_backends`) so drivers and the CLI select engines by
-  name (``--backend sim``, ``--backend mp``).
+* :func:`get_backend` — the engine named by one of the fixed
+  :data:`BACKENDS` (``--backend sim``, ``--backend mp``, ``--backend
+  cluster``).
 
 Two implementations ship in this package: :mod:`repro.backend.sim`
 (the default; wraps the existing scheduler, bit-identical to calling it
 directly) and :mod:`repro.backend.mp` (real ``multiprocessing`` ranks
-with pickle-over-pipe transport and shared-memory bulk payloads).
+with pickle-over-pipe transport and shared-memory bulk payloads); the
+third, :mod:`repro.cluster`, runs mp's workers under node daemons.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Sequence
 
 from repro.machine.metrics import BackendResult
@@ -46,10 +46,8 @@ __all__ = [
     "BackendResult",
     "BackendUnavailable",
     "ExecutionBackend",
-    "register_backend",
+    "BACKENDS",
     "get_backend",
-    "available_backends",
-    "backend_help",
 ]
 
 #: A rank program: called once per rank with that rank's communicator,
@@ -69,7 +67,7 @@ class ExecutionBackend(abc.ABC):
     Subclasses declare three capability attributes:
 
     ``name``
-        Registry name (``"sim"``, ``"mp"``).
+        Engine name, one of :data:`BACKENDS`.
     ``measured``
         Whether results are host wall-clock measurements rather than
         modeled virtual time.
@@ -94,7 +92,6 @@ class ExecutionBackend(abc.ABC):
         tracer: Any = None,
         sanitizer: Any = None,
         fault_plan: Any = None,
-        initial_clocks: Sequence[float] | None = None,
         initial_metrics: Sequence[Any] | None = None,
     ) -> BackendResult:
         """Run one program per rank to completion.
@@ -103,10 +100,11 @@ class ExecutionBackend(abc.ABC):
         exceed ``machine.nodes``.  Keyword arguments mirror
         :class:`repro.machine.scheduler.Simulator`; ``initial_metrics``
         are the :class:`repro.machine.metrics.RankMetrics` rows to
-        continue accumulating into.  Backends that do not support a
-        feature (e.g. fault injection outside the simulator) raise
-        :class:`ValueError` when it is requested rather than silently
-        ignoring it.
+        continue accumulating into, and each rank's clock resumes at
+        its row's ``final_clock`` (0.0 for a fresh row).  Backends that
+        do not support a feature (e.g. fault injection outside the
+        simulator) raise :class:`ValueError` when it is requested
+        rather than silently ignoring it.
         """
 
     def run_spmd(
@@ -132,66 +130,26 @@ class ExecutionBackend(abc.ABC):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-# ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-
-@dataclass
-class _Entry:
-    factory: Callable[..., ExecutionBackend]
-    doc: str = ""
-    available: Callable[[], str | None] = field(default=lambda: None)
-
-
-_REGISTRY: dict[str, _Entry] = {}
-
-
-def register_backend(
-    name: str,
-    factory: Callable[..., ExecutionBackend],
-    *,
-    doc: str = "",
-    available: Callable[[], str | None] | None = None,
-) -> None:
-    """Register an engine under ``name``.
-
-    ``factory(**options)`` builds a fresh backend instance.
-    ``available()`` returns ``None`` when the backend can run here, or
-    a human-readable reason string when it cannot (checked lazily by
-    :func:`get_backend` so merely importing the package never fails on
-    a restricted host).
-    """
-    if not name or not name.isidentifier():
-        raise ValueError(f"bad backend name {name!r}")
-    _REGISTRY[name] = _Entry(
-        factory=factory, doc=doc, available=available or (lambda: None)
-    )
+#: The engines :func:`get_backend` builds, by name.
+BACKENDS = ("sim", "mp", "cluster")
 
 
 def get_backend(name: str = "sim", **options: Any) -> ExecutionBackend:
-    """Instantiate a registered backend by name.
+    """Instantiate the engine named ``name`` (one of :data:`BACKENDS`).
 
-    Raises :class:`ValueError` for unknown names and
-    :class:`BackendUnavailable` when the backend exists but cannot run
-    on this host (e.g. ``mp`` without the ``fork`` start method).
+    Raises :class:`ValueError` for unknown names.  An engine that cannot
+    run on this host (``mp`` or ``cluster`` without the ``fork`` start
+    method) raises :class:`BackendUnavailable` from its constructor.
+    The mp and cluster modules are imported only when named, so a host
+    that cannot run them still imports this package and uses ``sim``.
     """
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        known = ", ".join(sorted(_REGISTRY))
+    if name == "sim":
+        from repro.backend.sim import SimBackend as engine
+    elif name == "mp":
+        from repro.backend.mp import MpBackend as engine
+    elif name == "cluster":
+        from repro.cluster.backend import ClusterBackend as engine
+    else:
+        known = ", ".join(sorted(BACKENDS))
         raise ValueError(f"unknown backend {name!r}; known backends: {known}")
-    reason = entry.available()
-    if reason is not None:
-        raise BackendUnavailable(f"backend {name!r} unavailable: {reason}")
-    return entry.factory(**options)
-
-
-def available_backends() -> list[str]:
-    """Names of registered backends that can run on this host, sorted."""
-    return sorted(
-        name for name, e in _REGISTRY.items() if e.available() is None
-    )
-
-
-def backend_help() -> dict[str, str]:
-    """``{name: one-line description}`` for every registered backend."""
-    return {name: e.doc for name, e in sorted(_REGISTRY.items())}
+    return engine(**options)

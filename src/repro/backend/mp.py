@@ -24,7 +24,7 @@ simulator's scheduler dispatches, against real transport:
   drains in canonical order.
 * **collectives built from point-to-point** — by construction: the
   workers drive :class:`repro.machine.simmpi.Comm` unchanged, whose
-  barrier/bcast/gather/reduce/alltoall are already compositions of the
+  barrier/bcast/gather/reduce are already compositions of the
   send/recv primitives.
 * **reserved-tag control channel** — a per-worker duplex pipe carrying
   frames tagged :data:`CTRL_TAG` (above the entire collective tag
@@ -227,7 +227,6 @@ class _Engine:
         runid: str,
         shm_threshold: int,
         sleep_cap: float,
-        start_clock: float,
         metrics: RankMetrics,
         trace: bool,
         uplink: Any = None,
@@ -248,7 +247,7 @@ class _Engine:
         self.tracer: EventLog | None = EventLog() if trace else None
         self._seq = 0       # sender-local: strictly increasing per sender
         self._arrival = 0   # receiver-local arrival ordinal
-        self._clock0 = start_clock
+        self._clock0 = metrics.final_clock
         self._t0 = time.perf_counter()
 
     # -- clocks and accounting ------------------------------------------
@@ -563,9 +562,10 @@ class RankWorkers:
     and transport lock per local rank (plus an uplink pipe each when
     some of the ``nranks`` live elsewhere), the shared-memory sweep, and
     one supervised :class:`proc.Child` per rank, whose classification
-    and stop ladder it applies group-wide.  ``programs``, ``clocks``
-    and ``metrics`` are indexed by rank; ``worker_init`` runs in each
-    child before its engine exists.
+    and stop ladder it applies group-wide.  ``programs`` and ``metrics``
+    are indexed by rank (a rank's clock resumes at its row's
+    ``final_clock``); ``worker_init`` runs in each child before its
+    engine exists.
 
     The parent keeps the inbox ``writers`` (and ``locks``): the mp
     backend never uses them, a node daemon deposits inbound frames
@@ -580,7 +580,6 @@ class RankWorkers:
         programs: Any,
         *,
         runid: str,
-        clocks: Any,
         metrics: Any,
         trace: bool,
         shm_threshold: int,
@@ -615,7 +614,6 @@ class RankWorkers:
                         runid=runid,
                         shm_threshold=shm_threshold,
                         sleep_cap=sleep_cap,
-                        start_clock=float(clocks[r]),
                         metrics=metrics[r],
                         trace=trace,
                         uplink=uplink_w.get(r),
@@ -770,14 +768,12 @@ def check_measured_run(
     tracer: Any,
     sanitizer: Any,
     fault_plan: Any,
-    initial_clocks: Sequence[float] | None,
     initial_metrics: Sequence[Any] | None,
     fault_hint: str = "",
-) -> tuple[list[float], list[RankMetrics], bool]:
+) -> tuple[list[RankMetrics], bool]:
     """Validate ``run`` arguments for a measured engine (mp, cluster)
-    and switch the tracer to wall time; returns the ranks' start clocks
-    and metrics rows (fresh ones when none are carried) and whether
-    tracing is on."""
+    and switch the tracer to wall time; returns the ranks' metrics rows
+    (fresh ones when none are carried) and whether tracing is on."""
     if sanitizer is not None:
         raise ValueError(
             "the sanitizer shadow layer needs deterministic virtual "
@@ -795,10 +791,6 @@ def check_measured_run(
         raise ValueError(
             f"machine has {machine.nodes} nodes; cannot run {n} ranks"
         )
-    if initial_clocks is not None and len(initial_clocks) != n:
-        raise ValueError(
-            f"initial_clocks has {len(initial_clocks)} entries for {n} ranks"
-        )
     if initial_metrics is not None and len(initial_metrics) != n:
         raise ValueError(
             f"initial_metrics has {len(initial_metrics)} entries for {n} ranks"
@@ -806,13 +798,12 @@ def check_measured_run(
     trace_enabled = tracer is not None and tracer.enabled
     if trace_enabled:
         tracer.clock = "wall"
-    clocks = [0.0] * n if initial_clocks is None else list(initial_clocks)
     rows = (
         [RankMetrics(r) for r in range(n)]
         if initial_metrics is None
         else list(initial_metrics)
     )
-    return clocks, rows, trace_enabled
+    return rows, trace_enabled
 
 
 class MpBackend(ExecutionBackend):
@@ -861,12 +852,10 @@ class MpBackend(ExecutionBackend):
         tracer: Any = None,
         sanitizer: Any = None,
         fault_plan: Any = None,
-        initial_clocks: Sequence[float] | None = None,
         initial_metrics: Sequence[Any] | None = None,
     ) -> BackendResult:
-        clocks, rows, trace_enabled = check_measured_run(
-            machine, programs, tracer, sanitizer, fault_plan,
-            initial_clocks, initial_metrics,
+        rows, trace_enabled = check_measured_run(
+            machine, programs, tracer, sanitizer, fault_plan, initial_metrics,
         )
         n = len(rows)
         outcome = ChunkOutcome(self.name, n)
@@ -874,7 +863,6 @@ class MpBackend(ExecutionBackend):
         workers = RankWorkers(
             range(n), n, machine, programs,
             runid=f"repro_mp_{os.getpid()}_{next(_run_counter)}",
-            clocks=clocks,
             metrics=rows,
             trace=trace_enabled,
             shm_threshold=self.shm_threshold,

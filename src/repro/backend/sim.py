@@ -25,7 +25,7 @@ class SimBackend(ExecutionBackend):
     * all rank generators live in one process, so objects their
       programs close over are shared between ranks;
     * supports the full feature surface — fault injection, sanitizer
-      shadow layer, warm-started clocks/metrics.
+      shadow layer, carried metrics rows (and with them the clocks).
     """
 
     name = "sim"
@@ -39,14 +39,12 @@ class SimBackend(ExecutionBackend):
         tracer: Any = None,
         sanitizer: Any = None,
         fault_plan: Any = None,
-        initial_clocks: Sequence[float] | None = None,
         initial_metrics: Sequence[Any] | None = None,
     ) -> BackendResult:
         sim = Simulator(
             machine,
             tracer=tracer,
             fault_plan=fault_plan,
-            initial_clocks=initial_clocks,
             initial_metrics=initial_metrics,
             sanitizer=sanitizer,
         )

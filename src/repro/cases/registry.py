@@ -41,30 +41,30 @@ class CaseEntry:
     help: str = ""
 
 
-_REGISTRY: dict[str, CaseEntry] = {}
+_CASES: dict[str, CaseEntry] = {}
 
 
 def register_case(
     name: str, builder: Callable[..., Any], *, help: str = ""
 ) -> CaseEntry:
     """Register ``builder`` under ``name``; a name registers once."""
-    if name in _REGISTRY:
+    if name in _CASES:
         raise ValueError(f"case {name!r} already registered")
-    entry = _REGISTRY[name] = CaseEntry(name=name, builder=builder, help=help)
+    entry = _CASES[name] = CaseEntry(name=name, builder=builder, help=help)
     return entry
 
 
 def case_entry(name: str) -> CaseEntry:
     """Look up a case; raises :class:`UnknownCaseError` on a miss."""
     try:
-        return _REGISTRY[name]
+        return _CASES[name]
     except KeyError:
-        raise UnknownCaseError(name, tuple(sorted(_REGISTRY))) from None
+        raise UnknownCaseError(name, tuple(sorted(_CASES))) from None
 
 
 def case_names() -> tuple[str, ...]:
     """Sorted registered names."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_CASES))
 
 
 def build_case(name: str, **kwargs: Any) -> Any:

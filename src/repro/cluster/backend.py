@@ -1,6 +1,6 @@
 """``--backend cluster``: rank programs on a pool of node daemons.
 
-The third execution engine in the registry.  Rank programs — the very
+The third execution engine in ``BACKENDS``.  Rank programs — the very
 same generators ``sim`` interprets against virtual time and ``mp``
 runs as forked processes — execute inside worker processes hosted by
 per-host ``repro node`` daemons; the head (this process) ships each
@@ -37,7 +37,7 @@ from repro.backend.api import (
     RankProgram,
 )
 from repro.backend.mp import check_measured_run, mp_available
-from repro.cluster.head import HB_INTERVAL, HB_TIMEOUT, ClusterSupervisor
+from repro.cluster.head import HB_TIMEOUT, ClusterSupervisor
 from repro.cluster.placement import Placement
 from repro.cluster.protocol import blobs_sha
 
@@ -69,10 +69,10 @@ class ClusterBackend(ExecutionBackend):
     shm_threshold / timeout / sleep_cap:
         Same worker-level knobs as the mp backend, applied on every
         node.
-    hb_interval / hb_timeout:
-        Heartbeat cadence and the silence span after which a node of
-        the spawned pool is declared dead (driving elastic
-        :class:`RankFailure`).
+    hb_timeout:
+        The silence span after which a node of the spawned pool is
+        declared dead (driving elastic :class:`RankFailure`); nodes
+        heartbeat every :data:`repro.cluster.head.HB_INTERVAL` seconds.
 
     Like mp, requesting the sanitizer or a fault plan raises
     ``ValueError`` — both need deterministic virtual time.  *Real*
@@ -90,7 +90,6 @@ class ClusterBackend(ExecutionBackend):
         shm_threshold: int = 32 * 1024,
         timeout: float | None = 120.0,
         sleep_cap: float = 0.005,
-        hb_interval: float = HB_INTERVAL,
         hb_timeout: float = HB_TIMEOUT,
     ) -> None:
         reason = cluster_available()
@@ -102,7 +101,6 @@ class ClusterBackend(ExecutionBackend):
         self.shm_threshold = int(shm_threshold)
         self.timeout = timeout
         self.sleep_cap = float(sleep_cap)
-        self.hb_interval = float(hb_interval)
         self.hb_timeout = float(hb_timeout)
         self._sup: ClusterSupervisor | None = None
 
@@ -113,9 +111,7 @@ class ClusterBackend(ExecutionBackend):
         """The node pool, started lazily on first use."""
         if self._sup is None:
             self._sup = ClusterSupervisor(
-                self.nnodes,
-                hb_interval=self.hb_interval,
-                hb_timeout=self.hb_timeout,
+                self.nnodes, hb_timeout=self.hb_timeout
             )
             self._sup.start()
         return self._sup
@@ -153,12 +149,10 @@ class ClusterBackend(ExecutionBackend):
         tracer: Any = None,
         sanitizer: Any = None,
         fault_plan: Any = None,
-        initial_clocks: Sequence[float] | None = None,
         initial_metrics: Sequence[Any] | None = None,
     ) -> BackendResult:
-        clocks, rows, trace_enabled = check_measured_run(
-            machine, programs, tracer, sanitizer, fault_plan,
-            initial_clocks, initial_metrics,
+        rows, trace_enabled = check_measured_run(
+            machine, programs, tracer, sanitizer, fault_plan, initial_metrics,
             fault_hint=" (the cluster backend experiences real faults: "
             "kill a node daemon)",
         )
@@ -194,7 +188,6 @@ class ClusterBackend(ExecutionBackend):
                 "shm_threshold": self.shm_threshold,
                 "sleep_cap": self.sleep_cap,
             },
-            clocks=clocks,
             metrics=rows,
             tracer=tracer if trace_enabled else None,
             timeout=self.timeout,

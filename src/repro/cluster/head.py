@@ -87,9 +87,10 @@ class ClusterSupervisor:
     host / port:
         Listen address.  Port 0 picks a free port (read it back from
         :attr:`addr` to point manual nodes at it).
-    hb_interval / hb_timeout:
-        Heartbeat cadence pushed to nodes in ``welcome``, and the
-        silence span after which a node is declared dead.
+    hb_timeout:
+        The silence span after which a node is declared dead; the
+        heartbeat cadence pushed to nodes in ``welcome`` is
+        :data:`HB_INTERVAL`.
     """
 
     def __init__(
@@ -99,7 +100,6 @@ class ClusterSupervisor:
         spawn: bool = True,
         host: str = "127.0.0.1",
         port: int = 0,
-        hb_interval: float = HB_INTERVAL,
         hb_timeout: float = HB_TIMEOUT,
         connect_timeout: float = 20.0,
     ) -> None:
@@ -107,7 +107,6 @@ class ClusterSupervisor:
             raise ValueError(f"nnodes must be >= 1, got {nnodes}")
         self.nnodes = int(nnodes)
         self.spawn = bool(spawn)
-        self.hb_interval = float(hb_interval)
         self.hb_timeout = float(hb_timeout)
         self.connect_timeout = float(connect_timeout)
         self.nodes: dict[int, NodeHandle] = {}
@@ -194,7 +193,7 @@ class ClusterSupervisor:
         node_id = len(self.nodes)
         send_control(sock, {
             "op": "welcome", "ok": True,
-            "node_id": node_id, "hb_interval": self.hb_interval,
+            "node_id": node_id, "hb_interval": HB_INTERVAL,
         })
         handle = NodeHandle(
             node_id=node_id,
@@ -243,7 +242,6 @@ class ClusterSupervisor:
         program_of_rank: list[int],
         config_sha: str,
         options: dict[str, Any],
-        clocks: list[float],
         metrics: list[Any],
         tracer: Any,
         timeout: float | None,
@@ -273,7 +271,6 @@ class ClusterSupervisor:
             "programs": program_blobs,
             "program_of_rank": program_of_rank,
             "options": options,
-            "clocks": clocks,
             "metrics": metrics,
             "trace": tracer is not None,
         }

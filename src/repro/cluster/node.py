@@ -249,7 +249,6 @@ class NodeDaemon:
             local, n, launch["machine"],
             {r: programs[index[r]] for r in local},
             runid=runid,
-            clocks=launch["clocks"],
             metrics=launch["metrics"],
             trace=bool(launch["trace"]),
             worker_init=_arm_deathwatch,

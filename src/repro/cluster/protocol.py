@@ -13,7 +13,7 @@ One TCP connection per node daemon carries three frame kinds, each
     malformed control frame is a typed error, never a raw traceback.
 ``P`` (payload, pickle)
     Control messages that must carry binary cargo: ``launch`` (pickled
-    rank programs, machine spec, per-rank clocks/metrics) and the
+    rank programs, machine spec, per-rank metrics rows) and the
     per-rank events ``rank_done`` / ``rank_error`` / ``rank_crash``.  Head and nodes are
     mutually trusted (the head spawns the nodes, or an operator starts
     them against a head they own), so pickle is acceptable here; the
@@ -55,8 +55,9 @@ __all__ = [
 ]
 
 #: Bumped on every incompatible wire change; ``hello``/``welcome``
-#: must agree exactly.
-CLUSTER_PROTOCOL_VERSION = "repro-cluster/1"
+#: must agree exactly.  /2: ``launch`` no longer carries ``clocks``
+#: (each rank resumes at its carried row's ``final_clock``).
+CLUSTER_PROTOCOL_VERSION = "repro-cluster/2"
 
 #: Control (JSON) frames are tiny; a megabyte of headroom means the
 #: cap only ever trips on garbage or abuse (same policy as serve).

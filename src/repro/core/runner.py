@@ -5,7 +5,7 @@ connectivity, barriers between, a decomposition change between epochs —
 for the section-4 near-body cases and the section-5 off-body scheme
 alike.  :class:`EpochRunner` is that loop:
 
-    plan epoch -> run sub-chunk on the backend (carried clocks/metrics)
+    plan epoch -> run sub-chunk on the backend (carried metrics rows)
                -> accumulate -> commit epoch -> checkpoint
 
 and, on a :class:`repro.machine.faults.RankFailure`, the recovery
@@ -25,10 +25,11 @@ workload; :func:`build_driver` picks between them from the case object.
 Resilience (:mod:`repro.resilience`)
 ------------------------------------
 * **checkpointing** splits an epoch into sub-chunks at checkpoint
-  boundaries.  Sub-chunks are resumed with *carried clocks*
-  (``Simulator(initial_clocks=...)``): the scheduler's matching, waking
-  and tie-breaking depend only on virtual clocks, so a split epoch is
-  bit-identical to the unsplit one — checkpointing perturbs nothing.
+  boundaries.  Sub-chunks are resumed from the *carried rows*
+  (``Simulator(initial_metrics=...)``), each rank at its row's
+  ``final_clock``: the scheduler's matching, waking and tie-breaking
+  depend only on virtual clocks, so a split epoch is bit-identical to
+  the unsplit one — checkpointing perturbs nothing.
   Checkpoint *writes* are modeled as free (overlapped with
   computation); only *restores* carry a modeled cost.
 * **fault injection** converts driver-level ``step`` triggers into
@@ -240,9 +241,10 @@ class _EpochAccum:
     The per-rank :class:`repro.machine.metrics.RankMetrics` rows are
     *carried* from chunk to chunk (``Simulator(initial_metrics=...)``),
     so the epoch's cells see exactly the same additions in exactly the
-    same order as an unsplit run — the rollup :meth:`totals` builds on
-    them is bit-identical, not just close, which the checkpointing
-    bit-identity tests pin.
+    same order as an unsplit run, and each rank's virtual timeline
+    resumes at its row's ``final_clock`` — the rollup :meth:`totals`
+    builds on them is bit-identical, not just close, which the
+    checkpointing bit-identity tests pin.
     """
 
     nranks: int
@@ -253,17 +255,13 @@ class _EpochAccum:
     search_total: int = 0
     orphans_total: int = 0
     donors_total: int = 0
-    #: Per-rank virtual clocks at the last completed sub-chunk; carried
-    #: into the next sub-chunk's Simulator so the split epoch's virtual
-    #: timeline is continuous (and bit-identical to the unsplit run).
-    clocks: list | None = None
     #: Per-rank RankMetrics rows carried across sub-chunks (see class doc).
     rows: list | None = None
 
     @property
     def base(self) -> float:
         """Epoch-local virtual time already covered (0.0 at epoch start)."""
-        return max(self.clocks) if self.clocks else 0.0
+        return max(row.final_clock for row in self.rows) if self.rows else 0.0
 
     def add(self, out: BackendResult, nsteps: int) -> None:
         mat = np.zeros((nsteps, self.nranks), dtype=np.int64)
@@ -276,7 +274,6 @@ class _EpochAccum:
         for s in range(nsteps):
             self.per_step.append(mat[s])
         self.rows = out.metrics.ranks
-        self.clocks = [row.final_clock for row in self.rows]
         self.steps_done += nsteps
 
     def totals(self) -> dict[str, Any]:
@@ -537,7 +534,7 @@ class EpochRunner:
         count ``set_phase`` barriers over measured steps.
     checkpoint_every:
         Snapshot the full driver state every N measured steps.
-        Checkpoint boundaries may fall inside an epoch; carried clocks
+        Checkpoint boundaries may fall inside an epoch; carried rows
         keep the run bit-identical either way.
     checkpoint_store:
         A :class:`repro.resilience.checkpoint.CheckpointStore` (or a
@@ -705,12 +702,11 @@ class EpochRunner:
             chunk_end = min(chunk_end, next_ckpt)
         nsteps = chunk_end - state.step
 
-        # Carried clocks and counters continue a split epoch exactly.
+        # Carried rows (clocks and counters) continue a split epoch exactly.
         out = self._run_chunk(
             wl, state.carry, state.step, nsteps,
             tracer=tracer,
             fault_plan=self._chunk_fault_plan(wl, state, nsteps),
-            initial_clocks=acc.clocks,
             initial_metrics=acc.rows,
         )
         acc.add(out, nsteps)

@@ -36,7 +36,7 @@ from repro.machine.spec import (
     machine_preset,
 )
 from repro.machine.event import Message, Mailbox, ANY_SOURCE, ANY_TAG
-from repro.machine.simmpi import MAX_USER_TAG, Comm, Request, Status, describe_tag
+from repro.machine.simmpi import MAX_USER_TAG, Comm, Status, describe_tag
 from repro.machine.faults import FaultSpec, FaultPlan, RankFailure
 from repro.machine.scheduler import Simulator, DeadlockError
 from repro.machine.metrics import PhaseRollup, RankMetrics
@@ -56,7 +56,6 @@ __all__ = [
     "ANY_TAG",
     "MAX_USER_TAG",
     "Comm",
-    "Request",
     "Status",
     "describe_tag",
     "FaultSpec",

@@ -46,12 +46,12 @@ Two extensions support resilience experiments (:mod:`repro.resilience`):
   once no survivor can make progress, the scheduler raises a typed
   :class:`repro.machine.faults.RankFailure` (never a misleading
   :class:`DeadlockError`).
-* **Warm-started clocks** — ``initial_clocks`` lets a driver split one
+* **Carried rows** — ``initial_metrics`` lets a driver split one
   logical epoch into several scheduler runs without perturbing virtual
-  time: because matching, waking and tie-breaking depend only on
-  virtual clocks (not host order), a run resumed from carried clocks is
-  bit-identical to the unsplit run.  This is what makes checkpointing
-  timing-neutral.
+  time: each rank resumes at its carried row's ``final_clock``, and
+  because matching, waking and tie-breaking depend only on virtual
+  clocks (not host order), the resumed run is bit-identical to the
+  unsplit run.  This is what makes checkpointing timing-neutral.
 """
 
 from __future__ import annotations
@@ -149,16 +149,14 @@ class Simulator:
         Optional :class:`repro.machine.faults.FaultPlan`; only its
         scheduler-level triggers (virtual time / phase index) are
         enacted — driver-level ``step`` triggers are ignored here.
-    initial_clocks:
-        Optional per-rank starting clocks (one per spawned rank).  Used
-        to resume a split epoch: virtual time continues exactly where
-        the previous run's clocks ended.
     initial_metrics:
         Optional per-rank :class:`repro.machine.metrics.RankMetrics`
-        rows to continue accumulating into (one per spawned rank).  A split
-        epoch that carries both clocks and metrics produces counters
-        bit-identical to the unsplit run — the same additions happen in
-        the same order on the same accumulators.
+        rows to continue accumulating into (one per spawned rank).  Each
+        rank's clock starts at its row's ``final_clock``, so a split
+        epoch continues exactly where the previous run's clocks ended
+        and its counters are bit-identical to the unsplit run — the
+        same additions happen in the same order on the same
+        accumulators.
     """
 
     def __init__(
@@ -166,7 +164,6 @@ class Simulator:
         machine: MachineSpec,
         tracer: Tracer | None = None,
         fault_plan: FaultPlan | None = None,
-        initial_clocks: list[float] | None = None,
         initial_metrics: list[RankMetrics] | None = None,
         sanitizer: Sanitizer | None = None,
     ):
@@ -183,9 +180,6 @@ class Simulator:
         # bit-identical to plain runs.
         self._sanitizer = sanitizer
         self.fault_plan = fault_plan if fault_plan else None
-        self.initial_clocks = (
-            list(initial_clocks) if initial_clocks is not None else None
-        )
         self.initial_metrics = (
             list(initial_metrics) if initial_metrics is not None else None
         )
@@ -249,11 +243,6 @@ class Simulator:
         n = len(self._programs)
         if n == 0:
             raise ValueError("no rank programs spawned")
-        if self.initial_clocks is not None and len(self.initial_clocks) != n:
-            raise ValueError(
-                f"initial_clocks has {len(self.initial_clocks)} entries "
-                f"for {n} ranks"
-            )
         if self.initial_metrics is not None and len(self.initial_metrics) != n:
             raise ValueError(
                 f"initial_metrics has {len(self.initial_metrics)} entries "
@@ -273,10 +262,9 @@ class Simulator:
             if self._sanitizer is not None:
                 comm._san = self._sanitizer
             state = _RankState(rank, program(comm, *args, **kwargs))
-            if self.initial_clocks is not None:
-                state.clock = float(self.initial_clocks[rank])
             if self.initial_metrics is not None:
                 state.metrics = self.initial_metrics[rank]
+                state.clock = state.metrics.final_clock
             if self.fault_plan is not None:
                 state.fault_time = self.fault_plan.time_fault(rank)
                 state.fault_phase = self.fault_plan.phase_fault(rank)

@@ -12,10 +12,14 @@ with ``yield from``::
             payload, status = yield from comm.recv(0, tag=0)
         total = yield from comm.allreduce(comm.rank)
 
-The methods mirror the mpi4py surface the paper's codes rely on
-(send/recv, isend/irecv + wait/test, iprobe, bcast, gather, allreduce,
-barrier).  Collectives are built from point-to-point primitives with the
-classic O(log P) algorithms so their simulated cost scales realistically.
+The methods are the MPI surface the paper's codes rely on, each with
+one spelling: eager ``send``, blocking ``recv``, ``iprobe``,
+``drain_recv``/``waitany`` for service loops, and the ``barrier``,
+``bcast``, ``gather`` and ``allreduce`` collectives.  Under the
+eager-send model a nonblocking send is just ``send`` and a nonblocking
+receive is ``iprobe`` then ``recv``, so neither has a second API.
+Collectives are built from point-to-point primitives with the classic
+O(log P) algorithms so their simulated cost scales realistically.
 
 Primitive operations are yielded to the scheduler as tuples; user code
 never sees them.
@@ -51,7 +55,6 @@ _TAG_BARRIER = _COLL_TAG_BASE + 1
 _TAG_BCAST = _COLL_TAG_BASE + 2
 _TAG_GATHER = _COLL_TAG_BASE + 3
 _TAG_REDUCE = _COLL_TAG_BASE + 4
-_TAG_ALLTOALL = _COLL_TAG_BASE + 5
 #: Reserved tag for the failure-detection heartbeat protocol
 #: (:meth:`Comm.detect_failures`).  Lives in the collective tag space so
 #: no group-translated user tag can ever match a heartbeat.
@@ -65,7 +68,6 @@ _COLL_TAG_NAMES = {
     _TAG_BCAST: "collective:bcast",
     _TAG_GATHER: "collective:gather",
     _TAG_REDUCE: "collective:reduce",
-    _TAG_ALLTOALL: "collective:alltoall",
     _TAG_HEARTBEAT: "collective:heartbeat",
 }
 
@@ -107,25 +109,6 @@ class Status:
     nbytes: int
 
 
-class Request:
-    """Handle for a non-blocking operation.
-
-    Sends complete eagerly (buffered-send model), so send requests are
-    born complete.  Receive requests hold their (src, tag) posting and are
-    completed by :meth:`Comm.wait` / :meth:`Comm.test`.
-    """
-
-    __slots__ = ("kind", "src", "tag", "done", "payload", "status")
-
-    def __init__(self, kind: str, src: int = ANY_SOURCE, tag: int = ANY_TAG):
-        self.kind = kind
-        self.src = src
-        self.tag = tag
-        self.done = kind == "send"
-        self.payload: Any = None
-        self.status: Status | None = None
-
-
 class Comm:
     """Communicator bound to one rank of the simulated machine."""
 
@@ -157,7 +140,7 @@ class Comm:
         comparison is stable).
 
         ``payload`` is forwarded for element-wise collectives
-        (reduce/allreduce/alltoall) so the sanitizer can compare O(1)
+        (reduce/allreduce) so the sanitizer can compare O(1)
         size/shape/dtype signatures across ranks; collectives with
         legitimately rank-varying contributions (gather, bcast) omit
         it.  The sentinel keeps ``payload=None`` distinguishable from
@@ -244,12 +227,6 @@ class Comm:
         yield ("inject", dst, tag, payload, self._size_of(payload, nbytes))
         return None
 
-    def isend(self, dst: int, tag: int, payload: Any = None, nbytes: int | None = None) -> Generator:
-        """Non-blocking send.  With the eager-send model this is the same
-        cost as :meth:`send`; the returned request is already complete."""
-        yield from self.send(dst, tag, payload, nbytes)
-        return Request("send")
-
     def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
         """Blocking receive; returns ``(payload, Status)``."""
         self._check_user_tag(tag, allow_any=True)
@@ -259,39 +236,6 @@ class Comm:
         """Unchecked receive primitive (collectives use reserved tags)."""
         msg = yield ("recv", src, tag)
         return msg.payload, Status(msg.src, msg.tag, msg.nbytes)
-
-    def irecv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
-        """Post a non-blocking receive; complete with wait/test."""
-        self._check_user_tag(tag, allow_any=True)
-        yield from ()  # keep generator protocol uniform
-        return Request("recv", src, tag)
-
-    def wait(self, req: Request) -> Generator:
-        """Block until ``req`` completes; returns ``(payload, Status)``
-        for receives, ``(None, None)`` for sends."""
-        if req.done:
-            return req.payload, req.status
-        payload, status = yield from self.recv(req.src, req.tag)
-        req.done, req.payload, req.status = True, payload, status
-        return payload, status
-
-    def test(self, req: Request) -> Generator:
-        """Non-blocking completion check; returns ``True`` if done."""
-        if req.done:
-            return True
-        got = yield from self._tryrecv(req.src, req.tag)
-        if got is None:
-            return False
-        req.done = True
-        req.payload = got.payload
-        req.status = Status(got.src, got.tag, got.nbytes)
-        return True
-
-    def waitall(self, reqs: Iterable[Request]) -> Generator:
-        out = []
-        for r in reqs:
-            out.append((yield from self.wait(r)))
-        return out
 
     def iprobe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
         """Has a matching message arrived?  Charges a polling overhead."""
@@ -448,34 +392,6 @@ class Comm:
         self._san_collective("allreduce", payload=value)
         reduced = yield from self.reduce(value, op, 0, nbytes)
         return (yield from self.bcast(reduced, 0, nbytes))
-
-    def alltoall(self, payloads: list, nbytes: int | None = None) -> Generator:
-        """Personalised all-to-all; ``payloads[i]`` goes to rank i."""
-        self._san_collective("alltoall", payload=payloads)
-        if len(payloads) != self.size:
-            raise ValueError("alltoall needs one payload per rank")
-        out: list[Any] = [None] * self.size
-        out[self.rank] = payloads[self.rank]
-        for dst in range(self.size):
-            if dst != self.rank:
-                yield from self._send(dst, _TAG_ALLTOALL, payloads[dst], nbytes)
-        for _ in range(self.size - 1):
-            data, status = yield from self._recv(ANY_SOURCE, _TAG_ALLTOALL)
-            out[status.source] = data
-        return out
-
-    def sendrecv(
-        self,
-        dst: int,
-        src: int,
-        tag: int,
-        payload: Any = None,
-        nbytes: int | None = None,
-    ) -> Generator:
-        """Combined exchange: eager send to ``dst``, then receive from
-        ``src`` with the same tag (deadlock-free with buffered sends)."""
-        yield from self.send(dst, tag, payload, nbytes)
-        return (yield from self.recv(src, tag))
 
     # ------------------------------------------------------------------
     # failure detection (heartbeat / timeout protocol)

@@ -41,11 +41,14 @@ __all__ = ["TopAggregator", "render_top", "run_top"]
 #: ANSI clear-screen + home, used between live refreshes.
 _CLEAR = "\x1b[2J\x1b[H"
 
+#: How many of the latest driver marks the view keeps.
+RECENT_MARKS = 4
+
 
 class TopAggregator:
     """Incremental per-rank / per-edge aggregation of a record stream."""
 
-    def __init__(self, recent_marks: int = 4) -> None:
+    def __init__(self) -> None:
         self.records = 0
         self.t_end = 0.0
         #: Every op span, added into its (rank, phase) cell.
@@ -55,7 +58,7 @@ class TopAggregator:
         # (src, dst) -> [messages, bytes]
         self.edges: dict[tuple[int, int], list[int]] = {}
         self.marks: deque[tuple[float, str, dict]] = deque(
-            maxlen=recent_marks
+            maxlen=RECENT_MARKS
         )
         self.sends = 0
         self.recvs = 0

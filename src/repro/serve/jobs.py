@@ -180,7 +180,7 @@ class JobSpec:
         A job names one of the registered cases: it carries scalar
         knobs (scale/nsteps/f0), not a scenario file.
         """
-        from repro.backend import backend_help
+        from repro.backend import BACKENDS
         from repro.cases import case_names
         from repro.machine import machine_preset
 
@@ -193,10 +193,10 @@ class JobSpec:
             machine_preset(self.machine, self.nodes)
         except ValueError as exc:
             raise JobSpecError(str(exc)) from None
-        if self.backend not in backend_help():
+        if self.backend not in BACKENDS:
             raise JobSpecError(
                 f"unknown backend {self.backend!r}; choose from "
-                f"{sorted(backend_help())}"
+                f"{sorted(BACKENDS)}"
             )
 
 

@@ -62,6 +62,9 @@ __all__ = ["ReproServer", "JobRecord"]
 
 _job_ids = itertools.count(1)
 
+#: Queued jobs beyond this are refused with ``QueueFull``.
+MAX_QUEUE = 1024
+
 
 class JobRecord:
     """One submission's lifecycle, shared between handler and dispatcher."""
@@ -129,7 +132,6 @@ class ReproServer:
         job_timeout: float | None = 300.0,
         max_retries: int = 2,
         tracer: Any = None,
-        max_queue: int = 1024,
     ) -> None:
         self.socket_path = str(socket_path)
         if cache is None:
@@ -139,7 +141,7 @@ class ReproServer:
         self.pool = WorkerPool(
             workers=workers, job_timeout=job_timeout, max_retries=max_retries
         )
-        self._queue: queue.Queue[JobRecord] = queue.Queue(maxsize=max_queue)
+        self._queue: queue.Queue[JobRecord] = queue.Queue(maxsize=MAX_QUEUE)
         self._jobs: dict[int, JobRecord] = {}
         self._active: dict[str, JobRecord] = {}  # sha -> in-flight record
         self._lock = threading.Lock()

@@ -1,24 +1,21 @@
-"""Backend registry and API-surface contracts."""
+"""Backend name table and API-surface contracts."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.backend import (
+    BACKENDS,
     BackendResult,
     BackendUnavailable,
     ExecutionBackend,
     SimBackend,
-    available_backends,
-    backend_help,
     get_backend,
-    register_backend,
 )
 from repro.machine import sp2
 
 
 def test_sim_always_available():
-    assert "sim" in available_backends()
     engine = get_backend("sim")
     assert isinstance(engine, SimBackend)
     assert engine.measured is False
@@ -29,32 +26,25 @@ def test_default_backend_is_sim():
 
 
 def test_both_backends_registered():
-    help_ = backend_help()
-    assert set(help_) >= {"sim", "mp"}
-    for doc in help_.values():
-        assert doc  # every backend documents itself
+    assert BACKENDS == ("sim", "mp", "cluster")
 
 
 def test_unknown_backend_raises():
-    with pytest.raises(ValueError, match="unknown backend"):
+    with pytest.raises(ValueError, match="known backends: cluster, mp, sim"):
         get_backend("openmp")
 
 
-def test_unavailable_backend_raises_typed():
-    def never(**_options):  # pragma: no cover - must not be called
-        raise AssertionError("factory of an unavailable backend ran")
+def test_unavailable_backend_raises_typed(monkeypatch):
+    # Each measured engine checks its host once, in its constructor.
+    import repro.backend.mp as mp
+    import repro.cluster.backend as cluster
 
-    register_backend(
-        "never", never, doc="test-only", available=lambda: "always offline"
-    )
-    try:
-        with pytest.raises(BackendUnavailable, match="always offline"):
-            get_backend("never")
-        assert "never" not in available_backends()
-    finally:
-        from repro.backend.api import _REGISTRY
-
-        _REGISTRY.pop("never", None)
+    monkeypatch.setattr(mp, "mp_available", lambda: "always offline")
+    monkeypatch.setattr(cluster, "cluster_available", lambda: "no nodes")
+    with pytest.raises(BackendUnavailable, match="'mp' unavailable: always"):
+        get_backend("mp")
+    with pytest.raises(BackendUnavailable, match="'cluster' unavailable: no"):
+        get_backend("cluster")
 
 
 def test_run_spmd_defaults_to_machine_nodes():

@@ -27,7 +27,8 @@ from repro.backend.mp import mp_available
 from repro.cluster import cluster_available
 from repro.machine import sp2
 from repro.machine.simmpi import MAX_USER_TAG
-from repro.obs import PhaseRollup
+from repro.machine.metrics import RankMetrics
+from repro.obs import PhaseRollup, SpanTracer
 
 NRANKS = 4
 TAG = 5
@@ -137,9 +138,17 @@ def prog_collectives(comm):
     # in place of a slower rank's first.  Identical on all engines.
     yield from comm.barrier()
     everyone = yield from comm.allgather(r)
-    spread = yield from comm.alltoall([r * 100 + d for d in range(n)])
+    # A personalised exchange is eager sends, then one receive per
+    # source: ``spread[s]`` is what rank ``s`` addressed to this rank.
+    for d in range(n):
+        yield from comm.send(d, TAG, r * 100 + d, nbytes=8)
+    spread = []
+    for s in range(n):
+        val, _ = yield from comm.recv(s, TAG)
+        spread.append(val)
     partner = n - 1 - r
-    swapped, _ = yield from comm.sendrecv(partner, partner, TAG, r)
+    yield from comm.send(partner, TAG + 1, r, nbytes=8)
+    swapped, _ = yield from comm.recv(partner, TAG + 1)
     yield from comm.barrier()
     return (total, word, rows, everyone, spread, swapped)
 
@@ -162,6 +171,30 @@ def prog_iprobe(comm):
         yield from comm.elapse(1e-4)
     val, status = yield from comm.recv(src, TAG)
     return (val, status.source)
+
+
+def prog_tryrecv(comm):
+    """Spin on the nonblocking matched receive (the primitive
+    ``detect_failures`` polls heartbeats with) until the ring
+    neighbour's message lands."""
+    dst = (comm.rank + 1) % comm.size
+    src = (comm.rank - 1) % comm.size
+    yield from comm.send(dst, TAG, ("tok", comm.rank), nbytes=8)
+    while True:
+        got = yield from comm._tryrecv(src, TAG)
+        if got is not None:
+            return (got.payload, got.src)
+        yield from comm.elapse(1e-4)
+
+
+def prog_ping(comm):
+    if comm.rank == 0:
+        yield from comm.send(1, TAG, "ping", nbytes=8)
+        pong, _ = yield from comm.recv(1, TAG)
+        return pong
+    ping, _ = yield from comm.recv(0, TAG)
+    yield from comm.send(0, TAG, ping.replace("i", "o"), nbytes=8)
+    return None
 
 
 def prog_reserved_send(comm):
@@ -302,6 +335,31 @@ def test_split_subcommunicators(engine):
 def test_iprobe_then_recv(engine):
     returns = _run(engine, prog_iprobe)
     assert returns == [((r - 1) % NRANKS, (r - 1) % NRANKS) for r in range(NRANKS)]
+
+
+def test_tryrecv_spins_until_the_message_lands(engine):
+    returns = _run(engine, prog_tryrecv)
+    assert returns == [
+        (("tok", (r - 1) % NRANKS), (r - 1) % NRANKS) for r in range(NRANKS)
+    ]
+
+
+def test_carried_rows_continue_their_clocks(engine):
+    """Each rank resumes at its carried row's ``final_clock``: a chunk
+    handed rows that ended at 2.5 s starts there, not at 0."""
+    rows = [RankMetrics(r, final_clock=2.5) for r in range(2)]
+    tracer = SpanTracer()
+    result = engine.run(
+        sp2(nodes=2), [prog_ping, prog_ping],
+        tracer=tracer, initial_metrics=rows,
+    )
+    assert result.returns == ["pong", None]
+    assert result.elapsed > 2.5
+    starts = [op[3] for op in tracer.ops]
+    if engine.measured:
+        assert min(starts) >= 2.5
+    else:
+        assert starts[0] == 2.5
 
 
 def test_reserved_tag_send_rejected(engine):

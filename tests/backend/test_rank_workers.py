@@ -53,7 +53,6 @@ def _group(programs, pid_dir, trace=False):
         range(n), n, sp2(nodes=n),
         [announced(p, r) for r, p in enumerate(programs)],
         runid=f"repro_test_{os.getpid()}_{next(_counter)}",
-        clocks=[0.0] * n,
         metrics=[RankMetrics(r) for r in range(n)],
         trace=trace,
         shm_threshold=SHM_THRESHOLD,

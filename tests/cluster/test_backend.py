@@ -13,7 +13,7 @@ import types
 import numpy as np
 import pytest
 
-from repro.backend import BackendResult, backend_help, get_backend
+from repro.backend import BACKENDS, BackendResult, get_backend
 from repro.cluster import ClusterBackend, ClusterProtocolError, cluster_available
 from repro.machine import sp2
 
@@ -67,7 +67,7 @@ def prog_worker_error(comm):
 
 
 def test_registry_lists_cluster():
-    assert "cluster" in backend_help()
+    assert "cluster" in BACKENDS
     eng = get_backend("cluster", nnodes=2)
     assert isinstance(eng, ClusterBackend)
     eng.close()  # never started; must be a harmless no-op

@@ -28,6 +28,7 @@ from repro.machine import (
     Simulator,
 )
 from repro.machine.faults import FaultPlan, FaultSpec, RankFailure
+from repro.machine.metrics import RankMetrics
 
 # Every cost is a multiple of 1e-4 s (1e6 B/s, zero overheads), so equal
 # (time) ties across ranks are the common case, not the rare one.
@@ -114,17 +115,24 @@ def play(comm, script):
 @dataclasses.dataclass
 class Case:
     scripts: list
-    initial_clocks: list | None = None
+    #: Per-rank start clocks, carried in as ``RankMetrics`` rows.
+    clocks: list | None = None
     faults: tuple = ()
 
 
 def outcome(sim_cls, case):
     """Run ``case`` on ``sim_cls``; everything observable about the run."""
     log = []
+    rows = None
+    if case.clocks is not None:
+        rows = [
+            RankMetrics(rank, final_clock=clock)
+            for rank, clock in enumerate(case.clocks)
+        ]
     sim = sim_cls(
         machine(len(case.scripts)),
         fault_plan=FaultPlan(case.faults),
-        initial_clocks=case.initial_clocks,
+        initial_metrics=rows,
     )
     dispatch, complete, kill = sim._dispatch, sim._complete_recv, sim._kill
     woke = sim._complete_waitany

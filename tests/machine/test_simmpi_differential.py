@@ -147,7 +147,13 @@ class TestDifferentialCollectives:
         matrix = rng.integers(0, 1 << 20, size=(nodes, nodes)).tolist()
 
         def program(comm):
-            out = yield from comm.alltoall(list(matrix[comm.rank]))
+            # Personalised exchange: eager sends, one receive per source.
+            for dst in range(comm.size):
+                yield from comm.send(dst, 0, matrix[comm.rank][dst])
+            out = []
+            for src in range(comm.size):
+                payload, _ = yield from comm.recv(src, 0)
+                out.append(payload)
             return out
 
         result = run(nodes, program)
@@ -193,16 +199,16 @@ class TestReservedTagSpace:
             run(2, program)
 
     @pytest.mark.parametrize("tag", [_COLL_TAG_BASE, MAX_USER_TAG])
-    def test_irecv_and_iprobe_reject_reserved_tag(self, tag):
-        def prog_irecv(comm):
-            if comm.rank == 1:
-                yield from comm.irecv(0, tag)
-
+    def test_iprobe_and_drain_reject_reserved_tag(self, tag):
         def prog_iprobe(comm):
             if comm.rank == 1:
                 yield from comm.iprobe(0, tag)
 
-        for prog in (prog_irecv, prog_iprobe):
+        def prog_drain(comm):
+            if comm.rank == 1:
+                yield from comm.drain_recv(0, tag)
+
+        for prog in (prog_iprobe, prog_drain):
             with pytest.raises(ValueError, match="reserved|outside"):
                 run(2, prog)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.machine.simmpi import Comm, Request
+from repro.machine.simmpi import Comm
 from repro.machine.spec import sp2
 
 
@@ -36,17 +36,6 @@ class TestSizeOf:
             pass
 
         assert Comm._size_of(Thing(), None) == 64
-
-
-class TestRequest:
-    def test_send_request_born_done(self):
-        r = Request("send")
-        assert r.done
-
-    def test_recv_request_starts_pending(self):
-        r = Request("recv", src=3, tag=7)
-        assert not r.done
-        assert (r.src, r.tag) == (3, 7)
 
 
 class TestCommConstruction:

@@ -110,9 +110,8 @@ class TestGroupTraffic:
     def test_sendrecv_exchange(self):
         def program(comm):
             other = 1 - comm.rank
-            payload, _ = yield from comm.sendrecv(
-                other, other, tag=9, payload=f"from{comm.rank}"
-            )
+            yield from comm.send(other, tag=9, payload=f"from{comm.rank}")
+            payload, _ = yield from comm.recv(other, tag=9)
             return payload
 
         result = run(2, program)
