@@ -281,6 +281,7 @@ class ClusterSupervisor:
 
         node_of = placement.node_of_rank
         outcome = ChunkOutcome("cluster", nranks)
+        refused: set[int] = set()  # nodes whose refusal acked the chunk
 
         def elapsed() -> float:
             return time.monotonic() - t_start
@@ -303,6 +304,7 @@ class ClusterSupervisor:
                     body.get("payload"), elapsed(),
                 )
             elif op == "launch_failed":
+                refused.add(handle.node_id)
                 raise ClusterProtocolError(
                     f"node {handle.node_id} refused launch: {body.get('error')}"
                 )
@@ -341,7 +343,8 @@ class ClusterSupervisor:
                         if msg is not None:
                             handle_msg(h, msg)
         except BaseException:
-            self._end_chunk(participants, runid, clean=False)
+            acking = [h for h in participants if h.node_id not in refused]
+            self._end_chunk(acking, runid, clean=False)
             raise
         self._end_chunk(participants, runid, clean=outcome.clean)
         return outcome.result(tracer)
@@ -389,8 +392,10 @@ class ClusterSupervisor:
                 break
             for h in [h for h in waiting if h.sock in ready]:
                 msg = self._recv(h)
+                # An idle node that refused the launch acks with that.
                 if msg is None or (
-                    msg[0] == "control" and msg[1].get("op") == ack
+                    msg[0] == "control"
+                    and msg[1].get("op") in (ack, "launch_failed")
                 ):
                     waiting.remove(h)
 

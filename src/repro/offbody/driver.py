@@ -29,9 +29,9 @@ Donor exchange follows the DCF request/reply shape: the receiver rank
 sends one request per donor relation (``igbp_request_bytes`` per
 point), the donor rank answers (``donor_reply_bytes`` per point).
 Patch-to-patch donors are closed-form Cartesian lookups; patch-fringe
-points inside a near-body grid run the real stencil-walk
-:func:`repro.connectivity.donor_search` (charged in walk steps), and
-near-body outer-boundary points locate into patches for free.  All
+points inside a near-body grid run the stencil-walk
+:func:`repro.connectivity.donor_search` once per distinct point (all
+charged in walk steps); near-body outer points locate for free.  All
 message schedules are derived from one globally sorted relation list,
 so every (src, dst, tag) channel sees the same order on both ends.
 
@@ -241,7 +241,7 @@ class _StepConn:
     w_pn: dict[tuple[int, int], int]
     #: (nb grid, patch) -> nb outer-boundary points donated by the patch.
     w_np: dict[tuple[int, int], int]
-    #: nb grid -> stencil-walk steps spent serving patch fringes.
+    #: nb grid -> stencil-walk steps charged for every patch-fringe row.
     search_steps: dict[int, int]
     #: patch -> fringe points in the hole region with no donor.
     orphans_p: dict[int, int]
@@ -277,6 +277,23 @@ class _OffBodyWorld(MovingWorld):
         return hit[1]
 
 
+def _distinct_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, twin)``: the first row of each distinct byte pattern in
+    order of first occurrence, and per row its pattern's position in
+    ``first`` (``pts[first][twin]`` is ``pts``; ``-0.0`` and ``0.0``
+    differ).  :func:`donor_search` of ``pts[first]`` scattered by
+    ``twin`` is that of ``pts`` because the search is row-wise: twins
+    share their seed (a per-row argmin), cell and active flag at every
+    walk iteration, so they are in the same walk states, and a twin
+    cannot change the batch-wide Newton exit (``abs(r).max()``), a
+    probe block's ``_may_hit(...).any()``, the retry set or the
+    iteration at which a walk state repeats.
+    """
+    rows = np.ascontiguousarray(pts).view(f"V{pts.itemsize * pts.shape[1]}")
+    _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    return np.sort(first), np.argsort(np.argsort(first))[inverse]
+
+
 def _step_connectivity(
     nb_grids: list[CurvilinearGrid],
     layout: OffBodyLayout,
@@ -302,47 +319,33 @@ def _step_connectivity(
             # Same shrink rule as connectivity.holecut: the wall-point
             # box overestimates the solid, pull it in a little.
             shrink = -0.02 * float(raw.extent.max())
-            if np.all(raw.extent + 2 * shrink > 0):
-                wall_box = raw.inflated(shrink)
-            else:
-                wall_box = raw
+            wall_box = raw.inflated(shrink) if np.all(raw.extent + 2 * shrink > 0) else raw
 
-        # Gather the fringe points of every intersecting patch and run
-        # ONE stencil-walk donor search per near-body grid — the search
-        # seeds and walks all points together, then the results are
-        # split back per patch.
-        fr_chunks: list[np.ndarray] = []
-        fr_slices: list[tuple[int, int, int]] = []
-        offset = 0
-        for pi in range(len(layout.grids)):
-            if not patch_boxes[pi].intersects(nb_box):
-                continue
-            fringe = fringes.get(pi)
-            if fringe is None:
-                fringe = fringes[pi] = fringe_points(layout.grids[pi])
-            inside = nb_box.contains(fringe)
-            if not np.any(inside):
-                continue
-            pts = fringe[inside]
-            fr_chunks.append(pts)
-            fr_slices.append((pi, offset, offset + len(pts)))
-            offset += len(pts)
-        if fr_chunks:
-            allpts = np.concatenate(fr_chunks)
-            res = donor_search(g.xyz, allpts)
-            search_steps[gi] = search_steps.get(gi, 0) + int(res.total_steps)
-            in_wall = (
-                wall_box.contains(allpts)
-                if wall_box is not None
-                else np.zeros(len(allpts), dtype=bool)
+        # ONE stencil-walk donor search per near-body grid over the
+        # fringe points of every patch inside its box, each distinct
+        # point once; the results are split back per patch.
+        near = [pi for pi, box in enumerate(patch_boxes) if box.intersects(nb_box)]
+        for pi in near:
+            if pi not in fringes:
+                fringes[pi] = fringe_points(layout.grids[pi])
+        chunks = [fringes[pi][nb_box.contains(fringes[pi])] for pi in near]
+        owner = np.repeat(np.array(near, dtype=np.int64), [len(c) for c in chunks])
+        if len(owner):
+            allpts = np.concatenate(chunks)
+            first, twin = _distinct_rows(allpts)
+            res = donor_search(g.xyz, allpts[first])
+            found = res.found[twin]
+            # Charged per row: the machine still serves every fringe.
+            search_steps[gi] = int(res.steps[twin].sum())
+            lost = ~found & (wall_box.contains(allpts) if wall_box is not None else False)
+            nfound, nlost = (
+                np.bincount(owner, x, minlength=len(patch_boxes)) for x in (found, lost)
             )
-            for pi, a, b in fr_slices:
-                found = int(np.sum(res.found[a:b]))
-                if found:
-                    w_pn[(pi, gi)] = w_pn.get((pi, gi), 0) + found
-                nlost = int(np.sum((~res.found[a:b]) & in_wall[a:b]))
-                if nlost:
-                    orphans_p[pi] = orphans_p.get(pi, 0) + nlost
+            for pi in near:
+                if nfound[pi]:
+                    w_pn[(pi, gi)] = int(nfound[pi])
+                if nlost[pi]:
+                    orphans_p[pi] = orphans_p.get(pi, 0) + int(nlost[pi])
 
         # Near-body outer boundary points interpolate from the finest
         # containing patch — closed-form Cartesian lookup, zero walk.
@@ -359,10 +362,9 @@ def _step_connectivity(
         )
         for pi in np.unique(best[best >= 0]):
             w_np[(gi, int(pi))] = int(np.sum(best == pi))
-        lost = (best < 0) & domain.contains(opts)
-        nlost = int(np.sum(lost))
+        nlost = int(np.sum((best < 0) & domain.contains(opts)))
         if nlost:
-            orphans_n[gi] = orphans_n.get(gi, 0) + nlost
+            orphans_n[gi] = nlost
 
     return _StepConn(
         w_pn=w_pn, w_np=w_np, search_steps=search_steps,

@@ -4,12 +4,15 @@ The manager owns a :class:`repro.offbody.patches.PatchSystem` and, at
 every adapt epoch, rebuilds the leaf set around the current near-body
 bounding boxes.  The result — an :class:`OffBodyLayout` — carries
 everything the driver and Algorithm 3 need: patch grids, sizes,
-connectivity edges, inter-patch donor weights, and churn statistics
-(created/destroyed) versus the previous layout.
+connectivity edges, inter-patch donor weights (reused from the previous
+epoch for a patch with the same neighbours), and churn statistics
+(created/destroyed) versus the previous layout.  The patch-fringe donor
+search against near-body grids lives in :mod:`repro.offbody.driver`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.grids.bbox import AABB
@@ -41,10 +44,7 @@ class OffBodyLayout:
         return sum(self.sizes)
 
     def level_counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.patches:
-            out[p.level] = out.get(p.level, 0) + 1
-        return out
+        return dict(Counter(p.level for p in self.patches))
 
 
 class OffBodyManager:
@@ -81,8 +81,7 @@ class OffBodyManager:
         grids = tuple(system.patch_grid(p) for p in patches)
         edges = system.adjacency(patches)
         weights = system.fringe_weights(patches, edges)
-        old = set(self._previous)
-        new = set(patches)
+        old, new = set(self._previous), set(patches)
         layout = OffBodyLayout(
             epoch=self._epoch,
             patches=patches,

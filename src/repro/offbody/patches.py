@@ -4,16 +4,17 @@ The off-body field is tiled by a graded 2^d-tree of small uniform
 Cartesian patches: a coarse level-0 lattice seeds the background, and
 cells intersecting the (inflated) bounding boxes of near-body grids —
 or any other target box, such as :func:`gradient_boxes`' solution-error
-regions — are recursively refined to ``max_level``.  A 2:1 grading
-pass then splits any leaf adjacent to a leaf two or more levels finer,
-so neighbouring patches always differ by at most one level — the
-standard nesting rule of forest-of-octrees AMR (cf. PAPERS.md, Brandt &
-Burstedde).
+regions — are refined level by level, a whole array of cells at a
+time, to ``max_level``.  A 2:1 grading pass then splits any leaf
+adjacent to a leaf two or more levels finer, so neighbouring patches
+always differ by at most one level — the standard nesting rule of
+forest-of-octrees AMR (cf. PAPERS.md, Brandt & Burstedde).  As there,
+only what a move invalidated is redone: :meth:`PatchSystem.fringe_weights`
+reuses the donors of a patch whose neighbourhood is unchanged.
 
 Everything here is exact integer arithmetic on ``(level, ijk)`` cell
 indices; physical boxes are derived.  Generation is a pure function of
-(domain, knobs, body boxes) — re-running it yields the identical patch
-list, which the byte-identity tests across backends rely on.
+(domain, knobs, body boxes), and so are the weights, reuse or not.
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ class PatchSystem:
             max(1, int(np.ceil(e / self.base_extent - 1e-12)))
             for e in domain.extent
         )
+        #: fringe_weights' per-patch donors from its last call; never pickled.
+        self._donors: dict[tuple, list[tuple[int, int]]] = {}
 
     @property
     def ndim(self) -> int:
@@ -129,17 +132,9 @@ class PatchSystem:
         return AABB(lo, lo + h * np.asarray(p.shape, dtype=float))
 
     def patch_grid(self, p: Patch) -> CartesianGrid:
-        box = self.patch_box(p)
-        dims = tuple(
-            (self.points_per_patch - 1) * s + 1 for s in p.shape
-        )
-        return CartesianGrid(
-            p.name,
-            box.lo,
-            self.spacing(p.level),
-            dims,
-            level=p.level,
-        )
+        dims = tuple((self.points_per_patch - 1) * s + 1 for s in p.shape)
+        lo = self.patch_box(p).lo
+        return CartesianGrid(p.name, lo, self.spacing(p.level), dims, level=p.level)
 
     # ------------------------------------------------------------------
     # integer-lattice helpers
@@ -151,12 +146,14 @@ class PatchSystem:
             for off in itertools.product((0, 1), repeat=self.ndim)
         ]
 
-    def _span(self, p: Patch) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Closed index range of ``p`` in finest-level units."""
-        f = 1 << (self.max_level - p.level)
-        lo = tuple(c * f for c in p.ijk)
-        hi = tuple((c + s) * f for c, s in zip(p.ijk, p.shape))
-        return lo, hi
+    def _spans(self, leaves: Sequence[Patch]) -> tuple[np.ndarray, np.ndarray]:
+        """Closed index ranges of ``leaves`` in finest-level units: the
+        (n, ndim) low and high corners."""
+        d = self.ndim
+        f = np.array([1 << (self.max_level - p.level) for p in leaves], np.int64)[:, None]
+        ijk = np.array([p.ijk for p in leaves], np.int64).reshape(-1, d)
+        shape = np.array([p.shape for p in leaves], np.int64).reshape(-1, d)
+        return ijk * f, (ijk + shape) * f
 
     # ------------------------------------------------------------------
     # generation
@@ -182,37 +179,30 @@ class PatchSystem:
         largest-first seeding needs that size spread to bite.
         """
         targets = [b.inflated(margin) for b in body_boxes]
+        tlo = np.array([t.lo for t in targets]).reshape(-1, 1, self.ndim)
+        thi = np.array([t.hi for t in targets]).reshape(-1, 1, self.ndim)
+        kids = np.array(list(itertools.product((0, 1), repeat=self.ndim)))
+        ijk = np.array(list(itertools.product(*map(range, self.ncells0))))
         leaves: list[Patch] = []
-        stack = [
-            Patch(0, ijk)
-            for ijk in itertools.product(*(range(n) for n in self.ncells0))
-        ]
-        while stack:
-            p = stack.pop()
-            if p.level < self.max_level and self._hits(p, targets):
-                stack.extend(self._children(p))
-            else:
-                leaves.append(p)
+        # Level by level over the whole lattice front: a cell is refined
+        # when its box (``patch_box``'s arithmetic) meets any target.
+        for level in range(self.max_level + 1):
+            h = self.cell_extent(level)
+            lo = self.domain.lo + h * ijk.astype(float)
+            hit = np.any(np.all((lo <= thi) & (tlo <= lo + h * 1.0), axis=2), axis=0)
+            hit &= level < self.max_level
+            leaves += [Patch(level, tuple(c)) for c in ijk[~hit].tolist()]
+            ijk = (2 * ijk[hit][:, None] + kids).reshape(-1, self.ndim)
 
         # 2:1 grading: split any leaf with a neighbour >= 2 levels finer;
         # splitting can create new violations one level up, so iterate to
         # a fixed point (bounded by max_level passes).
-        while True:
-            split = self._grading_violations(leaves)
-            if not split:
-                break
-            next_leaves: list[Patch] = []
-            for i, p in enumerate(leaves):
-                if i in split:
-                    next_leaves.extend(self._children(p))
-                else:
-                    next_leaves.append(p)
-            leaves = next_leaves
+        while split := self._grading_violations(leaves):
+            leaves = [
+                c for i, p in enumerate(leaves)
+                for c in (self._children(p) if i in split else (p,))
+            ]
         return tuple(sorted(self._coalesce(leaves)))
-
-    def _hits(self, p: Patch, targets: list[AABB]) -> bool:
-        box = self.patch_box(p)
-        return any(box.intersects(t) for t in targets)
 
     def _coalesce(self, leaves: list[Patch]) -> list[Patch]:
         """Greedy-mesh same-level unit cells into larger bricks.
@@ -221,67 +211,57 @@ class PatchSystem:
         slab at a time along ascending axes, so the brick set is a pure
         function of the leaf set.
         """
-        cap = self.max_brick_cells
-        if cap <= 1:
-            return leaves
-        by_level: dict[int, list[tuple[int, ...]]] = {}
-        for p in leaves:
-            by_level.setdefault(p.level, []).append(p.ijk)
         out: list[Patch] = []
-        for level in sorted(by_level):
-            cells = sorted(by_level[level])
+        for level in sorted({p.level for p in leaves}):
+            cells = sorted(p.ijk for p in leaves if p.level == level)
             free = set(cells)
             for ijk in cells:
                 if ijk not in free:
                     continue
                 shape = [1] * self.ndim
                 for axis in range(self.ndim):
-                    while shape[axis] < cap:
-                        slab = self._next_slab(ijk, shape, axis)
-                        if all(c in free for c in slab):
-                            shape[axis] += 1
-                        else:
-                            break
-                for c in itertools.product(
-                    *(range(ijk[a], ijk[a] + shape[a]) for a in range(self.ndim))
-                ):
-                    free.discard(c)
+                    while shape[axis] < self.max_brick_cells and all(
+                        c in free for c in self._block(ijk, shape, axis)
+                    ):
+                        shape[axis] += 1
+                free.difference_update(self._block(ijk, shape))
                 out.append(Patch(level, ijk, tuple(shape)))
         return out
 
-    def _next_slab(
-        self, ijk: tuple[int, ...], shape: list[int], axis: int
-    ) -> list[tuple[int, ...]]:
-        """Cells in the next one-cell layer growing ``shape`` along ``axis``."""
-        ranges: list[Any] = [
-            range(ijk[a], ijk[a] + shape[a]) for a in range(self.ndim)
-        ]
-        ranges[axis] = (ijk[axis] + shape[axis],)
-        return list(itertools.product(*ranges))
+    @staticmethod
+    def _block(ijk: tuple, shape: list, axis: int | None = None) -> Iterable[tuple[int, ...]]:
+        """The brick's cells, or those of its next layer along ``axis``."""
+        ranges: list[Any] = [range(c, c + s) for c, s in zip(ijk, shape)]
+        if axis is not None:
+            ranges[axis] = (ijk[axis] + shape[axis],)
+        return itertools.product(*ranges)
 
-    def _touch_matrix(self, leaves: list[Patch] | tuple[Patch, ...]) -> np.ndarray:
-        """(n, n) bool: leaves share at least a corner (exact integers)."""
-        spans = np.array([self._span(p) for p in leaves], dtype=np.int64)
-        touch = np.ones((len(leaves), len(leaves)), dtype=bool)
-        for lo, hi in spans.transpose(2, 1, 0):  # one (n, n) test per axis
-            touch &= (lo[:, None] <= hi) & (lo <= hi[:, None])
+    def _touch_matrix(
+        self, leaves: Sequence[Patch], others: Sequence[Patch] | None = None
+    ) -> np.ndarray:
+        """(n, m) bool: ``leaves`` share at least a corner with ``others``
+        (default: with each other), in exact integers."""
+        alo, ahi = self._spans(leaves)
+        blo, bhi = (alo, ahi) if others is None else self._spans(others)
+        touch = np.ones((len(alo), len(blo)), dtype=bool)
+        for d in range(self.ndim):  # one (n, m) test per axis
+            touch &= (alo[:, d, None] <= bhi[:, d]) & (blo[:, d] <= ahi[:, d, None])
         return touch
 
     def _grading_violations(self, leaves: list[Patch]) -> set[int]:
+        # Only leaves at max_level - 2 or coarser split, next to level >= 2.
         levels = np.array([p.level for p in leaves], dtype=np.int64)
-        touch = self._touch_matrix(leaves)
-        viol = np.any(touch & (levels[None, :] >= levels[:, None] + 2), axis=1)
-        return {int(i) for i in np.nonzero(viol)[0]}
+        a = np.nonzero(levels <= self.max_level - 2)[0]
+        b = np.nonzero(levels >= 2)[0]
+        touch = self._touch_matrix([leaves[i] for i in a], [leaves[j] for j in b])
+        viol = np.any(touch & (levels[b] >= levels[a, None] + 2), axis=1)
+        return set(a[viol].tolist())
 
     # ------------------------------------------------------------------
     # adjacency / donors
 
-    def adjacency(
-        self, leaves: tuple[Patch, ...]
-    ) -> set[tuple[int, int]]:
+    def adjacency(self, leaves: Sequence[Patch]) -> set[tuple[int, int]]:
         """Undirected overlap edges between leaves as index pairs (i < j)."""
-        if not leaves:
-            return set()
         touch = self._touch_matrix(leaves)
         a, b = np.nonzero(np.triu(touch, k=1))
         return {(int(i), int(j)) for i, j in zip(a, b)}
@@ -299,6 +279,10 @@ class PatchSystem:
         so candidate donors are exactly the adjacent leaves.  Fringe
         points on the outer lattice boundary have no donor and are
         free-stream, not orphans.
+
+        A patch's donors depend only on it and its neighbours in index
+        order: one the last call saw with the same neighbours reuses that
+        call's list (only the last call's are kept, never pickled).
         """
         if edges is None:
             edges = self.adjacency(leaves)
@@ -306,47 +290,57 @@ class PatchSystem:
         for a, b in sorted(edges):
             neighbors[a].append(b)
             neighbors[b].append(a)
-        eps = 1e-9 * self.base_extent
-        boxes = [self.patch_box(p).inflated(eps) for p in leaves]
+        boxes = [self.patch_box(p).inflated(1e-9 * self.base_extent) for p in leaves]
+        cache: dict[tuple, list[tuple[int, int]]] = {}
         weights: dict[tuple[int, int], int] = {}
         for i, p in enumerate(leaves):
-            pts = fringe_points(self.patch_grid(p))
-            best = finest_containing(pts, leaves, boxes, neighbors[i])
-            for j in np.unique(best[best >= 0]):
-                weights[(i, int(j))] = int(np.sum(best == j))
+            near = neighbors[i]
+            key = (p, tuple(leaves[j] for j in near))
+            donors = self._donors.get(key)
+            if donors is None:
+                pts = fringe_points(self.patch_grid(p))
+                best = finest_containing(pts, leaves, boxes, near)
+                js, counts = np.unique(best[best >= 0], return_counts=True)
+                donors = [(near.index(j), n) for j, n in zip(js.tolist(), counts.tolist())]
+            cache[key] = donors
+            for k, n in donors:
+                weights[(i, near[k])] = n
+        self._donors = cache
         return weights
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {k: v for k, v in self.__dict__.items() if k != "_donors"}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state, _donors={})
 
 
 def fringe_points(grid: CartesianGrid) -> np.ndarray:
     """Boundary node coordinates of a patch grid, shape (n, ndim)."""
-    ndim = grid.ndim
-    coords = grid.coordinates().reshape(-1, ndim)
-    axes = [np.arange(d) for d in grid.dims]
-    idx = np.stack(
-        np.meshgrid(*axes, indexing="ij"), axis=-1
-    ).reshape(-1, ndim)
-    last = np.asarray(grid.dims) - 1
-    on_face = np.any((idx == 0) | (idx == last), axis=-1)
-    return coords[on_face]
+    on_face = np.zeros(grid.dims, dtype=bool)
+    for a in range(grid.ndim):
+        on_face[(slice(None),) * a + ([0, -1],)] = True
+    return grid.coordinates()[on_face]
 
 
 def finest_containing(
-    pts: np.ndarray,
-    patches: Sequence[Patch],
-    boxes: Sequence[AABB],
-    candidates: Iterable[int],
+    pts: np.ndarray, patches: Sequence[Patch], boxes: Sequence[AABB], candidates: Iterable[int]
 ) -> np.ndarray:
     """Per point, the index of its donor patch among ``candidates``.
 
     The donor is the *finest* patch whose ``boxes`` entry contains the
-    point, the lowest index on level ties; -1 where none does.
+    point, the lowest index on level ties; -1 where none does.  One
+    comparison against the stacked boxes picks, per point, the last
+    containing candidate in ascending ``(level, -index)`` order.
     """
-    best = np.full(len(pts), -1, dtype=np.int64)
-    # Ascending (level, -index): later writes win, so each point ends
-    # at the finest containing patch, smallest index on ties.
-    for j in sorted(candidates, key=lambda j: (patches[j].level, -j)):
-        best[boxes[j].contains(pts)] = j
-    return best
+    order = sorted(candidates, key=lambda j: (patches[j].level, -j))
+    if not order:
+        return np.full(len(pts), -1, dtype=np.int64)
+    lo = np.array([boxes[j].lo for j in order])
+    hi = np.array([boxes[j].hi for j in order])
+    inside = np.all((pts[:, None] >= lo) & (pts[:, None] <= hi), axis=2)
+    last = len(order) - 1 - np.argmax(inside[:, ::-1], axis=1)
+    return np.where(inside.any(axis=1), np.array(order)[last], -1)
 
 
 def gradient_boxes(

@@ -8,12 +8,14 @@ Spawns real node daemons on loopback, so the module rides behind the
 from __future__ import annotations
 
 import sys
+import time
 import types
 
 import numpy as np
 import pytest
 
 from repro.backend import BACKENDS, BackendResult, get_backend
+from repro.backend.proc import ABORT_GRACE
 from repro.cluster import ClusterBackend, ClusterProtocolError, cluster_available
 from repro.machine import sp2
 
@@ -140,11 +142,16 @@ def test_program_unknown_to_the_node_is_a_refused_launch(engine):
         vars(mod),
     )
     sys.modules[mod.__name__] = mod
+    engine.run_spmd(sp2(nodes=NRANKS), prog_ring)  # the pool is up
+    t0 = time.monotonic()
     try:
         with pytest.raises(ClusterProtocolError, match="refused launch"):
             engine.run_spmd(sp2(nodes=NRANKS), mod.prog)
     finally:
         del sys.modules[mod.__name__]
+    # Every node refused, and a refusal is its node's ack: the head
+    # does not sit out the abort ladder waiting for one.
+    assert time.monotonic() - t0 < ABORT_GRACE
     # The refusal leaves the pool able to run the next chunk.
     ok = engine.run_spmd(sp2(nodes=NRANKS), prog_ring)
     assert len(ok.returns) == NRANKS

@@ -15,7 +15,10 @@ for the walk's closed-form finish of a walk that repeats a state
 (folded grids make walks cycle until the step cap), and for the padded
 corner-box certificate that lets the last-resort probe skip blocks no
 row can hit (a soundness property over single cells, plus searches that
-skip blocks and hit in the same call).
+skip blocks and hit in the same call), and for the search being
+row-wise: a row's five arrays do not depend on which other rows share
+its batch, copies of it included, which lets the off-body step search
+each distinct fringe point once.
 It runs in the ordinary ``tests`` CI matrix, which is where a numpy
 whose reduction order differs would show.
 """
@@ -350,3 +353,106 @@ def test_single_point_batches_match_reference(ndim):
     xyz = wavy((9,) * ndim, 0.2, 0.8, 0.08, rng)
     for pt in rng.uniform(-1.0, 9.0, (24, ndim)):
         assert_same(donor_search(xyz, pt), reference_search(xyz, pt[None]), "n=1")
+
+
+
+def instrumented_search(*args, **kw):
+    """``donor_search`` with its probe blocks recorded as
+    :func:`probed_search` does, plus ``(rows, found)`` of each
+    opposite-edge retry (the kernel calling itself by module name)."""
+    retries = []
+    search = donorsearch.donor_search
+
+    def retry(*a, **k):
+        res = search(*a, **k)
+        retries.append((len(res.found), int(res.found.sum())))
+        return res
+
+    with mock.patch.object(donorsearch, "donor_search", retry):
+        res, blocks = probed_search(*args, **kw)
+    return res, blocks, retries
+
+
+def check_rows_independent(dims, amp, freq, jitter, n, seed, kind):
+    """A batch of distinct rows, then the same rows shuffled with one to
+    three copies each.  In every mode — cold and warm full-grid searches
+    (which reach the retry and the probe) and cold and warm windowed
+    ones — each copy's five arrays are its distinct row's, byte for
+    byte.  Returns the duplicated batches' retried rows, retry hits,
+    probe blocks that ran and probe hits."""
+    rng = np.random.default_rng(seed)
+    ndim = len(dims)
+    if kind == "seam":
+        xyz = seam(dims, jitter, rng)
+    else:
+        xyz = (fold if kind == "fold" else wavy)(dims, amp, freq, jitter, rng)
+    lo_x = xyz.reshape(-1, ndim).min(axis=0)
+    hi_x = xyz.reshape(-1, ndim).max(axis=0)
+    pad = np.where(rng.random((n, 1)) < 0.5, 0.0, 0.1 * (hi_x - lo_x) + 0.4)
+    pts = np.unique(rng.uniform(lo_x - pad, hi_x + pad, (n, ndim)), axis=0)
+    copies = np.repeat(np.arange(len(pts)), rng.integers(1, 4, len(pts)))
+    src = rng.permutation(copies)
+    # Warm hints: cold donors knocked off by up to two cells, some rows
+    # without one (negative => seeded cold).
+    warm = donor_search(xyz, pts).cells + rng.integers(-2, 3, pts.shape)
+    warm[rng.random(len(pts)) < 0.3] = -1
+    max_cell = np.array(xyz.shape[:-1]) - 2
+    lo = rng.integers(0, max_cell + 1)
+    window = {"cell_lo": lo, "cell_hi": rng.integers(lo, max_cell + 1)}
+    counts = np.zeros(4, dtype=int)
+    for hints in (None, warm):
+        for kw in ({}, window):
+            one = donor_search(xyz, pts, hints, **kw)
+            res, blocks, retries = instrumented_search(
+                xyz, pts[src], None if hints is None else hints[src], **kw
+            )
+            for f in FIELDS:
+                a, b = getattr(res, f), getattr(one, f)[src]
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (kw, f)
+            counts += (
+                sum(rows for rows, _ in retries),
+                sum(hit for _, hit in retries),
+                sum(ran for _, ran in blocks),
+                probe_counts(res, blocks)[1],
+            )
+    return counts
+
+
+def test_fixed_seeds_rows_are_independent():
+    """The row-independence check below with pinned draws, guarded
+    against going vacuous: retries and probe hits must happen in the
+    duplicated batches."""
+    rng = np.random.default_rng(36)
+    totals = np.zeros(4, dtype=int)
+    for seed in range(8):
+        ndim = 2 if seed % 2 else 3
+        totals += check_rows_independent(
+            tuple(int(d) for d in rng.integers(3, 12, ndim)),
+            amp=rng.uniform(0.0, 0.3),
+            freq=rng.uniform(0.3, 1.5),
+            jitter=rng.uniform(0.0, 0.12),
+            n=int(rng.integers(1, 120)),
+            seed=seed,
+            kind=("wavy", "seam", "fold", "wavy")[seed % 4],
+        )
+    retried, retry_hits, probes_ran, probe_hits = totals
+    assert retried > 10 and retry_hits > 0 and probes_ran > 0 and probe_hits > 0
+
+
+# Row independence is what lets the off-body step search each distinct
+# fringe point once and scatter the answer to its copies.  Tier-1 draws
+# 8 grids; the nightly profile ten times as many.
+@settings(deadline=None, max_examples=settings.default.max_examples // 12)
+@given(
+    dims=st.lists(st.integers(3, 11), min_size=2, max_size=3).map(tuple),
+    amp=st.floats(0.0, 0.3),
+    freq=st.floats(0.3, 1.5),
+    jitter=st.floats(0.0, 0.12),
+    n=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["wavy", "seam", "fold"]),
+)
+def test_duplicated_rows_get_their_distinct_rows_answer(
+    dims, amp, freq, jitter, n, seed, kind
+):
+    check_rows_independent(dims, amp, freq, jitter, n, seed, kind)

@@ -14,7 +14,7 @@ import pytest
 from repro.grids.bbox import AABB
 from repro.offbody import OffBodyManager, Patch, PatchSystem, gradient_boxes
 from repro.offbody.patches import fringe_points
-from tests.offbody._reference_patches import touches
+from tests.offbody._reference_patches import span, touches
 
 DOMAIN = AABB((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))
 BODY = AABB((0.8, 0.8, 0.8), (1.2, 1.2, 1.2))
@@ -28,7 +28,7 @@ def make_system(**kw):
 
 def finest_spans(system, patches):
     """(lo, hi) integer spans of each patch in finest-level cell units."""
-    return [system._span(p) for p in patches]
+    return [span(system, p) for p in patches]
 
 
 def assert_tiles_lattice(system, patches):

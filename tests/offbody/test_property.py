@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.grids.bbox import AABB  # noqa: E402
 from repro.offbody import PatchSystem  # noqa: E402
 from repro.partition import group_grids, round_robin_grids  # noqa: E402
-from tests.offbody._reference_patches import touches  # noqa: E402
+from tests.offbody._reference_patches import span, touches  # noqa: E402
 
 DOMAIN = AABB((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))
 
@@ -40,7 +40,7 @@ systems = st.builds(
 
 def finest_cells(system, p):
     n = 1
-    for a, b in zip(*system._span(p)):
+    for a, b in zip(*span(system, p)):
         n *= b - a
     return n
 
@@ -77,7 +77,7 @@ class TestGenerationInvariants:
         for n in system.ncells0:
             total *= n * (1 << system.max_level)
         assert sum(finest_cells(system, p) for p in patches) == total
-        spans = [system._span(p) for p in patches]
+        spans = [span(system, p) for p in patches]
         for i in range(len(spans)):
             for j in range(i + 1, len(spans)):
                 (alo, ahi), (blo, bhi) = spans[i], spans[j]
@@ -96,6 +96,14 @@ class TestGenerationInvariants:
         assert touch.dtype == bool and touch.shape == (len(patches),) * 2
         assert touch.tolist() == [
             [touches(system, p, q) for q in patches] for p in patches
+        ]
+        rows, cols = patches[::2], patches[1::3]
+        assert system._touch_matrix(rows, cols).tolist() == [
+            [touches(system, p, q) for q in cols] for p in rows
+        ]
+        lo, hi = system._spans(patches)
+        assert [span(system, p) for p in patches] == [
+            (tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())
         ]
 
     @settings(max_examples=15, deadline=None)
