@@ -95,7 +95,7 @@ class CommOp:
     for a raw primitive, the yielded tuple (element 0 is the op name).
     """
 
-    kind: str  # "send" | "recv" | "probe" | "both"
+    kind: str  # "send" | "recv" | "probe"
     blocking: bool
     tag: int | None = None
     src: int | None = None  # receive side only
@@ -112,20 +112,17 @@ _WAITANY = CommOp("probe", True, patterns=0)
 
 #: ``yield from comm.<op>(...)`` calls, by attribute name.  ``waitany``
 #: is one blocking probe per ``(src, tag)`` pattern spelled out at the
-#: call; ``sendrecv`` is both sides.
+#: call.
 COMM_OPS: dict[str, CommOp] = {
     "send": _SEND,
     "_send": _SEND,
-    "isend": _SEND,
     "recv": _RECV,
     "_recv": _RECV,
-    "irecv": _NB_RECV,
     "drain_recv": _NB_RECV,
     "_drain": _POLL,
     "_tryrecv": _POLL,
     "iprobe": _IPROBE,
     "_iprobe": _IPROBE,
-    "sendrecv": CommOp("both", True, tag=2, src=1),
     "waitany": _WAITANY,
     "_waitany": _WAITANY,
 }
@@ -149,7 +146,6 @@ COLLECTIVE_OPS = frozenset(
         "allgather",
         "reduce",
         "allreduce",
-        "alltoall",
         "detect_failures",
     }
 )
@@ -162,7 +158,7 @@ class CommSite:
     func: "FunctionInfo"
     node: ast.AST  # the ``yield from`` / ``yield`` expression
     op: str  # "send", "recv", "bcast", ... (attr name or raw primitive)
-    kind: str  # "send" | "recv" | "probe" | "both" | "collective"
+    kind: str  # "send" | "recv" | "probe" | "collective"
     blocking: bool
     comm_expr: str  # receiver expression text ("comm", "self", "sub")
     call: ast.Call | None = None  # ``None`` for a raw primitive
@@ -240,7 +236,7 @@ class CommSummary:
         return [
             s
             for s in self.sites
-            if not s.raw and s.kind in ("send", "recv", "probe", "both")
+            if not s.raw and s.kind != "collective"
         ]
 
     def collectives(self) -> list[CommSite]:

@@ -177,12 +177,12 @@ class UnmatchedTag(Rule):
         wildcard_tag_recv = False
         for site in program.summary.p2p():
             key = _tag_key(site, max_user)
-            if site.kind in ("recv", "probe", "both"):
+            if site.kind in ("recv", "probe"):
                 if site.tag is not None and site.tag.wildcard:
                     wildcard_tag_recv = True
                 if key is not None:
                     recvs.setdefault(key, []).append(site)
-            if site.kind in ("send", "both") and key is not None:
+            if site.kind == "send" and key is not None:
                 sends.setdefault(key, []).append(site)
 
         def symbolic_names(table: dict[object, list[CommSite]]) -> set[str]:

@@ -329,7 +329,7 @@ class UnorderedSendLoop(Rule):
 
     def check_file(self, mod: ModuleInfo) -> Iterator[Finding]:
         send_nodes = {
-            id(s.node) for s in mod.comm_sites if s.kind in ("send", "both")
+            id(s.node) for s in mod.comm_sites if s.kind == "send"
         }
         for node in ast.walk(mod.tree):
             if not isinstance(node, (ast.For, ast.AsyncFor)):
@@ -480,7 +480,7 @@ class WildcardBlockingRecv(Rule):
         "to exercise the matching machinery itself."
     )
 
-    _ARRIVAL_ORDERED = {"recv", "irecv"}
+    _ARRIVAL_ORDERED = {"recv"}
 
     def applies(self, mod: ModuleInfo) -> bool:
         return not mod.in_tests and not mod.is_tag_module

@@ -32,7 +32,7 @@ Checks (finding ``kind`` strings):
 ``collective-mismatch``
     Ranks of one communicator executed different collective sequences
     (different op, root, count — or, for element-wise collectives like
-    reduce/allreduce/alltoall, different payload size/shape/dtype
+    reduce/allreduce, different payload size/shape/dtype
     signatures) — the classic source of collective deadlock or silent
     corruption on a real machine.  Size-varying collectives (gatherv-
     style gathers, root-only bcast payloads) are exempt from the
@@ -89,8 +89,8 @@ def payload_signature(value: Any) -> tuple:
 
     * numpy arrays (anything with ``shape``/``dtype``) ->
       ``("ndarray", shape, dtype_str)``;
-    * sequences -> ``("seq", length)`` — alltoall needs one payload
-      slot per rank, element-wise folds over lists need equal lengths;
+    * sequences -> ``("seq", length)`` — element-wise folds over lists
+      need equal lengths;
     * ``bytes`` -> ``("bytes", length)``;
     * everything else -> ``("py", type_name)`` — a rank folding floats
       against a rank folding dicts is a bug even though Python's ``+``
@@ -445,8 +445,8 @@ class Sanitizer:
         on communicator ``comm_id`` (``"world"`` or group tuple).
 
         ``has_payload=True`` marks collectives whose contribution must
-        agree across ranks (reduce/allreduce element-wise folds,
-        alltoall's one-payload-per-rank list); ``payload`` is then
+        agree across ranks (reduce/allreduce element-wise folds);
+        ``payload`` is then
         summarised by :func:`payload_signature` and compared as part of
         the per-rank sequence.  Size-varying collectives (gather of
         per-rank work, root-only bcast payloads) pass

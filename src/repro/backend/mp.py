@@ -7,13 +7,15 @@ the drivers build) and interprets the very same primitive tuples the
 simulator's scheduler dispatches, against real transport:
 
 * **pickle-over-pipe point-to-point** — one OS pipe per destination
-  rank, shared by all senders behind a per-destination lock.  Frames
-  are capped: any payload whose serialised form reaches
-  ``shm_threshold`` bytes moves through POSIX shared memory instead
-  (``numpy`` arrays are copied raw, no pickling; everything else ships
-  its pickle through a segment).  Keeping every pipe frame small means
-  blocking writes cannot wedge the eager-send model the programs
-  assume.
+  rank, shared by all senders behind a per-destination lock.  A frame
+  is one pickle of ``(src, tag, seq, nbytes, payload)`` and is capped
+  at :data:`SHM_THRESHOLD` bytes: shared memory hides inside pickling.
+  A bare ``numpy`` array that large is copied raw into a POSIX
+  shared-memory segment and pickles as a reference to it; a frame still
+  that large after the dump is staged whole and the pipe carries a
+  pickled reference to it.  Loading a reference takes (copies out and
+  unlinks) its segment.  Keeping every pipe frame small means blocking
+  writes cannot wedge the eager-send model the programs assume.
 * **mailbox semantics reused verbatim** — incoming frames are deposited
   into the same :class:`repro.machine.event.Mailbox` the simulator
   uses, with sender-assigned sequence numbers, so tag matching,
@@ -90,6 +92,8 @@ __all__ = [
     "RankWorkers",
     "ChunkOutcome",
     "CTRL_TAG",
+    "SHM_THRESHOLD",
+    "SLEEP_CAP",
     "check_measured_run",
     "mp_available",
     "restage_frame",
@@ -102,9 +106,13 @@ __all__ = [
 #: expected is detectable by tag alone.
 CTRL_TAG = 200_000_000_000
 
-_FRAME_INLINE = 0      # payload pickled inline in the pipe frame
-_FRAME_SHM_ARRAY = 1   # contiguous ndarray copied raw into shared memory
-_FRAME_SHM_PICKLE = 2  # oversized pickle staged through shared memory
+#: Arrays and frames at or above this many bytes travel through POSIX
+#: shared memory instead of the pipe: half a Linux pipe buffer, so a
+#: frame can never fill a pipe alone.
+SHM_THRESHOLD = 32 * 1024
+
+#: Upper bound actually slept for one modeled ``elapse`` pause.
+SLEEP_CAP = 0.005
 
 _INF = math.inf
 _run_counter = itertools.count()
@@ -178,20 +186,34 @@ def _sweep(runid: str) -> None:
             pass
 
 
+class _Staged:
+    """Pickles as ``load(*args)``: a reference to a staged segment,
+    whose load takes the segment (so each is loaded at most once)."""
+
+    def __init__(self, load: Callable[..., Any], *args: Any) -> None:
+        self._reduce = (load, args)
+
+    def __reduce__(self) -> tuple:
+        return self._reduce
+
+
+def _take_array(name: str, shape: tuple, dtype: str) -> np.ndarray:
+    dt = np.dtype(dtype)
+    raw = take(name, math.prod(shape) * dt.itemsize)
+    return np.frombuffer(raw, dtype=dt).reshape(shape)
+
+
+def _take_frame(name: str, size: int) -> Any:
+    return pickle.loads(take(name, size))
+
+
 def restage_frame(frame: bytes, runid: str, key: str) -> bytes:
-    """Move an inline frame's body into shared memory (``frame`` itself
-    if it is already staged): how a daemon keeps its inbox pipe writes
-    small for frames that crossed hosts inline."""
-    try:
-        src, tag, seq, nbytes, (kind, data) = pickle.loads(frame)
-    except Exception:  # pragma: no cover - forward verbatim
-        return frame
-    if kind != _FRAME_INLINE:
-        return frame
-    body = (_FRAME_SHM_PICKLE, (stage(runid, key, data), len(data)))
-    return pickle.dumps(
-        (src, tag, seq, nbytes, body), protocol=pickle.HIGHEST_PROTOCOL
-    )
+    """Stage opaque ``frame`` bytes whole in shared memory and return
+    the short pickle whose load takes the segment and unpickles it: how
+    an oversized frame stays off a pipe, in a worker and in a node
+    daemon alike (the daemon never opens a frame)."""
+    ref = _Staged(_take_frame, stage(runid, key, frame), len(frame))
+    return pickle.dumps(ref, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class _Abort(Exception):
@@ -212,7 +234,7 @@ class _Engine:
     only): those frames are handed to the node daemon over ``uplink``
     instead of a local inbox, and never stage through shared memory
     (segments do not cross hosts — the bytes travel inline and the
-    receiving daemon re-stages oversized ones locally).
+    receiving daemon restages oversized ones locally, unopened).
     """
 
     def __init__(
@@ -225,8 +247,6 @@ class _Engine:
         ctrl: Any,
         *,
         runid: str,
-        shm_threshold: int,
-        sleep_cap: float,
         metrics: RankMetrics,
         trace: bool,
         uplink: Any = None,
@@ -239,8 +259,6 @@ class _Engine:
         self.ctrl = ctrl
         self.uplink = uplink
         self.runid = runid
-        self.shm_threshold = shm_threshold
-        self.sleep_cap = sleep_cap
         self.metrics = metrics
         self.mailbox = Mailbox()
         self.phase = "default"
@@ -279,28 +297,26 @@ class _Engine:
     def _encode(
         self, tag: int, payload: Any, nbytes: int, shm_ok: bool = True
     ) -> bytes:
+        """One frame: a single pickle, or with ``shm_ok`` (the
+        destination shares this host) at most one staged segment."""
         self._seq += 1
         seq = self._seq
         key = f"{self.rank}_{seq}"
         if (
             shm_ok
             and isinstance(payload, np.ndarray)
-            and payload.nbytes >= self.shm_threshold
+            and payload.nbytes >= SHM_THRESHOLD
         ):
             arr = np.ascontiguousarray(payload)
             name = stage(self.runid, key, arr.reshape(-1).view(np.uint8))
-            body = (_FRAME_SHM_ARRAY, (name, arr.shape, arr.dtype.str))
-        else:
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            if shm_ok and len(blob) >= self.shm_threshold:
-                name = stage(self.runid, key, blob)
-                body = (_FRAME_SHM_PICKLE, (name, len(blob)))
-            else:
-                body = (_FRAME_INLINE, blob)
-        return pickle.dumps(
-            (self.rank, tag, seq, nbytes, body),
+            payload = _Staged(_take_array, name, arr.shape, arr.dtype.str)
+        frame = pickle.dumps(
+            (self.rank, tag, seq, nbytes, payload),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
+        if shm_ok and len(frame) >= SHM_THRESHOLD:
+            frame = restage_frame(frame, self.runid, key)
+        return frame
 
     def _transmit(self, dst: int, frame: bytes) -> None:
         """Deliver one encoded frame to another rank's inbox — the one
@@ -316,18 +332,7 @@ class _Engine:
             self.writers[dst].send_bytes(frame)
 
     def _deposit(self, frame: bytes) -> None:
-        src, tag, seq, nbytes, (kind, data) = pickle.loads(frame)
-        if kind == _FRAME_INLINE:
-            payload = pickle.loads(data)
-        elif kind == _FRAME_SHM_ARRAY:
-            name, shape, dtype = data
-            dt = np.dtype(dtype)
-            raw = take(name, math.prod(shape) * dt.itemsize)
-            payload = np.frombuffer(raw, dtype=dt).reshape(shape)
-        elif kind == _FRAME_SHM_PICKLE:
-            payload = pickle.loads(take(*data))
-        else:  # pragma: no cover - framing bug guard
-            raise RuntimeError(f"unknown frame kind {kind!r}")
+        src, tag, seq, nbytes, payload = pickle.loads(frame)
         self._arrival += 1
         self.mailbox.deposit(
             Message(
@@ -417,7 +422,7 @@ class _Engine:
                 # must really pause or polling loops spin hot.  Capped
                 # so modeled virtual seconds can never stall the host.
                 t0 = self.wall()
-                time.sleep(min(dt, self.sleep_cap))
+                time.sleep(min(dt, SLEEP_CAP))
                 self._charge("compute", t0, self.wall())
             return None
         if kind == "inject":
@@ -582,8 +587,6 @@ class RankWorkers:
         runid: str,
         metrics: Any,
         trace: bool,
-        shm_threshold: int,
-        sleep_cap: float,
         worker_init: Callable[[], None] | None = None,
     ) -> None:
         ctx = get_context("fork")
@@ -612,8 +615,6 @@ class RankWorkers:
                     ),
                     dict(
                         runid=runid,
-                        shm_threshold=shm_threshold,
-                        sleep_cap=sleep_cap,
                         metrics=metrics[r],
                         trace=trace,
                         uplink=uplink_w.get(r),
@@ -811,17 +812,11 @@ class MpBackend(ExecutionBackend):
 
     Parameters
     ----------
-    shm_threshold:
-        Serialized payloads at or above this many bytes travel through
-        POSIX shared memory instead of the pipe (default 32 KiB — half
-        a Linux pipe buffer, so a frame can never fill a pipe alone).
     timeout:
         Wall-clock supervision limit for the whole run, in seconds.
         Exceeding it aborts the workers and raises
         :class:`repro.machine.faults.RankFailure` naming the
         unfinished ranks.  ``None`` disables the limit.
-    sleep_cap:
-        Upper bound actually slept for one modeled ``elapse`` pause.
 
     Unsupported features — requesting them raises ``ValueError``: the
     sanitizer shadow layer and fault injection both require the
@@ -831,18 +826,11 @@ class MpBackend(ExecutionBackend):
     name = "mp"
     measured = True
 
-    def __init__(
-        self,
-        shm_threshold: int = 32 * 1024,
-        timeout: float | None = 120.0,
-        sleep_cap: float = 0.005,
-    ) -> None:
+    def __init__(self, timeout: float | None = 120.0) -> None:
         reason = mp_available()
         if reason is not None:
             raise BackendUnavailable(f"backend 'mp' unavailable: {reason}")
-        self.shm_threshold = int(shm_threshold)
         self.timeout = timeout
-        self.sleep_cap = float(sleep_cap)
 
     def run(
         self,
@@ -865,8 +853,6 @@ class MpBackend(ExecutionBackend):
             runid=f"repro_mp_{os.getpid()}_{next(_run_counter)}",
             metrics=rows,
             trace=trace_enabled,
-            shm_threshold=self.shm_threshold,
-            sleep_cap=self.sleep_cap,
         )
         deadline = None if self.timeout is None else t_start + self.timeout
         try:

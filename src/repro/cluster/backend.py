@@ -66,9 +66,9 @@ class ClusterBackend(ExecutionBackend):
         first use — the two-node localhost topology the docs and CI
         smoke job use.  To bring the nodes yourself, build a
         ``ClusterSupervisor(..., spawn=False)`` and :meth:`attach` it.
-    shm_threshold / timeout / sleep_cap:
-        Same worker-level knobs as the mp backend, applied on every
-        node.
+    timeout:
+        Wall-clock supervision limit for the whole run, as for the mp
+        backend.
     hb_timeout:
         The silence span after which a node of the spawned pool is
         declared dead (driving elastic :class:`RankFailure`); nodes
@@ -87,9 +87,7 @@ class ClusterBackend(ExecutionBackend):
         self,
         nnodes: int = 2,
         *,
-        shm_threshold: int = 32 * 1024,
         timeout: float | None = 120.0,
-        sleep_cap: float = 0.005,
         hb_timeout: float = HB_TIMEOUT,
     ) -> None:
         reason = cluster_available()
@@ -98,9 +96,7 @@ class ClusterBackend(ExecutionBackend):
                 f"backend 'cluster' unavailable: {reason}"
             )
         self.nnodes = int(nnodes)
-        self.shm_threshold = int(shm_threshold)
         self.timeout = timeout
-        self.sleep_cap = float(sleep_cap)
         self.hb_timeout = float(hb_timeout)
         self._sup: ClusterSupervisor | None = None
 
@@ -184,10 +180,6 @@ class ClusterBackend(ExecutionBackend):
             program_blobs=blobs,
             program_of_rank=program_of_rank,
             config_sha=blobs_sha(blobs),
-            options={
-                "shm_threshold": self.shm_threshold,
-                "sleep_cap": self.sleep_cap,
-            },
             metrics=rows,
             tracer=tracer if trace_enabled else None,
             timeout=self.timeout,

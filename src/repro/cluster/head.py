@@ -241,7 +241,6 @@ class ClusterSupervisor:
         program_blobs: list[bytes],
         program_of_rank: list[int],
         config_sha: str,
-        options: dict[str, Any],
         metrics: list[Any],
         tracer: Any,
         timeout: float | None,
@@ -270,7 +269,6 @@ class ClusterSupervisor:
             "placement": placement.to_wire(),
             "programs": program_blobs,
             "program_of_rank": program_of_rank,
-            "options": options,
             "metrics": metrics,
             "trace": tracer is not None,
         }

@@ -21,9 +21,10 @@ what differs is only where a frame goes:
   worker's *uplink* pipe to the daemon, which wraps it in a data frame
   and sends it to the head; the head routes it to the destination's
   daemon, which deposits it into the destination worker's inbox.
-  Larger frames are re-staged through a local shared-memory segment
-  on arrival so inbox pipe writes stay small (the same no-wedge
-  argument the mp backend makes for its pipes).
+  Larger frames are restaged whole, as opaque bytes, through a local
+  shared-memory segment on arrival so inbox pipe writes stay small (the
+  same no-wedge argument the mp backend makes for its pipes); no daemon
+  ever unpickles a data frame.
 
 Mailbox semantics, sender sequence numbers and the canonical
 ``(src, seq)`` drain order are untouched — physics stays byte-identical
@@ -252,7 +253,6 @@ class NodeDaemon:
             metrics=launch["metrics"],
             trace=bool(launch["trace"]),
             worker_init=_arm_deathwatch,
-            **launch["options"],
         )
         try:
             send_control(sock, {"op": "ready", "runid": runid,
@@ -273,10 +273,10 @@ class NodeDaemon:
         def deposit(dst: int, frame: bytes) -> None:
             """Queue a frame for a local inbox; never blocks.
 
-            Oversized frames are restaged through local shared memory
-            first so each pipe write fits in one atomic ``PIPE_BUF``
-            chunk, then :func:`flush` only writes while ``select``
-            says the pipe can take it.
+            Oversized frames are restaged, unopened, through local
+            shared memory first so each pipe write fits in one atomic
+            ``PIPE_BUF`` chunk, then :func:`flush` only writes while
+            ``select`` says the pipe can take it.
             """
             if writers[dst] is None:
                 return  # stale frame for a rank we no longer host

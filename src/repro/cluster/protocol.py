@@ -56,8 +56,10 @@ __all__ = [
 
 #: Bumped on every incompatible wire change; ``hello``/``welcome``
 #: must agree exactly.  /2: ``launch`` no longer carries ``clocks``
-#: (each rank resumes at its carried row's ``final_clock``).
-CLUSTER_PROTOCOL_VERSION = "repro-cluster/2"
+#: (each rank resumes at its carried row's ``final_clock``).  /3: nor
+#: ``options`` (the worker transport settings are constants), and a
+#: data frame is one pickle, restaged by a daemon without opening it.
+CLUSTER_PROTOCOL_VERSION = "repro-cluster/3"
 
 #: Control (JSON) frames are tiny; a megabyte of headroom means the
 #: cap only ever trips on garbage or abuse (same policy as serve).

@@ -7,7 +7,7 @@ RENAMED_TAG = TAG_ALIASED
 
 def producer(comm):
     yield from comm.send(1, TAG_PAIRED, b"payload")
-    yield from comm.isend(1, RENAMED_TAG, b"more")
+    yield from comm.send(1, RENAMED_TAG, b"more")
 
 
 def consumer(comm):

@@ -7,6 +7,6 @@ TAG_NEAR_LIMIT = 9_999_999
 def exchange(comm):
     yield from comm.send(1, TAG_HALO, b"x")
     data, status = yield from comm.recv(0, TAG_HALO)
-    yield from comm.isend(1, TAG_NEAR_LIMIT, b"y")
+    yield from comm.send(1, TAG_NEAR_LIMIT, b"y")
     more, status = yield from comm.recv(0, TAG_NEAR_LIMIT)
     return data, more

@@ -42,14 +42,14 @@ class TestRPR001RawTagLiteral:
         )
         assert codes(rep) == ["RPR001"]
 
-    def test_literal_tag_keyword_and_sendrecv(self, tmp_path):
+    def test_literal_tag_keyword_and_drain_recv(self, tmp_path):
         rep = run_lint(
             tmp_path,
             "src/app.py",
             """\
             def p(comm):
                 yield from comm.recv(0, tag=3)
-                yield from comm.sendrecv(1, 0, 7, None)
+                yield from comm.drain_recv(1, 7)
             """,
         )
         assert codes(rep) == ["RPR001", "RPR001"]
@@ -509,7 +509,7 @@ class TestRPR008WildcardBlockingRecv:
         )
         assert codes(rep) == ["RPR008"]
 
-    def test_dotted_any_source_and_irecv(self, tmp_path):
+    def test_dotted_any_source_keyword(self, tmp_path):
         rep = run_lint(
             tmp_path,
             "src/app.py",
@@ -517,13 +517,13 @@ class TestRPR008WildcardBlockingRecv:
             from repro.machine import event
 
             def p(comm, TAG_X):
-                req = yield from comm.irecv(src=event.ANY_SOURCE, tag=TAG_X)
+                msg = yield from comm.recv(src=event.ANY_SOURCE, tag=TAG_X)
             """,
         )
         assert codes(rep) == ["RPR008"]
 
     def test_omitted_src_is_a_wildcard(self, tmp_path):
-        # recv/irecv default src to ANY_SOURCE: leaving it out is the
+        # recv defaults src to ANY_SOURCE: leaving it out is the
         # same wildcard receive as spelling it (missed before the rule
         # read CommSite.src_wildcard).
         rep = run_lint(
@@ -532,7 +532,7 @@ class TestRPR008WildcardBlockingRecv:
             """\
             def p(comm, TAG_X):
                 msg = yield from comm.recv(tag=TAG_X)
-                req = yield from comm.irecv()
+                req = yield from comm.recv()
                 got = yield from comm.recv(0, TAG_X)
             """,
         )

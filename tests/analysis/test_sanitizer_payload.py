@@ -2,7 +2,7 @@
 
 The sanitizer compares per-rank collective *sequences*; these tests pin
 the extension of each sequence entry with an O(1) payload signature for
-element-wise collectives (reduce/allreduce/alltoall), while
+element-wise collectives (reduce/allreduce), while
 size-varying collectives (gather, bcast) stay exempt.
 """
 

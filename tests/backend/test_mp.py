@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.backend import BackendResult, get_backend
+from repro.backend import mp as mp_module
 from repro.backend.mp import mp_available
 from repro.machine import sp2
 from repro.machine.faults import RankFailure
@@ -41,9 +42,9 @@ def _machine():
     return sp2(nodes=NRANKS)
 
 
-def _both(program, nranks=NRANKS, **mp_options):
+def _both(program, nranks=NRANKS):
     sim = get_backend("sim").run_spmd(sp2(nodes=nranks), program)
-    mp = get_backend("mp", **mp_options).run_spmd(
+    mp = get_backend("mp").run_spmd(
         sp2(nodes=nranks), program
     )
     assert isinstance(mp, BackendResult)
@@ -64,7 +65,7 @@ def test_ring_exchange_identical():
     assert mp.returns == sim.returns
 
 
-def test_large_ndarray_via_shared_memory():
+def test_large_ndarray_via_shared_memory(monkeypatch):
     def program(comm):
         dst = (comm.rank + 1) % comm.size
         src = (comm.rank - 1) % comm.size
@@ -73,10 +74,12 @@ def test_large_ndarray_via_shared_memory():
         msg, _ = yield from comm.recv(src, TAG)
         return (msg.shape, msg.dtype.str, float(msg.sum()))
 
-    # Force the shm path with a tiny threshold, and exercise the
-    # inline path with a huge one; results must agree with sim.
-    sim, mp_shm = _both(program, shm_threshold=1024)
-    _, mp_inline = _both(program, shm_threshold=1 << 30)
+    # The array sits at the threshold, so it takes the shm path; a huge
+    # threshold (inherited by the forked ranks) sends it inline.
+    assert 64 * 64 * 8 >= mp_module.SHM_THRESHOLD
+    sim, mp_shm = _both(program)
+    monkeypatch.setattr(mp_module, "SHM_THRESHOLD", 1 << 30)
+    _, mp_inline = _both(program)
     assert mp_shm.returns == sim.returns
     assert mp_inline.returns == sim.returns
 
@@ -85,12 +88,13 @@ def test_shm_pickle_path_for_large_objects():
     def program(comm):
         dst = (comm.rank + 1) % comm.size
         src = (comm.rank - 1) % comm.size
-        blob = {"rank": comm.rank, "data": list(range(4000))}
-        yield from comm.send(dst, TAG, blob, nbytes=16000)
+        # ~60 KB pickled: the whole frame is staged through a segment.
+        blob = {"rank": comm.rank, "data": list(range(20000))}
+        yield from comm.send(dst, TAG, blob, nbytes=80000)
         msg, _ = yield from comm.recv(src, TAG)
         return (msg["rank"], len(msg["data"]))
 
-    sim, mp = _both(program, shm_threshold=512)
+    sim, mp = _both(program)
     assert mp.returns == sim.returns
 
 

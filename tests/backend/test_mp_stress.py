@@ -1,6 +1,6 @@
 """Concurrency stress for the mp backend's shared-memory fast path.
 
-Payloads above ``shm_threshold`` (32 KiB by default) travel through a
+Payloads at or above ``SHM_THRESHOLD`` (32 KiB) travel through a
 per-message ``SharedMemory`` segment instead of the pickled pipe; this
 battery drives *many simultaneous* over-threshold sends between the
 same rank pair — interleaved tags, both directions at once, mixed
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.backend import get_backend
-from repro.backend.mp import mp_available
+from repro.backend.mp import SHM_THRESHOLD, mp_available
 from repro.machine import sp2
 
 pytestmark = [
@@ -26,17 +26,15 @@ pytestmark = [
     ),
 ]
 
-# 64x64 float64 = 32 KiB: with shm_threshold=1024 every send below is
-# deep in shm territory; nbytes also stamps the payload's identity.
+# 64x64 float64 = 32 KiB: every array sent below is at the shm
+# threshold; nbytes also stamps the payload's identity.
 SIDE = 64
 NMSG = 16
+assert SIDE * SIDE * 8 >= SHM_THRESHOLD
 
 
-def _run(program, nranks=2, **mp_options):
-    mp_options.setdefault("shm_threshold", 1024)
-    return get_backend("mp", **mp_options).run_spmd(
-        sp2(nodes=nranks), program
-    )
+def _run(program, nranks=2):
+    return get_backend("mp").run_spmd(sp2(nodes=nranks), program)
 
 
 def _stamp(rank: int, k: int) -> np.ndarray:
@@ -155,13 +153,14 @@ class TestSameRankPairFlood:
         def program(comm):
             if comm.rank == 0:
                 for k in range(8):
-                    blob = {"k": k, "data": list(range(5000))}
-                    yield from comm.send(1, 3, blob, nbytes=20000)
+                    # ~36 KB pickled: over the threshold.
+                    blob = {"k": k, "data": list(range(12000))}
+                    yield from comm.send(1, 3, blob, nbytes=48000)
                 return 0
             out = []
             for k in range(8):
                 msg, _ = yield from comm.recv(0, 3)
-                assert msg["data"] == list(range(5000))
+                assert msg["data"] == list(range(12000))
                 out.append(msg["k"])
             return out
 

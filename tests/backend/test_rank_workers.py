@@ -18,7 +18,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.backend.mp import ChunkOutcome, RankWorkers, mp_available
+from repro.backend.mp import (
+    SHM_THRESHOLD,
+    ChunkOutcome,
+    RankWorkers,
+    mp_available,
+)
 from repro.backend.proc import wait
 from repro.machine import sp2
 from repro.machine.faults import RankFailure
@@ -34,7 +39,6 @@ pytestmark = [
 ]
 
 TAG = 5
-SHM_THRESHOLD = 1024
 _counter = itertools.count()
 
 
@@ -55,8 +59,6 @@ def _group(programs, pid_dir, trace=False):
         runid=f"repro_test_{os.getpid()}_{next(_counter)}",
         metrics=[RankMetrics(r) for r in range(n)],
         trace=trace,
-        shm_threshold=SHM_THRESHOLD,
-        sleep_cap=0.005,
     )
 
 
@@ -151,7 +153,7 @@ def test_one_event_per_rank_and_the_ending(tmp_path, raiser, reraised, where):
 
 def test_abort_reaps_a_deaf_worker_and_sweeps_in_flight_segments(tmp_path):
     def sender(comm):
-        big = np.arange(SHM_THRESHOLD, dtype=float)  # 8 x the threshold
+        big = np.arange(SHM_THRESHOLD // 8, dtype=float)  # at the threshold
         yield from comm.send(1, TAG, big, nbytes=big.nbytes)
         return comm.rank
 

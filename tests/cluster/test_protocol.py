@@ -160,20 +160,20 @@ def test_handshake_refuses_other_cpython_minor():
 
 
 def test_handshake_refuses_the_previous_protocol_by_name():
-    """A ``repro-cluster/1`` node would read ``launch["clocks"]``, which
-    ``/2`` no longer sends; it is turned away at ``hello`` instead."""
+    """A ``repro-cluster/2`` node would read ``launch["options"]``, which
+    ``/3`` no longer sends; it is turned away at ``hello`` instead."""
     sup = ClusterSupervisor(1, spawn=False, connect_timeout=5.0)
     node = socket.create_connection(sup.addr)
     try:
         send_control(node, {
-            "op": "hello", "protocol": "repro-cluster/1",
+            "op": "hello", "protocol": "repro-cluster/2",
             "python": list(sys.version_info[:3]), "name": "old",
         })
-        with pytest.raises(HandshakeError, match="'repro-cluster/1'"):
+        with pytest.raises(HandshakeError, match="'repro-cluster/2'"):
             sup.start()
         kind, welcome = recv_message(node)
         assert kind == "control" and welcome["ok"] is False
-        assert "repro-cluster/2" in welcome["error"]["message"]
+        assert "repro-cluster/3" in welcome["error"]["message"]
     finally:
         node.close()
         sup.close()
