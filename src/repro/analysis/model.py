@@ -119,12 +119,9 @@ COMM_OPS: dict[str, CommOp] = {
     "recv": _RECV,
     "_recv": _RECV,
     "drain_recv": _NB_RECV,
-    "_drain": _POLL,
     "_tryrecv": _POLL,
     "iprobe": _IPROBE,
-    "_iprobe": _IPROBE,
     "waitany": _WAITANY,
-    "_waitany": _WAITANY,
 }
 
 #: Raw scheduler primitives (``yield ("inject", dst, tag, ...)``).

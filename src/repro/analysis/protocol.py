@@ -330,10 +330,9 @@ class ReservedTagForgery(Rule):
         "used outside the tag-authority modules"
     )
     rationale = (
-        "Everything at or above MAX_USER_TAG is reserved: SubComm "
-        "group translation offsets user tags by multiples of the "
-        "stride, and collectives/heartbeats live above every possible "
-        "offset.  User code that forges a reserved tag can intercept "
+        "Everything at or above MAX_USER_TAG is reserved for "
+        "collective rounds, heartbeats and the failure agreement.  "
+        "User code that forges a reserved tag can intercept "
         "another rank's collective round or heartbeat, corrupting "
         "protocol state in ways the runtime sanitizer only catches on "
         "paths a case actually executes."

@@ -90,10 +90,10 @@ class RawTagLiteral(Rule):
     )
     rationale = (
         "The simulated machine partitions its tag space: user tags live "
-        "below MAX_USER_TAG, sub-communicator offsets and collective "
-        "rounds above it.  A literal tag at a call site cannot be "
-        "audited for collisions with the tag constants of other "
-        "subsystems (DCF search/reply, halo exchange, heartbeat); a "
+        "below MAX_USER_TAG, collective rounds above it.  A literal tag "
+        "at a call site cannot be audited for collisions with the tag "
+        "constants of other subsystems (DCF search/reply, halo "
+        "exchange, heartbeat); a "
         "named module-level TAG_* constant can.  Only the tag-space "
         "authority modules (machine/simmpi.py, machine/event.py) may "
         "handle raw integers."

@@ -26,11 +26,11 @@ Checks (finding ``kind`` strings):
     play, a stray message from subsystem A can satisfy subsystem B's
     receive.
 ``reserved-tag``
-    A point-to-point send used a tag in the reserved range
-    (``MAX_USER_TAG <= tag < collective base``) whose group offset was
-    never registered by a live :class:`~repro.machine.simmpi.SubComm`.
+    A point-to-point send or a ``waitany`` pattern used a tag in the
+    reserved range ``MAX_USER_TAG <= tag < collective base``, which no
+    communicator call ever sends: application code forged it.
 ``collective-mismatch``
-    Ranks of one communicator executed different collective sequences
+    Ranks executed different collective sequences
     (different op, root, count — or, for element-wise collectives like
     reduce/allreduce, different payload size/shape/dtype
     signatures) — the classic source of collective deadlock or silent
@@ -58,7 +58,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.machine.event import ANY_SOURCE, ANY_TAG
+from repro.machine.event import ANY_SOURCE
 from repro.machine.simmpi import MAX_USER_TAG, _COLL_TAG_BASE, describe_tag
 
 __all__ = [
@@ -76,9 +76,6 @@ FINDING_KINDS = (
     "collective-mismatch",
     "finalize-leak",
 )
-
-#: World-communicator id used in collective sequence tracking.
-_WORLD = "world"
 
 
 def payload_signature(value: Any) -> tuple:
@@ -166,16 +163,15 @@ class SanitizerReport:
     messages_received: int
     wildcard_recvs: int
     collectives: int
+    #: Findings seen per kind, including those past the storage cap.
+    seen: dict[str, int]
 
     @property
     def ok(self) -> bool:
         return not self.findings
 
     def counts(self) -> dict[str, int]:
-        out = {k: 0 for k in FINDING_KINDS}
-        for f in self.findings:
-            out[f.kind] = out.get(f.kind, 0) + 1
-        return {k: v for k, v in out.items() if v}
+        return {k: self.seen[k] for k in FINDING_KINDS if k in self.seen}
 
     def format(self) -> str:
         lines = ["sanitizer: " + ("CLEAN" if self.ok else "FINDINGS")]
@@ -222,14 +218,17 @@ class Sanitizer:
         Optional :class:`repro.obs.Tracer`; findings are mirrored as
         ``sanitizer:<kind>`` marks.
     max_findings_per_kind:
-        Cap per finding kind so a systematically-racy program cannot
-        blow up memory; the cap itself is reported in the summary.
+        Cap on the findings *stored* per kind so a systematically-racy
+        program cannot blow up memory; :meth:`SanitizerReport.counts`
+        still reports every finding seen.
     """
 
     def __init__(self, tracer=None, max_findings_per_kind: int = 1000):
         self.tracer = tracer if tracer is not None and tracer.enabled else None
         self.max_findings_per_kind = max_findings_per_kind
         self.findings: list[SanitizerFinding] = []
+        #: Findings seen per kind, stored or past the cap.
+        self.seen: dict[str, int] = {}
         self.runs = 0
         #: Python hook invocations actually executed (the scheduler
         #: batches most of them away; see :meth:`add_batched_counts`).
@@ -243,9 +242,8 @@ class Sanitizer:
         self._tag_phases: dict[int, set[str]] = {}
         self._collisions_reported: set[int] = set()
         self._reserved_reported: set[int] = set()
-        self._group_offsets: dict[int, tuple[int, ...]] = {}
         # Per-run state (reset by begin_run).
-        self._coll_seq: dict[Any, dict[int, list[tuple[str, int]]]] = {}
+        self._coll_seq: dict[int, list[tuple]] = {}
         self._race_seen: set[tuple] = set()
         self._nranks = 0
 
@@ -326,24 +324,17 @@ class Sanitizer:
     def _check_reserved(
         self, time: float, rank: int, tag: int, what: str, **extra
     ) -> None:
-        """Group-translated user tag: its offset must belong to a
-        registered SubComm, otherwise application code forged a tag
-        inside the reserved range."""
-        offset = (tag // MAX_USER_TAG) * MAX_USER_TAG
-        if (
-            offset not in self._group_offsets
-            and offset not in self._reserved_reported
-        ):
-            self._reserved_reported.add(offset)
+        """A tag in ``[MAX_USER_TAG, _COLL_TAG_BASE)``: application code
+        forged it (reported once per tag)."""
+        if tag not in self._reserved_reported:
+            self._reserved_reported.add(tag)
             self._emit(
                 "reserved-tag",
                 time,
                 rank,
                 tag,
-                f"{what} used reserved tag "
-                f"{tag} with unregistered group offset {offset}",
+                f"{what} used reserved tag {tag}",
                 **extra,
-                offset=offset,
             )
 
     def on_waitany(self, time: float, rank: int, patterns: tuple) -> None:
@@ -426,23 +417,19 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # comm-level hooks (called by simmpi)
 
-    def register_group(
-        self, members: tuple[int, ...], tag_offset: int, rank: int
-    ) -> None:
-        """A :class:`SubComm` with ``members`` claimed ``tag_offset``."""
-        self._group_offsets[tag_offset] = tuple(members)
+    def register_group(self, *args: Any) -> None:
+        """No-op, kept only because ``benchmarks/perf/layers.py`` wraps
+        it by name."""
 
     def on_collective(
         self,
         rank: int,
-        comm_id: Any,
         name: str,
         root: int | None,
         payload: Any = None,
         has_payload: bool = False,
     ) -> None:
-        """Rank ``rank`` (global numbering) entered collective ``name``
-        on communicator ``comm_id`` (``"world"`` or group tuple).
+        """Rank ``rank`` entered collective ``name``.
 
         ``has_payload=True`` marks collectives whose contribution must
         agree across ranks (reduce/allreduce element-wise folds);
@@ -454,8 +441,7 @@ class Sanitizer:
         """
         self.collectives += 1
         sig = payload_signature(payload) if has_payload else None
-        seqs = self._coll_seq.setdefault(comm_id, {})
-        seqs.setdefault(rank, []).append(
+        self._coll_seq.setdefault(rank, []).append(
             (name, -1 if root is None else int(root), sig)
         )
 
@@ -469,6 +455,7 @@ class Sanitizer:
             messages_received=self.messages_received,
             wildcard_recvs=self.wildcard_recvs,
             collectives=self.collectives,
+            seen=dict(self.seen),
         )
 
     # ------------------------------------------------------------------
@@ -483,10 +470,8 @@ class Sanitizer:
         message: str,
         **detail: Any,
     ) -> None:
-        if (
-            sum(1 for f in self.findings if f.kind == kind)
-            >= self.max_findings_per_kind
-        ):
+        n = self.seen[kind] = self.seen.get(kind, 0) + 1
+        if n > self.max_findings_per_kind:
             return
         f = SanitizerFinding(
             kind=kind,
@@ -501,59 +486,49 @@ class Sanitizer:
             self.tracer.mark(time, f"sanitizer:{kind}", rank=rank, **detail)
 
     def _check_collectives(self) -> None:
-        """Compare per-rank collective sequences per communicator."""
-        for comm_id in sorted(self._coll_seq, key=repr):
-            seqs = self._coll_seq[comm_id]
-            if comm_id == _WORLD:
-                expected = range(self._nranks)
-            else:
-                expected = comm_id[1:]  # ("group", m0, m1, ...)
-            participants = sorted(seqs)
-            missing = [r for r in expected if r not in seqs]
-            if missing and participants:
-                ref = participants[0]
-                self._emit(
-                    "collective-mismatch",
-                    0.0,
-                    missing[0],
-                    None,
-                    f"rank(s) {missing} of communicator {comm_id!r} "
-                    f"executed no collectives while rank {ref} executed "
-                    f"{len(seqs[ref])}",
-                    comm=repr(comm_id),
-                    missing=missing,
-                )
-            if len(participants) < 2:
+        """Compare per-rank collective sequences."""
+        seqs = self._coll_seq
+        participants = sorted(seqs)
+        if not participants:
+            return
+        ref = participants[0]
+        ref_seq = seqs[ref]
+        missing = [r for r in range(self._nranks) if r not in seqs]
+        if missing:
+            self._emit(
+                "collective-mismatch",
+                0.0,
+                missing[0],
+                None,
+                f"rank(s) {missing} executed no collectives while rank "
+                f"{ref} executed {len(ref_seq)}",
+                missing=missing,
+            )
+        for r in participants[1:]:
+            got = seqs[r]
+            if got == ref_seq:
                 continue
-            ref = participants[0]
-            ref_seq = seqs[ref]
-            for r in participants[1:]:
-                got = seqs[r]
-                if got == ref_seq:
-                    continue
-                div = next(
-                    (
-                        i
-                        for i, (a, b) in enumerate(zip(ref_seq, got))
-                        if a != b
-                    ),
-                    min(len(ref_seq), len(got)),
-                )
-                a = ref_seq[div] if div < len(ref_seq) else None
-                b = got[div] if div < len(got) else None
-                self._emit(
-                    "collective-mismatch",
-                    0.0,
-                    r,
-                    None,
-                    f"collective sequence diverges from rank {ref} at "
-                    f"entry {div} on communicator {comm_id!r}: "
-                    f"rank {ref} executed {_fmt_coll_entry(a)}, "
-                    f"rank {r} executed {_fmt_coll_entry(b)} "
-                    f"(lengths {len(ref_seq)} vs {len(got)})",
-                    comm=repr(comm_id),
-                    index=div,
-                    ref_rank=ref,
-                    ref_op=list(a) if a else None,
-                    got_op=list(b) if b else None,
-                )
+            div = next(
+                (
+                    i
+                    for i, (a, b) in enumerate(zip(ref_seq, got))
+                    if a != b
+                ),
+                min(len(ref_seq), len(got)),
+            )
+            a = ref_seq[div] if div < len(ref_seq) else None
+            b = got[div] if div < len(got) else None
+            self._emit(
+                "collective-mismatch",
+                0.0,
+                r,
+                None,
+                f"collective sequence diverges from rank {ref} at "
+                f"entry {div}: rank {ref} executed {_fmt_coll_entry(a)}, "
+                f"rank {r} executed {_fmt_coll_entry(b)} "
+                f"(lengths {len(ref_seq)} vs {len(got)})",
+                index=div,
+                ref_rank=ref,
+                ref_op=list(a) if a else None,
+                got_op=list(b) if b else None,
+            )

@@ -101,8 +101,8 @@ __all__ = [
 
 #: Tag carried by every control-channel frame.  Sits above the entire
 #: collective tag space (``simmpi._COLL_TAG_BASE`` + named collectives
-#: < 2e11) so no data tag — user, group-offset or collective — can ever
-#: alias a control frame, and a control frame arriving where data is
+#: < 2e11) so no data tag — user or collective — can ever alias a
+#: control frame, and a control frame arriving where data is
 #: expected is detectable by tag alone.
 CTRL_TAG = 200_000_000_000
 

@@ -21,6 +21,10 @@ receive is ``iprobe`` then ``recv``, so neither has a second API.
 Collectives are built from point-to-point primitives with the classic
 O(log P) algorithms so their simulated cost scales realistically.
 
+There is one communicator, over every rank.  The paper's per-grid
+processor groups are a mapping over global ranks
+(:class:`repro.partition.Partition`), not group communicators.
+
 Primitive operations are yielded to the scheduler as tuples; user code
 never sees them.
 """
@@ -29,36 +33,35 @@ from __future__ import annotations
 
 import math
 import pickle
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator, Iterable, Sequence
 
 from repro.machine.event import ANY_SOURCE, ANY_TAG
 
 #: Exclusive upper bound on user-visible tags.  Everything at or above
-#: it is reserved: sub-communicator translation offsets user tags by
-#: multiples of :data:`SubComm._TAG_STRIDE` (= ``MAX_USER_TAG``), and
-#: collectives live above *all* possible group offsets at
-#: ``_COLL_TAG_BASE`` so a group-translated user tag can never collide
-#: with a collective round.  ``Comm.send``/``recv``/``iprobe`` enforce
-#: the bound with an explicit guard.
+#: it is reserved, so application code can never match a collective
+#: round.  ``Comm.send``/``recv``/``iprobe``/``drain_recv``/``waitany``
+#: enforce the bound with an explicit guard.
 MAX_USER_TAG = 10_000_000
 
 #: Sentinel distinguishing "collective without a payload check" from a
 #: legitimately-``None`` payload in sanitizer notifications.
 _NO_PAYLOAD = object()
 
-# Reserved tag space for collectives; sits above every possible
-# SubComm offset (< 998 * MAX_USER_TAG) plus user tag.
+# Reserved tag space for collectives and heartbeats.  No tag in
+# [MAX_USER_TAG, _COLL_TAG_BASE) is ever sent.
 _COLL_TAG_BASE = 100_000_000_000
 _TAG_BARRIER = _COLL_TAG_BASE + 1
 _TAG_BCAST = _COLL_TAG_BASE + 2
 _TAG_GATHER = _COLL_TAG_BASE + 3
 _TAG_REDUCE = _COLL_TAG_BASE + 4
 #: Reserved tag for the failure-detection heartbeat protocol
-#: (:meth:`Comm.detect_failures`).  Lives in the collective tag space so
-#: no group-translated user tag can ever match a heartbeat.
+#: (:meth:`Comm.detect_failures`).
 _TAG_HEARTBEAT = _COLL_TAG_BASE + 6
+#: Reserved tag for the survivors' agreement on the dead set (the
+#: gather and the broadcast of :meth:`Comm.detect_failures`).
+_TAG_AGREE = _COLL_TAG_BASE + 7
 
 #: Payload carried by one heartbeat message ("I am alive"), and its wire
 #: size.  Tiny and fixed so detection cost is independent of app state.
@@ -69,14 +72,15 @@ _COLL_TAG_NAMES = {
     _TAG_GATHER: "collective:gather",
     _TAG_REDUCE: "collective:reduce",
     _TAG_HEARTBEAT: "collective:heartbeat",
+    _TAG_AGREE: "collective:agree",
 }
 
 
 def describe_tag(tag: int) -> str:
     """Human-readable name for a message tag (for diagnostics).
 
-    Distinguishes user tags, group-offset user tags, barrier rounds and
-    the reserved collective/heartbeat tags so deadlock and failure
+    Distinguishes user tags, barrier rounds and the reserved
+    collective/heartbeat/agreement tags so deadlock and failure
     reports name the protocol a rank is stuck in rather than printing a
     bare 12-digit integer.
     """
@@ -93,10 +97,6 @@ def describe_tag(tag: int) -> str:
         return f"reserved:{tag}"
     if 0 <= tag < MAX_USER_TAG:
         return f"user:{tag}"
-    if tag >= SubComm._TAG_STRIDE:
-        group = tag // SubComm._TAG_STRIDE
-        user = tag % SubComm._TAG_STRIDE
-        return f"group[{group}]:user:{user}"
     return f"tag:{tag}"
 
 
@@ -116,12 +116,9 @@ class Comm:
     #: layer, attached by the scheduler when sanitizing.  Purely
     #: observational — notifications never charge virtual time.
     _san = None
-    #: How the sanitizer knows this communicator, and this rank in
-    #: global numbering (a :class:`SubComm` overrides both).
-    _san_id: Any = "world"
 
     def __init__(self, rank: int, size: int, machine):
-        self.rank = self._san_rank = rank
+        self.rank = rank
         self.size = size
         self.machine = machine
 
@@ -135,9 +132,7 @@ class Comm:
         root: int | None = None,
         payload: Any = _NO_PAYLOAD,
     ) -> None:
-        """Notify the sanitizer (if any) of a collective entry, under
-        this communicator's id with global rank numbering (so cross-rank
-        comparison is stable).
+        """Notify the sanitizer (if any) of a collective entry.
 
         ``payload`` is forwarded for element-wise collectives
         (reduce/allreduce) so the sanitizer can compare O(1)
@@ -148,8 +143,7 @@ class Comm:
         if self._san is not None:
             has = payload is not _NO_PAYLOAD
             self._san.on_collective(
-                self._san_rank,
-                self._san_id,
+                self.rank,
                 name,
                 root,
                 payload if has else None,
@@ -200,18 +194,17 @@ class Comm:
         """Guard the reserved tag space.
 
         User tags must satisfy ``0 <= tag < MAX_USER_TAG``; everything
-        above is reserved for sub-communicator offsets and collective
-        rounds (``tag >= _COLL_TAG_BASE``) and must never be usable from
-        application code, or concurrent collectives could match user
-        messages.
+        above is reserved for collective rounds (``tag >=
+        _COLL_TAG_BASE``) and must never be usable from application
+        code, or concurrent collectives could match user messages.
         """
         if allow_any and tag == ANY_TAG:
             return
         if not (0 <= tag < MAX_USER_TAG):
             raise ValueError(
                 f"tag {tag} outside the user range [0, {MAX_USER_TAG}); "
-                f"tags >= {MAX_USER_TAG} are reserved for group offsets "
-                f"and collectives (collective base {_COLL_TAG_BASE})"
+                f"tags >= {MAX_USER_TAG} are reserved for collectives "
+                f"(collective base {_COLL_TAG_BASE})"
             )
 
     def send(self, dst: int, tag: int, payload: Any = None, nbytes: int | None = None) -> Generator:
@@ -240,15 +233,12 @@ class Comm:
     def iprobe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
         """Has a matching message arrived?  Charges a polling overhead."""
         self._check_user_tag(tag, allow_any=True)
-        return (yield from self._iprobe(src, tag))
-
-    def _iprobe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
         found = yield ("iprobe", src, tag)
         return found
 
     def _tryrecv(self, src: int, tag: int) -> Generator:
-        """Non-blocking matched receive primitive (no tag translation:
-        overridden by :class:`SubComm`)."""
+        """Unchecked non-blocking matched receive primitive (heartbeats
+        use a reserved tag)."""
         got = yield ("tryrecv", src, tag)
         return got
 
@@ -264,13 +254,8 @@ class Comm:
         how many messages are drained.
         """
         self._check_user_tag(tag, allow_any=True)
-        msgs = yield from self._drain(src, tag)
-        return [(m.payload, Status(m.src, m.tag, m.nbytes)) for m in msgs]
-
-    def _drain(self, src: int, tag: int) -> Generator:
-        """Unchecked drain primitive (overridden by :class:`SubComm`)."""
         msgs = yield ("drain", src, tag)
-        return msgs
+        return [(m.payload, Status(m.src, m.tag, m.nbytes)) for m in msgs]
 
     def waitany(self, patterns: Iterable[tuple[int, int]]) -> Generator:
         """Block until a message matching *any* ``(src, tag)`` pattern
@@ -286,10 +271,6 @@ class Comm:
             raise ValueError("waitany needs at least one (src, tag) pattern")
         for _src, tag in patterns:
             self._check_user_tag(tag, allow_any=True)
-        return (yield from self._waitany(patterns))
-
-    def _waitany(self, patterns: tuple) -> Generator:
-        """Unchecked waitany primitive (overridden by :class:`SubComm`)."""
         ready = yield ("waitany", patterns)
         return ready
 
@@ -318,10 +299,18 @@ class Comm:
         bit — the classic O(log P)-round binomial tree.
         """
         self._san_collective("bcast", root)
-        p = self.size
+        return (yield from self._bcast_over(
+            range(self.size), payload, root, _TAG_BCAST, nbytes
+        ))
+
+    def _bcast_over(self, members: Sequence[int], payload: Any, root: int, tag: int, nbytes: int | None) -> Generator:
+        """Binomial tree over the global ranks ``members`` (``root`` is
+        one of them), every message on ``tag``."""
+        p = len(members)
         if p == 1:
             return payload
-        vrank = (self.rank - root) % p
+        vroot = members.index(root)
+        vrank = (members.index(self.rank) - vroot) % p
         top = 1
         while top < p:
             top <<= 1
@@ -329,8 +318,8 @@ class Comm:
         mask = 1
         while mask < top:
             if vrank & mask:
-                src = (vrank - mask + root) % p
-                received, _ = yield from self._recv(src, _TAG_BCAST)
+                src = members[(vrank - mask + vroot) % p]
+                received, _ = yield from self._recv(src, tag)
                 break
             mask <<= 1
         else:
@@ -339,25 +328,31 @@ class Comm:
         mask >>= 1
         while mask > 0:
             if vrank + mask < p:
-                dst = (vrank + mask + root) % p
-                yield from self._send(dst, _TAG_BCAST, received, n)
+                dst = members[(vrank + mask + vroot) % p]
+                yield from self._send(dst, tag, received, n)
             mask >>= 1
         return received
 
     def gather(self, payload: Any, root: int = 0, nbytes: int | None = None) -> Generator:
         """Linear gather to root; root returns the list ordered by rank."""
         self._san_collective("gather", root)
-        if self.size == 1:
-            return [payload]
-        if self.rank == root:
-            out: list[Any] = [None] * self.size
-            out[root] = payload
-            for _ in range(self.size - 1):
-                data, status = yield from self._recv(ANY_SOURCE, _TAG_GATHER)
-                out[status.source] = data
-            return out
-        yield from self._send(root, _TAG_GATHER, payload, nbytes)
-        return None
+        return (yield from self._gather_over(
+            range(self.size), payload, root, _TAG_GATHER, nbytes
+        ))
+
+    def _gather_over(self, members: Sequence[int], payload: Any, root: int, tag: int, nbytes: int | None) -> Generator:
+        """Linear gather over the global ranks ``members`` to ``root``,
+        every message on ``tag``; root returns the payloads in
+        ``members`` order, the others None."""
+        if self.rank != root:
+            yield from self._send(root, tag, payload, nbytes)
+            return None
+        out: list[Any] = [None] * len(members)
+        out[members.index(root)] = payload
+        for _ in range(len(members) - 1):
+            data, status = yield from self._recv(ANY_SOURCE, tag)
+            out[members.index(status.source)] = data
+        return out
 
     def allgather(self, payload: Any, nbytes: int | None = None) -> Generator:
         """Gather to rank 0 then broadcast (cost ~ gather + bcast)."""
@@ -421,10 +416,12 @@ class Comm:
         deterministic ``timeout``, then probes for each peer's
         heartbeat.  Peers whose heartbeat never arrived are *suspected*
         dead (their messages were black-holed by the scheduler).  The
-        survivors then agree on the dead set with an allreduce (set
-        union) over a sub-communicator containing only the locally-live
-        ranks — every survivor returns the identical sorted tuple of
-        dead ranks, mirroring a ULFM ``MPI_Comm_agree`` shrink.
+        survivors then agree on the dead set: a linear gather of the
+        suspect sets to the lowest live rank and a binomial broadcast of
+        their union over the live ranks, both on the reserved
+        :data:`_TAG_AGREE` channel — every survivor returns the
+        identical sorted tuple of dead ranks, mirroring a ULFM
+        ``MPI_Comm_agree`` shrink.
 
         Must only be called when at least the calling rank is alive;
         safe to call with no failures (returns an empty tuple).
@@ -450,35 +447,17 @@ class Comm:
             got = yield from self._tryrecv(peer, _TAG_HEARTBEAT)
             if got is None:
                 suspects.append(peer)
-        # 4. Agreement over the locally-live group.  All survivors
+        # 4. Agreement over the locally-live ranks.  All survivors
         #    computed the same suspect set (the detector has no false
-        #    positives and dead ranks' heartbeats reach nobody), so the
-        #    group membership — and hence the SubComm tag offset — is
-        #    identical on every survivor, and the allreduce is safe.
+        #    positives and dead ranks' heartbeats reach nobody), so
+        #    ``live`` is identical on every survivor.
         live = [r for r in range(self.size) if r == self.rank or r not in suspects]
-        if len(live) > 1:
-            group = self.split(live)
-            agreed = yield from group.allreduce(
-                frozenset(suspects), op=lambda a, b: a | b, nbytes=64
-            )
-        else:
-            agreed = frozenset(suspects)
+        sets = yield from self._gather_over(
+            live, frozenset(suspects), live[0], _TAG_AGREE, 64
+        )
+        union = None if sets is None else frozenset().union(*sets)
+        agreed = yield from self._bcast_over(live, union, live[0], _TAG_AGREE, 64)
         return tuple(sorted(agreed))
-
-    # ------------------------------------------------------------------
-    # sub-communicators (the paper's per-grid processor groups)
-    # ------------------------------------------------------------------
-
-    def split(self, members: list[int]) -> "SubComm":
-        """Communicator over a subset of global ranks.
-
-        OVERFLOW assigns a processor *group* to each component grid
-        (paper Fig. 2); a :class:`SubComm` gives that group its own rank
-        numbering and collectives while routing over the global
-        communicator (tags are offset so concurrent groups do not cross
-        wires).  The calling rank must be a member.
-        """
-        return SubComm(self, members)
 
     # ------------------------------------------------------------------
 
@@ -528,104 +507,3 @@ def _pickled_size(payload: Any) -> int:
 def _pickled_size_memo(payload: Any) -> int:
     return _pickled_size(payload)
 
-
-class SubComm(Comm):
-    """Group communicator: local ranks 0..len(members)-1 map onto a
-    sorted subset of global ranks.
-
-    Point-to-point and collective calls use group-local ranks; tags are
-    offset by a group-specific stride so that simultaneous collectives
-    in different groups never match each other's messages.  A rank may
-    hold several SubComms (e.g. its grid group and a row group).
-    """
-
-    _TAG_STRIDE = 10_000_000
-
-    def __init__(self, parent: Comm, members: list[int]):
-        members = sorted(set(int(m) for m in members))
-        if not members:
-            raise ValueError("empty group")
-        bad = [m for m in members if not (0 <= m < parent.size)]
-        if bad:
-            raise ValueError(f"group members out of range: {bad}")
-        if parent.rank not in members:
-            raise ValueError(
-                f"rank {parent.rank} is not a member of the group"
-            )
-        if isinstance(parent, SubComm):
-            raise ValueError("nested splits are not supported; split the "
-                             "global communicator instead")
-        self.parent = parent
-        self.members = members
-        # Group id from the member set: deterministic and identical on
-        # every member, so all of them offset tags the same way.
-        gid = hash(tuple(members)) % 997
-        self._tag_offset = (gid + 1) * self._TAG_STRIDE
-        super().__init__(members.index(parent.rank), len(members),
-                         parent.machine)
-        # Sanitizer shadow layer follows the parent communicator; the
-        # group claims its tag offset so reserved-tag policing knows
-        # which offsets are legitimate.
-        self._san = parent._san
-        self._san_rank = parent.rank
-        self._san_id = ("group",) + tuple(members)
-        if self._san is not None:
-            self._san.register_group(
-                tuple(self.members), self._tag_offset, parent.rank
-            )
-
-    # -- rank/tag translation -------------------------------------------
-
-    def _global(self, local_rank: int) -> int:
-        if not (0 <= local_rank < self.size):
-            raise ValueError(
-                f"group rank {local_rank} out of range (size {self.size})"
-            )
-        return self.members[local_rank]
-
-    def _tag(self, tag: int) -> int:
-        if tag == ANY_TAG:
-            return ANY_TAG
-        return tag + self._tag_offset
-
-    # -- overridden primitives (everything else composes on these) -----
-    # The *public* send/recv/iprobe with their user-tag guard are
-    # inherited from Comm; only the unchecked primitives translate.
-
-    def _send(self, dst: int, tag: int, payload: Any = None, nbytes: int | None = None) -> Generator:
-        yield from self.parent._send(
-            self._global(dst), self._tag(tag), payload, nbytes
-        )
-        return None
-
-    def _gsrc(self, src: int) -> int:
-        return ANY_SOURCE if src == ANY_SOURCE else self._global(src)
-
-    def _local(self, msg):
-        """``msg`` re-addressed in group-local rank and tag numbering."""
-        src = self.members.index(msg.src) if msg.src in self.members else -1
-        tag = msg.tag - self._tag_offset if msg.tag != ANY_TAG else msg.tag
-        return replace(msg, src=src, tag=tag)
-
-    def _recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
-        msg = self._local((yield ("recv", self._gsrc(src), self._tag(tag))))
-        return msg.payload, Status(msg.src, msg.tag, msg.nbytes)
-
-    def _iprobe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
-        found = yield ("iprobe", self._gsrc(src), self._tag(tag))
-        return found
-
-    def _tryrecv(self, src: int, tag: int) -> Generator:
-        got = yield ("tryrecv", self._gsrc(src), self._tag(tag))
-        return None if got is None else self._local(got)
-
-    def _drain(self, src: int, tag: int) -> Generator:
-        msgs = yield ("drain", self._gsrc(src), self._tag(tag))
-        return [self._local(m) for m in msgs]
-
-    def _waitany(self, patterns: tuple) -> Generator:
-        ready = yield (
-            "waitany",
-            tuple((self._gsrc(s), self._tag(t)) for s, t in patterns),
-        )
-        return ready

@@ -254,7 +254,7 @@ class TestSummary:
     def test_real_tree_has_comm_sites(self, tree_report):
         ops = {s.op for s in tree_report.summary.sites}
         # collectives called by drivers, primitives inside simmpi itself
-        assert "barrier" in ops and "allreduce" in ops and "_send" in ops
+        assert "barrier" in ops and "allgather" in ops and "_send" in ops
 
 
 class TestNoqa:

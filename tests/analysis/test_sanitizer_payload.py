@@ -152,22 +152,3 @@ def test_signature_check_does_not_perturb_virtual_time():
     sanitized = _run(program, sanitizer=Sanitizer())
     assert sanitized.elapsed == plain.elapsed
     assert sanitized.returns == plain.returns
-
-
-def test_subcomm_collectives_carry_signatures():
-    """Group collectives compare signatures under the group id."""
-
-    def program(comm):
-        if comm.rank < 2:
-            sub = comm.split([0, 1])
-            n = 3 if comm.rank == 0 else 4  # diverge inside the group
-            yield from sub.allreduce(np.zeros(n),
-                                     op=lambda a, b: a[:3] + b[:3])
-        yield from comm.barrier()
-        return None
-
-    san = Sanitizer()
-    _run(program, sanitizer=san)
-    found = _findings(san, "collective-mismatch")
-    assert found
-    assert any("group" in (f.detail.get("comm") or "") for f in found)

@@ -153,13 +153,6 @@ def prog_collectives(comm):
     return (total, word, rows, everyone, spread, swapped)
 
 
-def prog_split(comm):
-    members = [r for r in range(comm.size) if r % 2 == comm.rank % 2]
-    sub = comm.split(members)
-    subtotal = yield from sub.allreduce(comm.rank)
-    return (sub.rank, sub.size, subtotal)
-
-
 def prog_iprobe(comm):
     dst = (comm.rank + 1) % comm.size
     src = (comm.rank - 1) % comm.size
@@ -248,24 +241,6 @@ def prog_waitany_ready_set(comm):
     return (first, again, drained, t1 - t0)
 
 
-def prog_waitany_split(comm):
-    """Patterns on a sub-communicator use its ranks and its tag space:
-    a same-tag message on the world communicator is not a match."""
-    members = [r for r in range(comm.size) if r % 2 == comm.rank % 2]
-    sub = comm.split(members)
-    if sub.rank == 1:
-        yield from sub.send(0, TAG, ("sub", comm.rank), nbytes=8)
-        return None
-    decoy_from = comm.rank ^ 1  # the other group's local rank 0
-    yield from comm.send(decoy_from, TAG, ("world", comm.rank), nbytes=8)
-    decoy, _ = yield from comm.recv(decoy_from, TAG)
-    yield from comm.send(comm.rank, TAG, decoy, nbytes=8)  # put it back
-    ready = yield from sub.waitany(((0, TAG + 1), (1, TAG)))
-    got = yield from sub.drain_recv(1, TAG)
-    left, _ = yield from comm.recv(comm.rank, TAG)
-    return (ready, [(val, st.source, st.tag) for val, st in got], left)
-
-
 def prog_reserved_waitany(comm):
     yield from comm.waitany(((0, TAG), (0, MAX_USER_TAG + 7)))
 
@@ -322,16 +297,6 @@ def test_collectives(engine):
         assert swapped == n - 1 - r
 
 
-def test_split_subcommunicators(engine):
-    returns = _run(engine, prog_split)
-    for r in range(NRANKS):
-        sub_rank, sub_size, subtotal = returns[r]
-        group = [k for k in range(NRANKS) if k % 2 == r % 2]
-        assert sub_rank == group.index(r)
-        assert sub_size == len(group)
-        assert subtotal == sum(group)
-
-
 def test_iprobe_then_recv(engine):
     returns = _run(engine, prog_iprobe)
     assert returns == [((r - 1) % NRANKS, (r - 1) % NRANKS) for r in range(NRANKS)]
@@ -384,15 +349,6 @@ def test_waitany_returns_exactly_the_ready_indices(engine):
     assert drained == [[1], [], [3]]
     if not engine.measured:
         assert waited == 0.0  # already arrived: no wait, no poll charge
-
-
-def test_waitany_on_subcommunicator(engine):
-    returns = _run(engine, prog_waitany_split)
-    for r in (0, 1):  # the two groups' local rank 0
-        ready, got, left = returns[r]
-        assert ready == (1,)
-        assert got == [(("sub", r + 2), 1, TAG)]
-        assert left == ("world", r ^ 1)
 
 
 def test_reserved_tag_waitany_rejected(engine):

@@ -125,22 +125,3 @@ class TestDrainRecv:
         result = sim.run()
         received = sum(r.messages_received for r in result.metrics.ranks)
         assert received == 2
-
-    def test_subcomm_drain_translates_ranks_and_tags(self):
-        def program(comm):
-            if comm.rank == 2:
-                yield from comm.elapse(0.1)
-                return None
-            sub = comm.split([0, 1])
-            if sub.rank == 1:
-                yield from sub.send(0, TAG_X, "g", nbytes=8)
-                return None
-            yield from sub.elapse(1.0)
-            got = yield from sub.drain_recv(ANY_SOURCE, TAG_X)
-            return [(s.source, s.tag, p) for p, s in got]
-
-        sim = Simulator(make_machine())
-        sim.spawn_all(program)
-        result = sim.run()
-        # Group-local source rank and the *user* tag, not the offset one.
-        assert result.returns[0] == [(1, TAG_X, "g")]

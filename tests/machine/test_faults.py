@@ -305,6 +305,7 @@ class TestDescribeTag:
 
     def test_collective_tags_named(self):
         from repro.machine.simmpi import (
+            _TAG_AGREE,
             _TAG_BARRIER,
             _TAG_BCAST,
             _TAG_HEARTBEAT,
@@ -313,6 +314,7 @@ class TestDescribeTag:
         assert "barrier" in describe_tag(_TAG_BARRIER)
         assert "bcast" in describe_tag(_TAG_BCAST)
         assert "heartbeat" in describe_tag(_TAG_HEARTBEAT)
+        assert describe_tag(_TAG_AGREE) == "collective:agree"
 
 
 class TestHeartbeatDetection:

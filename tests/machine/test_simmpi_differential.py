@@ -4,9 +4,9 @@ Every collective is checked against a *serial reference* computed
 directly from the per-rank inputs, over randomized rank counts that
 include P=1 and non-powers-of-2.  A second battery pins the reserved
 tag space: user tags live in [0, MAX_USER_TAG); everything above —
-sub-communicator offsets and the collective rounds at
-``_COLL_TAG_BASE`` — is guarded against application use so concurrent
-collectives can never match user messages.
+the collective rounds at ``_COLL_TAG_BASE`` included — is guarded
+against application use so concurrent collectives can never match user
+messages.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from repro.machine import (
     NodeSpec,
     Simulator,
 )
-from repro.machine.simmpi import _COLL_TAG_BASE, SubComm
+from repro.machine.simmpi import _COLL_TAG_BASE
 
 
 def make_machine(nodes):
@@ -163,15 +163,12 @@ class TestDifferentialCollectives:
 
 
 class TestReservedTagSpace:
-    """The explicit tag guard: user tags < MAX_USER_TAG, collectives at
-    ``_COLL_TAG_BASE`` and group offsets in between are unreachable."""
+    """The explicit tag guard: user tags < MAX_USER_TAG; everything
+    above, the collectives at ``_COLL_TAG_BASE`` included, is
+    unreachable."""
 
     def test_reserved_spaces_are_disjoint(self):
-        # Largest possible SubComm-translated user tag stays strictly
-        # below the collective base.
-        max_group_tag = 997 * SubComm._TAG_STRIDE + MAX_USER_TAG
-        assert MAX_USER_TAG <= SubComm._TAG_STRIDE
-        assert max_group_tag < _COLL_TAG_BASE
+        assert MAX_USER_TAG < _COLL_TAG_BASE
 
     @pytest.mark.parametrize(
         "tag", [MAX_USER_TAG, MAX_USER_TAG + 1, _COLL_TAG_BASE,
@@ -244,27 +241,3 @@ class TestReservedTagSpace:
 
         result = run(3, program)
         assert result.returns[2] == ("coll", {"payload": 123}, tag)
-
-    @settings(max_examples=10, deadline=None)
-    @given(nodes=st.integers(2, 9), seed=st.integers(0, 10_000))
-    def test_subcomm_collectives_stay_isolated(self, nodes, seed):
-        """Concurrent per-group allreduces over a random split must each
-        match their own serial reference (group tag offsets work)."""
-        rng = np.random.default_rng(seed)
-        values = rng.integers(-100, 100, size=nodes).tolist()
-        cut = int(rng.integers(1, nodes))
-        groups = [list(range(cut)), list(range(cut, nodes))]
-        if not groups[1]:
-            groups = [groups[0]]
-        refs = [sum(values[r] for r in g) for g in groups]
-
-        def program(comm):
-            mine = next(g for g in groups if comm.rank in g)
-            sub = comm.split(mine)
-            out = yield from sub.allreduce(values[comm.rank])
-            return out
-
-        result = run(nodes, program)
-        for gi, g in enumerate(groups):
-            for r in g:
-                assert result.returns[r] == refs[gi]

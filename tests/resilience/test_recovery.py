@@ -60,10 +60,17 @@ class TestRecoveryPolicyAndRecord:
 
 class TestFailureDetection:
     def test_survivors_agree_and_time_elapses(self):
-        machine = sp2(nodes=8)
-        dead, elapsed = run_failure_detection(machine, [2, 5])
-        assert dead == (2, 5)
-        assert elapsed > 0
+        """Detection time is pinned bit for bit: (nodes, dead, elapsed)."""
+        for nodes, dead, elapsed_hex in (
+            (2, [1], "0x1.29cbab649d38ap-12"),
+            (3, [0, 1], "0x1.362b3537f0316p-12"),  # one survivor, no agreement
+            (5, [1, 3], "0x1.e1818fb798884p-12"),
+            (8, [2, 5], "0x1.263afd2c10297p-11"),
+            (17, [1, 6, 11], "0x1.80d3cff64cf95p-11"),
+        ):
+            agreed, elapsed = run_failure_detection(sp2(nodes=nodes), dead)
+            assert agreed == tuple(dead)
+            assert elapsed.hex() == elapsed_hex, (nodes, dead)
 
     def test_detection_lands_in_trace(self):
         tracer = SpanTracer()
@@ -216,6 +223,9 @@ class TestElasticRecovery:
                 (summaries(run), run.wall_elapsed, tuple(run.recoveries))
             )
         assert outs[0] == outs[1] == outs[2]
+        assert run.wall_elapsed.hex() == "0x1.45e82e8de46ebp+1"
+        assert run.downtime.hex() == "0x1.3bc9648d73459p-5"
+        assert run.recoveries[0].t_detect.hex() == "0x1.19db7358bd309p-11"
 
     def test_recovery_without_checkpointing_uses_step0_restore(self):
         # A fault plan alone is enough: the driver takes an implicit
