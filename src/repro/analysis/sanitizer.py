@@ -77,6 +77,11 @@ FINDING_KINDS = (
     "finalize-leak",
 )
 
+#: Findings *stored* per kind, so a systematically racy program cannot
+#: blow up memory; :meth:`SanitizerReport.counts` still reports every
+#: finding seen.
+MAX_FINDINGS_PER_KIND = 1000
+
 
 def payload_signature(value: Any) -> tuple:
     """Canonical cross-rank signature of one collective contribution.
@@ -215,17 +220,12 @@ class Sanitizer:
     Parameters
     ----------
     tracer:
-        Optional :class:`repro.obs.Tracer`; findings are mirrored as
-        ``sanitizer:<kind>`` marks.
-    max_findings_per_kind:
-        Cap on the findings *stored* per kind so a systematically-racy
-        program cannot blow up memory; :meth:`SanitizerReport.counts`
-        still reports every finding seen.
+        Optional :class:`repro.obs.tracer.EventLog`; findings are
+        mirrored as ``sanitizer:<kind>`` marks.
     """
 
-    def __init__(self, tracer=None, max_findings_per_kind: int = 1000):
-        self.tracer = tracer if tracer is not None and tracer.enabled else None
-        self.max_findings_per_kind = max_findings_per_kind
+    def __init__(self, tracer=None):
+        self.tracer = tracer
         self.findings: list[SanitizerFinding] = []
         #: Findings seen per kind, stored or past the cap.
         self.seen: dict[str, int] = {}
@@ -471,7 +471,7 @@ class Sanitizer:
         **detail: Any,
     ) -> None:
         n = self.seen[kind] = self.seen.get(kind, 0) + 1
-        if n > self.max_findings_per_kind:
+        if n > MAX_FINDINGS_PER_KIND:
             return
         f = SanitizerFinding(
             kind=kind,

@@ -796,7 +796,7 @@ def check_measured_run(
         raise ValueError(
             f"initial_metrics has {len(initial_metrics)} entries for {n} ranks"
         )
-    trace_enabled = tracer is not None and tracer.enabled
+    trace_enabled = tracer is not None
     if trace_enabled:
         tracer.clock = "wall"
     rows = (

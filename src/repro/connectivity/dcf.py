@@ -47,13 +47,16 @@ TAG_FINISH = 104
 #: Slack on the exchanged bounding boxes (points on a face still route).
 BBOX_MARGIN = 1e-9
 
+#: Hops a SEARCH may be forwarded between ranks of one grid before the
+#: rank holding it answers for itself.
+MAX_FORWARD_HOPS = 20
+
 
 @dataclass
 class DcfConfig:
     """Connectivity-phase settings."""
 
     search_lists: dict[int, list[int]]  # receiver grid -> donor grids, in order
-    max_forward_hops: int = 20
 
 
 @dataclass
@@ -322,7 +325,6 @@ def dcf_rank_program(
 
 def _serve_search(comm, world: DcfWorld, rank: int, payload: dict, stats):
     """Serve one SEARCH message: windowed search + replies + forwards."""
-    cfg = world.config
     my_grid = world.grid_of_rank[rank]
     xyz = world.grid_xyz[my_grid]
     points = payload["points"]
@@ -345,7 +347,7 @@ def _serve_search(comm, world: DcfWorld, rank: int, payload: dict, stats):
 
     # Forward escapes whose exit cell belongs to a neighbour.
     dst = np.full(rows.size, -1, dtype=np.int64)
-    if hops < cfg.max_forward_hops:
+    if hops < MAX_FORWARD_HOPS:
         out = ~res.found & res.escaped
         owners = world.cell_owners(my_grid, res.cells[out])
         dst[out] = np.where(owners == rank, -1, owners)

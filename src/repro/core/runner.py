@@ -586,9 +586,7 @@ class EpochRunner:
                     "fault injection needs the deterministic simulator; "
                     "run with backend='sim'"
                 )
-        self.tracer = (
-            tracer if tracer is not None and tracer.enabled else None
-        )
+        self.tracer = tracer
         #: Optional :class:`repro.analysis.sanitizer.Sanitizer`.  Purely
         #: observational — threading it through every chunk (including
         #: warm-up and recovery re-runs) never perturbs virtual time.

@@ -11,10 +11,8 @@ addressed to it — and surfaces the outcome to the driver as a typed
 
 Faults are **virtual-time deterministic**: a fault fires at a fixed
 virtual time, at a fixed phase barrier (the k-th ``set_phase`` call on
-the victim rank), or — at the driver level — at a fixed timestep.
-Randomised plans (:meth:`FaultPlan.poisson`) draw fail times from a
-seeded generator once, up front, so repeated runs of the same plan are
-byte-for-byte identical.
+the victim rank), or — at the driver level — at a fixed timestep —
+so repeated runs of the same plan are byte-for-byte identical.
 
 Fault-spec string grammar (CLI ``--fault``)::
 
@@ -122,7 +120,7 @@ class FaultPlan:
     handing the plan to a :class:`repro.machine.scheduler.Simulator`.
     """
 
-    def __init__(self, faults=(), seed: int = 0):
+    def __init__(self, faults=()):
         specs = []
         for f in faults:
             if isinstance(f, str):
@@ -131,7 +129,6 @@ class FaultPlan:
                 raise TypeError(f"not a FaultSpec: {f!r}")
             specs.append(f)
         self.faults: tuple[FaultSpec, ...] = tuple(specs)
-        self.seed = seed
         # Scheduler-facing lookups: earliest trigger per rank.
         self._time_by_rank: dict[int, float] = {}
         self._phase_by_rank: dict[int, int] = {}
@@ -152,37 +149,6 @@ class FaultPlan:
         """Build a plan from fault-spec strings."""
         return cls([FaultSpec.parse(s) for s in specs])
 
-    @classmethod
-    def poisson(
-        cls,
-        nranks: int,
-        mtbf: float,
-        horizon: float,
-        seed: int = 0,
-        max_faults: int | None = None,
-    ) -> "FaultPlan":
-        """Seeded random plan: per-rank exponential fail times.
-
-        Each rank draws one fail time from Exp(``mtbf``); draws beyond
-        ``horizon`` virtual seconds mean the rank survives the run.
-        Deterministic given ``seed`` (single up-front draw, no
-        execution-order dependence).
-        """
-        import numpy as np
-
-        if mtbf <= 0 or horizon <= 0:
-            raise ValueError("mtbf and horizon must be positive")
-        rng = np.random.default_rng(seed)
-        draws = rng.exponential(scale=mtbf, size=nranks)
-        faults = [
-            FaultSpec(rank=r, time=float(t))
-            for r, t in enumerate(draws)
-            if t < horizon
-        ]
-        if max_faults is not None:
-            faults = sorted(faults, key=lambda f: f.time)[:max_faults]
-        return cls(faults, seed=seed)
-
     # -- scheduler-facing lookups ---------------------------------------
 
     def __bool__(self) -> bool:
@@ -198,14 +164,6 @@ class FaultPlan:
     def phase_fault(self, rank: int) -> int | None:
         """Earliest phase-barrier trigger for ``rank``, if any."""
         return self._phase_by_rank.get(rank)
-
-    def step_faults(self) -> list[FaultSpec]:
-        """Driver-level (timestep-triggered) specs, in declaration order."""
-        return [f for f in self.faults if f.step is not None]
-
-    def scheduler_faults(self) -> list[FaultSpec]:
-        """Specs the scheduler can enact directly (time / phase)."""
-        return [f for f in self.faults if f.step is None]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(f.describe() for f in self.faults)

@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator
 
 if TYPE_CHECKING:  # import would be circular at runtime (analysis -> machine)
     from repro.analysis.sanitizer import Sanitizer
-    from repro.obs.tracer import Tracer
+    from repro.obs.tracer import EventLog
 
 from repro.machine import event
 from repro.machine.event import ANY_SOURCE, ANY_TAG, Mailbox, Message
@@ -69,6 +69,10 @@ from repro.machine.faults import FaultPlan, RankFailure
 from repro.machine.metrics import BackendResult, PhaseCell, PhaseRollup, RankMetrics
 from repro.machine.simmpi import Comm, describe_tag
 from repro.machine.spec import MachineSpec
+
+#: Events one :meth:`Simulator.run` may step before it gives up with a
+#: ``RuntimeError`` (a guard against a protocol that never terminates).
+MAX_EVENTS = 500_000_000
 
 
 class DeadlockError(RuntimeError):
@@ -162,18 +166,16 @@ class Simulator:
     def __init__(
         self,
         machine: MachineSpec,
-        tracer: Tracer | None = None,
+        tracer: EventLog | None = None,
         fault_plan: FaultPlan | None = None,
         initial_metrics: list[RankMetrics] | None = None,
         sanitizer: Sanitizer | None = None,
     ):
         self.machine = machine
-        # Span tracing (repro.obs).  Disabled tracers are dropped here so
-        # the per-event hot path is a single `is not None` test and the
-        # simulated timings are bit-identical with tracing on or off.
-        self._tracer = (
-            tracer if tracer is not None and tracer.enabled else None
-        )
+        # Span tracing (repro.obs); off is ``None``, so the per-event hot
+        # path is a single `is not None` test and the simulated timings
+        # are bit-identical with tracing on or off.
+        self._tracer = tracer
         # Runtime correctness checking (repro.analysis.sanitizer).  Like
         # the tracer it is purely observational: hooks never charge
         # virtual time or change matching, so sanitized runs are
@@ -226,11 +228,7 @@ class Simulator:
 
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        max_events: int = 500_000_000,
-        raise_on_failure: bool = True,
-    ) -> BackendResult:
+    def run(self, raise_on_failure: bool = True) -> BackendResult:
         """Execute all rank programs to completion; returns the result,
         whose ``metrics`` rollup holds the spawned ranks' rows.
 
@@ -271,7 +269,7 @@ class Simulator:
             states.append(state)
         self._states = states
 
-        self._run_events(states, max_events)
+        self._run_events(states)
 
         if self._sanitizer is not None:
             # Fold the batched (elided-hook) counters back in before any
@@ -320,8 +318,9 @@ class Simulator:
 
     # ------------------------------------------------------------------
 
-    def _run_events(self, states: list[_RankState], max_events: int) -> None:
+    def _run_events(self, states: list[_RankState]) -> None:
         """The event loop: pop the minimum key, step that rank, run ahead."""
+        limit = MAX_EVENTS
         heap = self._heap = [(s.clock, s.rank, s.ver) for s in states]
         heapify(heap)
         step = self._step
@@ -347,8 +346,8 @@ class Simulator:
                     self._kill(state, max(state.clock, state.fault_time))
                     break
                 events += 1
-                if events > max_events:
-                    raise RuntimeError(f"simulation exceeded {max_events} events")
+                if events > limit:
+                    raise RuntimeError(f"simulation exceeded {limit} events")
                 step(state)
                 if not state.alive:
                     break

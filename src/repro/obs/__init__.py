@@ -7,7 +7,7 @@ f(p) = I(p)/Ibar.  This subpackage is the instrumentation layer that
 produces those series from the simulated machine:
 
 * :mod:`tracer` — span-event recording with a zero-cost disabled path
-  (:class:`NullTracer` / ``tracer=None``); the scheduler emits one span
+  (``tracer=None``); the scheduler emits one span
   per primitive (compute, message injection, blocked-receive wait,
   poll) tagged with rank, phase, virtual begin and end times, flops and
   bytes.  One log, two sinks: every recorder is an ``EventLog`` (one
@@ -35,7 +35,7 @@ See ``docs/observability.md`` for the schema and reading guide.
 """
 
 from repro.machine.metrics import PhaseCell, PhaseRollup
-from repro.obs.tracer import NullTracer, SpanTracer, Tracer
+from repro.obs.tracer import SpanTracer
 from repro.obs.rollup import IgbpRollup, StepRollup
 from repro.obs.export import (
     ascii_timeline,
@@ -47,8 +47,6 @@ from repro.obs.export import (
 from repro.obs.store import StoreReader, StoreTracer, TailReader, load_store
 
 __all__ = [
-    "Tracer",
-    "NullTracer",
     "SpanTracer",
     "StoreTracer",
     "StoreReader",

@@ -34,7 +34,7 @@ __all__ = [
 _US = 1.0e6  # virtual seconds -> trace_event microseconds
 
 
-def chrome_trace(tracer: SpanTracer, pretty: bool = False) -> str:
+def chrome_trace(tracer: SpanTracer) -> str:
     """Serialise a trace to Chrome ``trace_event`` JSON (object format)."""
     events: list[dict[str, Any]] = [
         {
@@ -132,7 +132,7 @@ def chrome_trace(tracer: SpanTracer, pretty: bool = False) -> str:
             }
         )
     doc = {"traceEvents": events, "displayTimeUnit": "ms"}
-    return json.dumps(doc, indent=2 if pretty else None)
+    return json.dumps(doc)
 
 
 def write_chrome_trace(tracer: SpanTracer, path: str | Path) -> Path:

@@ -65,21 +65,6 @@ class PhaseChainLink:
     def span(self) -> float:
         return self.t1 - self.t0
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "phase": self.phase,
-            "t0": self.t0,
-            "t1": self.t1,
-            "span_s": self.span,
-            "critical_rank": self.critical_rank,
-            "busy_max_s": self.busy_max,
-            "busy_avg_s": self.busy_avg,
-            "wait_s": self.wait_total,
-            "barrier_s": self.barrier_total,
-            "imbalance": self.imbalance,
-        }
-
 
 @dataclass
 class CriticalPathReport:
@@ -109,7 +94,7 @@ class CriticalPathReport:
 
     # -- serialization --------------------------------------------------
 
-    def to_dict(self, include_steps: bool = False) -> dict:
+    def to_dict(self) -> dict:
         out: dict[str, Any] = {
             "nranks": self.nranks,
             "nsteps": self.nsteps,
@@ -127,8 +112,6 @@ class CriticalPathReport:
         }
         if self.igbp is not None:
             out["igbp"] = self.igbp
-        if include_steps:
-            out["steps"] = [c.to_dict() for c in self.chain]
         return out
 
     # -- presentation ---------------------------------------------------

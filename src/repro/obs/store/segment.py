@@ -7,11 +7,11 @@ recording order::
 
 each an append-only sequence of framed records (:mod:`codec`).  The
 writer holds exactly **one open segment**: a bounded byte buffer
-(flushed whenever it exceeds ``flush_bytes`` or on an explicit
-:meth:`SegmentWriter.flush`) plus the current file handle.  When a
-segment file reaches ``segment_bytes`` it is closed and the next one
-started — so writer memory is O(flush buffer), never O(trace), and a
-finished segment is immutable from that point on.
+(flushed whenever it exceeds :data:`DEFAULT_FLUSH_BYTES` or on an
+explicit :meth:`SegmentWriter.flush`) plus the current file handle.
+When a segment file reaches :data:`DEFAULT_SEGMENT_BYTES` it is closed
+and the next one started — so writer memory is O(flush buffer), never
+O(trace), and a finished segment is immutable from that point on.
 
 Readers tolerate a truncated tail on the *last* segment (crash
 mid-flush); a short or corrupt frame anywhere else raises
@@ -42,10 +42,11 @@ __all__ = [
     "segment_path",
 ]
 
-#: Default segment rotation size (bytes of framed records per file).
+#: Segment rotation size (bytes of framed records per file); a writer
+#: reads it when it is built.
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
-#: Default flush threshold for the in-memory buffer.
+#: Flush threshold for the in-memory buffer; read when a writer is built.
 DEFAULT_FLUSH_BYTES = 64 * 1024
 
 _SEGMENT_RE = re.compile(r"^segment-(\d{5})\.seg$")
@@ -132,17 +133,10 @@ class SegmentWriter:
     offsets.
     """
 
-    def __init__(
-        self,
-        directory: Path,
-        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        flush_bytes: int = DEFAULT_FLUSH_BYTES,
-    ) -> None:
-        if segment_bytes < 1 or flush_bytes < 1:
-            raise ValueError("segment_bytes and flush_bytes must be >= 1")
+    def __init__(self, directory: Path) -> None:
         self.directory = directory
-        self.segment_bytes = segment_bytes
-        self.flush_bytes = flush_bytes
+        self.segment_bytes = DEFAULT_SEGMENT_BYTES
+        self.flush_bytes = DEFAULT_FLUSH_BYTES
         self.segment_index = 0
         self.records = 0
         self.max_buffered = 0

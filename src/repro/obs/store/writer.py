@@ -35,11 +35,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.machine.metrics import PHASE_FLOW
-from repro.obs.store.segment import (
-    DEFAULT_FLUSH_BYTES,
-    DEFAULT_SEGMENT_BYTES,
-    SegmentWriter,
-)
+from repro.obs.store.segment import SegmentWriter
 from repro.obs.rollup import StepRollup
 from repro.obs.tracer import EventLog, event_ranks, shifted
 
@@ -71,9 +67,6 @@ class StoreTracer(EventLog):
         store-owned files already there (``*.seg``, the index)
         are removed first; otherwise their presence is an error — a
         store is append-only within one run, never across runs.
-    segment_bytes / flush_bytes:
-        Rotation size per segment file and flush threshold of the
-        buffer (see :class:`SegmentWriter`).
     meta:
         Optional JSON-serialisable dict stored verbatim in the index
         (case name, backend, nranks requested, ...).
@@ -90,8 +83,6 @@ class StoreTracer(EventLog):
         self,
         directory: str | Path,
         *,
-        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        flush_bytes: int = DEFAULT_FLUSH_BYTES,
         meta: dict[str, Any] | None = None,
         fresh: bool = False,
         flush_every: int = 0,
@@ -117,7 +108,7 @@ class StoreTracer(EventLog):
         self.closed = False
         self._lock = threading.RLock()
         self._advances: list[float] = []
-        self._writer = SegmentWriter(self.directory, segment_bytes, flush_bytes)
+        self._writer = SegmentWriter(self.directory)
         self._max_rank = -1
         self._fold = StepRollup()
         # step -> (its first record's position, rank -> record ordinal)

@@ -40,7 +40,7 @@ log and the parent extends its own recorder with it
 (:meth:`EventLog.extend`).
 
 A multi-epoch run (the driver restarts the scheduler after each dynamic
-rebalance) calls :meth:`Tracer.advance` between epochs so recorded
+rebalance) calls :meth:`EventLog.advance` between epochs so recorded
 times stay on one continuous virtual axis.
 """
 
@@ -49,7 +49,7 @@ from __future__ import annotations
 from typing import Any
 
 __all__ = [
-    "Tracer", "NullTracer", "EventLog", "SpanTracer", "event_ranks", "shifted",
+    "EventLog", "SpanTracer", "event_ranks", "shifted",
     "KIND_OP", "KIND_PHASE", "KIND_MARK", "KIND_SEND", "KIND_RECV",
 ]
 
@@ -85,15 +85,16 @@ def shifted(kind: int, fields: tuple, off: float) -> tuple:
     return (fields[0] + off, *fields[1:])
 
 
-class Tracer:
-    """Recording interface; the base class ignores everything.
+class EventLog:
+    """One picklable list of ``(kind, fields)`` in recording order.
 
-    ``enabled`` is the contract with the scheduler: a simulator given a
-    tracer with ``enabled=False`` drops it at construction time, so the
-    per-event hot path never even sees the object.
+    The root of every recorder; tracing is off when the tracer is
+    ``None``.  ``fields`` is the kind's tuple layout with the trace
+    offset already added to its time fields.  A measured-engine worker
+    records here and the parent passes the shipped log to its
+    recorder's :meth:`extend`, so a step-detecting consumer meets each
+    rank's phase marks before the ops they open.
     """
-
-    enabled: bool = False
 
     #: Time base of recorded events.  ``"virtual"`` (the default) means
     #: modeled seconds from the discrete-event scheduler; execution
@@ -101,55 +102,6 @@ class Tracer:
     #: set this to ``"wall"`` so downstream analytics and baselines can
     #: refuse to compare traces across clock domains.
     clock: str = "virtual"
-
-    # -- recording (called from the scheduler hot path) ----------------
-
-    def op(self, rank: int, phase: str, kind: str, t0: float, t1: float,
-           flops: float = 0.0, nbytes: int = 0) -> None:
-        """Record one primitive span on ``rank``."""
-
-    def phase(self, rank: int, t: float, name: str) -> None:
-        """Record a phase switch on ``rank`` at virtual time ``t``."""
-
-    def mark(self, t: float, name: str, **args: Any) -> None:
-        """Record an instantaneous driver-level annotation."""
-
-    def send(
-        self, t: float, src: int, dst: int, tag: int, nbytes: int, phase: str
-    ) -> None:
-        """Record one message injection (``src`` -> ``dst``)."""
-
-    def recv(
-        self, t: float, rank: int, src: int, tag: int, nbytes: int, phase: str
-    ) -> None:
-        """Record one message consumption on ``rank`` (sender ``src``)."""
-
-    # -- epoch plumbing -------------------------------------------------
-
-    @property
-    def offset(self) -> float:
-        """Current virtual-time offset added to recorded times."""
-        return 0.0
-
-    def advance(self, dt: float) -> None:
-        """Shift the virtual-time origin forward by ``dt`` (one epoch)."""
-
-
-class NullTracer(Tracer):
-    """Explicitly-disabled tracer; identical to passing ``tracer=None``."""
-
-
-class EventLog(Tracer):
-    """One picklable list of ``(kind, fields)`` in recording order.
-
-    ``fields`` is the kind's tuple layout with the trace offset already
-    added to its time fields.  A measured-engine worker records here and
-    the parent passes the shipped log to its recorder's :meth:`extend`,
-    so a step-detecting consumer meets each rank's phase marks before
-    the ops they open.
-    """
-
-    enabled = True
 
     def __init__(self) -> None:
         self.events: list[tuple[int, tuple]] = []
@@ -159,22 +111,27 @@ class EventLog(Tracer):
 
     def op(self, rank: int, phase: str, kind: str, t0: float, t1: float,
            flops: float = 0.0, nbytes: int = 0) -> None:
+        """Record one primitive span on ``rank``."""
         self._record(KIND_OP, (rank, phase, kind, t0, t1, flops, nbytes))
 
     def phase(self, rank: int, t: float, name: str) -> None:
+        """Record a phase switch on ``rank`` at virtual time ``t``."""
         self._record(KIND_PHASE, (rank, t, name))
 
     def mark(self, t: float, name: str, **args: Any) -> None:
+        """Record an instantaneous driver-level annotation."""
         self._record(KIND_MARK, (t, name, args))
 
     def send(
         self, t: float, src: int, dst: int, tag: int, nbytes: int, phase: str
     ) -> None:
+        """Record one message injection (``src`` -> ``dst``)."""
         self._record(KIND_SEND, (t, src, dst, tag, nbytes, phase))
 
     def recv(
         self, t: float, rank: int, src: int, tag: int, nbytes: int, phase: str
     ) -> None:
+        """Record one message consumption on ``rank`` (sender ``src``)."""
         self._record(KIND_RECV, (t, rank, src, tag, nbytes, phase))
 
     def _record(self, kind: int, fields: tuple) -> None:
@@ -189,9 +146,11 @@ class EventLog(Tracer):
 
     @property
     def offset(self) -> float:
+        """Current virtual-time offset added to recorded times."""
         return self._offset
 
     def advance(self, dt: float) -> None:
+        """Shift the virtual-time origin forward by ``dt`` (one epoch)."""
         if dt < 0:
             raise ValueError(f"cannot advance the trace origin by {dt}")
         self._offset += dt

@@ -73,7 +73,6 @@ def build_partition(
     grid_dims: list[tuple[int, ...]],
     nprocs: int,
     procs_per_grid: list[int] | None = None,
-    min_procs_constraints: list[int] | None = None,
     dtau: float = 0.1,
     exclude_ranks: Iterable[int] | None = None,
 ) -> Partition:
@@ -96,7 +95,6 @@ def build_partition(
             gridpoints,
             nprocs,
             dtau=dtau,
-            min_points_constraints=min_procs_constraints,
             exclude_ranks=excluded,
         )
         procs_per_grid = list(balance.procs_per_grid)

@@ -33,6 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+#: Safety bounds of Algorithm 1: tolerance-loop iterations per pass, and
+#: passes of the paper's ``g(n) += n`` perturbation fallback.  If both
+#: run out, a greedy repair adjusts counts by +-1 on the least/most
+#: loaded grids until the total is exact; the result flags
+#: ``used_repair`` so callers can tell.
+MAX_TOLERANCE_ITERS = 400
+MAX_PERTURBATIONS = 64
+
 
 @dataclass(frozen=True)
 class StaticBalanceResult:
@@ -68,8 +76,6 @@ def static_balance(
     gridpoints: list[int],
     nprocs: int,
     dtau: float = 0.1,
-    max_tolerance_iters: int = 400,
-    max_perturbations: int = 64,
     min_points_constraints: list[int] | None = None,
     exclude_ranks: Iterable[int] | None = None,
 ) -> StaticBalanceResult:
@@ -93,11 +99,9 @@ def static_balance(
         processor count ``NP - len(exclude_ranks)``; the returned
         ``procs_per_grid`` sums to the survivor count.  Rank ids must be
         unique and in ``[0, nprocs)``.
-    max_tolerance_iters / max_perturbations:
-        Safety bounds.  If the paper's loop plus perturbation fallback
-        still has not converged, a greedy repair adjusts counts by +-1
-        on the least/most loaded grids until the total is exact; the
-        result flags ``used_repair`` so callers can tell.
+
+    The loop and its fallback are bounded by :data:`MAX_TOLERANCE_ITERS`
+    and :data:`MAX_PERTURBATIONS`.
     """
     n = len(gridpoints)
     if n == 0:
@@ -127,14 +131,14 @@ def static_balance(
 
     g = [float(x) for x in gridpoints]
     total_iters = 0
-    for perturbation in range(max_perturbations + 1):
-        result = _tolerance_loop(g, mins, nprocs, dtau, max_tolerance_iters)
+    for perturbation in range(MAX_PERTURBATIONS + 1):
+        result = _tolerance_loop(g, mins, nprocs, dtau, MAX_TOLERANCE_ITERS)
         if result is not None:
             counts, tau, iters = result
             return StaticBalanceResult(
                 tuple(counts), tau, total_iters + iters, perturbation, False
             )
-        total_iters += max_tolerance_iters
+        total_iters += MAX_TOLERANCE_ITERS
         # Paper's fallback: perturb g(n) by the grid index (1-based) to
         # break integer-arithmetic ties, then repeat.
         g = [gv + (i + 1) for i, gv in enumerate(g)]
@@ -157,7 +161,7 @@ def static_balance(
             counts[idx] -= 1
     tau = _final_tau(g, counts, nprocs)
     return StaticBalanceResult(
-        tuple(counts), tau, total_iters, max_perturbations, True
+        tuple(counts), tau, total_iters, MAX_PERTURBATIONS, True
     )
 
 

@@ -40,6 +40,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 from pathlib import Path
 from typing import Any
 
@@ -63,6 +64,9 @@ CHECKPOINT_VERSION = 4
 #: Fixed so the same state pickles to the same bytes on every
 #: supported interpreter (protocol 4 is available from Python 3.4).
 PICKLE_PROTOCOL = 4
+
+#: Checkpoints a :class:`CheckpointStore` keeps; older ones are pruned.
+KEEP = 3
 
 
 class CheckpointError(RuntimeError):
@@ -210,20 +214,20 @@ class Checkpoint:
 
 
 class CheckpointStore:
-    """A directory of checkpoints with keep-last-k pruning.
+    """A directory of checkpoints keeping the newest :data:`KEEP`.
 
-    File names encode the absolute driver step (``ckpt-step000040.rpk``)
-    so ``latest()`` is a lexicographic max — no mtime dependence, which
-    keeps store behaviour deterministic across filesystems.
+    File names encode the absolute driver step (``ckpt-step000040.rpk``,
+    more digits from step 1 000 000 on) and files are ordered by that
+    parsed step, so ``latest()`` is the highest step — no mtime
+    dependence, which keeps store behaviour deterministic across
+    filesystems.
     """
 
     SUFFIX = ".rpk"
+    _NAME = re.compile(r"^ckpt-step(\d+)" + re.escape(SUFFIX) + "$")
 
-    def __init__(self, directory: str | Path, keep: int = 3):
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self.keep = keep
 
     def path_for(self, step: int) -> Path:
         return self.directory / f"ckpt-step{step:06d}{self.SUFFIX}"
@@ -237,10 +241,15 @@ class CheckpointStore:
         return path
 
     def paths(self) -> list[Path]:
-        """All checkpoint files, oldest first."""
+        """All checkpoint files, oldest (lowest step) first."""
         if not self.directory.is_dir():
             return []
-        return sorted(self.directory.glob(f"ckpt-step*{self.SUFFIX}"))
+        steps: dict[Path, int] = {}
+        for p in self.directory.iterdir():
+            m = self._NAME.match(p.name)
+            if m:
+                steps[p] = int(m.group(1))
+        return sorted(steps, key=steps.__getitem__)
 
     def latest(self) -> Checkpoint | None:
         paths = self.paths()
@@ -249,8 +258,8 @@ class CheckpointStore:
         return Checkpoint.load(paths[-1])
 
     def prune(self) -> list[Path]:
-        """Delete all but the newest ``keep`` checkpoints."""
-        doomed = self.paths()[: -self.keep]
+        """Delete all but the newest :data:`KEEP` checkpoints."""
+        doomed = self.paths()[:-KEEP]
         for p in doomed:
             p.unlink()
         return doomed

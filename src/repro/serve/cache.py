@@ -8,7 +8,7 @@ is policy-free and stores whatever it is given.
 
 Two tiers:
 
-* an in-memory LRU (``max_entries``; eviction is strict
+* an in-memory LRU (:data:`MAX_ENTRIES`; eviction is strict
   least-recently-used, where both ``get`` hits and ``put`` refresh
   recency), and
 * an optional spill directory (``<sha>.json``, atomic rename writes) so
@@ -30,18 +30,15 @@ from pathlib import Path
 
 __all__ = ["ResultCache"]
 
+#: Capacity of the in-memory LRU (and hence of the spill directory).
+MAX_ENTRIES = 256
+
 
 class ResultCache:
     """LRU byte store: ``sha -> canonical payload bytes``."""
 
-    def __init__(
-        self,
-        directory: str | Path | None = None,
-        max_entries: int = 256,
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = int(max_entries)
+    def __init__(self, directory: str | Path | None = None) -> None:
+        self.max_entries = MAX_ENTRIES
         self.directory = Path(directory) if directory else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)

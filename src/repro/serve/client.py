@@ -137,21 +137,14 @@ class ServeClient:
     def ping(self) -> dict[str, Any]:
         return self._raise_for(self._call("ping"))
 
-    def submit(
-        self,
-        spec: JobSpec | dict,
-        cache: bool = True,
-        coalesce: bool = True,
-    ) -> dict[str, Any]:
+    def submit(self, spec: JobSpec | dict, cache: bool = True) -> dict[str, Any]:
         """Enqueue a job (or get its cached/coalesced record).
 
         Returns the job record frame immediately; use :meth:`wait` for
         the result, or :meth:`run` for submit-and-wait in one call.
         """
         wire = spec.to_wire() if isinstance(spec, JobSpec) else spec
-        return self._raise_for(
-            self._call("submit", job=wire, cache=cache, coalesce=coalesce)
-        )
+        return self._raise_for(self._call("submit", job=wire, cache=cache))
 
     def wait(
         self,

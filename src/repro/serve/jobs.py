@@ -15,15 +15,15 @@ server, or was answered from the cache (the cache stores the literal
 bytes).  Payloads carry only modeled quantities for ``sim`` jobs —
 no wall clocks, no timestamps — which is what makes the bytes stable.
 
-``inject`` is a transport-layer test knob (crash / sleep / synthetic
-failures) used by the resilience test battery; it participates in the
-sha like any other knob, so injected jobs can never alias clean ones.
+A job carries no test hooks: tests that need a crashing, slow or
+failing job patch ``repro.serve.pool.run_job_bytes`` before the pool
+forks and key the fault on a sentinel ``f0``, which is part of the sha,
+so a faulty job can never alias a clean one in the cache.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -40,11 +40,8 @@ __all__ = [
 #: Version tag of the result-payload layout.
 SERVE_RESULT_SCHEMA = "repro-serve-result/1"
 
-#: The knobs a job dict may carry (``inject`` only when set).
+#: The knobs a job dict may carry.
 _FIELDS = ("case", "machine", "nodes", "scale", "nsteps", "f0", "backend")
-
-#: Recognized ``inject`` values (prefix match for the parametric ones).
-_INJECT_PREFIXES = ("crash", "sleep:", "error:", "rankfail")
 
 
 class JobSpecError(ValueError):
@@ -66,16 +63,7 @@ def _parse_float(value: Any, name: str) -> float:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One simulation job, fully described by data.
-
-    ``inject`` (optional, test-only) perturbs *execution*, never the
-    payload: ``"crash"`` / ``"crash:once"`` hard-kill the pool worker
-    (always / on the first attempt only), ``"sleep:S"`` delays the run
-    by S host seconds, ``"error:MSG"`` raises ``RuntimeError(MSG)``
-    and ``"rankfail"`` raises a synthetic
-    :class:`repro.machine.faults.RankFailure` — exercising the typed
-    failure-propagation path end to end.
-    """
+    """One simulation job, fully described by data."""
 
     case: str
     machine: str = "sp2"
@@ -84,7 +72,6 @@ class JobSpec:
     nsteps: int = 2
     f0: float = math.inf
     backend: str = "sim"
-    inject: str | None = None
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -93,10 +80,6 @@ class JobSpec:
             raise JobSpecError(f"nsteps must be >= 1, got {self.nsteps}")
         if not (self.scale > 0):
             raise JobSpecError(f"scale must be > 0, got {self.scale}")
-        if self.inject is not None and not str(self.inject).startswith(
-            _INJECT_PREFIXES
-        ):
-            raise JobSpecError(f"unknown inject spec {self.inject!r}")
 
     @property
     def deterministic(self) -> bool:
@@ -107,7 +90,7 @@ class JobSpec:
 
     def config(self) -> dict[str, Any]:
         """The canonical knob dict — what :meth:`sha` hashes."""
-        out: dict[str, Any] = {
+        return {
             "case": self.case,
             "machine": self.machine,
             "nodes": int(self.nodes),
@@ -116,9 +99,6 @@ class JobSpec:
             "f0": float(self.f0),
             "backend": self.backend,
         }
-        if self.inject is not None:
-            out["inject"] = self.inject
-        return out
 
     def sha(self) -> str:
         """Content identity: sha256 of the canonical config dict."""
@@ -132,28 +112,25 @@ class JobSpec:
         return out
 
     @classmethod
-    def from_dict(cls, data: Any, *, check_runnable: bool = True) -> "JobSpec":
+    def from_dict(cls, data: Any) -> "JobSpec":
         """Build a validated spec from an untrusted wire dict.
 
         Unknown keys are rejected (a typo must not silently mint a new
-        job identity); with ``check_runnable`` the case and machine
-        names are checked against the registries so a bad submission
-        fails at the protocol boundary, not inside a pool worker.
+        job identity), and the case and machine names are checked
+        against the registries so a bad submission fails at the
+        protocol boundary, not inside a pool worker.
         """
         if not isinstance(data, dict):
             raise JobSpecError(f"job must be an object, got {type(data).__name__}")
-        unknown = set(data) - set(_FIELDS) - {"inject"}
+        unknown = set(data) - set(_FIELDS)
         if unknown:
             raise JobSpecError(f"unknown job field(s): {sorted(unknown)}")
         if "case" not in data or not isinstance(data["case"], str):
             raise JobSpecError("job needs a string 'case' field")
         machine = data.get("machine", "sp2")
         backend = data.get("backend", "sim")
-        inject = data.get("inject")
         if not isinstance(machine, str) or not isinstance(backend, str):
             raise JobSpecError("'machine' and 'backend' must be strings")
-        if inject is not None and not isinstance(inject, str):
-            raise JobSpecError(f"'inject' must be a string, got {inject!r}")
         nodes = data.get("nodes", 4)
         nsteps = data.get("nsteps", 2)
         if isinstance(nodes, bool) or not isinstance(nodes, int):
@@ -168,10 +145,8 @@ class JobSpec:
             nsteps=nsteps,
             f0=_parse_float(data.get("f0", math.inf), "f0"),
             backend=backend,
-            inject=inject,
         )
-        if check_runnable:
-            spec.check_runnable()
+        spec.check_runnable()
         return spec
 
     def check_runnable(self) -> None:
@@ -198,27 +173,6 @@ class JobSpec:
                 f"unknown backend {self.backend!r}; choose from "
                 f"{sorted(BACKENDS)}"
             )
-
-
-def _apply_inject(spec: JobSpec) -> None:
-    """Interpret the run-side ``inject`` knobs (crash is worker-side)."""
-    inject = spec.inject
-    if not inject:
-        return
-    if inject.startswith("sleep:"):
-        time.sleep(float(inject.split(":", 1)[1]))
-    elif inject.startswith("error:"):
-        raise RuntimeError(inject.split(":", 1)[1])
-    elif inject == "rankfail":
-        from repro.machine.faults import RankFailure
-
-        raise RankFailure(
-            failed={1: 0.0}, time=0.0, blocked=[], completed=[],
-            nranks=spec.nodes,
-        )
-    # "crash"/"crash:once" are handled by the pool worker before the
-    # run starts; a direct run_job treats them as a no-op so the direct
-    # payload stays comparable to the served one.
 
 
 #: Backends whose start-up cost is worth amortising across jobs.  A
@@ -270,7 +224,6 @@ def run_job(spec: JobSpec) -> dict:
     from repro.machine import machine_preset
 
     spec.check_runnable()
-    _apply_inject(spec)
     cfg = build_case(
         spec.case,
         machine=machine_preset(spec.machine, spec.nodes),

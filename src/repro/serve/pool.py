@@ -6,16 +6,16 @@ warm — imports done, numpy loaded, case builders hot — and pay only the
 job's own execution cost per request.  Each worker is one non-daemonic
 forked process (non-daemonic because ``mp``-backend jobs fork their own
 rank processes, which Python forbids from daemonic parents) looping on
-a duplex pipe: ``("job", wire_spec, attempt)`` in, ``("done", payload)``
+a duplex pipe: ``("job", wire_spec)`` in, ``("done", payload)``
 or ``("error", kind, message, detail)`` out.
 
 Failure semantics, all typed:
 
 * a worker that exits mid-job (crash) is discarded, a fresh worker is
   forked in its place, and the job is **retried** with bounded
-  exponential backoff up to ``max_retries`` times — safe because jobs
-  are pure functions of their spec.  Exhausting retries raises
-  :class:`WorkerCrash`.
+  exponential backoff (from :data:`RETRY_BACKOFF`) up to
+  ``max_retries`` times — safe because jobs are pure functions of
+  their spec.  Exhausting retries raises :class:`WorkerCrash`.
 * a job exceeding ``job_timeout`` kills its worker (the only way to
   interrupt it; :func:`repro.backend.proc.stop`, the ladder that ends
   in SIGKILL), forks a replacement, and raises :class:`JobTimeout` —
@@ -34,7 +34,6 @@ as it has workers.
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -52,6 +51,11 @@ __all__ = [
     "JobExecutionError",
     "pool_available",
 ]
+
+
+#: First retry delay after a worker crash (seconds); doubles per
+#: attempt, capped at one second.
+RETRY_BACKOFF = 0.05
 
 
 def pool_available() -> str | None:
@@ -107,13 +111,8 @@ def _worker_main(conn: Any) -> None:
             break  # parent is gone
         if frame[0] == "exit":
             break
-        _, wire, attempt = frame
         try:
-            spec = JobSpec.from_dict(wire)
-            inject = spec.inject or ""
-            if inject == "crash" or (inject == "crash:once" and attempt == 0):
-                os._exit(13)  # simulated hard crash, no exception frame
-            payload = run_job_bytes(spec)
+            payload = run_job_bytes(JobSpec.from_dict(frame[1]))
             conn.send(("done", payload))
         except BaseException as exc:  # noqa: BLE001 - shipped as data
             detail: dict[str, Any] = {}
@@ -142,7 +141,6 @@ class WorkerPool:
         workers: int = 2,
         job_timeout: float | None = 300.0,
         max_retries: int = 2,
-        retry_backoff: float = 0.05,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -154,7 +152,6 @@ class WorkerPool:
         self.workers = int(workers)
         self.job_timeout = job_timeout
         self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
         self._idle: queue.Queue[Child] = queue.Queue()
         self._all: list[Child] = []
         self._lock = threading.Lock()
@@ -221,7 +218,7 @@ class WorkerPool:
         limit = self.job_timeout if timeout is ... else timeout
         for attempt in range(self.max_retries + 1):
             try:
-                return self._execute_once(spec, attempt, limit), attempt + 1
+                return self._execute_once(spec, limit), attempt + 1
             except WorkerCrash:
                 if attempt >= self.max_retries:
                     raise WorkerCrash(
@@ -229,15 +226,13 @@ class WorkerPool:
                         f"{self.max_retries + 1} attempt(s)",
                         attempts=attempt + 1,
                     )
-                time.sleep(min(self.retry_backoff * (2 ** attempt), 1.0))
+                time.sleep(min(RETRY_BACKOFF * (2 ** attempt), 1.0))
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _execute_once(
-        self, spec: JobSpec, attempt: int, limit: float | None
-    ) -> bytes:
+    def _execute_once(self, spec: JobSpec, limit: float | None) -> bytes:
         worker = self._idle.get()
         try:
-            if not worker.send(("job", spec.to_wire(), attempt)):
+            if not worker.send(("job", spec.to_wire())):
                 raise WorkerCrash("worker pipe closed before dispatch")
             deadline = None if limit is None else time.monotonic() + limit
             while True:

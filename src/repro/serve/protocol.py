@@ -41,9 +41,8 @@ __all__ = [
     "error_response",
 ]
 
-#: Protocol version; servers reply with it to ``ping`` and refuse
-#: nothing by version today (there is only one).
-PROTOCOL_VERSION = "repro-serve/1"
+#: Protocol version; servers reply with it to ``ping``.
+PROTOCOL_VERSION = "repro-serve/2"
 
 #: Hard cap on one frame, terminator included.  Result payloads are a
 #: few KiB; a megabyte of headroom means the cap only ever trips on

@@ -13,7 +13,10 @@ Architecture (all inside one process):
   of deterministic jobs with the literal bytes of the first run, and an
   **active-job map** coalesces concurrent submissions of the same sha
   onto one record, so a thundering herd of identical requests costs one
-  execution.
+  execution;
+* the **job table** holds every queued and running record plus the
+  newest :data:`MAX_FINISHED` finished ones; ``result``/``wait`` on an
+  older id answer ``UnknownJob``.
 
 Failure propagation is typed end to end: a job whose program raised
 surfaces as a ``failed`` record carrying ``{kind, message, detail}``
@@ -29,6 +32,7 @@ removes the socket.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import os
@@ -64,6 +68,9 @@ _job_ids = itertools.count(1)
 
 #: Queued jobs beyond this are refused with ``QueueFull``.
 MAX_QUEUE = 1024
+
+#: Finished records the job table keeps (oldest-finished evicted first).
+MAX_FINISHED = 1024
 
 
 class JobRecord:
@@ -127,22 +134,20 @@ class ReproServer:
         self,
         socket_path: str,
         workers: int = 2,
-        cache: ResultCache | None = None,
         cache_dir: str | None = None,
         job_timeout: float | None = 300.0,
         max_retries: int = 2,
         tracer: Any = None,
     ) -> None:
         self.socket_path = str(socket_path)
-        if cache is None:
-            cache = ResultCache(directory=cache_dir)
-        self.cache = cache
+        self.cache = ResultCache(directory=cache_dir)
         self.tracer = tracer
         self.pool = WorkerPool(
             workers=workers, job_timeout=job_timeout, max_retries=max_retries
         )
         self._queue: queue.Queue[JobRecord] = queue.Queue(maxsize=MAX_QUEUE)
         self._jobs: dict[int, JobRecord] = {}
+        self._finished: collections.deque[int] = collections.deque()
         self._active: dict[str, JobRecord] = {}  # sha -> in-flight record
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -273,6 +278,7 @@ class ReproServer:
                     )
             with self._lock:
                 self._active.pop(rec.sha, None)
+                self._retire(rec)
                 self._running -= 1
                 self._idle_cv.notify_all()
 
@@ -301,6 +307,7 @@ class ReproServer:
                 rec.finish_ok(hit, attempts=0, cached=True)
                 with self._lock:
                     self._jobs[rec.id] = rec
+                    self._retire(rec)
                 return self._job_response(rec, req)
         with self._lock:
             if self._draining.is_set():
@@ -308,7 +315,7 @@ class ReproServer:
                     "Draining", "server is draining; not accepting jobs"
                 )
             live = self._active.get(sha)
-            if live is not None and req.get("coalesce", True):
+            if live is not None:
                 rec = live  # piggyback on the identical in-flight job
             else:
                 rec = JobRecord(spec, use_cache)
@@ -381,6 +388,13 @@ class ReproServer:
         "stats": _op_stats,
         "shutdown": _op_shutdown,
     }
+
+    def _retire(self, rec: JobRecord) -> None:
+        """Lock held: ``rec`` has finished; keep only the newest
+        :data:`MAX_FINISHED` finished records in the table."""
+        self._finished.append(rec.id)
+        while len(self._finished) > MAX_FINISHED:
+            self._jobs.pop(self._finished.popleft(), None)
 
     def _find(self, req: dict) -> JobRecord | None:
         job_id = req.get("id")

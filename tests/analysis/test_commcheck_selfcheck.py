@@ -81,7 +81,7 @@ class TestCacheRegression:
         # litter and must keep tiers consistent
         from repro.serve.cache import ResultCache
 
-        cache = ResultCache(directory=tmp_path, max_entries=4)
+        cache = ResultCache(directory=tmp_path)
         cache.put("a" * 8, b"payload-a")
         assert cache.get("a" * 8) == b"payload-a"
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
@@ -92,7 +92,7 @@ class TestCacheRegression:
 
         from repro.serve.cache import ResultCache
 
-        cache = ResultCache(directory=tmp_path, max_entries=8)
+        cache = ResultCache(directory=tmp_path)
         start = threading.Barrier(4)
 
         def worker():

@@ -328,18 +328,20 @@ class TestReport:
         dirty, _ = run_sanitized(racy_program)
         assert "FINDINGS" in dirty.format()
 
-    def test_finding_cap(self):
-        san = Sanitizer(max_findings_per_kind=2)
+    def test_finding_cap(self, monkeypatch):
+        monkeypatch.setattr("repro.analysis.sanitizer.MAX_FINDINGS_PER_KIND", 2)
+        san = Sanitizer()
         san.begin_run(2)
         for tag in range(5):
             san.on_send(0.0, 0, 1, tag, 8, "a", dropped=False)
             san.on_send(0.0, 1, 0, tag, 8, "b", dropped=False)
         assert len(san.findings) == 2
 
-    def test_counts_include_findings_past_the_cap(self):
+    def test_counts_include_findings_past_the_cap(self, monkeypatch):
         """Three distinct races under a cap of two: two are stored, the
         count still says three."""
-        san = Sanitizer(max_findings_per_kind=2)
+        monkeypatch.setattr("repro.analysis.sanitizer.MAX_FINDINGS_PER_KIND", 2)
+        san = Sanitizer()
         san.begin_run(3)
         for _ in range(3):
             box = Mailbox()

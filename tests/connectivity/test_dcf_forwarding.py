@@ -27,8 +27,7 @@ from repro.machine import MachineSpec, NetworkSpec, NodeSpec, Simulator
 from repro.partition import build_partition
 
 
-def run(grids, nprocs, caches, search_lists, max_hops=20,
-        procs_per_grid=None):
+def run(grids, nprocs, caches, search_lists, procs_per_grid=None):
     part = build_partition(
         [g.dims for g in grids], nprocs, procs_per_grid=procs_per_grid
     )
@@ -37,8 +36,7 @@ def run(grids, nprocs, caches, search_lists, max_hops=20,
         grid_of_rank=[part.grid_of_rank(r) for r in range(nprocs)],
         rank_boxes=[part.subdomain_of(r).box for r in range(nprocs)],
         ranks_of_grid={gi: part.ranks_of_grid(gi) for gi in range(len(grids))},
-        config=DcfConfig(search_lists=search_lists,
-                         max_forward_hops=max_hops),
+        config=DcfConfig(search_lists=search_lists),
     )
     igbp_sets = [find_igbps(g, i) for i, g in enumerate(grids)]
 
@@ -157,13 +155,13 @@ class TestForwarding:
         ]
         assert assign["donor_rank"].tolist() == world_owner
 
-    def test_hop_budget_caps_chains(self):
+    def test_hop_budget_caps_chains(self, monkeypatch):
         """With a zero hop budget, stale hints cannot be forwarded; the
         retry machinery still resolves points through re-routing."""
+        monkeypatch.setattr("repro.connectivity.dcf.MAX_FORWARD_HOPS", 0)
         grids, caches = stale_cache_system()
         result, _, _ = run(
-            grids, 5, caches, {0: [1], 1: [0]}, max_hops=0,
-            procs_per_grid=[1, 4],
+            grids, 5, caches, {0: [1], 1: [0]}, procs_per_grid=[1, 4],
         )
         stats = [r[2] for r in result.returns]
         assert sum(st.forwards for st in stats) == 0

@@ -45,7 +45,7 @@ def machine(nodes):
 class LinearScanSimulator(Simulator):
     """The pre-heap scheduler: rescan every rank before every event."""
 
-    def _run_events(self, states, max_events):
+    def _run_events(self, states):
         events = 0
         while True:
             best = best_key = None

@@ -102,10 +102,6 @@ class TestChromeTrace:
             if e["ph"] == "M" and e["pid"] == 2
         ]
 
-    def test_pretty_flag_indents(self):
-        assert "\n" in chrome_trace(toy_tracer(), pretty=True)
-        assert "\n" not in chrome_trace(toy_tracer(), pretty=False)
-
     def test_write_creates_parents(self, tmp_path):
         out = tmp_path / "deep" / "nested" / "t.json"
         got = write_chrome_trace(toy_tracer(), out)

@@ -55,7 +55,9 @@ def debris():
     )
 
 
-#: name -> (case builder, StoreTracer keyword arguments, sanitized)
+#: name -> (case builder, store options, sanitized).  ``segment_bytes``
+#: and ``flush_bytes`` patch the segment module's constants of the same
+#: name (``DEFAULT_*``); the rest are StoreTracer keyword arguments.
 CASES = {
     "airfoil-default": (airfoil, {}, False),
     "airfoil-small-segments": (
@@ -100,8 +102,15 @@ def decoded(directory: Path) -> dict:
 @functools.cache
 def record(name: str) -> dict:
     """File digests, counts and decoded content of one case's store."""
-    build, kwargs, sanitized = CASES[name]
-    with tempfile.TemporaryDirectory() as tmp:
+    build, options, sanitized = CASES[name]
+    kwargs = dict(options)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for size in ("segment_bytes", "flush_bytes"):
+            if size in kwargs:
+                mp.setattr(
+                    f"repro.obs.store.segment.DEFAULT_{size.upper()}",
+                    kwargs.pop(size),
+                )
         tracer = StoreTracer(tmp, **kwargs)
         sanitizer = Sanitizer(tracer=tracer) if sanitized else None
         build_driver(build(), tracer=tracer, sanitizer=sanitizer).run()

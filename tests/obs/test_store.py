@@ -36,6 +36,8 @@ from repro.obs.store.codec import decode_record, encode_record, read_frame
 from repro.obs.store.segment import numbered_segments
 from repro.obs.store.writer import INDEX_NAME
 
+from tests.obs.conftest import store_sizes
+
 
 def roundtrip(value):
     """``value`` recorded as a mark arg, read back through StoreReader;
@@ -247,7 +249,8 @@ class TestSegments:
         return (0, "p", "compute", float(i), float(i + 1), 0.0, 0)
 
     def test_rotation_and_discovery(self, tmp_path):
-        w = SegmentWriter(tmp_path, segment_bytes=200, flush_bytes=50)
+        with store_sizes(segment_bytes=200, flush_bytes=50):
+            w = SegmentWriter(tmp_path)
         for i in range(40):
             w.append(KIND_OP, self.op(i))
         w.close()
@@ -262,7 +265,8 @@ class TestSegments:
         ]
 
     def test_truncated_tail_dropped_only_on_last_segment(self, tmp_path):
-        w = SegmentWriter(tmp_path, segment_bytes=10**6, flush_bytes=1)
+        with store_sizes(segment_bytes=10**6, flush_bytes=1):
+            w = SegmentWriter(tmp_path)
         for i in range(5):
             w.append(KIND_OP, self.op(i))
         w.close()
@@ -295,7 +299,8 @@ def record_script(tracer, nranks=3, steps=4):
 
 class TestStoreTracerRoundTrip:
     def test_exact_spantracer_equality(self, tmp_path):
-        span, store = SpanTracer(), StoreTracer(tmp_path, flush_bytes=64)
+        with store_sizes(flush_bytes=64):
+            span, store = SpanTracer(), StoreTracer(tmp_path)
         record_script(span)
         record_script(store)
         store.close()
@@ -319,7 +324,8 @@ class TestStoreTracerRoundTrip:
         assert got.sends == span.sends
 
     def test_crash_loses_only_unflushed_tail(self, tmp_path):
-        span, store = SpanTracer(), StoreTracer(tmp_path, flush_bytes=64)
+        with store_sizes(flush_bytes=64):
+            span, store = SpanTracer(), StoreTracer(tmp_path)
         record_script(span)
         record_script(store)
         store.flush()
@@ -373,8 +379,8 @@ class TestStoreTracerRoundTrip:
 class TestBoundedMemory:
     def test_long_run_bounds_buffer_and_open_segments(self, tmp_path):
         flush_bytes = 512
-        store = StoreTracer(tmp_path, segment_bytes=4096,
-                            flush_bytes=flush_bytes)
+        with store_sizes(segment_bytes=4096, flush_bytes=flush_bytes):
+            store = StoreTracer(tmp_path)
         cfg = airfoil_case(machine=sp2(nodes=4), scale=0.1, nsteps=5)
         OverflowD1(cfg, tracer=store).run()
         # At most one open segment, ever.
@@ -482,7 +488,8 @@ class TestIndex:
         from repro.obs.store.codec import KIND_PHASE
         from repro.obs.store.segment import segment_path
 
-        store = StoreTracer(tmp_path, segment_bytes=512, flush_bytes=64)
+        with store_sizes(segment_bytes=512, flush_bytes=64):
+            store = StoreTracer(tmp_path)
         record_script(store, nranks=2, steps=3)
         store.close()
         index = load_index(tmp_path)

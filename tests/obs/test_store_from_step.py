@@ -24,6 +24,8 @@ from repro.obs.store.codec import KIND_MARK, KIND_OP, KIND_PHASE
 from repro.obs.store.writer import INDEX_NAME
 from repro.obs.tracer import event_ranks
 
+from tests.obs.conftest import store_sizes
+
 NRANKS = 3
 STEPS = 5
 PHASES = ("overflow", "motion", "dcf3d")
@@ -31,7 +33,8 @@ PHASES = ("overflow", "motion", "dcf3d")
 
 def build_store(directory):
     """A deterministic multi-rank store with one mark per step."""
-    store = StoreTracer(directory, flush_bytes=64)
+    with store_sizes(flush_bytes=64):
+        store = StoreTracer(directory)
     t = 0.0
     for step in range(STEPS):
         for phase in PHASES:

@@ -22,6 +22,8 @@ from repro.obs.store.segment import (  # noqa: E402
 )
 from repro.obs.store.writer import INDEX_NAME  # noqa: E402
 
+from tests.obs.conftest import store_sizes
+
 PHASES = ("overflow", "motion", "dcf3d", "solver")
 KINDS = ("compute", "comm", "wait")
 
@@ -98,8 +100,8 @@ def drive(tracer, sequence):
 def test_store_reads_back_exact_tracer_view(tmp_path_factory, sequence):
     tmp = tmp_path_factory.mktemp("prop-store")
     span = drive(SpanTracer(), sequence)
-    store = drive(StoreTracer(tmp, flush_bytes=96, segment_bytes=1024),
-                  sequence)
+    with store_sizes(segment_bytes=1024, flush_bytes=96):
+        store = drive(StoreTracer(tmp), sequence)
     store.close()
     got = load_store(tmp)
     assert got.ops == span.ops
@@ -123,8 +125,8 @@ def test_crash_recovery_keeps_a_prefix_of_the_recording(
 ):
     tmp = tmp_path_factory.mktemp("prop-crash")
     span = drive(SpanTracer(), sequence)
-    store = drive(StoreTracer(tmp, flush_bytes=64, segment_bytes=512),
-                  sequence)
+    with store_sizes(segment_bytes=512, flush_bytes=64):
+        store = drive(StoreTracer(tmp), sequence)
     # Crash: flush but never close, truncate the final segment
     # mid-frame, optionally tear the index too.
     store.flush()
@@ -163,7 +165,8 @@ def test_multi_epoch_advance_offsets_match(tmp_path_factory, epochs):
     store's index records every epoch boundary."""
     tmp = tmp_path_factory.mktemp("prop-epoch")
     span = SpanTracer()
-    store = StoreTracer(tmp, flush_bytes=128)
+    with store_sizes(flush_bytes=128):
+        store = StoreTracer(tmp)
     for sequence, dt in epochs:
         drive(span, sequence)
         drive(store, sequence)

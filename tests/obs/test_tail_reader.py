@@ -13,6 +13,8 @@ import repro.obs.store.reader as reader_mod
 from repro.obs.store import StoreCorruptionError, StoreTracer, TailReader
 from repro.obs.store.segment import segment_path
 from repro.obs.store.top import run_top
+
+from tests.obs.conftest import store_sizes
 from tests.conftest import deadline
 
 
@@ -65,7 +67,8 @@ def test_poll_retries_an_in_flight_frame(tmp_path):
 
 
 def test_damaged_sealed_segment_raises_instead_of_waiting(tmp_path):
-    store = StoreTracer(tmp_path, segment_bytes=256, flush_bytes=1)
+    with store_sizes(segment_bytes=256, flush_bytes=1):
+        store = StoreTracer(tmp_path)
     record_ops(store, 0, 60)
     store.close()
     segments = sorted(tmp_path.glob("*.seg"))

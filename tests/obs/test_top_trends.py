@@ -30,6 +30,8 @@ from repro.obs.perf.trends import (
     write_trend_csv,
 )
 
+from tests.obs.conftest import store_sizes
+
 
 def op_rec(rank, phase, kind, t0, t1, flops=0.0, nbytes=0):
     return (KIND_OP, [rank, phase, kind, t0, t1, flops, nbytes])
@@ -37,7 +39,8 @@ def op_rec(rank, phase, kind, t0, t1, flops=0.0, nbytes=0):
 
 class TestTailReader:
     def test_incremental_polls_see_only_new_records(self, tmp_path):
-        store = StoreTracer(tmp_path, flush_bytes=1)
+        with store_sizes(flush_bytes=1):
+            store = StoreTracer(tmp_path)
         store.op(0, "p", "compute", 0.0, 1.0)
         store.flush()
         tail = TailReader(tmp_path)
@@ -52,7 +55,8 @@ class TestTailReader:
         store.close()
 
     def test_partial_frame_is_in_flight_not_an_error(self, tmp_path):
-        w = SegmentWriter(tmp_path, flush_bytes=1)
+        with store_sizes(flush_bytes=1):
+            w = SegmentWriter(tmp_path)
         w.append(KIND_OP, (0, "p", "compute", 0.0, 1.0, 0.0, 0))
         w.close()
         tail = TailReader(tmp_path)
@@ -69,7 +73,8 @@ class TestTailReader:
         assert tail.poll() == [(KIND_OP, fields)]
 
     def test_follows_segment_rotation(self, tmp_path):
-        store = StoreTracer(tmp_path, segment_bytes=256, flush_bytes=1)
+        with store_sizes(segment_bytes=256, flush_bytes=1):
+            store = StoreTracer(tmp_path)
         tail = TailReader(tmp_path)
         total = 0
         for i in range(60):
@@ -147,7 +152,8 @@ class TestRenderAndRunTop:
         assert frames  # rendered at least once, then observed completion
 
     def test_loop_mode_bounded_on_live_store(self, tmp_path):
-        store = StoreTracer(tmp_path, flush_bytes=1)
+        with store_sizes(flush_bytes=1):
+            store = StoreTracer(tmp_path)
         store.op(0, "p", "compute", 0.0, 1.0)
         store.flush()  # live: index not yet complete
         frames = []

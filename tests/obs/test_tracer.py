@@ -8,7 +8,7 @@ from repro.machine import (
     NodeSpec,
     Simulator,
 )
-from repro.obs import NullTracer, SpanTracer, StoreTracer, Tracer, load_store
+from repro.obs import SpanTracer, StoreTracer, load_store
 from repro.obs.tracer import (
     KIND_MARK,
     KIND_OP,
@@ -32,22 +32,6 @@ def run(machine, program, tracer=None, *args):
 
 
 class TestTracerInterface:
-    def test_base_tracer_is_disabled_noop(self):
-        t = Tracer()
-        assert t.enabled is False
-        # All recording calls are silent no-ops.
-        t.op(0, "p", "compute", 0.0, 1.0)
-        t.phase(0, 0.0, "p")
-        t.mark(0.0, "m", detail=1)
-        t.advance(5.0)
-        assert t.offset == 0.0
-
-    def test_null_tracer_is_disabled(self):
-        assert NullTracer().enabled is False
-
-    def test_span_tracer_enabled(self):
-        assert SpanTracer().enabled is True
-
     def test_empty_trace_views(self):
         t = SpanTracer()
         assert len(t) == 0
@@ -213,10 +197,6 @@ class TestSchedulerEmission:
         names = [(r, n) for r, _t, n in tracer.phase_marks]
         assert names.count((0, "a")) == 1
         assert names.count((1, "b")) == 1
-
-    def test_disabled_tracer_dropped_at_construction(self):
-        sim = Simulator(make_machine(), tracer=NullTracer())
-        assert sim._tracer is None
 
     def test_tracing_does_not_change_virtual_time(self):
         def program(comm):

@@ -42,12 +42,6 @@ class TestBuildPartition:
         with pytest.raises(ValueError, match="sums to"):
             build_partition([(40, 40)], 6, procs_per_grid=[5])
 
-    def test_min_constraints_forwarded(self):
-        part = build_partition(
-            [(40, 40), (40, 40)], 6, min_procs_constraints=[4, 1]
-        )
-        assert part.procs_per_grid[0] >= 4
-
     def test_oscillating_airfoil_shape(self):
         """Paper Fig. 2: three roughly equal grids on nine processors
         get three processors each."""

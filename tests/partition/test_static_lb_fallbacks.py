@@ -2,40 +2,40 @@
 
 import pytest
 
-from repro.partition import static_balance
+from repro.partition import static_balance, static_lb
 
 
 class TestGreedyRepair:
-    def test_repair_engages_when_perturbation_disabled(self):
+    def test_repair_engages_when_perturbation_disabled(self, monkeypatch):
         """With the paper's perturbation fallback disabled, the
         deterministic greedy repair still yields a valid partition."""
-        r = static_balance([1000, 1000], 3, max_perturbations=0)
+        monkeypatch.setattr(static_lb, "MAX_PERTURBATIONS", 0)
+        r = static_balance([1000, 1000], 3)
         assert r.used_repair
         assert sum(r.procs_per_grid) == 3
         assert sorted(r.procs_per_grid) == [1, 2]
 
-    def test_repair_respects_constraints(self):
-        r = static_balance(
-            [1000, 1000], 5,
-            max_perturbations=0,
-            min_points_constraints=[3, 1],
-        )
+    def test_repair_respects_constraints(self, monkeypatch):
+        monkeypatch.setattr(static_lb, "MAX_PERTURBATIONS", 0)
+        r = static_balance([1000, 1000], 5, min_points_constraints=[3, 1])
         assert sum(r.procs_per_grid) == 5
         assert r.procs_per_grid[0] >= 3
 
-    def test_repair_tau_reported(self):
-        r = static_balance([1000, 1000], 3, max_perturbations=0)
+    def test_repair_tau_reported(self, monkeypatch):
+        monkeypatch.setattr(static_lb, "MAX_PERTURBATIONS", 0)
+        r = static_balance([1000, 1000], 3)
         assert r.tau >= 0.0
 
     def test_normal_path_does_not_repair(self):
         r = static_balance([300, 100], 4)
         assert not r.used_repair
 
-    def test_repair_prefers_loaded_grid(self):
+    def test_repair_prefers_loaded_grid(self, monkeypatch):
         """The repair hands extra processors to the grid with the most
         points per processor."""
-        r = static_balance([900, 100, 100], 11, max_perturbations=0,
-                           max_tolerance_iters=1)
+        monkeypatch.setattr(static_lb, "MAX_PERTURBATIONS", 0)
+        monkeypatch.setattr(static_lb, "MAX_TOLERANCE_ITERS", 1)
+        r = static_balance([900, 100, 100], 11)
         assert sum(r.procs_per_grid) == 11
         assert r.procs_per_grid[0] >= 8
 

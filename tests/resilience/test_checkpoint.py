@@ -119,7 +119,7 @@ class TestStore:
             store.write(Checkpoint.pack({"case": "x"}, {"s": 1}))
 
     def test_latest_is_highest_step(self, tmp_path):
-        store = CheckpointStore(tmp_path, keep=10)
+        store = CheckpointStore(tmp_path)
         for step in (5, 40, 12):
             store.write(sample_checkpoint(step))
         assert store.latest().step == 40
@@ -129,8 +129,23 @@ class TestStore:
             "ckpt-step000040.rpk",
         ]
 
-    def test_prune_keeps_newest_k(self, tmp_path):
-        store = CheckpointStore(tmp_path, keep=2)
+    def test_steps_past_six_digits_order_numerically(self, tmp_path):
+        """``ckpt-step1000000`` sorts before ``ckpt-step999999`` as a
+        string; the store orders by the parsed step."""
+        store = CheckpointStore(tmp_path)
+        for step in (999_998, 999_999, 1_000_000):
+            store.write(sample_checkpoint(step))
+        assert store.latest().step == 1_000_000
+        store.write(sample_checkpoint(1_000_001))
+        assert [p.name for p in store.paths()] == [
+            "ckpt-step999999.rpk",
+            "ckpt-step1000000.rpk",
+            "ckpt-step1000001.rpk",
+        ]
+
+    def test_prune_keeps_newest_k(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.resilience.checkpoint.KEEP", 2)
+        store = CheckpointStore(tmp_path)
         for step in (1, 2, 3, 4):
             store.write(sample_checkpoint(step))
         assert [p.name for p in store.paths()] == [
@@ -142,10 +157,6 @@ class TestStore:
         store = CheckpointStore(tmp_path / "empty")
         assert store.latest() is None
         assert store.paths() == []
-
-    def test_keep_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            CheckpointStore(tmp_path, keep=0)
 
 
 class TestSolverQRoundTrip:

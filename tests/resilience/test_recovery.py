@@ -138,7 +138,7 @@ class TestCheckpointingBitIdentity:
 
     def test_disk_checkpoint_equals_in_memory(self, tmp_path):
         cfg = small_case()
-        store = CheckpointStore(tmp_path, keep=10)
+        store = CheckpointStore(tmp_path)
         driver = OverflowD1(cfg, checkpoint_every=5, checkpoint_store=store)
         driver.run()
         assert store.paths(), "expected periodic checkpoints on disk"

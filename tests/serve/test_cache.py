@@ -22,12 +22,9 @@ class TestMemoryTier:
         with pytest.raises(TypeError, match="bytes"):
             ResultCache().put("aa", "text")
 
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ResultCache(max_entries=0)
-
-    def test_lru_eviction_order(self):
-        c = ResultCache(max_entries=2)
+    def test_lru_eviction_order(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.cache.MAX_ENTRIES", 2)
+        c = ResultCache()
         c.put("a", b"1")
         c.put("b", b"2")
         assert c.get("a") == b"1"  # refreshes 'a'
@@ -37,8 +34,9 @@ class TestMemoryTier:
         assert c.get("c") == b"3"
         assert c.stats()["evictions"] == 1
 
-    def test_put_refreshes_recency(self):
-        c = ResultCache(max_entries=2)
+    def test_put_refreshes_recency(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.cache.MAX_ENTRIES", 2)
+        c = ResultCache()
         c.put("a", b"1")
         c.put("b", b"2")
         c.put("a", b"1*")  # re-put refreshes, and overwrites
@@ -67,8 +65,9 @@ class TestSpillTier:
         assert fresh.stats()["hits"] == 1
         assert len(fresh) == 1  # now adopted into memory
 
-    def test_eviction_removes_spilled_file(self, tmp_path):
-        c = ResultCache(directory=tmp_path, max_entries=1)
+    def test_eviction_removes_spilled_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.serve.cache.MAX_ENTRIES", 1)
+        c = ResultCache(directory=tmp_path)
         c.put("a", b"1")
         c.put("b", b"2")
         assert not (tmp_path / "a.json").exists()
@@ -81,8 +80,9 @@ class TestSpillTier:
 
 
 class TestThreadSafety:
-    def test_concurrent_put_get_consistent(self):
-        c = ResultCache(max_entries=64)
+    def test_concurrent_put_get_consistent(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.cache.MAX_ENTRIES", 64)
+        c = ResultCache()
         errors = []
 
         def worker(tid):

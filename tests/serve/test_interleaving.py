@@ -21,15 +21,18 @@ from repro.serve import (
     run_job_bytes,
 )
 
-from tests.serve.conftest import tiny_spec
+from tests.serve.conftest import (
+    CRASH_ONCE,
+    ERROR,
+    faulty_run_job_bytes,
+    fault_spec,
+    tiny_spec,
+)
 
 # The deterministic job palette: 3 distinct tiny jobs ...
 _SPECS = [tiny_spec(nsteps=n) for n in (1, 2, 3)]
 # ... and failure-injected intruders scheduled between them.
-_INTRUDERS = [
-    tiny_spec(inject="error:intruder"),
-    tiny_spec(inject="crash:once"),
-]
+_INTRUDERS = [fault_spec(ERROR), fault_spec(CRASH_ONCE)]
 
 _expected_cache: dict[int, bytes] = {}
 
@@ -49,14 +52,19 @@ _STEP = st.tuples(
 
 
 @pytest.fixture(scope="module")
-def warm_server():
+def warm_server(tmp_path_factory):
     import tempfile
 
     path = tempfile.mktemp(prefix="rsv-hyp-", suffix=".sock", dir="/tmp")
-    srv = ReproServer(path, workers=2, job_timeout=60.0)
-    srv.start()
-    yield srv
-    srv.shutdown(drain_timeout=10.0)
+    marker = tmp_path_factory.mktemp("faults") / "crashed"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            "repro.serve.pool.run_job_bytes", faulty_run_job_bytes(str(marker))
+        )
+        srv = ReproServer(path, workers=2, job_timeout=60.0)
+        srv.start()
+        yield srv
+        srv.shutdown(drain_timeout=10.0)
 
 
 class TestInterleavingProperty:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.obs.perf.bench import canonical_json, config_sha
 from repro.serve import JobSpec, JobSpecError, run_job, run_job_bytes
 
-from tests.serve.conftest import tiny_spec
+from tests.serve.conftest import CRASH, CRASH_ONCE, fault_spec, tiny_spec
 
 
 class TestJobSpec:
@@ -83,14 +83,17 @@ class TestJobSpec:
                 JobSpec.from_dict(bad)
 
     def test_unknown_inject_rejected(self):
-        with pytest.raises(JobSpecError, match="inject"):
-            JobSpec("airfoil", inject="explode")
+        """The wire carries no test hooks: ``inject`` is an unknown field."""
+        with pytest.raises(JobSpecError, match="unknown job field"):
+            JobSpec.from_dict({"case": "airfoil", "inject": "crash"})
 
     def test_inject_participates_in_sha(self):
-        """An injected job must never alias its clean twin in the cache."""
+        """A test's fault-injected job must never alias its clean twin
+        in the cache: the fault sentinel is ``f0``, which the sha
+        covers."""
         clean = tiny_spec()
-        assert tiny_spec(inject="crash").sha() != clean.sha()
-        assert tiny_spec(inject="crash:once").sha() != clean.sha()
+        assert fault_spec(CRASH).sha() != clean.sha()
+        assert fault_spec(CRASH_ONCE).sha() != clean.sha()
 
     def test_deterministic_flag(self):
         assert tiny_spec(backend="sim").deterministic
@@ -130,15 +133,6 @@ class TestRunJob:
         assert payload.endswith(b"\n")
         assert canonical_json(json.loads(payload)).encode() == payload
 
-    def test_error_inject_raises(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            run_job(tiny_spec(inject="error:boom"))
-
-    def test_rankfail_inject_raises_typed(self):
-        from repro.machine.faults import RankFailure
-
-        with pytest.raises(RankFailure):
-            run_job(tiny_spec(inject="rankfail"))
 
 
 # ----------------------------------------------------------------------
@@ -196,9 +190,7 @@ class TestConfigShaProperties:
     def test_sha_survives_wire_round_trip(self, cfg):
         spec = JobSpec(f0=float("inf"), **cfg)
         wire = json.loads(json.dumps(spec.to_wire(), allow_nan=False))
-        assert (
-            JobSpec.from_dict(wire, check_runnable=False).sha() == spec.sha()
-        )
+        assert JobSpec.from_dict(wire).sha() == spec.sha()
 
 
 class TestWarmBackends:

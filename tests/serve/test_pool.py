@@ -18,16 +18,27 @@ from repro.serve import (
 from repro.serve.pool import pool_available
 
 from tests.conftest import deadline, pid_gone
-from tests.serve.conftest import tiny_spec
-
-pytestmark = pytest.mark.skipif(
-    pool_available() is not None, reason=pool_available() or ""
+from tests.serve.conftest import (
+    CRASH,
+    CRASH_ONCE,
+    ERROR,
+    RANKFAIL,
+    SLEEP,
+    fault_spec,
+    tiny_spec,
 )
+
+pytestmark = [
+    pytest.mark.skipif(
+        pool_available() is not None, reason=pool_available() or ""
+    ),
+    pytest.mark.usefixtures("inject_faults"),
+]
 
 
 @pytest.fixture
-def pool():
-    p = WorkerPool(workers=2, job_timeout=60.0, retry_backoff=0.01)
+def pool(inject_faults):
+    p = WorkerPool(workers=2, job_timeout=60.0)
     p.start()
     yield p
     p.close()
@@ -71,23 +82,17 @@ class TestExecute:
 
 class TestCrashRecovery:
     def test_crash_once_is_retried_transparently(self, pool):
-        payload, attempts = pool.execute(tiny_spec(inject="crash:once"))
+        payload, attempts = pool.execute(fault_spec(CRASH_ONCE))
         assert attempts == 2
         assert pool.crashes == 1
-        # Payload equals the clean job's *content* apart from the inject
-        # knob recorded in the job section.
-        import json
-
-        clean = json.loads(run_job_bytes(tiny_spec()))
-        crashed = json.loads(payload)
-        assert crashed["result"] == clean["result"]
+        assert payload == run_job_bytes(fault_spec(CRASH_ONCE))
 
     def test_persistent_crash_exhausts_retries(self):
-        p = WorkerPool(workers=1, max_retries=1, retry_backoff=0.01)
+        p = WorkerPool(workers=1, max_retries=1)
         p.start()
         try:
             with pytest.raises(WorkerCrash) as exc_info:
-                p.execute(tiny_spec(inject="crash"))
+                p.execute(fault_spec(CRASH))
             assert exc_info.value.attempts == 2
             assert p.crashes == 2
         finally:
@@ -95,7 +100,7 @@ class TestCrashRecovery:
 
     def test_pool_survives_crash_and_serves_next_job(self, pool):
         with pytest.raises(WorkerCrash):
-            pool.execute(tiny_spec(inject="crash"))
+            pool.execute(fault_spec(CRASH))
         payload, _ = pool.execute(tiny_spec())
         assert payload == run_job_bytes(tiny_spec())
 
@@ -104,7 +109,7 @@ class TestCrashRecovery:
         p.start()
         try:
             with pytest.raises(WorkerCrash) as exc_info:
-                p.execute(tiny_spec(inject="crash:once"))
+                p.execute(fault_spec(CRASH_ONCE))
             assert exc_info.value.attempts == 1
         finally:
             p.close()
@@ -117,7 +122,7 @@ class TestTimeout:
         try:
             t0 = time.monotonic()
             with pytest.raises(JobTimeout, match="per-job timeout"):
-                p.execute(tiny_spec(inject="sleep:30"))
+                p.execute(fault_spec(SLEEP + 30))
             assert time.monotonic() - t0 < 10.0  # killed, not waited out
             # The killed worker was replaced; pool still serves.
             payload, _ = p.execute(tiny_spec(), timeout=60.0)
@@ -133,7 +138,7 @@ class TestTimeout:
             stopper = threading.Timer(0.3, os.kill, (pid, signal.SIGSTOP))
             stopper.start()
             with pytest.raises(JobTimeout):
-                p.execute(tiny_spec(inject="sleep:3"))
+                p.execute(fault_spec(SLEEP + 3))
             stopper.join()
             assert pid_gone(pid)
             assert p.crashes == 1
@@ -142,20 +147,20 @@ class TestTimeout:
 
     def test_per_call_timeout_overrides_default(self, pool):
         with pytest.raises(JobTimeout):
-            pool.execute(tiny_spec(inject="sleep:30"), timeout=0.5)
+            pool.execute(fault_spec(SLEEP + 30), timeout=0.5)
 
 
 class TestJobErrors:
     def test_program_error_is_typed_and_not_retried(self, pool):
         with pytest.raises(JobExecutionError) as exc_info:
-            pool.execute(tiny_spec(inject="error:kaboom"))
+            pool.execute(fault_spec(ERROR + 7))
         assert exc_info.value.kind == "RuntimeError"
-        assert exc_info.value.message == "kaboom"
+        assert exc_info.value.message == "injected 7"
         assert pool.crashes == 0  # a raising job is not a crash
 
     def test_rankfailure_detail_travels(self, pool):
         with pytest.raises(JobExecutionError) as exc_info:
-            pool.execute(tiny_spec(inject="rankfail"))
+            pool.execute(fault_spec(RANKFAIL))
         err = exc_info.value
         assert err.kind == "RankFailure"
         assert err.detail["failed"] == {"1": 0.0}

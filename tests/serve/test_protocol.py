@@ -160,7 +160,7 @@ class TestLiveServerFuzz:
         assert json.loads(bad)["ok"] is False
         ping = json.loads(good)
         assert ping["ok"] is True
-        assert ping["protocol"] == "repro-serve/1"
+        assert ping["protocol"] == "repro-serve/2"
 
     def test_oversized_frame_closes_connection(self, server):
         data = b"x" * (MAX_FRAME + 100) + b"\n"

@@ -16,14 +16,20 @@ from repro.obs import SpanTracer
 from repro.serve import (
     JobFailedError,
     ReproServer,
-    ResultCache,
     ServeClient,
     ServeConnectError,
     ServeProtocolError,
     run_job_bytes,
 )
 
-from tests.serve.conftest import tiny_spec
+from tests.serve.conftest import (
+    CRASH_ONCE,
+    ERROR,
+    RANKFAIL,
+    SLEEP,
+    fault_spec,
+    tiny_spec,
+)
 
 
 class TestByteIdentity:
@@ -84,7 +90,7 @@ class TestFailurePropagation:
     def test_rankfailure_reconstructs_client_side(self, server):
         with ServeClient(server.socket_path) as c:
             with pytest.raises(JobFailedError) as exc_info:
-                c.run(tiny_spec(inject="rankfail"), timeout=60)
+                c.run(fault_spec(RANKFAIL), timeout=60)
         rf = exc_info.value.rank_failure
         assert rf is not None
         assert rf.failed == {1: 0.0}
@@ -93,13 +99,13 @@ class TestFailurePropagation:
     def test_runtime_error_is_typed(self, server):
         with ServeClient(server.socket_path) as c:
             with pytest.raises(JobFailedError) as exc_info:
-                c.run(tiny_spec(inject="error:bad input"), timeout=60)
+                c.run(fault_spec(ERROR + 1), timeout=60)
         assert exc_info.value.kind == "RuntimeError"
-        assert exc_info.value.message == "bad input"
+        assert exc_info.value.message == "injected 1"
         assert exc_info.value.rank_failure is None
 
     def test_failed_jobs_are_not_cached(self, server):
-        spec = tiny_spec(inject="error:nope")
+        spec = fault_spec(ERROR + 2)
         with ServeClient(server.socket_path) as c:
             for _ in range(2):
                 with pytest.raises(JobFailedError):
@@ -110,19 +116,14 @@ class TestFailurePropagation:
         assert spec.sha() not in server.cache
 
     def test_worker_crash_recovery_mid_job(self, server):
-        """crash:once kills the worker mid-job; retry must succeed and
-        the payload must match the clean run's result section."""
-        import json
-
+        """The first attempt kills the worker mid-job; the retry must
+        succeed with the payload a direct run gives."""
+        spec = fault_spec(CRASH_ONCE)
         with ServeClient(server.socket_path) as c:
-            rec = c.run(tiny_spec(inject="crash:once"), timeout=60)
-            clean = c.run(tiny_spec(), timeout=60)
+            rec = c.run(spec, timeout=60)
         assert rec["attempts"] == 2
         assert server.pool.crashes >= 1
-        assert (
-            json.loads(rec["payload"])["result"]
-            == json.loads(clean["payload"])["result"]
-        )
+        assert rec["payload"].encode() == run_job_bytes(spec)
 
     def test_bad_submission_is_protocol_error(self, server):
         with ServeClient(server.socket_path) as c:
@@ -161,21 +162,12 @@ class TestCoalescing:
         assert len(set(ids)) < 6
         assert stats["cache"]["misses"] <= 6
 
-    def test_coalesce_opt_out(self, server):
-        spec = tiny_spec()
-        with ServeClient(server.socket_path) as c:
-            a = c.submit(spec, cache=False, coalesce=False)
-            b = c.submit(spec, cache=False, coalesce=False)
-            assert a["id"] != b["id"]
-            c.wait(job_id=a["id"], timeout=60)
-            c.wait(job_id=b["id"], timeout=60)
-
 
 class TestOps:
     def test_ping(self, server):
         with ServeClient(server.socket_path) as c:
             pong = c.ping()
-        assert pong["protocol"] == "repro-serve/1"
+        assert pong["protocol"] == "repro-serve/2"
         assert pong["workers"] == 2
         assert pong["pid"] == os.getpid()
 
@@ -197,7 +189,7 @@ class TestOps:
 
     def test_wait_timeout_reports_not_hangs(self, server):
         with ServeClient(server.socket_path) as c:
-            rec = c.submit(tiny_spec(inject="sleep:1"), cache=False)
+            rec = c.submit(fault_spec(SLEEP + 1), cache=False)
             with pytest.raises(Exception, match="timed out"):
                 c.wait(job_id=rec["id"], timeout=0.2)
             # The job still completes; a later wait succeeds.
@@ -220,6 +212,20 @@ class TestOps:
         assert stats["cache"]["hits"] == 1
         assert stats["jobs"]["done"] == 2
         assert stats["workers"] == 2
+
+
+class TestJobTable:
+    def test_only_newest_finished_records_are_kept(self, server, monkeypatch):
+        monkeypatch.setattr("repro.serve.server.MAX_FINISHED", 2)
+        spec = tiny_spec()
+        with ServeClient(server.socket_path) as c:
+            c.run(spec, timeout=60)
+            hits = [c.run(spec, timeout=60) for _ in range(4)]
+            assert all(rec["cached"] for rec in hits)
+            assert [j["id"] for j in c.jobs()] == [r["id"] for r in hits[2:]]
+            with pytest.raises(JobFailedError) as exc_info:
+                c.result(job_id=hits[0]["id"])
+        assert exc_info.value.kind == "UnknownJob"
 
 
 class TestSpans:
@@ -255,11 +261,11 @@ class TestLifecycle:
         finally:
             srv.shutdown(drain_timeout=5)
 
-    def test_drain_finishes_inflight_jobs(self, socket_path):
+    def test_drain_finishes_inflight_jobs(self, inject_faults, socket_path):
         srv = ReproServer(socket_path, workers=1, job_timeout=60)
         srv.start()
         with ServeClient(socket_path) as c:
-            rec = c.submit(tiny_spec(inject="sleep:0.5"), cache=False)
+            rec = c.submit(fault_spec(SLEEP + 0.5), cache=False)
             srv.shutdown(drain_timeout=30)
             job = srv._jobs[rec["id"]]
         assert job.state == "done"
@@ -301,12 +307,3 @@ class TestLifecycle:
     def test_client_error_on_missing_socket(self):
         with pytest.raises(ServeConnectError, match="is `repro serve`"):
             ServeClient("/tmp/definitely-not-a-socket.sock")
-
-    def test_shared_cache_instance(self, socket_path):
-        cache = ResultCache()
-        with ReproServer(
-            socket_path, workers=1, cache=cache, job_timeout=60
-        ):
-            with ServeClient(socket_path) as c:
-                c.run(tiny_spec(), timeout=60)
-        assert tiny_spec().sha() in cache

@@ -15,7 +15,7 @@ import pytest
 
 from repro.serve import JobFailedError, ServeClient, run_job_bytes
 
-from tests.serve.conftest import tiny_spec
+from tests.serve.conftest import CRASH_ONCE, ERROR, fault_spec, tiny_spec
 
 
 def _storm(socket_path, n_clients, per_client, make_spec):
@@ -111,28 +111,29 @@ class TestMixedStorm:
         """One third clean, one third program-error, one third worker
         crash-once: clean results stay byte-identical, failures stay
         typed, nothing wedges."""
-        clean = run_job_bytes(tiny_spec())
+        expected = {
+            spec.sha(): run_job_bytes(spec)
+            for spec in (tiny_spec(), fault_spec(CRASH_ONCE))
+        }
 
         def make_spec(cid, j):
             kind = (cid + j) % 3
             if kind == 0:
                 return tiny_spec()
             if kind == 1:
-                return tiny_spec(inject=f"error:storm-{cid}-{j}")
-            return tiny_spec(inject="crash:once")
+                return fault_spec(ERROR + 10 * cid + j)
+            return fault_spec(CRASH_ONCE)
 
         results, errors = _storm(
             server.socket_path, n_clients=6, per_client=3, make_spec=make_spec
         )
         assert len(results) + len(errors) == 18
         for _cid, _j, sha, rec in results:
-            payload = json.loads(rec["payload"])
-            if payload["job"].get("inject") is None:
-                assert rec["payload"].encode() == clean
-        for _cid, _j, _sha, exc in errors:
+            assert rec["payload"].encode() == expected[sha]
+        for cid, j, _sha, exc in errors:
             assert isinstance(exc, JobFailedError)
             assert exc.kind == "RuntimeError"
-            assert exc.message.startswith("storm-")
+            assert exc.message == f"injected {10 * cid + j}"
         # Every injected error surfaced as an error, every crash was
         # retried into a success.
         assert len(errors) == 6

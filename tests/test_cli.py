@@ -673,19 +673,23 @@ class TestServeCLI:
             rec = json.loads(capsys.readouterr().out)
         assert rec["payload"].encode() == run_job_bytes(tiny_spec())
 
-    def test_submit_failed_job_exits_one(self, capsys):
+    def test_submit_failed_job_exits_one(self, capsys, monkeypatch, tmp_path):
         import tempfile
 
         from repro.serve import ReproServer, ServeClient
+        from tests.serve.conftest import ERROR, fault_spec, faulty_run_job_bytes
 
+        # A failing job is a test-side fault (the sentinel f0), so patch
+        # the pool before it forks, drive the job through the client and
+        # read it back via the CLI.
+        monkeypatch.setattr(
+            "repro.serve.pool.run_job_bytes",
+            faulty_run_job_bytes(str(tmp_path / "crashed")),
+        )
         sock = tempfile.mktemp(prefix="rsv-cli-", suffix=".sock", dir="/tmp")
         with ReproServer(sock, workers=1, job_timeout=60.0):
-            # The CLI has no --inject knob (it's test-only), so drive
-            # the failure through the client and read it back via CLI.
-            from tests.serve.conftest import tiny_spec
-
             with ServeClient(sock) as c:
-                rec = c.submit(tiny_spec(inject="error:cli-test"))
+                rec = c.submit(fault_spec(ERROR))
                 import pytest as _pytest
 
                 from repro.serve import JobFailedError
