@@ -72,7 +72,7 @@ formation flights as canonical ``repro-scenario/1`` JSON.
 ``run``/``trace``/``bench`` accept ``--scenario FILE`` to execute such
 a file with the adaptive off-body driver (Algorithm 3 grouping; see
 docs/offbody.md) instead of a built-in case.  ``trace --from-step N``
-replays only steps ``N..`` from a segment store using the index's
+replays only steps ``N..`` from a trace store using the index's
 per-step byte offsets.
 
 ``serve`` starts the simulation-as-a-service daemon

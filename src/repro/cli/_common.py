@@ -67,8 +67,8 @@ def backend_opt(sp: argparse.ArgumentParser, cluster: bool = True) -> None:
 def trace_store_opt(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--trace-store", metavar="DIR",
-        help="stream trace events to a segment store at DIR "
-        "(one append-only log of segments + index; bounded memory; "
+        help="stream trace events to a trace store at DIR "
+        "(one append-only event file + index; bounded memory; "
         "tail it live with 'repro top DIR')",
     )
 
@@ -179,7 +179,7 @@ def resilience_kwargs(args: argparse.Namespace) -> dict[str, Any]:
     kwargs: dict[str, Any] = {}
     if args.fault:
         kwargs["fault_plan"] = list(args.fault)
-    if args.checkpoint_every:
+    if args.checkpoint_every is not None:
         kwargs["checkpoint_every"] = args.checkpoint_every
     if args.checkpoint_dir:
         kwargs["checkpoint_store"] = args.checkpoint_dir

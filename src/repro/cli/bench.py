@@ -122,7 +122,7 @@ def register(sub: Any) -> None:
     )
     bench.add_argument(
         "--trace-store", metavar="DIR",
-        help="keep each case's segment store under DIR/<case> "
+        help="keep each case's trace store under DIR/<case> "
         "(default: a temporary directory, discarded)",
     )
     bench.set_defaults(fn=cmd_bench)

@@ -1,5 +1,5 @@
 """``trace`` / ``top``: one traced run and its exports; the live view
-of a segment store."""
+of a trace store."""
 
 from __future__ import annotations
 
@@ -17,13 +17,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     case, target, banner = c.resolve_target(args)
     out_dir = Path(args.out)
-    # --trends needs per-step rollups, which come from the segment
-    # store's index; default its location under the output directory.
-    if args.trends and not args.trace_store:
-        args.trace_store = str(out_dir / f"store_{case}")
-    mode = "streaming store" if args.trace_store else "in-memory"
     with closing(c.open_engine(args)) as engine:
-        print(f"{banner}, tracing enabled ({mode}), backend={engine.name}")
+        print(f"{banner}, tracing enabled, backend={engine.name}")
         traced = traced_run(
             target, store_dir=args.trace_store, sanitize=args.sanitize,
             backend=engine, meta={"case": case, "component": "trace"},
@@ -73,7 +68,7 @@ def _print_trace(
         print(ascii_timeline(tracer, width=args.width))
     print(f"\nwrote {paths[0]}  (load in chrome://tracing or Perfetto)")
     print(f"wrote {paths[1]}")
-    if store is not None:
+    if args.trace_store:
         print(
             f"trace store: {store.directory} ({store.records} records; "
             f"watch live with 'repro top {store.directory}')"
@@ -122,14 +117,12 @@ def register(sub: Any) -> None:
     trace.add_argument(
         "--trends", action="store_true",
         help="per-step trend analytics from the store index: ASCII "
-        "phase-time and imbalance plots + a trends CSV (implies a "
-        "segment store under --out when --trace-store is not given)",
+        "phase-time and imbalance plots + a trends CSV",
     )
     trace.add_argument(
         "--from-step", type=int, default=None, metavar="N",
-        help="replay only steps N.. from the segment store via the "
-        "index's per-step byte offsets (needs --trace-store); exports "
-        "are suffixed _fromN",
+        help="replay only steps N.. from the trace store via the "
+        "index's per-step byte offsets; exports are suffixed _fromN",
     )
     trace.set_defaults(fn=cmd_trace)
 
@@ -137,7 +130,7 @@ def register(sub: Any) -> None:
         "top",
         help="live view of a running traced job: per-rank phase "
         "occupancy, f(p) imbalance and hot comm edges, tailed from a "
-        "segment store",
+        "trace store",
     )
     top.add_argument("store", help="trace-store directory to tail")
     top.add_argument(

@@ -69,6 +69,8 @@ class CaseConfig:
             raise ValueError("dt must be positive")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be >= 0")
+        if not (self.f0 > 0):
+            raise ValueError(f"f0 must be positive, got {self.f0}")
 
     @property
     def total_gridpoints(self) -> int:

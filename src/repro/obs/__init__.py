@@ -26,7 +26,7 @@ produces those series from the simulated machine:
   comm-matrix analytics over recorded traces, the ``repro bench``
   canonical-JSON harness and the ``repro trace-diff`` regression gate;
 * :mod:`store` — the streaming trace store
-  (:class:`StoreTracer` writing one append-only log of segment files
+  (:class:`StoreTracer` writing one append-only event file
   with an index, :func:`load_store` reconstructing the exact
   SpanTracer view) that lifts the in-memory cap on run length and
   feeds the live ``repro top`` view.

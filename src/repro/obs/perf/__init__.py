@@ -21,7 +21,7 @@ subpackage turns the raw event streams of
 * :mod:`diff` — ``repro trace-diff``: classifies per-phase/per-metric
   deltas between two BENCH payloads with a tolerance, for the CI
   perf-regression gate;
-* :mod:`trends` — per-step series from the segment-store index
+* :mod:`trends` — per-step series from the trace-store index
   (phase seconds, busy/wait, f(p) imbalance) as ASCII charts, CSV,
   and the deterministic ``trend`` block of a BENCH payload.
 

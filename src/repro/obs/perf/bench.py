@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -39,7 +38,7 @@ __all__ = [
 
 #: Version tag of the BENCH payload layout.  Bump on breaking changes;
 #: ``trace-diff`` refuses to compare payloads across schema versions.
-#: v2: the run streams through the segment store and the ``simulated``
+#: v2: the run streams through the trace store and the ``simulated``
 #: section gains a per-step ``trend`` block.
 BENCH_SCHEMA = "repro-bench/2"
 
@@ -190,7 +189,7 @@ def bench_payload(
     scenario payload (``grouping`` overrides its run block; the payload
     then carries a ``simulated.offbody`` block with per-epoch
     patch/grouping statistics).  The run streams its events through the
-    segment store (:mod:`repro.obs.store`) — to ``trace_store`` if
+    trace store (:mod:`repro.obs.store`) — to ``trace_store`` if
     given, else a temporary directory — under the sanitizer, and the
     analytics (critical path, comm matrix, per-step ``trend`` block)
     come from the store-reconstructed view
@@ -204,13 +203,12 @@ def bench_payload(
     from repro.offbody import OffBodyRunResult
 
     name, target, config = _resolve(case, quick, grouping)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
-        traced = traced_run(
-            target,
-            store_dir=trace_store or tmp,
-            sanitize=True,
-            meta={"case": name, "component": "bench"},
-        )
+    traced = traced_run(
+        target,
+        store_dir=trace_store,
+        sanitize=True,
+        meta={"case": name, "component": "bench"},
+    )
     run = traced.run
     igbp = run.igbp_rollup()
     san_report = traced.sanitizer.report()

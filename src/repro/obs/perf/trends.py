@@ -1,8 +1,8 @@
-"""Per-step trend analytics from the segment-store index.
+"""Per-step trend analytics from the trace-store index.
 
 The paper's tables aggregate whole runs; its *dynamics* — connectivity
 cost spiking as bodies cross grid boundaries, imbalance drifting until
-Algorithm 2 repartitions — only show up step by step.  The segment
+Algorithm 2 repartitions — only show up step by step.  The trace
 store's index (:mod:`repro.obs.store.writer`) already carries, per
 step, each rank's compute / comm / wait seconds per phase; this module
 turns those into:

@@ -1,26 +1,22 @@
-"""Streaming trace store (one append-only log of segments + index).
+"""Streaming trace store (one append-only event file + index).
 
 The scalable successor to buffering every event in
 :class:`repro.obs.tracer.SpanTracer`: :class:`StoreTracer` streams
-events to numbered segment files with bounded memory, and
-:func:`load_store` reconstructs the exact in-memory view for the
-existing exporters and analyzers.  See ``docs/observability.md`` for
-the on-disk format.
+events to one event file with bounded memory, and :func:`load_store`
+reconstructs the exact in-memory view for the existing exporters and
+analyzers.  See ``docs/observability.md`` for the on-disk format.
 """
 
 from repro.obs.store.codec import StoreCodecError
 from repro.obs.store.reader import (
+    StoreCorruptionError,
     StoreReader,
     TailReader,
     load_index,
     load_store,
 )
-from repro.obs.store.segment import (
-    SegmentWriter,
-    StoreCorruptionError,
-    iter_segment_records,
-)
 from repro.obs.store.writer import (
+    EVENTS_NAME,
     INDEX_NAME,
     STORE_FORMAT,
     StoreTracer,
@@ -34,6 +30,7 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
+    "EVENTS_NAME",
     "INDEX_NAME",
     "KIND_MARK",
     "KIND_OP",
@@ -41,13 +38,11 @@ __all__ = [
     "KIND_RECV",
     "KIND_SEND",
     "STORE_FORMAT",
-    "SegmentWriter",
     "StoreCodecError",
     "StoreCorruptionError",
     "StoreReader",
     "StoreTracer",
     "TailReader",
-    "iter_segment_records",
     "load_index",
     "load_store",
 ]

@@ -1,15 +1,15 @@
-"""Record encoding and framing for the segment store.
+"""Record encoding and framing for the trace store.
 
-Segment files are sequences of **length-framed records**::
+The event file is a sequence of **length-framed records**::
 
     u32 payload_length | u32 crc32(payload) | payload
 
 The frame makes the stream self-synchronising for the one failure mode
 an append-only log has: a crash mid-write leaves a truncated tail.  A
-reader that hits a short header, a short payload, or a CRC mismatch on
-the *final* frame of the *final* segment simply drops that tail — every
+reader that hits a short header, a short payload, or a CRC mismatch
+past the prefix the index counts simply drops that tail — every
 fully-flushed record before it is intact (see
-:func:`repro.obs.store.segment.iter_segment_records`).
+:func:`repro.obs.store.reader.iter_frames`).
 
 The payload is ``marshal.dumps((kind, fields), MARSHAL_VERSION)``: the
 tracer's ``KIND_*`` code and the event's field tuple; a record's place

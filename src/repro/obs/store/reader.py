@@ -1,4 +1,4 @@
-"""Readers for the segment store.
+"""Readers for the trace store.
 
 Three consumers, three shapes:
 
@@ -10,8 +10,8 @@ Three consumers, three shapes:
     and byte-identically to the in-memory path.
 
 :class:`StoreReader`
-    Lazy, in-order iteration over the segments plus access to the
-    index.  Works with or without ``index.json``: segments are
+    Lazy, in-order iteration over the event file plus access to the
+    index.  Works with or without ``index.json``: frames are
     self-describing, so a store whose writer crashed before its first
     index flush still reads back everything durably flushed.
 
@@ -19,8 +19,14 @@ Three consumers, three shapes:
     Incremental tailing of a store that is **still being written** —
     the feed for ``repro top``.  Each :meth:`~TailReader.poll` returns
     records that became durable since the previous poll, tolerating an
-    in-flight partial frame in the newest segment (retried next poll)
-    and newly appearing segment files.
+    in-flight partial frame at the end of the file (retried next poll).
+
+Both read the one event file from a byte cursor, and both apply one
+corruption rule.  The index's ``bytes`` counts the prefix of the event
+file the writer had flushed when it wrote the index — the *sealed*
+prefix.  A short, CRC-failing or undecodable frame that starts inside
+it is damage from outside and raises :class:`StoreCorruptionError`; a
+short or CRC-failing frame past it is a torn (or in-flight) tail.
 """
 
 from __future__ import annotations
@@ -29,26 +35,31 @@ import json
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.obs.store.segment import (
-    StoreCorruptionError,
-    iter_frames,
-    iter_segment_records,
-    numbered_segments,
-    read_segment,
-)
-from repro.obs.store.writer import INDEX_NAME, STORE_FORMAT
+from repro.obs.store.codec import StoreCodecError, decode_record, read_frame
+from repro.obs.store.writer import EVENTS_NAME, INDEX_NAME, STORE_FORMAT
 from repro.obs.tracer import SpanTracer, event_ranks
 
-__all__ = ["StoreReader", "TailReader", "load_store", "load_index"]
+__all__ = [
+    "StoreCorruptionError",
+    "StoreReader",
+    "TailReader",
+    "load_index",
+    "load_store",
+]
+
+
+class StoreCorruptionError(RuntimeError):
+    """The event file is damaged inside its sealed prefix, or the store
+    is of another format."""
 
 
 def load_index(directory: str | Path) -> dict[str, Any] | None:
     """Load ``index.json``; ``None`` when absent or unreadable.
 
     A missing/torn index is not an error — the writer may have crashed
-    before its first flush, and segments carry all the event data.  A
-    *well-formed* index with the wrong format tag raises, because that
-    is a version mismatch, not a crash artefact.
+    before its first flush, and the event file carries all the event
+    data.  A *well-formed* index with the wrong format tag raises,
+    because that is a version mismatch, not a crash artefact.
     """
     path = Path(directory) / INDEX_NAME
     try:
@@ -64,6 +75,67 @@ def load_index(directory: str | Path) -> dict[str, Any] | None:
     return payload
 
 
+def sealed_bytes(index: dict[str, Any] | None) -> int:
+    """Bytes of the event file the index vouches for (0 without one)."""
+    return 0 if index is None else int(index["bytes"])
+
+
+def events_path(directory: Path) -> Path:
+    """The event file of ``directory`` (which may not exist yet).
+
+    Any other ``*.seg`` file raises :class:`StoreCorruptionError`: it
+    belongs to an older store layout (``segment-NNNNN.seg``,
+    ``shard-*.seg``), which must be refused by name rather than read
+    as an empty store.
+    """
+    for path in directory.glob("*.seg"):
+        if path.name != EVENTS_NAME:
+            raise StoreCorruptionError(
+                f"{path}: not the event file of this store format (an "
+                f"older store layout?)"
+            )
+    return directory / EVENTS_NAME
+
+
+def read_events(path: Path, start: int = 0) -> bytes:
+    """The bytes of the event file from byte ``start`` on (none when the
+    writer has not created it yet)."""
+    try:
+        with open(path, "rb") as f:
+            f.seek(start)
+            return f.read()
+    except FileNotFoundError:
+        return b""
+
+
+def iter_frames(
+    path: Path, buf: bytes, start: int, sealed: int
+) -> Iterator[tuple[tuple, int]]:
+    """Yield ``((kind, fields), end offset in buf)`` per frame of ``buf``,
+    the bytes of ``path`` from byte ``start`` on.
+
+    A bad frame (or the end of the bytes) before byte ``sealed`` raises
+    :class:`StoreCorruptionError`; a short or CRC-failing frame at or
+    past it ends the iteration — the tail a crash tore, or one still
+    being written.  An undecodable payload raises anywhere.
+    """
+    off = 0
+    while off < len(buf):
+        payload, end = read_frame(buf, off)
+        if payload is None:
+            break
+        try:
+            yield decode_record(payload), end
+        except StoreCodecError as exc:
+            raise StoreCorruptionError(f"{path}: {exc}") from exc
+        off = end
+    if start + off < sealed:
+        raise StoreCorruptionError(
+            f"{path}: corrupt or missing frame at byte {start + off}, "
+            f"inside the {sealed} bytes the index counts"
+        )
+
+
 class StoreReader:
     """Read a (finished or crashed) store directory."""
 
@@ -72,27 +144,27 @@ class StoreReader:
         if not self.directory.is_dir():
             raise FileNotFoundError(f"no trace store at {self.directory}")
         self.index = load_index(self.directory)
-        self.segments = numbered_segments(self.directory)
-        if not self.segments and self.index is None:
+        self.path = events_path(self.directory)
+        if not self.path.exists() and self.index is None:
             raise FileNotFoundError(
-                f"{self.directory} holds neither segments nor an index"
+                f"{self.directory} holds neither an event file nor an index"
             )
 
-    def _iter_from(self, seg: int, byte: int) -> Iterator[tuple]:
-        """``(kind, fields)`` records from a (segment, byte) position on."""
-        final = max(self.segments, default=None)
-        for idx, path in self.segments.items():
-            if idx >= seg:
-                yield from iter_segment_records(
-                    path, last=idx == final, start=byte if idx == seg else 0
-                )
+    def _iter_from(self, byte: int) -> Iterator[tuple]:
+        """``(kind, fields)`` records from byte ``byte`` on; a torn tail
+        past the sealed prefix is dropped."""
+        buf = read_events(self.path, byte)
+        for record, _ in iter_frames(
+            self.path, buf, byte, sealed_bytes(self.index)
+        ):
+            yield record
 
     def _iter_step(self, row: dict[str, Any]) -> Iterator[tuple]:
         """Records from a step row's ``start`` on, each rank's from its
         own ``starts`` ordinal on."""
-        seg, byte, first = row["start"]
+        byte, first = row["start"]
         starts = {int(r): n for r, n in row["starts"].items()}
-        for n, (kind, fields) in enumerate(self._iter_from(seg, byte), first):
+        for n, (kind, fields) in enumerate(self._iter_from(byte), first):
             ranks = event_ranks(kind, fields)
             if not ranks or starts.get(ranks[0], n) <= n:
                 yield kind, fields
@@ -110,7 +182,7 @@ class StoreReader:
         step is out of range.
         """
         if from_step is None:
-            return self._iter_from(0, 0)
+            return self._iter_from(0)
         steps = self.steps
         if not steps:
             raise ValueError(
@@ -151,38 +223,31 @@ def load_store(
 class TailReader:
     """Incrementally tail a store that may still be growing.
 
-    Keeps one cursor — the segment and byte offset of the next frame —
-    so a refresh costs the bytes appended since the last one.  Rotation
-    seals a segment before its successor exists, so only in the newest
-    segment is an incomplete or CRC-failing frame in flight (retried
-    next poll); in a sealed one it raises :class:`StoreCorruptionError`.
+    Keeps one cursor — the byte offset of the next frame — so a refresh
+    costs the bytes appended since the last one.  Each poll reads the
+    index before the bytes it vouches for, so the sealed prefix it
+    checks against is always on disk already.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self._segment = 0
         self._byte = 0
+        #: The index snapshot the latest poll read (None until the
+        #: writer has flushed one).
+        self.index: dict[str, Any] | None = None
 
     def poll(self) -> list[tuple]:
         """Return records that became durable since the last poll."""
-        out: list[tuple] = []
         if not self.directory.is_dir():
-            return out
-        segments = numbered_segments(self.directory)
-        while self._segment in segments:
-            newest = self._segment + 1 not in segments
-            path = segments[self._segment]
-            buf = read_segment(path, self._byte)
-            end = 0
-            for record, end in iter_frames(path, buf, self._byte, newest):
-                out.append(record)
-            self._byte += end
-            if newest:
-                break
-            self._segment += 1
-            self._byte = 0
+            return []
+        path = events_path(self.directory)
+        self.index = load_index(self.directory)
+        buf = read_events(path, self._byte)
+        out: list[tuple] = []
+        end = 0
+        for record, end in iter_frames(
+            path, buf, self._byte, sealed_bytes(self.index)
+        ):
+            out.append(record)
+        self._byte += end
         return out
-
-    def index(self) -> dict[str, Any] | None:
-        """Latest index snapshot, if the writer has flushed one."""
-        return load_index(self.directory)

@@ -226,7 +226,7 @@ def render_top(
 
 def _await_store(store: Path, wait: float) -> None:
     """Return once ``store`` exists (``wait`` = 0) or holds an index or
-    a segment (within ``wait`` seconds); :class:`FileNotFoundError`
+    an event file (within ``wait`` seconds); :class:`FileNotFoundError`
     otherwise."""
     if not wait:
         if not store.is_dir():
@@ -275,7 +275,7 @@ def run_top(
         while True:
             fresh = tail.poll()
             agg.feed(fresh)
-            index = tail.index()
+            index = tail.index
             frame = render_top(
                 agg, index=index, directory=directory, width=width
             )

@@ -3,27 +3,30 @@
 An :class:`repro.obs.tracer.EventLog` like every recorder, so every
 producer — the simulated scheduler, the mp/cluster parent extending it
 with its workers' logs, serve's per-job tracer — works unchanged.
-Instead of keeping the log it drains it, in recording order, to one
-series of segment files (:mod:`repro.obs.store.segment`) as framed
-binary records.  Memory is bounded by one flush buffer plus at most
+Instead of keeping the log it drains it, in recording order, to the
+store's one append-only event file (:data:`EVENTS_NAME`) as framed
+binary records (:mod:`repro.obs.store.codec`).  Memory is bounded by one
+flush buffer (:data:`DEFAULT_FLUSH_BYTES`) plus at most
 :data:`DRAIN_EVENTS` pending events, regardless of run length.
 
-A record's position in the series is its place in the recording, so a
-reader that reads the segments in order recovers the exact order
+A record's position in the file is its place in the recording, so a
+reader that reads the file in order recovers the exact order
 SpanTracer would have recorded — which is what makes the reconstructed
 view (and everything exported from it) byte-identical to the in-memory
 path.
 
-The writer also maintains the **segment index** (``index.json``): the
-segment list and, per step, its start positions, its time span and
-each rank's ``[compute, comm, wait]`` seconds per phase.  Steps come
-from :class:`repro.obs.rollup.StepRollup`, which every event passes
-through on its way to disk: a rank entering the first phase of the
-timestep cycle (:data:`repro.machine.metrics.PHASE_FLOW`,
-``"overflow"``) starts its next step.  The index is
-rewritten atomically on :meth:`flush`, :meth:`advance` and
-:meth:`close`; readers never need it for correctness (segments are
-self-describing) but use it for per-step analytics and trend plots.
+The writer also maintains the **index** (``index.json``): ``bytes``,
+how much of the event file was flushed when the index was written, and,
+per step, its start positions, its time span and each rank's
+``[compute, comm, wait]`` seconds per phase.  Steps come from
+:class:`repro.obs.rollup.StepRollup`, which every event passes through
+on its way to disk: a rank entering the first phase of the timestep
+cycle (:data:`repro.machine.metrics.PHASE_FLOW`, ``"overflow"``) starts
+its next step.  The index is rewritten atomically on :meth:`flush`,
+:meth:`advance` and :meth:`close`, always after the bytes it counts;
+readers never need it for the records (frames are self-describing) but
+use its byte count to tell damage from a torn tail, and its steps for
+per-step analytics and trend plots.
 """
 
 from __future__ import annotations
@@ -32,27 +35,43 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any
+from typing import IO, Any
 
 from repro.machine.metrics import PHASE_FLOW
-from repro.obs.store.segment import SegmentWriter
 from repro.obs.rollup import StepRollup
+from repro.obs.store.codec import encode_record
 from repro.obs.tracer import EventLog, event_ranks, shifted
 
-__all__ = ["StoreTracer", "INDEX_NAME", "STORE_FORMAT"]
+__all__ = ["StoreTracer", "EVENTS_NAME", "INDEX_NAME", "STORE_FORMAT"]
 
-#: File name of the segment index inside a store directory.
+#: File name of the index inside a store directory.
 INDEX_NAME = "index.json"
 
+#: File name of the event file inside a store directory.
+EVENTS_NAME = "events.seg"
+
 #: Format tag written to (and checked from) the index.
-STORE_FORMAT = "repro-trace-store/4"
+STORE_FORMAT = "repro-trace-store/5"
 
 #: Pending events that force a drain to the flush buffer.
 DRAIN_EVENTS = 1024
 
+#: Flush threshold of the write buffer, in bytes; read when a
+#: StoreTracer is built.
+DEFAULT_FLUSH_BYTES = 64 * 1024
+
+
+def _store_owned(name: str) -> bool:
+    """The index, an event file (of any store format) or a crashed
+    writer's leftover index snapshot."""
+    return (
+        name == INDEX_NAME or name.endswith(".seg")
+        or (name.startswith(f"{INDEX_NAME}.") and name.endswith(".tmp"))
+    )
+
 
 class StoreTracer(EventLog):
-    """Streaming tracer writing a segment store.
+    """Streaming tracer writing a trace store.
 
     Recorded events wait in ``events``, without the trace offset, until
     a drain writes them: at :meth:`flush`, :meth:`advance`,
@@ -64,9 +83,10 @@ class StoreTracer(EventLog):
     ----------
     directory:
         Store directory (created if missing).  With ``fresh=True`` any
-        store-owned files already there (``*.seg``, the index)
-        are removed first; otherwise their presence is an error — a
-        store is append-only within one run, never across runs.
+        store-owned files already there (``*.seg``, the index and
+        leftover ``index.json.*.tmp`` snapshots) are removed first;
+        otherwise their presence is an error — a store is append-only
+        within one run, never across runs.
     meta:
         Optional JSON-serialisable dict stored verbatim in the index
         (case name, backend, nranks requested, ...).
@@ -91,9 +111,7 @@ class StoreTracer(EventLog):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         existing = sorted(
-            p.name
-            for p in self.directory.iterdir()
-            if p.name == INDEX_NAME or p.name.endswith(".seg")
+            p.name for p in self.directory.iterdir() if _store_owned(p.name)
         )
         if existing:
             if not fresh:
@@ -108,10 +126,15 @@ class StoreTracer(EventLog):
         self.closed = False
         self._lock = threading.RLock()
         self._advances: list[float] = []
-        self._writer = SegmentWriter(self.directory)
+        self._flush_bytes = DEFAULT_FLUSH_BYTES
+        self.max_buffered_bytes = 0  # high-water mark of the buffer
+        self._buffer = bytearray()
+        self._file: IO[bytes] | None = None  # opened on the first write
+        self._flushed = 0  # bytes of the event file written out
+        self._encoded = 0  # records encoded (buffered or written out)
         self._max_rank = -1
         self._fold = StepRollup()
-        # step -> (its first record's position, rank -> record ordinal)
+        # step -> ([byte, ordinal] of its first record, rank -> ordinal)
         self._starts: list[tuple[list[int], dict[str, int]]] = []
         self._index_gen = 0
         self._published_gen = 0
@@ -135,7 +158,7 @@ class StoreTracer(EventLog):
             self.events.append((kind, fields))
             pending = len(self.events)
             every = self.flush_every
-            if not every or (self._writer.records + pending) % every:
+            if not every or (self._encoded + pending) % every:
                 if pending >= DRAIN_EVENTS:
                     self._drain()
                 return
@@ -143,26 +166,47 @@ class StoreTracer(EventLog):
         self._publish_index(snapshot)
 
     def _drain(self) -> None:
-        """Write every pending event to the buffer, in order, folding
-        each into the per-step rollup.  Caller holds the lock."""
+        """Encode every pending event into the buffer, in order, folding
+        each into the per-step rollup; write the buffer out whenever it
+        reaches ``flush_bytes``.  Caller holds the lock."""
         off = self._offset
-        writer = self._writer
+        buffer = self._buffer
         for kind, fields in self.events:
             record = shifted(kind, fields, off)
             self._max_rank = max((self._max_rank, *event_ranks(kind, record)))
             # A step starts at its phase record, so reading a step from
             # its start yields the opening phase mark too.
-            start = writer.position()
+            ordinal = self._encoded
+            byte = self._flushed + len(buffer)
             # Encode before the fold keeps references to the record's
-            # values: marshal flags shared objects, and the segment
-            # bytes would follow.
-            writer.append(kind, record)
+            # values: marshal flags shared objects, and the file's bytes
+            # would follow.
+            buffer += encode_record(kind, record)
+            self._encoded += 1
+            if len(buffer) >= self._flush_bytes:
+                self._write()
             step = self._fold.feed(kind, record)
             if step is not None:
                 if step == len(self._starts):
-                    self._starts.append((list(start), {}))
-                self._starts[step][1][str(record[0])] = start[2]
+                    self._starts.append(([byte, ordinal], {}))
+                self._starts[step][1][str(record[0])] = ordinal
         self.events.clear()
+
+    def _write(self) -> None:
+        """Append the buffer to the event file.  Caller holds the lock."""
+        if not self._buffer:
+            return
+        if self._file is None:
+            self._file = open(  # noqa: SIM115 - held across calls
+                self.directory / EVENTS_NAME, "ab"
+            )
+        self._file.write(self._buffer)
+        self._file.flush()
+        self._flushed += len(self._buffer)
+        self.max_buffered_bytes = max(
+            self.max_buffered_bytes, len(self._buffer)
+        )
+        self._buffer.clear()
 
     def _step_rows(self) -> list[dict[str, Any]]:
         """The index's step rows: where each step starts, its time span
@@ -197,13 +241,14 @@ class StoreTracer(EventLog):
     # -- lifecycle ------------------------------------------------------
 
     def _sync(self, complete: bool = False) -> tuple[int, str]:
-        """Drain, flush (or seal) the log and snapshot the index.
-        Caller holds the lock and publishes the snapshot after it."""
+        """Drain, write out (and on completion close) the event file and
+        snapshot the index.  Caller holds the lock and publishes the
+        snapshot after it."""
         self._drain()
-        if complete:
-            self._writer.close()
-        else:
-            self._writer.flush()
+        self._write()
+        if complete and self._file is not None:
+            self._file.close()
+            self._file = None
         return self._snapshot_index(complete)
 
     def flush(self) -> None:
@@ -213,7 +258,7 @@ class StoreTracer(EventLog):
         self._publish_index(snapshot)
 
     def close(self) -> None:
-        """Flush, seal segments, and mark the index complete."""
+        """Flush, close the event file, and mark the index complete."""
         with self._lock:
             if self.closed:
                 return
@@ -240,17 +285,7 @@ class StoreTracer(EventLog):
     def records(self) -> int:
         """Total records recorded so far (written or pending)."""
         with self._lock:
-            return self._writer.records + len(self.events)
-
-    @property
-    def max_buffered_bytes(self) -> int:
-        """High-water mark of the flush buffer."""
-        return self._writer.max_buffered
-
-    @property
-    def open_segments(self) -> int:
-        """Open segment files right now (at most one)."""
-        return int(self._writer._file is not None)
+            return self._encoded + len(self.events)
 
     def _snapshot_index(self, complete: bool) -> tuple[int, str]:
         """Serialize the index under the lock; caller publishes outside.
@@ -265,13 +300,13 @@ class StoreTracer(EventLog):
             "format": STORE_FORMAT,
             "clock": self.clock,
             "complete": complete,
-            "records": self._writer.records,
+            "records": self._encoded,
+            "bytes": self._flushed,
             "nranks": self._max_rank + 1,
             "offset": self._offset,
             "advances": list(self._advances),
             "step_phase": PHASE_FLOW,
             "steps": self._step_rows(),
-            "segments": self._writer.segments,
             "meta": self.meta,
         }
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"

@@ -8,7 +8,7 @@ benchmark virtual times are bit-identical with tracing on or off
 (asserted by the golden-trace tests).
 
 Five event kinds are kept, all in *virtual seconds*, each with a kind
-code (``KIND_*``, also the record kind byte of the segment store):
+code (``KIND_*``, also the record kind byte of the trace store):
 
 ``op`` spans (:data:`KIND_OP`)
     ``(rank, phase, kind, t0, t1, flops, nbytes)`` — one per scheduler
@@ -34,7 +34,7 @@ code (``KIND_*``, also the record kind byte of the segment store):
 There is one recording path.  Every recorder is an :class:`EventLog`:
 each of the five calls builds its kind's tuple and hands it to one
 ``_record``, which appends ``(kind, fields)`` to ``events`` in recording
-order.  :class:`SpanTracer` reads that log per kind; the segment store's
+order.  :class:`SpanTracer` reads that log per kind; the trace store's
 ``StoreTracer`` drains it to disk; a measured-engine worker ships its
 log and the parent extends its own recorder with it
 (:meth:`EventLog.extend`).
@@ -53,7 +53,7 @@ __all__ = [
     "KIND_OP", "KIND_PHASE", "KIND_MARK", "KIND_SEND", "KIND_RECV",
 ]
 
-# Event kind codes (the segment store writes them as record kind bytes).
+# Event kind codes (the trace store writes them as record kind bytes).
 KIND_OP = 1
 KIND_PHASE = 2
 KIND_MARK = 3

@@ -80,6 +80,8 @@ class JobSpec:
             raise JobSpecError(f"nsteps must be >= 1, got {self.nsteps}")
         if not (self.scale > 0):
             raise JobSpecError(f"scale must be > 0, got {self.scale}")
+        if not (self.f0 > 0):
+            raise JobSpecError(f"f0 must be > 0, got {self.f0}")
 
     @property
     def deterministic(self) -> bool:

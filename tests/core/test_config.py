@@ -73,3 +73,8 @@ class TestValidation:
 
     def test_default_f0_is_static_only(self):
         assert math.isinf(make().f0)
+
+    @pytest.mark.parametrize("f0", [0.0, -1.0, -math.inf, math.nan])
+    def test_non_positive_or_nan_f0_refused(self, f0):
+        with pytest.raises(ValueError, match="f0 must be positive"):
+            make(f0=f0)

@@ -6,17 +6,10 @@ import pytest
 
 
 @contextlib.contextmanager
-def store_sizes(segment_bytes=None, flush_bytes=None):
-    """Segment writers built inside the block rotate at ``segment_bytes``
-    and flush at ``flush_bytes``: the module constants a writer reads
-    when it is built, patched for the block."""
+def flush_bytes(nbytes):
+    """StoreTracers built inside the block write their buffer out at
+    ``nbytes``: the module constant a StoreTracer reads when it is
+    built, patched for the block."""
     with pytest.MonkeyPatch.context() as mp:
-        if segment_bytes is not None:
-            mp.setattr(
-                "repro.obs.store.segment.DEFAULT_SEGMENT_BYTES", segment_bytes
-            )
-        if flush_bytes is not None:
-            mp.setattr(
-                "repro.obs.store.segment.DEFAULT_FLUSH_BYTES", flush_bytes
-            )
+        mp.setattr("repro.obs.store.writer.DEFAULT_FLUSH_BYTES", nbytes)
         yield

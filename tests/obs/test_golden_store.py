@@ -1,20 +1,20 @@
 """Golden pins for what a :class:`StoreTracer` writes.
 
 Two pins per run, both with the record and rank counts.  ``files`` is
-the sha256 of every file the store leaves behind (each segment and the
-complete ``index.json``): any change to record order, flush points,
-step detection, the per-step rollup *or the on-disk layout* shows up as
-a changed digest.  ``decoded`` takes the layout out: the sha256 of the
+the sha256 of every file the store leaves behind (the event file and
+the complete ``index.json``): any change to record order, step
+detection, the per-step rollup *or the on-disk layout* shows up as a
+changed digest.  ``decoded`` takes the layout out: the sha256 of the
 read-back ``(kind, fields)`` stream, of every ``from_step=k`` replay,
-and the index without its format tag, segment table and step start
+and the index without its format tag, byte count and step start
 positions — so a change of record encoding or file layout must leave
 it alone, and so must a change in which objects the producer shares
 (marshal flags an object referenced elsewhere, which moves ``files``
 but not ``decoded``).
 
-The runs cover the default buffering, small segments and flush buffers
-(rotation at many points), a ``flush_every`` cadence, a sanitizer
-recording into the same store, and the off-body driver.  Every run is
+The runs cover the default buffering, small flush buffers (writes at
+many points), a ``flush_every`` cadence, a sanitizer recording into
+the same store, and the off-body driver.  Every run is
 deterministic on the simulator.  Regenerate on purpose with
 ``python tests/obs/test_golden_store.py``.
 """
@@ -55,21 +55,17 @@ def debris():
     )
 
 
-#: name -> (case builder, store options, sanitized).  ``segment_bytes``
-#: and ``flush_bytes`` patch the segment module's constants of the same
-#: name (``DEFAULT_*``); the rest are StoreTracer keyword arguments.
+#: name -> (case builder, store options, sanitized).  ``flush_bytes``
+#: patches the writer's ``DEFAULT_FLUSH_BYTES``; the rest are
+#: StoreTracer keyword arguments.
 CASES = {
     "airfoil-default": (airfoil, {}, False),
-    "airfoil-small-segments": (
-        airfoil, {"segment_bytes": 4096, "flush_bytes": 256}, False
-    ),
+    "airfoil-small-segments": (airfoil, {"flush_bytes": 256}, False),
     "store-sanitized": (store, {}, True),
     "store-flush-every": (
-        store,
-        {"flush_every": 17, "flush_bytes": 512, "segment_bytes": 8192},
-        False,
+        store, {"flush_every": 17, "flush_bytes": 512}, False,
     ),
-    "debris-5": (debris, {"segment_bytes": 4096}, False),
+    "debris-5": (debris, {}, False),
 }
 
 
@@ -80,11 +76,11 @@ def digest(events: list) -> str:
 def decoded(directory: Path) -> dict:
     """The store's content with the encoding and every position taken
     out: the read-back ``(kind, fields)`` stream, every partial replay,
-    and the index without its format tag, segment table and step
+    and the index without its format tag, byte count and step
     starts."""
     reader = StoreReader(directory)
     index = json.loads((directory / INDEX_NAME).read_text())
-    for key in ("format", "segments", "shards"):
+    for key in ("format", "bytes", "segments", "shards"):
         index.pop(key, None)
     for step in index["steps"]:
         step.pop("start", None)
@@ -105,12 +101,11 @@ def record(name: str) -> dict:
     build, options, sanitized = CASES[name]
     kwargs = dict(options)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        for size in ("segment_bytes", "flush_bytes"):
-            if size in kwargs:
-                mp.setattr(
-                    f"repro.obs.store.segment.DEFAULT_{size.upper()}",
-                    kwargs.pop(size),
-                )
+        if "flush_bytes" in kwargs:
+            mp.setattr(
+                "repro.obs.store.writer.DEFAULT_FLUSH_BYTES",
+                kwargs.pop("flush_bytes"),
+            )
         tracer = StoreTracer(tmp, **kwargs)
         sanitizer = Sanitizer(tracer=tracer) if sanitized else None
         build_driver(build(), tracer=tracer, sanitizer=sanitizer).run()
@@ -148,13 +143,6 @@ def test_decoded_content_matches_golden(name):
     assert got["decoded"]["from_step"] == want["decoded"]["from_step"], name
     assert (got["records"], got["nranks"]) == (want["records"], want["nranks"])
     assert got["decoded"]["index"] == want["decoded"]["index"], name
-
-
-def test_small_segments_rotate():
-    golden = json.loads(GOLDEN_PATH.read_text())
-    for name in ("airfoil-small-segments", "store-flush-every", "debris-5"):
-        segs = [f for f in golden[name]["files"] if f.endswith(".seg")]
-        assert any(f.endswith("-00001.seg") for f in segs), name
 
 
 def regenerate() -> None:  # pragma: no cover - manual tool

@@ -391,23 +391,34 @@ class TestTracedRun:
         return build_case("airfoil", machine=sp2(nodes=4), scale=0.05, nsteps=2)
 
     def test_store_replay_equals_in_memory_recording(self, tmp_path):
+        from repro.core import build_driver
+        from repro.obs import SpanTracer
         from repro.obs.perf import traced_run
 
-        mem = traced_run(self.case())
-        assert mem.store is None and mem.steps == [] and mem.sanitizer is None
+        mem = SpanTracer()
+        run = build_driver(self.case(), tracer=mem).run()
+        tmp = traced_run(self.case())
+        assert tmp.sanitizer is None and tmp.store.closed
+        assert not tmp.store.directory.exists()  # a temporary store
         st = traced_run(self.case(), store_dir=tmp_path / "st", sanitize=True)
-        assert st.tracer.ops == mem.tracer.ops
-        assert st.run.elapsed == mem.run.elapsed
-        assert len(st.steps) == 2 and st.store.closed
+        for traced in (tmp, st):
+            assert traced.tracer.events == mem.events
+            assert traced.run.elapsed == run.elapsed
+            assert len(traced.steps) == 2
+        assert st.store.closed and st.store.directory.is_dir()
         assert st.sanitizer.report().ok
         tail = traced_run(self.case(), store_dir=tmp_path / "st", from_step=1)
-        assert 0 < len(tail.tracer.ops) < len(mem.tracer.ops)
+        assert 0 < len(tail.tracer.ops) < len(mem.ops)
 
-    def test_from_step_needs_a_store(self):
+    def test_from_step_without_a_store_dir(self):
         from repro.obs.perf import traced_run
 
-        with pytest.raises(ValueError, match="store_dir"):
-            traced_run(self.case(), from_step=1)
+        full = traced_run(self.case())
+        tail = traced_run(self.case(), from_step=1)
+        assert tail.steps == full.steps
+        assert 0 < len(tail.tracer.ops) < len(full.tracer.ops)
+        with pytest.raises(ValueError, match="out of range"):
+            traced_run(self.case(), from_step=2)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Streaming segment store: codec, segments, writer, reader, recovery.
+"""Streaming trace store: codec, event file, writer, reader, recovery.
 
 The contract under test: anything recorded through
 :class:`repro.obs.store.StoreTracer` reads back as the **exact**
@@ -19,24 +19,22 @@ from repro.core import OverflowD1
 from repro.machine import sp2
 from repro.obs import SpanTracer, ascii_timeline, chrome_trace
 from repro.obs.store import (
+    EVENTS_NAME,
+    INDEX_NAME,
     KIND_MARK,
     KIND_OP,
     STORE_FORMAT,
-    SegmentWriter,
     StoreCodecError,
     StoreCorruptionError,
     StoreReader,
     StoreTracer,
     TailReader,
-    iter_segment_records,
     load_index,
     load_store,
 )
 from repro.obs.store.codec import decode_record, encode_record, read_frame
-from repro.obs.store.segment import numbered_segments
-from repro.obs.store.writer import INDEX_NAME
 
-from tests.obs.conftest import store_sizes
+from tests.obs.conftest import flush_bytes
 
 
 def roundtrip(value):
@@ -231,6 +229,16 @@ class TestOldStores:
         with pytest.raises(StoreCorruptionError, match="shard-"):
             StoreReader(tmp_path)
 
+    def test_format_4_segments_refused_by_name(self, tmp_path):
+        # A repro-trace-store/4 store was a series segment-NNNNN.seg.
+        frame = encode_record(KIND_OP, (0, "p", "compute", 0.0, 1.0, 0.0, 0))
+        (tmp_path / "segment-00000.seg").write_bytes(frame)
+        for read in (lambda: StoreReader(tmp_path).to_tracer(),
+                     lambda: TailReader(tmp_path).poll()):
+            with pytest.raises(StoreCorruptionError,
+                               match="segment-00000.seg"):
+                read()
+
     def test_cli_top_on_format_2_store_is_one_line(self, tmp_path):
         from repro.cli import main
 
@@ -243,40 +251,74 @@ class TestOldStores:
         assert message.strip() and "\n" not in message
 
 
-class TestSegments:
-    @staticmethod
-    def op(i):
-        return (0, "p", "compute", float(i), float(i + 1), 0.0, 0)
+def op(i):
+    return (0, "p", "compute", float(i), float(i + 1), 0.0, 0)
 
-    def test_rotation_and_discovery(self, tmp_path):
-        with store_sizes(segment_bytes=200, flush_bytes=50):
-            w = SegmentWriter(tmp_path)
-        for i in range(40):
-            w.append(KIND_OP, self.op(i))
-        w.close()
-        segs = numbered_segments(tmp_path)
-        assert list(segs) == list(range(len(segs))) and len(segs) > 1
-        got = [rec for p in segs.values()
-               for rec in iter_segment_records(p, last=False)]
-        assert got == [(KIND_OP, self.op(i)) for i in range(40)]
-        assert w.records == 40
-        assert w.segments == [
-            {"index": i, "bytes": p.stat().st_size} for i, p in segs.items()
+
+def sealed_store(directory, n=5):
+    """A closed store of ``n`` ops; returns (event file, index bytes)."""
+    with StoreTracer(directory) as store:
+        for i in range(n):
+            store.op(*op(i))
+    index = load_index(directory)
+    path = directory / EVENTS_NAME
+    assert index["bytes"] == path.stat().st_size > 0
+    return path, index["bytes"]
+
+
+def read_both(directory):
+    """The records StoreReader and a first TailReader poll see."""
+    return list(StoreReader(directory).iter_records()), TailReader(
+        directory
+    ).poll()
+
+
+class TestEventFile:
+    def test_one_event_file_and_index(self, tmp_path):
+        sealed_store(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            EVENTS_NAME, INDEX_NAME
         ]
 
-    def test_truncated_tail_dropped_only_on_last_segment(self, tmp_path):
-        with store_sizes(segment_bytes=10**6, flush_bytes=1):
-            w = SegmentWriter(tmp_path)
-        for i in range(5):
-            w.append(KIND_OP, self.op(i))
-        w.close()
-        path = numbered_segments(tmp_path)[0]
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-3])  # crash mid-frame
-        got = list(iter_segment_records(path, last=True))
-        assert got == [(KIND_OP, self.op(i)) for i in range(4)]
-        with pytest.raises(StoreCorruptionError):
-            list(iter_segment_records(path, last=False))
+    def test_flipped_byte_inside_sealed_prefix_raises(self, tmp_path):
+        path, sealed = sealed_store(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[sealed // 2] ^= 0xFF  # outside interference, not a crash
+        path.write_bytes(bytes(blob))
+        with pytest.raises(StoreCorruptionError, match="index counts"):
+            list(StoreReader(tmp_path).iter_records())
+        with pytest.raises(StoreCorruptionError, match="index counts"):
+            TailReader(tmp_path).poll()
+
+    def test_file_shorter_than_sealed_prefix_raises(self, tmp_path):
+        path, sealed = sealed_store(tmp_path)
+        whole = path.read_bytes()
+        last = len(encode_record(KIND_OP, op(4)))
+        path.write_bytes(whole[: sealed - last])  # on a frame boundary
+        for read in (lambda: list(StoreReader(tmp_path).iter_records()),
+                     lambda: TailReader(tmp_path).poll()):
+            with pytest.raises(StoreCorruptionError):
+                read()
+
+    def test_truncated_tail_past_sealed_prefix_dropped(self, tmp_path):
+        path, _sealed = sealed_store(tmp_path)
+        # A writer that crashed after the last index: one whole frame
+        # and a torn one past the bytes the index counts.
+        torn = encode_record(KIND_OP, op(6))
+        with open(path, "ab") as f:
+            f.write(encode_record(KIND_OP, op(5)) + torn[:-3])
+        want = [(KIND_OP, op(i)) for i in range(6)]
+        assert read_both(tmp_path) == (want, want)
+
+    def test_fresh_removes_leftover_index_snapshots(self, tmp_path):
+        sealed_store(tmp_path)
+        (tmp_path / f"{INDEX_NAME}.7.tmp").write_text("{ torn")
+        (tmp_path / EVENTS_NAME).unlink()
+        (tmp_path / INDEX_NAME).unlink()
+        with pytest.raises(FileExistsError):
+            StoreTracer(tmp_path)
+        StoreTracer(tmp_path, fresh=True).close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [INDEX_NAME]
 
 
 def record_script(tracer, nranks=3, steps=4):
@@ -299,7 +341,7 @@ def record_script(tracer, nranks=3, steps=4):
 
 class TestStoreTracerRoundTrip:
     def test_exact_spantracer_equality(self, tmp_path):
-        with store_sizes(flush_bytes=64):
+        with flush_bytes(64):
             span, store = SpanTracer(), StoreTracer(tmp_path)
         record_script(span)
         record_script(store)
@@ -324,14 +366,14 @@ class TestStoreTracerRoundTrip:
         assert got.sends == span.sends
 
     def test_crash_loses_only_unflushed_tail(self, tmp_path):
-        with store_sizes(flush_bytes=64):
+        with flush_bytes(64):
             span, store = SpanTracer(), StoreTracer(tmp_path)
         record_script(span)
         record_script(store)
         store.flush()
-        # Crash: never close(); additionally truncate the last segment
+        # Crash: never close(); additionally truncate the event file
         # mid-frame and tear the index.
-        last = list(numbered_segments(tmp_path).values())[-1]
+        last = tmp_path / EVENTS_NAME
         blob = last.read_bytes()
         last.write_bytes(blob[:-2])
         (tmp_path / INDEX_NAME).write_text("{ torn")
@@ -378,19 +420,17 @@ class TestStoreTracerRoundTrip:
 
 class TestBoundedMemory:
     def test_long_run_bounds_buffer_and_open_segments(self, tmp_path):
-        flush_bytes = 512
-        with store_sizes(segment_bytes=4096, flush_bytes=flush_bytes):
+        with flush_bytes(512):
             store = StoreTracer(tmp_path)
         cfg = airfoil_case(machine=sp2(nodes=4), scale=0.1, nsteps=5)
         OverflowD1(cfg, tracer=store).run()
-        # At most one open segment, ever.
-        assert store.open_segments <= 1
-        # The flush buffer never grew past threshold + one record.
-        assert store.max_buffered_bytes < flush_bytes + 512
-        # Rotation actually happened: the trace spans many segments.
         store.close()
-        assert store.open_segments == 0
-        assert len(numbered_segments(tmp_path)) > 3
+        # The flush buffer never grew past threshold + one record,
+        # over a trace many thresholds long, all in one segment file:
+        # the event file.
+        assert 0 < store.max_buffered_bytes < 512 + 512
+        assert [p.name for p in tmp_path.glob("*.seg")] == [EVENTS_NAME]
+        assert (tmp_path / EVENTS_NAME).stat().st_size > 8 * 512
         # And the data is still exact: spot-check via a fresh run.
         span = SpanTracer()
         cfg = airfoil_case(machine=sp2(nodes=4), scale=0.1, nsteps=5)
@@ -475,10 +515,10 @@ class TestIndex:
         assert index["nranks"] == 2
         assert len(index["steps"]) == 3
         assert index["advances"]  # one advance in the script
-        assert [s["index"] for s in index["segments"]] == [0]
+        assert index["bytes"] == (tmp_path / EVENTS_NAME).stat().st_size
         step0 = index["steps"][0]
         assert set(step0["starts"]) == {"0", "1"}
-        assert step0["start"][2] == min(step0["starts"].values())
+        assert step0["start"][1] == min(step0["starts"].values())
         # rank -> phase -> [compute, comm, wait] seconds
         assert set(step0["cells"]) == {"0", "1"}
         compute, comm, wait = step0["cells"]["0"]["overflow"]
@@ -486,19 +526,18 @@ class TestIndex:
 
     def test_step_start_offsets_point_at_step_phase_mark(self, tmp_path):
         from repro.obs.store.codec import KIND_PHASE
-        from repro.obs.store.segment import segment_path
 
-        with store_sizes(segment_bytes=512, flush_bytes=64):
+        with flush_bytes(64):
             store = StoreTracer(tmp_path)
         record_script(store, nranks=2, steps=3)
         store.close()
         index = load_index(tmp_path)
+        blob = (tmp_path / EVENTS_NAME).read_bytes()
         full = list(StoreReader(tmp_path).iter_records())
         for entry in index["steps"]:
-            seg, off, ordinal = entry["start"]
-            path = segment_path(tmp_path, seg)
-            first = next(iter_segment_records(path, last=True, start=off))
-            assert first == full[ordinal]
+            off, ordinal = entry["start"]
+            payload, _end = read_frame(blob, off)
+            assert decode_record(payload) == full[ordinal]
             for rank, n in entry["starts"].items():
                 kind, (r, _t, name) = full[n]
                 assert (kind, r, name) == (KIND_PHASE, int(rank), "overflow")

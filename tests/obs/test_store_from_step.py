@@ -1,6 +1,6 @@
 """Partial replay: ``StoreReader.iter_records(from_step=N)``.
 
-The index records, per step, ``start`` — the (segment, byte, record)
+The index records, per step, ``start`` — the (byte, record)
 position of the first rank's step-phase record — and ``starts``, each
 rank's record ordinal of its own step-phase record.  Partial replay
 seeks to ``start`` and drops a record whose own rank enters the step
@@ -24,7 +24,7 @@ from repro.obs.store.codec import KIND_MARK, KIND_OP, KIND_PHASE
 from repro.obs.store.writer import INDEX_NAME
 from repro.obs.tracer import event_ranks
 
-from tests.obs.conftest import store_sizes
+from tests.obs.conftest import flush_bytes
 
 NRANKS = 3
 STEPS = 5
@@ -33,7 +33,7 @@ PHASES = ("overflow", "motion", "dcf3d")
 
 def build_store(directory):
     """A deterministic multi-rank store with one mark per step."""
-    with store_sizes(flush_bytes=64):
+    with flush_bytes(64):
         store = StoreTracer(directory)
     t = 0.0
     for step in range(STEPS):
@@ -66,7 +66,7 @@ def kept_ordinals(reader, k, full):
     starts = {int(r): n for r, n in row["starts"].items()}
     return [
         n for n, (kind, fields) in enumerate(full)
-        if n >= row["start"][2]
+        if n >= row["start"][1]
         and starts.get((event_ranks(kind, fields) or (None,))[0], n) <= n
     ]
 
@@ -100,7 +100,7 @@ def check_each_rank_starts_on_its_step_phase(reader, nsteps, nranks):
     full = list(reader.iter_records())
     for row in reader.steps[:nsteps]:
         assert set(row["starts"]) == {str(r) for r in range(nranks)}
-        assert row["start"][2] == min(row["starts"].values())
+        assert row["start"][1] == min(row["starts"].values())
         for rank, n in row["starts"].items():
             kind, fields = full[n]
             assert kind == KIND_PHASE
@@ -117,7 +117,7 @@ class TestFromStep:
             # Every rank enters the step before any cross-rank record,
             # so the tail is also suffix-closed: everything from the
             # seek point on survives.
-            assert tail == full[row["start"][2]:]
+            assert tail == full[row["start"][1]:]
 
     def test_each_rank_starts_on_its_step_phase(self, reader):
         check_each_rank_starts_on_its_step_phase(reader, STEPS, NRANKS)

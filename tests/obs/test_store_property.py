@@ -1,12 +1,14 @@
-"""Property tests: the segment store is a faithful, crash-tolerant log.
+"""Property tests: the trace store is a faithful, crash-tolerant log.
 
 Hypothesis drives arbitrary interleavings of the five event kinds plus
 multi-epoch ``advance`` through a :class:`SpanTracer` and a
 :class:`StoreTracer` side by side, then asserts the store reads back the
-*exact* in-memory view — and that a crash (buffered tail lost, final
-segment truncated mid-frame, index torn) reads back as an exact prefix
-of the recording.
+*exact* in-memory view — and that a crash (an index older than the
+event file, the file truncated mid-frame past the bytes that index
+counts, the index torn) reads back as an exact prefix of the recording.
 """
+
+import json
 
 import pytest
 
@@ -15,14 +17,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.obs import SpanTracer  # noqa: E402
-from repro.obs.store import StoreTracer, load_store  # noqa: E402
-from repro.obs.store.segment import (  # noqa: E402
-    iter_segment_records,
-    numbered_segments,
+from repro.obs.store import (  # noqa: E402
+    EVENTS_NAME,
+    INDEX_NAME,
+    StoreTracer,
+    load_store,
 )
-from repro.obs.store.writer import INDEX_NAME  # noqa: E402
 
-from tests.obs.conftest import store_sizes
+from tests.obs.conftest import flush_bytes
 
 PHASES = ("overflow", "motion", "dcf3d", "solver")
 KINDS = ("compute", "comm", "wait")
@@ -100,7 +102,7 @@ def drive(tracer, sequence):
 def test_store_reads_back_exact_tracer_view(tmp_path_factory, sequence):
     tmp = tmp_path_factory.mktemp("prop-store")
     span = drive(SpanTracer(), sequence)
-    with store_sizes(segment_bytes=1024, flush_bytes=96):
+    with flush_bytes(96):
         store = drive(StoreTracer(tmp), sequence)
     store.close()
     got = load_store(tmp)
@@ -125,18 +127,26 @@ def test_crash_recovery_keeps_a_prefix_of_the_recording(
 ):
     tmp = tmp_path_factory.mktemp("prop-crash")
     span = drive(SpanTracer(), sequence)
-    with store_sizes(segment_bytes=512, flush_bytes=64):
-        store = drive(StoreTracer(tmp), sequence)
-    # Crash: flush but never close, truncate the final segment
-    # mid-frame, optionally tear the index too.
+    half = len(sequence) // 2
+    with flush_bytes(64):
+        store = drive(StoreTracer(tmp), sequence[:half])
     store.flush()
-    segments = list(numbered_segments(tmp).values())
-    if segments:
-        blob = segments[-1].read_bytes()
-        segments[-1].write_bytes(blob[: max(0, len(blob) - chop)])
+    index = (tmp / INDEX_NAME).read_text()
+    drive(store, sequence[half:])
+    # Crash: the rest of the recording reached the event file but the
+    # index did not, and the file's last write was torn mid-frame past
+    # the bytes that index counts; optionally the index is torn too.
+    store.flush()
+    (tmp / INDEX_NAME).write_text(index)
+    counted = json.loads(index)
+    events = tmp / EVENTS_NAME
+    if events.exists():
+        blob = events.read_bytes()
+        events.write_bytes(blob[: max(counted["bytes"], len(blob) - chop)])
     if tear_index:
         (tmp / INDEX_NAME).write_text("{ not json")
-    if not segments and tear_index:
+        counted = {"records": 0}
+    if not events.exists() and tear_index:
         # Nothing durable survived this crash at all; the reader says so.
         with pytest.raises(FileNotFoundError):
             load_store(tmp)
@@ -146,9 +156,7 @@ def test_crash_recovery_keeps_a_prefix_of_the_recording(
     # The recovered stream is an exact prefix of the recording: a crash
     # loses a suffix of it, never a record from the middle.
     assert got.events == span.events[: len(got.events)]
-    sealed = sum(len(list(iter_segment_records(p, last=False)))
-                 for p in segments[:-1])
-    assert len(got.events) >= sealed
+    assert len(got.events) >= counted["records"]
 
 
 @settings(max_examples=20, deadline=None)
@@ -165,7 +173,7 @@ def test_multi_epoch_advance_offsets_match(tmp_path_factory, epochs):
     store's index records every epoch boundary."""
     tmp = tmp_path_factory.mktemp("prop-epoch")
     span = SpanTracer()
-    with store_sizes(flush_bytes=128):
+    with flush_bytes(128):
         store = StoreTracer(tmp)
     for sequence, dt in epochs:
         drive(span, sequence)

@@ -12,15 +12,14 @@ from repro.cases import airfoil_case
 from repro.core import OverflowD1
 from repro.machine import sp2
 from repro.obs.store import (
+    EVENTS_NAME,
     KIND_OP,
     KIND_SEND,
-    SegmentWriter,
     StoreTracer,
     TailReader,
     load_index,
 )
 from repro.obs.store.codec import encode_record
-from repro.obs.store.segment import numbered_segments
 from repro.obs.store.top import TopAggregator, render_top, run_top
 from repro.obs.perf.trends import (
     step_series,
@@ -30,7 +29,7 @@ from repro.obs.perf.trends import (
     write_trend_csv,
 )
 
-from tests.obs.conftest import store_sizes
+from tests.obs.conftest import flush_bytes
 
 
 def op_rec(rank, phase, kind, t0, t1, flops=0.0, nbytes=0):
@@ -39,7 +38,7 @@ def op_rec(rank, phase, kind, t0, t1, flops=0.0, nbytes=0):
 
 class TestTailReader:
     def test_incremental_polls_see_only_new_records(self, tmp_path):
-        with store_sizes(flush_bytes=1):
+        with flush_bytes(1):
             store = StoreTracer(tmp_path)
         store.op(0, "p", "compute", 0.0, 1.0)
         store.flush()
@@ -55,36 +54,20 @@ class TestTailReader:
         store.close()
 
     def test_partial_frame_is_in_flight_not_an_error(self, tmp_path):
-        with store_sizes(flush_bytes=1):
-            w = SegmentWriter(tmp_path)
-        w.append(KIND_OP, (0, "p", "compute", 0.0, 1.0, 0.0, 0))
-        w.close()
+        with StoreTracer(tmp_path) as store:
+            store.op(0, "p", "compute", 0.0, 1.0)
         tail = TailReader(tmp_path)
         assert len(tail.poll()) == 1
-        # A writer mid-flush: half a frame on disk.
+        # A writer mid-flush: half a frame on disk, past the index.
         fields = (0, "p", "compute", 1.0, 2.0, 0.0, 0)
         frame = encode_record(KIND_OP, fields)
-        path = numbered_segments(tmp_path)[0]
+        path = tmp_path / EVENTS_NAME
         with open(path, "ab") as f:
             f.write(frame[: len(frame) // 2])
         assert tail.poll() == []  # retried, not raised
         with open(path, "ab") as f:
             f.write(frame[len(frame) // 2:])
         assert tail.poll() == [(KIND_OP, fields)]
-
-    def test_follows_segment_rotation(self, tmp_path):
-        with store_sizes(segment_bytes=256, flush_bytes=1):
-            store = StoreTracer(tmp_path)
-        tail = TailReader(tmp_path)
-        total = 0
-        for i in range(60):
-            store.op(0, "p", "compute", float(i), float(i) + 0.5)
-            if i % 7 == 0:
-                total += len(tail.poll())
-        store.close()
-        total += len(tail.poll())
-        assert total == 60
-        assert len(numbered_segments(tmp_path)) > 1
 
 
 class TestTopAggregator:
@@ -152,7 +135,7 @@ class TestRenderAndRunTop:
         assert frames  # rendered at least once, then observed completion
 
     def test_loop_mode_bounded_on_live_store(self, tmp_path):
-        with store_sizes(flush_bytes=1):
+        with flush_bytes(1):
             store = StoreTracer(tmp_path)
         store.op(0, "p", "compute", 0.0, 1.0)
         store.flush()  # live: index not yet complete

@@ -73,6 +73,11 @@ class TestJobSpec:
         with pytest.raises(JobSpecError):
             JobSpec("airfoil", **kwargs)
 
+    @pytest.mark.parametrize("f0", ["nan", "-inf", -1, 0, 0.0])
+    def test_non_positive_or_nan_f0_rejected_at_submit(self, f0):
+        with pytest.raises(JobSpecError, match="f0 must be > 0"):
+            JobSpec.from_dict({"case": "airfoil", "f0": f0})
+
     def test_unknown_names_rejected_at_boundary(self):
         for bad in (
             dict(case="nosuch"),

@@ -551,13 +551,13 @@ class TestCleanErrors:
         ["run", "airfoil", "--nodes", "2"],  # 3 grids
         ["run", "airfoil", "--machine", "ymp", "--nodes", "4"],
         ["sweep", "airfoil", "--nodes", "6,x"],
-        ["trace", "airfoil", "--scale", "0.05", "--steps", "2",
-         "--from-step", "1", "--no-timeline"],
+        ["run", "airfoil", "--f0", "-1", "--steps", "12"],
+        ["run", "airfoil", "--f0", "nan"],
         "bogus",  # scenario file naming an unknown machine
         "ymp",    # ... and one naming the single-processor head
     ], ids=[
         "nodes-0", "scale-0", "steps-0", "too-few-nodes", "ymp-nodes",
-        "sweep-nodes", "from-step-no-store", "scenario-bogus-machine",
+        "sweep-nodes", "f0-negative", "f0-nan", "scenario-bogus-machine",
         "scenario-ymp",
     ])
     def test_bad_input_exits_with_message(self, argv, tmp_path):
@@ -581,6 +581,21 @@ class TestCleanErrors:
         monkeypatch.setattr(run_mod, "cmd_list", boom)
         with pytest.raises(KeyError):
             main(["list"])
+
+    @pytest.mark.parametrize("command", ["run", "trace", "resume"])
+    def test_checkpoint_every_zero_is_refused(self, command, tmp_path):
+        ckpts = tmp_path / "ck"
+        if command == "resume":
+            main(["run", "airfoil", "--scale", "0.05", "--steps", "2",
+                  "--checkpoint-every", "1", "--checkpoint-dir", str(ckpts)])
+            argv = ["resume", str(ckpts)]
+        else:
+            argv = [command, "airfoil", "--scale", "0.05", "--steps", "2"]
+            if command == "trace":
+                argv += ["--out", str(tmp_path / "tr"), "--no-timeline"]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--checkpoint-every", "0"])
+        assert exc_info.value.code == "checkpoint_every must be >= 1"
 
     def test_resume_missing_file_is_clean(self, tmp_path):
         missing = tmp_path / "nope.rpk"
@@ -862,13 +877,21 @@ class TestScenarioCLI:
         assert (out_dir / "trace_airfoil_from2.json").exists()
         assert (out_dir / "trace_airfoil_from2_rollup.csv").exists()
 
-    def test_trace_from_step_needs_store(self, tmp_path):
-        with pytest.raises(SystemExit, match="trace-store"):
-            main([
-                "trace", "airfoil", "--scale", "0.05", "--steps", "2",
-                "--from-step", "1", "--out", str(tmp_path),
-                "--no-timeline",
-            ])
+    def test_trace_from_step_and_trends_without_store(self, capsys, tmp_path):
+        out_dir = tmp_path / "tr"
+        rc = main([
+            "trace", "airfoil", "--scale", "0.05", "--steps", "2",
+            "--nodes", "4", "--from-step", "1", "--trends",
+            "--out", str(out_dir), "--no-timeline",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "partial replay from step 1" in out
+        assert "trace store:" not in out
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "trace_airfoil_from1.json", "trace_airfoil_from1_rollup.csv",
+            "trace_airfoil_trends.csv",
+        ]
 
     def test_trace_from_step_out_of_range(self, tmp_path):
         with pytest.raises(SystemExit, match="out of range"):
