@@ -105,7 +105,6 @@ class CommOp:
 
 _RECV = CommOp("recv", True, tag=1, src=0, src_defaults_any=True)
 _NB_RECV = CommOp("recv", False, tag=1, src=0, src_defaults_any=True)
-_POLL = CommOp("recv", False, tag=1, src=0)
 _IPROBE = CommOp("probe", False, tag=1, src=0, src_defaults_any=True)
 _SEND = CommOp("send", False, tag=1)
 _WAITANY = CommOp("probe", True, patterns=0)
@@ -119,7 +118,6 @@ COMM_OPS: dict[str, CommOp] = {
     "recv": _RECV,
     "_recv": _RECV,
     "drain_recv": _NB_RECV,
-    "_tryrecv": _POLL,
     "iprobe": _IPROBE,
     "waitany": _WAITANY,
 }
@@ -128,7 +126,6 @@ COMM_OPS: dict[str, CommOp] = {
 RAW_OPS: dict[str, CommOp] = {
     "inject": CommOp("send", False, tag=2),
     "recv": CommOp("recv", True, tag=2, src=1),
-    "tryrecv": CommOp("recv", False, tag=2, src=1),
     "iprobe": CommOp("probe", False, tag=2, src=1),
     "drain": CommOp("recv", False, tag=2, src=1),
     "waitany": CommOp("probe", True, patterns=1),

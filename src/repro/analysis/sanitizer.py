@@ -12,8 +12,8 @@ run's traces are bit-identical to an unsanitized run (asserted by
 Checks (finding ``kind`` strings):
 
 ``message-race``
-    A wildcard (``ANY_SOURCE``) receive/tryrecv was posted while the
-    rank's mailbox held matchable messages from **two or more distinct
+    A wildcard (``ANY_SOURCE``) receive was posted while the rank's
+    mailbox held matchable messages from **two or more distinct
     sources**.  The simulator resolves the race deterministically
     (arrival order), but on a real asynchronous machine the match would
     depend on timing — this is a *nondeterminism witness*, reported
@@ -363,12 +363,7 @@ class Sanitizer:
         self.messages_received += recvs
 
     def on_wildcard_recv(
-        self,
-        time: float,
-        rank: int,
-        tag: int,
-        mailbox,
-        blocking: bool,
+        self, time: float, rank: int, tag: int, mailbox
     ) -> None:
         """An ``ANY_SOURCE`` receive is about to match against ``mailbox``.
 
@@ -396,13 +391,12 @@ class Sanitizer:
             time,
             rank,
             tag,
-            f"wildcard {'recv' if blocking else 'tryrecv'} with "
-            f"{len(msgs)} matchable messages from sources {sources}; "
-            "match order is timing-dependent on a real machine "
-            "(use drain_recv for canonical (src, seq) consumption)",
+            f"wildcard recv with {len(msgs)} matchable messages from "
+            f"sources {sources}; match order is timing-dependent on a "
+            "real machine (use drain_recv for canonical (src, seq) "
+            "consumption)",
             sources=sources,
             seqs=sorted(m.seq for m in msgs),
-            blocking=blocking,
             tag_name=describe_tag(tag),
         )
 

@@ -114,6 +114,11 @@ SHM_THRESHOLD = 32 * 1024
 #: Upper bound actually slept for one modeled ``elapse`` pause.
 SLEEP_CAP = 0.005
 
+#: Wall-clock supervision limit for one chunk, in seconds, on the mp
+#: and cluster engines alike: past it the workers are aborted and a
+#: :class:`repro.machine.faults.RankFailure` names the unfinished ranks.
+RUN_TIMEOUT = 120.0
+
 _INF = math.inf
 _run_counter = itertools.count()
 
@@ -467,14 +472,6 @@ class _Engine:
             )
             self._charge("wait", t0, self.wall())
             return ready
-        if kind == "tryrecv":
-            _, src, tag = op
-            self._check_ctrl()
-            self._pump(0.0)
-            msg = self.mailbox.pop_matching(src, tag, _INF, allow_future=True)
-            if msg is not None:
-                self._received([msg], self.wall())
-            return msg
         if kind == "drain":
             _, src, tag = op
             self._check_ctrl()
@@ -808,15 +805,8 @@ def check_measured_run(
 
 
 class MpBackend(ExecutionBackend):
-    """Execute each rank as a real ``multiprocessing`` process.
-
-    Parameters
-    ----------
-    timeout:
-        Wall-clock supervision limit for the whole run, in seconds.
-        Exceeding it aborts the workers and raises
-        :class:`repro.machine.faults.RankFailure` naming the
-        unfinished ranks.  ``None`` disables the limit.
+    """Execute each rank as a real ``multiprocessing`` process,
+    supervised for at most :data:`RUN_TIMEOUT` seconds per run.
 
     Unsupported features — requesting them raises ``ValueError``: the
     sanitizer shadow layer and fault injection both require the
@@ -826,11 +816,10 @@ class MpBackend(ExecutionBackend):
     name = "mp"
     measured = True
 
-    def __init__(self, timeout: float | None = 120.0) -> None:
+    def __init__(self) -> None:
         reason = mp_available()
         if reason is not None:
             raise BackendUnavailable(f"backend 'mp' unavailable: {reason}")
-        self.timeout = timeout
 
     def run(
         self,
@@ -854,7 +843,7 @@ class MpBackend(ExecutionBackend):
             metrics=rows,
             trace=trace_enabled,
         )
-        deadline = None if self.timeout is None else t_start + self.timeout
+        deadline = t_start + RUN_TIMEOUT
         try:
             # All ranks are local: file events until every rank has
             # reported, one went wrong, or the timeout trips.

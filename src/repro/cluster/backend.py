@@ -37,7 +37,7 @@ from repro.backend.api import (
     RankProgram,
 )
 from repro.backend.mp import check_measured_run, mp_available
-from repro.cluster.head import HB_TIMEOUT, ClusterSupervisor
+from repro.cluster.head import ClusterSupervisor
 from repro.cluster.placement import Placement
 from repro.cluster.protocol import blobs_sha
 
@@ -66,13 +66,11 @@ class ClusterBackend(ExecutionBackend):
         first use — the two-node localhost topology the docs and CI
         smoke job use.  To bring the nodes yourself, build a
         ``ClusterSupervisor(..., spawn=False)`` and :meth:`attach` it.
-    timeout:
-        Wall-clock supervision limit for the whole run, as for the mp
-        backend.
-    hb_timeout:
-        The silence span after which a node of the spawned pool is
-        declared dead (driving elastic :class:`RankFailure`); nodes
-        heartbeat every :data:`repro.cluster.head.HB_INTERVAL` seconds.
+
+    A run is supervised for at most
+    :data:`repro.backend.mp.RUN_TIMEOUT` seconds, as on the mp backend;
+    a node silent for :data:`repro.cluster.head.HB_TIMEOUT` is declared
+    dead (driving elastic :class:`RankFailure`).
 
     Like mp, requesting the sanitizer or a fault plan raises
     ``ValueError`` — both need deterministic virtual time.  *Real*
@@ -86,9 +84,6 @@ class ClusterBackend(ExecutionBackend):
     def __init__(
         self,
         nnodes: int = 2,
-        *,
-        timeout: float | None = 120.0,
-        hb_timeout: float = HB_TIMEOUT,
     ) -> None:
         reason = cluster_available()
         if reason is not None:
@@ -96,8 +91,6 @@ class ClusterBackend(ExecutionBackend):
                 f"backend 'cluster' unavailable: {reason}"
             )
         self.nnodes = int(nnodes)
-        self.timeout = timeout
-        self.hb_timeout = float(hb_timeout)
         self._sup: ClusterSupervisor | None = None
 
     # ------------------------------------------------------------- pool
@@ -106,9 +99,7 @@ class ClusterBackend(ExecutionBackend):
     def supervisor(self) -> ClusterSupervisor:
         """The node pool, started lazily on first use."""
         if self._sup is None:
-            self._sup = ClusterSupervisor(
-                self.nnodes, hb_timeout=self.hb_timeout
-            )
+            self._sup = ClusterSupervisor(self.nnodes)
             self._sup.start()
         return self._sup
 
@@ -182,7 +173,6 @@ class ClusterBackend(ExecutionBackend):
             config_sha=blobs_sha(blobs),
             metrics=rows,
             tracer=tracer if trace_enabled else None,
-            timeout=self.timeout,
         )
 
 

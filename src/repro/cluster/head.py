@@ -13,7 +13,7 @@ Failure detection is two-layered, both surfacing as the same typed
 
 * a node socket hitting EOF (daemon crashed, host died, SIGKILL) fails
   that node's still-pending ranks immediately;
-* a node that stays silent past ``hb_timeout`` — no heartbeat, no
+* a node that stays silent past :data:`HB_TIMEOUT` — no heartbeat, no
   result, no data — is declared dead even with the socket nominally
   open (half-open TCP after a power loss).
 
@@ -24,7 +24,6 @@ shrink-and-continue recovery possible without any rejoin choreography.
 
 from __future__ import annotations
 
-import math
 import os
 import select
 import socket
@@ -34,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.backend import mp
 from repro.backend.api import BackendResult
 from repro.backend.mp import ChunkOutcome
 from repro.backend.proc import ABORT_GRACE, EXIT_GRACE, TERM_GRACE, wait
@@ -48,13 +48,19 @@ from repro.cluster.protocol import (
     send_payload,
 )
 
-__all__ = ["ClusterSupervisor", "NodeHandle", "HB_INTERVAL", "HB_TIMEOUT"]
+__all__ = [
+    "ClusterSupervisor", "NodeHandle", "HB_INTERVAL", "HB_TIMEOUT",
+    "CONNECT_TIMEOUT",
+]
 
 #: Heartbeat cadence pushed to the nodes, and the silence span after
 #: which a node is declared dead — one pair for spawned and
 #: operator-managed pools alike.
 HB_INTERVAL = 0.5
 HB_TIMEOUT = 5.0
+#: Seconds :meth:`ClusterSupervisor.start` waits for the whole pool to
+#: dial in before it gives up with :class:`HandshakeError`.
+CONNECT_TIMEOUT = 20.0
 
 
 @dataclass
@@ -87,10 +93,9 @@ class ClusterSupervisor:
     host / port:
         Listen address.  Port 0 picks a free port (read it back from
         :attr:`addr` to point manual nodes at it).
-    hb_timeout:
-        The silence span after which a node is declared dead; the
-        heartbeat cadence pushed to nodes in ``welcome`` is
-        :data:`HB_INTERVAL`.
+
+    Nodes heartbeat every :data:`HB_INTERVAL` seconds and a node
+    silent for :data:`HB_TIMEOUT` is declared dead.
     """
 
     def __init__(
@@ -100,15 +105,11 @@ class ClusterSupervisor:
         spawn: bool = True,
         host: str = "127.0.0.1",
         port: int = 0,
-        hb_timeout: float = HB_TIMEOUT,
-        connect_timeout: float = 20.0,
     ) -> None:
         if nnodes < 1:
             raise ValueError(f"nnodes must be >= 1, got {nnodes}")
         self.nnodes = int(nnodes)
         self.spawn = bool(spawn)
-        self.hb_timeout = float(hb_timeout)
-        self.connect_timeout = float(connect_timeout)
         self.nodes: dict[int, NodeHandle] = {}
         self._spawned: list[subprocess.Popen] = []
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -128,13 +129,13 @@ class ClusterSupervisor:
         if self.spawn:
             for i in range(self.nnodes):
                 self._spawn_node(i)
-        deadline = time.monotonic() + self.connect_timeout
+        deadline = time.monotonic() + CONNECT_TIMEOUT
         while len(self.nodes) < self.nnodes:
             if not wait([self._listener], deadline):
                 self.close()
                 raise HandshakeError(
                     f"only {len(self.nodes)}/{self.nnodes} node daemons "
-                    f"connected within {self.connect_timeout:.0f}s"
+                    f"connected within {CONNECT_TIMEOUT:.0f}s"
                 )
             self._admit(self._listener.accept()[0])
         self._started = True
@@ -243,7 +244,6 @@ class ClusterSupervisor:
         config_sha: str,
         metrics: list[Any],
         tracer: Any,
-        timeout: float | None,
     ) -> BackendResult:
         """Run one chunk to completion and return its result, extending
         ``tracer`` with the ranks' event logs (None: tracing is off).
@@ -307,16 +307,16 @@ class ClusterSupervisor:
                     f"node {handle.node_id} refused launch: {body.get('error')}"
                 )
 
-        run_deadline = math.inf if timeout is None else t_start + timeout
+        run_deadline = t_start + mp.RUN_TIMEOUT
         try:
             while True:
                 now = time.monotonic()
                 if now >= run_deadline:
                     outcome.fail(outcome.pending, elapsed())
                 for h in participants:
-                    if h.alive and now >= h.last_seen + self.hb_timeout:
+                    if h.alive and now >= h.last_seen + HB_TIMEOUT:
                         self._mark_dead(
-                            h, f"no heartbeat for {self.hb_timeout:.0f}s"
+                            h, f"no heartbeat for {HB_TIMEOUT:.0f}s"
                         )
                 # However a node was lost (silence, EOF, a failed send),
                 # this is where its still-pending ranks fail.
@@ -333,7 +333,7 @@ class ClusterSupervisor:
                 live = [h for h in participants if h.alive]
                 ready = wait([h.sock for h in live], min(
                     run_deadline,
-                    min(h.last_seen for h in live) + self.hb_timeout,
+                    min(h.last_seen for h in live) + HB_TIMEOUT,
                 ))
                 for h in [h for h in live if h.sock in ready]:
                     while h.alive and select.select([h.sock], [], [], 0)[0]:

@@ -64,6 +64,9 @@ from repro.cluster.protocol import (
 
 __all__ = ["NodeDaemon"]
 
+#: Seconds a daemon tries to reach its head before it gives up.
+DIAL_TIMEOUT = 30.0
+
 #: Daemon-side deposits are restaged through shared memory above this
 #: size so every inbox pipe write stays under POSIX ``PIPE_BUF`` (4096
 #: on Linux): ``select`` reporting a pipe writable then *guarantees*
@@ -111,16 +114,10 @@ class NodeDaemon:
     """One cluster node: connects to a head and hosts rank workers."""
 
     def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        name: str | None = None,
-        connect_timeout: float = 30.0,
+        self, host: str, port: int, *, name: str | None = None
     ) -> None:
         self.head_addr = (host, port)
         self.name = name or socket.gethostname()
-        self.connect_timeout = connect_timeout
         self.node_id = -1
         self.hb_interval = 1.0
         self._sock: socket.socket | None = None
@@ -139,7 +136,7 @@ class NodeDaemon:
         process exit code (0 = clean shutdown from the head)."""
         try:
             self._sock = socket.create_connection(
-                self.head_addr, timeout=self.connect_timeout
+                self.head_addr, timeout=DIAL_TIMEOUT
             )
         except OSError as exc:
             self._log(f"cannot reach head at {self.head_addr}: {exc}")

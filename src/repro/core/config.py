@@ -36,7 +36,6 @@ class CaseConfig:
     lb_check_interval: int = 5
     fringe_layers: int = 1
     use_restart: bool = True
-    warmup_steps: int = 1
     #: Latency hiding (paper section 5): start the sweep on interior
     #: points while halo messages are in flight, then finish the
     #: boundary strip — "effectively overlapping communication with
@@ -67,8 +66,6 @@ class CaseConfig:
             raise ValueError("nsteps must be >= 1")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be >= 0")
         if not (self.f0 > 0):
             raise ValueError(f"f0 must be positive, got {self.f0}")
 

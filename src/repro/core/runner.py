@@ -64,12 +64,9 @@ from repro.machine.metrics import (
 )
 from repro.obs.rollup import IgbpRollup
 from repro.partition.assignment import Partition
+from repro.resilience import recovery
 from repro.resilience.checkpoint import Checkpoint, CheckpointStore
-from repro.resilience.recovery import (
-    RecoveryPolicy,
-    RecoveryRecord,
-    run_failure_detection,
-)
+from repro.resilience.recovery import RecoveryRecord, run_failure_detection
 
 if TYPE_CHECKING:  # both import this module
     from repro.core.overflow_d1 import OverflowD1
@@ -506,7 +503,7 @@ class Workload:
         the grids.  Returns the processors-per-grid for the record."""
         raise NotImplementedError
 
-    def restore_seconds(self, policy: RecoveryPolicy, ckpt: Checkpoint) -> float:
+    def restore_seconds(self, ckpt: Checkpoint) -> float:
         """Modeled cost of bringing ``ckpt`` back."""
         raise NotImplementedError
 
@@ -540,9 +537,8 @@ class EpochRunner:
         A :class:`repro.resilience.checkpoint.CheckpointStore` (or a
         directory path) that persists checkpoints to disk.  Without it,
         checkpoints stay in memory (still usable for recovery).
-    recovery_policy:
-        Modeled restore/repartition costs and the detection timeout
-        (:class:`repro.resilience.recovery.RecoveryPolicy`).
+        The modeled restore/repartition costs and the recovery budget
+        are constants of :mod:`repro.resilience.recovery`.
     backend:
         Execution engine for the rank programs: a registry name
         (``"sim"``/``"mp"``) or an
@@ -565,7 +561,6 @@ class EpochRunner:
         fault_plan: Any = None,
         checkpoint_every: int | None = None,
         checkpoint_store: Any = None,
-        recovery_policy: RecoveryPolicy | None = None,
         sanitizer: Any = None,
         backend: str | ExecutionBackend = "sim",
     ) -> None:
@@ -602,7 +597,6 @@ class EpochRunner:
         if isinstance(checkpoint_store, (str, Path)):
             checkpoint_store = CheckpointStore(checkpoint_store)
         self.checkpoint_store = checkpoint_store
-        self.policy = recovery_policy or RecoveryPolicy()
         self._pending_faults: list[FaultSpec] = []
         self._steps_done = 0       # measured steps actually executed
         self._last_ckpt: Checkpoint | None = None
@@ -783,11 +777,10 @@ class EpochRunner:
     ) -> _DriverState:
         """Detection -> restore -> shrink; returns the new state."""
         tracer = self.tracer
-        policy = self.policy
         old_n = state.nranks
         step_failed = state.step - wl.warmup_steps
 
-        if len(state.recoveries) >= policy.max_recoveries:
+        if len(state.recoveries) >= recovery.MAX_RECOVERIES:
             raise failure
         ckpt = self._last_ckpt
         if ckpt is None:
@@ -809,7 +802,6 @@ class EpochRunner:
             wl.target.machine.with_nodes(old_n),
             failure.failed_ranks,
             tracer=tracer,
-            timeout=policy.detection_timeout,
             sanitizer=self.sanitizer,
         )
         if tracer is not None:
@@ -837,12 +829,12 @@ class EpochRunner:
         procs_per_grid = wl.shrink(restored, dead, failure)
         wl.world_restore(data["world"])
 
-        t_restore = wl.restore_seconds(policy, ckpt)
+        t_restore = wl.restore_seconds(ckpt)
         driver_span(
             tracer, (r for r in range(old_n) if r not in dead_set),
             "restore", t_restore,
         )
-        t_rep = policy.repartition_seconds
+        t_rep = recovery.REPARTITION_SECONDS
         driver_span(tracer, range(restored.nranks), "repartition", t_rep)
         restored.vt = vt_fail + t_detect + t_restore + t_rep
 
@@ -910,8 +902,7 @@ def build_driver(
     """The driver for a case object: :class:`repro.core.OverflowD1`
     for a :class:`CaseConfig`, :class:`repro.offbody.OffBodyDriver` for
     an :class:`OffBodyCase`.  ``resilience`` takes the runner's
-    ``fault_plan`` / ``checkpoint_every`` / ``checkpoint_store`` /
-    ``recovery_policy``."""
+    ``fault_plan`` / ``checkpoint_every`` / ``checkpoint_store``."""
     options = dict(
         tracer=tracer, sanitizer=sanitizer, backend=backend, **resilience
     )

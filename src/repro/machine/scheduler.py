@@ -456,7 +456,7 @@ class Simulator:
                 # re-check the wildcard race at wake time (findings are
                 # deduplicated by message sequence set).
                 self._sanitizer.on_wildcard_recv(
-                    state.clock, state.rank, tag, state.mailbox, blocking=True
+                    state.clock, state.rank, tag, state.mailbox
                 )
             msg = state.mailbox.pop_matching(src, tag, state.clock, allow_future=True)
             assert msg is not None, "scheduler picked a non-wakeable blocked rank"
@@ -486,20 +486,6 @@ class Simulator:
                     state.clock, state.rank, src, tag, msgs
                 )
             state.send_value = msgs
-        elif kind == "tryrecv":
-            _, src, tag = op
-            self._charge_poll(state)
-            if self._sanitizer is not None and src == ANY_SOURCE:
-                self._sanitizer.on_wildcard_recv(
-                    state.clock, state.rank, tag, state.mailbox,
-                    blocking=False,
-                )
-            msg = state.mailbox.pop_matching(src, tag, state.clock, allow_future=False)
-            if msg is not None:
-                self._received(state, (msg,))
-                if self._sanitizer is not None:
-                    self._san_recvs += 1
-            state.send_value = msg
         elif kind == "compute":
             _, dt, flops = op
             if dt < 0:
@@ -523,7 +509,7 @@ class Simulator:
             _, src, tag = op
             if self._sanitizer is not None and src == ANY_SOURCE:
                 self._sanitizer.on_wildcard_recv(
-                    state.clock, state.rank, tag, state.mailbox, blocking=True
+                    state.clock, state.rank, tag, state.mailbox
                 )
             msg = state.mailbox.pop_matching(src, tag, state.clock, allow_future=True)
             if msg is not None:

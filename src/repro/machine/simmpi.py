@@ -236,19 +236,13 @@ class Comm:
         found = yield ("iprobe", src, tag)
         return found
 
-    def _tryrecv(self, src: int, tag: int) -> Generator:
-        """Unchecked non-blocking matched receive primitive (heartbeats
-        use a reserved tag)."""
-        got = yield ("tryrecv", src, tag)
-        return got
-
     def drain_recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
         """Drain *every* arrived matching message in one poll.
 
         Returns ``[(payload, Status), ...]`` sorted by ``(source, seq)``
         — a canonical order independent of arrival interleaving, which
         makes wildcard service loops deterministic where repeated
-        single-message ``ANY_SOURCE`` tryrecvs would consume messages
+        single-message ``ANY_SOURCE`` receives would consume messages
         in timing-dependent arrival order (the message-race pattern the
         sanitizer flags).  Charges one polling overhead regardless of
         how many messages are drained.
@@ -408,27 +402,25 @@ class Comm:
             + 16 * net.poll_overhead
         )
 
-    def detect_failures(self, timeout: float | None = None) -> Generator:
+    def detect_failures(self) -> Generator:
         """Simulated heartbeat/timeout failure detector.
 
         Each surviving rank broadcasts an "I am alive" heartbeat on the
-        reserved :data:`_TAG_HEARTBEAT` channel, waits out a
-        deterministic ``timeout``, then probes for each peer's
-        heartbeat.  Peers whose heartbeat never arrived are *suspected*
-        dead (their messages were black-holed by the scheduler).  The
-        survivors then agree on the dead set: a linear gather of the
-        suspect sets to the lowest live rank and a binomial broadcast of
-        their union over the live ranks, both on the reserved
-        :data:`_TAG_AGREE` channel — every survivor returns the
-        identical sorted tuple of dead ranks, mirroring a ULFM
-        ``MPI_Comm_agree`` shrink.
+        reserved :data:`_TAG_HEARTBEAT` channel, waits out the
+        deterministic :meth:`heartbeat_timeout`, then drains each
+        peer's heartbeat channel.  Peers whose heartbeat never arrived
+        are *suspected* dead (their messages were black-holed by the
+        scheduler).  The survivors then agree on the dead set: a linear
+        gather of the suspect sets to the lowest live rank and a
+        binomial broadcast of their union over the live ranks, both on
+        the reserved :data:`_TAG_AGREE` channel — every survivor
+        returns the identical sorted tuple of dead ranks, mirroring a
+        ULFM ``MPI_Comm_agree`` shrink.
 
         Must only be called when at least the calling rank is alive;
         safe to call with no failures (returns an empty tuple).
         """
         self._san_collective("detect_failures")
-        if timeout is None:
-            timeout = self.heartbeat_timeout()
         # 1. Broadcast heartbeats (sends to dead ranks are black-holed
         #    by the scheduler at sender cost only — no deadlock risk).
         for peer in range(self.size):
@@ -438,14 +430,15 @@ class Comm:
                     _HEARTBEAT_NBYTES,
                 )
         # 2. Wait out the detection window.
-        yield from self.elapse(timeout)
-        # 3. Probe: whose heartbeat arrived?
+        yield from self.elapse(self.heartbeat_timeout())
+        # 3. Probe: whose heartbeat arrived?  Each detection runs on a
+        #    fresh simulator, so a live peer has exactly one pending.
         suspects: list[int] = []
         for peer in range(self.size):
             if peer == self.rank:
                 continue
-            got = yield from self._tryrecv(peer, _TAG_HEARTBEAT)
-            if got is None:
+            got = yield ("drain", peer, _TAG_HEARTBEAT)
+            if not got:
                 suspects.append(peer)
         # 4. Agreement over the locally-live ranks.  All survivors
         #    computed the same suspect set (the detector has no false

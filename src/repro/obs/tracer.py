@@ -27,7 +27,7 @@ code (``KIND_*``, also the record kind byte of the trace store):
     paid).  These feed :class:`repro.obs.perf.CommMatrix`.
 ``recv`` events (:data:`KIND_RECV`)
     ``(t, rank, src, tag, nbytes, phase)`` — one per message actually
-    consumed (blocking recv, successful tryrecv, or drain).  These let
+    consumed (blocking recv or drain).  These let
     :mod:`repro.obs.perf.critical_path` blame wait spans on the sender
     whose message ended them.
 

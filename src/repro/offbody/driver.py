@@ -75,8 +75,8 @@ from repro.partition.grouping import (
     round_robin_grids,
 )
 from repro.partition.static_lb import static_balance
+from repro.resilience import recovery
 from repro.resilience.checkpoint import Checkpoint
-from repro.resilience.recovery import RecoveryPolicy
 from repro.solver.workmodel import WorkModel
 
 TAG_OB_REQ = 402
@@ -518,8 +518,8 @@ class _OffBody(Workload):
 
     Prescribed motions make the world a pure function of absolute
     time, so its checkpoint is just that time and a restore re-derives
-    the poses instead of reading them — the restore cost is the
-    policy's latency alone.
+    the poses instead of reading them — the restore cost is
+    :data:`repro.resilience.recovery.RESTORE_LATENCY` alone.
 
     Only off-body ranks are expendable: near-body grids are pinned one
     per rank, so a failure of rank ``< n_near`` (or shrinking below
@@ -541,8 +541,8 @@ class _OffBody(Workload):
     def world_restore(self, snapshot: float) -> None:
         self.world.advance(snapshot)
 
-    def restore_seconds(self, policy: RecoveryPolicy, ckpt: Checkpoint) -> float:
-        return policy.restore_latency
+    def restore_seconds(self, ckpt: Checkpoint) -> float:
+        return recovery.RESTORE_LATENCY
 
     def shrink(
         self, state: _DriverState, dead: tuple[int, ...], failure: RankFailure
@@ -666,8 +666,8 @@ class OffBodyDriver(EpochRunner):
     """Run an :class:`OffBodyCase` on a pluggable execution backend.
 
     Parameters are :class:`repro.core.runner.EpochRunner`'s: ``case,
-    tracer, fault_plan, checkpoint_every, checkpoint_store,
-    recovery_policy, sanitizer, backend``.  Traces gain the
+    tracer, fault_plan, checkpoint_every, checkpoint_store, sanitizer,
+    backend``.  Traces gain the
     ``offbody:regen`` / ``offbody:group`` driver phases.
     """
 

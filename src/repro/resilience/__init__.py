@@ -11,7 +11,7 @@ survivors.  This package ties the two together:
 * :mod:`repro.resilience.checkpoint` — versioned, checksummed,
   timestamp-free checkpoints that restore bit-identically;
 * :mod:`repro.resilience.recovery` — the failure-detection simulation,
-  recovery policy and per-episode records.
+  the modeled recovery costs and per-episode records.
 
 See ``docs/resilience.md`` for the full fault model and a recovery
 walk-through.
@@ -25,11 +25,7 @@ from repro.resilience.checkpoint import (
     CheckpointError,
     CheckpointStore,
 )
-from repro.resilience.recovery import (
-    RecoveryPolicy,
-    RecoveryRecord,
-    run_failure_detection,
-)
+from repro.resilience.recovery import RecoveryRecord, run_failure_detection
 
 __all__ = [
     "FaultPlan",
@@ -40,7 +36,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "CheckpointStore",
-    "RecoveryPolicy",
     "RecoveryRecord",
     "run_failure_detection",
 ]

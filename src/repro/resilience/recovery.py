@@ -1,4 +1,4 @@
-"""Elastic recovery: policy knobs, recovery records and the detection sim.
+"""Elastic recovery: modeled costs, recovery records and the detection sim.
 
 The driver's recovery sequence on a :class:`repro.machine.faults.RankFailure`
 (see :class:`repro.core.runner.EpochRunner` for the wiring):
@@ -10,13 +10,13 @@ The driver's recovery sequence on a :class:`repro.machine.faults.RankFailure`
    virtual cost lands in the trace under the ``failure-detection``
    phase;
 2. **restore** — the last checkpoint is re-read; the modeled cost
-   (:attr:`RecoveryPolicy.restore_latency` plus bytes over
-   :attr:`RecoveryPolicy.restore_bandwidth`) appears as a ``restore``
-   span on every survivor;
+   (:data:`RESTORE_LATENCY` plus bytes over :data:`RESTORE_BANDWIDTH`)
+   appears as a ``restore`` span on every survivor;
 3. **repartition** — Algorithm 1 re-runs over the surviving processor
    set (``exclude_ranks`` path of :func:`repro.partition.static_lb.
    static_balance`); survivors are renumbered contiguously (ULFM-style
-   shrink) and the modeled cost appears as a ``repartition`` span;
+   shrink) and the modeled cost (:data:`REPARTITION_SECONDS`) appears
+   as a ``repartition`` span;
 4. the timestep loop resumes from the restored step on the shrunk
    machine.
 
@@ -36,32 +36,21 @@ if TYPE_CHECKING:  # import cycle: obs imports nothing from here
     from repro.machine.spec import MachineSpec
     from repro.obs.tracer import SpanTracer
 
-__all__ = ["RecoveryPolicy", "RecoveryRecord", "run_failure_detection"]
+__all__ = ["RecoveryRecord", "run_failure_detection"]
 
+# The detection cost is *simulated* (the heartbeat protocol really runs
+# on the event simulator); restore and repartition costs are *modeled*,
+# because the simulated machine has no disk model.
 
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """Knobs for the modeled cost of each recovery stage.
-
-    The detection cost is *simulated* (the heartbeat protocol really
-    runs on the event simulator); restore and repartition costs are
-    *modeled* (a checkpoint read at ``restore_bandwidth`` behind
-    ``restore_latency``, and a fixed Algorithm-1 rerun cost), because
-    the simulated machine has no disk model.
-    """
-
-    #: Seek/open latency before checkpoint data starts flowing (s).
-    restore_latency: float = 0.02
-    #: Checkpoint read bandwidth (bytes / virtual second).
-    restore_bandwidth: float = 50.0e6
-    #: Modeled cost of re-running Algorithm 1 + rebuilding the
-    #: partition maps on every survivor (s).
-    repartition_seconds: float = 5.0e-3
-    #: Heartbeat timeout; ``None`` uses the machine-derived default
-    #: (:meth:`repro.machine.simmpi.Comm.heartbeat_timeout`).
-    detection_timeout: float | None = None
-    #: Give up (re-raise the failure) after this many recoveries.
-    max_recoveries: int = 8
+#: Seek/open latency before checkpoint data starts flowing (s).
+RESTORE_LATENCY = 0.02
+#: Checkpoint read bandwidth (bytes / virtual second).
+RESTORE_BANDWIDTH = 50.0e6
+#: Modeled cost of re-running Algorithm 1 + rebuilding the partition
+#: maps on every survivor (s).
+REPARTITION_SECONDS = 5.0e-3
+#: Give up (re-raise the failure) after this many recoveries.
+MAX_RECOVERIES = 8
 
 
 @dataclass
@@ -101,7 +90,6 @@ def run_failure_detection(
     machine: "MachineSpec",
     failed_ranks: Iterable[int],
     tracer: "SpanTracer | None" = None,
-    timeout: float | None = None,
     sanitizer: Any = None,
 ) -> tuple[tuple[int, ...], float]:
     """Simulate the heartbeat protocol over ``machine``'s ranks.
@@ -120,7 +108,7 @@ def run_failure_detection(
 
     def _program(comm):
         yield from comm.set_phase("failure-detection")
-        agreed = yield from comm.detect_failures(timeout=timeout)
+        agreed = yield from comm.detect_failures()
         return agreed
 
     sim = Simulator(machine, tracer=tracer, fault_plan=plan, sanitizer=sanitizer)

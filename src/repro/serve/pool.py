@@ -57,6 +57,10 @@ __all__ = [
 #: attempt, capped at one second.
 RETRY_BACKOFF = 0.05
 
+#: Seconds idle workers get to leave on :meth:`WorkerPool.close`
+#: before the stop ladder signals them.
+CLOSE_GRACE = 5.0
+
 
 def pool_available() -> str | None:
     """``None`` when the pool can run here, else the reason it cannot."""
@@ -205,20 +209,17 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
 
-    def execute(
-        self, spec: JobSpec, timeout: float | None | object = ...
-    ) -> tuple[bytes, int]:
+    def execute(self, spec: JobSpec) -> tuple[bytes, int]:
         """Run one job on a warm worker; returns ``(payload, attempts)``.
 
-        Blocks until a worker is free.  ``timeout`` overrides the
-        pool's ``job_timeout`` (``None`` disables the limit).
+        Blocks until a worker is free; the job gets ``job_timeout``
+        seconds (``None``: no limit).
         """
         if not self._started or self._closed:
             raise PoolError("pool is not running (call start())")
-        limit = self.job_timeout if timeout is ... else timeout
         for attempt in range(self.max_retries + 1):
             try:
-                return self._execute_once(spec, limit), attempt + 1
+                return self._execute_once(spec), attempt + 1
             except WorkerCrash:
                 if attempt >= self.max_retries:
                     raise WorkerCrash(
@@ -229,7 +230,8 @@ class WorkerPool:
                 time.sleep(min(RETRY_BACKOFF * (2 ** attempt), 1.0))
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _execute_once(self, spec: JobSpec, limit: float | None) -> bytes:
+    def _execute_once(self, spec: JobSpec) -> bytes:
+        limit = self.job_timeout
         worker = self._idle.get()
         try:
             if not worker.send(("job", spec.to_wire())):
@@ -262,7 +264,7 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
 
-    def close(self, timeout: float = 5.0) -> None:
+    def close(self) -> None:
         """Stop every worker.  Call only once in-flight jobs finished
         (the server drains first); busy workers are terminated."""
         with self._lock:
@@ -279,4 +281,4 @@ class WorkerPool:
             except queue.Empty:
                 break
         stop([w for w in all_workers if w not in idle])
-        stop(idle, ("exit",), timeout)
+        stop(idle, ("exit",), CLOSE_GRACE)

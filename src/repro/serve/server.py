@@ -72,6 +72,10 @@ MAX_QUEUE = 1024
 #: Finished records the job table keeps (oldest-finished evicted first).
 MAX_FINISHED = 1024
 
+#: Seconds :meth:`ReproServer.shutdown` waits for queued and running
+#: jobs before it closes the pool anyway.
+DRAIN_TIMEOUT = 30.0
+
 
 class JobRecord:
     """One submission's lifecycle, shared between handler and dispatcher."""
@@ -490,26 +494,25 @@ class ReproServer:
 
     # --------------------------------------------------------- shutdown
 
-    def drain(self, timeout: float | None = None) -> bool:
-        """Stop accepting submissions and wait for in-flight work."""
+    def drain(self) -> bool:
+        """Stop accepting submissions and wait up to
+        :data:`DRAIN_TIMEOUT` seconds for in-flight work; returns
+        whether it all finished."""
         self._draining.set()
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT
         with self._idle_cv:
             while self._queue.qsize() > 0 or self._running > 0:
-                remaining = 0.2
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                    remaining = min(remaining, 0.2)
-                self._idle_cv.wait(timeout=remaining)
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                self._idle_cv.wait(timeout=min(remaining, 0.2))
         return True
 
-    def shutdown(self, drain_timeout: float | None = 30.0) -> None:
+    def shutdown(self) -> None:
         """Graceful stop: drain, halt threads, close pool, remove socket."""
         if self._stop.is_set():
             return
-        self.drain(timeout=drain_timeout)
+        self.drain()
         self._stop.set()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)

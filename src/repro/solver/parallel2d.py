@@ -46,9 +46,9 @@ from repro.solver.viscous import laminar_viscosity, viscous_residual
 from repro.solver.workmodel import DEFAULT_WORK_MODEL
 
 GHOSTS = 2
-TAG_HALO = 401
-TAG_PIPE_FWD = 402
-TAG_PIPE_BWD = 403
+TAG_HALO = 501
+TAG_PIPE_FWD = 502
+TAG_PIPE_BWD = 503
 
 
 def rank_lattice(dims: tuple[int, int], nparts: int) -> tuple[int, int]:

@@ -60,7 +60,7 @@ class TestRPR001RawTagLiteral:
             "src/app.py",
             """\
             def p(comm):
-                msg = yield ("tryrecv", 0, 5)
+                msg = yield ("drain", 0, 5)
             """,
         )
         assert codes(rep) == ["RPR001"]

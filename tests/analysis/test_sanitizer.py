@@ -55,16 +55,12 @@ class _StubState:
 
 
 def racy_program(comm):
-    """Ranks 1, 2 send rank 0 the same tag; rank 0 wildcard-tryrecvs."""
+    """Ranks 1, 2 send rank 0 the same tag; rank 0 wildcard-receives."""
     if comm.rank == 0:
         yield from comm.elapse(1.0)  # let both messages arrive
         got = []
-        while len(got) < 2:
-            msg = yield from comm._tryrecv(ANY_SOURCE, TAG_A)
-            if msg is None:
-                yield from comm.elapse(0.01)
-            else:
-                got.append(msg)
+        for _ in range(2):
+            got.append((yield from comm.recv(ANY_SOURCE, TAG_A)))
         return got
     yield from comm.send(0, TAG_A, f"from-{comm.rank}", nbytes=64)
 
@@ -86,7 +82,7 @@ def drained_program(comm):
 
 
 class TestMessageRace:
-    def test_wildcard_tryrecv_with_two_sources_is_witnessed(self):
+    def test_wildcard_recv_with_two_sources_is_witnessed(self):
         report, _ = run_sanitized(racy_program)
         races = [f for f in report.findings if f.kind == "message-race"]
         assert len(races) == 1
@@ -94,7 +90,6 @@ class TestMessageRace:
         assert f.rank == 0 and f.tag == TAG_A
         assert f.detail["sources"] == [1, 2]
         assert len(f.detail["seqs"]) == 2
-        assert f.detail["blocking"] is False
 
     def test_witness_report_is_deterministic(self):
         a, _ = run_sanitized(racy_program)
@@ -347,7 +342,7 @@ class TestReport:
             box = Mailbox()
             for src in (1, 2):
                 box.deposit(Message(src, 0, TAG_A, None, 8, 0.0, 0.0))
-            san.on_wildcard_recv(0.0, 0, TAG_A, box, blocking=True)
+            san.on_wildcard_recv(0.0, 0, TAG_A, box)
         report = san.report()
         assert len(report.findings) == 2
         assert report.counts() == {"message-race": 3}

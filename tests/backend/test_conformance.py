@@ -166,17 +166,17 @@ def prog_iprobe(comm):
     return (val, status.source)
 
 
-def prog_tryrecv(comm):
-    """Spin on the nonblocking matched receive (the primitive
-    ``detect_failures`` polls heartbeats with) until the ring
-    neighbour's message lands."""
+def prog_drain_spin(comm):
+    """Spin on the nonblocking drain (the primitive ``detect_failures``
+    polls heartbeats with) until the ring neighbour's message lands."""
     dst = (comm.rank + 1) % comm.size
     src = (comm.rank - 1) % comm.size
     yield from comm.send(dst, TAG, ("tok", comm.rank), nbytes=8)
     while True:
-        got = yield from comm._tryrecv(src, TAG)
-        if got is not None:
-            return (got.payload, got.src)
+        got = yield from comm.drain_recv(src, TAG)
+        if got:
+            ((payload, status),) = got
+            return (payload, status.source)
         yield from comm.elapse(1e-4)
 
 
@@ -302,8 +302,8 @@ def test_iprobe_then_recv(engine):
     assert returns == [((r - 1) % NRANKS, (r - 1) % NRANKS) for r in range(NRANKS)]
 
 
-def test_tryrecv_spins_until_the_message_lands(engine):
-    returns = _run(engine, prog_tryrecv)
+def test_drain_spins_until_the_message_lands(engine):
+    returns = _run(engine, prog_drain_spin)
     assert returns == [
         (("tok", (r - 1) % NRANKS), (r - 1) % NRANKS) for r in range(NRANKS)
     ]

@@ -176,7 +176,9 @@ def test_worker_crash_surfaces_as_rank_failure():
     assert 1 in excinfo.value.failed
 
 
-def test_timeout_surfaces_as_rank_failure():
+def test_timeout_surfaces_as_rank_failure(monkeypatch):
+    monkeypatch.setattr("repro.backend.mp.RUN_TIMEOUT", 1.0)
+
     def program(comm):
         if comm.rank == 0:
             # Never sent: rank 1 blocks until supervision trips.
@@ -184,11 +186,12 @@ def test_timeout_surfaces_as_rank_failure():
         return comm.rank
 
     with pytest.raises(RankFailure):
-        get_backend("mp", timeout=1.0).run_spmd(sp2(nodes=2), program)
+        get_backend("mp").run_spmd(sp2(nodes=2), program)
 
 
 _STOPPED_RANK_SCRIPT = """
 import glob, os, sys
+import repro.backend.mp
 from repro.backend import get_backend
 from repro.machine import sp2
 from repro.machine.faults import RankFailure
@@ -199,8 +202,9 @@ def program(comm):
         f.write(str(os.getpid()))
     return (yield from stops_itself(comm))
 
+repro.backend.mp.RUN_TIMEOUT = 1.0
 try:
-    get_backend("mp", timeout=1.0).run_spmd(sp2(nodes=2), program)
+    get_backend("mp").run_spmd(sp2(nodes=2), program)
 except RankFailure as failure:
     print("RankFailure", *failure.failed_ranks)
 print("shm", *glob.glob(f"/dev/shm/repro_mp_{os.getpid()}_*"))

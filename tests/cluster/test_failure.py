@@ -62,8 +62,9 @@ def _kill_node(engine, node_id: int) -> tuple[int, ...]:
     return handle.node_id
 
 
-def test_node_kill_raises_rankfailure_naming_its_ranks():
-    engine = get_backend("cluster", nnodes=2, hb_timeout=3.0)
+def test_node_kill_raises_rankfailure_naming_its_ranks(monkeypatch):
+    monkeypatch.setattr("repro.cluster.head.HB_TIMEOUT", 3.0)
+    engine = get_backend("cluster", nnodes=2)
     try:
         # Warm the pool and learn the placement: 4 ranks over 2 nodes
         # puts ranks (2, 3) on node 1.
@@ -86,8 +87,9 @@ def test_node_kill_raises_rankfailure_naming_its_ranks():
         engine.close()
 
 
-def test_driver_recovers_and_completes_after_node_loss():
-    engine = get_backend("cluster", nnodes=2, hb_timeout=3.0)
+def test_driver_recovers_and_completes_after_node_loss(monkeypatch):
+    monkeypatch.setattr("repro.cluster.head.HB_TIMEOUT", 3.0)
+    engine = get_backend("cluster", nnodes=2)
     kill_state = {"calls": 0}
     real_run = engine.run
 
@@ -132,10 +134,11 @@ def prog_barrier(comm):
     return comm.rank
 
 
-def test_stopped_rank_does_not_cost_the_node():
+def test_stopped_rank_does_not_cost_the_node(monkeypatch):
     """The node's abort ladder SIGKILLs the rank that SIGTERM cannot
     reach; the daemon itself survives and hosts the next chunk."""
-    engine = get_backend("cluster", nnodes=2, timeout=1.5)
+    monkeypatch.setattr("repro.backend.mp.RUN_TIMEOUT", 1.5)
+    engine = get_backend("cluster", nnodes=2)
     try:
         with deadline(40):
             with pytest.raises(RankFailure) as info:
@@ -151,9 +154,10 @@ def test_stopped_rank_does_not_cost_the_node():
         engine.close()
 
 
-def test_stopped_daemon_is_a_lost_node_and_does_not_stall_close():
+def test_stopped_daemon_is_a_lost_node_and_does_not_stall_close(monkeypatch):
     hb_timeout = 1.5
-    engine = get_backend("cluster", nnodes=3, hb_timeout=hb_timeout)
+    monkeypatch.setattr("repro.cluster.head.HB_TIMEOUT", hb_timeout)
+    engine = get_backend("cluster", nnodes=3)
     try:
         with deadline(40):
             sup = engine.supervisor

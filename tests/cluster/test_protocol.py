@@ -141,7 +141,7 @@ def test_blobs_sha_is_order_and_content_sensitive():
 def test_handshake_refuses_other_cpython_minor():
     """Programs resolve their code by import, so a node on another
     CPython feature version is turned away at ``hello``."""
-    sup = ClusterSupervisor(1, spawn=False, connect_timeout=5.0)
+    sup = ClusterSupervisor(1, spawn=False)
     node = socket.create_connection(sup.addr)
     try:
         major, minor = sys.version_info[:2]
@@ -162,7 +162,7 @@ def test_handshake_refuses_other_cpython_minor():
 def test_handshake_refuses_the_previous_protocol_by_name():
     """A ``repro-cluster/2`` node would read ``launch["options"]``, which
     ``/3`` no longer sends; it is turned away at ``hello`` instead."""
-    sup = ClusterSupervisor(1, spawn=False, connect_timeout=5.0)
+    sup = ClusterSupervisor(1, spawn=False)
     node = socket.create_connection(sup.addr)
     try:
         send_control(node, {

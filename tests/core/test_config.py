@@ -68,8 +68,6 @@ class TestValidation:
             make(nsteps=0)
         with pytest.raises(ValueError, match="dt"):
             make(dt=0.0)
-        with pytest.raises(ValueError, match="warmup"):
-            make(warmup_steps=-1)
 
     def test_default_f0_is_static_only(self):
         assert math.isinf(make().f0)

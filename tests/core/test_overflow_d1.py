@@ -113,7 +113,7 @@ class TestLazyWorldPrep:
         monkeypatch.setattr(overflow_d1, "cut_holes", spy_cut)
         cfg = airfoil_case(machine=sp2(nodes=4), scale=SCALE, nsteps=2)
         OverflowD1(cfg).run()
-        steps = cfg.warmup_steps + 2
+        steps = overflow_d1._NearBody.warmup_steps + 2
         assert [phase for phase, _ in cuts] == [PHASE_DCF] * 3 * steps
         asked = [r for _, r in cuts]
         for k in range(steps):  # once per (grid, step)
@@ -174,12 +174,12 @@ class TestRun:
         result, _ = run(nodes=6, nsteps=4)
         assert len(result.partition_history) == 1
 
-    def test_warmup_steps_excluded_from_metrics(self):
+    def test_warmup_steps_excluded_from_metrics(self, monkeypatch):
         ra, _ = run(nodes=3, nsteps=2)
-        # Warmup already defaults to 1; more warmup should not change
-        # the number of measured steps.
+        # Warmup already is 1; more warmup should not change the number
+        # of measured steps.
+        monkeypatch.setattr(overflow_d1._NearBody, "warmup_steps", 3)
         cfg = airfoil_case(machine=sp2(nodes=3), scale=SCALE, nsteps=2)
-        cfg.warmup_steps = 3
         rb = OverflowD1(cfg).run()
         assert rb.nsteps == 2
         assert sum(e.nsteps for e in rb.epochs) == 2

@@ -18,7 +18,6 @@ from repro.machine import sp2
 from repro.machine.faults import RankFailure
 from repro.obs import SpanTracer
 from repro.offbody import OffBodyCase, build_offbody_case, generate_scenario
-from repro.resilience import RecoveryPolicy
 
 NSTEPS = 4
 
@@ -76,10 +75,10 @@ def test_trigger_fires_exactly_once(target, trigger):
     assert sum(e.nsteps for e in run.epochs) == NSTEPS
 
 
-def test_exhausted_recovery_budget_reraises(target):
-    policy = RecoveryPolicy(max_recoveries=0)
+def test_exhausted_recovery_budget_reraises(target, monkeypatch):
+    monkeypatch.setattr("repro.resilience.recovery.MAX_RECOVERIES", 0)
     with pytest.raises(RankFailure):
-        faulted(target, "step=1", recovery_policy=policy).run()
+        faulted(target, "step=1").run()
 
 
 @pytest.mark.skipif(mp_available() is not None, reason=str(mp_available()))

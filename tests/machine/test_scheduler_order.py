@@ -95,9 +95,6 @@ def play(comm, script):
         elif kind == "recv":
             payload, status = yield from comm.recv(op[1], op[2])
             seen.append((payload, status.source, status.tag))
-        elif kind == "tryrecv":
-            msg = yield from comm._tryrecv(op[1], op[2])
-            seen.append(None if msg is None else msg.payload)
         elif kind == "drain":
             got = yield from comm.drain_recv(op[1], op[2])
             seen.append([payload for payload, _ in got])
@@ -206,7 +203,6 @@ def cases(draw):
     ).map(tuple)
     filler = st.one_of(
         st.tuples(st.just("compute"), TIMES),
-        st.tuples(st.just("tryrecv"), sources, tags),
         st.tuples(st.just("drain"), sources, tags),
         st.tuples(st.just("iprobe"), sources, tags),
         st.tuples(st.just("set_phase"), st.sampled_from(["a", "b"])),

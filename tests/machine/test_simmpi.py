@@ -148,14 +148,15 @@ class TestPointToPoint:
 
 
 class TestNonBlocking:
-    def test_tryrecv_polls_without_blocking(self):
+    def test_drain_polls_without_blocking(self):
         def program(comm):
             if comm.rank == 0:
                 polls = 0
-                while (got := (yield from comm._tryrecv(1, 9))) is None:
+                while not (got := (yield from comm.drain_recv(1, 9))):
                     polls += 1
                     yield from comm.elapse(0.01)
-                return polls, got.payload
+                ((payload, _),) = got
+                return polls, payload
             yield from comm.elapse(0.05)
             yield from comm.send(0, tag=9, payload="done")
             return None

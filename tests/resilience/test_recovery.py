@@ -14,8 +14,8 @@ from repro.partition.assignment import build_partition
 from repro.partition.static_lb import static_balance
 from repro.resilience import (
     CheckpointStore,
-    RecoveryPolicy,
     RecoveryRecord,
+    recovery,
     run_failure_detection,
 )
 
@@ -35,10 +35,11 @@ def summaries(run) -> str:
 
 class TestRecoveryPolicyAndRecord:
     def test_policy_defaults(self):
-        p = RecoveryPolicy()
-        assert p.restore_latency > 0
-        assert p.restore_bandwidth > 0
-        assert p.max_recoveries >= 1
+        """The modeled costs and the budget every faulted run uses."""
+        assert recovery.RESTORE_LATENCY == 0.02
+        assert recovery.RESTORE_BANDWIDTH == 50.0e6
+        assert recovery.REPARTITION_SECONDS == 5.0e-3
+        assert recovery.MAX_RECOVERIES == 8
 
     def test_record_downtime_and_describe(self):
         rec = RecoveryRecord(
@@ -223,8 +224,8 @@ class TestElasticRecovery:
                 (summaries(run), run.wall_elapsed, tuple(run.recoveries))
             )
         assert outs[0] == outs[1] == outs[2]
-        assert run.wall_elapsed.hex() == "0x1.45e82e8de46ebp+1"
-        assert run.downtime.hex() == "0x1.3bc9648d73459p-5"
+        assert run.wall_elapsed.hex() == "0x1.45e82bb3bf74ap+1"
+        assert run.downtime.hex() == "0x1.3bc8ae0434c2fp-5"
         assert run.recoveries[0].t_detect.hex() == "0x1.19db7358bd309p-11"
 
     def test_recovery_without_checkpointing_uses_step0_restore(self):

@@ -93,8 +93,9 @@ def socket_path():
 
 
 @pytest.fixture
-def server(inject_faults, socket_path):
+def server(inject_faults, socket_path, monkeypatch):
+    monkeypatch.setattr("repro.serve.server.DRAIN_TIMEOUT", 10.0)
     srv = ReproServer(socket_path, workers=2, job_timeout=60.0)
     srv.start()
     yield srv
-    srv.shutdown(drain_timeout=10.0)
+    srv.shutdown()

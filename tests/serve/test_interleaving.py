@@ -61,10 +61,11 @@ def warm_server(tmp_path_factory):
         mp.setattr(
             "repro.serve.pool.run_job_bytes", faulty_run_job_bytes(str(marker))
         )
+        mp.setattr("repro.serve.server.DRAIN_TIMEOUT", 10.0)
         srv = ReproServer(path, workers=2, job_timeout=60.0)
         srv.start()
         yield srv
-        srv.shutdown(drain_timeout=10.0)
+        srv.shutdown()
 
 
 class TestInterleavingProperty:

@@ -125,7 +125,8 @@ class TestTimeout:
                 p.execute(fault_spec(SLEEP + 30))
             assert time.monotonic() - t0 < 10.0  # killed, not waited out
             # The killed worker was replaced; pool still serves.
-            payload, _ = p.execute(tiny_spec(), timeout=60.0)
+            p.job_timeout = 60.0
+            payload, _ = p.execute(tiny_spec())
             assert payload == run_job_bytes(tiny_spec())
         finally:
             p.close()
@@ -142,12 +143,9 @@ class TestTimeout:
             stopper.join()
             assert pid_gone(pid)
             assert p.crashes == 1
-            payload, _ = p.execute(tiny_spec(), timeout=60.0)
+            p.job_timeout = 60.0
+            payload, _ = p.execute(tiny_spec())
             assert payload == run_job_bytes(tiny_spec())
-
-    def test_per_call_timeout_overrides_default(self, pool):
-        with pytest.raises(JobTimeout):
-            pool.execute(fault_spec(SLEEP + 30), timeout=0.5)
 
 
 class TestJobErrors:

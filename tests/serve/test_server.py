@@ -259,14 +259,14 @@ class TestLifecycle:
                     c.submit(tiny_spec(), cache=False)
             assert exc_info.value.kind == "Draining"
         finally:
-            srv.shutdown(drain_timeout=5)
+            srv.shutdown()
 
     def test_drain_finishes_inflight_jobs(self, inject_faults, socket_path):
         srv = ReproServer(socket_path, workers=1, job_timeout=60)
         srv.start()
         with ServeClient(socket_path) as c:
             rec = c.submit(fault_spec(SLEEP + 0.5), cache=False)
-            srv.shutdown(drain_timeout=30)
+            srv.shutdown()
             job = srv._jobs[rec["id"]]
         assert job.state == "done"
         assert not os.path.exists(socket_path)
