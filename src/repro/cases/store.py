@@ -190,16 +190,18 @@ def free_store_motion() -> SixDofMotion:
         inertia=np.array([0.02, 0.1, 0.1]),
         state=RigidBodyState(velocity=np.array([0.0, -0.08, 0.0])),
     )
+    return SixDofMotion(body, _free_store_loads, internal_dt=0.02)
 
-    def loads(state, t):
-        force = np.array([0.0, -0.04, 0.0])  # gravity (nondimensional)
-        # Aerodynamic nose-down moment, fading as the store pitches.
-        moment = np.array([0.0, 0.0, 0.003 * max(0.0, 1.0 - 2.0 * abs(
-            2.0 * np.arcsin(np.clip(state.attitude.q[3], -1.0, 1.0))
-        ))])
-        return Loads(force=force, moment=moment)
 
-    return SixDofMotion(body, loads, internal_dt=0.02)
+def _free_store_loads(state: RigidBodyState, t: float) -> Loads:
+    """The free store's loads; module-level so the case pickles into a
+    checkpoint and into a rank program shipped to a node."""
+    force = np.array([0.0, -0.04, 0.0])  # gravity (nondimensional)
+    # Aerodynamic nose-down moment, fading as the store pitches.
+    moment = np.array([0.0, 0.0, 0.003 * max(0.0, 1.0 - 2.0 * abs(
+        2.0 * np.arcsin(np.clip(state.attitude.q[3], -1.0, 1.0))
+    ))])
+    return Loads(force=force, moment=moment)
 
 
 def store_case(

@@ -61,6 +61,13 @@ HB_TIMEOUT = 5.0
 #: Seconds :meth:`ClusterSupervisor.start` waits for the whole pool to
 #: dial in before it gives up with :class:`HandshakeError`.
 CONNECT_TIMEOUT = 20.0
+#: Seconds an accepted connection has to send its ``hello``.
+HELLO_TIMEOUT = 30.0
+#: Seconds :meth:`ClusterSupervisor.close` gives spawned node daemons
+#: to exit after ``shutdown``, and then after SIGTERM, before it kills
+#: them (:func:`_reap`).
+DAEMON_EXIT_GRACE = 5.0
+DAEMON_TERM_GRACE = 2.0
 
 
 @dataclass
@@ -162,7 +169,7 @@ class ClusterSupervisor:
 
     def _admit(self, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(30.0)
+        sock.settimeout(HELLO_TIMEOUT)
         msg = recv_message(sock)
         if msg is None or msg[0] != "control" or msg[1].get("op") != "hello":
             sock.close()
@@ -420,7 +427,7 @@ class ClusterSupervisor:
             self._listener.close()
         except OSError:  # pragma: no cover
             pass
-        _reap(self._spawned, 5.0)
+        _reap(self._spawned, DAEMON_EXIT_GRACE)
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:
@@ -433,14 +440,14 @@ def _reap(procs: list[subprocess.Popen], grace: float | None) -> None:
     """The ``Popen`` stop ladder (node daemons are the operator's own
     command, not forked children, so :func:`repro.backend.proc.stop`
     does not fit them): all ``procs`` share each rung's deadline —
-    ``grace`` seconds to exit, SIGTERM, 2 s more — and every path ends
-    in SIGKILL and a reaped process.  ``grace=None`` skips the polite
-    rungs."""
+    ``grace`` seconds to exit, SIGTERM, :data:`DAEMON_TERM_GRACE`
+    more — and every path ends in SIGKILL and a reaped process.
+    ``grace=None`` skips the polite rungs."""
     if grace is not None:
         _wait_all(procs, grace)
         for p in procs:
             p.terminate()  # like kill(): a no-op once the process is reaped
-        _wait_all(procs, 2.0)
+        _wait_all(procs, DAEMON_TERM_GRACE)
     for p in procs:
         p.kill()
         p.wait()

@@ -55,8 +55,6 @@ from repro.grids.subdomain import interior_face_points
 from repro.machine.faults import RankFailure
 from repro.partition.assignment import Partition, build_partition
 from repro.partition.dynamic_lb import DynamicRebalancer
-from repro.resilience import recovery
-from repro.resilience.checkpoint import Checkpoint
 
 __all__ = [
     "OverflowD1", "RunResult", "EpochResult", "StepStats", "resume_run",
@@ -71,20 +69,6 @@ class _WorldState(MovingWorld):
     def __init__(self, config: CaseConfig) -> None:
         self.config = config
         super().__init__(config.grids, config.motions)
-
-    def restore(self, t: float, xyz_list) -> None:
-        """Reset to checkpointed poses (no motion recomputation).
-
-        Restoring the stored coordinates directly — rather than
-        re-evaluating the motions at ``t`` — keeps restore exact even
-        for stateful motions (e.g. the 6-DoF integrator) whose
-        trajectory depends on history, and is bit-identical by
-        construction for the prescribed ones.
-        """
-        self.place(t, [
-            ref.with_coordinates(xyz)
-            for ref, xyz in zip(self.reference, xyz_list)
-        ])
 
     def own_igbps(
         self, partition: Partition, rank: int
@@ -267,15 +251,6 @@ class _NearBody(Workload):
                     procs_per_grid=list(new.procs_per_grid),
                 )
 
-    def world_snapshot(self) -> dict:
-        return {
-            "t": self.world.time,
-            "xyz": [g.xyz for g in self.world.grids],
-        }
-
-    def world_restore(self, snapshot: dict) -> None:
-        self.world.restore(snapshot["t"], snapshot["xyz"])
-
     def shrink(
         self, state: _DriverState, dead: tuple[int, ...], failure: RankFailure
     ) -> tuple[int, ...]:
@@ -290,11 +265,6 @@ class _NearBody(Workload):
         state.carry.partition = partition
         state.nranks = n_new
         return partition.procs_per_grid
-
-    def restore_seconds(self, ckpt: Checkpoint) -> float:
-        return (
-            recovery.RESTORE_LATENCY + ckpt.nbytes / recovery.RESTORE_BANDWIDTH
-        )
 
     # ------------------------------------------------------------------
 

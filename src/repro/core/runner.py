@@ -45,7 +45,6 @@ Resilience (:mod:`repro.resilience`)
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Sequence
@@ -329,7 +328,8 @@ def driver_span(
 
 
 class MovingWorld:
-    """Grid poses as a deterministic function of absolute time.
+    """Grid poses as a deterministic function of absolute time — so a
+    checkpoint needs no copy of them (see :meth:`EpochRunner._restore`).
 
     Under the simulator every rank reads this one object; under real
     processes each rank moves its private copy, and all copies agree
@@ -349,16 +349,13 @@ class MovingWorld:
 
     def advance(self, t: float) -> None:
         if t != self.time:
-            self.place(t, [
+            self.grids = [
                 g if gi not in self.motions
                 else ref.with_coordinates(self.motions[gi].at(t).apply(ref.xyz))
                 for gi, (ref, g) in enumerate(zip(self.reference, self.grids))
-            ])
-
-    def place(self, t: float, grids: list[Any]) -> None:
-        self.grids = grids
-        self.time = t
-        self.memo: dict[Any, Any] = {}
+            ]
+            self.time = t
+            self.memo: dict[Any, Any] = {}
 
 
 @dataclass(frozen=True)
@@ -443,7 +440,8 @@ class Workload:
     A workload owns the live :class:`MovingWorld` (grid poses at the
     current step) and knows how to decompose it; everything that must
     survive a checkpoint lives in the picklable ``carry`` object it
-    hands the runner at step 0 and gets back on every call.
+    hands the runner at step 0 and gets back on every call.  The world
+    does not: it is rebuilt from ``target`` and the time.
     """
 
     #: Untraced, unfaulted, discarded steps before measurement starts.
@@ -488,23 +486,12 @@ class Workload:
     def rebalance(self, state: _DriverState, tracer: Any) -> None:
         """Between-epoch decomposition change (after the commit)."""
 
-    def world_snapshot(self) -> Any:
-        """Picklable world state for the checkpoint's ``world``."""
-        raise NotImplementedError
-
-    def world_restore(self, snapshot: Any) -> None:
-        raise NotImplementedError
-
     def shrink(
         self, state: _DriverState, dead: tuple[int, ...], failure: RankFailure
     ) -> tuple[int, ...]:
         """Re-decompose ``state`` over the survivors of ``dead`` and set
         ``state.nranks``; re-raise ``failure`` when they cannot carry
         the grids.  Returns the processors-per-grid for the record."""
-        raise NotImplementedError
-
-    def restore_seconds(self, ckpt: Checkpoint) -> float:
-        """Modeled cost of bringing ``ckpt`` back."""
         raise NotImplementedError
 
 
@@ -618,7 +605,7 @@ class EpochRunner:
         if wl.warmup_steps:
             self._run_chunk(wl, state.carry, 0, wl.warmup_steps)
         self._last_ckpt = None
-        if self.fault_plan is not None or getattr(self.backend, "elastic", False):
+        if self.fault_plan is not None or self.backend.elastic:
             # Implicit step-0 restore point: recovery works even before
             # the first periodic checkpoint (or with checkpointing off).
             # Elastic backends (cluster) get one too — their faults are
@@ -637,7 +624,27 @@ class EpochRunner:
         """
         if isinstance(checkpoint, (str, Path)):
             checkpoint = Checkpoint.load(checkpoint)
-        data = checkpoint.unpack()
+        return self._resume(checkpoint, checkpoint.unpack())
+
+    def _resume(self, ckpt: Checkpoint, data: dict[str, Any]) -> RunResult:
+        """:meth:`resume` from ``ckpt`` already unpacked into ``data``."""
+        wl, state = self._restore(data)
+        if self.tracer is not None and state.vt > 0:
+            # Align the trace origin with the restored virtual time so
+            # resumed spans continue the original timeline.
+            self.tracer.advance(state.vt)
+        self._last_ckpt = ckpt
+        return self._main_loop(wl, state)
+
+    def _restore(self, data: dict[str, Any]) -> tuple[Workload, _DriverState]:
+        """The one restore path, for resume and recovery alike.
+
+        A checkpoint holds the case and the driver state only: every
+        grid pose is a function of the case and the time, and a
+        snapshot is taken with the world at ``state.step * dt``, so a
+        fresh workload advanced there is the world that was
+        checkpointed (its memo empty).
+        """
         target = data["config"]
         if target.name != self.target.name:
             raise ValueError(
@@ -646,14 +653,9 @@ class EpochRunner:
             )
         self.target = target
         state: _DriverState = data["driver"]
-        if self.tracer is not None and state.vt > 0:
-            # Align the trace origin with the restored virtual time so
-            # resumed spans continue the original timeline.
-            self.tracer.advance(state.vt)
-        self._last_ckpt = checkpoint
         wl = self.workload_type(target)
-        wl.world_restore(data["world"])
-        return self._main_loop(wl, state)
+        wl.world.advance(state.step * target.dt)
+        return wl, state
 
     def _main_loop(self, wl: Workload, state: _DriverState) -> RunResult:
         self._pending_faults = (
@@ -665,7 +667,7 @@ class EpochRunner:
             try:
                 self._advance(wl, state, last)
             except RankFailure as failure:
-                state = self._recover(wl, state, failure)
+                wl, state = self._recover(wl, state, failure)
         return wl.result_type(
             case=wl.target.name,
             machine=wl.target.machine.name,
@@ -774,8 +776,9 @@ class EpochRunner:
 
     def _recover(
         self, wl: Workload, state: _DriverState, failure: RankFailure
-    ) -> _DriverState:
-        """Detection -> restore -> shrink; returns the new state."""
+    ) -> tuple[Workload, _DriverState]:
+        """Detection -> restore -> shrink; returns the restored workload
+        and the new state."""
         tracer = self.tracer
         old_n = state.nranks
         step_failed = state.step - wl.warmup_steps
@@ -815,8 +818,7 @@ class EpochRunner:
         # ran under the pre-failure decomposition; the shrink forces an
         # epoch boundary, so commit it as a short epoch (its spans
         # already sit at the right timeline position).
-        data = ckpt.unpack()
-        restored: _DriverState = data["driver"]
+        wl, restored = self._restore(ckpt.unpack())
         restored.recoveries = state.recoveries  # superset of checkpointed
         if restored.epoch is not None and restored.epoch.steps_done > 0:
             restored.epochs.append(
@@ -827,9 +829,8 @@ class EpochRunner:
         # 4. Shrink onto the survivors, renumbered contiguously (ULFM
         # shrink) — or give up when they cannot carry the grids.
         procs_per_grid = wl.shrink(restored, dead, failure)
-        wl.world_restore(data["world"])
 
-        t_restore = wl.restore_seconds(ckpt)
+        t_restore = recovery.restore_seconds(ckpt.nbytes)
         driver_span(
             tracer, (r for r in range(old_n) if r not in dead_set),
             "restore", t_restore,
@@ -865,13 +866,15 @@ class EpochRunner:
         self._last_ckpt = self._snapshot(wl, restored)
         if self.checkpoint_store is not None:
             self.checkpoint_store.write(self._last_ckpt)
-        return restored
+        return wl, restored
 
     # ------------------------------------------------------------------
     # checkpointing
 
     def _snapshot(self, wl: Workload, state: _DriverState) -> Checkpoint:
-        """Serialise the full driver state (deep-copy semantics)."""
+        """Serialise the case and the driver state (deep-copy
+        semantics); :meth:`_restore` re-derives the world from them."""
+        assert wl.world.time == state.step * wl.target.dt
         meta = {
             "case": wl.target.name,
             "machine": wl.target.machine.name,
@@ -884,7 +887,6 @@ class EpochRunner:
         return Checkpoint.pack(meta, {
             "config": wl.target,
             "driver": state,
-            "world": wl.world_snapshot(),
         })
 
 
@@ -927,5 +929,5 @@ def resume_run(checkpoint: Any, **options: Any) -> RunResult:
     """
     if isinstance(checkpoint, (str, Path)):
         checkpoint = Checkpoint.load(checkpoint)
-    target = pickle.loads(checkpoint.sections["config"])
-    return build_driver(target, **options).resume(checkpoint)
+    data = checkpoint.unpack()
+    return build_driver(data["config"], **options)._resume(checkpoint, data)

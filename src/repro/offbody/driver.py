@@ -75,8 +75,6 @@ from repro.partition.grouping import (
     round_robin_grids,
 )
 from repro.partition.static_lb import static_balance
-from repro.resilience import recovery
-from repro.resilience.checkpoint import Checkpoint
 from repro.solver.workmodel import WorkModel
 
 TAG_OB_REQ = 402
@@ -516,11 +514,6 @@ class _OffBodyCarry:
 class _OffBody(Workload):
     """Near-body grids pinned one per rank + off-body patch groups.
 
-    Prescribed motions make the world a pure function of absolute
-    time, so its checkpoint is just that time and a restore re-derives
-    the poses instead of reading them — the restore cost is
-    :data:`repro.resilience.recovery.RESTORE_LATENCY` alone.
-
     Only off-body ranks are expendable: near-body grids are pinned one
     per rank, so a failure of rank ``< n_near`` (or shrinking below
     ``n_near + 1`` ranks) re-raises the failure.
@@ -534,15 +527,6 @@ class _OffBody(Workload):
 
     def initial_carry(self) -> _OffBodyCarry:
         return _OffBodyCarry(manager=self.target.make_manager())
-
-    def world_snapshot(self) -> float:
-        return self.world.time
-
-    def world_restore(self, snapshot: float) -> None:
-        self.world.advance(snapshot)
-
-    def restore_seconds(self, ckpt: Checkpoint) -> float:
-        return recovery.RESTORE_LATENCY
 
     def shrink(
         self, state: _DriverState, dead: tuple[int, ...], failure: RankFailure

@@ -1,10 +1,12 @@
 """Deterministic checkpointing for OVERFLOW-D1 runs.
 
 A :class:`Checkpoint` is a set of named *sections*, each a pickled
-snapshot of one piece of driver state (case config, driver progress,
-world pose, donor-restart memory).  The container is deliberately dumb:
-it stores bytes, checksums and JSON metadata — the epoch runner
-(:mod:`repro.core.runner`) decides what goes in.
+snapshot of one piece of run state.  The epoch runner writes exactly
+two: ``config`` (the case) and ``driver`` (progress, epochs, the
+workload's carry with its donor-restart memory); grid poses are
+re-derived from the case and the time on restore.  The container is
+deliberately dumb: it stores bytes, checksums and JSON metadata — the
+epoch runner (:mod:`repro.core.runner`) decides what goes in.
 
 Determinism contract
 --------------------
@@ -20,7 +22,7 @@ So two runs that reach the same virtual state write byte-identical
 checkpoints — which is what lets the test battery assert restore
 round-trips and repeated faulted runs bit-for-bit.
 
-On-disk format (version 4; the layout is version 1's)::
+On-disk format (version 5; the layout is version 1's)::
 
     offset  size  field
     0       8     magic  b"RPROCKPT"
@@ -58,8 +60,9 @@ CHECKPOINT_MAGIC = b"RPROCKPT"
 #: refused by version instead.  v3: ``RestartCache`` in the carry is
 #: sorted arrays, not the dict a v2 file would unpickle into routing.
 #: v4: an in-flight epoch carries ``RankMetrics`` rows of ``PhaseCell``s,
-#: not the ``time``/``flops`` dicts of v3.
-CHECKPOINT_VERSION = 4
+#: not the ``time``/``flops`` dicts of v3.  v5: the sections are exactly
+#: ``config`` and ``driver``; a v4 file's ``world`` section is gone.
+CHECKPOINT_VERSION = 5
 
 #: Fixed so the same state pickles to the same bytes on every
 #: supported interpreter (protocol 4 is available from Python 3.4).

@@ -9,9 +9,11 @@ The driver's recovery sequence on a :class:`repro.machine.faults.RankFailure`
    survivor returns the identical agreed dead set, and the protocol's
    virtual cost lands in the trace under the ``failure-detection``
    phase;
-2. **restore** — the last checkpoint is re-read; the modeled cost
-   (:data:`RESTORE_LATENCY` plus bytes over :data:`RESTORE_BANDWIDTH`)
-   appears as a ``restore`` span on every survivor;
+2. **restore** — the last checkpoint is re-read and the world
+   re-derived from its step; the modeled cost, :func:`restore_seconds`
+   (:data:`RESTORE_LATENCY` plus bytes over :data:`RESTORE_BANDWIDTH`,
+   for every workload), appears as a ``restore`` span on every
+   survivor;
 3. **repartition** — Algorithm 1 re-runs over the surviving processor
    set (``exclude_ranks`` path of :func:`repro.partition.static_lb.
    static_balance`); survivors are renumbered contiguously (ULFM-style
@@ -36,7 +38,7 @@ if TYPE_CHECKING:  # import cycle: obs imports nothing from here
     from repro.machine.spec import MachineSpec
     from repro.obs.tracer import SpanTracer
 
-__all__ = ["RecoveryRecord", "run_failure_detection"]
+__all__ = ["RecoveryRecord", "restore_seconds", "run_failure_detection"]
 
 # The detection cost is *simulated* (the heartbeat protocol really runs
 # on the event simulator); restore and repartition costs are *modeled*,
@@ -51,6 +53,11 @@ RESTORE_BANDWIDTH = 50.0e6
 REPARTITION_SECONDS = 5.0e-3
 #: Give up (re-raise the failure) after this many recoveries.
 MAX_RECOVERIES = 8
+
+
+def restore_seconds(nbytes: int) -> float:
+    """Modeled cost of reading back a checkpoint of ``nbytes``."""
+    return RESTORE_LATENCY + nbytes / RESTORE_BANDWIDTH
 
 
 @dataclass

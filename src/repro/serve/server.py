@@ -76,6 +76,10 @@ MAX_FINISHED = 1024
 #: jobs before it closes the pool anyway.
 DRAIN_TIMEOUT = 30.0
 
+#: Seconds :meth:`ReproServer.shutdown` waits for each of its threads
+#: (the accept loop, then each dispatch loop) to finish.
+THREAD_JOIN_TIMEOUT = 2.0
+
 
 class JobRecord:
     """One submission's lifecycle, shared between handler and dispatcher."""
@@ -515,9 +519,9 @@ class ReproServer:
         self.drain()
         self._stop.set()
         if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
+            self._accept_thread.join(timeout=THREAD_JOIN_TIMEOUT)
         for t in self._threads:
-            t.join(timeout=2.0)
+            t.join(timeout=THREAD_JOIN_TIMEOUT)
         self.pool.close()
         try:
             os.unlink(self.socket_path)

@@ -91,7 +91,7 @@ class TestLazyWorldPrep:
         # Every rank calls advance; only a real move empties the memo.
         world.advance(3 * cfg.dt)
         assert set(world.memo) == set(range(len(cfg.grids)))
-        world.restore(0.0, [g.xyz for g in cfg.grids])
+        world.advance(0.0)
         assert world.memo == {}
 
     def test_hole_cutting_runs_inside_the_dcf3d_phase(self, monkeypatch):

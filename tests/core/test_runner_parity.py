@@ -8,16 +8,18 @@ only one of them shows is a bug in the seam.
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.backend import SimBackend
 from repro.backend.mp import mp_available
 from repro.cases import airfoil_case
-from repro.core import build_driver
+from repro.core import build_driver, resume_run
 from repro.machine import sp2
 from repro.machine.faults import RankFailure
 from repro.obs import SpanTracer
 from repro.offbody import OffBodyCase, build_offbody_case, generate_scenario
+from repro.resilience import CheckpointStore
 
 NSTEPS = 4
 
@@ -137,3 +139,32 @@ def test_downtime_accounting(target):
     run = faulted(target, "step=3").run()
     assert run.downtime == sum(r.downtime for r in run.recoveries) > 0
     assert run.wall_elapsed >= run.elapsed + run.downtime
+
+
+def test_resume_after_recovery_reproduces_the_run(target, tmp_path):
+    """The newest checkpoint of a recovered run is the post-recovery
+    snapshot; resuming it goes through the same restore path as the
+    recovery did and finishes the run the same way."""
+    store = CheckpointStore(tmp_path)
+    # Checkpoint at step 2, fault in step 3: the recovery restores step
+    # 2 and its snapshot replaces that file as the newest.
+    run = faulted(
+        target, "step=3", checkpoint_every=2, checkpoint_store=store
+    ).run()
+    assert len(run.recoveries) == 1
+    newest = store.latest()
+    assert newest.meta["recoveries"] == 1
+    assert list(newest.sections) == ["config", "driver"]
+    resumed = resume_run(newest)
+    assert resumed.recoveries == run.recoveries
+    assert resumed.wall_elapsed == run.wall_elapsed
+    assert len(resumed.epochs) == len(run.epochs)
+    for a, b in zip(resumed.epochs, run.epochs):
+        assert (a.first_step, a.nsteps, a.elapsed) == (
+            b.first_step, b.nsteps, b.elapsed
+        )
+        assert a.rollup.summary() == b.rollup.summary()
+        assert np.array_equal(a.igbp.per_step(), b.igbp.per_step())
+        assert (a.search_steps_total, a.orphans_total) == (
+            b.search_steps_total, b.orphans_total
+        )

@@ -50,7 +50,7 @@ class TestWireFormat:
     def test_magic_and_version(self):
         blob = sample_checkpoint().to_bytes()
         assert blob[:8] == CHECKPOINT_MAGIC
-        assert CHECKPOINT_VERSION == 4
+        assert CHECKPOINT_VERSION == 5
 
     def test_bytes_round_trip(self):
         ck = sample_checkpoint()
@@ -72,10 +72,11 @@ class TestWireFormat:
         # 9: from the future; 1: written before the driver state moved
         # into repro.core.runner (its pickles name a class that is gone);
         # 2: its carry holds the dict-shaped RestartCache; 3: its
-        # in-flight epoch carries time/flops dicts, not PhaseCell rows.
-        for version in (9, 1, 2, 3):
+        # in-flight epoch carries time/flops dicts, not PhaseCell rows;
+        # 4: it has a ``world`` section beside ``config`` and ``driver``.
+        for version in (9, 1, 2, 3, 4):
             blob = bytearray(sample_checkpoint().to_bytes())
-            idx = blob.find(b'"version":4')
+            idx = blob.find(b'"version":5')
             assert idx > 0
             blob[idx : idx + 11] = b'"version":%d' % version
             with pytest.raises(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cases.airfoil import airfoil_case
+from repro.cases.store import store_case
 from repro.core.overflow_d1 import OverflowD1, resume_run
 from repro.machine.faults import FaultPlan
 from repro.machine.spec import sp2
@@ -13,6 +14,7 @@ from repro.obs import SpanTracer
 from repro.partition.assignment import build_partition
 from repro.partition.static_lb import static_balance
 from repro.resilience import (
+    Checkpoint,
     CheckpointStore,
     RecoveryRecord,
     recovery,
@@ -224,8 +226,8 @@ class TestElasticRecovery:
                 (summaries(run), run.wall_elapsed, tuple(run.recoveries))
             )
         assert outs[0] == outs[1] == outs[2]
-        assert run.wall_elapsed.hex() == "0x1.45e82bb3bf74ap+1"
-        assert run.downtime.hex() == "0x1.3bc8ae0434c2fp-5"
+        assert run.wall_elapsed.hex() == "0x1.451d3b8af8003p+1"
+        assert run.downtime.hex() == "0x1.090ca3d257a63p-5"
         assert run.recoveries[0].t_detect.hex() == "0x1.19db7358bd309p-11"
 
     def test_recovery_without_checkpointing_uses_step0_restore(self):
@@ -296,3 +298,36 @@ class TestElasticRecovery:
             small_case(nsteps=8), fault_plan=plan, checkpoint_every=3
         ).run()
         assert len(run.recoveries) == 1
+
+
+class TestFreeMotionStore:
+    """The 6-DoF store pickles, so it checkpoints and recovers; its
+    poses are re-derived from the case and the time on restore."""
+
+    @staticmethod
+    def case():
+        return store_case(
+            machine=sp2(nodes=18), scale=0.04, nsteps=4, free_motion=True
+        )
+
+    def test_faulted_run_recovers_and_resume_matches_uninterrupted(
+        self, tmp_path
+    ):
+        full = OverflowD1(self.case()).run()
+        store = CheckpointStore(tmp_path)
+        faulted = OverflowD1(
+            self.case(), fault_plan="rank=17@step=3",
+            checkpoint_every=1, checkpoint_store=store,
+        ).run()
+        assert len(faulted.recoveries) == 1
+        assert faulted.recoveries[0].nprocs_after == 17
+        assert sum(e.nsteps for e in faulted.epochs) == 4
+        # Steps 1 and 2 were checkpointed before the fault, on 18 ranks.
+        before = Checkpoint.load(store.paths()[-2])
+        assert before.meta["measured_step"] == 2
+        assert before.meta["recoveries"] == 0
+        resumed = resume_run(before)
+        assert summaries(resumed) == summaries(full)
+        assert resumed.elapsed == full.elapsed
+        for a, b in zip(resumed.epochs, full.epochs):
+            assert np.array_equal(a.igbp.per_step(), b.igbp.per_step())
