@@ -8,8 +8,8 @@ Paper (SP2 / SP, 7-55 nodes, ~1M points, IGBP ratio 33e-3, static LB):
   relatively low share;
 * DCF3D's own speedup is again worse than OVERFLOW's (Fig. 7).
 
-Benchmark default scale 0.15 (~150K points) keeps the suite fast; the
-IGBP machinery, routing and imbalance all run for real.
+Benchmark default scale 1.0 (~1.07M points), the paper's problem
+size; ``REPRO_BENCH_SCALE`` overrides it for quick runs.
 """
 
 import pytest
@@ -19,7 +19,7 @@ from repro.cases import deltawing_case
 from repro.machine import sp, sp2
 
 NODE_COUNTS = [7, 12, 26, 55]
-SCALE = bench_scale(0.15)
+SCALE = bench_scale(1.0)
 NSTEPS = 4
 
 

@@ -20,7 +20,7 @@ from repro.cases import store_case
 from repro.machine import sp, sp2
 
 NODE_COUNTS = [16, 18, 22, 28, 35, 42, 52, 61]
-SCALE = bench_scale(0.15)
+SCALE = bench_scale(1.0)
 NSTEPS = 4
 
 

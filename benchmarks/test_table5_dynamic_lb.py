@@ -23,7 +23,7 @@ from repro.core.overflow_d1 import PHASE_DCF, PHASE_FLOW
 from repro.machine import sp2
 
 NODE_COUNTS = [16, 18, 28, 52]
-SCALE = bench_scale(0.15)
+SCALE = bench_scale(1.0)
 NSTEPS = 8
 
 

@@ -56,9 +56,10 @@ def _serve_until_drained(server: Any, banner: str) -> None:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ReproServer, pool_available
+    from repro.backend.mp import mp_available
+    from repro.serve import ReproServer
 
-    reason = pool_available()
+    reason = mp_available()
     if reason is not None:
         raise SystemExit(f"repro serve unavailable: {reason}")
     tracer = _serve_tracer(args)

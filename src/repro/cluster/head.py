@@ -61,7 +61,9 @@ HB_TIMEOUT = 5.0
 #: Seconds :meth:`ClusterSupervisor.start` waits for the whole pool to
 #: dial in before it gives up with :class:`HandshakeError`.
 CONNECT_TIMEOUT = 20.0
-#: Seconds an accepted connection has to send its ``hello``.
+#: Seconds an accepted connection has to send its ``hello`` (capped by
+#: the connect deadline); an admitted node's socket keeps it as the
+#: bound on later reads from, and ``sendall``s to, a stopped node.
 HELLO_TIMEOUT = 30.0
 #: Seconds :meth:`ClusterSupervisor.close` gives spawned node daemons
 #: to exit after ``shutdown``, and then after SIGTERM, before it kills
@@ -130,21 +132,24 @@ class ClusterSupervisor:
     # ------------------------------------------------------------- pool
 
     def start(self) -> None:
-        """Spawn (if configured) and admit the node pool."""
+        """Spawn (if configured) and admit the node pool, or close."""
         if self._started:
             return
-        if self.spawn:
-            for i in range(self.nnodes):
-                self._spawn_node(i)
-        deadline = time.monotonic() + CONNECT_TIMEOUT
-        while len(self.nodes) < self.nnodes:
-            if not wait([self._listener], deadline):
-                self.close()
-                raise HandshakeError(
-                    f"only {len(self.nodes)}/{self.nnodes} node daemons "
-                    f"connected within {CONNECT_TIMEOUT:.0f}s"
-                )
-            self._admit(self._listener.accept()[0])
+        try:
+            if self.spawn:
+                for i in range(self.nnodes):
+                    self._spawn_node(i)
+            deadline = time.monotonic() + CONNECT_TIMEOUT
+            while len(self.nodes) < self.nnodes:
+                if not wait([self._listener], deadline):
+                    raise HandshakeError(
+                        f"only {len(self.nodes)}/{self.nnodes} node daemons "
+                        f"connected within {CONNECT_TIMEOUT:.0f}s"
+                    )
+                self._admit(self._listener.accept()[0], deadline)
+        except BaseException:
+            self.close()
+            raise
         self._started = True
 
     def _spawn_node(self, i: int) -> None:
@@ -167,10 +172,19 @@ class ClusterSupervisor:
         # The handle is attached to the NodeHandle at admit time by pid.
         self._spawned.append(proc)
 
-    def _admit(self, sock: socket.socket) -> None:
+    def _admit(self, sock: socket.socket, deadline: float) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(
+            max(min(HELLO_TIMEOUT, deadline - time.monotonic()), 1e-3)
+        )
+        try:
+            msg = recv_message(sock)
+        except (OSError, ClusterProtocolError) as exc:
+            sock.close()
+            raise HandshakeError(
+                f"node connection sent no hello ({type(exc).__name__}: {exc})"
+            ) from exc
         sock.settimeout(HELLO_TIMEOUT)
-        msg = recv_message(sock)
         if msg is None or msg[0] != "control" or msg[1].get("op") != "hello":
             sock.close()
             raise HandshakeError("node connection did not open with hello")

@@ -23,7 +23,8 @@ per step, its start positions, its time span and each rank's
 on its way to disk: a rank entering the first phase of the timestep
 cycle (:data:`repro.machine.metrics.PHASE_FLOW`, ``"overflow"``) starts
 its next step.  The index is rewritten atomically on :meth:`flush`,
-:meth:`advance` and :meth:`close`, always after the bytes it counts;
+:meth:`advance` and :meth:`close` (and on the ``flush_every`` cadence),
+under the writer's lock and always after the bytes it counts;
 readers never need it for the records (frames are self-describing) but
 use its byte count to tell damage from a torn tail, and its steps for
 per-step analytics and trend plots.
@@ -136,8 +137,6 @@ class StoreTracer(EventLog):
         self._fold = StepRollup()
         # step -> ([byte, ordinal] of its first record, rank -> ordinal)
         self._starts: list[tuple[list[int], dict[str, int]]] = []
-        self._index_gen = 0
-        self._published_gen = 0
 
     # -- recording ------------------------------------------------------
 
@@ -162,8 +161,7 @@ class StoreTracer(EventLog):
                 if pending >= DRAIN_EVENTS:
                     self._drain()
                 return
-            snapshot = self._sync()
-        self._publish_index(snapshot)
+            self._sync()
 
     def _drain(self) -> None:
         """Encode every pending event into the buffer, in order, folding
@@ -235,36 +233,32 @@ class StoreTracer(EventLog):
             self._drain()
             super().advance(dt)
             self._advances.append(dt)
-            snapshot = self._sync()
-        self._publish_index(snapshot)
+            self._sync()
 
     # -- lifecycle ------------------------------------------------------
 
-    def _sync(self, complete: bool = False) -> tuple[int, str]:
-        """Drain, write out (and on completion close) the event file and
-        snapshot the index.  Caller holds the lock and publishes the
-        snapshot after it."""
+    def _sync(self, complete: bool = False) -> None:
+        """Drain, write out (and on completion close) the event file,
+        then rewrite the index.  Caller holds the lock."""
         self._drain()
         self._write()
         if complete and self._file is not None:
             self._file.close()
             self._file = None
-        return self._snapshot_index(complete)
+        self._write_index(complete)
 
     def flush(self) -> None:
         """Flush the buffer and rewrite the index atomically."""
         with self._lock:
-            snapshot = self._sync()
-        self._publish_index(snapshot)
+            self._sync()
 
     def close(self) -> None:
         """Flush, close the event file, and mark the index complete."""
         with self._lock:
             if self.closed:
                 return
-            snapshot = self._sync(complete=True)
+            self._sync(complete=True)
             self.closed = True
-        self._publish_index(snapshot)
 
     def __enter__(self) -> "StoreTracer":
         return self
@@ -287,15 +281,10 @@ class StoreTracer(EventLog):
         with self._lock:
             return self._encoded + len(self.events)
 
-    def _snapshot_index(self, complete: bool) -> tuple[int, str]:
-        """Serialize the index under the lock; caller publishes outside.
-
-        Returns ``(generation, json text)``.  Serialization must happen
-        while the lock is held (the payload reads writer state), but
-        the disk write must not — with ``flush_every`` active every
-        recording thread would otherwise stall behind index I/O.
-        """
-        self._index_gen += 1
+    def _write_index(self, complete: bool) -> None:
+        """Rewrite the index atomically (tmp file, then rename).  Caller
+        holds the lock, so the newest index is always the last one
+        installed and ``close()``'s ``complete`` index survives."""
         payload = {
             "format": STORE_FORMAT,
             "clock": self.clock,
@@ -309,27 +298,12 @@ class StoreTracer(EventLog):
             "steps": self._step_rows(),
             "meta": self.meta,
         }
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-        return self._index_gen, text
-
-    def _publish_index(self, snapshot: tuple[int, str]) -> None:
-        """Atomically install an index snapshot, newest-wins.
-
-        The tmp file is written with no lock held; the cheap rename is
-        gated on the generation so a slow writer can never clobber a
-        newer snapshot (in particular, ``close()``'s ``complete`` index
-        always survives).
-        """
-        gen, text = snapshot
-        tmp = self.directory / f"{INDEX_NAME}.{gen}.tmp"
-        tmp.write_text(text, encoding="utf-8")
-        with self._lock:
-            stale = gen <= self._published_gen
-            if not stale:
-                os.replace(tmp, self.directory / INDEX_NAME)
-                self._published_gen = gen
-        if stale:
-            tmp.unlink()
+        tmp = self.directory / f"{INDEX_NAME}.tmp"
+        tmp.write_text(
+            json.dumps(payload, sort_keys=True, indent=1) + "\n",
+            encoding="utf-8",
+        )
+        os.replace(tmp, self.directory / INDEX_NAME)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StoreTracer({self.directory}, {self.records} records)"

@@ -7,7 +7,7 @@ The package splits along the wire:
   deterministic payloads;
 * :mod:`repro.serve.protocol` — line-delimited JSON framing;
 * :mod:`repro.serve.cache` — content-addressed LRU result store;
-* :mod:`repro.serve.pool` — warm worker processes with crash-retry;
+* :mod:`repro.serve.pool` — one warm worker process with crash-retry;
 * :mod:`repro.serve.server` — the daemon (accept/dispatch/drain);
 * :mod:`repro.serve.client` — the synchronous ``ServeClient``.
 
@@ -33,9 +33,8 @@ from repro.serve.pool import (
     JobExecutionError,
     JobTimeout,
     PoolError,
+    WarmWorker,
     WorkerCrash,
-    WorkerPool,
-    pool_available,
 )
 from repro.serve.protocol import (
     MAX_FRAME,
@@ -58,12 +57,11 @@ __all__ = [
     "run_job",
     "run_job_bytes",
     "ResultCache",
-    "WorkerPool",
+    "WarmWorker",
     "PoolError",
     "WorkerCrash",
     "JobTimeout",
     "JobExecutionError",
-    "pool_available",
     "ReproServer",
     "ServeClient",
     "ServeError",

@@ -16,8 +16,8 @@ bytes).  Payloads carry only modeled quantities for ``sim`` jobs —
 no wall clocks, no timestamps — which is what makes the bytes stable.
 
 A job carries no test hooks: tests that need a crashing, slow or
-failing job patch ``repro.serve.pool.run_job_bytes`` before the pool
-forks and key the fault on a sentinel ``f0``, which is part of the sha,
+failing job patch ``repro.serve.pool.run_job_bytes`` before the
+workers fork and key the fault on a sentinel ``f0``, which is part of the sha,
 so a faulty job can never alias a clean one in the cache.
 """
 

@@ -1,41 +1,46 @@
-"""The warm worker pool: long-lived processes executing queued jobs.
+"""The warm worker: one long-lived process executing jobs one at a time.
 
 This is the nengo_mpi shape (persistent master waking workers per model
-instead of re-spawning): fork once at daemon start, keep the workers
+instead of re-spawning): fork once at daemon start, keep the worker
 warm — imports done, numpy loaded, case builders hot — and pay only the
-job's own execution cost per request.  Each worker is one non-daemonic
-forked process (non-daemonic because ``mp``-backend jobs fork their own
-rank processes, which Python forbids from daemonic parents) looping on
-a duplex pipe: ``("job", wire_spec)`` in, ``("done", payload)``
-or ``("error", kind, message, detail)`` out.
+job's own execution cost per request.  Each ``repro serve`` dispatcher
+owns one :class:`WarmWorker` for its whole life, so a worker never has
+two callers and needs no queue or lock of its own.  The worker process
+is non-daemonic (``mp``-backend jobs fork their own rank processes,
+which Python forbids from daemonic parents) and loops on a duplex pipe:
+``("job", wire_spec)`` in, ``("done", payload)`` or ``("error", kind,
+message, detail)`` out.
 
 Failure semantics, all typed:
 
-* a worker that exits mid-job (crash) is discarded, a fresh worker is
-  forked in its place, and the job is **retried** with bounded
-  exponential backoff (from :data:`RETRY_BACKOFF`) up to
-  ``max_retries`` times — safe because jobs are pure functions of
-  their spec.  Exhausting retries raises :class:`WorkerCrash`.
-* a job exceeding ``job_timeout`` kills its worker (the only way to
+* a worker process that exits mid-job (crash) is walked down the stop
+  ladder, a fresh one is forked in its place, and the job is
+  **retried** with bounded exponential backoff (from
+  :data:`RETRY_BACKOFF`) up to ``max_retries`` times — safe because
+  jobs are pure functions of their spec.  Exhausting retries raises
+  :class:`WorkerCrash`.
+* a job exceeding ``job_timeout`` kills its process (the only way to
   interrupt it; :func:`repro.backend.proc.stop`, the ladder that ends
   in SIGKILL), forks a replacement, and raises :class:`JobTimeout` —
   never retried, since a retry would just burn another timeout.
-* a job whose *program* raised is not a pool failure at all: the
+* a job whose *program* raised is not a worker failure at all: the
   exception travels back as data and surfaces as
   :class:`JobExecutionError` carrying the original kind/message/detail
   (including the structured fields of a
   :class:`repro.machine.faults.RankFailure`) — deterministic failures
   are not retried.
 
-``execute`` is thread-safe: workers live in an idle queue, concurrent
-callers check one out, and the pool multiplexes as many in-flight jobs
-as it has workers.
+A closed worker forks no replacement: its next job, or the one that
+:meth:`WarmWorker.abort` killed, fails with :class:`PoolError`.
+
+``run_job_bytes`` is imported into this module by name, so a test that
+patches ``repro.serve.pool.run_job_bytes`` before the fork changes what
+every worker, and every replacement, runs.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
+import contextlib
 import time
 from multiprocessing import get_context
 from typing import Any
@@ -44,12 +49,12 @@ from repro.backend.proc import Child, Crash, stop, wait
 from repro.serve.jobs import JobSpec, close_warm_backends, run_job_bytes
 
 __all__ = [
-    "WorkerPool",
+    "WarmWorker",
     "PoolError",
     "WorkerCrash",
     "JobTimeout",
     "JobExecutionError",
-    "pool_available",
+    "close_workers",
 ]
 
 
@@ -57,18 +62,9 @@ __all__ = [
 #: attempt, capped at one second.
 RETRY_BACKOFF = 0.05
 
-#: Seconds idle workers get to leave on :meth:`WorkerPool.close`
-#: before the stop ladder signals them.
+#: Seconds idle workers get to leave on :func:`close_workers` before
+#: the stop ladder signals them.
 CLOSE_GRACE = 5.0
-
-
-def pool_available() -> str | None:
-    """``None`` when the pool can run here, else the reason it cannot."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return "requires the 'fork' start method"
-    return None
 
 
 class PoolError(RuntimeError):
@@ -137,86 +133,32 @@ def _worker_main(conn: Any) -> None:
     # coverage's multiprocessing hook flushes data on the way out).
 
 
-class WorkerPool:
-    """A fixed-size pool of warm job-executing processes."""
+def _fork() -> Child:
+    return Child(
+        get_context("fork"),
+        _worker_main,
+        daemon=False,  # mp-backend jobs fork their own rank processes
+    )
+
+
+class WarmWorker:
+    """One forked warm worker plus the ladder that runs a job on it."""
 
     def __init__(
-        self,
-        workers: int = 2,
-        job_timeout: float | None = 300.0,
-        max_retries: int = 2,
+        self, job_timeout: float | None = 300.0, max_retries: int = 2
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        reason = pool_available()
-        if reason is not None:
-            raise PoolError(f"worker pool unavailable: {reason}")
-        self.workers = int(workers)
         self.job_timeout = job_timeout
         self.max_retries = int(max_retries)
-        self._idle: queue.Queue[Child] = queue.Queue()
-        self._all: list[Child] = []
-        self._lock = threading.Lock()
-        self._started = False
-        self._closed = False
-        #: Total worker crashes observed (respawns performed).
-        self.crashes = 0
-
-    # ------------------------------------------------------------------
-
-    def start(self) -> "WorkerPool":
-        """Fork the warm workers (idempotent)."""
-        with self._lock:
-            if self._closed:
-                raise PoolError("pool is closed")
-            if self._started:
-                return self
-            for _ in range(self.workers):
-                self._idle.put(self._spawn())
-            self._started = True
-        return self
-
-    def _spawn(self) -> Child:
-        """Fork one warm worker (caller holds the lock)."""
-        worker = Child(
-            get_context("fork"),
-            _worker_main,
-            daemon=False,  # mp-backend jobs fork their own rank processes
-        )
-        self._all.append(worker)
-        return worker
-
-    def __enter__(self) -> "WorkerPool":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    def _respawn(self, dead: Child) -> Child:
-        """Walk a crashed or timed-out worker down the stop ladder (it
-        is killed, reaped and closed whatever state it is in) and fork
-        its replacement."""
-        stop([dead])
-        with self._lock:
-            if dead in self._all:
-                self._all.remove(dead)
-            self.crashes += 1
-            if self._closed:
-                raise PoolError("pool is closed")
-            return self._spawn()
-
-    # ------------------------------------------------------------------
+        #: Crashed or timed-out processes replaced (or, once closed,
+        #: reaped) so far.
+        self.respawns = 0
+        self.busy = False
+        self.closed = False
+        self.child = _fork()
 
     def execute(self, spec: JobSpec) -> tuple[bytes, int]:
-        """Run one job on a warm worker; returns ``(payload, attempts)``.
-
-        Blocks until a worker is free; the job gets ``job_timeout``
-        seconds (``None``: no limit).
-        """
-        if not self._started or self._closed:
-            raise PoolError("pool is not running (call start())")
+        """Run one job; returns ``(payload, attempts)``.  The job gets
+        ``job_timeout`` seconds (``None``: no limit)."""
         for attempt in range(self.max_retries + 1):
             try:
                 return self._execute_once(spec), attempt + 1
@@ -232,18 +174,23 @@ class WorkerPool:
 
     def _execute_once(self, spec: JobSpec) -> bytes:
         limit = self.job_timeout
-        worker = self._idle.get()
+        # Set ``busy``, then read ``closed``; abort() writes and reads
+        # them the other way round, so one of the two sees the other.
+        self.busy = True
         try:
-            if not worker.send(("job", spec.to_wire())):
+            if self.closed:
+                raise PoolError("worker is closed")
+            child = self.child
+            if not child.send(("job", spec.to_wire())):
                 raise WorkerCrash("worker pipe closed before dispatch")
             deadline = None if limit is None else time.monotonic() + limit
             while True:
-                if not wait(worker.waitables(), deadline):
+                if not wait(child.waitables(), deadline):
                     raise JobTimeout(
                         f"job {spec.sha()[:12]} exceeded the "
                         f"{limit:.6g}s per-job timeout"
                     )
-                got = worker.take()
+                got = child.take()
                 if isinstance(got, Crash):
                     raise WorkerCrash(
                         f"worker exited with code {got.exitcode} mid-job"
@@ -255,30 +202,37 @@ class WorkerPool:
                 _, kind, message, detail = got
                 raise JobExecutionError(kind, message, detail)
         except (WorkerCrash, JobTimeout):
-            # Either way this worker is finished: the job is still
+            # Either way this process is finished: the job is still
             # running in it, or it is gone.
-            worker = self._respawn(worker)
+            self._respawn()
             raise
         finally:
-            self._idle.put(worker)
+            self.busy = False
 
-    # ------------------------------------------------------------------
+    def _respawn(self) -> None:
+        """Walk the process down the stop ladder (it is killed, reaped
+        and closed whatever state it is in) and fork its replacement,
+        unless the worker is closed."""
+        stop([self.child])
+        self.respawns += 1
+        if self.closed:
+            raise PoolError("worker is closed")
+        self.child = _fork()
 
-    def close(self) -> None:
-        """Stop every worker.  Call only once in-flight jobs finished
-        (the server drains first); busy workers are terminated."""
-        with self._lock:
-            if self._closed or not self._started:
-                self._closed = True
-                return
-            self._closed = True
-            all_workers = list(self._all)
-            self._all.clear()
-        idle: list[Child] = []
-        while True:
-            try:
-                idle.append(self._idle.get_nowait())
-            except queue.Empty:
-                break
-        stop([w for w in all_workers if w not in idle])
-        stop(idle, ("exit",), CLOSE_GRACE)
+    def abort(self) -> None:
+        """Close the worker from another thread; a running job's process
+        is SIGKILLed at once, and the job's own ladder reaps it and
+        fails the job with :class:`PoolError`."""
+        self.closed = True
+        if self.busy:
+            # The owning thread may be reaping this process already.
+            with contextlib.suppress(AttributeError, ValueError):
+                self.child.proc.kill()
+
+
+def close_workers(workers: list[WarmWorker]) -> None:
+    """Stop idle workers: ``exit``, one shared :data:`CLOSE_GRACE`, then
+    the stop ladder.  Processes an abort already reaped are skipped."""
+    for w in workers:
+        w.closed = True
+    stop([w.child for w in workers], ("exit",), CLOSE_GRACE)

@@ -1,4 +1,4 @@
-"""The ``repro serve`` daemon: unix-socket front end over the pool.
+"""The ``repro serve`` daemon: unix-socket front end over warm workers.
 
 Architecture (all inside one process):
 
@@ -6,9 +6,10 @@ Architecture (all inside one process):
   background thread via :meth:`start`) takes unix-socket connections
   and hands each to a connection-handler thread speaking the
   line-delimited JSON protocol;
-* a bounded FIFO **job queue** feeds one **dispatcher thread per pool
-  worker**; dispatchers pull job records, call
-  :meth:`WorkerPool.execute` and publish the outcome on the record;
+* a bounded FIFO **job queue** feeds one **dispatcher thread per warm
+  worker**; dispatcher ``i`` owns worker ``i`` for its whole life,
+  pulls job records, calls :meth:`WarmWorker.execute` and publishes
+  the outcome on the record;
 * a :class:`~repro.serve.cache.ResultCache` answers repeat submissions
   of deterministic jobs with the literal bytes of the first run, and an
   **active-job map** coalesces concurrent submissions of the same sha
@@ -21,18 +22,21 @@ Architecture (all inside one process):
 Failure propagation is typed end to end: a job whose program raised
 surfaces as a ``failed`` record carrying ``{kind, message, detail}``
 (with :class:`~repro.machine.faults.RankFailure` fields preserved in
-``detail``); worker crashes are retried by the pool and only surface
+``detail``); worker crashes are retried by the worker and only surface
 after retries exhaust; timeouts surface as ``JobTimeout``.
 
 Shutdown is a graceful drain: on ``shutdown`` (or SIGTERM via the CLI)
 the server stops accepting submissions (new ones get a ``Draining``
-error), lets queued and running jobs finish, then closes the pool and
-removes the socket.
+error) and waits until no job is queued or running; if it gives up,
+busy workers are killed at once and not respawned, so their jobs fail
+with ``PoolError``.  One ``None`` per dispatcher then ends the dispatch
+loops, idle workers get ``CLOSE_GRACE`` to leave, and the socket goes.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import itertools
 import json
 import os
@@ -44,13 +48,7 @@ from typing import Any
 
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import JobSpec, JobSpecError
-from repro.serve.pool import (
-    JobExecutionError,
-    JobTimeout,
-    PoolError,
-    WorkerCrash,
-    WorkerPool,
-)
+from repro.serve.pool import JobExecutionError, WarmWorker, close_workers
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     FrameTooLarge,
@@ -73,7 +71,7 @@ MAX_QUEUE = 1024
 MAX_FINISHED = 1024
 
 #: Seconds :meth:`ReproServer.shutdown` waits for queued and running
-#: jobs before it closes the pool anyway.
+#: jobs before it aborts the workers.
 DRAIN_TIMEOUT = 30.0
 
 #: Seconds :meth:`ReproServer.shutdown` waits for each of its threads
@@ -147,20 +145,28 @@ class ReproServer:
         max_retries: int = 2,
         tracer: Any = None,
     ) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.socket_path = str(socket_path)
         self.cache = ResultCache(directory=cache_dir)
         self.tracer = tracer
-        self.pool = WorkerPool(
-            workers=workers, job_timeout=job_timeout, max_retries=max_retries
+        self.workers = int(workers)
+        self.job_timeout = job_timeout
+        self.max_retries = int(max_retries)
+        self._workers: list[WarmWorker] = []
+        # None is the end-of-work sentinel shutdown() sends each dispatcher.
+        self._queue: queue.Queue[JobRecord | None] = queue.Queue(
+            maxsize=MAX_QUEUE
         )
-        self._queue: queue.Queue[JobRecord] = queue.Queue(maxsize=MAX_QUEUE)
         self._jobs: dict[int, JobRecord] = {}
         self._finished: collections.deque[int] = collections.deque()
         self._active: dict[str, JobRecord] = {}  # sha -> in-flight record
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._draining = threading.Event()
-        self._running = 0  # dispatcher-held jobs
+        self._pending = 0  # queued plus running jobs
         self._idle_cv = threading.Condition(self._lock)
         self._sock: socket.socket | None = None
         self._threads: list[threading.Thread] = []
@@ -183,7 +189,6 @@ class ReproServer:
             except OSError:
                 os.unlink(path)
             else:
-                probe.close()
                 raise OSError(
                     f"socket {path} is already served by a live daemon"
                 )
@@ -198,12 +203,16 @@ class ReproServer:
         self._sock.settimeout(0.2)  # so the accept loop sees _stop
 
     def start(self) -> "ReproServer":
-        """Bind, warm the pool, and serve from background threads."""
+        """Bind, fork the warm workers, and serve from background
+        threads (every fork precedes the first thread)."""
         self._bind()
-        self.pool.start()
-        for i in range(self.pool.workers):
+        self._workers = [
+            WarmWorker(self.job_timeout, self.max_retries)
+            for _ in range(self.workers)
+        ]
+        for i, worker in enumerate(self._workers):
             t = threading.Thread(
-                target=self._dispatch_loop, args=(i,),
+                target=self._dispatch_loop, args=(i, worker),
                 name=f"serve-dispatch-{i}", daemon=True,
             )
             t.start()
@@ -246,33 +255,22 @@ class ReproServer:
                 name="serve-conn", daemon=True,
             )
             t.start()
-        try:
+        with contextlib.suppress(OSError):
             self._sock.close()
-        except OSError:  # pragma: no cover
-            pass
 
     # -------------------------------------------------------- dispatch
 
-    def _dispatch_loop(self, index: int) -> None:
-        """One dispatcher per pool worker: pull, execute, publish."""
-        while True:
-            try:
-                rec = self._queue.get(timeout=0.2)
-            except queue.Empty:
-                if self._stop.is_set():
-                    return
-                continue
-            with self._lock:
-                self._running += 1
+    def _dispatch_loop(self, index: int, worker: WarmWorker) -> None:
+        """Dispatcher ``index``: run each job on its own ``worker`` and
+        publish the outcome, until :meth:`shutdown`'s ``None``."""
+        while (rec := self._queue.get()) is not None:
             rec.state = "running"
             t0 = time.perf_counter()
             try:
-                payload, attempts = self.pool.execute(rec.spec)
+                payload, attempts = worker.execute(rec.spec)
             except JobExecutionError as exc:
                 rec.finish_err(exc.kind, exc.message, exc.detail)
-            except (WorkerCrash, JobTimeout, PoolError) as exc:
-                rec.finish_err(type(exc).__name__, str(exc), {})
-            except BaseException as exc:  # pragma: no cover - last resort
+            except Exception as exc:  # PoolError and its kinds, or a bug
                 rec.finish_err(type(exc).__name__, str(exc), {})
             else:
                 if rec.use_cache and rec.spec.deterministic:
@@ -287,7 +285,7 @@ class ReproServer:
             with self._lock:
                 self._active.pop(rec.sha, None)
                 self._retire(rec)
-                self._running -= 1
+                self._pending -= 1
                 self._idle_cv.notify_all()
 
     # ------------------------------------------------------- operations
@@ -296,7 +294,7 @@ class ReproServer:
         return ok_response(
             protocol=PROTOCOL_VERSION,
             pid=os.getpid(),
-            workers=self.pool.workers,
+            workers=self.workers,
             uptime_s=time.time() - self.started_at,
             draining=self._draining.is_set(),
         )
@@ -337,6 +335,7 @@ class ReproServer:
                     return error_response(
                         "QueueFull", "job queue is at capacity; retry later"
                     )
+                self._pending += 1
         return self._job_response(rec, req)
 
     def _op_wait(self, req: dict) -> dict:
@@ -373,15 +372,15 @@ class ReproServer:
         return ok_response(
             cache=self.cache.stats(),
             jobs=states,
-            workers=self.pool.workers,
-            worker_crashes=self.pool.crashes,
+            workers=self.workers,
+            worker_crashes=sum(w.respawns for w in self._workers),
             queue_depth=self._queue.qsize(),
             draining=self._draining.is_set(),
         )
 
     def _op_shutdown(self, req: dict) -> dict:
         # Non-daemon: interpreter exit waits for the drain to finish
-        # (pool closed, socket unlinked) instead of killing it mid-way.
+        # (workers closed, socket unlinked) instead of killing it mid-way.
         threading.Thread(
             target=self.shutdown, name="serve-shutdown", daemon=False
         ).start()
@@ -466,14 +465,10 @@ class ReproServer:
                 if not self._send(conn, resp):
                     return
         finally:
-            try:
+            with contextlib.suppress(OSError):
                 rfile.close()
-            except OSError:  # pragma: no cover
-                pass
-            try:
+            with contextlib.suppress(OSError):
                 conn.close()
-            except OSError:  # pragma: no cover
-                pass
 
     @staticmethod
     def _send(conn: socket.socket, resp: dict) -> bool:
@@ -500,30 +495,30 @@ class ReproServer:
 
     def drain(self) -> bool:
         """Stop accepting submissions and wait up to
-        :data:`DRAIN_TIMEOUT` seconds for in-flight work; returns
-        whether it all finished."""
+        :data:`DRAIN_TIMEOUT` seconds for the queued and running jobs;
+        returns whether they all finished."""
         self._draining.set()
-        deadline = time.monotonic() + DRAIN_TIMEOUT
         with self._idle_cv:
-            while self._queue.qsize() > 0 or self._running > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._idle_cv.wait(timeout=min(remaining, 0.2))
-        return True
+            return self._idle_cv.wait_for(
+                lambda: self._pending == 0, timeout=DRAIN_TIMEOUT
+            )
 
     def shutdown(self) -> None:
-        """Graceful stop: drain, halt threads, close pool, remove socket."""
+        """Graceful stop: drain (or abort the workers if the drain gives
+        up), halt threads, close the workers, remove the socket."""
         if self._stop.is_set():
             return
-        self.drain()
+        drained = self.drain()
         self._stop.set()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=THREAD_JOIN_TIMEOUT)
+        if not drained:
+            for worker in self._workers:
+                worker.abort()
+        for _ in self._threads:
+            self._queue.put(None)
         for t in self._threads:
             t.join(timeout=THREAD_JOIN_TIMEOUT)
-        self.pool.close()
-        try:
+        close_workers(self._workers)
+        with contextlib.suppress(OSError):
             os.unlink(self.socket_path)
-        except OSError:
-            pass

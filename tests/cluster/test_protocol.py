@@ -177,3 +177,20 @@ def test_handshake_refuses_the_previous_protocol_by_name():
     finally:
         node.close()
         sup.close()
+
+
+def test_silent_connection_is_a_handshake_error_that_closes(monkeypatch):
+    """A connection that never says ``hello`` fails ``start()`` with
+    ``HandshakeError`` within ``HELLO_TIMEOUT`` and closes the
+    supervisor (listener included)."""
+    monkeypatch.setattr("repro.cluster.head.HELLO_TIMEOUT", 0.5)
+    sup = ClusterSupervisor(1, spawn=False)
+    node = socket.create_connection(sup.addr)
+    try:
+        with pytest.raises(HandshakeError, match="no hello"):
+            sup.start()
+        assert sup._closed
+        assert sup._listener.fileno() == -1
+    finally:
+        node.close()
+        sup.close()

@@ -9,6 +9,7 @@ guarantee across its lifetime.
 
 import os
 import threading
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.serve import (
     run_job_bytes,
 )
 
+from tests.conftest import deadline, pid_gone
 from tests.serve.conftest import (
     CRASH_ONCE,
     ERROR,
@@ -122,7 +124,7 @@ class TestFailurePropagation:
         with ServeClient(server.socket_path) as c:
             rec = c.run(spec, timeout=60)
         assert rec["attempts"] == 2
-        assert server.pool.crashes >= 1
+        assert sum(w.respawns for w in server._workers) >= 1
         assert rec["payload"].encode() == run_job_bytes(spec)
 
     def test_bad_submission_is_protocol_error(self, server):
@@ -271,6 +273,30 @@ class TestLifecycle:
         assert job.state == "done"
         assert not os.path.exists(socket_path)
 
+    def test_drain_that_gives_up_fails_running_job(
+        self, inject_faults, socket_path, monkeypatch
+    ):
+        """A drain that gives up kills the busy worker at once and does
+        not respawn it; the running job ends ``failed``."""
+        monkeypatch.setattr("repro.serve.server.DRAIN_TIMEOUT", 0.5)
+        with deadline(30):
+            srv = ReproServer(socket_path, workers=1, job_timeout=60)
+            srv.start()
+            pid = srv._workers[0].child.proc.pid
+            with ServeClient(socket_path) as c:
+                rec = c.submit(fault_spec(SLEEP + 30), cache=False)
+            job = srv._jobs[rec["id"]]
+            while job.state == "queued":
+                time.sleep(0.01)
+            t0 = time.monotonic()
+            srv.shutdown()
+            assert time.monotonic() - t0 < 5.0
+        assert job.state == "failed"
+        assert job.error["kind"] == "PoolError"
+        assert pid_gone(pid)
+        assert srv._workers[0].child.proc is None  # not respawned
+        assert not os.path.exists(socket_path)
+
     def test_stale_socket_is_replaced(self, socket_path):
         import socket as s
 
@@ -295,8 +321,6 @@ class TestLifecycle:
             resp = c.shutdown()
         assert resp["draining"] is True
         # The daemon tears itself down: socket disappears.
-        import time
-
         for _ in range(100):
             if not os.path.exists(socket_path):
                 break
