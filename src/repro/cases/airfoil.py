@@ -27,6 +27,7 @@ from repro.grids.generators import (
     airfoil_ogrid,
     annulus_grid,
     cartesian_background,
+    sizer,
 )
 from repro.grids.structured import CurvilinearGrid
 from repro.machine.spec import MachineSpec, sp2
@@ -40,12 +41,7 @@ AIRFOIL_SEARCH_LISTS = {0: [1, 2], 1: [0, 2], 2: [1, 0]}
 
 def airfoil_grids(scale: float = 1.0) -> list[CurvilinearGrid]:
     """The three component grids; ``scale=1.0`` gives ~64K points."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    s = math.sqrt(scale)
-
-    def at_least(n, floor):
-        return max(floor, int(round(n * s)))
+    at_least = sizer(scale, 2)
 
     near = airfoil_ogrid(
         "near-field",

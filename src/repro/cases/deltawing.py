@@ -19,6 +19,7 @@ from repro.grids.generators import (
     extruded_wing_grid,
     fin_grid,
     pipe_grid,
+    sizer,
 )
 from repro.grids.structured import CurvilinearGrid
 from repro.machine.spec import MachineSpec, sp2
@@ -36,12 +37,7 @@ DELTAWING_SEARCH_LISTS = {
 
 def deltawing_grids(scale: float = 1.0) -> list[CurvilinearGrid]:
     """Four grids, ~1M composite points at ``scale=1.0``."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    s = scale ** (1.0 / 3.0)
-
-    def at_least(n, floor):
-        return max(floor, int(round(n * s)))
+    at_least = sizer(scale, 3)
 
     # The background carries about half the composite points (as in the
     # paper's Fig. 6, where a large Cartesian grid surrounds the wing

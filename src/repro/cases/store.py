@@ -29,6 +29,7 @@ from repro.grids.generators import (
     cartesian_background,
     extruded_wing_grid,
     fin_grid,
+    sizer,
 )
 from repro.grids.structured import CurvilinearGrid
 from repro.machine.spec import MachineSpec, sp2
@@ -70,13 +71,7 @@ STORE_SEARCH_LISTS = _search_lists()
 
 def store_grids(scale: float = 1.0) -> list[CurvilinearGrid]:
     """Sixteen grids, ~0.81M composite points at ``scale=1.0``."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    s = scale ** (1.0 / 3.0)
-
-    def al(n, floor=7):
-        return max(floor, int(round(n * s)))
-
+    al = sizer(scale, 3)
     L = 1.0          # store length
     R = 0.07         # store radius
     grids: list[CurvilinearGrid] = []

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.config import CaseConfig
 from repro.grids.bbox import AABB
-from repro.grids.generators import body_of_revolution_grid, fin_grid
+from repro.grids.generators import body_of_revolution_grid, fin_grid, sizer
 from repro.grids.structured import CurvilinearGrid
 from repro.machine.spec import MachineSpec, sp
 
@@ -36,12 +36,7 @@ X38_SEARCH_LISTS = {0: [1, 2], 1: [0], 2: [0]}
 
 def x38_near_body_grids(scale: float = 1.0) -> list[CurvilinearGrid]:
     """Near-body curvilinear grids for the blunt vehicle."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    s = scale ** (1.0 / 3.0)
-
-    def al(n, floor=7):
-        return max(floor, int(round(n * s)))
+    al = sizer(scale, 3)
 
     body = body_of_revolution_grid(
         "x38-body", ni=al(81, 9), nj=al(49, 9), nk=al(29, 7),

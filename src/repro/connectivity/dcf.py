@@ -10,7 +10,8 @@ Per connectivity solve each rank:
 3. enters an asynchronous service loop that blocks (``Comm.waitany``)
    until a SEARCH, REPLY or termination message has arrived: incoming
    SEARCH requests are served at once (the windowed stencil-walk donor
-   search on the local subdomain), walks that exit the subdomain are
+   search on the local subdomain, one ``donor_search`` call per drain
+   with one batch per frame), walks that exit the subdomain are
    FORWARDED to the neighbouring processor owning the exit cell, and
    results return to the *original* requester as REPLY messages —
    "processors can be performing searches simultaneously";
@@ -152,6 +153,7 @@ def dcf_rank_program(
     cfg = world.config
     my_grid = world.grid_of_rank[rank]
     ndim = world.grid_xyz[0].shape[-1]
+    window = world.cell_window(rank)  # the cells this rank may search
     stats = ConnectivityStats()
 
     # ------------------------------------------------------------ step 1
@@ -266,10 +268,18 @@ def dcf_rank_program(
     ready: tuple[int, ...] = ()  # nothing can have arrived unasked yet
     while True:
         if 0 in ready:
-            for payload, _status in (
-                yield from comm.drain_recv(ANY_SOURCE, TAG_SEARCH)
-            ):
-                yield from _serve_search(comm, world, rank, payload, stats)
+            frames = [p for p, _ in (yield from comm.drain_recv(ANY_SOURCE, TAG_SEARCH))]
+            # One search per drain, a batch per frame (hints < 0: cold).
+            nb, sizes = len(frames), [len(f["rows"]) for f in frames]
+            results = donor_search(
+                [world.grid_xyz[my_grid]] * nb,
+                np.concatenate([f["points"] for f in frames]),
+                np.concatenate([f["hints"] for f in frames]),
+                cell_lo=[window[0]] * nb, cell_hi=[window[1]] * nb,
+                batch=np.repeat(np.arange(nb), sizes),
+            ).split(sizes)
+            for payload, res in zip(frames, results):
+                yield from _serve_search(comm, world, rank, payload, res, stats)
 
         if 1 in ready:
             for p, _status in (
@@ -323,20 +333,15 @@ def dcf_rank_program(
     return result, stats
 
 
-def _serve_search(comm, world: DcfWorld, rank: int, payload: dict, stats):
-    """Serve one SEARCH message: windowed search + replies + forwards."""
+def _serve_search(comm, world: DcfWorld, rank: int, payload: dict, res, stats):
+    """Serve one SEARCH message whose search gave ``res``: compute
+    charge, forwards and replies."""
     my_grid = world.grid_of_rank[rank]
-    xyz = world.grid_xyz[my_grid]
     points = payload["points"]
     rows = payload["rows"]
-    hints = payload["hints"]
     requester = payload["requester"]
     hops = payload["hops"]
     stats.igbps_received += int(rows.size)
-
-    lo, hi = world.cell_window(rank)
-    # Negative hints mark cold points; the search seeds them itself.
-    res = donor_search(xyz, points, guesses=hints, cell_lo=lo, cell_hi=hi)
     stats.search_steps += res.total_steps
     # Walk arithmetic plus the fixed per-point service cost (stencil
     # quality checks, coefficient computation, packing).

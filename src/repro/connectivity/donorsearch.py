@@ -20,30 +20,39 @@ The per-point *step counts* are returned: they are the connectivity
 work measure the simulated machine charges
 (:class:`repro.solver.workmodel.WorkModel.search_step_flops`).
 
-Kernel layout and exactness contract.  One Newton loop
-(:func:`_invert_cells`) serves the walk and the last-resort probe, 2-D
-and 3-D.  In 3-D the corners of a batch are gathered once per walk step
-as one ``(n, 8, 3)`` fancy index, held ``(8, 3, n)`` so every operation
-runs along the point axis; each iteration evaluates the residual point
-and the three eps-perturbed points of the forward-difference Jacobian as
-one stacked ``(4, 3, n)`` trilinear map, and takes the adjugate through
-a constant gather table (nine ``a*d - b*c`` cofactors and a sign).
-``steps`` feeds every simulated time and ``fracs`` every interpolated
-value, so the kernel is held to *bit identity* with the one it replaced,
-not to a tolerance.  Load-bearing: the weight product ``(wa*wb)*wc``;
-the eight weighted corners summed left to right from ``0.0 +`` (no
-``.sum``, ``einsum`` or ``@``); the forward difference, ``eps = 1e-7``;
-``np.linalg.det``; the final ``einsum("nij,nj->ni")`` over C-contiguous
-operands (its reduction order follows the layout); the 2-D closed forms
-as written; the batch-wide ``abs(r).max() < tol`` exit; the seed scan's
-squared distance accumulated per axis, ``(dx2 + dy2) + dz2``.
+Batches.  One call may search independent batches of rows, each on its
+own grid and window.  Each batch's search is a generator (:func:`_search`)
+yielding one Newton request per walk step or probe block; every round
+:func:`donor_search` gathers the live batches' requests and
+:func:`_invert` runs them stacked along the point axis, each request
+with its own exit.  Every operation acts per point, so *a batch's five
+arrays do not depend on which other batches share its rounds*.
+
+Kernel layout and exactness contract.  One Newton loop (:func:`_invert`)
+serves the walk and the last-resort probe, 2-D and 3-D.  The corners of
+a request are gathered as one ``(2**ndim, ndim, n)`` fancy index, point
+axis last, so every operation runs along it; in 3-D each iteration
+evaluates the residual point and the three eps-perturbed points of the
+forward-difference Jacobian as one stacked ``(4, 3, n)`` trilinear map,
+and takes the adjugate through a constant gather table (nine
+``a*d - b*c`` cofactors and a sign).  ``steps`` feeds every simulated
+time and ``fracs`` every interpolated value, so the kernel is held to
+*bit identity* with the one it replaced, not to a tolerance.
+Load-bearing: the weight product ``(wa*wb)*wc``; the eight weighted
+corners summed left to right from ``0.0 +`` (no ``.sum``, ``einsum`` or
+``@``); the forward difference, ``eps = 1e-7``; ``np.linalg.det``; the
+final ``einsum("nij,nj->ni")`` over C-contiguous operands (its
+reduction order follows the layout); the 2-D closed forms as written;
+the per-request ``abs(r).max() < TOL`` exit; the seed scan's squared
+distance accumulated per axis, ``(dx2 + dy2) + dz2``.
 ``tests/connectivity/test_kernel_exact.py`` compares every result array
-byte for byte with the replaced kernel and is the gate for touching them.
+byte for byte with the replaced kernel, batched and alone, and is the
+gate for touching them.
 
 A walk that repeats a state (the active rows plus their cells) is
 finished in closed form.  One walk iteration is a pure function of the
-state (``_invert_cells``, batch-wide exit included, sees only the
-batch) and rows only ever leave the active set, so none left since the
+state (its Newton request, exit included, holds only the batch's active
+rows) and rows only ever leave the active set, so none left since the
 first visit and the full loop would cycle until ``max_steps``.  The
 loop adds the remaining iterations to those rows' ``steps``, sets their
 ``cells`` to the state the last iteration would reach, and stops.  It
@@ -68,7 +77,7 @@ after charging its step per row; any other block runs on its full batch
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -90,18 +99,25 @@ class DonorSearchResult:
     def total_steps(self) -> int:
         return int(self.steps.sum())
 
+    def split(self, sizes) -> list[DonorSearchResult]:
+        """Consecutive blocks of ``sizes`` rows, one result each."""
+        arrays, ends = [getattr(self, f.name) for f in fields(self)], itertools.accumulate(sizes)
+        return [DonorSearchResult(*(a[e - n : e] for a in arrays)) for n, e in zip(sizes, ends)]
 
-def _map2d(c00, c10, c01, c11, s):
-    a, b = s[:, :1], s[:, 1:2]
+
+def _map2d(c, s):
+    """Bilinear map of (4, 2, n) corners ``c`` at ``s`` (p, 2, n)."""
+    a, b = s[:, :1], s[:, 1:]
     return (
-        (1 - a) * (1 - b) * c00
-        + a * (1 - b) * c10
-        + (1 - a) * b * c01
-        + a * b * c11
+        (1 - a) * (1 - b) * c[0]
+        + a * (1 - b) * c[1]
+        + (1 - a) * b * c[2]
+        + a * b * c[3]
     )
 
 
-_DI, _DJ, _DK = corner_offsets(3).T  # corner m = di + 2*dj + 4*dk
+# Corner m of a cell sits at index offsets _OFFSETS[ndim][m], dim 0 fastest.
+_OFFSETS = {d: corner_offsets(d) for d in (2, 3)}
 _EPS = 1e-7  # forward-difference step of the 3-D Jacobian
 # The residual point plus one eps-step per local coordinate, (4, 3, 1).
 _STEP = np.zeros((4, 3, 1))
@@ -117,15 +133,12 @@ _MINOR = np.stack(
 _SIGN = (1.0 - 2.0 * (np.add.outer(np.arange(3), np.arange(3)) % 2))[:, :, None]
 
 
-def _corners(xyz: np.ndarray, cells: np.ndarray):
-    """Corner coordinates of ``cells``.  2-D: four (n, 2) arrays.  3-D:
-    one (8, 3, n) array — a single fancy index, then the point axis
-    moved last so every kernel operation runs along it."""
-    if cells.shape[1] == 2:
-        i, j = cells[:, 0], cells[:, 1]
-        return xyz[i, j], xyz[i + 1, j], xyz[i, j + 1], xyz[i + 1, j + 1]
-    i, j, k = cells[:, 0, None], cells[:, 1, None], cells[:, 2, None]
-    return np.ascontiguousarray(xyz[i + _DI, j + _DJ, k + _DK].transpose(1, 2, 0))
+def _corners(xyz: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """(2**ndim, ndim, n) corners of ``cells``: one fancy index of flat
+    node numbers, point axis moved last (every kernel op runs along it)."""
+    node = np.cumprod((1,) + xyz.shape[-2:0:-1])[::-1]  # flat node number per index step
+    flat = (cells @ node)[:, None] + _OFFSETS[cells.shape[1]] @ node
+    return np.ascontiguousarray(xyz.reshape(-1, xyz.shape[-1])[flat].transpose(1, 2, 0))
 
 
 def _map3d(corners, s):
@@ -136,9 +149,9 @@ def _map3d(corners, s):
     wa, wb, wc = w[:, :, 0], w[:, :, 1], w[:, :, 2]
     w8 = (wa * wb[:, None]) * wc[:, None, None]  # (dk, dj, di, p, n)
     terms = w8.reshape(8, -1, 1, s.shape[-1]) * corners[:, None]
-    out = 0.0
-    for m in range(8):
-        out = out + terms[m]
+    out = 0.0 + terms[0]
+    for m in range(1, 8):
+        out += terms[m]
     return out
 
 
@@ -149,22 +162,19 @@ def _clamp_det(det):
     return np.where(np.abs(det) < 1e-14, np.where(det < 0, -1e-14, 1e-14), det)
 
 
-def _newton2d(corners, s, targets):
-    """Residual and Newton step of the bilinear map, (n, 2) layout:
+def _newton2d(c, s, targets):
+    """Residual and Newton step of the bilinear map at ``s`` (2, n):
     analytic Jacobian d(xy)/d(s0 s1), closed-form 2x2 solve."""
-    c00, c10, c01, c11 = corners
-    r = _map2d(*corners, s) - targets
-    dx0 = (1 - s[:, 1:2]) * (c10 - c00) + s[:, 1:2] * (c11 - c01)
-    dx1 = (1 - s[:, :1]) * (c01 - c00) + s[:, :1] * (c11 - c10)
-    a, b, c, d = dx0[:, 0], dx1[:, 0], dx0[:, 1], dx1[:, 1]
-    det = _clamp_det(a * d - b * c)
-    x0 = (d * r[:, 0] - b * r[:, 1]) / det
-    x1 = (-c * r[:, 0] + a * r[:, 1]) / det
-    return r, np.stack([x0, x1], axis=-1)
+    r = _map2d(c, s[None])[0] - targets
+    dx0 = (1 - s[1]) * (c[1] - c[0]) + s[1] * (c[3] - c[2])
+    dx1 = (1 - s[0]) * (c[2] - c[0]) + s[0] * (c[3] - c[1])
+    a, b, cc, d = dx0[0], dx1[0], dx0[1], dx1[1]
+    det = _clamp_det(a * d - b * cc)
+    return r, np.stack([(d * r[0] - b * r[1]) / det, (-cc * r[0] + a * r[1]) / det])
 
 
 def _newton3d(corners, s, targets):
-    """Residual and Newton step of the trilinear map, (3, n) layout:
+    """Residual and Newton step of the trilinear map at ``s`` (3, n):
     base + three eps-perturbed points as one stacked map evaluation,
     then adjugate / determinant with all nine cofactors at once."""
     x = _map3d(corners, s + _STEP)  # (4, 3, n)
@@ -179,28 +189,48 @@ def _newton3d(corners, s, targets):
     return r, np.einsum("nij,nj->ni", adj, rhs).T / det
 
 
-def _invert_cells(corners, targets, newton_iters, tol):
-    """Newton-invert the multilinear map of the gathered ``corners`` at
-    ``targets`` (n, ndim); returns ``s`` (n, ndim).  The module's one
-    Newton loop; its early exit is batch-wide (every point iterates
-    until the worst has converged)."""
-    flat = targets.shape[1] == 2
-    newton = _newton2d if flat else _newton3d
-    targets = targets if flat else np.ascontiguousarray(targets.T)
-    s = np.full(targets.shape, 0.5)
-    for _ in range(newton_iters):
+_MAP = {2: _map2d, 3: _map3d}
+NEWTON_ITERS = 8  # Newton iterations per inversion, at most
+TOL = 1e-10  # a request's exit: its largest residual component below this
+_NEWTON = {2: _newton2d, 3: _newton3d}
+
+
+def _invert(requests):
+    """Newton-invert each request's gathered corners at its targets (n,
+    ndim), all requests stacked along the point axis, each leaving the
+    stack at its own exit; returns each request's ``s`` (n, ndim)."""
+    corners = requests[0][0] if len(requests) == 1 else np.concatenate([c for c, _ in requests], -1)
+    targets = np.concatenate([t.T for _, t in requests], axis=-1)
+    newton, s = _NEWTON[len(targets)], np.full(targets.shape, 0.5)
+    sizes = [len(t) for _, t in requests]
+    out, left = [None] * len(sizes), list(range(len(sizes)))  # left: requests still stacked
+    for _ in range(NEWTON_ITERS):
         r, step = newton(corners, s, targets)
         s = s - np.clip(step, -1e6, 1e6)
-        if np.abs(r).max() < tol:
-            break
-    return s if flat else s.T
+        if len(left) == 1:
+            if np.abs(r).max() < TOL:
+                break
+            continue
+        starts = list(itertools.accumulate([sizes[q] for q in left[:-1]], initial=0))
+        met = np.maximum.reduceat(np.abs(r).max(axis=0), starts) < TOL  # per request
+        if met.any():
+            for q, lo in itertools.compress(zip(left, starts), met):
+                out[q] = s[:, lo : lo + sizes[q]].T
+            keep = np.repeat(~met, [sizes[q] for q in left])
+            left = list(itertools.compress(left, ~met))
+            if not left:
+                return out
+            corners, targets, s = corners[..., keep], targets[:, keep], s[:, keep]
+    for q, lo in zip(left, itertools.accumulate([sizes[q] for q in left[:-1]], initial=0)):
+        out[q] = s[:, lo : lo + sizes[q]].T
+    return out
 
 
 def _may_hit(corners, targets):
     """Rows (n,) whose target may pass the probe's acceptance test: inside
     the corner box padded as the module docstring derives (NaN keeps)."""
-    c = np.stack(corners) if targets.shape[1] == 2 else corners.transpose(0, 2, 1)
-    lo, hi = c.min(axis=0), c.max(axis=0)  # (n, ndim)
+    c = corners.transpose(0, 2, 1)  # (2**ndim, n, ndim)
+    lo, hi = c.min(axis=0), c.max(axis=0)
     pad = 1e-6 * (1 + (hi - lo)) + 1e-12 * np.maximum(np.abs(lo), np.abs(hi))
     return ~np.any((targets < lo - pad) | (targets > hi + pad), axis=1)
 
@@ -251,40 +281,10 @@ def _nearest_node_seed(
     return out, cost
 
 
-def donor_search(
-    xyz: np.ndarray,
-    points: np.ndarray,
-    guesses: np.ndarray | None = None,
-    max_steps: int = 200,
-    newton_iters: int = 8,
-    tol: float = 1e-10,
-    cell_lo: np.ndarray | None = None,
-    cell_hi: np.ndarray | None = None,
-) -> DonorSearchResult:
-    """Search donor cells of one curvilinear grid for a batch of points.
-
-    Parameters
-    ----------
-    xyz:
-        Donor grid coordinates, shape (*dims, ndim).
-    points:
-        Receiver points, shape (n, ndim).
-    guesses:
-        Optional starting cells (n, ndim) — the nth-level restart path.
-        Out-of-range guesses are clipped.
-    cell_lo / cell_hi:
-        Optional inclusive cell-index bounds restricting the walk (the
-        distributed search walks only inside a processor's subdomain and
-        *exits* instead of crossing it).  Points whose walk leaves the
-        bounds are reported not-found with their last cell in ``cells``
-        (the forwarding hint).
-
-    Rows of ``guesses`` containing any negative entry are treated as
-    cold (no hint) and seeded like a ``guesses=None`` search.
-    """
-    ndim = xyz.shape[-1]
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0]
+def _search(xyz, pts, guesses, cell_lo, cell_hi, max_steps):
+    """One batch's search (see :func:`donor_search`) as a generator: it yields
+    each Newton request, is sent its ``s`` and returns the batch's result."""
+    n, ndim = pts.shape
     max_cell = np.array(xyz.shape[:-1]) - 2
     lo = np.zeros_like(max_cell) if cell_lo is None else np.maximum(np.asarray(cell_lo, np.int64), 0)
     hi = max_cell if cell_hi is None else np.minimum(np.asarray(cell_hi, np.int64), max_cell)
@@ -302,12 +302,6 @@ def donor_search(
         cold = live.copy()
         cells = np.zeros((n, ndim), dtype=np.int64)
     else:
-        guesses = np.atleast_2d(np.asarray(guesses, np.int64))
-        if guesses.shape != pts.shape:
-            raise ValueError(
-                f"guesses shape {guesses.shape} does not match "
-                f"points shape {pts.shape}"
-            )
         cold = np.any(guesses < 0, axis=1) & live
         cells = np.clip(guesses, lo, hi)
     if cold.any():
@@ -333,7 +327,7 @@ def donor_search(
             steps[idx] += max_steps - it
             break
         # Newton inversion of the multilinear map within the cell.
-        s = _invert_cells(_corners(xyz, cells[idx]), pts[idx], newton_iters, tol)
+        s = yield _corners(xyz, cells[idx]), pts[idx]
 
         steps[idx] += 1
         inside = np.all((s >= -1e-9) & (s <= 1 + 1e-9), axis=1)
@@ -379,9 +373,7 @@ def donor_search(
         rows = np.nonzero(escaped & ~found)[0]
         seeds = cells[rows]
         seeds = np.where(seeds >= hi, lo, np.where(seeds <= lo, hi, seeds))
-        again = donor_search(  # explicit bounds: no second-level retry
-            xyz, pts[rows], seeds, max_steps, newton_iters, tol, lo, hi
-        )
+        again = yield from _search(xyz, pts[rows], seeds, lo, hi, max_steps)  # no 2nd retry
         steps[rows] += again.steps
         hit = again.found
         found[rows[hit]] = True
@@ -416,8 +408,8 @@ def donor_search(
             steps[rows[sub]] += 1  # one Newton solve ~ one walk step
             if not _may_hit(corners, targets[sub]).any():
                 continue  # no row can hit: the solve would change nothing
-            s = _invert_cells(corners, targets[sub], newton_iters, tol)
-            x = _map2d(*corners, s) if ndim == 2 else _map3d(corners, s.T[None])[0].T
+            s = yield corners, targets[sub]
+            x = _MAP[ndim](corners, s.T[None])[0].T
             resid = np.abs(x - targets[sub]).max(axis=1)
             inside = np.all((s >= -1e-9) & (s <= 1 + 1e-9), axis=1) & (resid <= 1e-8)
             hit = sub[inside]
@@ -430,3 +422,78 @@ def donor_search(
 
     # Anything still active after max_steps is not found.
     return DonorSearchResult(cells, fracs, found, steps, escaped)
+
+
+def donor_search(
+    xyz,
+    points: np.ndarray,
+    guesses: np.ndarray | None = None,
+    max_steps: int = 200,
+    cell_lo=None,
+    cell_hi=None,
+    batch: np.ndarray | None = None,
+) -> DonorSearchResult:
+    """Search donor cells of one curvilinear grid for a batch of points.
+
+    Parameters
+    ----------
+    xyz:
+        Donor grid coordinates, shape (*dims, ndim).
+    points:
+        Receiver points, shape (n, ndim).
+    guesses:
+        Optional starting cells (n, ndim) — the nth-level restart path.
+        Out-of-range guesses are clipped.
+    cell_lo / cell_hi:
+        Optional inclusive cell-index bounds restricting the walk (the
+        distributed search walks only inside a processor's subdomain and
+        *exits* instead of crossing it).  Points whose walk leaves the
+        bounds are reported not-found with their last cell in ``cells``
+        (the forwarding hint).
+    batch:
+        Optional (n,) non-decreasing batch id per row (each batch's rows
+        consecutive).  Then ``xyz`` and (if given)
+        ``cell_lo`` / ``cell_hi`` hold one grid / window (``None``: full
+        grid) per batch, and each batch gets exactly the arrays a call
+        with only its rows, grid, window and guesses would return.
+
+    Rows of ``guesses`` containing any negative entry are treated as
+    cold (no hint) and seeded like a ``guesses=None`` search.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if guesses is not None:
+        guesses = np.atleast_2d(np.asarray(guesses, np.int64))
+        if guesses.shape != pts.shape:
+            raise ValueError(
+                f"guesses shape {guesses.shape} does not match "
+                f"points shape {pts.shape}"
+            )
+    if batch is None:
+        xyz, cell_lo, cell_hi, rows = [xyz], [cell_lo], [cell_hi], [slice(None)]
+    else:
+        batch = np.asarray(batch, np.int64)
+        bad = np.any(np.diff(batch) < 0) or np.any((batch < 0) | (batch >= len(xyz)))
+        if batch.shape != pts.shape[:1] or bad:
+            raise ValueError(f"batch: one non-decreasing id in [0, {len(xyz)}) per point")
+        cuts = np.searchsorted(batch, np.arange(len(xyz) + 1)).tolist()
+        rows = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    nb = len(xyz)
+    cell_lo, cell_hi = ([None] * nb if w is None else w for w in (cell_lo, cell_hi))
+    # Rounds: each live batch's search runs to its next Newton request,
+    # and one _invert call answers them all.
+    results, answers = [None] * nb, [None] * nb
+    live = [(b, _search(xyz[b], pts[r], None if guesses is None else guesses[r],
+                        cell_lo[b], cell_hi[b], max_steps)) for b, r in enumerate(rows)]
+    while live:
+        asked = []
+        for (b, search), s in zip(live, answers):
+            try:
+                asked.append((b, search, search.send(s)))
+            except StopIteration as stop:
+                results[b] = stop.value
+        live = [(b, search) for b, search, _ in asked]
+        answers = _invert([q for *_, q in asked]) if asked else []
+    if nb == 1:
+        return results[0]
+    parts = ([getattr(r, f.name) for r in results] for f in fields(DonorSearchResult))
+    return DonorSearchResult(*map(np.concatenate, parts))

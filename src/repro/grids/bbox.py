@@ -49,9 +49,6 @@ class AABB:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    def volume(self) -> float:
-        return float(np.prod(self.extent))
-
     def inflated(self, margin: float) -> "AABB":
         """Box grown by ``margin`` on every side (may be relative: a
         negative margin shrinks, which can raise on over-shrink)."""
@@ -70,19 +67,6 @@ class AABB:
 
     def intersects(self, other: "AABB") -> bool:
         return bool(np.all(self.lo <= other.hi) and np.all(other.lo <= self.hi))
-
-    def union(self, other: "AABB") -> "AABB":
-        return AABB(
-            np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi)
-        )
-
-    def intersection(self, other: "AABB") -> "AABB | None":
-        """Overlap box, or None when disjoint."""
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        if np.any(hi < lo):
-            return None
-        return AABB(lo, hi)
 
     def __repr__(self) -> str:
         return f"AABB(lo={self.lo.tolist()}, hi={self.hi.tolist()})"

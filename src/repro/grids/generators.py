@@ -12,6 +12,9 @@ counts and IGBP/gridpoint ratios.
 
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 import numpy as np
 
 from repro.grids.structured import BoundaryFace, CurvilinearGrid
@@ -20,6 +23,15 @@ from repro.grids.structured import BoundaryFace, CurvilinearGrid
 # ----------------------------------------------------------------------
 # profiles
 # ----------------------------------------------------------------------
+
+
+def sizer(scale: float, ndim: int) -> Callable[..., int]:
+    """Index sizes for ``scale`` times a case's point count: ``n`` times
+    the ``ndim``-th root of ``scale``, rounded, at least ``floor``."""
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    s = math.sqrt(scale) if ndim == 2 else scale ** (1.0 / 3.0)
+    return lambda n, floor=7: max(floor, int(round(n * s)))
 
 def naca0012_thickness(x: np.ndarray, chord: float = 1.0) -> np.ndarray:
     """Half-thickness of a NACA 0012 section (closed trailing edge)."""

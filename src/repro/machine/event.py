@@ -123,12 +123,6 @@ class Mailbox:
             got.sort(key=_drain_order)
         return got
 
-    def earliest_arrival(self) -> float | None:
-        """Arrival time of the earliest message, or None if empty."""
-        if not self._messages:
-            return None
-        return self._messages[0].arrival_time
-
     def pending(self) -> list[Message]:
         """Snapshot of unmatched messages (for deadlock diagnostics)."""
         return list(self._messages)

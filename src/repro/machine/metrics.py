@@ -198,10 +198,6 @@ class PhaseRollup:
     def phases(self) -> list[str]:
         return list(dict.fromkeys(phase for _, phase in self._order))
 
-    def rank_total(self, rank: int) -> float:
-        """All seconds accounted to ``rank`` across phases."""
-        return sum(c.total for c in self.ranks[rank].cells.values())
-
     def phase_seconds(self, phase: str) -> np.ndarray:
         """Per-rank seconds in ``phase`` (zeros where a rank never entered)."""
         return np.array([self.cell(r, phase).total for r in range(self.nranks)])

@@ -307,9 +307,30 @@ def _step_connectivity(
     patch_boxes = [g.bounding_box() for g in layout.grids]
     # Fringe points per patch, built once and shared by every nb grid.
     fringes: dict[int, np.ndarray] = {}
-
-    for gi, g in enumerate(nb_grids):
+    # Per near-body grid: the patches inside its box, the patch of each
+    # fringe point in it, those points and their distinct rows.
+    per_grid = []
+    for g in nb_grids:
         nb_box = g.bounding_box()
+        near = [pi for pi, box in enumerate(patch_boxes) if box.intersects(nb_box)]
+        for pi in near:
+            if pi not in fringes:
+                fringes[pi] = fringe_points(layout.grids[pi])
+        chunks = [fringes[pi][nb_box.contains(fringes[pi])] for pi in near]
+        owner = np.repeat(np.array(near, dtype=np.int64), [len(c) for c in chunks])
+        allpts = np.concatenate([np.zeros((0, g.ndim)), *chunks])
+        per_grid.append((near, owner, allpts, *_distinct_rows(allpts)))
+
+    # ONE stencil-walk donor search per step: each near-body grid's
+    # distinct fringe points are one batch on that grid.
+    sizes = [len(first) for *_, first, _ in per_grid]
+    res = donor_search(
+        [g.xyz for g in nb_grids],
+        np.concatenate([pts[first] for _, _, pts, first, _ in per_grid]),
+        batch=np.repeat(np.arange(len(sizes)), sizes),
+    ).split(sizes)
+
+    for gi, (g, (near, owner, allpts, _, twin)) in enumerate(zip(nb_grids, per_grid)):
         wall_pts = [g.face_points(b.face).reshape(-1, g.ndim) for b in g.wall_faces()]
         wall_box = None
         if wall_pts:
@@ -319,22 +340,11 @@ def _step_connectivity(
             shrink = -0.02 * float(raw.extent.max())
             wall_box = raw.inflated(shrink) if np.all(raw.extent + 2 * shrink > 0) else raw
 
-        # ONE stencil-walk donor search per near-body grid over the
-        # fringe points of every patch inside its box, each distinct
-        # point once; the results are split back per patch.
-        near = [pi for pi, box in enumerate(patch_boxes) if box.intersects(nb_box)]
-        for pi in near:
-            if pi not in fringes:
-                fringes[pi] = fringe_points(layout.grids[pi])
-        chunks = [fringes[pi][nb_box.contains(fringes[pi])] for pi in near]
-        owner = np.repeat(np.array(near, dtype=np.int64), [len(c) for c in chunks])
+        # The search results split back per patch.
         if len(owner):
-            allpts = np.concatenate(chunks)
-            first, twin = _distinct_rows(allpts)
-            res = donor_search(g.xyz, allpts[first])
-            found = res.found[twin]
+            found = res[gi].found[twin]
             # Charged per row: the machine still serves every fringe.
-            search_steps[gi] = int(res.steps[twin].sum())
+            search_steps[gi] = int(res[gi].steps[twin].sum())
             lost = ~found & (wall_box.contains(allpts) if wall_box is not None else False)
             nfound, nlost = (
                 np.bincount(owner, x, minlength=len(patch_boxes)) for x in (found, lost)

@@ -123,9 +123,6 @@ class Checkpoint:
     def step(self) -> int:
         return int(self.meta.get("step", -1))
 
-    def checksums(self) -> dict[str, str]:
-        return {name: _sha256(data) for name, data in self.sections.items()}
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Checkpoint(step={self.meta.get('step')}, "

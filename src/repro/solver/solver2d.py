@@ -27,21 +27,16 @@ from repro.solver.viscous import laminar_viscosity, viscous_residual
 _GHOSTS = 2
 
 
-class Solver2D:
-    """Implicit compressible flow solver on one curvilinear grid."""
+class ComponentSolver:
+    """What the 2-D and 3-D solvers share: the flow state of one
+    component grid, its rigid motion, intergrid boundary injection and
+    the hole mask.  A subclass sets its geometry up in ``_setup_geometry``."""
 
-    def __init__(self, grid: CurvilinearGrid, config: FlowConfig):
-        if grid.ndim != 2:
-            raise ValueError("Solver2D needs a 2-D grid")
+    def __init__(self, grid: CurvilinearGrid, config: FlowConfig, qinf: np.ndarray):
         self.grid = grid
         self.config = config
-        self.i_periodic = any(
-            b.kind == "periodic" and b.face in ("imin", "imax")
-            for b in grid.boundaries
-        )
         self._setup_geometry(grid.xyz)
-        qinf = config.freestream()
-        self.q = np.broadcast_to(qinf, grid.dims + (4,)).copy()
+        self.q = np.broadcast_to(qinf, grid.dims + qinf.shape).copy()
         self.qinf = qinf
         self.iblank = np.ones(grid.dims, dtype=np.int8)
         self._frozen = qinf.copy()
@@ -52,7 +47,52 @@ class Solver2D:
         )
         self.step_count = 0
 
-    # ------------------------------------------------------------------
+    def move_to(self, xyz: np.ndarray) -> None:
+        """Update node coordinates after rigid grid motion."""
+        if xyz.shape != self.grid.xyz.shape:
+            raise ValueError("moving a grid cannot change its shape")
+        self.grid = self.grid.with_coordinates(xyz)
+        self._setup_geometry(xyz)
+
+    def set_fringe(self, flat_indices: np.ndarray, values: np.ndarray) -> None:
+        """Inject interpolated intergrid boundary values (step 3 of the
+        paper's loop feeding step 1 of the next)."""
+        flat_indices = np.asarray(flat_indices, dtype=np.int64)
+        q_flat = self.q.reshape(-1, self.q.shape[-1])
+        q_flat[flat_indices] = values
+
+    def set_iblank(self, iblank: np.ndarray) -> None:
+        """Install a hole mask (1 = active, 0 = hole)."""
+        iblank = np.asarray(iblank, dtype=np.int8)
+        if iblank.shape != self.grid.dims:
+            raise ValueError("iblank shape mismatch")
+        self.iblank = iblank
+
+    def _commit(self, dq: np.ndarray, dt: float) -> dict:
+        """Add a step's update ``dq`` to the active points, then the
+        physical boundary conditions; returns the step's report."""
+        active = (self.iblank == 1)[..., None]
+        self.q += np.where(active, dq, 0.0)
+        # Hole points stay frozen at a benign state.
+        self.q[self.iblank == 0] = self._frozen
+        self._apply_physical_bcs()
+        sanity_check(self.q, self.config.gas.gamma, where=f"grid {self.grid.name!r}")
+        self.step_count += 1
+        res = float(np.sqrt(np.mean(dq[..., 0] ** 2))) / max(dt, 1e-300)
+        return {"dt": dt, "residual": res}
+
+
+class Solver2D(ComponentSolver):
+    """Implicit compressible flow solver on one curvilinear grid."""
+
+    def __init__(self, grid: CurvilinearGrid, config: FlowConfig):
+        if grid.ndim != 2:
+            raise ValueError("Solver2D needs a 2-D grid")
+        self.i_periodic = any(
+            b.kind == "periodic" and b.face in ("imin", "imax")
+            for b in grid.boundaries
+        )
+        super().__init__(grid, config, config.freestream())
 
     def _setup_geometry(self, xyz: np.ndarray) -> None:
         self.xyz = np.ascontiguousarray(xyz)
@@ -66,15 +106,6 @@ class Solver2D:
             for b in self.grid.boundaries
             if b.kind == "wall"
         }
-
-    def move_to(self, xyz: np.ndarray) -> None:
-        """Update node coordinates after rigid grid motion."""
-        if xyz.shape != self.grid.xyz.shape:
-            raise ValueError("moving a grid cannot change its shape")
-        self.grid = self.grid.with_coordinates(xyz)
-        self._setup_geometry(xyz)
-
-    # ------------------------------------------------------------------
 
     def timestep(self) -> float:
         """CFL-limited implicit timestep from the spectral radii."""
@@ -113,15 +144,7 @@ class Solver2D:
         dq = factored_update(rhs, nu_xi, nu_eta)
         dq = self._unpad(dq)
 
-        active = (self.iblank == 1)[..., None]
-        self.q += np.where(active, dq, 0.0)
-        # Hole points stay frozen at a benign state.
-        self.q[self.iblank == 0] = self._frozen
-        self._apply_physical_bcs()
-        sanity_check(self.q, g, where=f"grid {self.grid.name!r}")
-        self.step_count += 1
-        res = float(np.sqrt(np.mean(dq[..., 0] ** 2))) / max(dt, 1e-300)
-        return {"dt": dt, "residual": res}
+        return self._commit(dq, dt)
 
     # ------------------------------------------------------------------
 
@@ -153,26 +176,6 @@ class Solver2D:
             # overset faces are set externally; periodic handled below
         if self.i_periodic:
             bc.apply_periodic_seam(self.q)
-
-    # ------------------------------------------------------------------
-    # driver interface
-    # ------------------------------------------------------------------
-
-    def set_fringe(self, flat_indices: np.ndarray, values: np.ndarray) -> None:
-        """Inject interpolated intergrid boundary values (step 3 of the
-        paper's loop feeding step 1 of the next)."""
-        flat_indices = np.asarray(flat_indices, dtype=np.int64)
-        q_flat = self.q.reshape(-1, 4)
-        q_flat[flat_indices] = values
-
-    def set_iblank(self, iblank: np.ndarray) -> None:
-        """Install a hole mask (1 = active, 0 = hole)."""
-        iblank = np.asarray(iblank, dtype=np.int8)
-        if iblank.shape != self.grid.dims:
-            raise ValueError("iblank shape mismatch")
-        self.iblank = iblank
-
-    # ------------------------------------------------------------------
 
     def surface_forces(self, ref_point=(0.25, 0.0)) -> dict:
         """Integrate wall pressure into force and pitching moment.

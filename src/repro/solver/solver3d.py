@@ -23,19 +23,14 @@ from repro.grids.structured import CurvilinearGrid
 from repro.solver import boundary as bc
 from repro.solver.adi import implicit_sweep
 from repro.solver.flux3d import inviscid_residual3d, spectral_radii3d
-from repro.solver.state import (
-    FlowConfig,
-    conservative3d,
-    primitive3d,
-    sanity_check,
-)
-from repro.solver.viscous import laminar_viscosity
+from repro.solver.solver2d import ComponentSolver
+from repro.solver.state import FlowConfig, conservative3d, primitive3d
 
 _GHOSTS = 2
 _AXIS = {"i": 0, "j": 1, "k": 2}
 
 
-class Solver3D:
+class Solver3D(ComponentSolver):
     """Implicit compressible flow solver on one 3-D curvilinear grid."""
 
     def __init__(self, grid: CurvilinearGrid, config: FlowConfig):
@@ -46,21 +41,8 @@ class Solver3D:
                 "Baldwin-Lomax is implemented for the 2-D solver only; "
                 "3-D turbulent work is charged via the work model"
             )
-        self.grid = grid
-        self.config = config
         self.periodic_axis = self._periodic_axis(grid)
-        self._setup_geometry(grid.xyz)
-        qinf = config.freestream3d()
-        self.q = np.broadcast_to(qinf, grid.dims + (5,)).copy()
-        self.qinf = qinf
-        self.iblank = np.ones(grid.dims, dtype=np.int8)
-        self._frozen = qinf.copy()
-        self.mu_laminar = (
-            laminar_viscosity(config.mach, config.reynolds)
-            if grid.viscous
-            else 0.0
-        )
-        self.step_count = 0
+        super().__init__(grid, config, config.freestream3d())
 
     # ------------------------------------------------------------------
 
@@ -113,13 +95,6 @@ class Solver3D:
             return arr
         return bc.unwrap_periodic(arr, _GHOSTS, axis=self.periodic_axis)
 
-    def move_to(self, xyz: np.ndarray) -> None:
-        """Update node coordinates after rigid grid motion."""
-        if xyz.shape != self.grid.xyz.shape:
-            raise ValueError("moving a grid cannot change its shape")
-        self.grid = self.grid.with_coordinates(xyz)
-        self._setup_geometry(xyz)
-
     # ------------------------------------------------------------------
 
     def timestep(self) -> float:
@@ -149,16 +124,7 @@ class Solver3D:
         dq = rhs
         for d in range(3):
             dq = implicit_sweep(dq, dt * lam[d] / m.jac_abs, axis=d)
-        dq = self._unpad(dq)
-
-        active = (self.iblank == 1)[..., None]
-        self.q += np.where(active, dq, 0.0)
-        self.q[self.iblank == 0] = self._frozen
-        self._apply_physical_bcs()
-        sanity_check(self.q, g, where=f"grid {self.grid.name!r}")
-        self.step_count += 1
-        res = float(np.sqrt(np.mean(dq[..., 0] ** 2))) / max(dt, 1e-300)
-        return {"dt": dt, "residual": res}
+        return self._commit(self._unpad(dq), dt)
 
     # ------------------------------------------------------------------
 
@@ -232,20 +198,6 @@ class Solver3D:
         self.q[bc.face_slicer(face, ndim)] = conservative3d(
             rho, u, v, w, p, g
         )
-
-    # ------------------------------------------------------------------
-    # driver interface (mirrors Solver2D)
-    # ------------------------------------------------------------------
-
-    def set_fringe(self, flat_indices: np.ndarray, values: np.ndarray) -> None:
-        q_flat = self.q.reshape(-1, 5)
-        q_flat[np.asarray(flat_indices, dtype=np.int64)] = values
-
-    def set_iblank(self, iblank: np.ndarray) -> None:
-        iblank = np.asarray(iblank, dtype=np.int8)
-        if iblank.shape != self.grid.dims:
-            raise ValueError("iblank shape mismatch")
-        self.iblank = iblank
 
     def surface_forces(self, face: str | None = None) -> dict:
         """Pressure force on a wall face (default: the first wall)."""

@@ -16,7 +16,7 @@ constant can be overridden for sensitivity studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,6 @@ class WorkModel:
     def search_flops(self, steps: int) -> float:
         """Donor-search arithmetic for a given number of walk steps."""
         return steps * self.search_step_flops
-
-    def with_overrides(self, **kwargs) -> "WorkModel":
-        return replace(self, **kwargs)
 
 
 DEFAULT_WORK_MODEL = WorkModel()

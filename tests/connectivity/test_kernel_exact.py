@@ -18,7 +18,10 @@ row can hit (a soundness property over single cells, plus searches that
 skip blocks and hit in the same call), and for the search being
 row-wise: a row's five arrays do not depend on which other rows share
 its batch, copies of it included, which lets the off-body step search
-each distinct fringe point once.
+each distinct fringe point once.  It is also the gate for batching:
+every problem the sweeps draw is searched once more as batches of one
+``donor_search`` call, in shuffled order with others, and each batch's
+arrays must be those of the reference run on it alone.
 It runs in the ordinary ``tests`` CI matrix, which is where a numpy
 whose reduction order differs would show.
 """
@@ -121,13 +124,36 @@ def probe_counts(res, blocks):
     return skipped, hits
 
 
-def check_case(dims, amp, freq, jitter, n, seed, kind="wavy"):
+def check_batched(batches, rng):
+    """One ``donor_search`` call over ``batches`` — ``(xyz, pts, guesses,
+    cell_lo, cell_hi, reference)`` each — in shuffled batch order; each
+    batch's five arrays must be byte-equal to its ``reference``, the
+    reference search of that batch alone.  Cold batches travel as
+    all-negative guesses, which seed exactly like ``guesses=None`` for
+    finite points and non-empty windows."""
+    order = rng.permutation(len(batches))
+    sizes = [len(batches[b][1]) for b in order]
+    hints = [
+        np.full(batches[b][1].shape, -1) if batches[b][2] is None else batches[b][2]
+        for b in order
+    ]
+    grids, pts, los, his = ([batches[b][f] for b in order] for f in (0, 1, 3, 4))
+    res = donor_search(
+        grids, np.concatenate(pts), np.concatenate(hints), cell_lo=los, cell_hi=his,
+        batch=np.repeat(np.arange(len(order)), sizes),
+    )
+    for part, b in zip(res.split(sizes), order):
+        assert_same(part, batches[b][5], ("batched", b))
+
+
+def check_case(dims, amp, freq, jitter, n, seed, kind="wavy", pool=None):
     """Old vs new over the search modes on a ``kind`` grid (wavy, seam
-    or fold); returns how many points the full-grid search found and
-    lost, how many of the found only the opposite-edge retry /
-    last-resort probe recovered, how many rows the windowed walks left
-    at the step cap, the cold search's skipped probe blocks and probe
-    hits, and whether it had both."""
+    or fold), then all of them, a 1-row and an empty batch as batches of
+    one call (appended to ``pool`` when given); returns how many points
+    the full-grid search found and lost, how many of the found only the
+    opposite-edge retry / last-resort probe recovered, how many rows the
+    windowed walks left at the step cap, the cold search's skipped probe
+    blocks and probe hits, and whether it had both."""
     rng = np.random.default_rng(seed)
     ndim = len(dims)
     if kind == "seam":
@@ -152,11 +178,8 @@ def check_case(dims, amp, freq, jitter, n, seed, kind="wavy"):
     # without a hint (negative => seeded like a cold point).
     g = cold.cells + rng.integers(-2, 3, cold.cells.shape)
     g[rng.random(n) < 0.3] = -1
-    assert_same(
-        donor_search(xyz, pts, guesses=g),
-        reference_search(xyz, pts, guesses=g),
-        "warm",
-    )
+    warm = reference_search(xyz, pts, guesses=g)
+    assert_same(donor_search(xyz, pts, guesses=g), warm, "warm")
 
     # Windowed (distributed) searches: escapes are forwarding hints.
     max_cell = np.array(xyz.shape[:-1]) - 2
@@ -177,6 +200,20 @@ def check_case(dims, amp, freq, jitter, n, seed, kind="wavy"):
         walk,
         "whole-grid window",
     )
+    one = rng.integers(n)
+    batches = [
+        (xyz, pts, None, None, None, cold),
+        (xyz, pts, g, None, None, warm),
+        (xyz, pts, None, lo, hi, windowed),
+        (xyz, pts, g, lo, hi, windowed_warm),
+        (xyz, pts, None, 0 * max_cell, max_cell, walk),
+        (xyz, pts[one : one + 1], g[one : one + 1], None, None,
+         reference_search(xyz, pts[one : one + 1], g[one : one + 1])),
+        (xyz, pts[:0], None, lo, hi, reference_search(xyz, pts[:0], cell_lo=lo, cell_hi=hi)),
+    ]
+    check_batched(batches, rng)
+    if pool is not None:
+        pool.extend(batches)
     found = int(cold.found.sum())
     at_cap = capped(windowed) + capped(windowed_warm) + capped(walk)
     recovered = int((cold.found & ~walk.found).sum())
@@ -192,6 +229,7 @@ def test_fixed_seeds_match_reference():
     hits must all occur, a skip and a hit in one search at least once."""
     rng = np.random.default_rng(2024)
     totals = np.zeros(7, dtype=int)
+    pools: dict[int, list] = {2: [], 3: []}
     for seed in range(12):
         ndim = 2 if seed % 3 == 0 else 3
         dims = tuple(int(d) for d in rng.integers(3, 15, ndim))
@@ -205,7 +243,12 @@ def test_fixed_seeds_match_reference():
             # Folds on two of the 2-D grids: 3-D ones cost the
             # reference seconds of walking to the cap.
             kind="seam" if seed % 4 == 3 else ("fold" if seed % 6 == 0 else "wavy"),
+            pool=pools[ndim],
         )
+    # Every grid's batches of one dimension in one call: batches on
+    # different grids share the call's Newton rounds.
+    for pool in pools.values():
+        check_batched(pool, rng)
     found, orphans, recovered, at_cap, skipped, hits, both = totals
     assert found > 500 and orphans > 500 and recovered > 10 and at_cap > 10
     assert skipped > 0 and hits > 0 and both > 0
@@ -229,7 +272,7 @@ def test_generated_grids_match_reference(dims, amp, freq, jitter, n, seed, kind)
 
 def probe_map(corners, s):
     """The probe's own evaluation of the map at its Newton solution."""
-    return _map2d(*corners, s) if s.shape[1] == 2 else _map3d(corners, s.T[None])[0].T
+    return (_map2d if s.shape[1] == 2 else _map3d)(corners, s.T[None])[0].T
 
 
 @settings(deadline=None)
@@ -258,9 +301,7 @@ def test_may_hit_keeps_every_possible_hit(ndim, kind, offset, scale, seed):
         same = rng.random((n, m)) < 0.5
         c[same] = np.broadcast_to(c[:, :1], c.shape)[same]
     c = c * scale + offset
-    corners = tuple(c[:, k] for k in range(4)) if ndim == 2 else (
-        np.ascontiguousarray(c.transpose(1, 2, 0))
-    )
+    corners = np.ascontiguousarray(c.transpose(1, 2, 0))
     lo, hi = -1e-9, 1 + 1e-9
     s = rng.uniform(lo, hi, (n, ndim))
     s[rng.random((n, ndim)) < 0.3] = lo
@@ -359,18 +400,19 @@ def test_single_point_batches_match_reference(ndim):
 def instrumented_search(*args, **kw):
     """``donor_search`` with its probe blocks recorded as
     :func:`probed_search` does, plus ``(rows, found)`` of each
-    opposite-edge retry (the kernel calling itself by module name)."""
-    retries = []
-    search = donorsearch.donor_search
+    opposite-edge retry.  The retry is the search generator ``_search``
+    recursing; a one-batch call's outer search finishes last."""
+    searches = []
+    search = donorsearch._search
 
-    def retry(*a, **k):
-        res = search(*a, **k)
-        retries.append((len(res.found), int(res.found.sum())))
+    def spy(*a, **k):
+        res = yield from search(*a, **k)
+        searches.append((len(res.found), int(res.found.sum())))
         return res
 
-    with mock.patch.object(donorsearch, "donor_search", retry):
+    with mock.patch.object(donorsearch, "_search", spy):
         res, blocks = probed_search(*args, **kw)
-    return res, blocks, retries
+    return res, blocks, searches[:-1]
 
 
 def check_rows_independent(dims, amp, freq, jitter, n, seed, kind):

@@ -59,13 +59,6 @@ class TestMailbox:
         assert got.payload == "b"
         assert len(box) == 1
 
-    def test_earliest_arrival(self):
-        box = Mailbox()
-        assert box.earliest_arrival() is None
-        box.deposit(msg(arrival=4.0))
-        box.deposit(msg(arrival=2.0))
-        assert box.earliest_arrival() == 2.0
-
     def test_fifo_per_channel_on_equal_arrival(self):
         box = Mailbox()
         a = msg(src=1, tag=1, arrival=1.0, payload="first")

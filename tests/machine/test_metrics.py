@@ -24,7 +24,8 @@ class TestRankMetrics:
         m = rank(0, [("a", "compute", 1.0), ("a", "wait", 0.5),
                      ("b", "comm", 0.25)])
         assert m.cell("a").total == pytest.approx(1.5)
-        assert PhaseRollup([m]).rank_total(0) == pytest.approx(1.75)
+        roll = PhaseRollup([m])
+        assert roll.phase_total("a") + roll.phase_total("b") == pytest.approx(1.75)
 
     def test_negative_increment_rejected(self):
         m = RankMetrics(0)

@@ -95,7 +95,6 @@ class TestPhaseRollup:
         assert roll.phase_avg("flow") == pytest.approx(2.0)
         assert roll.imbalance("flow") == pytest.approx(1.5)
         assert roll.phase_fraction("flow") == pytest.approx(1.0)
-        assert roll.rank_total(1) == pytest.approx(3.0)
 
     def test_merge_adds_epochs(self):
         ra = [RankMetrics(r) for r in range(2)]

@@ -43,7 +43,6 @@ class TestPackUnpack:
         ck = sample_checkpoint(step=12)
         assert ck.step == 12
         assert ck.nbytes == sum(len(b) for b in ck.sections.values())
-        assert set(ck.checksums()) == {"alpha", "beta"}
 
 
 class TestWireFormat:

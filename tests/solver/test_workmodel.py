@@ -58,8 +58,3 @@ class TestCalibration:
     def test_search_flops(self):
         wm = DEFAULT_WORK_MODEL
         assert wm.search_flops(10) == pytest.approx(10 * wm.search_step_flops)
-
-    def test_overrides(self):
-        wm = DEFAULT_WORK_MODEL.with_overrides(euler_flops_per_point=1000.0)
-        assert wm.euler_flops_per_point == 1000.0
-        assert wm.viscous_extra_flops == DEFAULT_WORK_MODEL.viscous_extra_flops
